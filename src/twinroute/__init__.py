@@ -37,7 +37,6 @@ from .routing import (
     PredictivePlan,
     Route,
     RouteTable,
-    route_conventional,
     route_predictive,
     route_realtime,
     score_route,
@@ -92,7 +91,6 @@ __all__ = [
     "predict",
     "prediction_error",
     "read_trace",
-    "route_conventional",
     "route_predictive",
     "route_realtime",
     "run_replay",

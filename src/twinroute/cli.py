@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, validate_config
-from .engine import ConfigError, log, run_replay, run_single, run_variants, write_run_outputs
+from .engine import ConfigError, log, run_replay, run_variants, write_run_outputs
 from .experiment import SweepCellError, load_sweep_spec, run_sweep
 from .metrics import SUMMARY_HEADER, summary_row
 from .mobility import read_trace, snapshot_stream, write_trace
@@ -111,15 +111,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     route_f = open(out / "routes.csv", "w", encoding="utf-8", newline="") if args.dump_routes else None
     topo_f = open(out / "topology.csv", "w", encoding="utf-8", newline="") if args.dump_topology else None
     try:
-        if snapshots is None:
-            result = run_single(cfg, route_dump=route_f, topology_dump=topo_f)
-        else:
-            result = run_variants(
-                {"run": cfg},
-                snapshots=snapshots,
-                route_dump=route_f,
-                topology_dump=topo_f,
-            )["run"]
+        result = run_variants(
+            {"run": cfg}, snapshots=snapshots, route_dump=route_f, topology_dump=topo_f
+        )["run"]
     finally:
         for f in (route_f, topo_f):
             if f:

@@ -8,18 +8,19 @@ time so typos fail fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
+import math
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .channel import BlockageClass, ChannelParams, default_channel_params
 from .model import Strategy, ValidationReport
-
-ARM_NAMES = ("N", "E", "S", "W")
 
 
 @dataclass(frozen=True)
@@ -105,224 +106,86 @@ def default_config(**overrides: Any) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# dict <-> dataclass conversion (strict: unknown keys are an error)
+# type-driven dict <-> dataclass codec; every error names its field path
 
 
-def _take(mapping: dict[str, Any], path: str, allowed: set[str]) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        where = f"{path}." if path else ""
-        raise ValueError(
-            f"unknown configuration key(s): {', '.join(where + k for k in unknown)}"
-        )
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _encode(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
+
+
+def _optional_inner(tp: Any) -> Any:
+    """``X`` for an ``X | None`` annotation, else None."""
+    if get_origin(tp) is types.UnionType:
+        return next(a for a in get_args(tp) if a is not type(None))
+    return None
+
+
+def _decode(tp: Any, raw: Any, path: str, default: Any = None) -> Any:
+    """``raw`` as a value of type ``tp``; ``default`` fills absent dataclass fields."""
+    inner = _optional_inner(tp)
+    if inner is not None:
+        return None if raw is None else _decode(inner, raw, path, default)
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path or 'configuration root'}: must be a mapping")
+        names = [f.name for f in dataclasses.fields(tp)]
+        unknown = sorted(_join(path, str(k)) for k in raw if k not in names)
+        if unknown:
+            raise ValueError(f"unknown configuration key(s): {', '.join(unknown)}")
+        hints = get_type_hints(tp)
+        values = {}
+        for name in names:
+            sub = _join(path, name)
+            if name in raw:
+                values[name] = _decode(hints[name], raw[name], sub, getattr(default, name, None))
+            elif default is not None:
+                values[name] = getattr(default, name)
+            elif _optional_inner(hints[name]) is not None:
+                values[name] = None
+            else:
+                raise ValueError(f"{sub}: required")
+        return tp(**values)
+    if get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: must be a list")
+        item = get_args(tp)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(raw))
+    if issubclass(tp, enum.Enum):
+        try:
+            return tp(str(raw).lower())
+        except ValueError:
+            allowed = [m.value for m in tp]
+            raise ValueError(f"{path}: must be one of {allowed}, got {raw!r}") from None
+    kinds = (str,) if tp is str else (int, float)
+    fractional = tp is int and isinstance(raw, float) and not raw.is_integer()
+    if isinstance(raw, bool) or not isinstance(raw, kinds) or fractional:
+        kind = {str: "a string", int: "an integer", float: "a number"}[tp]
+        raise ValueError(f"{path}: must be {kind}, got {raw!r}")
+    return tp(raw)
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    return {
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "vehicle_count": cfg.vehicle_count,
-        "connected_fraction": cfg.connected_fraction,
-        "intersection": {
-            "arm_length": cfg.intersection.arm_length,
-            "lane_count": cfg.intersection.lane_count,
-            "lane_width": cfg.intersection.lane_width,
-            "rsu_height": cfg.intersection.rsu_height,
-        },
-        "speed": {"min": cfg.speed.min, "max": cfg.speed.max},
-        "channel": {
-            "atmospheric_db_per_km": cfg.channel.atmospheric_db_per_km,
-            "max_range_m": cfg.channel.max_range_m,
-            "classes": [
-                {"max_blockers": c.max_blockers, "rho": c.rho, "gamma": c.gamma}
-                for c in cfg.channel.classes
-            ],
-        },
-        "link_budget_db": cfg.link_budget_db,
-        "strategy": cfg.strategy.value,
-        "latency_delta": cfg.latency_delta,
-        "prediction": {
-            "horizon": cfg.prediction.horizon,
-            "interval": cfg.prediction.interval,
-            "predictor": cfg.prediction.predictor,
-            "history_window": cfg.prediction.history_window,
-            "learned_command": list(cfg.prediction.learned_command)
-            if cfg.prediction.learned_command
-            else None,
-        },
-        "conventional_update_interval": cfg.conventional_update_interval,
-        "mobility": {
-            "min_gap": cfg.mobility.min_gap,
-            "spawn_window": cfg.mobility.spawn_window,
-        },
-        "vehicle_mix": [
-            {
-                "name": v.name,
-                "length": v.length,
-                "width": v.width,
-                "height": v.height,
-                "antenna_height": v.antenna_height,
-                "weight": v.weight,
-            }
-            for v in cfg.vehicle_mix
-        ],
-        "max_hops": cfg.max_hops,
-    }
+    return _encode(cfg)
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValueError("configuration root must be a mapping")
-    base = ScenarioConfig()
-    _take(
-        data,
-        "",
-        {
-            "seed",
-            "duration",
-            "dt",
-            "vehicle_count",
-            "connected_fraction",
-            "intersection",
-            "speed",
-            "channel",
-            "link_budget_db",
-            "strategy",
-            "latency_delta",
-            "prediction",
-            "conventional_update_interval",
-            "mobility",
-            "vehicle_mix",
-            "max_hops",
-        },
-    )
-
-    inter = dict(data.get("intersection", {}))
-    _take(inter, "intersection", {"arm_length", "lane_count", "lane_width", "rsu_height"})
-    intersection = IntersectionGeometry(
-        arm_length=float(inter.get("arm_length", base.intersection.arm_length)),
-        lane_count=int(inter.get("lane_count", base.intersection.lane_count)),
-        lane_width=float(inter.get("lane_width", base.intersection.lane_width)),
-        rsu_height=float(inter.get("rsu_height", base.intersection.rsu_height)),
-    )
-
-    spd = dict(data.get("speed", {}))
-    _take(spd, "speed", {"min", "max"})
-    speed = SpeedRange(
-        min=float(spd.get("min", base.speed.min)),
-        max=float(spd.get("max", base.speed.max)),
-    )
-
-    chan = dict(data.get("channel", {}))
-    _take(chan, "channel", {"atmospheric_db_per_km", "max_range_m", "classes"})
-    if "classes" in chan:
-        classes = []
-        for i, entry in enumerate(chan["classes"]):
-            entry = dict(entry)
-            _take(entry, f"channel.classes[{i}]", {"max_blockers", "rho", "gamma"})
-            raw_max = entry.get("max_blockers")
-            classes.append(
-                BlockageClass(
-                    max_blockers=None if raw_max is None else int(raw_max),
-                    rho=float(entry["rho"]),
-                    gamma=float(entry["gamma"]),
-                )
-            )
-        classes_t = tuple(classes)
-    else:
-        classes_t = default_channel_params().classes
-    channel = ChannelParams(
-        classes=classes_t,
-        atmospheric_db_per_km=float(
-            chan.get("atmospheric_db_per_km", base.channel.atmospheric_db_per_km)
-        ),
-        max_range_m=float(chan.get("max_range_m", base.channel.max_range_m)),
-    )
-
-    pred = dict(data.get("prediction", {}))
-    _take(
-        pred,
-        "prediction",
-        {"horizon", "interval", "predictor", "history_window", "learned_command"},
-    )
-    raw_cmd = pred.get("learned_command")
-    prediction = PredictionConfig(
-        horizon=float(pred.get("horizon", base.prediction.horizon)),
-        interval=float(pred.get("interval", base.prediction.interval)),
-        predictor=str(pred.get("predictor", base.prediction.predictor)),
-        history_window=float(pred.get("history_window", base.prediction.history_window)),
-        learned_command=tuple(str(a) for a in raw_cmd) if raw_cmd else None,
-    )
-
-    mob = dict(data.get("mobility", {}))
-    _take(mob, "mobility", {"min_gap", "spawn_window"})
-    mobility = MobilityConfig(
-        min_gap=float(mob.get("min_gap", base.mobility.min_gap)),
-        spawn_window=float(mob.get("spawn_window", base.mobility.spawn_window)),
-    )
-
-    if "vehicle_mix" in data:
-        mix = []
-        for i, entry in enumerate(data["vehicle_mix"]):
-            entry = dict(entry)
-            _take(
-                entry,
-                f"vehicle_mix[{i}]",
-                {"name", "length", "width", "height", "antenna_height", "weight"},
-            )
-            mix.append(
-                VehicleClassSpec(
-                    name=str(entry["name"]),
-                    length=float(entry["length"]),
-                    width=float(entry["width"]),
-                    height=float(entry["height"]),
-                    antenna_height=float(entry["antenna_height"]),
-                    weight=float(entry["weight"]),
-                )
-            )
-        vehicle_mix = tuple(mix)
-    else:
-        vehicle_mix = DEFAULT_VEHICLE_MIX
-
-    raw_strategy = data.get("strategy", base.strategy.value)
-    try:
-        strategy = Strategy(str(raw_strategy).lower())
-    except ValueError:
-        raise ValueError(
-            f"strategy must be one of {[s.value for s in Strategy]}, got {raw_strategy!r}"
-        ) from None
-
-    raw_hops = data.get("max_hops", base.max_hops)
-
-    return ScenarioConfig(
-        seed=int(data.get("seed", base.seed)),
-        duration=float(data.get("duration", base.duration)),
-        dt=float(data.get("dt", base.dt)),
-        vehicle_count=int(data.get("vehicle_count", base.vehicle_count)),
-        connected_fraction=float(data.get("connected_fraction", base.connected_fraction)),
-        intersection=intersection,
-        speed=speed,
-        channel=channel,
-        link_budget_db=float(data.get("link_budget_db", base.link_budget_db)),
-        strategy=strategy,
-        latency_delta=float(data.get("latency_delta", base.latency_delta)),
-        prediction=prediction,
-        conventional_update_interval=float(
-            data.get("conventional_update_interval", base.conventional_update_interval)
-        ),
-        mobility=mobility,
-        vehicle_mix=vehicle_mix,
-        max_hops=None if raw_hops is None else int(raw_hops),
-    )
+    return _decode(ScenarioConfig, data, "", ScenarioConfig())
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as f:
         data = yaml.safe_load(f)
-    if data is None:
-        data = {}
-    return config_from_dict(data)
+    return config_from_dict({} if data is None else data)
 
 
 def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
@@ -334,9 +197,21 @@ def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
 # validation
 
 
+def _non_finite(value: Any, path: str) -> Iterator[str]:
+    """Paths of the non-finite floats in an encoded configuration."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _non_finite(v, _join(path, key))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path
+
+
 def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     """Check every scenario invariant; pure, returns violations as data."""
-    bad: list[tuple[str, str]] = []
+    bad = [(path, "must be finite") for path in _non_finite(config_to_dict(cfg), "")]
 
     def check(ok: bool, path: str, msg: str) -> None:
         if not ok:
@@ -353,11 +228,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         )
         check(cfg.prediction.interval >= cfg.dt, "prediction.interval", "must be >= dt")
     check(cfg.vehicle_count >= 0, "vehicle_count", "must be >= 0")
-    check(
-        0.0 <= cfg.connected_fraction <= 1.0,
-        "connected_fraction",
-        "must be within [0, 1]",
-    )
+    check(0.0 <= cfg.connected_fraction <= 1.0, "connected_fraction", "must be within [0, 1]")
     check(
         cfg.prediction.horizon >= cfg.prediction.interval,
         "prediction.horizon",
@@ -385,11 +256,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(cfg.link_budget_db > 0, "link_budget_db", "must be > 0")
     check(cfg.mobility.min_gap > 0, "mobility.min_gap", "must be > 0")
     check(cfg.mobility.spawn_window >= 0, "mobility.spawn_window", "must be >= 0")
-    check(
-        cfg.max_hops is None or cfg.max_hops >= 1,
-        "max_hops",
-        "must be >= 1 or null",
-    )
+    check(cfg.max_hops is None or cfg.max_hops >= 1, "max_hops", "must be >= 1 or null")
 
     for path, msg in cfg.channel.problems():
         bad.append((f"channel.{path}", msg))

@@ -10,8 +10,11 @@ truth. Drivers differ only in where their tables come from:
 - predictive: a route schedule planned every ``prediction.interval``
   seconds from (possibly lagged) history, applied without further
   contact until the next planning epoch;
-- conventional: a table computed from the epoch snapshot and frozen for
-  ``conventional_update_interval`` seconds.
+- conventional: the real-time computation on the epoch snapshot (no
+  latency), frozen for ``conventional_update_interval`` seconds.
+
+Real-time and conventional share one periodic driver: (period, lag) of
+(1 step, latency) and (update interval, 0).
 
 Several variants can share one run's traffic and ground-truth graphs;
 every piece is a pure function of (config, seed), so results are identical
@@ -40,7 +43,6 @@ from .routing import (
     PredictivePlan,
     RouteTable,
     dump_route_table,
-    route_conventional,
     route_predictive,
     route_realtime,
     score_route,
@@ -93,9 +95,9 @@ class _SharedWorld:
 class _Driver:
     """Produces the route table in force at each scored timestep."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, lag: int):
         self.config = config
-        self.lag = delay_to_steps(config.latency_delta, config.dt)
+        self.lag = lag
 
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable | None:
         raise NotImplementedError
@@ -104,34 +106,21 @@ class _Driver:
         return None, 0
 
 
-class _RealTimeDriver(_Driver):
-    def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
-        snap = world.snapshot_at(timestep - self.lag)
-        graph = world.graph_at(timestep - self.lag)
-        demands = {v.id for v in snap.connected_vehicles()}
-        return route_realtime(
-            snap,
-            demands,
-            self.config.channel,
-            self.config.link_budget_db,
-            self.config.max_hops,
-            graph=graph,
-        )
+class _PeriodicDriver(_Driver):
+    """Routes the snapshot ``lag`` steps old and holds the table ``period`` steps."""
 
-
-class _ConventionalDriver(_Driver):
-    def __init__(self, config: ScenarioConfig):
-        super().__init__(config)
-        self.epoch_steps = seconds_to_steps(config.conventional_update_interval, config.dt)
+    def __init__(self, config: ScenarioConfig, period: int, lag: int):
+        super().__init__(config, lag)
+        self.period = period
         self._table: RouteTable | None = None
         self._next_update: int | None = None
 
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
         if self._next_update is None or timestep >= self._next_update:
-            snap = world.snapshot_at(timestep)
-            graph = world.graph_at(timestep)
+            snap = world.snapshot_at(timestep - self.lag)
+            graph = world.graph_at(timestep - self.lag)
             demands = {v.id for v in snap.connected_vehicles()}
-            self._table = route_conventional(
+            self._table = route_realtime(
                 snap,
                 demands,
                 self.config.channel,
@@ -139,13 +128,13 @@ class _ConventionalDriver(_Driver):
                 self.config.max_hops,
                 graph=graph,
             )
-            self._next_update = timestep + self.epoch_steps
+            self._next_update = timestep + self.period
         return self._table
 
 
 class _PredictiveDriver(_Driver):
     def __init__(self, config: ScenarioConfig):
-        super().__init__(config)
+        super().__init__(config, delay_to_steps(config.latency_delta, config.dt))
         self.interval_steps = seconds_to_steps(config.prediction.interval, config.dt)
         self.predictor = make_predictor(
             config.prediction.predictor, config.prediction.learned_command
@@ -208,9 +197,10 @@ class _PredictiveDriver(_Driver):
 
 def _make_driver(config: ScenarioConfig) -> _Driver:
     if config.strategy is Strategy.REALTIME:
-        return _RealTimeDriver(config)
+        return _PeriodicDriver(config, 1, delay_to_steps(config.latency_delta, config.dt))
     if config.strategy is Strategy.CONVENTIONAL:
-        return _ConventionalDriver(config)
+        period = seconds_to_steps(config.conventional_update_interval, config.dt)
+        return _PeriodicDriver(config, period, 0)
     return _PredictiveDriver(config)
 
 

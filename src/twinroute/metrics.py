@@ -12,7 +12,7 @@ contributes nothing to either sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .model import NodeId
@@ -82,7 +82,6 @@ class RunResult:
     outcomes: list[TimestepOutcome]
     prediction_error_mean: float | None = None
     prediction_fallbacks: int = 0
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 DETAIL_HEADER = "timestep,strategy,connected_total,connected_satisfied,mean_hops\n"

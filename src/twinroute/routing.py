@@ -137,19 +137,6 @@ def route_realtime(
     return _route_all(graph, demands, snapshot_at.timestep, max_hops)
 
 
-def route_conventional(
-    epoch_snapshot: WorldSnapshot,
-    demands: set[NodeId],
-    params: ChannelParams,
-    budget_db: float,
-    max_hops: int | None = None,
-    graph: ConnectivityGraph | None = None,
-) -> RouteTable:
-    """One decentralized update epoch: same computation as the real-time
-    pass, but the engine freezes the result for the whole update interval."""
-    return route_realtime(epoch_snapshot, demands, params, budget_db, max_hops, graph)
-
-
 @dataclass(frozen=True)
 class PredictivePlan:
     """Route schedule for one planning epoch plus its diagnostics."""

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from twinroute.cli import main
 from twinroute.config import default_config, save_config
 from twinroute.metrics import reliability_from_detail
@@ -52,6 +54,36 @@ def test_validate_unknown_key_exits_2(tmp_path):
     proc = run_cli("validate", str(path))
     assert proc.returncode == 2
     assert "vehicle_cout" in proc.stderr
+
+
+VEHICLE = "{length: 4.5, width: 1.8, height: 1.5, antenna_height: 1.6, weight: 1.0}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "channel:\n  classes:\n    - {max_blockers: null, gamma: 68.0}\n",
+            "channel.classes[0].rho: required",
+            id="class-without-rho",
+        ),
+        pytest.param("intersection: 5\n", "intersection: must be a mapping", id="scalar-block"),
+        pytest.param("duration: abc\n", "duration: must be a number", id="text-number"),
+        pytest.param(
+            f"vehicle_mix:\n  - {VEHICLE}\n", "vehicle_mix[0].name: required", id="mix-without-name"
+        ),
+        pytest.param("duration: .inf\n", "duration: must be finite", id="inf"),
+        pytest.param("duration: .nan\n", "duration: must be finite", id="nan"),
+        pytest.param("seed: 1.7\n", "seed: must be an integer", id="fractional-int"),
+        pytest.param("vehicle_count: true\n", "vehicle_count: must be an integer", id="bool-int"),
+    ],
+)
+def test_validate_malformed_value_exits_2_with_field_path(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
 
 
 def test_run_writes_summary_and_detail(tmp_path):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import string
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinroute.channel import BlockageClass, ChannelParams
 from twinroute.config import (
+    PredictionConfig,
+    VehicleClassSpec,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -16,6 +21,8 @@ from twinroute.config import (
     validate_config,
 )
 from twinroute.model import Strategy
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_defaults_validate_clean():
@@ -68,6 +75,14 @@ def test_roundtrip_preserves_every_field(tmp_path):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+words = st.text(alphabet=string.ascii_letters + string.digits + " -_./", max_size=12)
+blockage_classes = st.builds(
+    BlockageClass, st.none() | st.integers(min_value=0, max_value=50), finite, finite
+)
+vehicle_classes = st.builds(VehicleClassSpec, words, finite, finite, finite, finite, finite)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**63),
@@ -75,17 +90,40 @@ def test_roundtrip_preserves_every_field(tmp_path):
     count=st.integers(min_value=1, max_value=60),
     fraction=st.floats(min_value=0.0, max_value=1.0),
     latency=st.floats(min_value=0.0, max_value=3.0),
+    max_hops=st.none() | st.integers(min_value=1, max_value=20),
+    command=st.none() | st.lists(words, max_size=4).map(tuple),
+    classes=st.lists(blockage_classes, max_size=5).map(tuple),
+    mix=st.lists(vehicle_classes, max_size=4).map(tuple),
 )
-def test_roundtrip_random_configs(seed, dt, count, fraction, latency):
+def test_roundtrip_random_configs(
+    seed, dt, count, fraction, latency, max_hops, command, classes, mix
+):
     cfg = default_config(
         seed=seed,
         dt=dt,
         vehicle_count=count,
         connected_fraction=fraction,
         latency_delta=latency,
+        max_hops=max_hops,
+        prediction=PredictionConfig(learned_command=command),
+        channel=ChannelParams(classes=classes),
+        vehicle_mix=mix,
     )
     dumped = yaml.safe_dump(config_to_dict(cfg))
     assert config_from_dict(yaml.safe_load(dumped)) == cfg
+
+
+def test_digests_pinned():
+    assert default_config().digest() == "1738251e069e906d"
+    assert load_config(REPO / "configs" / "intersection.yaml").digest() == "ca0f76a03c3b725d"
+
+
+def test_missing_keys_fall_back_to_defaults():
+    cfg = config_from_dict({"channel": {"max_range_m": 90.0}})
+    assert cfg.channel.max_range_m == 90.0
+    assert cfg.channel.classes == default_config().channel.classes
+    tail = config_from_dict({"channel": {"classes": [{"rho": 2.0, "gamma": 70.0}]}})
+    assert tail.channel.classes[0].max_blockers is None
 
 
 def test_unknown_top_level_key_rejected():

@@ -12,7 +12,6 @@ from twinroute.prediction import ConstantVelocityPredictor
 from twinroute.routing import (
     Route,
     dump_route_table,
-    route_conventional,
     route_predictive,
     route_realtime,
     score_route,
@@ -191,14 +190,6 @@ def test_stale_snapshot_route_breaks_on_current_truth():
 
     truth_now = build_topology(after, PARAMS, 110.0)
     assert not score_route(route, truth_now)
-
-
-def test_conventional_equals_realtime_on_same_snapshot():
-    snap = make_snapshot([make_vehicle(0, 30.0, 0.0), make_vehicle(1, -40.0, 10.0)])
-    demands = {NodeId.vehicle(0), NodeId.vehicle(1)}
-    assert route_conventional(snap, demands, PARAMS, 110.0) == route_realtime(
-        snap, demands, PARAMS, 110.0
-    )
 
 
 def frozen_history(vehicles, n=3, dt=0.1):
