@@ -136,11 +136,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for line in str(report).splitlines():
             log(line)
         return EXIT_CONFIG
-    base_report = validate_config(spec.base)
-    if not base_report.ok:
-        for line in str(base_report).splitlines():
-            log(line)
-        return EXIT_CONFIG
     rows = run_sweep(spec, args.out_dir, jobs=args.jobs)
     log(f"wrote {len(rows)} summary rows to {args.out_dir}/summary.csv")
     return EXIT_OK
@@ -165,8 +160,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     cfg = _load_checked(args.config, None, args.strategy)
     if cfg is None:
         return EXIT_CONFIG
-    with open(args.trace, "r", encoding="utf-8") as f:
-        snapshots = read_trace(f, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    try:
+        with open(args.trace, "r", encoding="utf-8") as f:
+            snapshots = read_trace(f, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    except ValueError as exc:
+        log(f"{args.trace}: {exc}")
+        return EXIT_CONFIG
     if not snapshots:
         log("trace contains no snapshots")
         return EXIT_CONFIG

@@ -5,16 +5,27 @@ emitted gnuplot script for reliability-vs-vehicle-count figures."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _decode, load_config, validate_config
 from .engine import log, run_single, write_run_outputs
 from .metrics import SUMMARY_HEADER, summary_row
 from .model import Strategy, ValidationReport
+
+
+# sweep axis -> the ScenarioConfig field each of its values sets
+_AXES = (
+    ("vehicle_counts", "vehicle_count"),
+    ("connected_fractions", "connected_fraction"),
+    ("strategies", "strategy"),
+    ("seeds", "seed"),
+)
 
 
 @dataclass(frozen=True)
@@ -26,20 +37,30 @@ class SweepSpec:
     seeds: tuple[int, ...] = tuple(range(1, 11))
 
     def validate(self) -> ValidationReport:
-        bad = []
-        for name in ("vehicle_counts", "connected_fractions", "strategies", "seeds"):
-            if not getattr(self, name):
-                bad.append((name, "must not be empty"))
+        """Empty axes, then every cell's ``validate_config`` violations.
+
+        A violation of a field an axis sets is reported at that axis
+        value (``seeds[2]``), any other at ``base_config.<path>``; each
+        distinct one is reported once.
+        """
+        bad = [(axis, "must not be empty") for axis, _ in _AXES if not getattr(self, axis)]
+        axes = [list(enumerate(getattr(self, axis))) for axis, _ in _AXES]
+        for picks in itertools.product(*axes):
+            where = {fld: f"{axis}[{k}]" for (axis, fld), (k, _) in zip(_AXES, picks)}
+            cfg = dataclasses.replace(
+                self.base, **{fld: value for (_, fld), (_, value) in zip(_AXES, picks)}
+            )
+            for path, msg in validate_config(cfg).violations:
+                entry = (where.get(path, f"base_config.{path}"), msg)
+                if entry not in bad:
+                    bad.append(entry)
         return ValidationReport(tuple(bad))
 
     def cells(self) -> list["SweepCell"]:
-        out = []
-        for count in self.vehicle_counts:
-            for fraction in self.connected_fractions:
-                for strategy in self.strategies:
-                    for seed in self.seeds:
-                        out.append(SweepCell(self.base, count, fraction, strategy, seed))
-        return out
+        return [
+            SweepCell(self.base, *values)
+            for values in itertools.product(*(getattr(self, axis) for axis, _ in _AXES))
+        ]
 
 
 @dataclass(frozen=True)
@@ -74,30 +95,20 @@ class SweepCellError(RuntimeError):
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
+    """Read a sweep spec; axes decode like config fields, errors name their path."""
     with open(path, "r", encoding="utf-8") as f:
         data = yaml.safe_load(f) or {}
-    allowed = {"base_config", "vehicle_counts", "connected_fractions", "strategies", "seeds"}
-    unknown = sorted(set(data) - allowed)
+    if not isinstance(data, dict):
+        raise ValueError("sweep spec: must be a mapping")
+    axes = {axis for axis, _ in _AXES}
+    unknown = sorted(set(data) - axes - {"base_config"})
     if unknown:
-        raise ValueError(f"unknown sweep key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown sweep key(s): {', '.join(map(str, unknown))}")
     if "base_config" not in data:
         raise ValueError("sweep spec needs base_config: <path to scenario file>")
-    base_path = Path(path).parent / str(data["base_config"])
-    base = load_config(base_path)
-    spec = SweepSpec(base)
-    if "vehicle_counts" in data:
-        spec = dataclasses.replace(spec, vehicle_counts=tuple(int(v) for v in data["vehicle_counts"]))
-    if "connected_fractions" in data:
-        spec = dataclasses.replace(
-            spec, connected_fractions=tuple(float(v) for v in data["connected_fractions"])
-        )
-    if "strategies" in data:
-        spec = dataclasses.replace(
-            spec, strategies=tuple(Strategy(str(s).lower()) for s in data["strategies"])
-        )
-    if "seeds" in data:
-        spec = dataclasses.replace(spec, seeds=tuple(int(s) for s in data["seeds"]))
-    return spec
+    base = load_config(Path(path).parent / str(data["base_config"]))
+    hints = get_type_hints(SweepSpec)
+    return SweepSpec(base, **{k: _decode(hints[k], v, k) for k, v in data.items() if k in axes})
 
 
 def _run_cell(args: tuple[SweepCell, str]) -> tuple[str, str]:

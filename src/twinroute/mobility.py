@@ -412,6 +412,32 @@ def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
             )
 
 
+def _trace_row(parts: list[str], body: VehicleClassSpec) -> tuple[int, float, VehicleState]:
+    """(timestep, sim_time, vehicle) of one split trace row."""
+    if len(parts) != 8:
+        raise ValueError(f"expected 8 columns, got {len(parts)}")
+    ts, sim_time, index, connected, x, y, heading, speed = parts
+    values = {}
+    numbers = {"sim_time": sim_time, "x": x, "y": y, "heading": heading, "speed": speed}
+    for name, text in numbers.items():
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {text}")
+        values[name] = value
+    if connected not in ("0", "1"):
+        raise ValueError(f"connected must be 0 or 1, got {connected!r}")
+    vehicle = VehicleState(
+        id=NodeId.vehicle(int(index)),
+        position=(values["x"], values["y"], 0.0),
+        heading=values["heading"],
+        speed=values["speed"],
+        dimensions=(body.length, body.width, body.height),
+        antenna_height=body.antenna_height,
+        connected=connected == "1",
+    )
+    return int(ts), values["sim_time"], vehicle
+
+
 def read_trace(
     lines: Iterable[str],
     rsu_height: float,
@@ -420,12 +446,15 @@ def read_trace(
     """Rebuild snapshots from trace rows; bodies default to ``body``.
 
     The trace schema carries no dimensions, so every vehicle gets the
-    supplied body class. Timesteps must be grouped and non-decreasing.
+    supplied body class. Timesteps must be grouped and consecutive: a step
+    with no vehicles has no rows, so only leading ones can be left out.
+    Every error is a ValueError naming the 1-based line it was found on.
     """
     snapshots: list[WorldSnapshot] = []
     current_ts: int | None = None
     current_time = 0.0
     bucket: list[VehicleState] = []
+    seen: set[int] = set()
     rsu = (0.0, 0.0, rsu_height)
 
     def flush() -> None:
@@ -434,31 +463,24 @@ def read_trace(
                 WorldSnapshot(current_ts, current_time, tuple(bucket), rsu)
             )
 
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("timestep"):
             continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed trace row: {raw!r}")
-        ts = int(parts[0])
-        if current_ts is None or ts != current_ts:
-            if current_ts is not None and ts < current_ts:
-                raise ValueError("trace timesteps must be non-decreasing")
-            flush()
-            bucket = []
-            current_ts = ts
-            current_time = float(parts[1])
-        bucket.append(
-            VehicleState(
-                id=NodeId.vehicle(int(parts[2])),
-                position=(float(parts[4]), float(parts[5]), 0.0),
-                heading=float(parts[6]),
-                speed=float(parts[7]),
-                dimensions=(body.length, body.width, body.height),
-                antenna_height=body.antenna_height,
-                connected=bool(int(parts[3])),
-            )
-        )
+        try:
+            ts, sim_time, vehicle = _trace_row(line.split(","), body)
+            if current_ts is None or ts != current_ts:
+                if current_ts is not None and ts != current_ts + 1:
+                    raise ValueError(f"timestep {ts} does not follow {current_ts}")
+                flush()
+                bucket, seen = [], set()
+                current_ts = ts
+                current_time = sim_time
+            if vehicle.id.index in seen:
+                raise ValueError(f"vehicle {vehicle.id.index} repeats in timestep {ts}")
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}: {line!r}") from None
+        bucket.append(vehicle)
+        seen.add(vehicle.id.index)
     flush()
     return snapshots

@@ -10,7 +10,6 @@ sequence, so results are deterministic and order-independent.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -53,6 +52,70 @@ class RouteTable:
     issued_at_timestep: int
 
 
+def _source_index(graph: ConnectivityGraph, source: NodeId) -> int:
+    k = graph.index.get(source)
+    if k is None:
+        raise ValueError(f"source {source} not in graph")
+    if k == 0:
+        raise ValueError("source must be a vehicle node")
+    return k
+
+
+def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[tuple[int, float]]]]:
+    """BFS hop depth of every node from the RSU (None if unreachable), and
+    per node its (neighbour, loss) pairs one layer closer to the RSU."""
+    adjacency = graph.adjacency
+    depth: list[int | None] = [None] * len(adjacency)
+    depth[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, _ in adjacency[u]:
+                if depth[v] is None:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    down = [
+        [(v, loss) for v, loss in nbrs if depth[v] == depth[u] - 1] if depth[u] else []
+        for u, nbrs in enumerate(adjacency)
+    ]
+    return depth, down
+
+
+def _route_from(
+    graph: ConnectivityGraph,
+    source: int,
+    depth: list[int | None],
+    down: list[list[tuple[int, float]]],
+    max_hops: int | None,
+) -> Route | None:
+    """Best route from node index ``source`` over the hop-layer DAG.
+
+    Every min-hop path steps one layer closer to the RSU per hop. A
+    Dijkstra search on (hops, loss, path) labels from the source settles
+    each such layer before the next, so a node's label there is the
+    minimum over its neighbours one layer back, which is what each sweep
+    below takes. Labels are (loss summed source-first, index path), and
+    index order is sort_key order, so the route equals that search's.
+    """
+    hops = depth[source]
+    if hops is None or (max_hops is not None and hops > max(max_hops, 1)):
+        return None
+    labels = {source: (0.0, (source,))}
+    for _ in range(hops):
+        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for u, (loss, path) in labels.items():
+            for v, edge_loss in down[u]:
+                label = (loss + edge_loss, path + (v,))
+                best = nxt.get(v)
+                if best is None or label < best:
+                    nxt[v] = label
+        labels = nxt
+    nodes = graph.nodes
+    return Route(nodes[source], tuple(nodes[k] for k in labels[0][1]), graph.timestep)
+
+
 def shortest_route(
     graph: ConnectivityGraph, source: NodeId, max_hops: int | None = None
 ) -> Route | None:
@@ -60,47 +123,11 @@ def shortest_route(
 
     Ties on hop count fall to total path loss (summed source-first), then
     to the lexicographically smallest node sequence. ``max_hops`` caps the
-    path length when set.
+    path length when set; a direct link to the RSU is always allowed.
     """
-    if not graph.has_node(source):
-        raise ValueError(f"source {source} not in graph")
-    if source.kind is NodeKind.RSU:
-        raise ValueError("source must be a vehicle node")
-    rsu = NodeId.rsu()
-
-    # A direct edge is always optimal: any other route costs >= 2 hops.
-    if graph.has_edge(source, rsu):
-        return Route(source, (source, rsu), graph.timestep)
-    if max_hops is not None and max_hops <= 1:
-        return None
-
-    # Dijkstra on labels (hops, loss, path); every edge strictly increases
-    # the first component, so settle-once order is exact for the full
-    # lexicographic objective, including the path tie-break.
-    start_label = (0, 0.0, (source.sort_key,))
-    heap: list[tuple[int, float, tuple, NodeId]] = [(*start_label, source)]
-    settled: set[NodeId] = set()
-    paths: dict[NodeId, tuple[NodeId, ...]] = {source: (source,)}
-    best: dict[NodeId, tuple[int, float, tuple]] = {source: start_label}
-
-    while heap:
-        hops, loss, key_path, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == rsu:
-            return Route(source, paths[node], graph.timestep)
-        if max_hops is not None and hops >= max_hops:
-            continue
-        for neighbor, edge_loss in graph.neighbors(node):
-            if neighbor in settled:
-                continue
-            label = (hops + 1, loss + edge_loss, key_path + (neighbor.sort_key,))
-            if neighbor not in best or label < best[neighbor]:
-                best[neighbor] = label
-                paths[neighbor] = paths[node] + (neighbor,)
-                heapq.heappush(heap, (*label, neighbor))
-    return None
+    k = _source_index(graph, source)
+    depth, down = _hop_layers(graph)
+    return _route_from(graph, k, depth, down, max_hops)
 
 
 def _route_all(
@@ -109,9 +136,11 @@ def _route_all(
     issued_at: int,
     max_hops: int | None,
 ) -> RouteTable:
+    depth, down = _hop_layers(graph)
     assignments: dict[NodeId, Route | None] = {}
     for vehicle in sorted(demands, key=lambda n: n.sort_key):
-        assignments[vehicle] = shortest_route(graph, vehicle, max_hops)
+        k = _source_index(graph, vehicle)
+        assignments[vehicle] = _route_from(graph, k, depth, down, max_hops)
     return RouteTable(assignments, issued_at)
 
 
@@ -240,13 +269,13 @@ def score_route(route: Route | None, ground_truth: ConnectivityGraph) -> bool:
     """True iff the route exists and every hop holds in the ground truth."""
     if route is None:
         return False
-    for node in route.hops:
-        if not ground_truth.has_node(node):
-            return False
-    for a, b in zip(route.hops, route.hops[1:]):
-        if not ground_truth.has_edge(a, b):
-            return False
-    return True
+    index = ground_truth.index
+    n = len(ground_truth.nodes)
+    ks = [index.get(node) for node in route.hops]
+    if None in ks:
+        return False
+    keys = ground_truth.edge_keys
+    return all(a * n + b in keys for a, b in zip(ks, ks[1:]))
 
 
 ROUTE_DUMP_HEADER = "timestep,vehicle,hops,valid\n"

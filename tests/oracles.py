@@ -9,6 +9,7 @@ slow and only run at small scale.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -173,6 +174,45 @@ def oracle_shortest_path(graph, source, max_hops=None):
 
     walk(source, {source}, 0, 0.0, [source])
     return None if best is None else best[1]
+
+
+def oracle_dijkstra_route(graph, source, max_hops=None):
+    """Heap Dijkstra on (hops, loss, path) labels from the source.
+
+    The reference the layered router must equal route for route:
+    settle-once order is exact for the full lexicographic objective
+    because every edge adds a hop. Returns the winning node tuple or
+    None; a direct link to the RSU wins regardless of ``max_hops``.
+    """
+    rsu = graph.nodes[0]
+    if graph.has_edge(source, rsu):
+        return (source, rsu)
+    if max_hops is not None and max_hops <= 1:
+        return None
+
+    start_label = (0, 0.0, (source.sort_key,))
+    heap = [(*start_label, source)]
+    settled = set()
+    paths = {source: (source,)}
+    best = {source: start_label}
+    while heap:
+        hops, loss, key_path, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == rsu:
+            return paths[node]
+        if max_hops is not None and hops >= max_hops:
+            continue
+        for neighbor, edge_loss in graph.neighbors(node):
+            if neighbor in settled:
+                continue
+            label = (hops + 1, loss + edge_loss, key_path + (neighbor.sort_key,))
+            if neighbor not in best or label < best[neighbor]:
+                best[neighbor] = label
+                paths[neighbor] = paths[node] + (neighbor,)
+                heapq.heappush(heap, (*label, neighbor))
+    return None
 
 
 def oracle_reliability(counts: list[tuple[int, int]]) -> float:

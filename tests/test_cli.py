@@ -210,6 +210,27 @@ def test_sweep_unknown_key_rejected(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ("seeds: [1.7]", "seeds[0]: must be an integer, got 1.7"),
+        ("vehicle_counts: 5", "vehicle_counts: must be a list"),
+        ("connected_fractions: [1.0, .nan]", "connected_fractions[1]: must be finite"),
+        ("seeds: [-1]", "seeds[0]: must fit an unsigned 64-bit integer"),
+        ("strategies: [fastest]", "strategies[0]: must be one of"),
+    ],
+)
+def test_sweep_malformed_axis_exits_2_with_field_path(tmp_path, axes, message):
+    write_small_config(tmp_path / "base.yaml")
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(f"base_config: base.yaml\n{axes}\n", encoding="utf-8")
+    out = tmp_path / "x"
+    proc = run_cli("sweep", str(spec), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):
     # connected_fraction 0 validates but leaves reliability undefined, so
     # its cells blow up at run time; fraction-1.0 cells come first in
@@ -245,6 +266,31 @@ def test_replay_roundtrip(tmp_path):
     assert (out / "summary.csv").exists()
     row = (out / "summary.csv").read_text().splitlines()[1]
     assert 0.0 <= float(row.split(",")[4]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0.1,4,1,nan,2.0,0.0,5.0", "trace line 3: x must be finite, got nan"),
+        ("1,0.1,4,1,1.0,2.0,inf,5.0", "trace line 3: heading must be finite, got inf"),
+        ("5,0.5,4,1,1.0,2.0,0.0,5.0", "trace line 3: timestep 5 does not follow 0"),
+        ("1,0.1,4,1,1.0,2.0", "trace line 3: expected 8 columns, got 6"),
+        ("1,0.1,four,1,1.0,2.0,0.0,5.0", "trace line 3: invalid literal"),
+    ],
+)
+def test_replay_bad_trace_exits_2_naming_the_line(tmp_path, row, message):
+    cfg_path = write_small_config(tmp_path / "s.yaml")
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "timestep,sim_time,id,connected,x,y,heading,speed\n"
+        f"0,0.0,4,1,0.0,2.0,0.0,5.0\n{row}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
 
 
 def test_main_callable_directly(tmp_path):

@@ -262,3 +262,42 @@ def test_trace_rejects_malformed_rows():
     with pytest.raises(ValueError):
         cfg = default_config()
         read_trace(["1,2,3"], cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+
+
+TRACE_HEAD = "timestep,sim_time,id,connected,x,y,heading,speed\n"
+GOOD_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,0.1,4,1,nan,2.0,0.0,5.0\n", "trace line 3: x must be finite, got nan"),
+        ("1,0.1,4,1,1.0,-inf,0.0,5.0\n", "trace line 3: y must be finite"),
+        ("1,0.1,4,1,1.0,2.0,nan,5.0\n", "trace line 3: heading must be finite"),
+        ("1,0.1,4,1,1.0,2.0,0.0,inf\n", "trace line 3: speed must be finite"),
+        ("1,nan,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: sim_time must be finite"),
+        ("5,0.5,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: timestep 5 does not follow 0"),
+        ("0,0.0,5,1,1.0,2.0,0.0,5.0\n2,0.2,4,1,1.0,2.0,0.0,5.0\n", "trace line 4: timestep 2"),
+        ("0,0.0,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: vehicle 4 repeats in timestep 0"),
+        ("1,0.1,4,2,1.0,2.0,0.0,5.0\n", "trace line 3: connected must be 0 or 1"),
+        ("1,0.1,4,1,1.0,2.0,0.0\n", "trace line 3: expected 8 columns, got 7"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,9\n", "trace line 3: expected 8 columns, got 9"),
+        ("1.5,0.1,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: invalid literal"),
+        ("1,0.1,4,1,east,2.0,0.0,5.0\n", "trace line 3: could not convert"),
+        ("1,0.1,-4,1,1.0,2.0,0.0,5.0\n", "trace line 3: vehicle index must be non-negative"),
+        ("1,0.1,4,1,1.0,2.0,0.0,-5.0\n", "trace line 3: speed must be >= 0"),
+    ],
+)
+def test_trace_rejects_bad_rows_naming_the_line(rows, message):
+    cfg = default_config()
+    lines = io.StringIO(TRACE_HEAD + GOOD_ROW + rows)
+    with pytest.raises(ValueError) as err:
+        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    assert message in str(err.value)
+
+
+def test_trace_may_start_at_any_timestep():
+    cfg = default_config()
+    lines = io.StringIO(TRACE_HEAD + "7,0.7,4,1,0.0,2.0,0.0,5.0\n8,0.8,4,1,0.5,2.0,0.0,5.0\n")
+    snaps = read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    assert [s.timestep for s in snaps] == [7, 8]

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinroute.channel import LinkAssessment, default_channel_params
+from twinroute.config import default_config
+from twinroute.mobility import snapshot_stream
 from twinroute.model import NodeId
 from twinroute.prediction import ConstantVelocityPredictor
 from twinroute.routing import (
     Route,
+    _route_all,
     dump_route_table,
     route_predictive,
     route_realtime,
@@ -20,7 +26,7 @@ from twinroute.routing import (
 from twinroute.topology import ConnectivityGraph, _finish_graph, build_topology
 
 from conftest import TRUCK, make_snapshot, make_vehicle
-from oracles import oracle_shortest_path
+from oracles import oracle_dijkstra_route, oracle_shortest_path
 
 PARAMS = default_channel_params()
 RSU = NodeId.rsu()
@@ -124,6 +130,88 @@ def test_matches_enumeration_oracle(fuzz_scale):
                 assert got is None, trial
             else:
                 assert got is not None and got.hops == want, trial
+
+
+def test_node_order_breaks_exact_ties_past_the_first_layer():
+    # v3 is reached first through v1 but settles through v2, so the
+    # tied labels at v5 arrive in an order that is not node order
+    g = graph_from_edges(
+        {
+            (0, 1): 10.0, (0, 2): 10.0,
+            (1, 3): 20.0, (2, 3): 10.0, (1, 4): 10.0,
+            (3, 5): 10.0, (4, 5): 10.0, (5, "rsu"): 10.0,
+        }
+    )
+    route = shortest_route(g, NodeId.vehicle(0))
+    assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 1, 4, 5)) + (RSU,)
+    assert oracle_dijkstra_route(g, NodeId.vehicle(0)) == route.hops
+
+
+# (0.1 + 0.2) + 0.3 > 0.6 == (0.3 + 0.2) + 0.1: summed source-first, the
+# path v0>v3>v4>rsu is cheaper than v0>v1>v2>rsu, which wins the node-order
+# tie-break and would also win were the losses summed RSU-first
+SOURCE_FIRST_TIE = {
+    (0, 1): 0.1, (1, 2): 0.2, (2, "rsu"): 0.3,
+    (0, 3): 0.3, (3, 4): 0.2, (4, "rsu"): 0.1,
+}
+
+
+def test_loss_is_summed_source_first():
+    assert (0.1 + 0.2) + 0.3 > (0.3 + 0.2) + 0.1
+    g = graph_from_edges(SOURCE_FIRST_TIE)
+    route = shortest_route(g, NodeId.vehicle(0))
+    assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 3, 4)) + (RSU,)
+    assert oracle_shortest_path(g, NodeId.vehicle(0)) == route.hops
+
+
+# losses that tie exactly, or tie up to the order they are summed in
+TIE_LOSSES = st.sampled_from([0.1, 0.2, 0.3, 0.7, 80.0, 95.0])
+
+
+@st.composite
+def small_graphs(draw):
+    """The RSU plus 1-7 vehicles, each pair linked or not."""
+    nodes = [RSU] + [NodeId.vehicle(k) for k in range(draw(st.integers(1, 7)))]
+    losses = TIE_LOSSES | st.floats(60.0, 160.0)
+    edges = {}
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if draw(st.booleans()):
+                edges[(a, b)] = LinkAssessment(10.0, 0, draw(losses), True)
+    return _finish_graph(0, nodes, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_graphs(), max_hops=st.none() | st.integers(1, 4))
+@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=None)
+@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=3)
+@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=2)
+def test_shortest_route_matches_oracles(g, max_hops):
+    losses = {f"{a}-{b}": link.path_loss_db for (a, b), link in g.edges.items()}
+    for source in g.nodes[1:]:
+        got = shortest_route(g, source, max_hops)
+        got = got.hops if got else None
+        assert got == oracle_shortest_path(g, source, max_hops), (source, losses)
+        assert got == oracle_dijkstra_route(g, source, max_hops), (source, losses)
+
+
+def test_route_all_matches_heap_dijkstra_on_dense_run():
+    """Every step of a 60-vehicle, 2-lane run, cycling the hop cap per step."""
+    cfg = default_config(duration=20.0, vehicle_count=60, connected_fraction=1.0, seed=2)
+    cfg = dataclasses.replace(
+        cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=2)
+    )
+    caps = (None, 2, 3)
+    routed = 0
+    for snap in snapshot_stream(cfg):
+        g = build_topology(snap, cfg.channel, cfg.link_budget_db)
+        max_hops = caps[snap.timestep % len(caps)]
+        table = _route_all(g, g.nodes[1:], snap.timestep, max_hops)
+        for vehicle, route in table.assignments.items():
+            got = route.hops if route else None
+            assert got == oracle_dijkstra_route(g, vehicle, max_hops), snap.timestep
+            routed += route is not None and route.hop_count > 1
+    assert routed > 1000  # multi-hop routes were exercised
 
 
 def test_dominance_self_consistency():
