@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import load_config, validate_config
 from .engine import ConfigError, log, run_replay, run_variants, write_run_outputs
-from .experiment import SweepCellError, load_sweep_spec, run_sweep
+from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep
 from .metrics import SUMMARY_HEADER, summary_row
 from .mobility import read_trace, snapshot_stream, write_trace
 from .model import Strategy
@@ -62,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("config", help="scenario YAML file")
 
     replay_p = sub.add_parser("replay", help="score an external snapshot trace")
-    replay_p.add_argument("trace", help="trace CSV (timestep,sim_time,id,connected,x,y,heading,speed)")
+    replay_p.add_argument(
+        "trace",
+        help="trace CSV (timestep,sim_time,id,connected,x,y,heading,speed"
+        "[,length,width,height,antenna_height])",
+    )
     replay_p.add_argument("config", help="scenario YAML file (channel, budget, strategy)")
     replay_p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
     replay_p.add_argument("--out-dir", default="twinroute-replay", help="output directory")
@@ -85,8 +89,8 @@ def _load_checked(path: str, seed: int | None, strategy: str | None):
 
 
 def _write_single(result, cfg, out_dir: str) -> str:
-    cell_id = f"{cfg.strategy.value}_n{cfg.vehicle_count}_f{cfg.connected_fraction:g}_s{cfg.seed}"
-    write_run_outputs(result, cfg, out_dir, cell_id)
+    cell = SweepCell(cfg, cfg.vehicle_count, cfg.connected_fraction, cfg.strategy, cfg.seed)
+    write_run_outputs(result, out_dir, cell.cell_id)
     row = summary_row(result, cfg.vehicle_count, cfg.connected_fraction, cfg.seed)
     with open(Path(out_dir) / "summary.csv", "w", encoding="utf-8", newline="") as f:
         f.write(SUMMARY_HEADER)

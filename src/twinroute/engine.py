@@ -117,17 +117,8 @@ class _PeriodicDriver(_Driver):
 
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
         if self._next_update is None or timestep >= self._next_update:
-            snap = world.snapshot_at(timestep - self.lag)
             graph = world.graph_at(timestep - self.lag)
-            demands = {v.id for v in snap.connected_vehicles()}
-            self._table = route_realtime(
-                snap,
-                demands,
-                self.config.channel,
-                self.config.link_budget_db,
-                self.config.max_hops,
-                graph=graph,
-            )
+            self._table = route_realtime(graph, self.config.max_hops)
             self._next_update = timestep + self.period
         return self._table
 
@@ -211,7 +202,7 @@ def _score(
     satisfied = 0
     hop_total = 0
     for v in sorted(snap.connected_vehicles(), key=lambda v: v.id.sort_key):
-        route = table.assignments.get(v.id) if table else None
+        route = table.get(v.id) if table is not None else None
         ok = score_route(route, truth)
         per_vehicle[v.id] = ok
         if ok:
@@ -354,9 +345,7 @@ def run_replay(
     return results["run"]
 
 
-def write_run_outputs(
-    result: RunResult, config: ScenarioConfig, out_dir: str | Path, cell_id: str
-) -> Path:
+def write_run_outputs(result: RunResult, out_dir: str | Path, cell_id: str) -> Path:
     """Write detail/<cell>.csv and return its path."""
     out = Path(out_dir)
     detail_dir = out / "detail"

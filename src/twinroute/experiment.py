@@ -116,7 +116,7 @@ def _run_cell(args: tuple[SweepCell, str]) -> tuple[str, str]:
     cell, out_dir = args
     config = cell.config()
     result = run_single(config)
-    write_run_outputs(result, config, out_dir, cell.cell_id)
+    write_run_outputs(result, out_dir, cell.cell_id)
     row = summary_row(result, cell.vehicle_count, cell.connected_fraction, cell.seed)
     return cell.cell_id, row
 

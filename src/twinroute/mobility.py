@@ -399,26 +399,35 @@ def snapshot_stream(config: ScenarioConfig) -> Iterable[WorldSnapshot]:
 # ---------------------------------------------------------------------------
 # snapshot trace export / import
 
-TRACE_HEADER = "timestep,sim_time,id,connected,x,y,heading,speed\n"
+TRACE_COLUMNS = ("timestep", "sim_time", "id", "connected", "x", "y", "heading", "speed")
+BODY_COLUMNS = ("length", "width", "height", "antenna_height")
+TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
 
 
 def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
     out.write(TRACE_HEADER)
     for snap in snapshots:
         for v in snap.vehicles:
+            length, width, height = v.dimensions
             out.write(
                 f"{snap.timestep},{snap.sim_time!r},{v.id.index},{int(v.connected)},"
-                f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r}\n"
+                f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r},"
+                f"{length!r},{width!r},{height!r},{v.antenna_height!r}\n"
             )
 
 
-def _trace_row(parts: list[str], body: VehicleClassSpec) -> tuple[int, float, VehicleState]:
-    """(timestep, sim_time, vehicle) of one split trace row."""
-    if len(parts) != 8:
-        raise ValueError(f"expected 8 columns, got {len(parts)}")
-    ts, sim_time, index, connected, x, y, heading, speed = parts
+def _trace_row(parts: list[str], body: VehicleClassSpec | None) -> tuple[int, float, VehicleState]:
+    """(timestep, sim_time, vehicle) of one split trace row.
+
+    With ``body`` None the row carries its own body columns.
+    """
+    expected = len(TRACE_COLUMNS) + (len(BODY_COLUMNS) if body is None else 0)
+    if len(parts) != expected:
+        raise ValueError(f"expected {expected} columns, got {len(parts)}")
+    ts, sim_time, index, connected, x, y, heading, speed = parts[:8]
     values = {}
     numbers = {"sim_time": sim_time, "x": x, "y": y, "heading": heading, "speed": speed}
+    numbers.update(zip(BODY_COLUMNS, parts[8:]))
     for name, text in numbers.items():
         value = float(text)
         if not math.isfinite(value):
@@ -426,13 +435,17 @@ def _trace_row(parts: list[str], body: VehicleClassSpec) -> tuple[int, float, Ve
         values[name] = value
     if connected not in ("0", "1"):
         raise ValueError(f"connected must be 0 or 1, got {connected!r}")
+    if body is None:
+        length, width, height, antenna = (values[name] for name in BODY_COLUMNS)
+    else:
+        length, width, height, antenna = body.length, body.width, body.height, body.antenna_height
     vehicle = VehicleState(
         id=NodeId.vehicle(int(index)),
         position=(values["x"], values["y"], 0.0),
         heading=values["heading"],
         speed=values["speed"],
-        dimensions=(body.length, body.width, body.height),
-        antenna_height=body.antenna_height,
+        dimensions=(length, width, height),
+        antenna_height=antenna,
         connected=connected == "1",
     )
     return int(ts), values["sim_time"], vehicle
@@ -443,19 +456,23 @@ def read_trace(
     rsu_height: float,
     body: VehicleClassSpec,
 ) -> list[WorldSnapshot]:
-    """Rebuild snapshots from trace rows; bodies default to ``body``.
+    """Rebuild snapshots from trace rows.
 
-    The trace schema carries no dimensions, so every vehicle gets the
-    supplied body class. Timesteps must be grouped and consecutive: a step
-    with no vehicles has no rows, so only leading ones can be left out.
-    Every error is a ValueError naming the 1-based line it was found on.
+    Rows carry the body columns when the header names them; otherwise
+    (older traces, headerless input) every vehicle gets the supplied body
+    class. Timesteps must be grouped and consecutive: a step with no
+    vehicles has no rows, so only leading ones can be left out. No two
+    vehicles of one step may stand at the same (x, y). Every error is a
+    ValueError naming the 1-based line it was found on.
     """
     snapshots: list[WorldSnapshot] = []
     current_ts: int | None = None
     current_time = 0.0
     bucket: list[VehicleState] = []
     seen: set[int] = set()
+    spots: dict[tuple[float, float], int] = {}
     rsu = (0.0, 0.0, rsu_height)
+    row_body: VehicleClassSpec | None = body
 
     def flush() -> None:
         if current_ts is not None:
@@ -465,22 +482,32 @@ def read_trace(
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("timestep"):
+        if not line:
+            continue
+        if line.startswith("timestep"):
+            row_body = None if tuple(line.split(",")[8:]) == BODY_COLUMNS else body
             continue
         try:
-            ts, sim_time, vehicle = _trace_row(line.split(","), body)
+            ts, sim_time, vehicle = _trace_row(line.split(","), row_body)
             if current_ts is None or ts != current_ts:
                 if current_ts is not None and ts != current_ts + 1:
                     raise ValueError(f"timestep {ts} does not follow {current_ts}")
                 flush()
-                bucket, seen = [], set()
+                bucket, seen, spots = [], set(), {}
                 current_ts = ts
                 current_time = sim_time
-            if vehicle.id.index in seen:
-                raise ValueError(f"vehicle {vehicle.id.index} repeats in timestep {ts}")
+            index = vehicle.id.index
+            if index in seen:
+                raise ValueError(f"vehicle {index} repeats in timestep {ts}")
+            spot = vehicle.position[:2]
+            if spot in spots:
+                raise ValueError(
+                    f"vehicles {spots[spot]} and {index} share position {spot} in timestep {ts}"
+                )
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}: {line!r}") from None
         bucket.append(vehicle)
-        seen.add(vehicle.id.index)
+        seen.add(index)
+        spots[spot] = index
     flush()
     return snapshots

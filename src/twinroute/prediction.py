@@ -10,7 +10,8 @@ Learned-model contract: the command receives history rows on stdin as
 ``timestep,sim_time,id,connected,x,y,heading,speed`` lines (no header)
 followed by two extra argv values ``<horizon_steps> <dt>``, and must print
 exactly ``horizon_steps`` rows in the same schema, timesteps continuing
-from the last input row.
+from the last input row, each with the id that was sent, finite x, y,
+heading and speed, and a speed >= 0; any other output raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -155,16 +156,30 @@ class LearnedPredictor:
             raise RuntimeError(
                 f"learned predictor returned {len(rows)} rows, expected {steps}"
             )
-        for ln in rows:
-            parts = ln.split(",")
-            x, y, heading, speed = (
-                float(parts[4]),
-                float(parts[5]),
-                float(parts[6]),
-                float(parts[7]),
-            )
+        for j, ln in enumerate(rows, start=1):
+            try:
+                x, y, heading, speed = _forecast_row(ln, str(last.id), len(history) - 1 + j)
+            except ValueError as exc:
+                raise RuntimeError(f"learned predictor row {j}: {exc}: {ln!r}") from None
             out.append(((x, y, last.position[2]), heading, speed))
         return out
+
+
+def _forecast_row(line: str, vehicle: str, timestep: int) -> list[float]:
+    """x, y, heading, speed of one model output row, checked against what was sent."""
+    parts = line.split(",")
+    if len(parts) != 8:
+        raise ValueError(f"expected 8 columns, got {len(parts)}")
+    if parts[2] != vehicle:
+        raise ValueError(f"id {parts[2]!r}, expected {vehicle!r}")
+    if int(parts[0]) != timestep:
+        raise ValueError(f"timestep {parts[0]}, expected {timestep}")
+    values = [float(text) for text in parts[4:]]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("x, y, heading and speed must be finite")
+    if values[3] < 0:
+        raise ValueError(f"speed must be >= 0, got {parts[7]}")
+    return values
 
 
 def make_predictor(kind: str, learned_command: Sequence[str] | None = None) -> TrajectoryPredictor:

@@ -1,6 +1,6 @@
 """Routing strategies and the ground-truth route checker.
 
-All three strategies assign each demanding vehicle a simple path to the
+All three strategies assign each connected vehicle a simple path to the
 RSU over a connectivity graph; they differ only in which snapshot that
 graph comes from and how often it is rebuilt (the engine owns the
 cadence). Route choice minimizes hop count first, total path loss second,
@@ -11,7 +11,7 @@ sequence, so results are deterministic and order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .channel import ChannelParams
 from .model import NodeId, NodeKind, VehicleState, WorldSnapshot
@@ -21,11 +21,10 @@ from .topology import ConnectivityGraph, build_topology
 
 @dataclass(frozen=True)
 class Route:
-    """Simple path from a demanding vehicle to the RSU."""
+    """Simple path from a connected vehicle to the RSU."""
 
     source: NodeId
     hops: tuple[NodeId, ...]
-    computed_for_timestep: int
 
     def __post_init__(self) -> None:
         if not self.hops or self.hops[0] != self.source:
@@ -40,25 +39,9 @@ class Route:
         return len(self.hops) - 1
 
 
-@dataclass(frozen=True)
-class RouteTable:
-    """Per-vehicle assignments issued by one routing pass.
-
-    Keys are exactly the demanding vehicles alive when the table was
-    issued; a None value means no path to the RSU existed.
-    """
-
-    assignments: dict[NodeId, Route | None]
-    issued_at_timestep: int
-
-
-def _source_index(graph: ConnectivityGraph, source: NodeId) -> int:
-    k = graph.index.get(source)
-    if k is None:
-        raise ValueError(f"source {source} not in graph")
-    if k == 0:
-        raise ValueError("source must be a vehicle node")
-    return k
+# One routing pass: every vehicle node of the graph, in node order; None
+# means no path to the RSU existed.
+RouteTable = dict[NodeId, Route | None]
 
 
 def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[tuple[int, float]]]]:
@@ -71,13 +54,13 @@ def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[t
     while frontier:
         nxt = []
         for u in frontier:
-            for v, _ in adjacency[u]:
+            for v in adjacency[u]:
                 if depth[v] is None:
                     depth[v] = depth[u] + 1
                     nxt.append(v)
         frontier = nxt
     down = [
-        [(v, loss) for v, loss in nbrs if depth[v] == depth[u] - 1] if depth[u] else []
+        [(v, loss) for v, loss in nbrs.items() if depth[v] == depth[u] - 1] if depth[u] else []
         for u, nbrs in enumerate(adjacency)
     ]
     return depth, down
@@ -113,7 +96,7 @@ def _route_from(
                     nxt[v] = label
         labels = nxt
     nodes = graph.nodes
-    return Route(nodes[source], tuple(nodes[k] for k in labels[0][1]), graph.timestep)
+    return Route(nodes[source], tuple(nodes[k] for k in labels[0][1]))
 
 
 def shortest_route(
@@ -125,45 +108,26 @@ def shortest_route(
     to the lexicographically smallest node sequence. ``max_hops`` caps the
     path length when set; a direct link to the RSU is always allowed.
     """
-    k = _source_index(graph, source)
+    k = graph.index.get(source)
+    if k is None:
+        raise ValueError(f"source {source} not in graph")
+    if k == 0:
+        raise ValueError("source must be a vehicle node")
     depth, down = _hop_layers(graph)
     return _route_from(graph, k, depth, down, max_hops)
 
 
-def _route_all(
-    graph: ConnectivityGraph,
-    demands: Iterable[NodeId],
-    issued_at: int,
-    max_hops: int | None,
-) -> RouteTable:
-    depth, down = _hop_layers(graph)
-    assignments: dict[NodeId, Route | None] = {}
-    for vehicle in sorted(demands, key=lambda n: n.sort_key):
-        k = _source_index(graph, vehicle)
-        assignments[vehicle] = _route_from(graph, k, depth, down, max_hops)
-    return RouteTable(assignments, issued_at)
+def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
+    """Route every vehicle node of ``graph`` to the RSU, in node order.
 
-
-def route_realtime(
-    snapshot_at: WorldSnapshot,
-    demands: set[NodeId],
-    params: ChannelParams,
-    budget_db: float,
-    max_hops: int | None = None,
-    graph: ConnectivityGraph | None = None,
-) -> RouteTable:
-    """Route every demanding vehicle on the topology of ``snapshot_at``.
-
-    The engine decides which snapshot this is: with a control-plane
-    latency the snapshot lags the scoring time, so the issued table may
+    The graph's nodes are the connected vehicles of the snapshot it was
+    built from. The engine decides which snapshot that is: with a
+    control-plane latency it lags the scoring time, so the table may
     already be stale when it is applied.
     """
-    connected = {v.id for v in snapshot_at.connected_vehicles()}
-    if not demands <= connected:
-        raise ValueError("demands must be connected vehicles present in the snapshot")
-    if graph is None:
-        graph = build_topology(snapshot_at, params, budget_db)
-    return _route_all(graph, demands, snapshot_at.timestep, max_hops)
+    depth, down = _hop_layers(graph)
+    nodes = graph.nodes
+    return {nodes[k]: _route_from(graph, k, depth, down, max_hops) for k in range(1, len(nodes))}
 
 
 @dataclass(frozen=True)
@@ -259,8 +223,7 @@ def route_predictive(
             rsu_position=last.rsu_position,
         )
         graph = build_topology(future_snap, params, budget_db)
-        demands = {v.id for v in future_snap.connected_vehicles()}
-        entries.append((future_ts, _route_all(graph, demands, now, max_hops)))
+        entries.append((future_ts, route_realtime(graph, max_hops)))
 
     return PredictivePlan(tuple(entries), tracks, degraded)
 
@@ -270,12 +233,11 @@ def score_route(route: Route | None, ground_truth: ConnectivityGraph) -> bool:
     if route is None:
         return False
     index = ground_truth.index
-    n = len(ground_truth.nodes)
     ks = [index.get(node) for node in route.hops]
     if None in ks:
         return False
-    keys = ground_truth.edge_keys
-    return all(a * n + b in keys for a, b in zip(ks, ks[1:]))
+    adjacency = ground_truth.adjacency
+    return all(b in adjacency[a] for a, b in zip(ks, ks[1:]))
 
 
 ROUTE_DUMP_HEADER = "timestep,vehicle,hops,valid\n"
@@ -284,8 +246,7 @@ ROUTE_DUMP_HEADER = "timestep,vehicle,hops,valid\n"
 def dump_route_table(
     table: RouteTable, ground_truth: ConnectivityGraph, timestep: int, out: IO[str]
 ) -> None:
-    for vehicle in sorted(table.assignments, key=lambda n: n.sort_key):
-        route = table.assignments[vehicle]
+    for vehicle, route in table.items():
         hops = ">".join(str(h) for h in route.hops) if route else ""
         valid = int(score_route(route, ground_truth))
         out.write(f"{timestep},{vehicle},{hops},{valid}\n")

@@ -6,11 +6,12 @@ become nodes but their bodies still occlude, and connected vehicles
 occlude every link they are not an endpoint of. The RSU is a point
 antenna with no body.
 
-The graph is stored as arrays over int node indices (the position in the
-sorted ``nodes`` tuple, RSU at 0): one row per feasible edge with ``i < j``
-in ascending (i, j) order, plus a CSR adjacency whose neighbour lists are
-in ascending index order, which is ``NodeId.sort_key`` order. ``NodeId``
-and ``LinkAssessment`` objects appear only at the API and dump boundaries.
+The graph is stored over int node indices (the position in the sorted
+``nodes`` tuple, RSU at 0): one array row per feasible edge with ``i < j``
+in ascending (i, j) order, plus one ``{neighbour: loss}`` dict per node
+whose keys ascend in index order, which is ``NodeId.sort_key`` order.
+``NodeId`` and ``LinkAssessment`` objects appear only at the API and dump
+boundaries.
 """
 
 from __future__ import annotations
@@ -73,44 +74,24 @@ class ConnectivityGraph:
     edge_distance: np.ndarray = field(repr=False)
     edge_blockers: np.ndarray = field(repr=False)
     edge_loss: np.ndarray = field(repr=False)
-    # CSR adjacency: node k's neighbours are nbr[indptr[k]:indptr[k + 1]]
-    indptr: np.ndarray = field(repr=False)
-    nbr: np.ndarray = field(repr=False)
-    nbr_loss: np.ndarray = field(repr=False)
+    # per node index, {neighbour index: path_loss_db} in ascending index order
+    adjacency: list[dict[int, float]] = field(repr=False)
 
     @cached_property
     def edges(self) -> EdgeView:
         return EdgeView(self)
 
-    @cached_property
-    def edge_keys(self) -> frozenset[int]:
-        """``i * len(nodes) + j`` for every edge, both orientations."""
-        n = len(self.nodes)
-        forward = self.edge_i * n + self.edge_j
-        backward = self.edge_j * n + self.edge_i
-        return frozenset(forward.tolist() + backward.tolist())
-
-    @cached_property
-    def adjacency(self) -> list[tuple[tuple[int, float], ...]]:
-        """Per node index, its (neighbour index, path_loss_db) pairs in index order."""
-        bounds = self.indptr.tolist()
-        pairs = list(zip(self.nbr.tolist(), self.nbr_loss.tolist()))
-        return [tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-    def has_node(self, node: NodeId) -> bool:
-        return node in self.index
-
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         i = self.index.get(a)
         j = self.index.get(b)
-        return i is not None and j is not None and i * len(self.nodes) + j in self.edge_keys
+        return i is not None and j is not None and j in self.adjacency[i]
 
     def edge(self, a: NodeId, b: NodeId) -> LinkAssessment:
         return self.edges[(min(a, b), max(a, b))]
 
     def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, float], ...]:
         """(neighbor, path_loss_db) pairs in ascending neighbor order."""
-        return tuple((self.nodes[k], loss) for k, loss in self.adjacency[self.index[node]])
+        return tuple((self.nodes[k], loss) for k, loss in self.adjacency[self.index[node]].items())
 
 
 def _graph_from_arrays(
@@ -125,11 +106,11 @@ def _graph_from_arrays(
     """Graph over sorted ``nodes`` from edge rows with ``i < j``, any order."""
     order = np.lexsort((j, i))
     i, j, distance, blockers, loss = (a[order] for a in (i, j, distance, blockers, loss))
-    src = np.concatenate([i, j])
-    dst = np.concatenate([j, i])
-    csr = np.lexsort((dst, src))
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(nodes)), out=indptr[1:])
+    # rows ascend in (i, j), so every node's neighbours arrive in index order
+    adjacency: list[dict[int, float]] = [{} for _ in nodes]
+    for a, b, ab_loss in zip(i.tolist(), j.tolist(), loss.tolist()):
+        adjacency[a][b] = ab_loss
+        adjacency[b][a] = ab_loss
     return ConnectivityGraph(
         timestep,
         tuple(nodes),
@@ -139,9 +120,7 @@ def _graph_from_arrays(
         distance,
         blockers,
         loss,
-        indptr,
-        dst[csr],
-        np.concatenate([loss, loss])[csr],
+        adjacency,
     )
 
 

@@ -140,14 +140,20 @@ def test_run_dump_flags(tmp_path):
 
 
 def test_run_dump_trace_feeds_replay(tmp_path):
-    cfg = write_small_config(tmp_path / "s.yaml")
+    # trucks and vans must replay as trucks and vans, or their sight lines clear
+    cfg = tmp_path / "s.yaml"
+    save_config(default_config(duration=30.0, vehicle_count=30, connected_fraction=0.5, seed=1), cfg)
     out = tmp_path / "out"
     proc = run_cli("run", str(cfg), "--out-dir", str(out), "--dump-trace")
     assert proc.returncode == 0, proc.stderr
     trace = out / "trace.csv"
-    assert trace.read_text().startswith("timestep,sim_time,id,connected,x,y,heading,speed")
+    assert trace.read_text().startswith(
+        "timestep,sim_time,id,connected,x,y,heading,speed,length,width,height,antenna_height\n"
+    )
     replay = run_cli("replay", str(trace), str(cfg), "--out-dir", str(tmp_path / "r"))
     assert replay.returncode == 0, replay.stderr
+    ran, replayed = (p.stdout.splitlines()[1].split(",")[4] for p in (proc, replay))
+    assert ran == replayed == "0.9931459904043866"
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -276,6 +282,7 @@ def test_replay_roundtrip(tmp_path):
         ("5,0.5,4,1,1.0,2.0,0.0,5.0", "trace line 3: timestep 5 does not follow 0"),
         ("1,0.1,4,1,1.0,2.0", "trace line 3: expected 8 columns, got 6"),
         ("1,0.1,four,1,1.0,2.0,0.0,5.0", "trace line 3: invalid literal"),
+        ("0,0.0,5,1,0.0,2.0,1.0,3.0", "trace line 3: vehicles 4 and 5 share position"),
     ],
 )
 def test_replay_bad_trace_exits_2_naming_the_line(tmp_path, row, message):

@@ -256,6 +256,10 @@ def test_trace_roundtrip():
             assert vb.heading == vo.heading
             assert vb.speed == vo.speed
             assert vb.connected == vo.connected
+            assert vb.dimensions == vo.dimensions
+            assert vb.antenna_height == vo.antenna_height
+    # a van is in the stream, so the default sedan body would not do
+    assert any(v.dimensions != (4.5, 1.8, 1.5) for s in restored for v in s.vehicles)
 
 
 def test_trace_rejects_malformed_rows():
@@ -286,6 +290,10 @@ GOOD_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0\n"
         ("1,0.1,4,1,east,2.0,0.0,5.0\n", "trace line 3: could not convert"),
         ("1,0.1,-4,1,1.0,2.0,0.0,5.0\n", "trace line 3: vehicle index must be non-negative"),
         ("1,0.1,4,1,1.0,2.0,0.0,-5.0\n", "trace line 3: speed must be >= 0"),
+        (
+            "0,0.0,5,1,0.0,2.0,1.0,3.0\n",
+            "trace line 3: vehicles 4 and 5 share position (0.0, 2.0) in timestep 0",
+        ),
     ],
 )
 def test_trace_rejects_bad_rows_naming_the_line(rows, message):
@@ -301,3 +309,40 @@ def test_trace_may_start_at_any_timestep():
     lines = io.StringIO(TRACE_HEAD + "7,0.7,4,1,0.0,2.0,0.0,5.0\n8,0.8,4,1,0.5,2.0,0.0,5.0\n")
     snaps = read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
     assert [s.timestep for s in snaps] == [7, 8]
+
+
+WIDE_HEAD = TRACE_HEAD.rstrip("\n") + ",length,width,height,antenna_height\n"
+WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: expected 12 columns, got 8"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,3.2\n", "trace line 3: expected 12 columns, got 11"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,nan,2.5,3.2,3.3\n", "trace line 3: length must be finite"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,inf,3.2,3.3\n", "trace line 3: width must be finite"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,-inf,3.3\n", "trace line 3: height must be finite"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,3.2,nan\n", "trace line 3: antenna_height must be finite"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,0.0,3.2,3.3\n", "trace line 3: dimensions must be positive"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0,4.5,1.8,1.5,9.0\n", "trace line 3: antenna_height 9.0 outside"),
+    ],
+)
+def test_trace_with_body_columns_rejects_bad_rows(rows, message):
+    cfg = default_config()
+    lines = io.StringIO(WIDE_HEAD + WIDE_ROW + rows)
+    with pytest.raises(ValueError) as err:
+        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    assert message in str(err.value)
+
+
+def test_trace_without_body_columns_uses_the_default_body():
+    cfg = default_config()
+    sedan, truck = cfg.vehicle_mix[0], cfg.vehicle_mix[2]
+    for head in (TRACE_HEAD, ""):
+        (snap,) = read_trace(io.StringIO(head + GOOD_ROW), cfg.intersection.rsu_height, truck)
+        assert snap.vehicles[0].dimensions == (truck.length, truck.width, truck.height)
+        assert snap.vehicles[0].antenna_height == truck.antenna_height
+    (snap,) = read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg.intersection.rsu_height, sedan)
+    assert snap.vehicles[0].dimensions == (8.0, 2.5, 3.2)
+    assert snap.vehicles[0].antenna_height == 3.3

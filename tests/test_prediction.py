@@ -14,8 +14,10 @@ from twinroute.prediction import (
     predict,
     prediction_error,
 )
+from twinroute.channel import default_channel_params
+from twinroute.routing import route_predictive
 
-from conftest import circle_history, make_vehicle
+from conftest import circle_history, make_snapshot, make_vehicle
 
 
 def test_stationary_vehicle_any_predictor_holds():
@@ -157,3 +159,59 @@ def test_learned_predictor_bad_command_raises():
     learned = LearnedPredictor(("python3", "-c", "import sys; sys.exit(3)"))
     with pytest.raises(RuntimeError):
         learned.extrapolate(history, 5, 0.1)
+
+
+# prints one ROW per step; ts and vid are the last history row's
+ECHO_MODEL = """import sys
+steps = int(sys.argv[-2])
+rows = [line.split(",") for line in sys.stdin.read().splitlines() if line.strip()]
+ts, vid = int(rows[-1][0]), rows[-1][2]
+for j in range(1, steps + 1):
+    print(f"ROW")
+"""
+GOOD_FORECAST = "{ts + j},0.0,{vid},1,1.0,2.0,0.0,5.0"
+
+
+def echo_model(row: str) -> LearnedPredictor:
+    return LearnedPredictor(("python3", "-c", ECHO_MODEL.replace("ROW", row)))
+
+
+def test_learned_predictor_accepts_well_formed_rows():
+    history = [make_vehicle(3, 0.0, 0.0)] * 2
+    out = echo_model(GOOD_FORECAST).extrapolate(history, 2, 0.5)
+    assert out == [((1.0, 2.0, 0.0), 0.0, 5.0)] * 2
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{ts + j},0.0,{vid},1,nan,2.0,0.0,5.0", "row 1: x, y, heading and speed must be finite"),
+        ("{ts + j},0.0,{vid},1,1.0,2.0,inf,5.0", "row 1: x, y, heading and speed must be finite"),
+        ("{ts + j},0.0,v9,1,1.0,2.0,0.0,5.0", "row 1: id 'v9', expected 'v3'"),
+        ("{ts + j + 1},0.0,{vid},1,1.0,2.0,0.0,5.0", "row 1: timestep 3, expected 2"),
+        ("{ts + j},0.0,{vid},1,1.0,2.0,0.0,-5.0", "row 1: speed must be >= 0, got -5.0"),
+        ("{ts + j},0.0,{vid},1,1.0,2.0,0.0", "row 1: expected 8 columns, got 7"),
+        ("{ts + j},0.0,{vid},1,1.0,east,0.0,5.0", "row 1: could not convert"),
+    ],
+)
+def test_learned_predictor_rejects_bad_rows(row, message):
+    history = [make_vehicle(3, 0.0, 0.0)] * 2
+    with pytest.raises(RuntimeError) as err:
+        echo_model(row).extrapolate(history, 2, 0.5)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["{ts + j},0.0,{vid},1,nan,2.0,0.0,5.0", "{ts + j},0.0,{vid},1,1.0,2.0,0.0,-5.0"],
+)
+def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
+    vehicle = make_vehicle(0, 30.0, 0.0)
+    history = [make_snapshot([vehicle], timestep=k, sim_time=k * 0.1) for k in range(2)]
+    plan = route_predictive(
+        history, 1, horizon=0.2, interval=0.2, predictor=echo_model(row),
+        dt=0.1, params=default_channel_params(), budget_db=110.0,
+    )
+    assert plan.degraded_tracks == 1
+    assert plan.tracks[vehicle.id].states[-1].position == vehicle.position
+    assert all(table[vehicle.id] is not None for _, table in plan.entries)

@@ -16,7 +16,6 @@ from twinroute.model import NodeId
 from twinroute.prediction import ConstantVelocityPredictor
 from twinroute.routing import (
     Route,
-    _route_all,
     dump_route_table,
     route_predictive,
     route_realtime,
@@ -132,6 +131,22 @@ def test_matches_enumeration_oracle(fuzz_scale):
                 assert got is not None and got.hops == want, trial
 
 
+def test_neighbors_ascend_and_match_edges():
+    rng = np.random.default_rng(77)
+    for trial in range(100):
+        g = random_graph(rng, quantized=trial % 2 == 0)
+        for node in g.nodes:
+            got = g.neighbors(node)
+            keys = [other.sort_key for other, _ in got]
+            assert keys == sorted(keys), trial
+            want = {
+                (b if a == node else a): link.path_loss_db
+                for (a, b), link in g.edges.items()
+                if node in (a, b)
+            }
+            assert len(got) == len(want) and dict(got) == want, trial
+
+
 def test_node_order_breaks_exact_ties_past_the_first_layer():
     # v3 is reached first through v1 but settles through v2, so the
     # tied labels at v5 arrive in an order that is not node order
@@ -206,8 +221,9 @@ def test_route_all_matches_heap_dijkstra_on_dense_run():
     for snap in snapshot_stream(cfg):
         g = build_topology(snap, cfg.channel, cfg.link_budget_db)
         max_hops = caps[snap.timestep % len(caps)]
-        table = _route_all(g, g.nodes[1:], snap.timestep, max_hops)
-        for vehicle, route in table.assignments.items():
+        table = route_realtime(g, max_hops)
+        assert list(table) == list(g.nodes[1:])
+        for vehicle, route in table.items():
             got = route.hops if route else None
             assert got == oracle_dijkstra_route(g, vehicle, max_hops), snap.timestep
             routed += route is not None and route.hop_count > 1
@@ -227,11 +243,11 @@ def test_dominance_self_consistency():
 
 def test_score_route_cases():
     g = graph_from_edges({(0, "rsu"): 80.0, (0, 1): 70.0, (1, "rsu"): 70.0})
-    direct = Route(NodeId.vehicle(0), (NodeId.vehicle(0), RSU), 0)
+    direct = Route(NodeId.vehicle(0), (NodeId.vehicle(0), RSU))
     assert score_route(direct, g)
     assert not score_route(None, g)
 
-    relay = Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1), RSU), 0)
+    relay = Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1), RSU))
     assert score_route(relay, g)
     # relay despawned: node 1 no longer in the graph
     without_relay = graph_from_edges({(0, "rsu"): 80.0})
@@ -243,27 +259,20 @@ def test_score_route_cases():
 
 def test_route_invariants_enforced():
     with pytest.raises(ValueError):
-        Route(NodeId.vehicle(0), (NodeId.vehicle(1), RSU), 0)  # wrong start
+        Route(NodeId.vehicle(0), (NodeId.vehicle(1), RSU))  # wrong start
     with pytest.raises(ValueError):
-        Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1)), 0)  # no RSU end
+        Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1)))  # no RSU end
     with pytest.raises(ValueError):
         Route(
             NodeId.vehicle(0),
             (NodeId.vehicle(0), NodeId.vehicle(1), NodeId.vehicle(0), RSU),
-            0,
         )  # repeated node
 
 
 def test_route_realtime_single_vehicle_in_range():
     snap = make_snapshot([make_vehicle(0, 30.0, 0.0)])
-    table = route_realtime(snap, {NodeId.vehicle(0)}, PARAMS, 110.0)
-    assert table.assignments[NodeId.vehicle(0)].hops == (NodeId.vehicle(0), RSU)
-
-
-def test_route_realtime_rejects_foreign_demands():
-    snap = make_snapshot([make_vehicle(0, 30.0, 0.0)])
-    with pytest.raises(ValueError):
-        route_realtime(snap, {NodeId.vehicle(5)}, PARAMS, 110.0)
+    table = route_realtime(build_topology(snap, PARAMS, 110.0))
+    assert table[NodeId.vehicle(0)].hops == (NodeId.vehicle(0), RSU)
 
 
 def test_stale_snapshot_route_breaks_on_current_truth():
@@ -272,8 +281,8 @@ def test_stale_snapshot_route_breaks_on_current_truth():
     before = make_snapshot([sedan, make_vehicle(1, 30.0, 40.0, connected=False, body=TRUCK)], timestep=0)
     after = make_snapshot([sedan, make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK)], timestep=10)
 
-    table = route_realtime(before, {NodeId.vehicle(0)}, PARAMS, 110.0)
-    route = table.assignments[NodeId.vehicle(0)]
+    table = route_realtime(build_topology(before, PARAMS, 110.0))
+    route = table[NodeId.vehicle(0)]
     assert route is not None  # clear sight line a second ago
 
     truth_now = build_topology(after, PARAMS, 110.0)
@@ -299,11 +308,10 @@ def test_predictive_static_world_equals_realtime():
         dt=0.1, params=PARAMS, budget_db=110.0,
     )
     assert len(plan.entries) == 10
-    current = route_realtime(history[-1], {NodeId.vehicle(0), NodeId.vehicle(1)}, PARAMS, 110.0)
+    current = route_realtime(build_topology(history[-1], PARAMS, 110.0))
+    assert list(current) == [NodeId.vehicle(0), NodeId.vehicle(1)]
     for ts, table in plan.entries:
-        assert {
-            v: (r.hops if r else None) for v, r in table.assignments.items()
-        } == {v: (r.hops if r else None) for v, r in current.assignments.items()}, ts
+        assert table == current, ts
 
 
 class GroundTruthPredictor:
@@ -342,12 +350,9 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
     for ts, table in plan.entries:
-        truth = route_realtime(
-            snapshots[ts], {NodeId.vehicle(0), NodeId.vehicle(1)}, PARAMS, 110.0
-        )
-        got = {v: (r.hops if r else None) for v, r in table.assignments.items()}
-        want = {v: (r.hops if r else None) for v, r in truth.assignments.items()}
-        assert got == want, ts
+        truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
+        assert list(truth) == [NodeId.vehicle(0), NodeId.vehicle(1)]
+        assert table == truth, ts
 
 
 def test_predictive_fallback_on_failing_predictor():
@@ -365,13 +370,13 @@ def test_predictive_fallback_on_failing_predictor():
     )
     assert plan.degraded_tracks == 1
     # hold fallback keeps the vehicle where it was, so routing still works
-    assert plan.entries[0][1].assignments[NodeId.vehicle(0)] is not None
+    assert plan.entries[0][1][NodeId.vehicle(0)] is not None
 
 
 def test_dump_route_table_format():
     snap = make_snapshot([make_vehicle(0, 30.0, 0.0)], timestep=4)
     g = build_topology(snap, PARAMS, 110.0)
-    table = route_realtime(snap, {NodeId.vehicle(0)}, PARAMS, 110.0, graph=g)
+    table = route_realtime(g)
     buf = io.StringIO()
     dump_route_table(table, g, 4, buf)
     assert buf.getvalue() == "4,v0,v0>rsu,1\n"
