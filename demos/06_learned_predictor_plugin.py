@@ -36,14 +36,15 @@ history = [
     for x in (0.0, 1.2)
 ]
 
-external = predict(history, horizon=2.0, dt=0.5,
+dt = 0.5
+external = predict(history, horizon=2.0, dt=dt,
                    predictor=LearnedPredictor(("python3", str(model_path))))
-builtin = predict(history, horizon=2.0, dt=0.5, predictor=ConstantVelocityPredictor())
+builtin = predict(history, horizon=2.0, dt=dt, predictor=ConstantVelocityPredictor())
 
 print("external model vs built-in constant velocity:")
-for a, b in zip(external.states, builtin.states):
+for k, (a, b) in enumerate(zip(external.states, builtin.states), start=1):
     match = "ok" if a.position == b.position else "DIFFERS"
-    print(f"  t={a.timestep}: {a.position[0]:6.2f} m vs {b.position[0]:6.2f} m  {match}")
+    print(f"  +{k * dt:.1f} s: {a.position[0]:6.2f} m vs {b.position[0]:6.2f} m  {match}")
 
 # in a scenario file the same plug-in reads:
 #   prediction:

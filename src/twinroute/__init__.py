@@ -17,7 +17,7 @@ from .config import (
     save_config,
     validate_config,
 )
-from .engine import ConfigError, run_replay, run_single, run_variants
+from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
 from .geometry import ObstacleBox, blockage_count, box_from_vehicle, segment_intersects_box
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
@@ -31,7 +31,6 @@ from .prediction import (
     PredictedTrack,
     make_predictor,
     predict,
-    prediction_error,
 )
 from .routing import (
     PredictivePlan,
@@ -89,11 +88,9 @@ __all__ = [
     "make_predictor",
     "path_loss",
     "predict",
-    "prediction_error",
     "read_trace",
     "route_predictive",
     "route_realtime",
-    "run_replay",
     "run_single",
     "run_sweep",
     "run_variants",

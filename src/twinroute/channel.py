@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-INF_BLOCKERS = None  # sentinel spelling for an unbounded class
-
 
 @dataclass(frozen=True, slots=True)
 class BlockageClass:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, validate_config
-from .engine import ConfigError, log, run_replay, run_variants, write_run_outputs
+from .engine import ConfigError, log, run_single, write_run_outputs
 from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep
 from .metrics import SUMMARY_HEADER, summary_row
 from .mobility import read_trace, snapshot_stream, write_trace
@@ -115,9 +115,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     route_f = open(out / "routes.csv", "w", encoding="utf-8", newline="") if args.dump_routes else None
     topo_f = open(out / "topology.csv", "w", encoding="utf-8", newline="") if args.dump_topology else None
     try:
-        result = run_variants(
-            {"run": cfg}, snapshots=snapshots, route_dump=route_f, topology_dump=topo_f
-        )["run"]
+        result = run_single(cfg, snapshots, route_dump=route_f, topology_dump=topo_f)
     finally:
         for f in (route_f, topo_f):
             if f:
@@ -174,7 +172,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         log("trace contains no snapshots")
         return EXIT_CONFIG
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    result = run_replay(cfg, snapshots)
+    result = run_single(cfg, snapshots)
     row = _write_single(result, cfg, args.out_dir)
     sys.stdout.write(SUMMARY_HEADER)
     sys.stdout.write(row)

@@ -21,6 +21,7 @@ import yaml
 
 from .channel import BlockageClass, ChannelParams, default_channel_params
 from .model import Strategy, ValidationReport
+from .prediction import PREDICTORS
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,6 @@ DEFAULT_VEHICLE_MIX = (
     VehicleClassSpec("van", 5.0, 1.9, 2.2, 2.3, 0.15),
     VehicleClassSpec("truck", 8.0, 2.5, 3.2, 3.3, 0.15),
 )
-
-PREDICTOR_KINDS = ("hold", "constant_velocity", "constant_turn_rate", "learned")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -235,9 +233,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         "must be >= prediction.interval",
     )
     check(
-        cfg.prediction.predictor in PREDICTOR_KINDS,
+        cfg.prediction.predictor in PREDICTORS,
         "prediction.predictor",
-        f"must be one of {PREDICTOR_KINDS}",
+        f"must be one of {tuple(PREDICTORS)}",
     )
     if cfg.prediction.predictor == "learned":
         check(

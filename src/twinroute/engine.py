@@ -92,26 +92,13 @@ class _SharedWorld:
         return g
 
 
-class _Driver:
-    """Produces the route table in force at each scored timestep."""
-
-    def __init__(self, config: ScenarioConfig, lag: int):
-        self.config = config
-        self.lag = lag
-
-    def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable | None:
-        raise NotImplementedError
-
-    def prediction_stats(self) -> tuple[float | None, int]:
-        return None, 0
-
-
-class _PeriodicDriver(_Driver):
+class _PeriodicDriver:
     """Routes the snapshot ``lag`` steps old and holds the table ``period`` steps."""
 
     def __init__(self, config: ScenarioConfig, period: int, lag: int):
-        super().__init__(config, lag)
+        self.config = config
         self.period = period
+        self.lag = lag
         self._table: RouteTable | None = None
         self._next_update: int | None = None
 
@@ -122,10 +109,17 @@ class _PeriodicDriver(_Driver):
             self._next_update = timestep + self.period
         return self._table
 
+    def prediction_stats(self) -> tuple[float | None, int]:
+        return None, 0
 
-class _PredictiveDriver(_Driver):
+
+class _PredictiveDriver:
+    """Applies the schedule planned each interval, and measures how far each
+    scored snapshot lies from its forecast."""
+
     def __init__(self, config: ScenarioConfig):
-        super().__init__(config, delay_to_steps(config.latency_delta, config.dt))
+        self.config = config
+        self.lag = delay_to_steps(config.latency_delta, config.dt)
         self.interval_steps = seconds_to_steps(config.prediction.interval, config.dt)
         self.predictor = make_predictor(
             config.prediction.predictor, config.prediction.learned_command
@@ -164,29 +158,24 @@ class _PredictiveDriver(_Driver):
         elif timestep > self._next_epoch:
             self._replan(self._next_epoch, world)
             self._next_epoch += self.interval_steps
-        return self._plan.table_for(timestep) if self._plan else None
-
-    def observe_truth(self, snap: WorldSnapshot) -> None:
-        if self._plan is None:
-            return
-        for vid, track in self._plan.tracks.items():
-            predicted = track.state_at(snap.timestep)
-            if predicted is None:
-                continue
-            actual = snap.vehicle(vid)
-            if actual is None:
-                continue
-            dx = predicted.position[0] - actual.position[0]
-            dy = predicted.position[1] - actual.position[1]
-            self._error_sum += (dx * dx + dy * dy) ** 0.5
-            self._error_count += 1
+        forecast = self._plan.forecast.get(timestep)
+        if forecast is not None:
+            truth = {v.id: v.position for v in world.history[-1].vehicles}
+            for v in forecast.vehicles:
+                actual = truth.get(v.id)
+                if actual is not None:
+                    dx = v.position[0] - actual[0]
+                    dy = v.position[1] - actual[1]
+                    self._error_sum += (dx * dx + dy * dy) ** 0.5
+                    self._error_count += 1
+        return self._plan.entries.get(timestep)
 
     def prediction_stats(self) -> tuple[float | None, int]:
         mean = self._error_sum / self._error_count if self._error_count else None
         return mean, self._fallbacks
 
 
-def _make_driver(config: ScenarioConfig) -> _Driver:
+def _make_driver(config: ScenarioConfig) -> _PeriodicDriver | _PredictiveDriver:
     if config.strategy is Strategy.REALTIME:
         return _PeriodicDriver(config, 1, delay_to_steps(config.latency_delta, config.dt))
     if config.strategy is Strategy.CONVENTIONAL:
@@ -284,8 +273,6 @@ def run_variants(
             dump_topology(truth, topology_dump)
         for name, driver in drivers.items():
             table = driver.table_for(snap.timestep, world)
-            if isinstance(driver, _PredictiveDriver):
-                driver.observe_truth(snap)
             outcome = _score(table, truth, snap)
             accumulators[name].record(outcome)
             if route_dump is not None and table is not None:
@@ -312,29 +299,15 @@ def run_variants(
 
 def run_single(
     config: ScenarioConfig,
+    snapshots: Iterable[WorldSnapshot] | None = None,
     route_dump: IO[str] | None = None,
     topology_dump: IO[str] | None = None,
 ) -> RunResult:
     """Execute one full run of the configured strategy.
 
-    Bitwise deterministic for a fixed (config, seed).
-    """
-    results = run_variants(
-        {"run": config}, route_dump=route_dump, topology_dump=topology_dump
-    )
-    return results["run"]
-
-
-def run_replay(
-    config: ScenarioConfig,
-    snapshots: Iterable[WorldSnapshot],
-    route_dump: IO[str] | None = None,
-    topology_dump: IO[str] | None = None,
-) -> RunResult:
-    """Score an externally produced snapshot stream with the configured strategy.
-
-    The first snapshot seeds the twin's history; every later one is scored,
-    mirroring how generated runs treat their initial state.
+    ``snapshots``, when given, replace generated traffic: the first one
+    seeds the twin's history and every later one is scored. Bitwise
+    deterministic for a fixed (config, seed) or snapshot stream.
     """
     results = run_variants(
         {"run": config},

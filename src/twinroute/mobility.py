@@ -405,8 +405,12 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
 
 
 def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
+    """One row per (timestep, vehicle); a step with no vehicles is one
+    ``timestep,sim_time`` marker row, so a replay starts where the run did."""
     out.write(TRACE_HEADER)
     for snap in snapshots:
+        if not snap.vehicles:
+            out.write(f"{snap.timestep},{snap.sim_time!r}\n")
         for v in snap.vehicles:
             length, width, height = v.dimensions
             out.write(
@@ -414,6 +418,13 @@ def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
                 f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r},"
                 f"{length!r},{width!r},{height!r},{v.antenna_height!r}\n"
             )
+
+
+def _finite(name: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text}")
+    return value
 
 
 def _trace_row(parts: list[str], body: VehicleClassSpec | None) -> tuple[int, float, VehicleState]:
@@ -425,14 +436,9 @@ def _trace_row(parts: list[str], body: VehicleClassSpec | None) -> tuple[int, fl
     if len(parts) != expected:
         raise ValueError(f"expected {expected} columns, got {len(parts)}")
     ts, sim_time, index, connected, x, y, heading, speed = parts[:8]
-    values = {}
     numbers = {"sim_time": sim_time, "x": x, "y": y, "heading": heading, "speed": speed}
     numbers.update(zip(BODY_COLUMNS, parts[8:]))
-    for name, text in numbers.items():
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {text}")
-        values[name] = value
+    values = {name: _finite(name, text) for name, text in numbers.items()}
     if connected not in ("0", "1"):
         raise ValueError(f"connected must be 0 or 1, got {connected!r}")
     if body is None:
@@ -460,10 +466,12 @@ def read_trace(
 
     Rows carry the body columns when the header names them; otherwise
     (older traces, headerless input) every vehicle gets the supplied body
-    class. Timesteps must be grouped and consecutive: a step with no
-    vehicles has no rows, so only leading ones can be left out. No two
-    vehicles of one step may stand at the same (x, y). Every error is a
-    ValueError naming the 1-based line it was found on.
+    class. Timesteps must be grouped and consecutive. A two-column
+    ``timestep,sim_time`` marker row stands for a step with no vehicles
+    and must be its step's only row; traces without markers read as
+    before, starting at their first vehicle row. No two vehicles of one
+    step may stand at the same (x, y). Every error is a ValueError naming
+    the 1-based line it was found on.
     """
     snapshots: list[WorldSnapshot] = []
     current_ts: int | None = None
@@ -473,6 +481,7 @@ def read_trace(
     spots: dict[tuple[float, float], int] = {}
     rsu = (0.0, 0.0, rsu_height)
     row_body: VehicleClassSpec | None = body
+    marked = False  # the current step is a marker row
 
     def flush() -> None:
         if current_ts is not None:
@@ -487,15 +496,22 @@ def read_trace(
         if line.startswith("timestep"):
             row_body = None if tuple(line.split(",")[8:]) == BODY_COLUMNS else body
             continue
+        parts = line.split(",")
         try:
-            ts, sim_time, vehicle = _trace_row(line.split(","), row_body)
-            if current_ts is None or ts != current_ts:
+            if len(parts) == 2:  # marker row: a step with no vehicles
+                ts, sim_time, vehicle = int(parts[0]), _finite("sim_time", parts[1]), None
+            else:
+                ts, sim_time, vehicle = _trace_row(parts, row_body)
+            if ts == current_ts and (marked or vehicle is None):
+                raise ValueError(f"timestep {ts} has a marker row and other rows")
+            if ts != current_ts:
                 if current_ts is not None and ts != current_ts + 1:
                     raise ValueError(f"timestep {ts} does not follow {current_ts}")
                 flush()
                 bucket, seen, spots = [], set(), {}
-                current_ts = ts
-                current_time = sim_time
+                current_ts, current_time, marked = ts, sim_time, vehicle is None
+            if vehicle is None:
+                continue
             index = vehicle.id.index
             if index in seen:
                 raise ValueError(f"vehicle {index} repeats in timestep {ts}")

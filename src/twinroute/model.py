@@ -71,14 +71,6 @@ class NodeId:
     def __str__(self) -> str:
         return "rsu" if self.kind is NodeKind.RSU else f"v{self.index}"
 
-    @staticmethod
-    def parse(text: str) -> "NodeId":
-        if text == "rsu":
-            return NodeId.rsu()
-        if text.startswith("v"):
-            return NodeId.vehicle(int(text[1:]))
-        raise ValueError(f"not a node id: {text!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class VehicleState:
@@ -134,12 +126,6 @@ class WorldSnapshot:
 
     def connected_vehicles(self) -> tuple[VehicleState, ...]:
         return tuple(v for v in self.vehicles if v.connected)
-
-    def vehicle(self, node: NodeId) -> VehicleState | None:
-        for v in self.vehicles:
-            if v.id == node:
-                return v
-        return None
 
 
 class Strategy(enum.Enum):

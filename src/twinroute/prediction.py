@@ -21,34 +21,22 @@ import subprocess
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .model import NodeId, VehicleState
-
-
-@dataclass(frozen=True, slots=True)
-class PredictedState:
-    timestep: int
-    position: tuple[float, float, float]
-    heading: float
-    speed: float
+from .model import NodeId, VehicleState, seconds_to_steps
 
 
 @dataclass(frozen=True)
 class PredictedTrack:
-    """Forecast states for one vehicle, strictly increasing timesteps.
+    """Forecast states of one vehicle.
 
-    ``degraded`` marks tracks produced by the hold fallback because the
-    requested predictor lacked history or failed.
+    ``states[k]`` is the vehicle ``k + 1`` steps after its last observed
+    state, with that state's id, body and ``connected`` flag. ``degraded``
+    marks tracks produced by the hold fallback because the requested
+    predictor lacked history or failed.
     """
 
     vehicle: NodeId
-    states: tuple[PredictedState, ...]
+    states: tuple[VehicleState, ...]
     degraded: bool = False
-
-    def state_at(self, timestep: int) -> PredictedState | None:
-        for s in self.states:
-            if s.timestep == timestep:
-                return s
-        return None
 
 
 class TrajectoryPredictor(Protocol):
@@ -182,16 +170,16 @@ def _forecast_row(line: str, vehicle: str, timestep: int) -> list[float]:
     return values
 
 
+PREDICTORS: dict[str, type] = {
+    cls.kind: cls
+    for cls in (HoldPredictor, ConstantVelocityPredictor, ConstantTurnRatePredictor, LearnedPredictor)
+}
+
+
 def make_predictor(kind: str, learned_command: Sequence[str] | None = None) -> TrajectoryPredictor:
-    if kind == "hold":
-        return HoldPredictor()
-    if kind == "constant_velocity":
-        return ConstantVelocityPredictor()
-    if kind == "constant_turn_rate":
-        return ConstantTurnRatePredictor()
-    if kind == "learned":
-        return LearnedPredictor(learned_command or ())
-    raise ValueError(f"unknown predictor kind: {kind!r}")
+    if kind not in PREDICTORS:
+        raise ValueError(f"unknown predictor kind: {kind!r}")
+    return LearnedPredictor(learned_command or ()) if kind == "learned" else PREDICTORS[kind]()
 
 
 def predict(
@@ -199,50 +187,29 @@ def predict(
     horizon: float,
     dt: float,
     predictor: TrajectoryPredictor,
-    last_timestep: int = 0,
 ) -> PredictedTrack:
     """Forecast one vehicle across the horizon; one state per dt.
 
-    Falls back to holding the last state (and marks the track degraded)
-    when the predictor lacks history. The history must be non-empty and
-    time-ordered.
+    This is the one fallback of the predictive path: when the predictor
+    lacks history, raises, or returns the wrong number of states, the
+    vehicle holds its last observed state and the track is marked
+    degraded. The history must be non-empty and time-ordered.
     """
     if not history:
         raise ValueError("history must contain at least one state")
-    steps = max(1, int(horizon / dt + 1e-9))
-    vehicle = history[-1].id
-
-    degraded = False
-    if len(history) < predictor.min_history:
-        triples = HoldPredictor().extrapolate(history, steps, dt)
-        degraded = True
-    else:
-        triples = predictor.extrapolate(history, steps, dt)
-
-    states = tuple(
-        PredictedState(last_timestep + 1 + j, pos, heading, speed)
-        for j, (pos, heading, speed) in enumerate(triples)
-    )
-    return PredictedTrack(vehicle, states, degraded)
-
-
-def prediction_error(track: PredictedTrack, ground_truth: Sequence[tuple[int, VehicleState]]) -> float:
-    """Mean Euclidean displacement between forecast and truth.
-
-    ``ground_truth`` pairs each timestep with the vehicle's actual state;
-    the timesteps must exactly match the track's.
-    """
-    if len(ground_truth) != len(track.states):
-        raise ValueError(
-            f"ground truth has {len(ground_truth)} states, track has {len(track.states)}"
-        )
-    total = 0.0
-    for predicted, (ts, actual) in zip(track.states, ground_truth):
-        if predicted.timestep != ts:
-            raise ValueError(
-                f"misaligned timesteps: predicted {predicted.timestep}, truth {ts}"
+    steps = seconds_to_steps(horizon, dt)
+    last = history[-1]
+    if len(history) >= predictor.min_history:
+        try:
+            states = tuple(
+                VehicleState(
+                    last.id, position, heading, speed,
+                    last.dimensions, last.antenna_height, last.connected,
+                )
+                for position, heading, speed in predictor.extrapolate(history, steps, dt)
             )
-        dx = predicted.position[0] - actual.position[0]
-        dy = predicted.position[1] - actual.position[1]
-        total += math.hypot(dx, dy)
-    return total / len(track.states)
+        except Exception:  # a failing model is held like a vehicle without history
+            states = ()
+        if len(states) == steps:
+            return PredictedTrack(last.id, states)
+    return PredictedTrack(last.id, (last,) * steps, degraded=True)

@@ -10,12 +10,12 @@ sequence, so results are deterministic and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .channel import ChannelParams
-from .model import NodeId, NodeKind, VehicleState, WorldSnapshot
-from .prediction import HoldPredictor, PredictedTrack, TrajectoryPredictor, predict
+from .model import NodeId, NodeKind, WorldSnapshot, seconds_to_steps
+from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topology
 
 
@@ -132,17 +132,12 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
 
 @dataclass(frozen=True)
 class PredictivePlan:
-    """Route schedule for one planning epoch plus its diagnostics."""
+    """Route schedule for one planning epoch: per future timestep, the
+    forecast snapshot and the route table computed from it."""
 
-    entries: tuple[tuple[int, RouteTable], ...]
-    tracks: dict[NodeId, PredictedTrack] = field(default_factory=dict)
+    entries: dict[int, RouteTable]
+    forecast: dict[int, WorldSnapshot]
     degraded_tracks: int = 0
-
-    def table_for(self, timestep: int) -> RouteTable | None:
-        for ts, table in self.entries:
-            if ts == timestep:
-                return table
-        return None
 
 
 def route_predictive(
@@ -162,7 +157,7 @@ def route_predictive(
     planning input); prediction bridges the lag and extends through the
     horizon. Every vehicle in the last observed snapshot is forecast,
     unconnected ones included since their bodies still occlude. A vehicle
-    whose predictor fails falls back to holding its last observed state
+    whose predictor lacks history or fails holds its last observed state
     and is counted in ``degraded_tracks``.
     """
     if not history:
@@ -170,62 +165,29 @@ def route_predictive(
     if horizon < interval:
         raise ValueError("horizon must cover at least one planning interval")
     last = history[-1]
-    horizon_steps = max(1, int(horizon / dt + 1e-9))
+    horizon_steps = seconds_to_steps(horizon, dt)
     lag_steps = now - last.timestep
     if lag_steps < 0:
         raise ValueError("history extends past the planning time")
-    total_steps = horizon_steps + lag_steps
 
-    tracks: dict[NodeId, PredictedTrack] = {}
-    degraded = 0
-    for vehicle in last.vehicles:
-        states = [
-            snap_vehicle
-            for snap in history
-            if (snap_vehicle := snap.vehicle(vehicle.id)) is not None
-        ]
-        try:
-            track = predict(
-                states, total_steps * dt, dt, predictor, last_timestep=last.timestep
-            )
-        except Exception:
-            track = predict(
-                states[-1:], total_steps * dt, dt, HoldPredictor(), last_timestep=last.timestep
-            )
-            track = PredictedTrack(track.vehicle, track.states, degraded=True)
-        if track.degraded:
-            degraded += 1
-        tracks[vehicle.id] = track
-
-    entries: list[tuple[int, RouteTable]] = []
-    for step in range(1, horizon_steps + 1):
-        future_ts = now + step
-        vehicles = []
-        for vehicle in last.vehicles:
-            state = tracks[vehicle.id].state_at(future_ts)
-            if state is None:
-                continue
-            vehicles.append(
-                VehicleState(
-                    id=vehicle.id,
-                    position=state.position,
-                    heading=state.heading,
-                    speed=state.speed,
-                    dimensions=vehicle.dimensions,
-                    antenna_height=vehicle.antenna_height,
-                    connected=vehicle.connected,
-                )
-            )
-        future_snap = WorldSnapshot(
-            timestep=future_ts,
-            sim_time=future_ts * dt,
-            vehicles=tuple(vehicles),
-            rsu_position=last.rsu_position,
+    observed = [{v.id: v for v in snap.vehicles} for snap in history]
+    tracks = [
+        predict(
+            [seen[vehicle.id] for seen in observed if vehicle.id in seen],
+            (horizon_steps + lag_steps) * dt,
+            dt,
+            predictor,
         )
-        graph = build_topology(future_snap, params, budget_db)
-        entries.append((future_ts, route_realtime(graph, max_hops)))
-
-    return PredictivePlan(tuple(entries), tracks, degraded)
+        for vehicle in last.vehicles
+    ]
+    entries: dict[int, RouteTable] = {}
+    forecast: dict[int, WorldSnapshot] = {}
+    for ts in range(now + 1, now + horizon_steps + 1):
+        k = ts - last.timestep - 1
+        snap = WorldSnapshot(ts, ts * dt, tuple(t.states[k] for t in tracks), last.rsu_position)
+        forecast[ts] = snap
+        entries[ts] = route_realtime(build_topology(snap, params, budget_db), max_hops)
+    return PredictivePlan(entries, forecast, sum(t.degraded for t in tracks))
 
 
 def score_route(route: Route | None, ground_truth: ConnectivityGraph) -> bool:

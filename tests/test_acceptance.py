@@ -213,7 +213,7 @@ def test_criterion_8_frozen_world_degeneracy():
     values = {}
     for strategy in tr.Strategy:
         cfg = dataclasses.replace(base, strategy=strategy)
-        values[strategy.value] = tr.run_replay(cfg, frozen).reliability
+        values[strategy.value] = tr.run_single(cfg, frozen).reliability
     ok = len(set(values.values())) == 1
     report(8, ok, f"frozen world reliabilities identical across strategies: {values}")
 

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from twinroute.config import default_config
-from twinroute.engine import ConfigError, run_replay, run_single, run_variants
+from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.model import NodeId, Strategy
 
 from conftest import TRUCK, make_snapshot, make_vehicle
@@ -66,6 +66,33 @@ def test_predictive_result_carries_error_diagnostics():
     assert realtime.prediction_error_mean is None
 
 
+def straight_line_stream(n_steps=40, dt=0.25):
+    """An empty seed step, then two vehicles driving +x at 1 m per step."""
+    snapshots = [make_snapshot([], timestep=0, sim_time=0.0)]
+    for k in range(1, n_steps + 1):
+        vehicles = [
+            make_vehicle(0, -20.0 + k, 1.75, speed=1.0 / dt),
+            make_vehicle(1, 10.0 + k, -1.75, speed=1.0 / dt, connected=False),
+        ]
+        snapshots.append(make_snapshot(vehicles, timestep=k, sim_time=k * dt))
+    return snapshots
+
+
+@pytest.mark.parametrize("predictor, error", [("constant_velocity", 0.0), ("hold", 4.5)])
+def test_prediction_error_is_the_mean_forecast_displacement(predictor, error):
+    """Plans at steps 0, 8, ..., 32 each forecast the next 8 steps. The
+    first sees only the empty seed step, so it forecasts nobody; the four
+    after it forecast both vehicles. Constant velocity is exact on a
+    straight line; hold lags one metre per step ahead, a mean of
+    (1 + 2 + ... + 8) / 8 = 4.5 m."""
+    cfg = default_config(dt=0.25, duration=10.0, vehicle_count=2, strategy=Strategy.PREDICTIVE)
+    cfg = dataclasses.replace(cfg, prediction=dataclasses.replace(cfg.prediction, predictor=predictor))
+    result = run_single(cfg, snapshots=straight_line_stream())
+    assert len(result.outcomes) == 40
+    assert result.prediction_error_mean == error
+    assert result.prediction_fallbacks == 0
+
+
 def test_latency_uses_older_snapshot():
     """With one vehicle crossing behind a truck, the lagged controller keeps
     issuing the pre-blockage route and loses reliability."""
@@ -95,7 +122,7 @@ def test_frozen_world_all_strategies_agree():
         "conv": dataclasses.replace(base, strategy=Strategy.CONVENTIONAL),
     }
     results = {
-        name: run_replay(cfg, frozen_world()) for name, cfg in variants.items()
+        name: run_single(cfg, frozen_world()) for name, cfg in variants.items()
     }
     values = {name: r.reliability for name, r in results.items()}
     assert len(set(values.values())) == 1, values
@@ -103,7 +130,7 @@ def test_frozen_world_all_strategies_agree():
 
 def test_replay_scores_all_after_the_seed_snapshot():
     cfg = default_config(duration=4.0, vehicle_count=4, seed=1)
-    result = run_replay(cfg, frozen_world(25))
+    result = run_single(cfg, frozen_world(25))
     assert len(result.outcomes) == 24
 
 
@@ -155,8 +182,8 @@ def test_conventional_stale_route_fails_after_relay_despawns():
     base = default_config(duration=3.0, vehicle_count=3, seed=1)
     conv = dataclasses.replace(base, strategy=Strategy.CONVENTIONAL)
 
-    rt_result = run_replay(base, snapshots)
-    conv_result = run_replay(conv, snapshots)
+    rt_result = run_single(base, snapshots)
+    conv_result = run_single(conv, snapshots)
 
     far = NodeId.vehicle(0)
     # real-time: satisfied every step (relay v1 first, then v2)

@@ -15,7 +15,7 @@ import io
 
 import twinroute as tr
 from twinroute.cli import main
-from twinroute.metrics import write_detail
+from twinroute.metrics import summary_row, write_detail
 
 
 def sha256(text: str) -> str:
@@ -67,3 +67,14 @@ def test_cli_dump_topology_matches_pinned_bytes(tmp_path):
     assert main(["run", str(path), "--out-dir", str(tmp_path), "--dump-topology"]) == 0
     topology = (tmp_path / "topology.csv").read_text(encoding="utf-8")
     assert sha256(topology) == "8e3fbf6236a8d705cfb02c3436a737353582f007c4ee94e8b932fabf3f850872"
+
+
+def test_mixed_predictive_summary_row_pinned():
+    """Reliability and the forecast error the engine reports, as summary.csv writes them."""
+    base = tr.default_config(duration=10.0, vehicle_count=30, connected_fraction=0.5)
+    cfg = dataclasses.replace(base, strategy=tr.Strategy.PREDICTIVE)
+    result = tr.run_single(cfg)
+    assert summary_row(result, 30, 0.5, cfg.seed) == (
+        "predictive,30,0.5,1,0.7754189944134078,0.2012383230837274,b72f4701fa5cb398\n"
+    )
+    assert result.prediction_fallbacks == 1

@@ -243,11 +243,11 @@ def test_trace_roundtrip():
     buf.seek(0)
     cfg = default_config()
     restored = read_trace(buf, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
-    # the trace holds one row per (timestep, vehicle): vehicle-free
-    # timesteps leave no rows and cannot come back
-    populated = [s for s in snapshots if s.vehicles]
-    assert len(restored) == len(populated)
-    for orig, back in zip(populated, restored):
+    # vehicle-free steps come back from their marker rows
+    assert not snapshots[0].vehicles
+    assert len(restored) == len(snapshots)
+    for orig, back in zip(snapshots, restored):
+        assert len(back.vehicles) == len(orig.vehicles)
         assert back.timestep == orig.timestep
         assert back.sim_time == orig.sim_time
         for vo, vb in zip(orig.vehicles, back.vehicles):
@@ -294,6 +294,12 @@ GOOD_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0\n"
             "0,0.0,5,1,0.0,2.0,1.0,3.0\n",
             "trace line 3: vehicles 4 and 5 share position (0.0, 2.0) in timestep 0",
         ),
+        ("0,0.0\n", "trace line 3: timestep 0 has a marker row and other rows"),
+        ("1,0.1\n1,0.1,4,1,1.0,2.0,0.0,5.0\n", "trace line 4: timestep 1 has a marker row"),
+        ("1,0.1\n1,0.1\n", "trace line 4: timestep 1 has a marker row and other rows"),
+        ("1,nan\n", "trace line 3: sim_time must be finite, got nan"),
+        ("2,0.2\n", "trace line 3: timestep 2 does not follow 0"),
+        ("one,0.1\n", "trace line 3: invalid literal"),
     ],
 )
 def test_trace_rejects_bad_rows_naming_the_line(rows, message):
@@ -346,3 +352,17 @@ def test_trace_without_body_columns_uses_the_default_body():
     (snap,) = read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg.intersection.rsu_height, sedan)
     assert snap.vehicles[0].dimensions == (8.0, 2.5, 3.2)
     assert snap.vehicles[0].antenna_height == 3.3
+
+
+@pytest.mark.parametrize("head, row", [(TRACE_HEAD, GOOD_ROW), (WIDE_HEAD, WIDE_ROW)])
+def test_trace_marker_rows_read_as_empty_steps(head, row):
+    cfg = default_config()
+    row = row.replace("0,0.0,", "2,0.2,", 1)
+    lines = io.StringIO(head + "0,0.0\n1,0.1\n" + row + "3,0.30000000000000004\n")
+    snaps = read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    assert [(s.timestep, s.sim_time, len(s.vehicles)) for s in snaps] == [
+        (0, 0.0, 0), (1, 0.1, 0), (2, 0.2, 1), (3, 0.30000000000000004, 0),
+    ]
+    buf = io.StringIO()
+    write_trace(snaps, buf)
+    assert buf.getvalue().splitlines()[1:3] == ["0,0.0", "1,0.1"]

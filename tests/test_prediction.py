@@ -6,18 +6,18 @@ import stat
 import pytest
 
 from twinroute.prediction import (
+    PREDICTORS,
     ConstantTurnRatePredictor,
     ConstantVelocityPredictor,
     HoldPredictor,
     LearnedPredictor,
     make_predictor,
     predict,
-    prediction_error,
 )
 from twinroute.channel import default_channel_params
 from twinroute.routing import route_predictive
 
-from conftest import circle_history, make_snapshot, make_vehicle
+from conftest import TRUCK, circle_history, make_snapshot, make_vehicle
 
 
 def test_stationary_vehicle_any_predictor_holds():
@@ -37,11 +37,17 @@ def test_constant_velocity_linear_kinematics():
 
 
 def test_track_shape_contract():
-    history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 1.0, 0.0)]
-    track = predict(history, horizon=3.0, dt=0.1, predictor=ConstantVelocityPredictor(), last_timestep=42)
+    """states[k] is k + 1 steps past the last observation, with its id and body."""
+    history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 1.0, 0.0, connected=False, body=TRUCK)]
+    track = predict(history, horizon=3.0, dt=0.1, predictor=ConstantVelocityPredictor())
+    last = history[-1]
+    assert track.vehicle == last.id and not track.degraded
     assert len(track.states) == 30
-    steps = [s.timestep for s in track.states]
-    assert steps == list(range(43, 73))
+    for k, s in enumerate(track.states):
+        assert s.position == (1.0 + 10.0 * (k + 1) * 0.1, 0.0, 0.0)
+        assert (s.id, s.dimensions, s.antenna_height, s.connected) == (
+            last.id, last.dimensions, last.antenna_height, last.connected
+        )
 
 
 def test_constant_turn_rate_follows_the_arc():
@@ -92,34 +98,33 @@ def test_insufficient_history_falls_back_to_hold():
     assert all(s.position == (3.0, 1.0, 0.0) for s in track.states)
 
 
+@pytest.mark.parametrize("result", [RuntimeError("no model"), [((1.0, 2.0, 0.0), 0.0, 5.0)]])
+def test_failing_or_short_predictor_falls_back_to_hold(result):
+    class Broken:
+        kind = "broken"
+        min_history = 1
+
+        def extrapolate(self, history, steps, dt):
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+    history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 3.0, 1.0)]
+    track = predict(history, horizon=0.5, dt=0.1, predictor=Broken())
+    assert track.degraded
+    assert track.states == (history[-1],) * 5
+
+
 def test_empty_history_rejected():
     with pytest.raises(ValueError):
         predict([], 1.0, 0.1, HoldPredictor())
 
 
-def test_prediction_error_perfect_and_offset():
-    history = [make_vehicle(0, 0.0, 0.0, speed=0.0)] * 2
-    track = predict(history, horizon=0.5, dt=0.1, predictor=HoldPredictor(), last_timestep=0)
-    truth_same = [(s.timestep, make_vehicle(0, 0.0, 0.0)) for s in track.states]
-    assert prediction_error(track, truth_same) == 0.0
-    truth_offset = [(s.timestep, make_vehicle(0, 2.0, 0.0)) for s in track.states]
-    assert prediction_error(track, truth_offset) == pytest.approx(2.0)
-
-
-def test_prediction_error_misalignment_rejected():
-    history = [make_vehicle(0, 0.0, 0.0)] * 2
-    track = predict(history, horizon=0.3, dt=0.1, predictor=HoldPredictor(), last_timestep=0)
-    wrong_steps = [(s.timestep + 1, make_vehicle(0, 0.0, 0.0)) for s in track.states]
-    with pytest.raises(ValueError):
-        prediction_error(track, wrong_steps)
-    with pytest.raises(ValueError):
-        prediction_error(track, wrong_steps[:-1])
-
-
 def test_make_predictor_kinds():
-    assert make_predictor("hold").kind == "hold"
-    assert make_predictor("constant_velocity").kind == "constant_velocity"
-    assert make_predictor("constant_turn_rate").kind == "constant_turn_rate"
+    assert list(PREDICTORS) == ["hold", "constant_velocity", "constant_turn_rate", "learned"]
+    for kind in PREDICTORS:
+        assert make_predictor(kind, ("python3", "model.py")).kind == kind
+    assert make_predictor("learned", ("python3", "model.py")).command == ("python3", "model.py")
     with pytest.raises(ValueError):
         make_predictor("lstm")
 
@@ -213,5 +218,5 @@ def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
         dt=0.1, params=default_channel_params(), budget_db=110.0,
     )
     assert plan.degraded_tracks == 1
-    assert plan.tracks[vehicle.id].states[-1].position == vehicle.position
-    assert all(table[vehicle.id] is not None for _, table in plan.entries)
+    assert [snap.vehicles for snap in plan.forecast.values()] == [(vehicle,)] * 2
+    assert all(table[vehicle.id] is not None for table in plan.entries.values())

@@ -307,10 +307,10 @@ def test_predictive_static_world_equals_realtime():
         history, now, horizon=1.0, interval=0.5, predictor=ConstantVelocityPredictor(),
         dt=0.1, params=PARAMS, budget_db=110.0,
     )
-    assert len(plan.entries) == 10
+    assert list(plan.entries) == list(plan.forecast) == list(range(now + 1, now + 11))
     current = route_realtime(build_topology(history[-1], PARAMS, 110.0))
     assert list(current) == [NodeId.vehicle(0), NodeId.vehicle(1)]
-    for ts, table in plan.entries:
+    for ts, table in plan.entries.items():
         assert table == current, ts
 
 
@@ -349,7 +349,8 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         snapshots[:1], 0, horizon=1.0, interval=1.0,
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
-    for ts, table in plan.entries:
+    for ts, table in plan.entries.items():
+        assert plan.forecast[ts].vehicles == snapshots[ts].vehicles
         truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
         assert list(truth) == [NodeId.vehicle(0), NodeId.vehicle(1)]
         assert table == truth, ts
@@ -370,7 +371,7 @@ def test_predictive_fallback_on_failing_predictor():
     )
     assert plan.degraded_tracks == 1
     # hold fallback keeps the vehicle where it was, so routing still works
-    assert plan.entries[0][1][NodeId.vehicle(0)] is not None
+    assert plan.entries[3][NodeId.vehicle(0)] is not None
 
 
 def test_dump_route_table_format():
