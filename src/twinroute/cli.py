@@ -75,7 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_checked(path: str, seed: int | None, strategy: str | None):
-    cfg = load_config(path)
+    try:
+        cfg = load_config(path)
+    except (OSError, ValueError) as exc:
+        log(f"configuration error: {exc}")
+        return None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if strategy is not None:
@@ -144,18 +148,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        log(f"configuration error: {exc}")
+    if _load_checked(args.config, None, None) is None:
         return EXIT_CONFIG
-    report = validate_config(cfg)
-    if report.ok:
-        print("configuration valid")
-        return EXIT_OK
-    for line in str(report).splitlines():
-        log(line)
-    return EXIT_CONFIG
+    print("configuration valid")
+    return EXIT_OK
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

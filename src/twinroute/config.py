@@ -183,7 +183,8 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as f:
         data = yaml.safe_load(f)
-    return config_from_dict({} if data is None else data)
+    # an empty document is a mistake, not a request for the default scenario
+    return config_from_dict(data)
 
 
 def save_config(cfg: ScenarioConfig, path: str | Path) -> None:

@@ -156,8 +156,12 @@ class _PredictiveDriver:
             self._replan(timestep - 1, world)
             self._next_epoch = timestep - 1 + self.interval_steps
         elif timestep > self._next_epoch:
-            self._replan(self._next_epoch, world)
-            self._next_epoch += self.interval_steps
+            # a gap in the stream can skip epochs: replan once, from the last
+            # epoch at or before the step before this one
+            skipped = (timestep - 1 - self._next_epoch) // self.interval_steps
+            epoch = self._next_epoch + skipped * self.interval_steps
+            self._replan(epoch, world)
+            self._next_epoch = epoch + self.interval_steps
         forecast = self._plan.forecast.get(timestep)
         if forecast is not None:
             truth = {v.id: v.position for v in world.history[-1].vehicles}

@@ -1,8 +1,15 @@
 """Sight-line occlusion: how many vehicle bodies cut an antenna segment.
 
 Boxes are oriented (yaw about z only) and rest on the ground plane. The
-segment test is a slab test in the box local frame, closed on both the
-box surface and the segment, so grazing contact counts as blocked.
+segment test is a slab test in the box local frame (Kay & Kajiya, 1986),
+closed on both the box surface and the segment, so grazing contact counts
+as blocked.
+
+:func:`blockage_count_matrix` counts blockers for every antenna pair of a
+snapshot in two phases. A conservative broad phase (bounding circles and
+roof heights, with a margin that scales with the coordinates) culls most
+(box, pair) combinations with cheap comparisons; the slab test then runs
+only on the survivors, so its counts equal those of the scalar test.
 """
 
 from __future__ import annotations
@@ -120,54 +127,79 @@ def blockage_count_matrix(
     :func:`segment_intersects_box` per pair/box with owner exclusion.
     """
     n_pairs = len(pairs)
-    n_boxes = len(box_centers)
-    if n_pairs == 0 or n_boxes == 0:
+    if n_pairs == 0 or len(box_centers) == 0:
         return np.zeros(n_pairs, dtype=np.int64)
 
-    counts = np.zeros(n_pairs, dtype=np.int64)
+    ax, ay, az = points[pairs[:, 0]].T.copy()  # (P,) columns
+    bx, by, bz = points[pairs[:, 1]].T.copy()
+    cx, cy, cz = box_centers.T
+    hx, hy, hz = box_half_extents.T
 
-    # z is unrotated (yaw about z only), so the z slab over all (box, pair)
-    # combinations is cheap and rejects most of them before any rotation:
-    # antenna sight lines mostly fly above car roofs.
-    az = points[pairs[:, 0], 2]  # (P,)
-    dz = points[pairs[:, 1], 2] - az
-    oz = az[None, :] - box_centers[:, 2][:, None]  # (B, P)
-    hz = box_half_extents[:, 2][:, None]
+    # Broad phase: keep (box, pair) only if the segment's xy bounding box
+    # overlaps the box's xy bounding circle, its lower endpoint is not above
+    # the roof, and (checked on those few survivors) neither endpoint owns
+    # the box. It must never drop a combination the slab test below reports
+    # as a hit. When the float slab test reports a hit at parameter t, the
+    # exact segment point at t lies within delta of the box in every local
+    # axis. The local endpoints carry a few roundings of coordinates of size
+    # at most S; the rounded (cos, sin) is an exact rotation scaled by 1 +/- 4u,
+    # and the bounding circle ignores the rotation. A slab bound
+    # t0 = (-h - o) / d lands within 2u(h + |o|) of its face whatever d is,
+    # and the segment is affine in t. So delta < 100 u S (u = 2**-53), and
+    # the point is within hypot(hx, hy) + sqrt(2) delta of the center in xy
+    # and at most delta above the roof. The sums cx +/- reach below round by
+    # up to u S as well. The margin, 1e-9 (1 + S), exceeds both bounds some
+    # 10**4 times at any S; a fixed absolute margin would fall below them
+    # far from the origin.
+    scale = max(np.abs(points).max(), np.abs(box_centers).max()) + box_half_extents.max()
+    margin = 1e-9 * (1.0 + scale)
+    reach = (np.hypot(hx, hy) + margin)[:, None]
+    keep = cx[:, None] - reach <= np.maximum(ax, bx)  # (B, P)
+    keep &= cx[:, None] + reach >= np.minimum(ax, bx)
+    keep &= cy[:, None] - reach <= np.maximum(ay, by)
+    keep &= cy[:, None] + reach >= np.minimum(ay, by)
+    keep &= (cz + hz + margin)[:, None] >= np.minimum(az, bz)
+    flat = np.flatnonzero(keep)
+    idx_b = flat // n_pairs
+    idx_p = flat - idx_b * n_pairs
+    owner = box_owner_keys[idx_b]
+    foreign = (owner != pair_owner_keys[idx_p, 0]) & (owner != pair_owner_keys[idx_p, 1])
+    idx_b = idx_b[foreign]
+    idx_p = idx_p[foreign]
+
+    # Narrow phase: the slab test on the K survivors. Each value below is the
+    # same IEEE expression, in the same order, as a dense (B, P) evaluation
+    # would compute for that combination; elementwise + - * / min max do not
+    # depend on array shape, so every count is bit-for-bit the same.
+    az = az[idx_p]
+    dz = bz[idx_p] - az
+    oz = az - cz[idx_b]
+    hz = hz[idx_b]
+    # z is unrotated (yaw about z only)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tz0 = (-hz - oz) / dz[None, :]
-        tz1 = (hz - oz) / dz[None, :]
-    tz_lo = np.minimum(tz0, tz1)
-    tz_hi = np.maximum(tz0, tz1)
+        tz0 = (-hz - oz) / dz
+        tz1 = (hz - oz) / dz
+    t_lo = np.minimum(tz0, tz1)
+    t_hi = np.maximum(tz0, tz1)
     level = dz == 0.0
     if level.any():
         inside = np.abs(oz) <= hz
-        lvl = np.broadcast_to(level[None, :], oz.shape)
-        tz_lo = np.where(lvl, np.where(inside, -np.inf, np.inf), tz_lo)
-        tz_hi = np.where(lvl, np.where(inside, np.inf, -np.inf), tz_hi)
-    tz_lo = np.maximum(tz_lo, 0.0)
-    tz_hi = np.minimum(tz_hi, 1.0)
+        t_lo = np.where(level, np.where(inside, -np.inf, np.inf), t_lo)
+        t_hi = np.where(level, np.where(inside, np.inf, -np.inf), t_hi)
+    t_lo = np.maximum(t_lo, 0.0)
+    t_hi = np.minimum(t_hi, 1.0)
 
-    alive = tz_lo <= tz_hi
-    alive &= box_owner_keys[:, None] != pair_owner_keys[None, :, 0]
-    alive &= box_owner_keys[:, None] != pair_owner_keys[None, :, 1]
-    if not alive.any():
-        return counts
-
-    idx_b, idx_p = np.nonzero(alive)  # K surviving (box, pair) combos
     cos = np.cos(box_yaws)[idx_b]
     sin = np.sin(box_yaws)[idx_b]
-    cx = box_centers[idx_b, 0]
-    cy = box_centers[idx_b, 1]
-    rax = points[pairs[idx_p, 0], 0] - cx
-    ray = points[pairs[idx_p, 0], 1] - cy
-    rbx = points[pairs[idx_p, 1], 0] - cx
-    rby = points[pairs[idx_p, 1], 1] - cy
-
-    t_lo = tz_lo[idx_b, idx_p]
-    t_hi = tz_hi[idx_b, idx_p]
+    cx = cx[idx_b]
+    cy = cy[idx_b]
+    rax = ax[idx_p] - cx
+    ray = ay[idx_p] - cy
+    rbx = bx[idx_p] - cx
+    rby = by[idx_p] - cy
     for o, e, h in (
-        (cos * rax + sin * ray, cos * rbx + sin * rby, box_half_extents[idx_b, 0]),
-        (cos * ray - sin * rax, cos * rby - sin * rbx, box_half_extents[idx_b, 1]),
+        (cos * rax + sin * ray, cos * rbx + sin * rby, hx[idx_b]),
+        (cos * ray - sin * rax, cos * rby - sin * rbx, hy[idx_b]),
     ):
         d = e - o
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,6 +215,4 @@ def blockage_count_matrix(
         t_lo = np.maximum(t_lo, lo)
         t_hi = np.minimum(t_hi, hi)
 
-    hit = t_lo <= t_hi
-    np.add.at(counts, idx_p[hit], 1)
-    return counts
+    return np.bincount(idx_p[t_lo <= t_hi], minlength=n_pairs).astype(np.int64, copy=False)

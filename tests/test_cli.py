@@ -116,6 +116,25 @@ def test_run_missing_file_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text", ["", "# comments only\n", "---\n"], ids=["empty", "comment", "marker"])
+def test_empty_config_document_exits_2(tmp_path, command, text):
+    path = tmp_path / "empty.yaml"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli(command, str(path), *(["--out-dir", str(tmp_path / "x")] if command == "run" else []))
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration root: must be a mapping" in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_malformed_config_exits_2_with_field_path(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text("vehicle_cout: 30\n", encoding="utf-8")
+    proc = run_cli("run", str(path), "--out-dir", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert "vehicle_cout" in proc.stderr
+
+
 def test_run_strategy_and_seed_overrides(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     out = tmp_path / "out"

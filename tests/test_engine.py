@@ -128,6 +128,20 @@ def test_frozen_world_all_strategies_agree():
     assert len(set(values.values())) == 1, values
 
 
+def test_stream_gap_longer_than_the_interval_keeps_a_predictive_table():
+    """A stream that jumps over several planning epochs still has a
+    schedule for the step after the jump."""
+    vehicle = make_vehicle(0, 30.0, 1.75, speed=0.0)
+    stream = [make_snapshot([vehicle], timestep=k) for k in (0, 1, 2, 50, 51)]
+    base = default_config(duration=6.0, vehicle_count=1, seed=1)
+    results = run_variants(
+        {s.value: dataclasses.replace(base, strategy=s) for s in Strategy}, snapshots=stream
+    )
+    assert {name: r.reliability for name, r in results.items()} == {
+        "realtime": 1.0, "predictive": 1.0, "conventional": 1.0
+    }
+
+
 def test_replay_scores_all_after_the_seed_snapshot():
     cfg = default_config(duration=4.0, vehicle_count=4, seed=1)
     result = run_single(cfg, frozen_world(25))

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from twinroute import topology
+from twinroute.config import default_config
+from twinroute.engine import run_single
 from twinroute.geometry import (
     ObstacleBox,
     blockage_count,
@@ -13,7 +18,12 @@ from twinroute.geometry import (
 from twinroute.model import NodeId
 
 from conftest import TRUCK, make_vehicle
-from oracles import SURFACE_TOLERANCE, oracle_min_surface_distance, oracle_occlusion
+from oracles import (
+    SURFACE_TOLERANCE,
+    oracle_dense_blockage_counts,
+    oracle_min_surface_distance,
+    oracle_occlusion,
+)
 
 SEDAN_BOX = ObstacleBox(
     center=(0.0, 0.0, 0.75),
@@ -135,34 +145,179 @@ def test_slab_agrees_with_sampling_oracle(fuzz_scale):
     assert checked > 0.99 * n
 
 
+def scalar_counts(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
+    """Per-pair blocker counts from :func:`segment_intersects_box`, one box at a time."""
+    counts = []
+    for p, (i, j) in enumerate(pairs):
+        want = 0
+        for k in range(len(centers)):
+            if box_owners[k] in (pair_owners[p, 0], pair_owners[p, 1]):
+                continue
+            box = ObstacleBox(
+                tuple(centers[k]), tuple(halves[k]), float(yaws[k]), NodeId.vehicle(int(box_owners[k]))
+            )
+            if segment_intersects_box(tuple(pts[i]), tuple(pts[j]), box):
+                want += 1
+        counts.append(want)
+    return counts
+
+
+def assert_kernel_matches(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
+    args = (np.asarray(pts, dtype=np.float64), np.asarray(pairs), np.asarray(pair_owners),
+            np.asarray(centers, dtype=np.float64), np.asarray(halves, dtype=np.float64),
+            np.asarray(yaws, dtype=np.float64), np.asarray(box_owners))
+    got = blockage_count_matrix(*args)
+    assert got.dtype == np.int64
+    assert got.tolist() == scalar_counts(*args)
+    assert np.array_equal(got, oracle_dense_blockage_counts(*args))
+    return got
+
+
+def random_scene(rng, offset=0.0):
+    n_pts = int(rng.integers(2, 8))
+    pts = rng.uniform(-30, 30, size=(n_pts, 3))
+    pts[:, 2] = rng.uniform(0.5, 6.0, size=n_pts)
+    n_boxes = int(rng.integers(1, 6))
+    heights = rng.uniform(1.0, 4.0, size=n_boxes)
+    centers = rng.uniform(-30, 30, size=(n_boxes, 3))
+    centers[:, 2] = heights / 2
+    halves = np.stack(
+        [rng.uniform(1, 4, n_boxes), rng.uniform(0.5, 2, n_boxes), heights / 2], axis=1
+    )
+    yaws = rng.uniform(-np.pi, np.pi, size=n_boxes)
+    box_owners = rng.integers(0, 10, size=n_boxes)
+    ii, jj = np.triu_indices(n_pts, k=1)
+    pairs = np.stack([ii, jj], axis=1)
+    pair_owners = rng.integers(-1, 10, size=(len(pairs), 2))
+    pts[:, :2] += offset
+    centers[:, :2] += offset
+    return pts, pairs, pair_owners, centers, halves, yaws, box_owners
+
+
 def test_batch_kernel_matches_scalar(fuzz_scale):
     rng = np.random.default_rng(5)
     for _ in range(150 * fuzz_scale):
-        n_pts = int(rng.integers(2, 8))
-        pts = rng.uniform(-30, 30, size=(n_pts, 3))
-        pts[:, 2] = rng.uniform(0.5, 6.0, size=n_pts)
-        n_boxes = int(rng.integers(1, 6))
-        heights = rng.uniform(1.0, 4.0, size=n_boxes)
-        centers = rng.uniform(-30, 30, size=(n_boxes, 3))
-        centers[:, 2] = heights / 2
-        halves = np.stack(
-            [rng.uniform(1, 4, n_boxes), rng.uniform(0.5, 2, n_boxes), heights / 2], axis=1
-        )
-        yaws = rng.uniform(-np.pi, np.pi, size=n_boxes)
-        box_owners = rng.integers(0, 10, size=n_boxes)
-        ii, jj = np.triu_indices(n_pts, k=1)
-        pairs = np.stack([ii, jj], axis=1)
-        pair_owners = rng.integers(-1, 10, size=(len(pairs), 2))
+        assert_kernel_matches(*random_scene(rng))
 
-        got = blockage_count_matrix(pts, pairs, pair_owners, centers, halves, yaws, box_owners)
-        for p, (i, j) in enumerate(pairs):
-            want = 0
-            for k in range(n_boxes):
-                if box_owners[k] in (pair_owners[p, 0], pair_owners[p, 1]):
-                    continue
-                box = ObstacleBox(
-                    tuple(centers[k]), tuple(halves[k]), float(yaws[k]), NodeId.vehicle(int(box_owners[k]))
-                )
-                if segment_intersects_box(tuple(pts[i]), tuple(pts[j]), box):
-                    want += 1
-            assert got[p] == want
+
+def test_batch_kernel_matches_scalar_far_from_origin(fuzz_scale):
+    rng = np.random.default_rng(6)
+    for _ in range(150 * fuzz_scale):
+        assert_kernel_matches(*random_scene(rng, offset=1e6))
+
+
+def one_box_scene(segments, center=(0.0, 0.0), half=(2.25, 0.9, 0.75), yaw=0.0, shift=0.0):
+    """Segments (a, b) against one box on the ground, all moved by ``shift`` in x and y."""
+    pts = np.array([p for seg in segments for p in seg], dtype=np.float64)
+    pts[:, :2] += shift
+    pairs = np.arange(len(pts)).reshape(-1, 2)
+    centers = [(center[0] + shift, center[1] + shift, half[2])]
+    return pts, pairs, np.full((len(pairs), 2), -1), centers, [half], [yaw], [7]
+
+
+HX, HY, HZ = 2.25, 0.9, 0.75
+ADVERSARIAL = {
+    # dz == 0: antennas of one vehicle class, below, on and above the roof
+    "level": [((-10, 0, 1.0), (10, 0, 1.0)), ((-10, 0.3, 2 * HZ), (10, 0.3, 2 * HZ)),
+              ((-10, 0, 1.6), (10, 0, 1.6)), ((0, -10, 0.5), (0, 10, 0.5))],
+    # touching a side face, the end face, the roof, a vertical edge, a top corner
+    "grazing": [((-10, HY, 1.0), (10, HY, 1.0)), ((HX, -10, 1.0), (HX, 10, 1.0)),
+                ((-10, -10, 2 * HZ), (10, 10, 2 * HZ)),
+                ((HX + 1, HY - 1, 1.0), (HX - 1, HY + 1, 1.0)),
+                ((HX + 1, HY - 1, 2 * HZ + 1), (HX - 1, HY + 1, 2 * HZ - 1)),
+                ((-10, -HY, 0.3), (10, -HY, 2.0)), ((-10, HY + 1e-12, 1.0), (10, HY + 1e-12, 1.0))],
+    # d == 0 (or nearly, once rotated) in one local axis
+    "axis_parallel": [((-10, 0.5, 1.0), (10, 0.5, 3.0)), ((1.0, -10, 1.0), (1.0, 10, 2.5)),
+                      ((-10, 5.0, 1.0), (10, 5.0, 1.0)), ((5.0, -10, 1.0), (5.0, 10, 1.0)),
+                      ((0.0, 0.0, 4.0), (0.0, 0.0, 0.1)), ((3.0, 0.0, 4.0), (3.0, 0.0, 0.1))],
+}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["origin", "shifted"])
+@pytest.mark.parametrize("yaw", [0.0, np.pi / 2, -np.pi / 2, np.pi], ids=["0", "pi/2", "-pi/2", "pi"])
+@pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+def test_batch_kernel_matches_scalar_on_adversarial_segments(kind, yaw, shift):
+    got = assert_kernel_matches(*one_box_scene(ADVERSARIAL[kind], yaw=yaw, shift=shift))
+    if kind == "grazing" and yaw == 0.0 and shift == 0.0:
+        assert got.tolist() == [1, 1, 1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, -3e7], ids=["origin", "shifted", "far"])
+def test_batch_kernel_keeps_segments_tangent_to_the_bounding_circle(shift):
+    # tangent at the top corner: touches the box there; tangent elsewhere misses it
+    corner = np.array([HX, HY])
+    radius = np.hypot(HX, HY)
+    tangent = np.array([-HY, HX]) / radius
+    segments = [
+        ((*(corner - 5 * tangent), 1.0), (*(corner + 5 * tangent), 1.0)),
+        ((radius, -5.0, 1.0), (radius, 5.0, 1.0)),
+        ((-5.0, radius, 1.0), (5.0, radius, 1.0)),
+        ((*(-corner - 5 * tangent), 1.0), (*(-corner + 5 * tangent), 1.0)),
+    ]
+    got = assert_kernel_matches(*one_box_scene(segments, shift=shift))
+    if shift == 0.0:
+        assert got.tolist()[1:3] == [0, 0]
+    # yawed so that corners sit on the circle's x and y extremes, where the
+    # bounding test is tight: lines x = +/-radius and y = +/-radius graze them
+    for yaw in (-np.arctan2(HY, HX), np.pi / 2 - np.arctan2(HY, HX)):
+        lines = [((s * radius, -5.0, 1.0), (s * radius, 5.0, 1.0)) for s in (1, -1)]
+        lines += [((-5.0, s * radius, 1.0), (5.0, s * radius, 1.0)) for s in (1, -1)]
+        lines += [((s * radius, -5.0, 0.5), (s * radius, 5.0, 2 * HZ)) for s in (1, -1)]
+        assert_kernel_matches(*one_box_scene(lines, yaw=yaw, shift=shift))
+
+
+def ulp_steps(value, n):
+    """The floats within n ulps of value, value included."""
+    below = [value]
+    above = [value]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e9], ids=["origin", "shifted", "far"])
+def test_batch_kernel_matches_at_the_bounding_circle_extremes(shift, fuzz_scale):
+    """Lines within a few ulps of x = cx +/- r and y = cy +/- r, r the
+    bounding radius, against boxes yawed to put a corner there: rounding
+    makes the float slab test report some of them as hits, so the broad
+    phase must keep them."""
+    rng = np.random.default_rng(17)
+    for _ in range(40 * fuzz_scale):
+        half = (rng.uniform(0.5, 4), rng.uniform(0.3, 2), rng.uniform(0.5, 2))
+        radius = np.hypot(half[0], half[1])
+        yaw = -np.arctan2(half[1], half[0]) + rng.choice([0, np.pi / 2, np.pi, -np.pi / 2])
+        cx, cy = shift + rng.uniform(-1, 1, size=2)
+        segments = []
+        for sign in (1, -1):
+            for x in ulp_steps(cx + sign * radius, 4):
+                segments.append(((x, cy - 5, 1.0), (x, cy + 5, 1.0)))
+            for y in ulp_steps(cy + sign * radius, 4):
+                segments.append(((cx - 5, y, 1.0), (cx + 5, y, 1.0)))
+        pts = np.array([p for seg in segments for p in seg])
+        pairs = np.arange(len(pts)).reshape(-1, 2)
+        assert_kernel_matches(
+            pts, pairs, np.full((len(pairs), 2), -1), [(cx, cy, half[2])], [half], [yaw], [7]
+        )
+
+
+def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
+    """Every topology build of a 60-vehicle, 2-lane, all-connected run."""
+    builds = []
+
+    def checked(*args):
+        got = blockage_count_matrix(*args)
+        want = oracle_dense_blockage_counts(*args)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        builds.append(int(want.sum()))
+        return got
+
+    monkeypatch.setattr(topology, "blockage_count_matrix", checked)
+    cfg = default_config(duration=20.0, vehicle_count=60, connected_fraction=1.0, seed=1)
+    cfg = dataclasses.replace(
+        cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=2)
+    )
+    run_single(cfg)
+    assert len(builds) > 150  # steps without a candidate pair skip the kernel
+    assert sum(builds) > 0
