@@ -41,7 +41,7 @@ from .routing import (
     score_route,
     shortest_route,
 )
-from .topology import ConnectivityGraph, build_topology
+from .topology import ConnectivityGraph, build_topologies, build_topology
 
 __version__ = "0.1.0"
 
@@ -77,6 +77,7 @@ __all__ = [
     "assess_link",
     "blockage_count",
     "box_from_vehicle",
+    "build_topologies",
     "build_topology",
     "config_from_dict",
     "config_to_dict",

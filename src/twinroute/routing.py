@@ -16,7 +16,7 @@ from typing import IO, Sequence
 from .channel import ChannelParams
 from .model import NodeId, NodeKind, WorldSnapshot, seconds_to_steps
 from .prediction import TrajectoryPredictor, predict
-from .topology import ConnectivityGraph, build_topology
+from .topology import ConnectivityGraph, build_topologies
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,9 @@ def route_predictive(
     horizon. Every vehicle in the last observed snapshot is forecast,
     unconnected ones included since their bodies still occlude. A vehicle
     whose predictor lacks history or fails holds its last observed state
-    and is counted in ``degraded_tracks``.
+    and is counted in ``degraded_tracks``. The forecast snapshots share
+    one vehicle tuple, so one :func:`build_topologies` call builds the
+    whole horizon's graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -180,13 +182,14 @@ def route_predictive(
         )
         for vehicle in last.vehicles
     ]
-    entries: dict[int, RouteTable] = {}
-    forecast: dict[int, WorldSnapshot] = {}
-    for ts in range(now + 1, now + horizon_steps + 1):
-        k = ts - last.timestep - 1
-        snap = WorldSnapshot(ts, ts * dt, tuple(t.states[k] for t in tracks), last.rsu_position)
-        forecast[ts] = snap
-        entries[ts] = route_realtime(build_topology(snap, params, budget_db), max_hops)
+    forecast = {
+        ts: WorldSnapshot(
+            ts, ts * dt, tuple(t.states[ts - last.timestep - 1] for t in tracks), last.rsu_position
+        )
+        for ts in range(now + 1, now + horizon_steps + 1)
+    }
+    graphs = build_topologies(list(forecast.values()), params, budget_db)
+    entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
     return PredictivePlan(entries, forecast, sum(t.degraded for t in tracks))
 
 

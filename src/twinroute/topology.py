@@ -1,4 +1,5 @@
-"""Connectivity graph extraction from a world snapshot.
+"""Connectivity graph extraction from a world snapshot, or from all the
+snapshots of one forecast at once.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,32 +97,21 @@ class ConnectivityGraph:
 
 def _graph_from_arrays(
     timestep: int,
-    nodes: list[NodeId],
+    nodes: tuple[NodeId, ...],
+    index: dict[NodeId, int],
     i: np.ndarray,
     j: np.ndarray,
     distance: np.ndarray,
     blockers: np.ndarray,
     loss: np.ndarray,
 ) -> ConnectivityGraph:
-    """Graph over sorted ``nodes`` from edge rows with ``i < j``, any order."""
-    order = np.lexsort((j, i))
-    i, j, distance, blockers, loss = (a[order] for a in (i, j, distance, blockers, loss))
-    # rows ascend in (i, j), so every node's neighbours arrive in index order
+    """Graph over sorted ``nodes`` from edge rows with ``i < j`` in ascending
+    (i, j) order, so every node's neighbours arrive in index order."""
     adjacency: list[dict[int, float]] = [{} for _ in nodes]
     for a, b, ab_loss in zip(i.tolist(), j.tolist(), loss.tolist()):
         adjacency[a][b] = ab_loss
         adjacency[b][a] = ab_loss
-    return ConnectivityGraph(
-        timestep,
-        tuple(nodes),
-        {n: k for k, n in enumerate(nodes)},
-        i,
-        j,
-        distance,
-        blockers,
-        loss,
-        adjacency,
-    )
+    return ConnectivityGraph(timestep, nodes, index, i, j, distance, blockers, loss, adjacency)
 
 
 def _finish_graph(
@@ -133,15 +123,25 @@ def _finish_graph(
     index = {n: k for k, n in enumerate(nodes)}
     ends = np.array([sorted((index[a], index[b])) for a, b in edges], dtype=np.int64).reshape(-1, 2)
     links = list(edges.values())
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
     return _graph_from_arrays(
         timestep,
-        nodes,
-        ends[:, 0],
-        ends[:, 1],
-        np.array([link.distance_m for link in links], dtype=np.float64),
-        np.array([link.blockers for link in links], dtype=np.int64),
-        np.array([link.path_loss_db for link in links], dtype=np.float64),
+        tuple(nodes),
+        index,
+        ends[order, 0],
+        ends[order, 1],
+        np.array([link.distance_m for link in links], dtype=np.float64)[order],
+        np.array([link.blockers for link in links], dtype=np.int64)[order],
+        np.array([link.path_loss_db for link in links], dtype=np.float64)[order],
     )
+
+
+@lru_cache(maxsize=64)
+def _node_pairs(n: int) -> np.ndarray:
+    """Every (i, j) with i < j < n, ascending; read-only, shared by all builds."""
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def build_topology(
@@ -153,41 +153,80 @@ def build_topology(
     depend on evaluation order. Pairs farther apart than the maximum range
     in ground distance are skipped before any occlusion work.
     """
-    rsu = NodeId.rsu()
-    connected = sorted(snapshot.connected_vehicles(), key=lambda v: v.id.sort_key)
-    nodes: list[NodeId] = [rsu] + [v.id for v in connected]
+    return build_topologies([snapshot], params, budget_db)[0]
 
-    antennas = np.array([snapshot.rsu_position] + [v.antenna for v in connected], dtype=np.float64)
-    owner_keys = np.array([-1] + [v.id.index for v in connected], dtype=np.int64)
 
-    idx_i, idx_j = np.triu_indices(len(nodes), k=1)
-    dx = antennas[idx_i, 0] - antennas[idx_j, 0]
-    dy = antennas[idx_i, 1] - antennas[idx_j, 1]
+def build_topologies(
+    snapshots: Sequence[WorldSnapshot], params: ChannelParams, budget_db: float
+) -> list[ConnectivityGraph]:
+    """One graph per snapshot, for snapshots that share one vehicle tuple.
+
+    Every snapshot must hold the same vehicles (ids, bodies and
+    ``connected`` flags) in the same order, as the steps of one forecast
+    do; only poses and the RSU position may differ. Each graph equals the
+    one built from its snapshot alone. The node list and bodies are read
+    once, one kernel call counts blockers for every pair in range at any
+    step, and the channel and feasibility arithmetic runs over all steps
+    at once; a pair out of range at a step is dropped there.
+
+    Raises ValueError for mismatched vehicle tuples, and for two antennas
+    at one point (a zero-length link has no path loss).
+    """
+    if not snapshots:
+        return []
+    vehicles = snapshots[0].vehicles
+    bodies = [(v.id, v.dimensions, v.antenna_height, v.connected) for v in vehicles]
+    for snap in snapshots[1:]:
+        if [(v.id, v.dimensions, v.antenna_height, v.connected) for v in snap.vehicles] != bodies:
+            raise ValueError(
+                f"timestep {snap.timestep}: vehicles differ from those at "
+                f"timestep {snapshots[0].timestep}"
+            )
+    n_steps, n_vehicles = len(snapshots), len(vehicles)
+    # every id is a vehicle's, so index order is NodeId order
+    connected = sorted(
+        (k for k, v in enumerate(vehicles) if v.connected), key=lambda k: vehicles[k].id.index
+    )
+    nodes = (NodeId.rsu(),) + tuple(vehicles[k].id for k in connected)
+    index = {n: k for k, n in enumerate(nodes)}
+    owner_keys = np.array([-1] + [vehicles[k].id.index for k in connected], dtype=np.int64)
+
+    # per-step poses; bodies are shared
+    positions = np.array(
+        [[v.position for v in snap.vehicles] for snap in snapshots], dtype=np.float64
+    ).reshape(n_steps, n_vehicles, 3)
+    yaws = np.array(
+        [[v.heading for v in snap.vehicles] for snap in snapshots], dtype=np.float64
+    ).reshape(n_steps, n_vehicles)
+    halves = np.array([v.dimensions for v in vehicles], dtype=np.float64).reshape(-1, 3) / 2.0
+    centers = positions.copy()
+    centers[:, :, 2] = halves[:, 2]
+    antennas = np.empty((n_steps, len(nodes), 3))
+    antennas[:, 0] = [snap.rsu_position for snap in snapshots]
+    antennas[:, 1:, :2] = positions[:, connected, :2]
+    antennas[:, 1:, 2] = [vehicles[k].antenna_height for k in connected]
+
+    # the union over steps of the pairs within range in ground distance,
+    # still in ascending (i, j) order
+    pairs = _node_pairs(len(nodes))
+    sq = np.square(antennas[:, pairs[:, 0]] - antennas[:, pairs[:, 1]])  # (S, all node pairs, 3)
     max_range = params.max_range_m
-    near = dx * dx + dy * dy <= max_range * max_range
-    pairs = np.stack([idx_i[near], idx_j[near]], axis=1)
+    near = sq[:, :, 0] + sq[:, :, 1] <= max_range * max_range
+    in_range = near.any(axis=0)
+    pairs, near = pairs[in_range], near[:, in_range]
+    distances = np.sqrt(sq[:, in_range].sum(axis=2))  # (S, P)
+    del sq
+    if not distances.all():
+        s, p = np.argwhere(distances == 0.0)[0]
+        a, b = pairs[p]
+        raise ValueError(
+            f"timestep {snapshots[s].timestep}: antennas of {nodes[a]} and {nodes[b]} coincide"
+        )
 
-    all_vehicles = snapshot.vehicles
-    if len(pairs) and all_vehicles:
-        centers = np.array(
-            [(v.position[0], v.position[1], v.dimensions[2] / 2.0) for v in all_vehicles]
-        )
-        halves = np.array(
-            [
-                (v.dimensions[0] / 2.0, v.dimensions[1] / 2.0, v.dimensions[2] / 2.0)
-                for v in all_vehicles
-            ]
-        )
-        yaws = np.array([v.heading for v in all_vehicles])
-        box_owners = np.array([v.id.index for v in all_vehicles], dtype=np.int64)
-        blockers = blockage_count_matrix(
-            antennas, pairs, owner_keys[pairs], centers, halves, yaws, box_owners
-        )
-    else:
-        blockers = np.zeros(len(pairs), dtype=np.int64)
-
-    diffs = antennas[pairs[:, 0]] - antennas[pairs[:, 1]]
-    distances = np.sqrt((diffs * diffs).sum(axis=1))
+    box_owners = np.array([v.id.index for v in vehicles], dtype=np.int64)
+    blockers = blockage_count_matrix(
+        antennas, pairs, owner_keys[pairs], centers, halves, yaws, box_owners
+    )
 
     # vectorized twin of channel.path_loss: same class table, same
     # term order, so values match the scalar op bit for bit
@@ -201,17 +240,14 @@ def build_topology(
         + params.atmospheric_db_per_km * distances / 1000.0
     )
 
-    feasible = (losses <= budget_db) & (distances <= max_range)
-    kept = pairs[feasible]
-    return _graph_from_arrays(
-        snapshot.timestep,
-        nodes,
-        kept[:, 0],
-        kept[:, 1],
-        distances[feasible],
-        blockers[feasible],
-        losses[feasible],
-    )
+    feasible = near & (losses <= budget_db) & (distances <= max_range)
+    graphs = []
+    for snap, keep, d, k, loss in zip(snapshots, feasible, distances, blockers, losses):
+        i, j = pairs[keep].T
+        graphs.append(
+            _graph_from_arrays(snap.timestep, nodes, index, i, j, d[keep], k[keep], loss[keep])
+        )
+    return graphs
 
 
 def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:

@@ -15,7 +15,7 @@ from twinroute.geometry import (
     box_from_vehicle,
     segment_intersects_box,
 )
-from twinroute.model import NodeId
+from twinroute.model import NodeId, Strategy
 
 from conftest import TRUCK, make_vehicle
 from oracles import (
@@ -162,12 +162,29 @@ def scalar_counts(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
     return counts
 
 
+def oracle_per_step(points, pairs, pair_owners, centers, halves, yaws, box_owners):
+    """The dense oracle applied to each step of a batched kernel call, stacked."""
+    return np.array(
+        [
+            oracle_dense_blockage_counts(p, pairs, pair_owners, c, halves, y, box_owners)
+            for p, c, y in zip(points, centers, yaws)
+        ],
+        dtype=np.int64,
+    ).reshape(len(points), len(pairs))
+
+
 def assert_kernel_matches(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
+    """One scene as a one-step batch: kernel vs scalar test vs dense oracle."""
     args = (np.asarray(pts, dtype=np.float64), np.asarray(pairs), np.asarray(pair_owners),
             np.asarray(centers, dtype=np.float64), np.asarray(halves, dtype=np.float64),
             np.asarray(yaws, dtype=np.float64), np.asarray(box_owners))
-    got = blockage_count_matrix(*args)
-    assert got.dtype == np.int64
+    points, pairs, pair_owners, centers, halves, yaws, box_owners = args
+    batch = blockage_count_matrix(
+        points[None], pairs, pair_owners, centers[None], halves, yaws[None], box_owners
+    )
+    assert batch.dtype == np.int64
+    assert batch.shape == (1, len(pairs))
+    got = batch[0]
     assert got.tolist() == scalar_counts(*args)
     assert np.array_equal(got, oracle_dense_blockage_counts(*args))
     return got
@@ -307,7 +324,7 @@ def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
 
     def checked(*args):
         got = blockage_count_matrix(*args)
-        want = oracle_dense_blockage_counts(*args)
+        want = oracle_per_step(*args)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         builds.append(int(want.sum()))
@@ -319,5 +336,80 @@ def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
         cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=2)
     )
     run_single(cfg)
-    assert len(builds) > 150  # steps without a candidate pair skip the kernel
+    assert len(builds) > 150  # one kernel call per build
     assert sum(builds) > 0
+
+
+def random_steps(rng, n_steps, offsets):
+    """One set of antennas, pairs and bodies moved to ``n_steps`` poses; step
+    s is shifted by ``offsets[s]`` in x and y."""
+    pts, pairs, pair_owners, centers, halves, yaws, box_owners = random_scene(rng)
+    points = pts + rng.uniform(-5, 5, size=(n_steps, *pts.shape)) * [1, 1, 0]
+    box_centers = centers + rng.uniform(-5, 5, size=(n_steps, *centers.shape)) * [1, 1, 0]
+    box_yaws = yaws + rng.uniform(-1, 1, size=(n_steps, len(yaws)))
+    shift = np.asarray(offsets, dtype=np.float64)[:, None, None] * [1, 1, 0]
+    return points + shift, pairs, pair_owners, box_centers + shift, halves, box_yaws, box_owners
+
+
+@pytest.mark.parametrize(
+    "offsets", [(0.0,) * 6, (0.0, 0.0, 1e6, 0.0, -3e7, 1e6)], ids=["near", "mixed"]
+)
+def test_batch_kernel_steps_match_each_step_alone(offsets, fuzz_scale):
+    """Each step of a batch counts as the scalar test and as the step alone;
+    in "mixed" some steps lie far out, so the batch margin far exceeds the
+    near steps' own."""
+    rng = np.random.default_rng(23)
+    for _ in range(60 * fuzz_scale):
+        args = random_steps(rng, len(offsets), offsets)
+        points, pairs, pair_owners, centers, halves, yaws, box_owners = args
+        got = blockage_count_matrix(*args)
+        assert got.dtype == np.int64
+        assert got.shape == (len(offsets), len(pairs))
+        assert np.array_equal(got, oracle_per_step(*args))
+        for s in range(len(offsets)):
+            step = (points[s], pairs, pair_owners, centers[s], halves, yaws[s], box_owners)
+            assert got[s].tolist() == scalar_counts(*step)
+            alone = blockage_count_matrix(
+                points[s:s + 1], pairs, pair_owners, centers[s:s + 1], halves, yaws[s:s + 1],
+                box_owners,
+            )
+            assert np.array_equal(got[s:s + 1], alone)
+
+
+def test_batch_kernel_empty_shapes():
+    scene = random_scene(np.random.default_rng(3))
+    pts, pairs, pair_owners, centers, halves, yaws, box_owners = scene
+    no_boxes = blockage_count_matrix(
+        np.stack([pts] * 3), pairs, pair_owners, np.zeros((3, 0, 3)), np.zeros((0, 3)),
+        np.zeros((3, 0)), np.zeros(0, dtype=np.int64),
+    )
+    assert no_boxes.dtype == np.int64 and no_boxes.shape == (3, len(pairs)) and not no_boxes.any()
+    no_pairs = blockage_count_matrix(
+        np.stack([pts] * 3), np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+        np.stack([centers] * 3), halves, np.stack([yaws] * 3), box_owners,
+    )
+    assert no_pairs.dtype == np.int64 and no_pairs.shape == (3, 0)
+
+
+def test_batch_kernel_matches_dense_reference_on_every_forecast_epoch(monkeypatch):
+    """Every batched call of a 20 s, 30-vehicle mixed predictive run."""
+    epochs = []
+
+    def checked(*args):
+        got = blockage_count_matrix(*args)
+        want = oracle_per_step(*args)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        if len(args[0]) > 1:
+            epochs.append((len(args[0]), int(want.sum())))
+        return got
+
+    monkeypatch.setattr(topology, "blockage_count_matrix", checked)
+    cfg = default_config(
+        duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=1,
+        strategy=Strategy.PREDICTIVE,
+    )
+    run_single(cfg)
+    # one call per 2 s planning epoch, each over the 2 s (20-step) horizon
+    assert [steps for steps, _ in epochs] == [20] * 10
+    assert sum(blocked for _, blocked in epochs) > 0

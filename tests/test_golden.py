@@ -78,3 +78,27 @@ def test_mixed_predictive_summary_row_pinned():
         "predictive,30,0.5,1,0.7754189944134078,0.2012383230837274,b72f4701fa5cb398\n"
     )
     assert result.prediction_fallbacks == 1
+
+
+def test_lagged_overlapping_turn_rate_predictive_pinned():
+    """Epochs that overlap (3 s horizon, 1 s interval) and bridge a 0.3 s
+    lag, with the constant-turn-rate predictor and a two-hop cap."""
+    base = tr.default_config(duration=10.0, vehicle_count=30, connected_fraction=0.5)
+    cfg = dataclasses.replace(
+        base,
+        strategy=tr.Strategy.PREDICTIVE,
+        latency_delta=0.3,
+        max_hops=2,
+        prediction=dataclasses.replace(
+            base.prediction, horizon=3.0, interval=1.0, predictor="constant_turn_rate"
+        ),
+    )
+    routes = io.StringIO()
+    result = tr.run_variants({"predictive": cfg}, route_dump=routes)["predictive"]
+    detail = io.StringIO()
+    write_detail(result, detail)
+    assert sha256(detail.getvalue()) == "9dc2b6afff9b370d887984ddbd1be53a2e915712e2025ef2a38a864268c261db"
+    assert result.reliability == 0.8145251396648044
+    assert result.prediction_error_mean == 0.32985195745226914
+    assert result.prediction_fallbacks == 4
+    assert sha256(routes.getvalue()) == "c0131cde6457321104b754ba7900e84643074ad72cf59cbf80c7163dba5daf15"
