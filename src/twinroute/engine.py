@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .config import ScenarioConfig, validate_config
 from .metrics import (
@@ -36,7 +36,7 @@ from .metrics import (
     write_detail,
 )
 from .mobility import snapshot_stream
-from .model import NodeId, Strategy, WorldSnapshot, delay_to_steps, seconds_to_steps
+from .model import NodeId, Strategy, VehicleState, WorldSnapshot, delay_to_steps, seconds_to_steps
 from .prediction import make_predictor
 from .routing import (
     ROUTE_DUMP_HEADER,
@@ -189,12 +189,16 @@ def _make_driver(config: ScenarioConfig) -> _PeriodicDriver | _PredictiveDriver:
 
 
 def _score(
-    table: RouteTable | None, truth: ConnectivityGraph, snap: WorldSnapshot
+    table: RouteTable | None,
+    truth: ConnectivityGraph,
+    timestep: int,
+    connected: Sequence[VehicleState],
 ) -> TimestepOutcome:
+    """Check the route of every vehicle in ``connected`` (in id order)."""
     per_vehicle: dict[NodeId, bool] = {}
     satisfied = 0
     hop_total = 0
-    for v in sorted(snap.connected_vehicles(), key=lambda v: v.id.sort_key):
+    for v in connected:
         route = table.get(v.id) if table is not None else None
         ok = score_route(route, truth)
         per_vehicle[v.id] = ok
@@ -203,7 +207,7 @@ def _score(
             hop_total += route.hop_count
     total = len(per_vehicle)
     mean_hops = hop_total / satisfied if satisfied else 0.0
-    return TimestepOutcome(snap.timestep, total, satisfied, per_vehicle, mean_hops)
+    return TimestepOutcome(timestep, total, satisfied, per_vehicle, mean_hops)
 
 
 _TRAFFIC_FIELDS = (
@@ -275,9 +279,10 @@ def run_variants(
         truth = world.graph_at(snap.timestep)
         if topology_dump is not None:
             dump_topology(truth, topology_dump)
+        connected = sorted(snap.connected_vehicles(), key=lambda v: v.id)
         for name, driver in drivers.items():
             table = driver.table_for(snap.timestep, world)
-            outcome = _score(table, truth, snap)
+            outcome = _score(table, truth, snap.timestep, connected)
             accumulators[name].record(outcome)
             if route_dump is not None and table is not None:
                 dump_route_table(table, truth, snap.timestep, route_dump)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -76,28 +77,23 @@ class RoutePlan:
     waypoints: tuple[tuple[float, float], ...]
     cruise_speed: float
     exit_arm: Arm
-    cum_lengths: np.ndarray  # arc length at each waypoint
+    cum_lengths: tuple[float, ...]  # arc length at each waypoint
+    headings: tuple[float, ...]  # heading of each segment
     entry_end_s: float  # progress where the entry lane segment ends
     exit_start_s: float  # progress where the exit lane segment begins
 
     @property
     def total_length(self) -> float:
-        return float(self.cum_lengths[-1])
+        return self.cum_lengths[-1]
 
     def pose_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, heading) at arc-length progress ``s`` along the polyline."""
         cum = self.cum_lengths
-        if s <= 0.0:
-            i = 0
-        else:
-            i = int(np.searchsorted(cum, s, side="right")) - 1
-            i = min(i, len(self.waypoints) - 2)
+        i = 0 if s <= 0.0 else min(bisect_right(cum, s) - 1, len(cum) - 2)
         ax, ay = self.waypoints[i]
         bx, by = self.waypoints[i + 1]
-        seg = float(cum[i + 1] - cum[i])
-        frac = min(max((s - float(cum[i])) / seg, 0.0), 1.0)
-        heading = math.atan2(by - ay, bx - ax)
-        return (ax + (bx - ax) * frac, ay + (by - ay) * frac, heading)
+        frac = min(max((s - cum[i]) / (cum[i + 1] - cum[i]), 0.0), 1.0)
+        return (ax + (bx - ax) * frac, ay + (by - ay) * frac, self.headings[i])
 
 
 def build_route_plan(
@@ -166,7 +162,10 @@ def build_route_plan(
         waypoints=waypoints,
         cruise_speed=cruise_speed,
         exit_arm=exit_arm,
-        cum_lengths=cum,
+        cum_lengths=tuple(cum.tolist()),
+        headings=tuple(
+            math.atan2(by - ay, bx - ax) for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:])
+        ),
         entry_end_s=float(entry_end_s),
         exit_start_s=float(exit_start_s),
     )
@@ -192,11 +191,15 @@ class ActiveVehicle:
     progress: float
     connected: bool
     effective_speed: float
+    id: NodeId = field(init=False)  # one id for the vehicle's lifetime
+
+    def __post_init__(self) -> None:
+        self.id = NodeId.vehicle(self.index)
 
     def to_state(self) -> VehicleState:
         x, y, heading = self.plan.pose_at(self.progress)
         return VehicleState(
-            id=NodeId.vehicle(self.index),
+            id=self.id,
             position=(x, y, 0.0),
             heading=heading,
             speed=self.effective_speed,
@@ -427,10 +430,13 @@ def _finite(name: str, text: str) -> float:
     return value
 
 
-def _trace_row(parts: list[str], body: VehicleClassSpec | None) -> tuple[int, float, VehicleState]:
+def _trace_row(
+    parts: list[str], body: VehicleClassSpec | None, ids: dict[int, NodeId]
+) -> tuple[int, float, VehicleState]:
     """(timestep, sim_time, vehicle) of one split trace row.
 
-    With ``body`` None the row carries its own body columns.
+    With ``body`` None the row carries its own body columns. ``ids`` interns
+    one NodeId per vehicle index across the rows of a trace.
     """
     expected = len(TRACE_COLUMNS) + (len(BODY_COLUMNS) if body is None else 0)
     if len(parts) != expected:
@@ -445,8 +451,12 @@ def _trace_row(parts: list[str], body: VehicleClassSpec | None) -> tuple[int, fl
         length, width, height, antenna = (values[name] for name in BODY_COLUMNS)
     else:
         length, width, height, antenna = body.length, body.width, body.height, body.antenna_height
+    vid = int(index)
+    node = ids.get(vid)
+    if node is None:
+        node = ids[vid] = NodeId.vehicle(vid)
     vehicle = VehicleState(
-        id=NodeId.vehicle(int(index)),
+        id=node,
         position=(values["x"], values["y"], 0.0),
         heading=values["heading"],
         speed=values["speed"],
@@ -478,6 +488,7 @@ def read_trace(
     current_time = 0.0
     bucket: list[VehicleState] = []
     seen: set[int] = set()
+    ids: dict[int, NodeId] = {}
     spots: dict[tuple[float, float], int] = {}
     rsu = (0.0, 0.0, rsu_height)
     row_body: VehicleClassSpec | None = body
@@ -501,7 +512,7 @@ def read_trace(
             if len(parts) == 2:  # marker row: a step with no vehicles
                 ts, sim_time, vehicle = int(parts[0]), _finite("sim_time", parts[1]), None
             else:
-                ts, sim_time, vehicle = _trace_row(parts, row_body)
+                ts, sim_time, vehicle = _trace_row(parts, row_body, ids)
             if ts == current_ts and (marked or vehicle is None):
                 raise ValueError(f"timestep {ts} has a marker row and other rows")
             if ts != current_ts:

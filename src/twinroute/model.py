@@ -26,22 +26,27 @@ class NodeKind(enum.Enum):
     VEHICLE = "vehicle"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class NodeId:
+class NodeId(int):
     """Identity of a network node: the single RSU or one vehicle.
 
     Vehicle indices are unique within a run and never reused after the
-    vehicle despawns. Ordering sorts the RSU before all vehicles, then by
-    index; routing tie-breaks rely on this order being total. Equality and
-    hashing are hand-rolled: node ids key every hot dict in the pipeline.
+    vehicle despawns. A node id is an int whose value codes its identity,
+    ``(index << 1) | is_vehicle``: the RSU is 0 and vehicle k is 2k + 1.
+    Hashing and ordering are int's, so they run in C: the RSU sorts before
+    all vehicles, then vehicles by index (``sort_key`` order); routing
+    tie-breaks rely on this order being total. Equality is strict: a node
+    id never equals a plain int. The traffic model creates one id per
+    vehicle lifetime, so the dicts keyed by node ids match by identity.
     """
 
-    kind: NodeKind
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, kind: NodeKind, index: int) -> "NodeId":
+        return super().__new__(cls, (index << 1) | (kind is NodeKind.VEHICLE))
 
     @staticmethod
     def rsu() -> "NodeId":
-        return NodeId(NodeKind.RSU, 0)
+        return _RSU
 
     @staticmethod
     def vehicle(index: int) -> "NodeId":
@@ -50,26 +55,41 @@ class NodeId:
         return NodeId(NodeKind.VEHICLE, index)
 
     @property
+    def kind(self) -> NodeKind:
+        return NodeKind.VEHICLE if self & 1 else NodeKind.RSU
+
+    @property
+    def index(self) -> int:
+        return self >> 1
+
+    @property
     def sort_key(self) -> tuple[int, int]:
-        return (0 if self.kind is NodeKind.RSU else 1, self.index)
+        return (self & 1, self >> 1)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is NodeId
-            and self.index == other.index
-            and self.kind is other.kind
-        )
+        return type(other) is NodeId and int.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return (self.index << 1) | (self.kind is NodeKind.VEHICLE)
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not NodeId or int.__ne__(self, other)
 
-    def __lt__(self, other: "NodeId") -> bool:
-        if self.kind is not other.kind:
-            return self.kind is NodeKind.RSU
-        return self.index < other.index
+    __hash__ = int.__hash__
+
+    def __bool__(self) -> bool:
+        return True  # the RSU's code is 0, but every node id is a node
+
+    def __getnewargs__(self) -> tuple[NodeKind, int]:
+        return (self.kind, self.index)
+
+    def __repr__(self) -> str:
+        return f"NodeId(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
-        return "rsu" if self.kind is NodeKind.RSU else f"v{self.index}"
+        return f"v{self >> 1}" if self & 1 else "rsu"
+
+    __format__ = object.__format__  # "{}" prints str(); int format specs do not apply
+
+
+_RSU = NodeId(NodeKind.RSU, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +112,7 @@ class VehicleState:
     connected: bool
 
     def __post_init__(self) -> None:
-        if self.id.kind is not NodeKind.VEHICLE:
+        if type(self.id) is not NodeId or not self.id & 1:
             raise ValueError("VehicleState id must be a vehicle node")
         if self.speed < 0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .channel import ChannelParams
-from .model import NodeId, NodeKind, WorldSnapshot, seconds_to_steps
+from .model import NodeId, WorldSnapshot, seconds_to_steps
 from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
@@ -27,9 +27,10 @@ class Route:
     hops: tuple[NodeId, ...]
 
     def __post_init__(self) -> None:
-        if not self.hops or self.hops[0] != self.source:
+        # identity first: routing builds routes from the graph's own ids
+        if not self.hops or (self.hops[0] is not self.source and self.hops[0] != self.source):
             raise ValueError("route must start at its source")
-        if self.hops[-1].kind is not NodeKind.RSU:
+        if type(self.hops[-1]) is not NodeId or self.hops[-1] & 1:
             raise ValueError("route must end at the RSU")
         if len(set(self.hops)) != len(self.hops):
             raise ValueError("route must be a simple path")
@@ -80,7 +81,7 @@ def _route_from(
     each such layer before the next, so a node's label there is the
     minimum over its neighbours one layer back, which is what each sweep
     below takes. Labels are (loss summed source-first, index path), and
-    index order is sort_key order, so the route equals that search's.
+    index order is NodeId order, so the route equals that search's.
     """
     hops = depth[source]
     if hops is None or (max_hops is not None and hops > max(max_hops, 1)):

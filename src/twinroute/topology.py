@@ -10,7 +10,7 @@ antenna with no body.
 The graph is stored over int node indices (the position in the sorted
 ``nodes`` tuple, RSU at 0): one array row per feasible edge with ``i < j``
 in ascending (i, j) order, plus one ``{neighbour: loss}`` dict per node
-whose keys ascend in index order, which is ``NodeId.sort_key`` order.
+whose keys ascend in index order, which is ``NodeId`` order.
 ``NodeId`` and ``LinkAssessment`` objects appear only at the API and dump
 boundaries.
 """
@@ -183,13 +183,13 @@ def build_topologies(
                 f"timestep {snapshots[0].timestep}"
             )
     n_steps, n_vehicles = len(snapshots), len(vehicles)
-    # every id is a vehicle's, so index order is NodeId order
     connected = sorted(
-        (k for k, v in enumerate(vehicles) if v.connected), key=lambda k: vehicles[k].id.index
+        (k for k, v in enumerate(vehicles) if v.connected), key=lambda k: vehicles[k].id
     )
     nodes = (NodeId.rsu(),) + tuple(vehicles[k].id for k in connected)
     index = {n: k for k, n in enumerate(nodes)}
-    owner_keys = np.array([-1] + [vehicles[k].id.index for k in connected], dtype=np.int64)
+    # owner keys are the ids' int codes, all >= 1 for vehicles
+    owner_keys = np.array([-1] + [vehicles[k].id for k in connected], dtype=np.int64)
 
     # per-step poses; bodies are shared
     positions = np.array(
@@ -223,7 +223,7 @@ def build_topologies(
             f"timestep {snapshots[s].timestep}: antennas of {nodes[a]} and {nodes[b]} coincide"
         )
 
-    box_owners = np.array([v.id.index for v in vehicles], dtype=np.int64)
+    box_owners = np.array([v.id for v in vehicles], dtype=np.int64)
     blockers = blockage_count_matrix(
         antennas, pairs, owner_keys[pairs], centers, halves, yaws, box_owners
     )

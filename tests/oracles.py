@@ -4,8 +4,9 @@ Everything here re-derives results from first principles and shares no
 code with the implementations it checks: occlusion by dense sampling,
 shortest paths by exhaustive simple-path enumeration, path loss by an
 inline re-statement of the channel formula. Oracles are deliberately
-slow and only run at small scale. The one exception is the dense blockage
-kernel, kept as the exact reference for the two-phase one.
+slow and only run at small scale. The exceptions are the dense blockage
+kernel, kept as the exact reference for the two-phase one, and the numpy
+pose lookup, kept as the exact reference for the bisect one.
 """
 
 from __future__ import annotations
@@ -189,6 +190,23 @@ def oracle_dense_blockage_counts(
     hit = t_lo <= t_hi
     np.add.at(counts, idx_p[hit], 1)
     return counts
+
+
+def oracle_pose_at(plan, s: float) -> tuple[float, float, float]:
+    """(x, y, heading) at progress ``s`` along ``plan``: the numpy lookup
+    ``RoutePlan.pose_at`` replaced, with the heading computed per call."""
+    cum = np.asarray(plan.cum_lengths)
+    if s <= 0.0:
+        i = 0
+    else:
+        i = int(np.searchsorted(cum, s, side="right")) - 1
+        i = min(i, len(plan.waypoints) - 2)
+    ax, ay = plan.waypoints[i]
+    bx, by = plan.waypoints[i + 1]
+    seg = float(cum[i + 1] - cum[i])
+    frac = min(max((s - float(cum[i])) / seg, 0.0), 1.0)
+    heading = math.atan2(by - ay, bx - ax)
+    return (ax + (bx - ax) * frac, ay + (by - ay) * frac, heading)
 
 
 def oracle_path_loss(d: float, blockers: int, classes, atmospheric_db_per_km: float) -> float:

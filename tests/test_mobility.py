@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from twinroute.mobility import (
     snapshot_stream,
     write_trace,
 )
+
+from oracles import oracle_pose_at
 
 CFG = default_config(duration=60.0, vehicle_count=12, connected_fraction=0.5, seed=7)
 
@@ -196,6 +199,22 @@ def test_route_plan_geometry(arm, maneuver):
     axis = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}[expected_exit.value]
     assert ex * axis[0] + ey * axis[1] == pytest.approx(100.0)
     assert 0.0 < plan.entry_end_s < plan.exit_start_s < plan.total_length
+
+
+@pytest.mark.parametrize("lane_count", [1, 2])
+@pytest.mark.parametrize("maneuver", list(Maneuver))
+@pytest.mark.parametrize("arm", list(Arm))
+def test_pose_at_matches_numpy_oracle(arm, maneuver, lane_count):
+    rng = random.Random(f"{arm.value}-{maneuver.value}-{lane_count}")
+    for lane in range(lane_count):
+        plan = build_route_plan(arm, lane, maneuver, 10.0, 100.0, lane_count, 3.5)
+        total = plan.total_length
+        probes = [0.0, -1.0, total, total + 5.0]
+        for s in plan.cum_lengths:
+            probes += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+        probes += [rng.uniform(0.0, total) for _ in range(200)]
+        for s in probes:
+            assert plan.pose_at(s) == oracle_pose_at(plan, s), s
 
 
 def test_turn_arc_chords_are_short():

@@ -1,0 +1,127 @@
+from __future__ import annotations
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from twinroute.model import NodeId, NodeKind, VehicleState
+from twinroute.routing import Route
+
+from conftest import SEDAN
+
+
+# -- NodeId: an int coded (index << 1) | is_vehicle --------------------------
+
+
+def test_hash_and_int_are_the_identity_code():
+    # hash values fix set iteration order, so they must not drift
+    rsu = NodeId.rsu()
+    assert hash(rsu) == int(rsu) == 0
+    for k in range(1001):
+        node = NodeId.vehicle(k)
+        assert hash(node) == int(node) == (k << 1) | 1
+
+
+def test_sorted_order_is_sort_key_order():
+    rng = random.Random(3)
+    for _ in range(50):
+        ids = [NodeId.vehicle(rng.randrange(200)) for _ in range(rng.randrange(1, 30))]
+        if rng.random() < 0.5:
+            ids.append(NodeId.rsu())
+        rng.shuffle(ids)
+        assert sorted(ids) == sorted(ids, key=lambda n: n.sort_key)
+    assert NodeId.rsu() < NodeId.vehicle(0) < NodeId.vehicle(1)
+    assert NodeId.rsu().sort_key == (0, 0)
+    assert NodeId.vehicle(7).sort_key == (1, 7)
+
+
+def test_never_equals_a_plain_int():
+    node = NodeId.vehicle(3)
+    assert int(node) == 7
+    assert node != 7 and 7 != node
+    assert not (node == 7) and not (7 == node)
+    assert node != (NodeKind.VEHICLE, 3)
+    assert 7 not in {node: True} and node not in {7: True}
+    assert {7: "int"}.get(node) is None and {node: "id"}.get(7) is None
+    assert NodeId.rsu() != 0 and 0 != NodeId.rsu()
+
+
+def test_equal_ids_from_separate_calls():
+    assert NodeId.vehicle(5) == NodeId.vehicle(5)
+    assert not (NodeId.vehicle(5) != NodeId.vehicle(5))
+    assert NodeId.vehicle(5) != NodeId.vehicle(6)
+    assert not (NodeId.vehicle(5) == NodeId.vehicle(6))
+    assert NodeId.rsu() != NodeId.vehicle(0) and not (NodeId.rsu() == NodeId.vehicle(0))
+    assert {NodeId.vehicle(5): 1}[NodeId.vehicle(5)] == 1
+    assert NodeId(NodeKind.VEHICLE, 5) == NodeId.vehicle(5)
+    assert NodeId(NodeKind.RSU, 0) == NodeId.rsu()
+
+
+def test_kind_and_index():
+    assert NodeId.rsu().kind is NodeKind.RSU and NodeId.rsu().index == 0
+    node = NodeId.vehicle(12)
+    assert node.kind is NodeKind.VEHICLE and node.index == 12
+    assert type(node.index) is int
+
+
+def test_every_id_is_truthy():
+    assert NodeId.rsu()
+    assert bool(NodeId.vehicle(0))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_keeps_type_and_value(protocol):
+    for node in (NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(41)):
+        back = pickle.loads(pickle.dumps(node, protocol))
+        assert type(back) is NodeId and back == node and int(back) == int(node)
+
+
+def test_copies_keep_type_and_value():
+    for node in (NodeId.rsu(), NodeId.vehicle(9)):
+        for dup in (copy.copy(node), copy.deepcopy(node)):
+            assert type(dup) is NodeId and dup == node and int(dup) == int(node)
+
+
+def test_text_forms():
+    rsu, v7 = NodeId.rsu(), NodeId.vehicle(7)
+    assert str(rsu) == "rsu" and str(v7) == "v7"
+    assert f"{rsu}->{v7}" == "rsu->v7"
+    assert format(v7) == "v7" and format(rsu, "") == "rsu"
+    with pytest.raises(TypeError):
+        format(v7, "d")  # the int code never leaks into text
+    assert repr(v7) == "NodeId(kind=<NodeKind.VEHICLE: 'vehicle'>, index=7)"
+    assert repr(rsu) == "NodeId(kind=<NodeKind.RSU: 'rsu'>, index=0)"
+
+
+def test_negative_vehicle_index_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        NodeId.vehicle(-1)
+
+
+def test_ids_are_immutable():
+    with pytest.raises(AttributeError):
+        NodeId.vehicle(1).index = 2
+
+
+# -- checks that read the kind from the code -----------------------------------
+
+
+def test_vehicle_state_needs_a_vehicle_id():
+    VehicleState(NodeId.vehicle(0), (0.0, 0.0, 0.0), 0.0, 1.0, connected=True, **SEDAN)
+    for bad in (NodeId.rsu(), 1):
+        with pytest.raises(ValueError, match="vehicle node"):
+            VehicleState(bad, (0.0, 0.0, 0.0), 0.0, 1.0, connected=True, **SEDAN)
+
+
+def test_route_must_end_at_the_rsu():
+    v1, v2 = NodeId.vehicle(1), NodeId.vehicle(2)
+    assert Route(v1, (NodeId.vehicle(1), v2, NodeId.rsu())).hop_count == 2
+    for hops in ((v1, v2), (v1, 0)):
+        with pytest.raises(ValueError, match="end at the RSU"):
+            Route(v1, hops)
+    with pytest.raises(ValueError, match="start at its source"):
+        Route(v1, (v2, NodeId.rsu()))
+    with pytest.raises(ValueError, match="simple path"):
+        Route(v1, (v1, v2, NodeId.vehicle(1), NodeId.rsu()))
