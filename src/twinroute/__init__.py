@@ -7,7 +7,7 @@ interval-based) -> score assignments against the ground-truth topology ->
 accumulate reliability.
 """
 
-from .channel import BlockageClass, ChannelParams, LinkAssessment, assess_link, default_channel_params, path_loss
+from .channel import BlockageClass, ChannelParams, LinkAssessment, default_channel_params, path_loss
 from .config import (
     ScenarioConfig,
     config_from_dict,
@@ -19,7 +19,6 @@ from .config import (
 )
 from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
-from .geometry import ObstacleBox, blockage_count, box_from_vehicle, segment_intersects_box
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
 from .mobility import TrafficState, advance_traffic, init_traffic, read_trace, snapshot_stream, write_trace
 from .model import NodeId, NodeKind, Strategy, ValidationReport, VehicleState, WorldSnapshot
@@ -39,7 +38,6 @@ from .routing import (
     route_predictive,
     route_realtime,
     score_route,
-    shortest_route,
 )
 from .topology import ConnectivityGraph, build_topologies, build_topology
 
@@ -57,7 +55,6 @@ __all__ = [
     "LinkAssessment",
     "NodeId",
     "NodeKind",
-    "ObstacleBox",
     "PredictedTrack",
     "PredictivePlan",
     "ReliabilityAccumulator",
@@ -74,9 +71,6 @@ __all__ = [
     "VehicleState",
     "WorldSnapshot",
     "advance_traffic",
-    "assess_link",
-    "blockage_count",
-    "box_from_vehicle",
     "build_topologies",
     "build_topology",
     "config_from_dict",
@@ -97,8 +91,6 @@ __all__ = [
     "run_variants",
     "save_config",
     "score_route",
-    "segment_intersects_box",
-    "shortest_route",
     "snapshot_stream",
     "validate_config",
     "write_trace",

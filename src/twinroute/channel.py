@@ -95,7 +95,7 @@ class ChannelParams:
 
 @dataclass(frozen=True, slots=True)
 class LinkAssessment:
-    """Feasibility verdict for one candidate link."""
+    """Stats of one link, as ``ConnectivityGraph.edges`` reports them."""
 
     distance_m: float
     blockers: int
@@ -115,22 +115,3 @@ def path_loss(d: float, blockers: int, params: ChannelParams) -> float:
         raise ValueError(f"blocker count must be >= 0, got {blockers}")
     cls = params.class_for(blockers)
     return 10.0 * cls.rho * math.log10(d) + cls.gamma + params.atmospheric_db_per_km * d / 1000.0
-
-
-def assess_link(
-    tx: tuple[float, float, float],
-    rx: tuple[float, float, float],
-    blockers: int,
-    params: ChannelParams,
-    budget_db: float,
-) -> LinkAssessment:
-    """Assess one antenna-to-antenna link; symmetric in tx/rx."""
-    dx = tx[0] - rx[0]
-    dy = tx[1] - rx[1]
-    dz = tx[2] - rx[2]
-    distance = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if distance == 0.0:
-        raise ValueError("tx and rx antennas coincide")
-    loss = path_loss(distance, blockers, params)
-    feasible = loss <= budget_db and distance <= params.max_range_m
-    return LinkAssessment(distance, blockers, loss, feasible)

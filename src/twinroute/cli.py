@@ -26,6 +26,13 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinroute",
@@ -56,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run an experiment matrix from a sweep spec")
     sweep_p.add_argument("spec", help="sweep YAML file")
     sweep_p.add_argument("--out-dir", default="twinroute-sweep", help="output directory")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    sweep_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel cells")
 
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("config", help="scenario YAML file")

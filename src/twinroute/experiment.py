@@ -37,21 +37,31 @@ class SweepSpec:
     seeds: tuple[int, ...] = tuple(range(1, 11))
 
     def validate(self) -> ValidationReport:
-        """Empty axes, then every cell's ``validate_config`` violations.
+        """Empty axes, then every cell's repeated id or ``validate_config``
+        violations.
 
         A violation of a field an axis sets is reported at that axis
         value (``seeds[2]``), any other at ``base_config.<path>``; each
-        distinct one is reported once.
+        distinct one is reported once. A cell would overwrite the detail
+        file of an earlier cell with its id (``seeds: [1, 1]``, or
+        fractions equal under ``:g``): the later value of the first axis
+        in which the two differ is reported.
         """
         bad = [(axis, "must not be empty") for axis, _ in _AXES if not getattr(self, axis)]
         axes = [list(enumerate(getattr(self, axis))) for axis, _ in _AXES]
+        first: dict[str, tuple] = {}  # cell id -> the picks that first gave it
         for picks in itertools.product(*axes):
+            cell = SweepCell(self.base, *(value for _, value in picks))
+            earlier = first.setdefault(cell.cell_id, picks)
+            entries = [
+                (f"{axis}[{k}]", f"gives the same cell ids as {axis}[{k0}]")
+                for (axis, _), (k, _), (k0, _) in zip(_AXES, picks, earlier)
+                if k != k0
+            ][:1]
             where = {fld: f"{axis}[{k}]" for (axis, fld), (k, _) in zip(_AXES, picks)}
-            cfg = dataclasses.replace(
-                self.base, **{fld: value for (_, fld), (_, value) in zip(_AXES, picks)}
-            )
-            for path, msg in validate_config(cfg).violations:
-                entry = (where.get(path, f"base_config.{path}"), msg)
+            for path, msg in validate_config(cell.config()).violations:
+                entries.append((where.get(path, f"base_config.{path}"), msg))
+            for entry in entries:
                 if entry not in bad:
                     bad.append(entry)
         return ValidationReport(tuple(bad))
@@ -129,6 +139,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     A failing cell aborts the sweep (completed detail files are kept) and
     raises SweepCellError naming the cell.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = spec.validate()
     if not report.ok:
         raise ValueError(str(report))
@@ -138,7 +150,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     work = [(cell, str(out)) for cell in cells]
 
     rows: list[str] = []
-    if jobs <= 1:
+    if jobs == 1:
         for cell, args in zip(cells, work):
             log(f"running {cell.cell_id}")
             try:

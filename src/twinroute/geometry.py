@@ -11,104 +11,12 @@ horizon, or a single snapshot as one step) in two phases. A conservative
 broad phase (bounding circles and roof heights, with a margin that scales
 with the coordinates) culls most (step, box, pair) combinations with cheap
 comparisons; the slab test then runs only on the survivors, so its counts
-equal those of the scalar test.
+equal those of the same test applied to one segment and one box at a time.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
-
-from .model import NodeId, VehicleState
-
-
-@dataclass(frozen=True)
-class ObstacleBox:
-    """Oriented box resting on the ground: center z equals half the height."""
-
-    center: tuple[float, float, float]
-    half_extents: tuple[float, float, float]
-    yaw: float
-    owner: NodeId
-
-    def __post_init__(self) -> None:
-        if min(self.half_extents) <= 0:
-            raise ValueError(f"half extents must be positive: {self.half_extents}")
-
-
-def box_from_vehicle(v: VehicleState) -> ObstacleBox:
-    length, width, height = v.dimensions
-    x, y, _ = v.position
-    return ObstacleBox(
-        center=(x, y, height / 2.0),
-        half_extents=(length / 2.0, width / 2.0, height / 2.0),
-        yaw=v.heading,
-        owner=v.id,
-    )
-
-
-def _to_local(box: ObstacleBox, p: Sequence[float]) -> tuple[float, float, float]:
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    dx = p[0] - box.center[0]
-    dy = p[1] - box.center[1]
-    dz = p[2] - box.center[2]
-    # inverse rotation about z
-    return (c * dx + s * dy, -s * dx + c * dy, dz)
-
-
-def segment_intersects_box(
-    a: Sequence[float], b: Sequence[float], box: ObstacleBox
-) -> bool:
-    """True iff segment (a, b) hits the closed oriented box (slab test)."""
-    ax, ay, az = _to_local(box, a)
-    bx, by, bz = _to_local(box, b)
-    if (ax, ay, az) == (bx, by, bz):
-        raise ValueError("segment endpoints coincide")
-    t_enter = 0.0
-    t_exit = 1.0
-    for o, d, h in (
-        (ax, bx - ax, box.half_extents[0]),
-        (ay, by - ay, box.half_extents[1]),
-        (az, bz - az, box.half_extents[2]),
-    ):
-        if d == 0.0:
-            if abs(o) > h:
-                return False
-            continue
-        t0 = (-h - o) / d
-        t1 = (h - o) / d
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_enter = max(t_enter, t0)
-        t_exit = min(t_exit, t1)
-        if t_enter > t_exit:
-            return False
-    return True
-
-
-def blockage_count(
-    tx: Sequence[float],
-    rx: Sequence[float],
-    obstacles: Iterable[ObstacleBox],
-    exclude: frozenset[NodeId] | set[NodeId],
-) -> int:
-    """Number of non-excluded boxes crossing the tx-rx segment.
-
-    The owners of both link endpoints must be in ``exclude``: an antenna
-    never counts its own roof as a blocker.
-    """
-    if tuple(tx) == tuple(rx):
-        raise ValueError("tx and rx coincide")
-    count = 0
-    for box in obstacles:
-        if box.owner in exclude:
-            continue
-        if segment_intersects_box(tx, rx, box):
-            count += 1
-    return count
 
 
 def blockage_count_matrix(
@@ -127,9 +35,9 @@ def blockage_count_matrix(
     indices into each step's points; pair_owner_keys: (P, 2) integer owner
     keys per endpoint (RSU = -1); boxes given as (S, B, 3) centers, (B, 3)
     half extents, (S, B) yaws and (B,) integer owner keys. Returns (S, P)
-    counts: entry (s, p) is identical to applying
-    :func:`segment_intersects_box` to pair p against every box of step s,
-    with owner exclusion.
+    counts: entry (s, p) is the number of step-s boxes that pair p's
+    segment touches (closed slab test), not counting boxes its endpoints
+    own.
     """
     n_steps, n_boxes = box_yaws.shape
     n_pairs = len(pairs)

@@ -13,7 +13,7 @@ contributes nothing to either sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 from .model import NodeId
 
@@ -63,14 +63,6 @@ class ReliabilityAccumulator:
             )
         return self.satisfied_sum / self.total_sum
 
-    def merge(self, other: "ReliabilityAccumulator") -> "ReliabilityAccumulator":
-        """Component-wise combination of runs accumulated elsewhere."""
-        merged = ReliabilityAccumulator()
-        merged.outcomes = self.outcomes + other.outcomes
-        merged.satisfied_sum = self.satisfied_sum + other.satisfied_sum
-        merged.total_sum = self.total_sum + other.total_sum
-        return merged
-
 
 @dataclass
 class RunResult:
@@ -108,19 +100,3 @@ def summary_row(
         f"{result.strategy},{vehicle_count},{connected_fraction!r},{seed},"
         f"{result.reliability!r},{err},{result.config_digest}\n"
     )
-
-
-def reliability_from_detail(lines: Iterable[str]) -> float:
-    """Re-apply the ratio-of-sums to detail rows (consistency checks)."""
-    satisfied = 0
-    total = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("timestep"):
-            continue
-        parts = line.split(",")
-        total += int(parts[2])
-        satisfied += int(parts[3])
-    if total == 0:
-        raise ValueError("no connected vehicles in detail rows")
-    return satisfied / total

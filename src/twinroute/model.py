@@ -33,10 +33,10 @@ class NodeId(int):
     vehicle despawns. A node id is an int whose value codes its identity,
     ``(index << 1) | is_vehicle``: the RSU is 0 and vehicle k is 2k + 1.
     Hashing and ordering are int's, so they run in C: the RSU sorts before
-    all vehicles, then vehicles by index (``sort_key`` order); routing
-    tie-breaks rely on this order being total. Equality is strict: a node
-    id never equals a plain int. The traffic model creates one id per
-    vehicle lifetime, so the dicts keyed by node ids match by identity.
+    all vehicles, then vehicles by index; routing tie-breaks rely on this
+    order being total. Equality is strict: a node id never equals a plain
+    int. The traffic model creates one id per vehicle lifetime, so the
+    dicts keyed by node ids match by identity.
     """
 
     __slots__ = ()
@@ -61,10 +61,6 @@ class NodeId(int):
     @property
     def index(self) -> int:
         return self >> 1
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self & 1, self >> 1)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is NodeId and int.__eq__(self, other)
@@ -123,11 +119,6 @@ class VehicleState:
             raise ValueError(
                 f"antenna_height {self.antenna_height} outside (0, height + 1]"
             )
-
-    @property
-    def antenna(self) -> Point3:
-        x, y, _ = self.position
-        return (x, y, self.antenna_height)
 
 
 @dataclass(frozen=True, slots=True)

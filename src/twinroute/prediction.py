@@ -12,6 +12,8 @@ followed by two extra argv values ``<horizon_steps> <dt>``, and must print
 exactly ``horizon_steps`` rows in the same schema, timesteps continuing
 from the last input row, each with the id that was sent, finite x, y,
 heading and speed, and a speed >= 0; any other output raises RuntimeError.
+A model still running after ``MODEL_TIMEOUT_S`` seconds is killed and
+raises ``subprocess.TimeoutExpired``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .model import NodeId, VehicleState, seconds_to_steps
+
+MODEL_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,10 @@ class LearnedPredictor:
     kind = "learned"
     min_history = 1
 
-    def __init__(self, command: Sequence[str], timeout: float = 30.0):
+    def __init__(self, command: Sequence[str]):
         if not command:
             raise ValueError("learned predictor needs a command")
         self.command = tuple(command)
-        self.timeout = timeout
 
     def extrapolate(self, history, steps, dt):
         last = history[-1]
@@ -132,7 +135,7 @@ class LearnedPredictor:
             input="\n".join(lines) + "\n",
             capture_output=True,
             text=True,
-            timeout=self.timeout,
+            timeout=MODEL_TIMEOUT_S,
         )
         if proc.returncode != 0:
             raise RuntimeError(

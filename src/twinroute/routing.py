@@ -100,24 +100,6 @@ def _route_from(
     return Route(nodes[source], tuple(nodes[k] for k in labels[0][1]))
 
 
-def shortest_route(
-    graph: ConnectivityGraph, source: NodeId, max_hops: int | None = None
-) -> Route | None:
-    """Minimum-hop route from ``source`` to the RSU, or None if unreachable.
-
-    Ties on hop count fall to total path loss (summed source-first), then
-    to the lexicographically smallest node sequence. ``max_hops`` caps the
-    path length when set; a direct link to the RSU is always allowed.
-    """
-    k = graph.index.get(source)
-    if k is None:
-        raise ValueError(f"source {source} not in graph")
-    if k == 0:
-        raise ValueError("source must be a vehicle node")
-    depth, down = _hop_layers(graph)
-    return _route_from(graph, k, depth, down, max_hops)
-
-
 def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
     """Route every vehicle node of ``graph`` to the RSU, in node order.
 

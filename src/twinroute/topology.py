@@ -87,13 +87,6 @@ class ConnectivityGraph:
         j = self.index.get(b)
         return i is not None and j is not None and j in self.adjacency[i]
 
-    def edge(self, a: NodeId, b: NodeId) -> LinkAssessment:
-        return self.edges[(min(a, b), max(a, b))]
-
-    def neighbors(self, node: NodeId) -> tuple[tuple[NodeId, float], ...]:
-        """(neighbor, path_loss_db) pairs in ascending neighbor order."""
-        return tuple((self.nodes[k], loss) for k, loss in self.adjacency[self.index[node]].items())
-
 
 def _graph_from_arrays(
     timestep: int,
@@ -112,28 +105,6 @@ def _graph_from_arrays(
         adjacency[a][b] = ab_loss
         adjacency[b][a] = ab_loss
     return ConnectivityGraph(timestep, nodes, index, i, j, distance, blockers, loss, adjacency)
-
-
-def _finish_graph(
-    timestep: int,
-    nodes: list[NodeId],
-    edges: dict[tuple[NodeId, NodeId], LinkAssessment],
-) -> ConnectivityGraph:
-    """Graph over sorted ``nodes`` from a ``(a, b) -> LinkAssessment`` dict."""
-    index = {n: k for k, n in enumerate(nodes)}
-    ends = np.array([sorted((index[a], index[b])) for a, b in edges], dtype=np.int64).reshape(-1, 2)
-    links = list(edges.values())
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    return _graph_from_arrays(
-        timestep,
-        tuple(nodes),
-        index,
-        ends[order, 0],
-        ends[order, 1],
-        np.array([link.distance_m for link in links], dtype=np.float64)[order],
-        np.array([link.blockers for link in links], dtype=np.int64)[order],
-        np.array([link.path_loss_db for link in links], dtype=np.float64)[order],
-    )
 
 
 @lru_cache(maxsize=64)

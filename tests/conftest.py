@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
+from twinroute.topology import ConnectivityGraph, _graph_from_arrays
 
 SEDAN = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=1.6)
 TRUCK = dict(dimensions=(8.0, 2.5, 3.2), antenna_height=3.3)
@@ -67,6 +69,30 @@ def make_snapshot(
         vehicles=tuple(vehicles),
         rsu_position=(0.0, 0.0, rsu_height),
     )
+
+
+def detail_counts(lines) -> list[tuple[int, int]]:
+    """(satisfied, total) per row of a ``detail/*.csv`` file."""
+    rows = [line.split(",") for line in lines if line.strip()][1:]
+    return [(int(row[3]), int(row[2])) for row in rows]
+
+
+def graph_from_losses(losses: dict, vehicles=()) -> ConnectivityGraph:
+    """Hand-built graph: ``losses`` maps node pairs, each end a NodeId,
+    "rsu" or a vehicle index, to path losses; ``vehicles`` adds the
+    vehicles of these indices as nodes, linked or not."""
+
+    def node(x):
+        return x if type(x) is NodeId else NodeId.rsu() if x == "rsu" else NodeId.vehicle(x)
+
+    links = {tuple(sorted(map(node, pair))): loss for pair, loss in losses.items()}
+    nodes = tuple(sorted({NodeId.rsu(), *map(NodeId.vehicle, vehicles), *(n for p in links for n in p)}))
+    index = {n: k for k, n in enumerate(nodes)}
+    rows = sorted((index[a], index[b], loss) for (a, b), loss in links.items())
+    i, j, loss = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    n = len(rows)
+    ends = i.astype(np.int64), j.astype(np.int64)
+    return _graph_from_arrays(0, nodes, index, *ends, np.full(n, 10.0), np.zeros(n, np.int64), loss)
 
 
 def circle_history(radius: float, speed: float, dt: float, n: int, z0_angle: float = 0.0):

@@ -4,9 +4,12 @@ Everything here re-derives results from first principles and shares no
 code with the implementations it checks: occlusion by dense sampling,
 shortest paths by exhaustive simple-path enumeration, path loss by an
 inline re-statement of the channel formula. Oracles are deliberately
-slow and only run at small scale. The exceptions are the dense blockage
-kernel, kept as the exact reference for the two-phase one, and the numpy
-pose lookup, kept as the exact reference for the bisect one.
+slow and only run at small scale. The exceptions are the exact references
+that faster code replaced and must still match: the scalar slab test
+(``ObstacleBox``, ``box_from_vehicle``, ``segment_intersects_box`` and
+``blockage_count``) and the dense blockage kernel for the two-phase one,
+the numpy pose lookup for the bisect one, and ``node_key``, the
+(kind, index) order that int-coded node ids must sort in.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from twinroute.model import NodeId, NodeKind, VehicleState
 
 SAMPLES = 10_000
 SURFACE_TOLERANCE = 1e-6  # disagreements allowed only this close to a face
@@ -35,6 +41,102 @@ class OracleCase:
     oracle: str  # oracle function name in this module
     inputs: tuple
     expected: object
+
+
+def node_key(node: NodeId) -> tuple[int, int]:
+    """Node order from identity alone: the RSU first, then vehicles by index."""
+    return (int(node.kind is NodeKind.VEHICLE), node.index)
+
+
+def _neighbors(graph, node):
+    """(neighbour, path loss) pairs of ``node``, read from the adjacency dicts."""
+    return [(graph.nodes[k], loss) for k, loss in graph.adjacency[graph.index[node]].items()]
+
+
+@dataclass(frozen=True)
+class ObstacleBox:
+    """Oriented box resting on the ground: center z equals half the height."""
+
+    center: tuple[float, float, float]
+    half_extents: tuple[float, float, float]
+    yaw: float
+    owner: NodeId
+
+    def __post_init__(self) -> None:
+        if min(self.half_extents) <= 0:
+            raise ValueError(f"half extents must be positive: {self.half_extents}")
+
+
+def box_from_vehicle(v: VehicleState) -> ObstacleBox:
+    length, width, height = v.dimensions
+    x, y, _ = v.position
+    return ObstacleBox(
+        center=(x, y, height / 2.0),
+        half_extents=(length / 2.0, width / 2.0, height / 2.0),
+        yaw=v.heading,
+        owner=v.id,
+    )
+
+
+def _to_local(box: ObstacleBox, p: Sequence[float]) -> tuple[float, float, float]:
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    dx = p[0] - box.center[0]
+    dy = p[1] - box.center[1]
+    dz = p[2] - box.center[2]
+    # inverse rotation about z
+    return (c * dx + s * dy, -s * dx + c * dy, dz)
+
+
+def segment_intersects_box(
+    a: Sequence[float], b: Sequence[float], box: ObstacleBox
+) -> bool:
+    """True iff segment (a, b) hits the closed oriented box (slab test)."""
+    ax, ay, az = _to_local(box, a)
+    bx, by, bz = _to_local(box, b)
+    if (ax, ay, az) == (bx, by, bz):
+        raise ValueError("segment endpoints coincide")
+    t_enter = 0.0
+    t_exit = 1.0
+    for o, d, h in (
+        (ax, bx - ax, box.half_extents[0]),
+        (ay, by - ay, box.half_extents[1]),
+        (az, bz - az, box.half_extents[2]),
+    ):
+        if d == 0.0:
+            if abs(o) > h:
+                return False
+            continue
+        t0 = (-h - o) / d
+        t1 = (h - o) / d
+        if t0 > t1:
+            t0, t1 = t1, t0
+        t_enter = max(t_enter, t0)
+        t_exit = min(t_exit, t1)
+        if t_enter > t_exit:
+            return False
+    return True
+
+
+def blockage_count(
+    tx: Sequence[float],
+    rx: Sequence[float],
+    obstacles: Iterable[ObstacleBox],
+    exclude: frozenset[NodeId] | set[NodeId],
+) -> int:
+    """Number of non-excluded boxes crossing the tx-rx segment.
+
+    The owners of both link endpoints must be in ``exclude``: an antenna
+    never counts its own roof as a blocker.
+    """
+    if tuple(tx) == tuple(rx):
+        raise ValueError("tx and rx coincide")
+    count = 0
+    for box in obstacles:
+        if box.owner in exclude:
+            continue
+        if segment_intersects_box(tx, rx, box):
+            count += 1
+    return count
 
 
 def _sample_local(a, b, center, half, yaw, ts):
@@ -227,7 +329,7 @@ def oracle_topology_edges(snapshot, classes, atmospheric_db_per_km, max_range, b
     """
     entities = [("rsu", None, snapshot.rsu_position)]
     for v in snapshot.connected_vehicles():
-        entities.append((str(v.id), v.id, v.antenna))
+        entities.append((str(v.id), v.id, (v.position[0], v.position[1], v.antenna_height)))
 
     edges = {}
     for (name_a, id_a, pa), (name_b, id_b, pb) in combinations(entities, 2):
@@ -256,19 +358,19 @@ def oracle_shortest_path(graph, source, max_hops=None):
     """
     if len(graph.nodes) > 8:
         raise ValueError("oracle refuses graphs larger than 8 nodes")
-    rsu = [n for n in graph.nodes if n.sort_key[0] == 0][0]
+    rsu = [n for n in graph.nodes if node_key(n)[0] == 0][0]
     best = None
 
     def walk(node, visited, hops, loss, path):
         nonlocal best
         if node == rsu:
-            key = (hops, loss, tuple(n.sort_key for n in path))
+            key = (hops, loss, tuple(node_key(n) for n in path))
             if best is None or key < best[0]:
                 best = (key, tuple(path))
             return
         if max_hops is not None and hops >= max_hops:
             return
-        for neighbor, edge_loss in graph.neighbors(node):
+        for neighbor, edge_loss in _neighbors(graph, node):
             if neighbor in visited:
                 continue
             visited.add(neighbor)
@@ -295,7 +397,7 @@ def oracle_dijkstra_route(graph, source, max_hops=None):
     if max_hops is not None and max_hops <= 1:
         return None
 
-    start_label = (0, 0.0, (source.sort_key,))
+    start_label = (0, 0.0, (node_key(source),))
     heap = [(*start_label, source)]
     settled = set()
     paths = {source: (source,)}
@@ -309,10 +411,10 @@ def oracle_dijkstra_route(graph, source, max_hops=None):
             return paths[node]
         if max_hops is not None and hops >= max_hops:
             continue
-        for neighbor, edge_loss in graph.neighbors(node):
+        for neighbor, edge_loss in _neighbors(graph, node):
             if neighbor in settled:
                 continue
-            label = (hops + 1, loss + edge_loss, key_path + (neighbor.sort_key,))
+            label = (hops + 1, loss + edge_loss, key_path + (node_key(neighbor),))
             if neighbor not in best or label < best[neighbor]:
                 best[neighbor] = label
                 paths[neighbor] = paths[node] + (neighbor,)

@@ -6,15 +6,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroute.channel import (
-    BlockageClass,
-    ChannelParams,
-    assess_link,
-    default_channel_params,
-    path_loss,
-)
+from twinroute.channel import BlockageClass, ChannelParams, default_channel_params, path_loss
+from twinroute.model import NodeId
+from twinroute.topology import build_topology
 
-LOS_ONLY = ChannelParams(classes=(BlockageClass(None, 2.0, 68.0),))
+from conftest import TRUCK, make_snapshot, make_vehicle
+
+RSU, V0, V1 = NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(1)
+
+
+def rsu_link(x, budget_db, blocker_x=None, rsu_height=1.6):
+    """The RSU-v0 link of a sedan at (x, 0), with an unconnected truck at
+    (blocker_x, 0) if given; None if the link is infeasible. The RSU
+    antenna is level with the sedan's by default."""
+    vehicles = [make_vehicle(0, x, 0.0)]
+    if blocker_x is not None:
+        vehicles.append(make_vehicle(1, blocker_x, 0.0, connected=False, body=TRUCK))
+    snap = make_snapshot(vehicles, rsu_height=rsu_height)
+    return build_topology(snap, default_channel_params(), budget_db).edges.get((RSU, V0))
 
 
 def test_loss_at_one_meter_is_gamma_plus_atmosphere():
@@ -86,39 +95,41 @@ def test_more_blockers_never_cheaper(d, k1, k2):
     assert path_loss(d, lo, params) <= path_loss(d, hi, params)
 
 
-def test_assess_link_345_triangle():
-    link = assess_link((3.0, 4.0, 0.0), (0.0, 0.0, 0.0), 0, LOS_ONLY, budget_db=150.0)
-    assert link.distance_m == pytest.approx(5.0)
-    assert link.feasible
-
-
 def test_zero_budget_never_feasible():
-    link = assess_link((3.0, 4.0, 0.0), (0.0, 0.0, 0.0), 0, default_channel_params(), 0.0)
-    assert not link.feasible
+    assert rsu_link(5.0, 0.0) is None
+    assert rsu_link(5.0, 150.0).distance_m == 5.0
 
 
 def test_blocker_flips_feasibility_at_110db():
-    params = default_channel_params()
-    clear = assess_link((100.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0, params, 110.0)
-    blocked = assess_link((100.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1, params, 110.0)
-    assert clear.feasible and clear.path_loss_db == pytest.approx(109.5)
-    assert not blocked.feasible and blocked.path_loss_db == pytest.approx(125.5)
+    clear = rsu_link(100.0, 110.0)
+    assert clear.blockers == 0 and clear.path_loss_db == pytest.approx(109.5)
+    assert rsu_link(100.0, 110.0, blocker_x=50.0) is None
+    blocked = rsu_link(100.0, 130.0, blocker_x=50.0)
+    assert blocked.blockers == 1 and blocked.path_loss_db == pytest.approx(125.5)
 
 
 def test_range_gate_applies_even_under_budget():
-    link = assess_link((151.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0, default_channel_params(), 1e6)
-    assert not link.feasible
+    assert rsu_link(151.0, 1e6) is None
+    # 149.99 m on the ground, but 150.03 m from an RSU antenna 3.4 m higher
+    assert rsu_link(149.99, 1e6, rsu_height=5.0) is None
+    assert rsu_link(149.99, 1e6).distance_m == 149.99
 
 
 def test_reciprocity():
-    params = default_channel_params()
-    a, b = (12.0, -7.0, 1.6), (-3.0, 44.0, 5.0)
-    assert assess_link(a, b, 1, params, 110.0) == assess_link(b, a, 1, params, 110.0)
-
-
-def test_coincident_antennas_rejected():
-    with pytest.raises(ValueError):
-        assess_link((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0, default_channel_params(), 110.0)
+    # the same two antennas with their ids swapped, so the v0-v1 segment
+    # is evaluated from the other end; a truck body cuts it midway
+    a, b = (12.0, -7.0), (-3.0, 44.0)
+    truck = make_vehicle(2, 4.5, 18.5, heading=1.0, connected=False, body=TRUCK)
+    links = [
+        build_topology(
+            make_snapshot([make_vehicle(i, *a), make_vehicle(j, *b, body=TRUCK), truck]),
+            default_channel_params(),
+            130.0,
+        ).edges[(V0, V1)]
+        for i, j in ((0, 1), (1, 0))
+    ]
+    assert links[0] == links[1]
+    assert links[0].blockers == 1
 
 
 def test_class_table_structural_checks():

@@ -8,8 +8,11 @@ import pytest
 
 from twinroute.cli import main
 from twinroute.config import default_config, save_config
-from twinroute.metrics import reliability_from_detail
+from twinroute.experiment import load_sweep_spec, run_sweep
 from twinroute.mobility import snapshot_stream, write_trace
+
+from conftest import detail_counts
+from oracles import oracle_reliability
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -98,7 +101,7 @@ def test_run_writes_summary_and_detail(tmp_path):
     # summary reliability reproducible from the detail rows
     reported = float(summary.splitlines()[1].split(",")[4])
     with open(detail_files[0]) as f:
-        assert reliability_from_detail(f) == reported
+        assert oracle_reliability(detail_counts(f)) == reported
     # data on stdout, progress on stderr
     assert "reliability" in proc.stderr
     assert summary.splitlines()[1] in proc.stdout
@@ -241,6 +244,18 @@ def test_sweep_empty_seeds_rejected(tmp_path):
     assert "seeds" in proc.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_2(tmp_path, jobs):
+    spec = sweep_spec(tmp_path)
+    out = tmp_path / "x"
+    proc = run_cli("sweep", str(spec), "--out-dir", str(out), "--jobs", jobs)
+    assert proc.returncode == 2
+    assert f"--jobs: must be >= 1, got {jobs}" in proc.stderr
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        run_sweep(load_sweep_spec(spec), out, jobs=int(jobs))
+    assert not out.exists()
+
+
 def test_sweep_unknown_key_rejected(tmp_path):
     write_small_config(tmp_path / "base.yaml")
     spec = tmp_path / "sweep.yaml"
@@ -257,6 +272,14 @@ def test_sweep_unknown_key_rejected(tmp_path):
         ("connected_fractions: [1.0, .nan]", "connected_fractions[1]: must be finite"),
         ("seeds: [-1]", "seeds[0]: must fit an unsigned 64-bit integer"),
         ("strategies: [fastest]", "strategies[0]: must be one of"),
+        # repeated cell ids would overwrite each other's detail file; both
+        # fractions print as 0.5 in a cell id
+        ("seeds: [1, 1]", "seeds[1]: gives the same cell ids as seeds[0]"),
+        ("connected_fractions: [0.5, 0.5000001]\nseeds: [1, 1]", "seeds[1]: gives the same"),
+        (
+            "connected_fractions: [0.5, 0.5000001]",
+            "connected_fractions[1]: gives the same cell ids as connected_fractions[0]",
+        ),
     ],
 )
 def test_sweep_malformed_axis_exits_2_with_field_path(tmp_path, axes, message):

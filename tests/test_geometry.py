@@ -8,21 +8,19 @@ import pytest
 from twinroute import topology
 from twinroute.config import default_config
 from twinroute.engine import run_single
-from twinroute.geometry import (
-    ObstacleBox,
-    blockage_count,
-    blockage_count_matrix,
-    box_from_vehicle,
-    segment_intersects_box,
-)
+from twinroute.geometry import blockage_count_matrix
 from twinroute.model import NodeId, Strategy
 
 from conftest import TRUCK, make_vehicle
 from oracles import (
     SURFACE_TOLERANCE,
+    ObstacleBox,
+    blockage_count,
+    box_from_vehicle,
     oracle_dense_blockage_counts,
     oracle_min_surface_distance,
     oracle_occlusion,
+    segment_intersects_box,
 )
 
 SEDAN_BOX = ObstacleBox(

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinroute.metrics import (
-    ReliabilityAccumulator,
-    RunResult,
-    TimestepOutcome,
-    reliability_from_detail,
-    write_detail,
-)
+from twinroute.metrics import ReliabilityAccumulator, RunResult, TimestepOutcome, write_detail
 
+from conftest import detail_counts
 from oracles import oracle_reliability
 
 
@@ -86,15 +81,6 @@ def test_satisfied_bounded_by_total():
         outcome(1, 5, 4)
 
 
-def test_merge_sums_componentwise():
-    a = ReliabilityAccumulator()
-    a.record(outcome(1, 2, 4))
-    b = ReliabilityAccumulator()
-    b.record(outcome(1, 4, 4))
-    merged = a.merge(b)
-    assert merged.reliability() == 6 / 8
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
@@ -129,4 +115,4 @@ def test_detail_roundtrip_reapplies_the_ratio():
     buf = io.StringIO()
     write_detail(result, buf)
     buf.seek(0)
-    assert reliability_from_detail(buf) == result.reliability
+    assert oracle_reliability(detail_counts(buf)) == result.reliability

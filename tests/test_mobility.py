@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinroute.config import default_config
 from twinroute.mobility import (
@@ -21,6 +23,7 @@ from twinroute.mobility import (
     snapshot_stream,
     write_trace,
 )
+from twinroute.model import NodeId, VehicleState, WorldSnapshot
 
 from oracles import oracle_pose_at
 
@@ -279,6 +282,48 @@ def test_trace_roundtrip():
             assert vb.antenna_height == vo.antenna_height
     # a van is in the stream, so the default sedan body would not do
     assert any(v.dimensions != (4.5, 1.8, 1.5) for s in restored for v in s.vehicles)
+
+
+FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+POSITIVE = st.sampled_from([5e-324, 1e300]) | st.floats(0.0, 1e300, exclude_min=True)
+
+
+@st.composite
+def trace_streams(draw):
+    """Consecutive snapshots from any timestep, 0-4 vehicles each, with
+    distinct ids and distinct (x, y) per step."""
+    start = draw(st.integers(0, 10**9))
+    snapshots = []
+    for ts in range(start, start + draw(st.integers(1, 5))):
+        ids = draw(st.lists(st.integers(0, 20), max_size=4, unique=True))
+        spots = draw(st.lists(st.tuples(FINITE, FINITE), min_size=len(ids), max_size=len(ids), unique=True))
+        vehicles = []
+        for k, (x, y) in zip(ids, spots):
+            body = (draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))
+            antenna = draw(st.floats(0.0, body[2] + 1.0, exclude_min=True))
+            heading, speed = draw(FINITE), draw(st.sampled_from([0.0, -0.0]) | POSITIVE)
+            connected = draw(st.booleans())
+            vehicles.append(
+                VehicleState(NodeId.vehicle(k), (x, y, 0.0), heading, speed, body, antenna, connected)
+            )
+        snapshots.append(WorldSnapshot(ts, draw(FINITE), tuple(vehicles), (0.0, 0.0, 5.0)))
+    return snapshots
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_streams())
+def test_trace_roundtrip_of_any_stream(snapshots):
+    buf = io.StringIO()
+    write_trace(snapshots, buf)
+    buf.seek(0)
+    back = read_trace(buf, 5.0, default_config().vehicle_mix[0])
+    assert back == snapshots
+    ids: dict[int, NodeId] = {}
+    for snap in back:
+        for v in snap.vehicles:
+            assert ids.setdefault(v.id.index, v.id) is v.id
 
 
 def test_trace_rejects_malformed_rows():

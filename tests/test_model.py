@@ -10,6 +10,7 @@ from twinroute.model import NodeId, NodeKind, VehicleState
 from twinroute.routing import Route
 
 from conftest import SEDAN
+from oracles import node_key
 
 
 # -- NodeId: an int coded (index << 1) | is_vehicle --------------------------
@@ -31,10 +32,10 @@ def test_sorted_order_is_sort_key_order():
         if rng.random() < 0.5:
             ids.append(NodeId.rsu())
         rng.shuffle(ids)
-        assert sorted(ids) == sorted(ids, key=lambda n: n.sort_key)
+        assert sorted(ids) == sorted(ids, key=node_key)
     assert NodeId.rsu() < NodeId.vehicle(0) < NodeId.vehicle(1)
-    assert NodeId.rsu().sort_key == (0, 0)
-    assert NodeId.vehicle(7).sort_key == (1, 7)
+    assert node_key(NodeId.rsu()) == (0, 0)
+    assert node_key(NodeId.vehicle(7)) == (1, 7)
 
 
 def test_never_equals_a_plain_int():

@@ -4,43 +4,33 @@ from __future__ import annotations
 
 import pytest
 
-from twinroute.channel import LinkAssessment
 from twinroute.model import NodeId
-from twinroute.topology import _finish_graph
 
+from conftest import graph_from_losses
 from oracles import (
+    ObstacleBox,
     OracleCase,
     oracle_min_surface_distance,
     oracle_occlusion,
     oracle_shortest_path,
+    segment_intersects_box,
 )
 
 RSU = NodeId.rsu()
 
 
-def tiny_graph(n_vehicles, edge_pairs):
-    nodes = [RSU] + [NodeId.vehicle(i) for i in range(n_vehicles)]
-    edges = {}
-    for a, b in edge_pairs:
-        na = RSU if a == "rsu" else NodeId.vehicle(a)
-        nb = RSU if b == "rsu" else NodeId.vehicle(b)
-        key = (na, nb) if na < nb else (nb, na)
-        edges[key] = LinkAssessment(1.0, 0, 80.0, True)
-    return _finish_graph(0, nodes, edges)
-
-
 def test_two_node_graph_single_edge():
-    g = tiny_graph(1, [(0, "rsu")])
+    g = graph_from_losses({(0, "rsu"): 80.0})
     assert oracle_shortest_path(g, NodeId.vehicle(0)) == (NodeId.vehicle(0), RSU)
 
 
 def test_disconnected_pair_absent():
-    g = tiny_graph(2, [(0, 1)])
+    g = graph_from_losses({(0, 1): 80.0})
     assert oracle_shortest_path(g, NodeId.vehicle(0)) is None
 
 
 def test_oracle_refuses_large_graphs():
-    g = tiny_graph(8, [(0, "rsu")])  # 9 nodes incl. RSU
+    g = graph_from_losses({(0, "rsu"): 80.0}, range(8))  # 9 nodes incl. RSU
     with pytest.raises(ValueError):
         oracle_shortest_path(g, NodeId.vehicle(0))
 
@@ -56,8 +46,6 @@ def test_sampling_oracle_finds_narrow_grazing_cut():
     # 45-degree clip through the footprint corner: the inside interval is
     # ~1e-6 of the segment, far between coarse samples, but the cut is
     # 5e-5 m deep so only the refinement passes can find it
-    from twinroute.geometry import ObstacleBox, segment_intersects_box
-
     center, half = (0.0, 0.0, 0.75), (2.25, 0.9, 0.75)
     e = 5e-5
     a = (2.25 - e - 50.0, 0.9 - e + 50.0, 1.4999)

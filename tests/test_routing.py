@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroute.channel import LinkAssessment, default_channel_params
+from twinroute.channel import default_channel_params
 from twinroute.config import default_config
 from twinroute.mobility import snapshot_stream
 from twinroute.model import NodeId
@@ -20,39 +20,21 @@ from twinroute.routing import (
     route_predictive,
     route_realtime,
     score_route,
-    shortest_route,
 )
-from twinroute.topology import ConnectivityGraph, _finish_graph, build_topology
+from twinroute.topology import ConnectivityGraph, build_topology
 
-from conftest import TRUCK, make_snapshot, make_vehicle
-from oracles import oracle_dijkstra_route, oracle_shortest_path
+from conftest import TRUCK, graph_from_losses, make_snapshot, make_vehicle
+from oracles import node_key, oracle_dijkstra_route, oracle_shortest_path
 
 PARAMS = default_channel_params()
 RSU = NodeId.rsu()
-
-
-def graph_from_edges(edges: dict[tuple[int | str, int | str], float], timestep: int = 0):
-    """Hand-built graph; node 'rsu' or integer vehicle index, weight = path loss."""
-
-    def as_node(x):
-        return RSU if x == "rsu" else NodeId.vehicle(x)
-
-    nodes = set()
-    edge_map = {}
-    for (a, b), loss in edges.items():
-        na, nb = as_node(a), as_node(b)
-        nodes.update((na, nb))
-        key = (na, nb) if na < nb else (nb, na)
-        edge_map[key] = LinkAssessment(10.0, 0, loss, True)
-    nodes.add(RSU)
-    return _finish_graph(timestep, sorted(nodes, key=lambda n: n.sort_key), edge_map)
 
 
 def random_graph(rng, quantized: bool) -> ConnectivityGraph:
     n_vehicles = int(rng.integers(1, 8))
     nodes = [RSU] + [NodeId.vehicle(i) for i in range(n_vehicles)]
     p_edge = float(rng.uniform(0.15, 0.8))
-    edges = {}
+    losses = {}
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             if rng.random() < p_edge:
@@ -60,56 +42,60 @@ def random_graph(rng, quantized: bool) -> ConnectivityGraph:
                     loss = float(rng.choice([80.0, 95.0, 110.0]))
                 else:
                     loss = float(rng.uniform(60.0, 160.0))
-                edges[(nodes[i], nodes[j])] = LinkAssessment(10.0, 0, loss, True)
-    return _finish_graph(0, nodes, edges)
+                losses[(nodes[i], nodes[j])] = loss
+    return graph_from_losses(losses, range(n_vehicles))
+
+
+def route_of(g, source, max_hops=None):
+    """The route ``route_realtime`` gives ``source``."""
+    return route_realtime(g, max_hops)[NodeId.vehicle(source)]
+
+
+def hops_table(g, max_hops=None):
+    """Every vehicle node's route as a node tuple, None where unreachable."""
+    table = route_realtime(g, max_hops)
+    assert list(table) == list(g.nodes[1:])
+    return {source: route.hops if route else None for source, route in table.items()}
 
 
 def test_direct_edge_is_the_route():
-    g = graph_from_edges({(0, "rsu"): 100.0, (0, 1): 60.0, (1, "rsu"): 60.0})
-    route = shortest_route(g, NodeId.vehicle(0))
+    g = graph_from_losses({(0, "rsu"): 100.0, (0, 1): 60.0, (1, "rsu"): 60.0})
+    route = route_of(g, 0)
     assert route.hops == (NodeId.vehicle(0), RSU)
     assert route.hop_count == 1
 
 
 def test_unreachable_returns_none():
-    g = graph_from_edges({(0, 1): 80.0})
-    assert shortest_route(g, NodeId.vehicle(0)) is None
+    g = graph_from_losses({(0, 1): 80.0})
+    assert route_of(g, 0) is None
 
 
 def test_two_hop_beats_lossier_nothing():
-    g = graph_from_edges({(0, 1): 80.0, (1, "rsu"): 80.0})
-    route = shortest_route(g, NodeId.vehicle(0))
+    g = graph_from_losses({(0, 1): 80.0, (1, "rsu"): 80.0})
+    route = route_of(g, 0)
     assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
 
 
 def test_loss_breaks_hop_ties():
-    g = graph_from_edges(
+    g = graph_from_losses(
         {(0, 1): 80.0, (1, "rsu"): 80.0, (0, 2): 70.0, (2, "rsu"): 80.0}
     )
-    route = shortest_route(g, NodeId.vehicle(0))
+    route = route_of(g, 0)
     assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(2), RSU)
 
 
 def test_node_order_breaks_exact_ties():
-    g = graph_from_edges(
+    g = graph_from_losses(
         {(0, 1): 80.0, (1, "rsu"): 80.0, (0, 2): 80.0, (2, "rsu"): 80.0}
     )
-    route = shortest_route(g, NodeId.vehicle(0))
+    route = route_of(g, 0)
     assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
 
 
 def test_max_hops_cap():
-    g = graph_from_edges({(0, 1): 80.0, (1, "rsu"): 80.0})
-    assert shortest_route(g, NodeId.vehicle(0), max_hops=1) is None
-    assert shortest_route(g, NodeId.vehicle(0), max_hops=2) is not None
-
-
-def test_source_must_be_in_graph():
-    g = graph_from_edges({(0, "rsu"): 80.0})
-    with pytest.raises(ValueError):
-        shortest_route(g, NodeId.vehicle(9))
-    with pytest.raises(ValueError):
-        shortest_route(g, RSU)
+    g = graph_from_losses({(0, 1): 80.0, (1, "rsu"): 80.0})
+    assert route_of(g, 0, max_hops=1) is None
+    assert route_of(g, 0, max_hops=2) is not None
 
 
 def test_matches_enumeration_oracle(fuzz_scale):
@@ -122,42 +108,36 @@ def test_matches_enumeration_oracle(fuzz_scale):
     n = 150 * fuzz_scale
     for trial in range(n):
         g = random_graph(rng, quantized=trial % 2 == 0)
-        for source in g.nodes[1:]:
-            got = shortest_route(g, source)
-            want = oracle_shortest_path(g, source)
-            if want is None:
-                assert got is None, trial
-            else:
-                assert got is not None and got.hops == want, trial
+        want = {source: oracle_shortest_path(g, source) for source in g.nodes[1:]}
+        assert hops_table(g) == want, trial
 
 
 def test_neighbors_ascend_and_match_edges():
     rng = np.random.default_rng(77)
     for trial in range(100):
         g = random_graph(rng, quantized=trial % 2 == 0)
-        for node in g.nodes:
-            got = g.neighbors(node)
-            keys = [other.sort_key for other, _ in got]
+        for node, got in zip(g.nodes, g.adjacency):
+            keys = [node_key(g.nodes[k]) for k in got]
             assert keys == sorted(keys), trial
             want = {
-                (b if a == node else a): link.path_loss_db
+                g.index[b if a == node else a]: link.path_loss_db
                 for (a, b), link in g.edges.items()
                 if node in (a, b)
             }
-            assert len(got) == len(want) and dict(got) == want, trial
+            assert got == want, trial
 
 
 def test_node_order_breaks_exact_ties_past_the_first_layer():
     # v3 is reached first through v1 but settles through v2, so the
     # tied labels at v5 arrive in an order that is not node order
-    g = graph_from_edges(
+    g = graph_from_losses(
         {
             (0, 1): 10.0, (0, 2): 10.0,
             (1, 3): 20.0, (2, 3): 10.0, (1, 4): 10.0,
             (3, 5): 10.0, (4, 5): 10.0, (5, "rsu"): 10.0,
         }
     )
-    route = shortest_route(g, NodeId.vehicle(0))
+    route = route_of(g, 0)
     assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 1, 4, 5)) + (RSU,)
     assert oracle_dijkstra_route(g, NodeId.vehicle(0)) == route.hops
 
@@ -173,8 +153,8 @@ SOURCE_FIRST_TIE = {
 
 def test_loss_is_summed_source_first():
     assert (0.1 + 0.2) + 0.3 > (0.3 + 0.2) + 0.1
-    g = graph_from_edges(SOURCE_FIRST_TIE)
-    route = shortest_route(g, NodeId.vehicle(0))
+    g = graph_from_losses(SOURCE_FIRST_TIE)
+    route = route_of(g, 0)
     assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 3, 4)) + (RSU,)
     assert oracle_shortest_path(g, NodeId.vehicle(0)) == route.hops
 
@@ -188,26 +168,25 @@ def small_graphs(draw):
     """The RSU plus 1-7 vehicles, each pair linked or not."""
     nodes = [RSU] + [NodeId.vehicle(k) for k in range(draw(st.integers(1, 7)))]
     losses = TIE_LOSSES | st.floats(60.0, 160.0)
-    edges = {}
+    links = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if draw(st.booleans()):
-                edges[(a, b)] = LinkAssessment(10.0, 0, draw(losses), True)
-    return _finish_graph(0, nodes, edges)
+                links[(a, b)] = draw(losses)
+    return graph_from_losses(links, range(len(nodes) - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(g=small_graphs(), max_hops=st.none() | st.integers(1, 4))
-@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=None)
-@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=3)
-@example(g=graph_from_edges(SOURCE_FIRST_TIE), max_hops=2)
-def test_shortest_route_matches_oracles(g, max_hops):
+@example(g=graph_from_losses(SOURCE_FIRST_TIE), max_hops=None)
+@example(g=graph_from_losses(SOURCE_FIRST_TIE), max_hops=3)
+@example(g=graph_from_losses(SOURCE_FIRST_TIE), max_hops=2)
+def test_route_realtime_matches_oracles(g, max_hops):
     losses = {f"{a}-{b}": link.path_loss_db for (a, b), link in g.edges.items()}
-    for source in g.nodes[1:]:
-        got = shortest_route(g, source, max_hops)
-        got = got.hops if got else None
-        assert got == oracle_shortest_path(g, source, max_hops), (source, losses)
-        assert got == oracle_dijkstra_route(g, source, max_hops), (source, losses)
+    got = hops_table(g, max_hops)
+    vehicles = g.nodes[1:]
+    assert got == {s: oracle_shortest_path(g, s, max_hops) for s in vehicles}, losses
+    assert got == {s: oracle_dijkstra_route(g, s, max_hops) for s in vehicles}, losses
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
@@ -235,14 +214,13 @@ def test_dominance_self_consistency():
     rng = np.random.default_rng(31)
     for _ in range(40):
         g = random_graph(rng, quantized=False)
-        for source in g.nodes[1:]:
-            route = shortest_route(g, source)
+        for route in route_realtime(g).values():
             if route is not None:
                 assert score_route(route, g)
 
 
 def test_score_route_cases():
-    g = graph_from_edges({(0, "rsu"): 80.0, (0, 1): 70.0, (1, "rsu"): 70.0})
+    g = graph_from_losses({(0, "rsu"): 80.0, (0, 1): 70.0, (1, "rsu"): 70.0})
     direct = Route(NodeId.vehicle(0), (NodeId.vehicle(0), RSU))
     assert score_route(direct, g)
     assert not score_route(None, g)
@@ -250,10 +228,10 @@ def test_score_route_cases():
     relay = Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1), RSU))
     assert score_route(relay, g)
     # relay despawned: node 1 no longer in the graph
-    without_relay = graph_from_edges({(0, "rsu"): 80.0})
+    without_relay = graph_from_losses({(0, "rsu"): 80.0})
     assert not score_route(relay, without_relay)
     # middle link newly blocked: edge 0-1 removed, nodes still present
-    broken_mid = graph_from_edges({(0, "rsu"): 80.0, (1, "rsu"): 70.0})
+    broken_mid = graph_from_losses({(0, "rsu"): 80.0, (1, "rsu"): 70.0})
     assert not score_route(relay, broken_mid)
 
 

@@ -41,7 +41,7 @@ def test_two_nearby_vehicles_form_triangle():
     assert len(g.edges) == 3
     v0, v1 = NodeId.vehicle(0), NodeId.vehicle(1)
     assert g.has_edge(v0, v1) and g.has_edge(NodeId.rsu(), v0) and g.has_edge(NodeId.rsu(), v1)
-    assert g.edge(v0, v1).distance_m == pytest.approx(5.0)
+    assert g.edges[(v0, v1)].distance_m == pytest.approx(5.0)
 
 
 def test_unconnected_truck_blocks_rsu_link():
@@ -58,8 +58,8 @@ def test_unconnected_truck_blocks_rsu_link():
     # same geometry without the truck is well under budget
     clear = build_topology(make_snapshot([sedan]), PARAMS, BUDGET)
     assert clear.has_edge(NodeId.rsu(), NodeId.vehicle(0))
-    d = math.dist(sedan.antenna, (0.0, 0.0, 5.0))
-    assert clear.edge(NodeId.rsu(), NodeId.vehicle(0)).path_loss_db == pytest.approx(
+    d = math.dist((50.0, 0.0, sedan.antenna_height), (0.0, 0.0, 5.0))
+    assert clear.edges[(NodeId.rsu(), NodeId.vehicle(0))].path_loss_db == pytest.approx(
         path_loss(d, 0, PARAMS)
     )
 
