@@ -22,11 +22,11 @@ seen = set()
 for step in range(int(cfg.duration / cfg.dt)):
     state, snap = advance_traffic(state, cfg.dt)
     populations.append(len(snap.vehicles))
-    for vehicle, plan, progress in state.active_vehicles:
-        if vehicle.id.index not in seen:
-            seen.add(vehicle.id.index)
+    for vehicle in state.active:
+        if vehicle.index not in seen:
+            seen.add(vehicle.index)
             connected[vehicle.connected] += 1
-            maneuvers[plan.maneuver.value] += 1
+            maneuvers[vehicle.plan.maneuver.value] += 1
 
 print(f"{len(seen)} vehicles passed through over {cfg.duration:.0f} s")
 print(f"population: peak {max(populations)}, mean {sum(populations)/len(populations):.1f} "

@@ -6,9 +6,11 @@ The predictive strategy accepts any external model through a text
 exchange: history rows go to the child process on stdin in the trace
 schema, `<horizon_steps> <dt>` arrive as the two final argv values, and
 the model prints one row per future step in the same schema. This demo
-writes a tiny constant-velocity "model" to disk and runs it.
+writes a tiny constant-velocity "model" to disk, runs it, and exits 1
+unless its forecast equals the built-in constant-velocity predictor's.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -42,9 +44,12 @@ external = predict(history, horizon=2.0, dt=dt,
 builtin = predict(history, horizon=2.0, dt=dt, predictor=ConstantVelocityPredictor())
 
 print("external model vs built-in constant velocity:")
+# a forecast is one (position, heading, speed) triple per future step
 for k, (a, b) in enumerate(zip(external.states, builtin.states), start=1):
-    match = "ok" if a.position == b.position else "DIFFERS"
-    print(f"  +{k * dt:.1f} s: {a.position[0]:6.2f} m vs {b.position[0]:6.2f} m  {match}")
+    match = "ok" if a == b else "DIFFERS"
+    print(f"  +{k * dt:.1f} s: {a[0][0]:6.2f} m vs {b[0][0]:6.2f} m  {match}")
+if external.states != builtin.states:
+    sys.exit("the external model's forecast differs from the built-in predictor's")
 
 # in a scenario file the same plug-in reads:
 #   prediction:

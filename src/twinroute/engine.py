@@ -165,11 +165,11 @@ class _PredictiveDriver:
         forecast = self._plan.forecast.get(timestep)
         if forecast is not None:
             truth = {v.id: v.position for v in world.history[-1].vehicles}
-            for v in forecast.vehicles:
-                actual = truth.get(v.id)
+            for vehicle, position in forecast:
+                actual = truth.get(vehicle)
                 if actual is not None:
-                    dx = v.position[0] - actual[0]
-                    dy = v.position[1] - actual[1]
+                    dx = position[0] - actual[0]
+                    dy = position[1] - actual[1]
                     self._error_sum += (dx * dx + dy * dy) ** 0.5
                     self._error_count += 1
         return self._plan.entries.get(timestep)

@@ -4,6 +4,7 @@ emitted gnuplot script for reliability-vs-vehicle-count figures."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import multiprocessing
@@ -121,14 +122,12 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     return SweepSpec(base, **{k: _decode(hints[k], v, k) for k, v in data.items() if k in axes})
 
 
-def _run_cell(args: tuple[SweepCell, str]) -> tuple[str, str]:
+def _run_cell(args: tuple[SweepCell, str]) -> str:
     """Worker: run one cell, write its detail file, return the summary row."""
     cell, out_dir = args
-    config = cell.config()
-    result = run_single(config)
+    result = run_single(cell.config())
     write_run_outputs(result, out_dir, cell.cell_id)
-    row = summary_row(result, cell.vehicle_count, cell.connected_fraction, cell.seed)
-    return cell.cell_id, row
+    return summary_row(result, cell.vehicle_count, cell.connected_fraction, cell.seed)
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
@@ -150,24 +149,15 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     work = [(cell, str(out)) for cell in cells]
 
     rows: list[str] = []
-    if jobs == 1:
-        for cell, args in zip(cells, work):
-            log(f"running {cell.cell_id}")
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = map(_run_cell, work) if pool is None else pool.imap(_run_cell, work)
+        for cell in cells:  # results arrive in cell order
             try:
-                _, row = _run_cell(args)
+                row = next(results)
             except Exception as exc:  # preserve completed outputs, name the cell
                 raise SweepCellError(cell.cell_id, exc) from exc
+            log(f"finished {cell.cell_id}")
             rows.append(row)
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            try:
-                for cell_id, row in pool.imap(_run_cell, work):
-                    log(f"finished {cell_id}")
-                    rows.append(row)
-            except Exception as exc:
-                done = len(rows)
-                failing = cells[done].cell_id if done < len(cells) else "unknown"
-                raise SweepCellError(failing, exc) from exc
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as f:
         f.write(SUMMARY_HEADER)

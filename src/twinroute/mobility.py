@@ -174,7 +174,6 @@ def build_route_plan(
 @dataclass
 class SpawnRequest:
     release_time: float
-    seq: int
     arm: Arm
     lane: int
     maneuver: Maneuver
@@ -219,11 +218,6 @@ class TrafficState:
     active: list[ActiveVehicle]
     pending: list[SpawnRequest]
     next_vehicle_index: int
-    next_request_seq: int
-
-    @property
-    def active_vehicles(self) -> list[tuple[VehicleState, RoutePlan, float]]:
-        return [(v.to_state(), v.plan, v.progress) for v in self.active]
 
     def snapshot(self) -> WorldSnapshot:
         return WorldSnapshot(
@@ -246,9 +240,8 @@ def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
     vclass = cfg.vehicle_mix[int(rng.choice(len(cfg.vehicle_mix), p=weights / weights.sum()))]
     cruise = float(rng.uniform(cfg.speed.min, cfg.speed.max))
     connected = bool(rng.random() < cfg.connected_fraction)
-    req = SpawnRequest(
+    return SpawnRequest(
         release_time=release_time,
-        seq=state.next_request_seq,
         arm=arm,
         lane=lane,
         maneuver=maneuver,
@@ -256,8 +249,6 @@ def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
         cruise_speed=cruise,
         connected=connected,
     )
-    state.next_request_seq += 1
-    return req
 
 
 def init_traffic(config: ScenarioConfig) -> TrafficState:
@@ -273,12 +264,11 @@ def init_traffic(config: ScenarioConfig) -> TrafficState:
         active=[],
         pending=[],
         next_vehicle_index=0,
-        next_request_seq=0,
     )
     offsets = [float(state.rng.uniform(0.0, config.mobility.spawn_window)) for _ in range(config.vehicle_count)]
     for offset in offsets:
         state.pending.append(_draw_request(state, offset))
-    state.pending.sort(key=lambda r: (r.release_time, r.seq))
+    state.pending.sort(key=lambda r: r.release_time)  # stable: draw order breaks ties
     _release_spawns(state, 0.0)
     return state
 
@@ -383,7 +373,8 @@ def advance_traffic(state: TrafficState, dt: float) -> tuple[TrafficState, World
         else:
             survivors.append(v)
     state.active = survivors
-    state.pending.sort(key=lambda r: (r.release_time, r.seq))
+    # stable: pending is in release order and new requests were appended
+    state.pending.sort(key=lambda r: r.release_time)
     _release_spawns(state, now)
 
     return state, state.snapshot()
@@ -480,8 +471,9 @@ def read_trace(
     ``timestep,sim_time`` marker row stands for a step with no vehicles
     and must be its step's only row; traces without markers read as
     before, starting at their first vehicle row. No two vehicles of one
-    step may stand at the same (x, y). Every error is a ValueError naming
-    the 1-based line it was found on.
+    step may stand at the same (x, y), and a vehicle keeps the body and
+    ``connected`` flag of its first row. Every error is a ValueError
+    naming the 1-based line it was found on.
     """
     snapshots: list[WorldSnapshot] = []
     current_ts: int | None = None
@@ -489,6 +481,7 @@ def read_trace(
     bucket: list[VehicleState] = []
     seen: set[int] = set()
     ids: dict[int, NodeId] = {}
+    lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
     spots: dict[tuple[float, float], int] = {}
     rsu = (0.0, 0.0, rsu_height)
     row_body: VehicleClassSpec | None = body
@@ -526,6 +519,12 @@ def read_trace(
             index = vehicle.id.index
             if index in seen:
                 raise ValueError(f"vehicle {index} repeats in timestep {ts}")
+            traits = (vehicle.dimensions, vehicle.antenna_height, vehicle.connected)
+            first, known = lifetimes.setdefault(index, (lineno, traits))
+            if known != traits:
+                raise ValueError(
+                    f"vehicle {index} has a body or connected flag other than on line {first}"
+                )
             spot = vehicle.position[:2]
             if spot in spots:
                 raise ValueError(

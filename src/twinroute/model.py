@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass, field
 
 Point3 = tuple[float, float, float]
+# (position, heading, speed) of one vehicle at one step
+Pose = tuple[Point3, float, float]
 
 
 class NodeKind(enum.Enum):

@@ -1,7 +1,10 @@
 """Pluggable trajectory prediction.
 
 Every predictor consumes a vehicle's recent state history (oldest first)
-and emits one state per timestep across the requested horizon. The
+and emits one pose, a ``(position, heading, speed)`` triple, per timestep
+across the requested horizon. A forecast is these poses alone: the
+vehicle's id, body and ``connected`` flag are those of its last observed
+state, so no forecast step is rebuilt as a ``VehicleState``. The
 analytic predictors are the reference implementations; a learned model
 plugs in through a subprocess text exchange using the mobility trace
 schema, keeping ML frameworks out of this package.
@@ -23,23 +26,22 @@ import subprocess
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .model import NodeId, VehicleState, seconds_to_steps
+from .model import NodeId, Pose, VehicleState, seconds_to_steps
 
 MODEL_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
 class PredictedTrack:
-    """Forecast states of one vehicle.
+    """Forecast poses of one vehicle.
 
-    ``states[k]`` is the vehicle ``k + 1`` steps after its last observed
-    state, with that state's id, body and ``connected`` flag. ``degraded``
-    marks tracks produced by the hold fallback because the requested
-    predictor lacked history or failed.
+    ``states[k]`` is the vehicle's pose ``k + 1`` steps after its last
+    observed state. ``degraded`` marks tracks produced by the hold
+    fallback because the requested predictor lacked history or failed.
     """
 
     vehicle: NodeId
-    states: tuple[VehicleState, ...]
+    states: tuple[Pose, ...]
     degraded: bool = False
 
 
@@ -49,9 +51,7 @@ class TrajectoryPredictor(Protocol):
     kind: str
     min_history: int
 
-    def extrapolate(
-        self, history: Sequence[VehicleState], steps: int, dt: float
-    ) -> list[tuple[tuple[float, float, float], float, float]]:
+    def extrapolate(self, history: Sequence[VehicleState], steps: int, dt: float) -> list[Pose]:
         """Return ``steps`` (position, heading, speed) triples."""
         ...
 
@@ -191,11 +191,11 @@ def predict(
     dt: float,
     predictor: TrajectoryPredictor,
 ) -> PredictedTrack:
-    """Forecast one vehicle across the horizon; one state per dt.
+    """Forecast one vehicle across the horizon; one pose per dt.
 
     This is the one fallback of the predictive path: when the predictor
-    lacks history, raises, or returns the wrong number of states, the
-    vehicle holds its last observed state and the track is marked
+    lacks history, raises, or returns the wrong number of poses, the
+    vehicle holds its last observed pose and the track is marked
     degraded. The history must be non-empty and time-ordered.
     """
     if not history:
@@ -204,15 +204,10 @@ def predict(
     last = history[-1]
     if len(history) >= predictor.min_history:
         try:
-            states = tuple(
-                VehicleState(
-                    last.id, position, heading, speed,
-                    last.dimensions, last.antenna_height, last.connected,
-                )
-                for position, heading, speed in predictor.extrapolate(history, steps, dt)
-            )
+            states = tuple(predictor.extrapolate(history, steps, dt))
         except Exception:  # a failing model is held like a vehicle without history
             states = ()
         if len(states) == steps:
             return PredictedTrack(last.id, states)
-    return PredictedTrack(last.id, (last,) * steps, degraded=True)
+    held = (last.position, last.heading, last.speed)
+    return PredictedTrack(last.id, (held,) * steps, degraded=True)

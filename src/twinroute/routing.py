@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .channel import ChannelParams
-from .model import NodeId, WorldSnapshot, seconds_to_steps
+from .model import NodeId, Point3, WorldSnapshot, seconds_to_steps
 from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
@@ -116,10 +116,12 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
 @dataclass(frozen=True)
 class PredictivePlan:
     """Route schedule for one planning epoch: per future timestep, the
-    forecast snapshot and the route table computed from it."""
+    route table and the forecast positions it was computed from, as
+    ``(id, position)`` pairs in the order of the last observed snapshot's
+    vehicles."""
 
     entries: dict[int, RouteTable]
-    forecast: dict[int, WorldSnapshot]
+    forecast: dict[int, tuple[tuple[NodeId, Point3], ...]]
     degraded_tracks: int = 0
 
 
@@ -141,9 +143,9 @@ def route_predictive(
     horizon. Every vehicle in the last observed snapshot is forecast,
     unconnected ones included since their bodies still occlude. A vehicle
     whose predictor lacks history or fails holds its last observed state
-    and is counted in ``degraded_tracks``. The forecast snapshots share
-    one vehicle tuple, so one :func:`build_topologies` call builds the
-    whole horizon's graphs.
+    and is counted in ``degraded_tracks``. Every forecast step keeps the
+    last observed vehicle tuple and moves only its poses, so one
+    :func:`build_topologies` call builds the whole horizon's graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -165,14 +167,16 @@ def route_predictive(
         )
         for vehicle in last.vehicles
     ]
-    forecast = {
-        ts: WorldSnapshot(
-            ts, ts * dt, tuple(t.states[ts - last.timestep - 1] for t in tracks), last.rsu_position
-        )
-        for ts in range(now + 1, now + horizon_steps + 1)
-    }
-    graphs = build_topologies(list(forecast.values()), params, budget_db)
+    timesteps = range(now + 1, now + horizon_steps + 1)
+    poses = [[t.states[k] for t in tracks] for k in range(lag_steps, lag_steps + horizon_steps)]
+    graphs = build_topologies(
+        last.vehicles, timesteps, poses, last.rsu_position, params, budget_db
+    )
     entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
+    ids = [t.vehicle for t in tracks]
+    forecast = {
+        ts: tuple(zip(ids, [p for p, _, _ in step])) for ts, step in zip(timesteps, poses)
+    }
     return PredictivePlan(entries, forecast, sum(t.degraded for t in tracks))
 
 

@@ -1,5 +1,5 @@
-"""Connectivity graph extraction from a world snapshot, or from all the
-snapshots of one forecast at once.
+"""Connectivity graph extraction from a world snapshot, or from one
+vehicle tuple at every step of a forecast at once.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelParams, LinkAssessment
 from .geometry import blockage_count_matrix
-from .model import NodeId, WorldSnapshot
+from .model import NodeId, Point3, Pose, VehicleState, WorldSnapshot
 
 
 class EdgeView(Mapping):
@@ -124,36 +124,38 @@ def build_topology(
     depend on evaluation order. Pairs farther apart than the maximum range
     in ground distance are skipped before any occlusion work.
     """
-    return build_topologies([snapshot], params, budget_db)[0]
+    vehicles = snapshot.vehicles
+    poses = [(v.position, v.heading, v.speed) for v in vehicles]
+    return build_topologies(
+        vehicles, [snapshot.timestep], [poses], snapshot.rsu_position, params, budget_db
+    )[0]
 
 
 def build_topologies(
-    snapshots: Sequence[WorldSnapshot], params: ChannelParams, budget_db: float
+    vehicles: Sequence[VehicleState],
+    timesteps: Sequence[int],
+    poses: Sequence[Sequence[Pose]],
+    rsu_position: Point3,
+    params: ChannelParams,
+    budget_db: float,
 ) -> list[ConnectivityGraph]:
-    """One graph per snapshot, for snapshots that share one vehicle tuple.
+    """One graph per forecast step: one vehicle tuple at per-step poses.
 
-    Every snapshot must hold the same vehicles (ids, bodies and
-    ``connected`` flags) in the same order, as the steps of one forecast
-    do; only poses and the RSU position may differ. Each graph equals the
-    one built from its snapshot alone. The node list and bodies are read
-    once, one kernel call counts blockers for every pair in range at any
-    step, and the channel and feasibility arithmetic runs over all steps
-    at once; a pair out of range at a step is dropped there.
+    ``vehicles`` gives the ids, bodies and ``connected`` flags, and
+    ``poses[s][k]`` the (position, heading, speed) of ``vehicles[k]`` at
+    ``timesteps[s]``; the vehicles' own poses are not read. Each graph
+    equals the :func:`build_topology` graph of the snapshot of those
+    vehicles at those poses. The node list and bodies are read once, one
+    kernel call counts blockers for every pair in range at any step, and
+    the channel and feasibility arithmetic runs over all steps at once; a
+    pair out of range at a step is dropped there.
 
-    Raises ValueError for mismatched vehicle tuples, and for two antennas
-    at one point (a zero-length link has no path loss).
+    Raises ValueError, naming the timestep, for two antennas at one point
+    (a zero-length link has no path loss).
     """
-    if not snapshots:
+    if not timesteps:
         return []
-    vehicles = snapshots[0].vehicles
-    bodies = [(v.id, v.dimensions, v.antenna_height, v.connected) for v in vehicles]
-    for snap in snapshots[1:]:
-        if [(v.id, v.dimensions, v.antenna_height, v.connected) for v in snap.vehicles] != bodies:
-            raise ValueError(
-                f"timestep {snap.timestep}: vehicles differ from those at "
-                f"timestep {snapshots[0].timestep}"
-            )
-    n_steps, n_vehicles = len(snapshots), len(vehicles)
+    n_steps, n_vehicles = len(timesteps), len(vehicles)
     connected = sorted(
         (k for k, v in enumerate(vehicles) if v.connected), key=lambda k: vehicles[k].id
     )
@@ -164,16 +166,16 @@ def build_topologies(
 
     # per-step poses; bodies are shared
     positions = np.array(
-        [[v.position for v in snap.vehicles] for snap in snapshots], dtype=np.float64
+        [[p for p, _, _ in step] for step in poses], dtype=np.float64
     ).reshape(n_steps, n_vehicles, 3)
     yaws = np.array(
-        [[v.heading for v in snap.vehicles] for snap in snapshots], dtype=np.float64
+        [[h for _, h, _ in step] for step in poses], dtype=np.float64
     ).reshape(n_steps, n_vehicles)
     halves = np.array([v.dimensions for v in vehicles], dtype=np.float64).reshape(-1, 3) / 2.0
     centers = positions.copy()
     centers[:, :, 2] = halves[:, 2]
     antennas = np.empty((n_steps, len(nodes), 3))
-    antennas[:, 0] = [snap.rsu_position for snap in snapshots]
+    antennas[:, 0] = rsu_position
     antennas[:, 1:, :2] = positions[:, connected, :2]
     antennas[:, 1:, 2] = [vehicles[k].antenna_height for k in connected]
 
@@ -191,7 +193,7 @@ def build_topologies(
         s, p = np.argwhere(distances == 0.0)[0]
         a, b = pairs[p]
         raise ValueError(
-            f"timestep {snapshots[s].timestep}: antennas of {nodes[a]} and {nodes[b]} coincide"
+            f"timestep {timesteps[s]}: antennas of {nodes[a]} and {nodes[b]} coincide"
         )
 
     box_owners = np.array([v.id for v in vehicles], dtype=np.int64)
@@ -213,11 +215,9 @@ def build_topologies(
 
     feasible = near & (losses <= budget_db) & (distances <= max_range)
     graphs = []
-    for snap, keep, d, k, loss in zip(snapshots, feasible, distances, blockers, losses):
+    for ts, keep, d, k, loss in zip(timesteps, feasible, distances, blockers, losses):
         i, j = pairs[keep].T
-        graphs.append(
-            _graph_from_arrays(snap.timestep, nodes, index, i, j, d[keep], k[keep], loss[keep])
-        )
+        graphs.append(_graph_from_arrays(ts, nodes, index, i, j, d[keep], k[keep], loss[keep]))
     return graphs
 
 

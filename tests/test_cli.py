@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from twinroute import experiment
 from twinroute.cli import main
 from twinroute.config import default_config, save_config
-from twinroute.experiment import load_sweep_spec, run_sweep
+from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
 from twinroute.mobility import snapshot_stream, write_trace
+from twinroute.model import Strategy
 
 from conftest import detail_counts
 from oracles import oracle_reliability
@@ -316,6 +318,26 @@ def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):
     assert not (out / "summary.csv").exists()  # sweep aborted before summary
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_cell_error_names_the_cell_and_keeps_earlier_cells(tmp_path, monkeypatch, jobs):
+    spec = load_sweep_spec(sweep_spec(tmp_path, counts="[4]", strategies="[realtime, predictive]"))
+    run_single = experiment.run_single
+
+    def failing(config):  # pool workers fork with this patch in place
+        if config.strategy is Strategy.PREDICTIVE and config.seed == 2:
+            raise RuntimeError("model crashed")
+        return run_single(config)
+
+    monkeypatch.setattr(experiment, "run_single", failing)
+    out = tmp_path / "out"
+    with pytest.raises(SweepCellError, match="sweep cell predictive_n4_f1_s2 failed: model crashed") as err:
+        run_sweep(spec, out, jobs=jobs)
+    assert err.value.cell_id == "predictive_n4_f1_s2"
+    kept = sorted(p.name for p in (out / "detail").glob("*.csv"))
+    assert kept == ["predictive_n4_f1_s1.csv", "realtime_n4_f1_s1.csv", "realtime_n4_f1_s2.csv"]
+    assert not (out / "summary.csv").exists()
+
+
 def test_replay_roundtrip(tmp_path):
     cfg_path = write_small_config(tmp_path / "s.yaml")
     cfg = default_config(duration=10.0, vehicle_count=6, connected_fraction=0.5, seed=3)
@@ -339,6 +361,10 @@ def test_replay_roundtrip(tmp_path):
         ("1,0.1,4,1,1.0,2.0", "trace line 3: expected 8 columns, got 6"),
         ("1,0.1,four,1,1.0,2.0,0.0,5.0", "trace line 3: invalid literal"),
         ("0,0.0,5,1,0.0,2.0,1.0,3.0", "trace line 3: vehicles 4 and 5 share position"),
+        (
+            "1,0.1,4,0,1.0,2.0,0.0,5.0",
+            "trace line 3: vehicle 4 has a body or connected flag other than on line 2",
+        ),
     ],
 )
 def test_replay_bad_trace_exits_2_naming_the_line(tmp_path, row, message):

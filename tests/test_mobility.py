@@ -114,7 +114,6 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
         active=[leader, follower],
         pending=[],
         next_vehicle_index=2,
-        next_request_seq=0,
     )
 
 
@@ -162,8 +161,9 @@ def test_heading_matches_polyline_direction():
     state = init_traffic(CFG)
     for _ in range(300):
         _, snap = advance_traffic(state, CFG.dt)
-    for vstate, plan, s in state.active_vehicles:
-        x, y, heading = plan.pose_at(s)
+    for v in state.active:
+        x, y, heading = v.plan.pose_at(v.progress)
+        vstate = v.to_state()
         assert vstate.heading == heading
         assert vstate.position[:2] == (x, y)
 
@@ -293,18 +293,22 @@ POSITIVE = st.sampled_from([5e-324, 1e300]) | st.floats(0.0, 1e300, exclude_min=
 @st.composite
 def trace_streams(draw):
     """Consecutive snapshots from any timestep, 0-4 vehicles each, with
-    distinct ids and distinct (x, y) per step."""
+    distinct ids and distinct (x, y) per step, and one body and
+    ``connected`` flag per id."""
     start = draw(st.integers(0, 10**9))
     snapshots = []
+    lifetimes = {}  # id -> (body, antenna, connected)
     for ts in range(start, start + draw(st.integers(1, 5))):
         ids = draw(st.lists(st.integers(0, 20), max_size=4, unique=True))
         spots = draw(st.lists(st.tuples(FINITE, FINITE), min_size=len(ids), max_size=len(ids), unique=True))
         vehicles = []
         for k, (x, y) in zip(ids, spots):
-            body = (draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))
-            antenna = draw(st.floats(0.0, body[2] + 1.0, exclude_min=True))
+            if k not in lifetimes:
+                body = (draw(POSITIVE), draw(POSITIVE), draw(POSITIVE))
+                antenna = draw(st.floats(0.0, body[2] + 1.0, exclude_min=True))
+                lifetimes[k] = (body, antenna, draw(st.booleans()))
+            body, antenna, connected = lifetimes[k]
             heading, speed = draw(FINITE), draw(st.sampled_from([0.0, -0.0]) | POSITIVE)
-            connected = draw(st.booleans())
             vehicles.append(
                 VehicleState(NodeId.vehicle(k), (x, y, 0.0), heading, speed, body, antenna, connected)
             )
@@ -404,6 +408,23 @@ def test_trace_with_body_columns_rejects_bad_rows(rows, message):
     with pytest.raises(ValueError) as err:
         read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,0.1,4,1,1.0,2.0,0.0,5.0,9.0,2.5,3.2,3.3\n",  # longer
+        "1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,3.2,3.4\n",  # antenna higher
+        "1,0.1,4,0,1.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n",  # no longer connected
+    ],
+    ids=["body", "antenna", "connected"],
+)
+def test_trace_rejects_a_vehicle_whose_body_or_flag_changes(row):
+    cfg = default_config()
+    lines = io.StringIO(WIDE_HEAD + WIDE_ROW + row)
+    with pytest.raises(ValueError) as err:
+        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    assert "trace line 3: vehicle 4 has a body or connected flag other than on line 2" in str(err.value)
 
 
 def test_trace_without_body_columns_uses_the_default_body():

@@ -25,29 +25,26 @@ def test_stationary_vehicle_any_predictor_holds():
     for predictor in (HoldPredictor(), ConstantVelocityPredictor(), ConstantTurnRatePredictor()):
         track = predict(history, horizon=1.0, dt=0.1, predictor=predictor)
         assert len(track.states) == 10
-        for s in track.states:
-            assert s.position == (5.0, 7.0, 0.0)
+        for position, _, _ in track.states:
+            assert position == (5.0, 7.0, 0.0)
 
 
 def test_constant_velocity_linear_kinematics():
     history = [make_vehicle(0, -1.0, 0.0, speed=10.0), make_vehicle(0, 0.0, 0.0, speed=10.0)]
     track = predict(history, horizon=1.0, dt=0.5, predictor=ConstantVelocityPredictor())
-    positions = [s.position for s in track.states]
+    positions = [position for position, _, _ in track.states]
     assert positions == [(5.0, 0.0, 0.0), (10.0, 0.0, 0.0)]
 
 
 def test_track_shape_contract():
-    """states[k] is k + 1 steps past the last observation, with its id and body."""
+    """states[k] is the (position, heading, speed) k + 1 steps past the last observation."""
     history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 1.0, 0.0, connected=False, body=TRUCK)]
     track = predict(history, horizon=3.0, dt=0.1, predictor=ConstantVelocityPredictor())
     last = history[-1]
     assert track.vehicle == last.id and not track.degraded
     assert len(track.states) == 30
-    for k, s in enumerate(track.states):
-        assert s.position == (1.0 + 10.0 * (k + 1) * 0.1, 0.0, 0.0)
-        assert (s.id, s.dimensions, s.antenna_height, s.connected) == (
-            last.id, last.dimensions, last.antenna_height, last.connected
-        )
+    for k, state in enumerate(track.states):
+        assert state == ((1.0 + 10.0 * (k + 1) * 0.1, 0.0, 0.0), last.heading, last.speed)
 
 
 def test_constant_turn_rate_follows_the_arc():
@@ -58,10 +55,10 @@ def test_constant_turn_rate_follows_the_arc():
     track = predict(history, horizon, dt, ConstantTurnRatePredictor())
     omega = speed / radius
     start_angle = omega * dt * 4  # history has 5 samples starting at angle 0
-    for j, s in enumerate(track.states, start=1):
+    for j, (position, _, _) in enumerate(track.states, start=1):
         ang = start_angle + omega * dt * j
         expect = (radius * math.cos(ang), radius * math.sin(ang))
-        assert math.dist(s.position[:2], expect) < 1e-6
+        assert math.dist(position[:2], expect) < 1e-6
 
 
 def test_truncation_consistency():
@@ -80,10 +77,10 @@ def test_cv_error_grows_with_horizon_on_curves():
     start_angle = omega * dt * 3
     last = history[-1]
     errors = []
-    for j, s in enumerate(track.states, start=1):
+    for j, (position, _, _) in enumerate(track.states, start=1):
         ang = start_angle + omega * dt * j
         truth = (radius * math.cos(ang), radius * math.sin(ang))
-        errors.append(math.dist(s.position[:2], truth))
+        errors.append(math.dist(position[:2], truth))
     assert all(b >= a for a, b in zip(errors, errors[1:]))
     # chord-vs-arc closed form at the last step
     phi = omega * dt * len(track.states)
@@ -95,7 +92,7 @@ def test_insufficient_history_falls_back_to_hold():
     history = [make_vehicle(0, 3.0, 1.0, speed=8.0)]
     track = predict(history, horizon=1.0, dt=0.1, predictor=ConstantVelocityPredictor())
     assert track.degraded
-    assert all(s.position == (3.0, 1.0, 0.0) for s in track.states)
+    assert track.states == (((3.0, 1.0, 0.0), 0.0, 8.0),) * 10
 
 
 @pytest.mark.parametrize("result", [RuntimeError("no model"), [((1.0, 2.0, 0.0), 0.0, 5.0)]])
@@ -112,7 +109,8 @@ def test_failing_or_short_predictor_falls_back_to_hold(result):
     history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 3.0, 1.0)]
     track = predict(history, horizon=0.5, dt=0.1, predictor=Broken())
     assert track.degraded
-    assert track.states == (history[-1],) * 5
+    last = history[-1]
+    assert track.states == ((last.position, last.heading, last.speed),) * 5
 
 
 def test_empty_history_rejected():
@@ -156,7 +154,7 @@ def test_learned_predictor_subprocess_exchange(cv_stub):
     learned = LearnedPredictor(("python3", str(cv_stub)))
     track = predict(history, horizon=1.0, dt=0.5, predictor=learned)
     internal = predict(history, horizon=1.0, dt=0.5, predictor=ConstantVelocityPredictor())
-    assert [s.position for s in track.states] == [s.position for s in internal.states]
+    assert track.states == internal.states
 
 
 def test_learned_predictor_bad_command_raises():
@@ -218,5 +216,5 @@ def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
         dt=0.1, params=default_channel_params(), budget_db=110.0,
     )
     assert plan.degraded_tracks == 1
-    assert [snap.vehicles for snap in plan.forecast.values()] == [(vehicle,)] * 2
+    assert list(plan.forecast.values()) == [((vehicle.id, vehicle.position),)] * 2
     assert all(table[vehicle.id] is not None for table in plan.entries.values())

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from twinroute.channel import default_channel_params
 from twinroute.config import default_config
 from twinroute.mobility import snapshot_stream
-from twinroute.model import NodeId
-from twinroute.prediction import ConstantVelocityPredictor
+from twinroute.model import NodeId, VehicleState, WorldSnapshot
+from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor
 from twinroute.routing import (
     Route,
     dump_route_table,
@@ -328,7 +328,7 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
     for ts, table in plan.entries.items():
-        assert plan.forecast[ts].vehicles == snapshots[ts].vehicles
+        assert plan.forecast[ts] == tuple((v.id, v.position) for v in snapshots[ts].vehicles)
         truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
         assert list(truth) == [NodeId.vehicle(0), NodeId.vehicle(1)]
         assert table == truth, ts
@@ -350,6 +350,31 @@ def test_predictive_fallback_on_failing_predictor():
     assert plan.degraded_tracks == 1
     # hold fallback keeps the vehicle where it was, so routing still works
     assert plan.entries[3][NodeId.vehicle(0)] is not None
+
+
+def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
+    """A forecast is per-step poses of the last observed vehicles: planning
+    an epoch validates no VehicleState and wraps no step in a WorldSnapshot."""
+    cfg = default_config(duration=5.0, vehicle_count=30, connected_fraction=0.5, seed=1)
+    history = list(snapshot_stream(cfg))[-11:]
+    assert len(history[-1].vehicles) > 10
+    built = []
+    for cls in (VehicleState, WorldSnapshot):
+
+        def counted(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    plan = route_predictive(
+        history, history[-1].timestep + 2, horizon=2.0, interval=2.0,
+        predictor=ConstantTurnRatePredictor(), dt=cfg.dt, params=cfg.channel,
+        budget_db=cfg.link_budget_db,
+    )
+    assert len(plan.entries) == len(plan.forecast) == 20
+    assert built == []
+    make_vehicle(0, 30.0, 0.0)  # the patched checks still count
+    assert built == ["VehicleState"]
 
 
 def test_dump_route_table_format():

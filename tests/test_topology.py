@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from twinroute import engine
+from twinroute import routing
 from twinroute.channel import default_channel_params, path_loss
 from twinroute.config import default_config
 from twinroute.engine import run_single
-from twinroute.model import NodeId, Strategy
-from twinroute.routing import route_predictive
+from twinroute.model import NodeId, Strategy, WorldSnapshot
 from twinroute.topology import build_topologies, build_topology, dump_topology_stream
 
 from conftest import SEDAN, TRUCK, make_snapshot, make_vehicle
@@ -154,21 +153,37 @@ def assert_same_graph(got, want):
     assert [list(n) for n in got.adjacency] == [list(n) for n in want.adjacency]
 
 
+def snapshots_of(vehicles, timesteps, poses, rsu_position):
+    """The snapshot of ``vehicles`` at each step's poses, one build at a time."""
+    return [
+        WorldSnapshot(
+            ts,
+            ts * 0.1,
+            tuple(
+                dataclasses.replace(v, position=p, heading=h, speed=s)
+                for v, (p, h, s) in zip(vehicles, step)
+            ),
+            rsu_position,
+        )
+        for ts, step in zip(timesteps, poses)
+    ]
+
+
 def forecast_epochs(duration=20.0):
-    """Every planning epoch's forecast snapshots of a 30-vehicle mixed run."""
+    """The ``build_topologies`` inputs of every planning epoch of a
+    30-vehicle mixed run: (vehicles, timesteps, poses, rsu_position)."""
     cfg = default_config(
         duration=duration, vehicle_count=30, connected_fraction=0.5, seed=1,
         strategy=Strategy.PREDICTIVE,
     )
     epochs = []
 
-    def capture(history, now, *args, **kwargs):
-        plan = route_predictive(history, now, *args, **kwargs)
-        epochs.append(list(plan.forecast.values()))
-        return plan
+    def capture(*args):
+        epochs.append(args[:4])
+        return build_topologies(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "route_predictive", capture)
+        mp.setattr(routing, "build_topologies", capture)
         run_single(cfg)
     return cfg, epochs
 
@@ -176,8 +191,9 @@ def forecast_epochs(duration=20.0):
 def test_batched_build_equals_one_build_per_snapshot():
     cfg, epochs = forecast_epochs()
     assert len(epochs) == 10
-    for snaps in epochs:
-        got = build_topologies(snaps, cfg.channel, cfg.link_budget_db)
+    for epoch in epochs:
+        got = build_topologies(*epoch, cfg.channel, cfg.link_budget_db)
+        snaps = snapshots_of(*epoch)
         assert len(got) == len(snaps) == 20
         for graph, snap in zip(got, snaps):
             assert_same_graph(graph, build_topology(snap, cfg.channel, cfg.link_budget_db))
@@ -186,25 +202,28 @@ def test_batched_build_equals_one_build_per_snapshot():
 
 def moving_pair(steps, rsu_height=5.0):
     """A connected sedan driving past an unconnected truck, and a second
-    sedan leaving the RSU's range partway."""
-    return [
-        make_snapshot(
-            [
-                make_vehicle(0, 50.0 - 4.0 * k, 0.5, heading=math.pi),
-                make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK),
-                make_vehicle(2, 140.0 + 3.0 * k, 10.0),
-            ],
-            timestep=10 + k,
-            rsu_height=rsu_height,
-        )
+    sedan leaving the RSU's range partway: (vehicles, timesteps, poses,
+    rsu_position)."""
+    vehicles = [
+        make_vehicle(0, 50.0, 0.5, heading=math.pi),
+        make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK),
+        make_vehicle(2, 140.0, 10.0),
+    ]
+    poses = [
+        [
+            ((50.0 - 4.0 * k, 0.5, 0.0), math.pi, 10.0),
+            ((30.0, 0.0, 0.0), 0.0, 10.0),
+            ((140.0 + 3.0 * k, 10.0, 0.0), 0.0, 10.0),
+        ]
         for k in range(steps)
     ]
+    return vehicles, range(10, 10 + steps), poses, (0.0, 0.0, rsu_height)
 
 
 def test_batched_build_handles_range_and_blockers_changing_per_step():
-    snaps = moving_pair(8)
-    got = build_topologies(snaps, PARAMS, budget_db=130.0)
-    for graph, snap in zip(got, snaps):
+    batch = moving_pair(8)
+    got = build_topologies(*batch, PARAMS, budget_db=130.0)
+    for graph, snap in zip(got, snapshots_of(*batch), strict=True):
         assert_same_graph(graph, build_topology(snap, PARAMS, budget_db=130.0))
     assert {int(b) for g in got for b in g.edge_blockers} == {0, 1}
     v2 = NodeId.vehicle(2)
@@ -212,35 +231,25 @@ def test_batched_build_handles_range_and_blockers_changing_per_step():
     assert not got[-1].has_edge(NodeId.rsu(), v2)
 
 
+def test_batched_build_reads_poses_not_the_vehicles_own():
+    vehicles, timesteps, poses, rsu = moving_pair(3)
+    elsewhere = [dataclasses.replace(v, position=(-300.0, 0.0, 0.0)) for v in vehicles]
+    got = build_topologies(elsewhere, timesteps, poses, rsu, PARAMS, 130.0)
+    want = build_topologies(vehicles, timesteps, poses, rsu, PARAMS, 130.0)
+    for a, b in zip(got, want, strict=True):
+        assert_same_graph(a, b)
+
+
 def test_batched_build_of_vehicle_free_snapshots():
-    snaps = [make_snapshot([], timestep=t) for t in (3, 4, 5)]
-    got = build_topologies(snaps, PARAMS, BUDGET)
+    rsu = (0.0, 0.0, 5.0)
+    got = build_topologies([], [3, 4, 5], [[]] * 3, rsu, PARAMS, BUDGET)
     assert [g.timestep for g in got] == [3, 4, 5]
-    for graph, snap in zip(got, snaps):
+    for graph, snap in zip(got, snapshots_of([], [3, 4, 5], [[]] * 3, rsu)):
         assert graph.nodes == (NodeId.rsu(),)
         assert graph.adjacency == [{}]
         assert_same_graph(graph, build_topology(snap, PARAMS, BUDGET))
         assert graph.edge_i.dtype == np.int64 and graph.edge_loss.dtype == np.float64
-    assert build_topologies([], PARAMS, BUDGET) == []
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda vs: vs[:1],  # a vehicle left
-        lambda vs: [vs[1], vs[0]],  # another order
-        lambda vs: [vs[0], make_vehicle(5, 30.0, 0.0)],  # another id
-        lambda vs: [vs[0], dataclasses.replace(vs[1], connected=True)],
-        lambda vs: [vs[0], dataclasses.replace(vs[1], dimensions=(9.0, 2.5, 3.2))],
-        lambda vs: [vs[0], dataclasses.replace(vs[1], antenna_height=3.0)],
-    ],
-    ids=["count", "order", "id", "connected", "body", "antenna"],
-)
-def test_batched_build_rejects_snapshots_with_other_vehicles(change):
-    vehicles = [make_vehicle(0, 50.0, 0.0), make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK)]
-    snaps = [make_snapshot(vehicles, timestep=1), make_snapshot(change(vehicles), timestep=2)]
-    with pytest.raises(ValueError, match="timestep 2: vehicles differ"):
-        build_topologies(snaps, PARAMS, BUDGET)
+    assert build_topologies([], [], [], rsu, PARAMS, BUDGET) == []
 
 
 def test_coincident_vehicle_antennas_rejected():
@@ -257,9 +266,7 @@ def test_vehicle_antenna_at_the_rsu_rejected():
 
 
 def test_coincident_antennas_rejected_at_their_step_of_a_batch():
-    moving = [make_vehicle(1, 20.0 + k, 0.0) for k in range(3)]
-    snaps = [
-        make_snapshot([v, make_vehicle(2, 21.0, 0.0)], timestep=7 + k) for k, v in enumerate(moving)
-    ]
+    vehicles = [make_vehicle(1, 20.0, 0.0), make_vehicle(2, 21.0, 0.0)]
+    poses = [[((20.0 + k, 0.0, 0.0), 0.0, 10.0), ((21.0, 0.0, 0.0), 0.0, 10.0)] for k in range(3)]
     with pytest.raises(ValueError, match="timestep 8: antennas of v1 and v2 coincide"):
-        build_topologies(snaps, PARAMS, BUDGET)
+        build_topologies(vehicles, [7, 8, 9], poses, (0.0, 0.0, 5.0), PARAMS, BUDGET)
