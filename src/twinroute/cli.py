@@ -171,8 +171,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log(f"{args.trace}: {exc}")
         return EXIT_CONFIG
-    if not snapshots:
-        log("trace contains no snapshots")
+    # the first snapshot only seeds the twin's history, so reliability
+    # needs a connected vehicle in a later one
+    if not any(snap.connected_vehicles() for snap in snapshots[1:]):
+        log(
+            f"{args.trace}: nothing to score: {len(snapshots)} snapshot(s), and none"
+            " after the first (which only seeds the history) has a connected vehicle"
+        )
         return EXIT_CONFIG
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     result = run_single(cfg, snapshots)

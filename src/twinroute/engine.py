@@ -105,7 +105,7 @@ class _PeriodicDriver:
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
         if self._next_update is None or timestep >= self._next_update:
             graph = world.graph_at(timestep - self.lag)
-            self._table = route_realtime(graph, self.config.max_hops)
+            self._table = route_realtime(graph, self.config.max_hops, self._table)
             self._next_update = timestep + self.period
         return self._table
 

@@ -7,11 +7,13 @@ as blocked.
 
 :func:`blockage_count_matrix` counts blockers for every antenna pair of
 one or more steps that share their antennas and bodies (a forecast
-horizon, or a single snapshot as one step) in two phases. A conservative
-broad phase (bounding circles and roof heights, with a margin that scales
-with the coordinates) culls most (step, box, pair) combinations with cheap
-comparisons; the slab test then runs only on the survivors, so its counts
-equal those of the same test applied to one segment and one box at a time.
+horizon, or a single snapshot as one step). It first drops every body
+whose roof stays below the batch's lowest antenna (sedans under any
+antenna), then works in two phases. A conservative broad phase (bounding
+circles and roof heights, with a margin that scales with the coordinates)
+culls most (step, box, pair) combinations with cheap comparisons; the slab
+test then runs only on the survivors, so its counts equal those of the
+same test applied to one segment and one box at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,24 @@ def blockage_count_matrix(
     n_pairs = len(pairs)
     if n_steps == 0 or n_pairs == 0 or n_boxes == 0:
         return np.zeros((n_steps, n_pairs), dtype=np.int64)
+    # the margin (argued below) depends on every box, dropped ones included
+    scale = max(np.abs(points).max(), np.abs(box_centers).max()) + box_half_extents.max()
+    margin = 1e-9 * (1.0 + scale)
+
+    # Drop the bodies below every antenna: a box whose highest roof over the
+    # batch, plus the margin, is below the batch's lowest antenna fails the
+    # roof test below for every step and pair. The roof sums round as there,
+    # and rounding is monotone, so the max over steps is the same float.
+    roofs = (box_centers[:, :, 2] + box_half_extents[:, 2]).max(axis=0)
+    tall = np.flatnonzero(roofs + margin >= points[:, :, 2].min())
+    if len(tall) < n_boxes:
+        if len(tall) == 0:
+            return np.zeros((n_steps, n_pairs), dtype=np.int64)
+        box_centers = box_centers.take(tall, axis=1)
+        box_half_extents = box_half_extents.take(tall, axis=0)
+        box_yaws = box_yaws.take(tall, axis=1)
+        box_owner_keys = box_owner_keys.take(tall)
+        n_boxes = len(tall)
 
     # segment ends as (S, 1, P) and box centers as (S, B, 1), so that they
     # broadcast to (S, B, P)
@@ -71,8 +91,6 @@ def blockage_count_matrix(
     # origin. L is taken over every step of the batch, so the margin is at
     # least each step's own: a batch only keeps more combinations for the
     # exact slab test, and never changes a count.
-    scale = max(np.abs(points).max(), np.abs(box_centers).max()) + box_half_extents.max()
-    margin = 1e-9 * (1.0 + scale)
     reach = (np.hypot(hx, hy) + margin)[:, None]
     keep = cx - reach <= np.maximum(ax, bx)  # (S, B, P)
     keep &= cx + reach >= np.minimum(ax, bx)

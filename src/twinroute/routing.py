@@ -5,7 +5,10 @@ RSU over a connectivity graph; they differ only in which snapshot that
 graph comes from and how often it is rebuilt (the engine owns the
 cadence). Route choice minimizes hop count first, total path loss second,
 and breaks remaining exact ties by the lexicographically smallest node
-sequence, so results are deterministic and order-independent.
+sequence, so results are deterministic and order-independent. A route is
+immutable, and a table reuses the earlier table's route object for every
+source whose hops did not change, so route tables may share ``Route``
+objects.
 """
 
 from __future__ import annotations
@@ -47,34 +50,44 @@ RouteTable = dict[NodeId, Route | None]
 
 def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[tuple[int, float]]]]:
     """BFS hop depth of every node from the RSU (None if unreachable), and
-    per node its (neighbour, loss) pairs one layer closer to the RSU."""
+    per node its (neighbour, loss) pairs one layer closer to the RSU, in
+    index order.
+
+    Layer 1 is the RSU's own row. Each deeper layer is found bottom-up
+    (Beamer, Asanovic & Patterson, 2012): every still-unreached node scans
+    its own row for neighbours in the layer just found, which yields its
+    down list in the same sweep. Depths and down lists equal a plain BFS.
+    """
     adjacency = graph.adjacency
     depth: list[int | None] = [None] * len(adjacency)
+    down: list[list[tuple[int, float]]] = [[] for _ in adjacency]
     depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if depth[v] is None:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    down = [
-        [(v, loss) for v, loss in nbrs.items() if depth[v] == depth[u] - 1] if depth[u] else []
-        for u, nbrs in enumerate(adjacency)
-    ]
+    for v, loss in adjacency[0].items():
+        depth[v] = 1
+        down[v] = [(0, loss)]
+    unreached = [v for v in range(1, len(adjacency)) if depth[v] is None]
+    layer = 1
+    while unreached:
+        rest = []
+        for v in unreached:
+            closer = [(u, loss) for u, loss in adjacency[v].items() if depth[u] == layer]
+            if closer:
+                depth[v] = layer + 1
+                down[v] = closer
+            else:
+                rest.append(v)
+        if len(rest) == len(unreached):
+            break
+        unreached = rest
+        layer += 1
     return depth, down
 
 
 def _route_from(
-    graph: ConnectivityGraph,
-    source: int,
-    depth: list[int | None],
-    down: list[list[tuple[int, float]]],
-    max_hops: int | None,
-) -> Route | None:
-    """Best route from node index ``source`` over the hop-layer DAG.
+    nodes: tuple[NodeId, ...], source: int, hops: int, down: list[list[tuple[int, float]]]
+) -> tuple[NodeId, ...]:
+    """Hops of the best route from node index ``source``, ``hops`` layers
+    from the RSU, over the hop-layer DAG.
 
     Every min-hop path steps one layer closer to the RSU per hop. A
     Dijkstra search on (hops, loss, path) labels from the source settles
@@ -83,9 +96,6 @@ def _route_from(
     below takes. Labels are (loss summed source-first, index path), and
     index order is NodeId order, so the route equals that search's.
     """
-    hops = depth[source]
-    if hops is None or (max_hops is not None and hops > max(max_hops, 1)):
-        return None
     labels = {source: (0.0, (source,))}
     for _ in range(hops):
         nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -96,21 +106,40 @@ def _route_from(
                 if best is None or label < best:
                     nxt[v] = label
         labels = nxt
-    nodes = graph.nodes
-    return Route(nodes[source], tuple(nodes[k] for k in labels[0][1]))
+    return tuple(nodes[k] for k in labels[0][1])
 
 
-def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
+def route_realtime(
+    graph: ConnectivityGraph, max_hops: int | None = None, previous: RouteTable | None = None
+) -> RouteTable:
     """Route every vehicle node of ``graph`` to the RSU, in node order.
 
     The graph's nodes are the connected vehicles of the snapshot it was
     built from. The engine decides which snapshot that is: with a
     control-plane latency it lags the scoring time, so the table may
     already be stale when it is applied.
+
+    A node one hop from the RSU routes straight to it. Where ``previous``,
+    an earlier table, holds a route with the same hops for a source, the
+    new table holds that same ``Route`` object, so tables may share routes.
+    A direct link wins whatever ``max_hops`` is.
     """
     depth, down = _hop_layers(graph)
     nodes = graph.nodes
-    return {nodes[k]: _route_from(graph, k, depth, down, max_hops) for k in range(1, len(nodes))}
+    rsu = nodes[0]
+    cap = None if max_hops is None else max(max_hops, 1)
+    previous = previous or {}
+    table: RouteTable = {}
+    for k in range(1, len(nodes)):
+        source = nodes[k]
+        layer = depth[k]
+        if layer is None or (cap is not None and layer > cap):
+            table[source] = None
+            continue
+        hops = (source, rsu) if layer == 1 else _route_from(nodes, k, layer, down)
+        old = previous.get(source)
+        table[source] = old if old is not None and old.hops == hops else Route(source, hops)
+    return table
 
 
 @dataclass(frozen=True)
@@ -172,7 +201,11 @@ def route_predictive(
     graphs = build_topologies(
         last.vehicles, timesteps, poses, last.rsu_position, params, budget_db
     )
-    entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
+    # each step's table reuses the step before's routes wherever they hold
+    entries: dict[int, RouteTable] = {}
+    table = None
+    for g in graphs:
+        table = entries[g.timestep] = route_realtime(g, max_hops, table)
     ids = [t.vehicle for t in tracks]
     forecast = {
         ts: tuple(zip(ids, [p for p, _, _ in step])) for ts, step in zip(timesteps, poses)

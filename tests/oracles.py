@@ -8,8 +8,9 @@ slow and only run at small scale. The exceptions are the exact references
 that faster code replaced and must still match: the scalar slab test
 (``ObstacleBox``, ``box_from_vehicle``, ``segment_intersects_box`` and
 ``blockage_count``) and the dense blockage kernel for the two-phase one,
-the numpy pose lookup for the bisect one, and ``node_key``, the
-(kind, index) order that int-coded node ids must sort in.
+the numpy pose lookup for the bisect one, the top-down BFS for the
+bottom-up hop layering, and ``node_key``, the (kind, index) order that
+int-coded node ids must sort in.
 """
 
 from __future__ import annotations
@@ -381,6 +382,30 @@ def oracle_shortest_path(graph, source, max_hops=None):
 
     walk(source, {source}, 0, 0.0, [source])
     return None if best is None else best[1]
+
+
+def oracle_hop_layers(adjacency):
+    """Plain top-down BFS from node 0 over one ``{neighbour: loss}`` dict
+    per node: the hop depth of every node (None if unreachable), and per
+    node its (neighbour, loss) pairs one layer closer to node 0, in the
+    dict's order. The layering the router used before it read layer 1
+    from the RSU's row and found deeper layers bottom-up."""
+    depth = [None] * len(adjacency)
+    depth[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if depth[v] is None:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    down = [
+        [(v, loss) for v, loss in nbrs.items() if depth[v] == depth[u] - 1] if depth[u] else []
+        for u, nbrs in enumerate(adjacency)
+    ]
+    return depth, down
 
 
 def oracle_dijkstra_route(graph, source, max_hops=None):

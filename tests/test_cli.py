@@ -382,6 +382,32 @@ def test_replay_bad_trace_exits_2_naming_the_line(tmp_path, row, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,0.0,4,1,0.0,2.0,0.0,5.0"], "nothing to score: 1 snapshot(s)"),
+        (
+            ["0,0.0,4,1,0.0,2.0,0.0,5.0", "1,0.1,5,0,8.0,2.0,0.0,5.0", "2,0.2,5,0,8.5,2.0,0.0,5.0"],
+            "nothing to score: 3 snapshot(s)",
+        ),
+    ],
+    ids=["one-snapshot", "none-connected-later"],
+)
+def test_replay_with_nothing_to_score_exits_2_naming_the_trace(tmp_path, rows, message):
+    cfg_path = write_small_config(tmp_path / "s.yaml")
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "timestep,sim_time,id,connected,x,y,heading,speed\n" + "\n".join(rows) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{trace}: {message}" in proc.stderr
+    assert "runtime error" not in proc.stderr
+    assert not out.exists()
+
+
 def test_main_callable_directly(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     assert main(["validate", str(cfg)]) == 0

@@ -411,3 +411,86 @@ def test_batch_kernel_matches_dense_reference_on_every_forecast_epoch(monkeypatc
     # one call per 2 s planning epoch, each over the 2 s (20-step) horizon
     assert [steps for steps, _ in epochs] == [20] * 10
     assert sum(blocked for _, blocked in epochs) > 0
+
+
+def assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, box_owners):
+    """A batched kernel call vs the dense oracle per step: same counts, same dtype."""
+    args = (np.asarray(points, dtype=np.float64), np.asarray(pairs), np.asarray(pair_owners),
+            np.asarray(centers, dtype=np.float64), np.asarray(halves, dtype=np.float64),
+            np.asarray(yaws, dtype=np.float64), np.asarray(box_owners))
+    got = blockage_count_matrix(*args)
+    want = oracle_per_step(*args)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (len(args[0]), len(args[1]))
+    assert np.array_equal(got, want)
+    return got
+
+
+def crossing_scene(n_steps, antenna_z, boxes):
+    """Level segments at ``antenna_z`` along x through each box's center, over
+    ``n_steps`` steps; ``boxes`` are (x, y, half extents, yaw) resting on the
+    ground, owned by 10, 11, ..."""
+    segments = [((x - 10, y, antenna_z), (x + 10, y, antenna_z)) for x, y, _, _ in boxes]
+    pts = np.array([p for seg in segments for p in seg], dtype=np.float64)
+    centers = np.array([(x, y, half[2]) for x, y, half, _ in boxes])
+    return (
+        np.stack([pts] * n_steps), np.arange(len(pts)).reshape(-1, 2),
+        np.full((len(segments), 2), -1), np.stack([centers] * n_steps),
+        [half for _, _, half, _ in boxes], np.array([[yaw for *_, yaw in boxes]] * n_steps),
+        np.arange(10, 10 + len(boxes)),
+    )
+
+
+def test_batch_kernel_bodies_below_every_antenna_block_nothing():
+    # sedan roofs at 1.5 m under antennas at 1.6 m and above: every box is culled
+    sedans = [(x, 0.5 * x, (2.25, 0.9, 0.75), 0.3 * x) for x in (-20.0, 0.0, 15.0)]
+    got = assert_batch_matches(*crossing_scene(3, 1.6, sedans))
+    assert got.shape == (3, 3) and not got.any()
+    # beside trucks that do block (each truck's segment runs through both),
+    # the culled sedans leave every count as it was
+    trucks = [(x, -8.0, (4.0, 1.25, 1.6), 0.1 * x) for x in (-5.0, 5.0)]
+    got = assert_batch_matches(*crossing_scene(2, 1.6, sedans + trucks))
+    assert got.tolist() == [[0, 0, 0, 2, 2]] * 2
+
+
+def test_batch_kernel_counts_a_roof_grazing_the_lowest_antenna():
+    # 0.8 + 0.8 == 1.6 exactly: the roof is at the antenna height, and the
+    # closed slab test counts the touch
+    got = assert_batch_matches(*crossing_scene(2, 1.6, [(3.0, -2.0, (2.25, 0.9, 0.8), 0.0)]))
+    assert got.tolist() == [[1], [1]]
+
+
+def test_batch_kernel_counts_a_roof_a_rounding_below_the_lowest_antenna():
+    # the roof -0.9 + 1.0 rounds to one float below the antenna, yet the
+    # float slab test reads a - cz = 1.0 == hz and reports a touch at t = 0:
+    # only the margin keeps this box
+    roof = -0.9 + 1.0
+    a_z = np.nextafter(roof, np.inf)
+    assert roof < a_z and a_z - -0.9 == 1.0
+    points = [[(0.0, 0.0, a_z), (10.0, 0.0, 5.0)]]
+    got = assert_batch_matches(
+        points, [[0, 1]], [[-1, -1]], [[(0.0, 0.0, -0.9)]], [(2.0, 1.0, 1.0)], [[0.0]], [7]
+    )
+    assert got.tolist() == [[1]]
+
+
+@pytest.mark.parametrize("tall_step", [0, 1])
+def test_batch_kernel_culls_on_the_batch_extremes_not_per_step(tall_step):
+    """The box's roof is highest at one step and the lowest antenna stands at
+    the other; only the step where the box reaches the antennas counts it."""
+    low = 1 - tall_step
+    half = (2.25, 0.9, 0.75)
+    scene = crossing_scene(2, 1.6, [(0.0, 0.0, half, 0.0)])
+    points, pairs, pair_owners, centers, halves, yaws, owners = scene
+    points[low, :, 2] = 1.6  # the batch's lowest antenna, over the low roof
+    points[tall_step, :, 2] = 2.0
+    centers[low, :, 2] = 0.75  # roof 1.5
+    centers[tall_step, :, 2] = 1.5  # roof 2.25, over the antennas at 2.0
+    got = assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, owners)
+    assert got[:, 0].tolist() == [int(s == tall_step) for s in (0, 1)]
+    # antennas lowest where the box is tall, high above it at the other step
+    points[tall_step, :, 2] = 1.0
+    points[low, :, 2] = 3.0
+    centers[:, :, 2] = 0.75
+    got = assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, owners)
+    assert got[:, 0].tolist() == [int(s == tall_step) for s in (0, 1)]

@@ -16,6 +16,7 @@ from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor
 from twinroute.routing import (
     Route,
+    _hop_layers,
     dump_route_table,
     route_predictive,
     route_realtime,
@@ -24,7 +25,7 @@ from twinroute.routing import (
 from twinroute.topology import ConnectivityGraph, build_topology
 
 from conftest import TRUCK, graph_from_losses, make_snapshot, make_vehicle
-from oracles import node_key, oracle_dijkstra_route, oracle_shortest_path
+from oracles import node_key, oracle_dijkstra_route, oracle_hop_layers, oracle_shortest_path
 
 PARAMS = default_channel_params()
 RSU = NodeId.rsu()
@@ -187,6 +188,99 @@ def test_route_realtime_matches_oracles(g, max_hops):
     vehicles = g.nodes[1:]
     assert got == {s: oracle_shortest_path(g, s, max_hops) for s in vehicles}, losses
     assert got == {s: oracle_dijkstra_route(g, s, max_hops) for s in vehicles}, losses
+
+
+@st.composite
+def sparse_links(draw, n_vehicles):
+    """Links among the RSU and ``n_vehicles`` vehicles: a chain out from the
+    RSU through some of them, which sets deep layers unless a shortcut
+    cuts it, plus a few random links. Vehicles off both stay unreachable,
+    and an empty chain leaves the RSU with no neighbours unless a random
+    link reaches it."""
+    order = draw(st.permutations(range(n_vehicles)))
+    chain = ["rsu", *order[: draw(st.integers(0, n_vehicles))]]
+    links = {(a, b): draw(TIE_LOSSES) for a, b in zip(chain, chain[1:])}
+    ends = st.sampled_from(["rsu", *range(n_vehicles)])
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=n_vehicles)):
+        if a != b:
+            links[(a, b)] = draw(TIE_LOSSES)
+    return links
+
+
+@st.composite
+def sparse_graphs(draw):
+    n_vehicles = draw(st.integers(1, 12))
+    return graph_from_losses(draw(sparse_links(n_vehicles)), range(n_vehicles))
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs over the same vehicles; the second keeps about three in
+    four of the first's links and adds a few, so many routes survive."""
+    n_vehicles = draw(st.integers(1, 10))
+    before = draw(sparse_links(n_vehicles))
+    after = {pair: loss for pair, loss in before.items() if draw(st.integers(0, 3))}
+    ends = st.sampled_from(["rsu", *range(n_vehicles)])
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=3)):
+        if a != b:
+            after[(a, b)] = draw(TIE_LOSSES)
+    vehicles = range(n_vehicles)
+    return graph_from_losses(before, vehicles), graph_from_losses(after, vehicles)
+
+
+# depth 5 down a chain whose last node has two ways one layer closer,
+# with a two-node island beside it
+DEEP_CHAIN = {("rsu", 0): 90.0, (0, 1): 80.0, (1, 2): 80.0, (2, 3): 80.0, (3, 4): 80.0,
+              (4, 5): 80.0, (2, 4): 95.0, (3, 5): 70.0, (6, 7): 80.0}
+# the RSU has no neighbours
+LONE_RSU = {(0, 1): 80.0, (1, 2): 95.0}
+
+
+def test_hop_layer_examples_cover_deep_and_unreachable_nodes():
+    depth, down = oracle_hop_layers(graph_from_losses(DEEP_CHAIN).adjacency)
+    assert depth == [0, 1, 2, 3, 4, 4, 5, None, None]
+    assert down[6] == [(4, 70.0), (5, 80.0)]
+    depth, _ = oracle_hop_layers(graph_from_losses(LONE_RSU).adjacency)
+    assert depth == [0, None, None, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=sparse_graphs())
+@example(g=graph_from_losses(DEEP_CHAIN))
+@example(g=graph_from_losses(LONE_RSU))
+@example(g=graph_from_losses(SOURCE_FIRST_TIE))
+def test_hop_layers_equal_a_plain_bfs(g):
+    assert _hop_layers(g) == oracle_hop_layers(g.adjacency)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs=graph_pairs(), max_hops=st.none() | st.integers(1, 4))
+def test_route_realtime_reuses_exactly_the_unchanged_routes(graphs, max_hops):
+    before, after = graphs
+    previous = route_realtime(before, max_hops)
+    fresh = route_realtime(after, max_hops)
+    table = route_realtime(after, max_hops, previous)
+    assert list(table) == list(fresh)
+    old_ids = {id(route) for route in previous.values()}
+    for source, route in table.items():
+        want, old = fresh[source], previous.get(source)
+        if want is None:
+            assert route is None
+            continue
+        assert route.hops == want.hops
+        if old is not None and old.hops == want.hops:
+            assert route is old
+        else:
+            assert id(route) not in old_ids
+
+
+def test_route_realtime_on_an_unchanged_graph_returns_the_same_routes():
+    g = graph_from_losses(DEEP_CHAIN)
+    previous = route_realtime(g)
+    table = route_realtime(g, None, previous)
+    assert table == previous
+    assert all(table[s] is previous[s] for s in table)
+    assert sum(route is not None for route in table.values()) == 6
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
@@ -352,17 +446,17 @@ def test_predictive_fallback_on_failing_predictor():
     assert plan.entries[3][NodeId.vehicle(0)] is not None
 
 
-def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
-    """A forecast is per-step poses of the last observed vehicles: planning
-    an epoch validates no VehicleState and wraps no step in a WorldSnapshot."""
+def plan_counting(monkeypatch, classes):
+    """One 20-step epoch of a 30-vehicle mixed run, and every object of
+    ``classes`` validated while planning it, as (class name, object)."""
     cfg = default_config(duration=5.0, vehicle_count=30, connected_fraction=0.5, seed=1)
     history = list(snapshot_stream(cfg))[-11:]
     assert len(history[-1].vehicles) > 10
     built = []
-    for cls in (VehicleState, WorldSnapshot):
+    for cls in classes:
 
         def counted(self, check=cls.__post_init__):
-            built.append(type(self).__name__)
+            built.append((type(self).__name__, self))
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
@@ -372,9 +466,35 @@ def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
         budget_db=cfg.link_budget_db,
     )
     assert len(plan.entries) == len(plan.forecast) == 20
+    return plan, built
+
+
+def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
+    """A forecast is per-step poses of the last observed vehicles: planning
+    an epoch validates no VehicleState and wraps no step in a WorldSnapshot."""
+    _, built = plan_counting(monkeypatch, (VehicleState, WorldSnapshot))
     assert built == []
     make_vehicle(0, 30.0, 0.0)  # the patched checks still count
-    assert built == ["VehicleState"]
+    assert [name for name, _ in built] == ["VehicleState"]
+
+
+def test_a_predictive_epoch_builds_a_route_only_where_one_changes(monkeypatch):
+    """Each step's table reuses the step before's routes wherever the hops
+    hold, so the epoch validates one Route per change of a source's hops;
+    here that is one per distinct hops tuple, where one per source and step
+    would be 160."""
+    plan, built = plan_counting(monkeypatch, (Route,))
+    changes = []
+    before = {}
+    for table in plan.entries.values():
+        for source, route in table.items():
+            if route is not None and (before.get(source) is None or before[source].hops != route.hops):
+                changes.append(route)
+        before = table
+    assert [route for _, route in built] == changes
+    routes = [route for table in plan.entries.values() for route in table.values() if route]
+    assert len(routes) == 160
+    assert len(built) <= len({route.hops for route in routes})
 
 
 def test_dump_route_table_format():
