@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -171,6 +172,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log(f"{args.trace}: {exc}")
         return EXIT_CONFIG
+    # a trace recorded at another step length would be scored on the wrong clock
+    for snap in snapshots:
+        expected = snap.timestep * cfg.dt
+        if not math.isclose(snap.sim_time, expected):
+            log(
+                f"{args.trace}: timestep {snap.timestep} has sim_time {snap.sim_time!r},"
+                f" not timestep * dt = {expected!r} (dt {cfg.dt!r})"
+            )
+            return EXIT_CONFIG
     # the first snapshot only seeds the twin's history, so reliability
     # needs a connected vehicle in a later one
     if not any(snap.connected_vehicles() for snap in snapshots[1:]):

@@ -16,6 +16,11 @@ truth. Drivers differ only in where their tables come from:
 Real-time and conventional share one periodic driver: (period, lag) of
 (1 step, latency) and (update interval, 0).
 
+The engine reads one consecutive snapshot stream, as the mobility twin
+produces it: each timestep is one more than the last, so a past step is
+found by its offset from the oldest retained snapshot. Outcomes keep
+counts per step, not per vehicle.
+
 Several variants can share one run's traffic and ground-truth graphs;
 every piece is a pure function of (config, seed), so results are identical
 to running each variant alone.
@@ -25,8 +30,9 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .config import ScenarioConfig, validate_config
 from .metrics import (
@@ -36,7 +42,7 @@ from .metrics import (
     write_detail,
 )
 from .mobility import snapshot_stream
-from .model import NodeId, Strategy, VehicleState, WorldSnapshot, delay_to_steps, seconds_to_steps
+from .model import Strategy, WorldSnapshot, delay_to_steps, seconds_to_steps
 from .prediction import make_predictor
 from .routing import (
     ROUTE_DUMP_HEADER,
@@ -59,29 +65,21 @@ class ConfigError(ValueError):
 
 
 class _SharedWorld:
-    """Per-step context shared by all variants of one run."""
+    """Per-step context shared by all variants of one run: the newest
+    ``history_steps`` snapshots of a consecutive stream, and their graphs."""
 
     def __init__(self, config: ScenarioConfig, history_steps: int):
         self.config = config
         self.history: deque[WorldSnapshot] = deque(maxlen=history_steps)
         self.graphs: dict[int, ConnectivityGraph] = {}
-        self._graph_keep = history_steps
 
     def push(self, snap: WorldSnapshot) -> None:
         self.history.append(snap)
-        stale = [ts for ts in self.graphs if ts < snap.timestep - self._graph_keep]
-        for ts in stale:
-            del self.graphs[ts]
+        self.graphs.pop(snap.timestep - self.history.maxlen, None)
 
     def snapshot_at(self, timestep: int) -> WorldSnapshot:
         """Snapshot for ``timestep``, or the oldest retained one if older."""
-        oldest = self.history[0]
-        if timestep <= oldest.timestep:
-            return oldest
-        for snap in reversed(self.history):
-            if snap.timestep <= timestep:
-                return snap
-        return oldest
+        return self.history[max(timestep - self.history[0].timestep, 0)]
 
     def graph_at(self, timestep: int) -> ConnectivityGraph:
         snap = self.snapshot_at(timestep)
@@ -133,10 +131,9 @@ class _PredictiveDriver:
     def _replan(self, now: int, world: _SharedWorld) -> None:
         cfg = self.config
         window_steps = seconds_to_steps(cfg.prediction.history_window, cfg.dt)
-        newest = now - self.lag
-        history = [s for s in world.history if s.timestep <= newest][-(window_steps + 1):]
-        if not history:
-            history = [world.history[0]]
+        # the window ends at the lagged snapshot, or the oldest one retained
+        end = max(now - self.lag - world.history[0].timestep, 0) + 1
+        history = list(islice(world.history, max(end - window_steps - 1, 0), end))
         self._plan = route_predictive(
             history,
             now,
@@ -152,16 +149,9 @@ class _PredictiveDriver:
 
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable | None:
         # plan one step ahead of application so the schedule covers this step
-        if self._next_epoch is None:
+        if self._next_epoch is None or timestep > self._next_epoch:
             self._replan(timestep - 1, world)
             self._next_epoch = timestep - 1 + self.interval_steps
-        elif timestep > self._next_epoch:
-            # a gap in the stream can skip epochs: replan once, from the last
-            # epoch at or before the step before this one
-            skipped = (timestep - 1 - self._next_epoch) // self.interval_steps
-            epoch = self._next_epoch + skipped * self.interval_steps
-            self._replan(epoch, world)
-            self._next_epoch = epoch + self.interval_steps
         forecast = self._plan.forecast.get(timestep)
         if forecast is not None:
             truth = {v.id: v.position for v in world.history[-1].vehicles}
@@ -189,25 +179,19 @@ def _make_driver(config: ScenarioConfig) -> _PeriodicDriver | _PredictiveDriver:
 
 
 def _score(
-    table: RouteTable | None,
-    truth: ConnectivityGraph,
-    timestep: int,
-    connected: Sequence[VehicleState],
+    table: RouteTable | None, truth: ConnectivityGraph, timestep: int
 ) -> TimestepOutcome:
-    """Check the route of every vehicle in ``connected`` (in id order)."""
-    per_vehicle: dict[NodeId, bool] = {}
+    """Check the route of every connected vehicle, the nodes after the RSU."""
+    sources = truth.nodes[1:]
     satisfied = 0
     hop_total = 0
-    for v in connected:
-        route = table.get(v.id) if table is not None else None
-        ok = score_route(route, truth)
-        per_vehicle[v.id] = ok
-        if ok:
+    for node in sources:
+        route = table.get(node) if table is not None else None
+        if score_route(route, truth):
             satisfied += 1
             hop_total += route.hop_count
-    total = len(per_vehicle)
     mean_hops = hop_total / satisfied if satisfied else 0.0
-    return TimestepOutcome(timestep, total, satisfied, per_vehicle, mean_hops)
+    return TimestepOutcome(timestep, len(sources), satisfied, mean_hops)
 
 
 _TRAFFIC_FIELDS = (
@@ -238,6 +222,8 @@ def run_variants(
     settings, the conventional update interval and the hop cap. When
     ``snapshots`` is given it replaces generated traffic. The first
     snapshot only seeds the twin's history; every later one is scored.
+    Each snapshot's timestep must be one more than the previous one's;
+    otherwise ValueError names both.
     """
     if not variants:
         raise ValueError("no variants to run")
@@ -279,15 +265,17 @@ def run_variants(
         truth = world.graph_at(snap.timestep)
         if topology_dump is not None:
             dump_topology(truth, topology_dump)
-        connected = sorted(snap.connected_vehicles(), key=lambda v: v.id)
         for name, driver in drivers.items():
             table = driver.table_for(snap.timestep, world)
-            outcome = _score(table, truth, snap.timestep, connected)
+            outcome = _score(table, truth, snap.timestep)
             accumulators[name].record(outcome)
             if route_dump is not None and table is not None:
                 dump_route_table(table, truth, snap.timestep, route_dump)
 
     for snap in stream:
+        previous = world.history[-1].timestep
+        if snap.timestep != previous + 1:
+            raise ValueError(f"timestep {snap.timestep} does not follow {previous}")
         world.push(snap)
         score_step(snap)
 
@@ -315,8 +303,9 @@ def run_single(
     """Execute one full run of the configured strategy.
 
     ``snapshots``, when given, replace generated traffic: the first one
-    seeds the twin's history and every later one is scored. Bitwise
-    deterministic for a fixed (config, seed) or snapshot stream.
+    seeds the twin's history and every later one, at the next timestep, is
+    scored. Bitwise deterministic for a fixed (config, seed) or snapshot
+    stream.
     """
     results = run_variants(
         {"run": config},

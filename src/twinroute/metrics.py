@@ -15,17 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from .model import NodeId
-
 
 @dataclass
 class TimestepOutcome:
-    """Connection outcomes for one scored timestep."""
+    """Connection counts for one scored timestep: how many connected
+    vehicles there were, how many of their routes held in the ground
+    truth, and the mean hop count of those that held."""
 
     timestep: int
     connected_total: int
     connected_satisfied: int
-    per_vehicle: dict[NodeId, bool]
     mean_hops_of_valid_routes: float = 0.0
 
     def __post_init__(self) -> None:

@@ -19,6 +19,7 @@ The whole stream is a pure function of (config, seed).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -75,7 +76,6 @@ class RoutePlan:
     lane: int
     maneuver: Maneuver
     waypoints: tuple[tuple[float, float], ...]
-    cruise_speed: float
     exit_arm: Arm
     cum_lengths: tuple[float, ...]  # arc length at each waypoint
     headings: tuple[float, ...]  # heading of each segment
@@ -96,15 +96,17 @@ class RoutePlan:
         return (ax + (bx - ax) * frac, ay + (by - ay) * frac, self.headings[i])
 
 
+@functools.cache
 def build_route_plan(
     entry_arm: Arm,
     lane: int,
     maneuver: Maneuver,
-    cruise_speed: float,
     arm_length: float,
     lane_count: int,
     lane_width: float,
 ) -> RoutePlan:
+    """The lane's path for one maneuver; built once and shared, as plans
+    are immutable and depend on nothing else."""
     axis = _ARM_AXIS[entry_arm]
     u = (-axis[0], -axis[1])  # inbound heading
     offset = (lane + 0.5) * lane_width
@@ -160,7 +162,6 @@ def build_route_plan(
         lane=lane,
         maneuver=maneuver,
         waypoints=waypoints,
-        cruise_speed=cruise_speed,
         exit_arm=exit_arm,
         cum_lengths=tuple(cum.tolist()),
         headings=tuple(
@@ -174,9 +175,7 @@ def build_route_plan(
 @dataclass
 class SpawnRequest:
     release_time: float
-    arm: Arm
-    lane: int
-    maneuver: Maneuver
+    plan: RoutePlan
     vclass: VehicleClassSpec
     cruise_speed: float
     connected: bool
@@ -187,6 +186,7 @@ class ActiveVehicle:
     index: int
     vclass: VehicleClassSpec
     plan: RoutePlan
+    cruise_speed: float
     progress: float
     connected: bool
     effective_speed: float
@@ -230,9 +230,10 @@ class TrafficState:
 
 def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
     cfg = state.config
+    geometry = cfg.intersection
     rng = state.rng
     arm = list(Arm)[int(rng.integers(0, 4))]
-    lane = int(rng.integers(0, cfg.intersection.lane_count))
+    lane = int(rng.integers(0, geometry.lane_count))
     maneuver = list(Maneuver)[
         int(rng.choice(3, p=np.asarray(MANEUVER_WEIGHTS) / sum(MANEUVER_WEIGHTS)))
     ]
@@ -242,9 +243,9 @@ def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
     connected = bool(rng.random() < cfg.connected_fraction)
     return SpawnRequest(
         release_time=release_time,
-        arm=arm,
-        lane=lane,
-        maneuver=maneuver,
+        plan=build_route_plan(
+            arm, lane, maneuver, geometry.arm_length, geometry.lane_count, geometry.lane_width
+        ),
         vclass=vclass,
         cruise_speed=cruise,
         connected=connected,
@@ -273,36 +274,27 @@ def init_traffic(config: ScenarioConfig) -> TrafficState:
     return state
 
 
-def _spawn_clear(state: TrafficState, req: SpawnRequest) -> bool:
-    gap = state.config.mobility.min_gap
-    for v in state.active:
-        if v.plan.entry_arm is req.arm and v.plan.lane == req.lane and v.progress < gap:
-            return False
-    return True
-
-
 def _release_spawns(state: TrafficState, now: float) -> None:
+    """Admit due requests, in order, while below the vehicle count and
+    while no vehicle is still within ``min_gap`` of the lane's start."""
+    gap = state.config.mobility.min_gap
     remaining: list[SpawnRequest] = []
     for req in state.pending:
+        arm, lane = req.plan.entry_arm, req.plan.lane
         if (
             req.release_time <= now + 1e-9
             and len(state.active) < state.config.vehicle_count
-            and _spawn_clear(state, req)
-        ):
-            plan = build_route_plan(
-                req.arm,
-                req.lane,
-                req.maneuver,
-                req.cruise_speed,
-                state.config.intersection.arm_length,
-                state.config.intersection.lane_count,
-                state.config.intersection.lane_width,
+            and not any(
+                v.progress < gap and v.plan.entry_arm is arm and v.plan.lane == lane
+                for v in state.active
             )
+        ):
             state.active.append(
                 ActiveVehicle(
                     index=state.next_vehicle_index,
                     vclass=req.vclass,
-                    plan=plan,
+                    plan=req.plan,
+                    cruise_speed=req.cruise_speed,
                     progress=0.0,
                     connected=req.connected,
                     effective_speed=req.cruise_speed,
@@ -325,7 +317,7 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
     active = state.active
     gap = state.config.mobility.min_gap
     s_old = [v.progress for v in active]
-    s_new = [v.progress + v.plan.cruise_speed * dt for v in active]
+    s_new = [v.progress + v.cruise_speed * dt for v in active]
 
     entry_lists: dict[tuple[Arm, int], list[int]] = {}
     exit_lists: dict[tuple[Arm, int], list[int]] = {}

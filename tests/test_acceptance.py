@@ -98,9 +98,9 @@ def test_criterion_1_equation_fidelity():
 def test_criterion_2_metric_fidelity():
     acc = ReliabilityAccumulator()
     for t, (sat, tot) in enumerate([(3, 5), (4, 5), (5, 5)], start=1):
-        acc.record(TimestepOutcome(t, tot, sat, {}))
+        acc.record(TimestepOutcome(t, tot, sat))
     pooled = ReliabilityAccumulator()
-    pooled.record(TimestepOutcome(1, 1, 1, {})).record(TimestepOutcome(2, 10, 0, {}))
+    pooled.record(TimestepOutcome(1, 1, 1)).record(TimestepOutcome(2, 10, 0))
     ok = acc.reliability() == 0.8 and pooled.reliability() == 1 / 11
     report(
         2,

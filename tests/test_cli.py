@@ -408,6 +408,32 @@ def test_replay_with_nothing_to_score_exits_2_naming_the_trace(tmp_path, rows, m
     assert not out.exists()
 
 
+def test_replay_of_a_trace_recorded_at_another_dt_exits_2(tmp_path):
+    cfg_path = write_small_config(tmp_path / "s.yaml")  # dt 0.1
+    recorded = default_config(
+        duration=2.0, dt=0.05, vehicle_count=6, connected_fraction=0.5, seed=3
+    )
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w") as f:
+        write_trace(snapshot_stream(recorded), f)
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert (
+        f"{trace}: timestep 1 has sim_time 0.05, not timestep * dt = 0.1 (dt 0.1)"
+        in proc.stderr
+    )
+    assert not out.exists()
+
+
+def test_shipped_configs_validate():
+    proc = run_cli("validate", "configs/intersection.yaml")
+    assert proc.returncode == 0, proc.stderr
+    spec = load_sweep_spec(REPO / "configs" / "sweep.yaml")
+    assert spec.validate().ok
+    assert len(list(spec.cells())) == 180
+
+
 def test_main_callable_directly(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     assert main(["validate", str(cfg)]) == 0

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twinroute import engine
 from twinroute.config import default_config
 from twinroute.engine import ConfigError, run_single, run_variants
-from twinroute.model import NodeId, Strategy
+from twinroute.mobility import snapshot_stream
+from twinroute.model import Strategy
 
 from conftest import TRUCK, make_snapshot, make_vehicle
 
@@ -128,18 +133,98 @@ def test_frozen_world_all_strategies_agree():
     assert len(set(values.values())) == 1, values
 
 
-def test_stream_gap_longer_than_the_interval_keeps_a_predictive_table():
-    """A stream that jumps over several planning epochs still has a
-    schedule for the step after the jump."""
+@pytest.mark.parametrize(
+    "timesteps, message",
+    [
+        ((0, 1, 2, 50), "timestep 50 does not follow 2"),
+        ((0, 1, 2, 2), "timestep 2 does not follow 2"),
+        ((0, 1, 2, 1), "timestep 1 does not follow 2"),
+    ],
+    ids=["gap", "repeated", "backward"],
+)
+def test_a_stream_that_is_not_consecutive_raises_naming_both_timesteps(timesteps, message):
     vehicle = make_vehicle(0, 30.0, 1.75, speed=0.0)
-    stream = [make_snapshot([vehicle], timestep=k) for k in (0, 1, 2, 50, 51)]
+    stream = [make_snapshot([vehicle], timestep=k) for k in timesteps]
     base = default_config(duration=6.0, vehicle_count=1, seed=1)
-    results = run_variants(
-        {s.value: dataclasses.replace(base, strategy=s) for s in Strategy}, snapshots=stream
+    with pytest.raises(ValueError, match=message):
+        run_variants(
+            {s.value: dataclasses.replace(base, strategy=s) for s in Strategy}, snapshots=stream
+        )
+
+
+SHIFT_BASE = default_config(duration=6.0, vehicle_count=8, connected_fraction=0.5, seed=5)
+SHIFT_VARIANTS = {
+    "realtime_lagged": dataclasses.replace(SHIFT_BASE, latency_delta=0.3),
+    "predictive_lagged": dataclasses.replace(
+        SHIFT_BASE, strategy=Strategy.PREDICTIVE, latency_delta=0.3
+    ),
+    "conventional": dataclasses.replace(SHIFT_BASE, strategy=Strategy.CONVENTIONAL),
+}
+SHIFT_STREAM = list(snapshot_stream(SHIFT_BASE))
+
+
+def run_shifted(shift: int):
+    """Every variant over the shift stream with ``shift`` added to each
+    timestep: (results, route dump rows split at the first comma)."""
+    stream = [dataclasses.replace(s, timestep=s.timestep + shift) for s in SHIFT_STREAM]
+    dump = io.StringIO()
+    results = run_variants(SHIFT_VARIANTS, snapshots=stream, route_dump=dump)
+    rows = [line.split(",", 1) for line in dump.getvalue().splitlines()[1:]]
+    return results, rows
+
+
+@functools.cache
+def unshifted():
+    return run_shifted(0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=-10**9, max_value=10**9))
+@example(1)
+@example(10**9)
+def test_shifting_every_timestep_shifts_only_the_outcome_timesteps(shift):
+    """Runs read timesteps only relative to each other: with lag,
+    history windows and planning epochs all counted from the stream, a
+    constant offset changes nothing but the timesteps reported."""
+    base_results, base_rows = unshifted()
+    results, rows = run_shifted(shift)
+    assert [(int(ts) - shift, rest) for ts, rest in rows] == [
+        (int(ts), rest) for ts, rest in base_rows
+    ]
+    for name, base in base_results.items():
+        result = results[name]
+        assert result.reliability == base.reliability
+        assert result.prediction_error_mean == base.prediction_error_mean
+        assert result.prediction_fallbacks == base.prediction_fallbacks
+        assert [
+            dataclasses.replace(o, timestep=o.timestep - shift) for o in result.outcomes
+        ] == base.outcomes
+
+
+def test_each_plan_reads_the_lagged_history_window(monkeypatch):
+    """A plan made at step ``now`` sees the snapshots ``now - lag - window``
+    to ``now - lag``, clipped at the stream's first one."""
+    plans = []
+    real = engine.route_predictive
+
+    def spy(history, now, *args):
+        plans.append((now, [s.timestep for s in history]))
+        return real(history, now, *args)
+
+    monkeypatch.setattr(engine, "route_predictive", spy)
+    cfg = SHIFT_VARIANTS["predictive_lagged"]  # lag 3 steps, interval 20
+    cfg = dataclasses.replace(
+        cfg, prediction=dataclasses.replace(cfg.prediction, history_window=0.5)
     )
-    assert {name: r.reliability for name, r in results.items()} == {
-        "realtime": 1.0, "predictive": 1.0, "conventional": 1.0
-    }
+    # a longer lag in another variant keeps more history than this one reads
+    longer = dataclasses.replace(cfg, strategy=Strategy.REALTIME, latency_delta=1.0)
+    stream = [dataclasses.replace(s, timestep=s.timestep + 1000) for s in SHIFT_STREAM]
+    run_variants({"pred": cfg, "rt": longer}, snapshots=stream)
+    assert plans == [
+        (1000, [1000]),
+        (1020, list(range(1012, 1018))),
+        (1040, list(range(1032, 1038))),
+    ]
 
 
 def test_replay_scores_all_after_the_seed_snapshot():
@@ -171,13 +256,12 @@ def test_conventional_at_dt_interval_equals_fresh_realtime():
     conv = dataclasses.replace(
         SMALL, strategy=Strategy.CONVENTIONAL, conventional_update_interval=SMALL.dt
     )
-    results = run_variants({"rt": SMALL, "conv_dt": conv})
-    a = results["rt"].outcomes
-    b = results["conv_dt"].outcomes
-    assert [(o.timestep, o.per_vehicle) for o in a] == [
-        (o.timestep, o.per_vehicle) for o in b
-    ]
-    assert results["rt"].reliability == results["conv_dt"].reliability
+    rt_dump, conv_dump = io.StringIO(), io.StringIO()
+    rt = run_single(SMALL, route_dump=rt_dump)
+    conv_dt = run_single(conv, route_dump=conv_dump)
+    assert rt_dump.getvalue().count("\n") > 200
+    assert rt_dump.getvalue() == conv_dump.getvalue()
+    assert rt.reliability == conv_dt.reliability
 
 
 def test_conventional_stale_route_fails_after_relay_despawns():
@@ -196,13 +280,16 @@ def test_conventional_stale_route_fails_after_relay_despawns():
     base = default_config(duration=3.0, vehicle_count=3, seed=1)
     conv = dataclasses.replace(base, strategy=Strategy.CONVENTIONAL)
 
-    rt_result = run_single(base, snapshots)
-    conv_result = run_single(conv, snapshots)
+    def far_valid(cfg):
+        """Timestep -> the ``valid`` column of the far vehicle's dumped route."""
+        dump = io.StringIO()
+        run_single(cfg, snapshots, route_dump=dump)
+        rows = [line.split(",") for line in dump.getvalue().splitlines()[1:]]
+        return {int(ts): valid == "1" for ts, vehicle, _, valid in rows if vehicle == "v0"}
 
-    far = NodeId.vehicle(0)
+    steps = range(1, 31)
     # real-time: satisfied every step (relay v1 first, then v2)
-    assert all(o.per_vehicle[far] for o in rt_result.outcomes)
+    assert far_valid(base) == {t: True for t in steps}
     # conventional: epoch table built at step 1 uses v1; from step 11 the
     # stale assignment references a despawned node until the next epoch (51)
-    for o in conv_result.outcomes:
-        assert o.per_vehicle[far] == (o.timestep <= 10)
+    assert far_valid(conv) == {t: t <= 10 for t in steps}

@@ -13,7 +13,7 @@ from oracles import oracle_reliability
 
 
 def outcome(ts, satisfied, total):
-    return TimestepOutcome(ts, total, satisfied, per_vehicle={})
+    return TimestepOutcome(ts, total, satisfied)
 
 
 def test_running_ratio_of_sums():

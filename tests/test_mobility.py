@@ -94,7 +94,8 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     leader = ActiveVehicle(
         index=0,
         vclass=cfg.vehicle_mix[0],
-        plan=build_route_plan(cruise_speed=leader_speed, **plan_args),
+        plan=build_route_plan(**plan_args),
+        cruise_speed=leader_speed,
         progress=leader_s,
         connected=True,
         effective_speed=leader_speed,
@@ -102,7 +103,8 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     follower = ActiveVehicle(
         index=1,
         vclass=cfg.vehicle_mix[0],
-        plan=build_route_plan(cruise_speed=follower_speed, **plan_args),
+        plan=build_route_plan(**plan_args),
+        cruise_speed=follower_speed,
         progress=follower_s,
         connected=True,
         effective_speed=follower_speed,
@@ -174,7 +176,7 @@ def test_heading_matches_polyline_direction():
 @pytest.mark.parametrize("arm", list(Arm))
 @pytest.mark.parametrize("maneuver", list(Maneuver))
 def test_route_plan_geometry(arm, maneuver):
-    plan = build_route_plan(arm, 0, maneuver, 10.0, arm_length=100.0, lane_count=1, lane_width=3.5)
+    plan = build_route_plan(arm, 0, maneuver, arm_length=100.0, lane_count=1, lane_width=3.5)
     # consecutive waypoints distinct
     for a, b in zip(plan.waypoints, plan.waypoints[1:]):
         assert a != b
@@ -210,7 +212,7 @@ def test_route_plan_geometry(arm, maneuver):
 def test_pose_at_matches_numpy_oracle(arm, maneuver, lane_count):
     rng = random.Random(f"{arm.value}-{maneuver.value}-{lane_count}")
     for lane in range(lane_count):
-        plan = build_route_plan(arm, lane, maneuver, 10.0, 100.0, lane_count, 3.5)
+        plan = build_route_plan(arm, lane, maneuver, 100.0, lane_count, 3.5)
         total = plan.total_length
         probes = [0.0, -1.0, total, total + 5.0]
         for s in plan.cum_lengths:
@@ -221,7 +223,7 @@ def test_pose_at_matches_numpy_oracle(arm, maneuver, lane_count):
 
 
 def test_turn_arc_chords_are_short():
-    plan = build_route_plan(Arm.E, 0, Maneuver.LEFT, 10.0, 100.0, 1, 3.5)
+    plan = build_route_plan(Arm.E, 0, Maneuver.LEFT, 100.0, 1, 3.5)
     arc = plan.waypoints[1:-1]
     for a, b in zip(arc, arc[1:]):
         assert math.dist(a, b) <= 1.0 + 1e-9
