@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from .config import load_config, validate_config
-from .engine import ConfigError, log, run_single, write_run_outputs
-from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep
-from .metrics import SUMMARY_HEADER, summary_row
-from .mobility import read_trace, snapshot_stream, write_trace
+from .engine import ConfigError, log, run_single
+from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep, write_cell, write_summary
+from .metrics import SUMMARY_HEADER
+from .mobility import read_trace, snapshot_stream, tee_trace
 from .model import Strategy
 
 EXIT_OK = 0
@@ -100,14 +100,12 @@ def _load_checked(path: str, seed: int | None, strategy: str | None):
     return cfg
 
 
-def _write_single(result, cfg, out_dir: str) -> str:
-    cell = SweepCell(cfg, cfg.vehicle_count, cfg.connected_fraction, cfg.strategy, cfg.seed)
-    write_run_outputs(result, out_dir, cell.cell_id)
-    row = summary_row(result, cfg.vehicle_count, cfg.connected_fraction, cfg.seed)
-    with open(Path(out_dir) / "summary.csv", "w", encoding="utf-8", newline="") as f:
-        f.write(SUMMARY_HEADER)
-        f.write(row)
-    return row
+def _write_single(result, cfg, out_dir: str) -> None:
+    """Write the run's detail file and one-row summary.csv; print that row."""
+    row = write_cell(result, SweepCell(cfg), out_dir)
+    write_summary([row], out_dir)
+    sys.stdout.write(SUMMARY_HEADER)
+    sys.stdout.write(row)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -117,24 +115,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    snapshots = None
-    if args.dump_trace:
-        # materialize the stream once so the run and the trace agree exactly
-        snapshots = list(snapshot_stream(cfg))
-        with open(out / "trace.csv", "w", encoding="utf-8", newline="") as f:
-            write_trace(snapshots, f)
+    def dump(name: str, wanted: bool):
+        return open(out / name, "w", encoding="utf-8", newline="") if wanted else None
 
-    route_f = open(out / "routes.csv", "w", encoding="utf-8", newline="") if args.dump_routes else None
-    topo_f = open(out / "topology.csv", "w", encoding="utf-8", newline="") if args.dump_topology else None
+    route_f = dump("routes.csv", args.dump_routes)
+    topo_f = dump("topology.csv", args.dump_topology)
+    trace_f = dump("trace.csv", args.dump_trace)
     try:
+        # rows are written as the run pulls each snapshot, so no step is held
+        snapshots = None if trace_f is None else tee_trace(snapshot_stream(cfg), trace_f)
         result = run_single(cfg, snapshots, route_dump=route_f, topology_dump=topo_f)
     finally:
-        for f in (route_f, topo_f):
+        for f in (route_f, topo_f, trace_f):
             if f:
                 f.close()
-    row = _write_single(result, cfg, args.out_dir)
-    sys.stdout.write(SUMMARY_HEADER)
-    sys.stdout.write(row)
+    _write_single(result, cfg, args.out_dir)
     log(f"reliability {result.reliability:.6f} over {len(result.outcomes)} timesteps")
     return EXIT_OK
 
@@ -191,9 +186,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     result = run_single(cfg, snapshots)
-    row = _write_single(result, cfg, args.out_dir)
-    sys.stdout.write(SUMMARY_HEADER)
-    sys.stdout.write(row)
+    _write_single(result, cfg, args.out_dir)
     return EXIT_OK
 
 

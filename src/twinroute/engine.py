@@ -24,6 +24,9 @@ counts per step, not per vehicle.
 Several variants can share one run's traffic and ground-truth graphs;
 every piece is a pure function of (config, seed), so results are identical
 to running each variant alone.
+
+The engine opens no files: it returns ``RunResult``s and writes the
+optional route and topology dumps to streams its caller opened.
 """
 
 from __future__ import annotations
@@ -31,16 +34,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from itertools import islice
-from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .config import ScenarioConfig, validate_config
-from .metrics import (
-    ReliabilityAccumulator,
-    RunResult,
-    TimestepOutcome,
-    write_detail,
-)
+from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
 from .mobility import snapshot_stream
 from .model import Strategy, WorldSnapshot, delay_to_steps, seconds_to_steps
 from .prediction import make_predictor
@@ -314,17 +311,6 @@ def run_single(
         topology_dump=topology_dump,
     )
     return results["run"]
-
-
-def write_run_outputs(result: RunResult, out_dir: str | Path, cell_id: str) -> Path:
-    """Write detail/<cell>.csv and return its path."""
-    out = Path(out_dir)
-    detail_dir = out / "detail"
-    detail_dir.mkdir(parents=True, exist_ok=True)
-    detail_path = detail_dir / f"{cell_id}.csv"
-    with open(detail_path, "w", encoding="utf-8", newline="") as f:
-        write_detail(result, f)
-    return detail_path
 
 
 def log(msg: str) -> None:

@@ -1,6 +1,9 @@
 """Experiment sweeps: the Cartesian product of counts, fractions,
 strategies and seeds, one independent run per cell, CSV outputs and an
-emitted gnuplot script for reliability-vs-vehicle-count figures."""
+emitted gnuplot script for reliability-vs-vehicle-count figures.
+
+A cell is its config. ``write_cell`` and ``write_summary`` write the files
+of every run, a sweep's cells and a lone ``run`` or ``replay`` alike."""
 
 from __future__ import annotations
 
@@ -10,13 +13,13 @@ import itertools
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 import yaml
 
 from .config import ScenarioConfig, _decode, load_config, validate_config
-from .engine import log, run_single, write_run_outputs
-from .metrics import SUMMARY_HEADER, summary_row
+from .engine import log, run_single
+from .metrics import SUMMARY_HEADER, RunResult, summary_row, write_detail
 from .model import Strategy, ValidationReport
 
 
@@ -51,8 +54,7 @@ class SweepSpec:
         bad = [(axis, "must not be empty") for axis, _ in _AXES if not getattr(self, axis)]
         axes = [list(enumerate(getattr(self, axis))) for axis, _ in _AXES]
         first: dict[str, tuple] = {}  # cell id -> the picks that first gave it
-        for picks in itertools.product(*axes):
-            cell = SweepCell(self.base, *(value for _, value in picks))
+        for picks, cell in zip(itertools.product(*axes), self.cells()):
             earlier = first.setdefault(cell.cell_id, picks)
             entries = [
                 (f"{axis}[{k}]", f"gives the same cell ids as {axis}[{k0}]")
@@ -60,7 +62,7 @@ class SweepSpec:
                 if k != k0
             ][:1]
             where = {fld: f"{axis}[{k}]" for (axis, fld), (k, _) in zip(_AXES, picks)}
-            for path, msg in validate_config(cell.config()).violations:
+            for path, msg in validate_config(cell.config).violations:
                 entries.append((where.get(path, f"base_config.{path}"), msg))
             for entry in entries:
                 if entry not in bad:
@@ -68,35 +70,23 @@ class SweepSpec:
         return ValidationReport(tuple(bad))
 
     def cells(self) -> list["SweepCell"]:
+        """The base config with one value per axis, in product order."""
         return [
-            SweepCell(self.base, *values)
+            SweepCell(dataclasses.replace(self.base, **{f: v for (_, f), v in zip(_AXES, values)}))
             for values in itertools.product(*(getattr(self, axis) for axis, _ in _AXES))
         ]
 
 
 @dataclass(frozen=True)
 class SweepCell:
-    base: ScenarioConfig
-    vehicle_count: int
-    connected_fraction: float
-    strategy: Strategy
-    seed: int
+    """One run of a sweep, or a lone run: its config names its files."""
+
+    config: ScenarioConfig
 
     @property
     def cell_id(self) -> str:
-        return (
-            f"{self.strategy.value}_n{self.vehicle_count}"
-            f"_f{self.connected_fraction:g}_s{self.seed}"
-        )
-
-    def config(self) -> ScenarioConfig:
-        return dataclasses.replace(
-            self.base,
-            vehicle_count=self.vehicle_count,
-            connected_fraction=self.connected_fraction,
-            strategy=self.strategy,
-            seed=self.seed,
-        )
+        c = self.config
+        return f"{c.strategy.value}_n{c.vehicle_count}_f{c.connected_fraction:g}_s{c.seed}"
 
 
 class SweepCellError(RuntimeError):
@@ -122,12 +112,28 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     return SweepSpec(base, **{k: _decode(hints[k], v, k) for k, v in data.items() if k in axes})
 
 
-def _run_cell(args: tuple[SweepCell, str]) -> str:
-    """Worker: run one cell, write its detail file, return the summary row."""
+def write_cell(result: RunResult, cell: SweepCell, out: str | Path) -> str:
+    """Write ``detail/<cell id>.csv`` under ``out``; return the cell's summary row."""
+    detail = Path(out) / "detail"
+    detail.mkdir(parents=True, exist_ok=True)
+    with open(detail / f"{cell.cell_id}.csv", "w", encoding="utf-8", newline="") as f:
+        write_detail(result, f)
+    cfg = cell.config
+    return summary_row(result, cfg.vehicle_count, cfg.connected_fraction, cfg.seed)
+
+
+def write_summary(rows: Iterable[str], out: str | Path) -> None:
+    """Write ``summary.csv`` under ``out``: the header, then ``rows`` in order."""
+    with open(Path(out) / "summary.csv", "w", encoding="utf-8", newline="") as f:
+        f.write(SUMMARY_HEADER)
+        f.writelines(rows)
+
+
+def _run_cell(args: tuple[SweepCell, str]) -> tuple[str, float]:
+    """Worker: run one cell, write its detail file, return (summary row, reliability)."""
     cell, out_dir = args
-    result = run_single(cell.config())
-    write_run_outputs(result, out_dir, cell.cell_id)
-    return summary_row(result, cell.vehicle_count, cell.connected_fraction, cell.seed)
+    result = run_single(cell.config)
+    return write_cell(result, cell, out_dir), result.reliability
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
@@ -149,35 +155,31 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     work = [(cell, str(out)) for cell in cells]
 
     rows: list[str] = []
+    reliabilities: list[float] = []
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = map(_run_cell, work) if pool is None else pool.imap(_run_cell, work)
         for cell in cells:  # results arrive in cell order
             try:
-                row = next(results)
+                row, reliability = next(results)
             except Exception as exc:  # preserve completed outputs, name the cell
                 raise SweepCellError(cell.cell_id, exc) from exc
             log(f"finished {cell.cell_id}")
             rows.append(row)
+            reliabilities.append(reliability)
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as f:
-        f.write(SUMMARY_HEADER)
-        f.writelines(rows)
-    _write_plot_assets(rows, out)
+    write_summary(rows, out)
+    _write_plot_assets(cells, reliabilities, out)
     return rows
 
 
-def _write_plot_assets(rows: list[str], out: Path) -> None:
+def _write_plot_assets(cells: list[SweepCell], reliabilities: list[float], out: Path) -> None:
     """Aggregate seed means and emit a gnuplot script next to them."""
     sums: dict[tuple[float, str, int], list[float]] = {}
-    for row in rows:
-        parts = row.strip().split(",")
-        strategy, count, fraction, reliability = (
-            parts[0],
-            int(parts[1]),
-            float(parts[2]),
-            float(parts[4]),
-        )
-        sums.setdefault((fraction, strategy, count), []).append(reliability)
+    for cell, reliability in zip(cells, reliabilities):
+        cfg = cell.config
+        # float: a fraction given as int 1 still plots as 1.0
+        key = (float(cfg.connected_fraction), cfg.strategy.value, cfg.vehicle_count)
+        sums.setdefault(key, []).append(reliability)
 
     fractions = sorted({k[0] for k in sums})
     strategies = sorted({k[1] for k in sums})

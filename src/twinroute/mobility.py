@@ -23,7 +23,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -390,9 +390,13 @@ BODY_COLUMNS = ("length", "width", "height", "antenna_height")
 TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
 
 
-def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
-    """One row per (timestep, vehicle); a step with no vehicles is one
-    ``timestep,sim_time`` marker row, so a replay starts where the run did."""
+def tee_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> Iterator[WorldSnapshot]:
+    """Yield each snapshot after writing its trace rows to ``out``, so a run
+    can record the stream it consumes without holding it.
+
+    One row per (timestep, vehicle); a step with no vehicles is one
+    ``timestep,sim_time`` marker row, so a replay starts where the run did.
+    """
     out.write(TRACE_HEADER)
     for snap in snapshots:
         if not snap.vehicles:
@@ -404,6 +408,13 @@ def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
                 f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r},"
                 f"{length!r},{width!r},{height!r},{v.antenna_height!r}\n"
             )
+        yield snap
+
+
+def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
+    """Write the trace of ``snapshots`` to ``out`` (see ``tee_trace``)."""
+    for _ in tee_trace(snapshots, out):
+        pass
 
 
 def _finite(name: str, text: str) -> float:

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from twinroute import experiment
+from twinroute import cli, engine, experiment
 from twinroute.cli import main
-from twinroute.config import default_config, save_config
+from twinroute.config import default_config, load_config, save_config
 from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
 from twinroute.mobility import snapshot_stream, write_trace
 from twinroute.model import Strategy
@@ -192,6 +193,36 @@ def test_run_dump_trace_feeds_replay(tmp_path, strategy):
     ran, replayed = (p.stdout.splitlines()[1] for p in (proc, replay))
     assert ran == replayed
     assert ran.split(",")[4] == RUN_RELIABILITY[strategy]
+
+
+def test_run_dump_trace_streams_the_snapshots(tmp_path, monkeypatch):
+    # the trace is written as the run pulls each snapshot, so memory does
+    # not grow with the duration: when snapshot k is handed out, the run has
+    # already built the truth graphs of the scored steps before it
+    builds = []
+    build_topology = engine.build_topology
+
+    def counting_build(*args, **kwargs):
+        builds.append(None)
+        return build_topology(*args, **kwargs)
+
+    seen = []
+
+    def spy_stream(config):
+        for snap in snapshot_stream(config):
+            seen.append(len(builds))
+            yield snap
+
+    monkeypatch.setattr(engine, "build_topology", counting_build)
+    monkeypatch.setattr(cli, "snapshot_stream", spy_stream)
+    cfg = write_small_config(tmp_path / "s.yaml")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--dump-trace"]) == 0
+    assert seen == [0] + list(range(len(seen) - 1))
+    assert len(builds) == len(seen) - 1
+    whole = io.StringIO()
+    write_trace(snapshot_stream(load_config(cfg)), whole)
+    assert (out / "trace.csv").read_text() == whole.getvalue()
 
 
 def test_byte_identical_reruns(tmp_path):
