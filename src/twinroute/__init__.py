@@ -20,7 +20,7 @@ from .config import (
 from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
-from .mobility import TrafficState, advance_traffic, init_traffic, read_trace, snapshot_stream, write_trace
+from .mobility import TrafficState, advance_traffic, init_traffic, read_trace, snapshot_stream, tee_trace
 from .model import NodeId, NodeKind, Strategy, ValidationReport, VehicleState, WorldSnapshot
 from .prediction import (
     ConstantTurnRatePredictor,
@@ -92,6 +92,6 @@ __all__ = [
     "save_config",
     "score_route",
     "snapshot_stream",
+    "tee_trace",
     "validate_config",
-    "write_trace",
 ]

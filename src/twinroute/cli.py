@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -123,7 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace_f = dump("trace.csv", args.dump_trace)
     try:
         # rows are written as the run pulls each snapshot, so no step is held
-        snapshots = None if trace_f is None else tee_trace(snapshot_stream(cfg), trace_f)
+        snapshots = None if trace_f is None else tee_trace(snapshot_stream(cfg), trace_f, cfg.dt)
         result = run_single(cfg, snapshots, route_dump=route_f, topology_dump=topo_f)
     finally:
         for f in (route_f, topo_f, trace_f):
@@ -139,11 +138,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = load_sweep_spec(args.spec)
     except (OSError, ValueError) as exc:
         log(f"sweep spec error: {exc}")
-        return EXIT_CONFIG
-    report = spec.validate()
-    if not report.ok:
-        for line in str(report).splitlines():
-            log(line)
         return EXIT_CONFIG
     rows = run_sweep(spec, args.out_dir, jobs=args.jobs)
     log(f"wrote {len(rows)} summary rows to {args.out_dir}/summary.csv")
@@ -163,19 +157,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         with open(args.trace, "r", encoding="utf-8") as f:
-            snapshots = read_trace(f, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+            snapshots = read_trace(f, cfg)
     except ValueError as exc:
         log(f"{args.trace}: {exc}")
         return EXIT_CONFIG
-    # a trace recorded at another step length would be scored on the wrong clock
-    for snap in snapshots:
-        expected = snap.timestep * cfg.dt
-        if not math.isclose(snap.sim_time, expected):
-            log(
-                f"{args.trace}: timestep {snap.timestep} has sim_time {snap.sim_time!r},"
-                f" not timestep * dt = {expected!r} (dt {cfg.dt!r})"
-            )
-            return EXIT_CONFIG
     # the first snapshot only seeds the twin's history, so reliability
     # needs a connected vehicle in a later one
     if not any(snap.connected_vehicles() for snap in snapshots[1:]):

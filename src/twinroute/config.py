@@ -40,6 +40,9 @@ class SpeedRange:
 
 @dataclass(frozen=True)
 class PredictionConfig:
+    # Each epoch plans only the ``interval`` it applies, so nothing reads
+    # ``horizon``. It stays, and must still be >= interval, because every
+    # config_digest in summary.csv covers it: dropping it changes bytes.
     horizon: float = 2.0
     interval: float = 2.0
     predictor: str = "constant_velocity"  # hold | constant_velocity | constant_turn_rate | learned

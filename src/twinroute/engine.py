@@ -134,8 +134,7 @@ class _PredictiveDriver:
         self._plan = route_predictive(
             history,
             now,
-            cfg.prediction.horizon,
-            cfg.prediction.interval,
+            self.interval_steps,
             self.predictor,
             cfg.dt,
             cfg.channel,

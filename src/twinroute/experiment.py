@@ -18,7 +18,7 @@ from typing import Iterable, get_type_hints
 import yaml
 
 from .config import ScenarioConfig, _decode, load_config, validate_config
-from .engine import log, run_single
+from .engine import ConfigError, log, run_single
 from .metrics import SUMMARY_HEADER, RunResult, summary_row, write_detail
 from .model import Strategy, ValidationReport
 
@@ -141,14 +141,15 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
 
     Cells are independent; with ``jobs`` > 1 they run in parallel but the
     summary keeps product order, so output bytes do not depend on jobs.
-    A failing cell aborts the sweep (completed detail files are kept) and
+    An invalid spec raises ConfigError before anything is written. A
+    failing cell aborts the sweep (completed detail files are kept) and
     raises SweepCellError naming the cell.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = spec.validate()
     if not report.ok:
-        raise ValueError(str(report))
+        raise ConfigError(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()

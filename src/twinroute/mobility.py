@@ -222,7 +222,6 @@ class TrafficState:
     def snapshot(self) -> WorldSnapshot:
         return WorldSnapshot(
             timestep=self.step,
-            sim_time=self.step * self.config.dt,
             vehicles=tuple(v.to_state() for v in self.active),
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
         )
@@ -390,31 +389,29 @@ BODY_COLUMNS = ("length", "width", "height", "antenna_height")
 TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
 
 
-def tee_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> Iterator[WorldSnapshot]:
+def tee_trace(
+    snapshots: Iterable[WorldSnapshot], out: IO[str], dt: float
+) -> Iterator[WorldSnapshot]:
     """Yield each snapshot after writing its trace rows to ``out``, so a run
     can record the stream it consumes without holding it.
 
     One row per (timestep, vehicle); a step with no vehicles is one
     ``timestep,sim_time`` marker row, so a replay starts where the run did.
+    Every row's ``sim_time`` is ``timestep * dt``.
     """
     out.write(TRACE_HEADER)
     for snap in snapshots:
+        clock = f"{snap.timestep},{snap.timestep * dt!r}"
         if not snap.vehicles:
-            out.write(f"{snap.timestep},{snap.sim_time!r}\n")
+            out.write(f"{clock}\n")
         for v in snap.vehicles:
             length, width, height = v.dimensions
             out.write(
-                f"{snap.timestep},{snap.sim_time!r},{v.id.index},{int(v.connected)},"
+                f"{clock},{v.id.index},{int(v.connected)},"
                 f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r},"
                 f"{length!r},{width!r},{height!r},{v.antenna_height!r}\n"
             )
         yield snap
-
-
-def write_trace(snapshots: Iterable[WorldSnapshot], out: IO[str]) -> None:
-    """Write the trace of ``snapshots`` to ``out`` (see ``tee_trace``)."""
-    for _ in tee_trace(snapshots, out):
-        pass
 
 
 def _finite(name: str, text: str) -> float:
@@ -461,40 +458,38 @@ def _trace_row(
     return int(ts), values["sim_time"], vehicle
 
 
-def read_trace(
-    lines: Iterable[str],
-    rsu_height: float,
-    body: VehicleClassSpec,
-) -> list[WorldSnapshot]:
-    """Rebuild snapshots from trace rows.
+def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapshot]:
+    """Rebuild snapshots from trace rows, for replay under ``config``.
 
     Rows carry the body columns when the header names them; otherwise
-    (older traces, headerless input) every vehicle gets the supplied body
-    class. Timesteps must be grouped and consecutive. A two-column
-    ``timestep,sim_time`` marker row stands for a step with no vehicles
-    and must be its step's only row; traces without markers read as
-    before, starting at their first vehicle row. No two vehicles of one
-    step may stand at the same (x, y), and a vehicle keeps the body and
+    (older traces, headerless input) every vehicle gets the body of
+    ``config.vehicle_mix[0]``. Every row's ``sim_time`` must be
+    ``timestep * config.dt``, so a trace recorded at another step length
+    is not scored on the wrong clock. Timesteps must be grouped and
+    consecutive. A two-column ``timestep,sim_time`` marker row stands for
+    a step with no vehicles and must be its step's only row; traces
+    without markers read as before, starting at their first vehicle row.
+    No two vehicles of one step may stand at the same (x, y), no antenna
+    may stand at the RSU's point, and a vehicle keeps the body and
     ``connected`` flag of its first row. Every error is a ValueError
     naming the 1-based line it was found on.
     """
+    dt = config.dt
+    body = config.vehicle_mix[0]
     snapshots: list[WorldSnapshot] = []
     current_ts: int | None = None
-    current_time = 0.0
     bucket: list[VehicleState] = []
     seen: set[int] = set()
     ids: dict[int, NodeId] = {}
     lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
     spots: dict[tuple[float, float], int] = {}
-    rsu = (0.0, 0.0, rsu_height)
+    rsu = (0.0, 0.0, config.intersection.rsu_height)
     row_body: VehicleClassSpec | None = body
     marked = False  # the current step is a marker row
 
     def flush() -> None:
         if current_ts is not None:
-            snapshots.append(
-                WorldSnapshot(current_ts, current_time, tuple(bucket), rsu)
-            )
+            snapshots.append(WorldSnapshot(current_ts, tuple(bucket), rsu))
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -509,6 +504,11 @@ def read_trace(
                 ts, sim_time, vehicle = int(parts[0]), _finite("sim_time", parts[1]), None
             else:
                 ts, sim_time, vehicle = _trace_row(parts, row_body, ids)
+            if not math.isclose(sim_time, ts * dt):
+                raise ValueError(
+                    f"timestep {ts} has sim_time {sim_time!r},"
+                    f" not timestep * dt = {ts * dt!r} (dt {dt!r})"
+                )
             if ts == current_ts and (marked or vehicle is None):
                 raise ValueError(f"timestep {ts} has a marker row and other rows")
             if ts != current_ts:
@@ -516,7 +516,7 @@ def read_trace(
                     raise ValueError(f"timestep {ts} does not follow {current_ts}")
                 flush()
                 bucket, seen, spots = [], set(), {}
-                current_ts, current_time, marked = ts, sim_time, vehicle is None
+                current_ts, marked = ts, vehicle is None
             if vehicle is None:
                 continue
             index = vehicle.id.index
@@ -533,6 +533,8 @@ def read_trace(
                 raise ValueError(
                     f"vehicles {spots[spot]} and {index} share position {spot} in timestep {ts}"
                 )
+            if spot == rsu[:2] and vehicle.antenna_height == rsu[2]:
+                raise ValueError(f"the antenna of vehicle {index} is at the RSU's point {rsu}")
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}: {line!r}") from None
         bucket.append(vehicle)

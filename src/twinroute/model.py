@@ -5,10 +5,11 @@ Conventions used throughout the package:
 - World frame: x east, y north, z up, meters. The intersection center is
   the origin; the RSU mast stands at (0, 0) with its antenna at the apex.
 - Headings are radians, 0 along +x, counter-clockwise positive.
-- Time is a fixed-step integer counter ``timestep``; ``sim_time`` equals
-  ``timestep * dt`` seconds. Schedules expressed in seconds (update
-  intervals, prediction intervals) convert to whole steps, rounding down,
-  minimum one step.
+- Time is a fixed-step integer counter ``timestep``; a snapshot stores no
+  clock of its own. The simulated time ``timestep * dt`` seconds appears
+  only in traces, whose reader checks it on every row. Schedules
+  expressed in seconds (update intervals, prediction intervals) convert
+  to whole steps, rounding down, minimum one step.
 - Every type in this module is an immutable value; instances can be shared
   freely across threads.
 """
@@ -128,7 +129,6 @@ class WorldSnapshot:
     """All vehicle states plus the RSU at one timestep: the twin's view."""
 
     timestep: int
-    sim_time: float
     vehicles: tuple[VehicleState, ...]
     rsu_position: Point3
 

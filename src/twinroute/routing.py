@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .channel import ChannelParams
-from .model import NodeId, Point3, WorldSnapshot, seconds_to_steps
+from .model import NodeId, Point3, WorldSnapshot
 from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
@@ -157,31 +157,29 @@ class PredictivePlan:
 def route_predictive(
     history: Sequence[WorldSnapshot],
     now: int,
-    horizon: float,
-    interval: float,
+    steps: int,
     predictor: TrajectoryPredictor,
     dt: float,
     params: ChannelParams,
     budget_db: float,
     max_hops: int | None = None,
 ) -> PredictivePlan:
-    """Plan routes for every timestep across the horizon, in advance.
+    """Plan routes for the ``steps`` timesteps after ``now``, in advance.
 
     The history may lag ``now`` (control-plane latency shifts only the
     planning input); prediction bridges the lag and extends through the
-    horizon. Every vehicle in the last observed snapshot is forecast,
-    unconnected ones included since their bodies still occlude. A vehicle
-    whose predictor lacks history or fails holds its last observed state
-    and is counted in ``degraded_tracks``. Every forecast step keeps the
-    last observed vehicle tuple and moves only its poses, so one
-    :func:`build_topologies` call builds the whole horizon's graphs.
+    planned steps. Every vehicle in the last observed snapshot is
+    forecast, unconnected ones included since their bodies still occlude.
+    A vehicle whose predictor lacks history or fails holds its last
+    observed state and is counted in ``degraded_tracks``. Every forecast
+    step keeps the last observed vehicle tuple and moves only its poses,
+    so one :func:`build_topologies` call builds all the planned graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
-    if horizon < interval:
-        raise ValueError("horizon must cover at least one planning interval")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     last = history[-1]
-    horizon_steps = seconds_to_steps(horizon, dt)
     lag_steps = now - last.timestep
     if lag_steps < 0:
         raise ValueError("history extends past the planning time")
@@ -190,14 +188,14 @@ def route_predictive(
     tracks = [
         predict(
             [seen[vehicle.id] for seen in observed if vehicle.id in seen],
-            (horizon_steps + lag_steps) * dt,
+            (steps + lag_steps) * dt,
             dt,
             predictor,
         )
         for vehicle in last.vehicles
     ]
-    timesteps = range(now + 1, now + horizon_steps + 1)
-    poses = [[t.states[k] for t in tracks] for k in range(lag_steps, lag_steps + horizon_steps)]
+    timesteps = range(now + 1, now + steps + 1)
+    poses = [[t.states[k] for t in tracks] for k in range(lag_steps, lag_steps + steps)]
     graphs = build_topologies(
         last.vehicles, timesteps, poses, last.rsu_position, params, budget_db
     )

@@ -60,12 +60,10 @@ def make_vehicle(
 def make_snapshot(
     vehicles,
     timestep: int = 0,
-    sim_time: float | None = None,
     rsu_height: float = 5.0,
 ) -> WorldSnapshot:
     return WorldSnapshot(
         timestep=timestep,
-        sim_time=timestep * 0.1 if sim_time is None else sim_time,
         vehicles=tuple(vehicles),
         rsu_position=(0.0, 0.0, rsu_height),
     )

@@ -208,7 +208,7 @@ def test_criterion_8_frozen_world_degeneracy():
         make_vehicle(4, 10.0, 60.0, speed=0.0),
     ]
     frozen = [
-        make_snapshot(vehicles, timestep=k, sim_time=k * 0.1) for k in range(60)
+        make_snapshot(vehicles, timestep=k) for k in range(60)
     ]
     base = tr.default_config(duration=6.0, vehicle_count=5, seed=1)
     values = {}

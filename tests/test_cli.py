@@ -11,7 +11,7 @@ from twinroute import cli, engine, experiment
 from twinroute.cli import main
 from twinroute.config import default_config, load_config, save_config
 from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
-from twinroute.mobility import snapshot_stream, write_trace
+from twinroute.mobility import snapshot_stream, tee_trace
 from twinroute.model import Strategy
 
 from conftest import detail_counts
@@ -221,7 +221,8 @@ def test_run_dump_trace_streams_the_snapshots(tmp_path, monkeypatch):
     assert seen == [0] + list(range(len(seen) - 1))
     assert len(builds) == len(seen) - 1
     whole = io.StringIO()
-    write_trace(snapshot_stream(load_config(cfg)), whole)
+    config = load_config(cfg)
+    list(tee_trace(snapshot_stream(config), whole, config.dt))
     assert (out / "trace.csv").read_text() == whole.getvalue()
 
 
@@ -374,7 +375,7 @@ def test_replay_roundtrip(tmp_path):
     cfg = default_config(duration=10.0, vehicle_count=6, connected_fraction=0.5, seed=3)
     trace = tmp_path / "trace.csv"
     with open(trace, "w") as f:
-        write_trace(snapshot_stream(cfg), f)
+        list(tee_trace(snapshot_stream(cfg), f, cfg.dt))
     out = tmp_path / "replay-out"
     proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
@@ -395,6 +396,15 @@ def test_replay_roundtrip(tmp_path):
         (
             "1,0.1,4,0,1.0,2.0,0.0,5.0",
             "trace line 3: vehicle 4 has a body or connected flag other than on line 2",
+        ),
+        (
+            "1,0.1,4,1,1.0,2.0,0.0,5.0\n1,99.5,5,1,3.0,2.0,0.0,5.0",
+            "trace line 4: timestep 1 has sim_time 99.5, not timestep * dt = 0.1 (dt 0.1)",
+        ),
+        (
+            "timestep,sim_time,id,connected,x,y,heading,speed,length,width,height,antenna_height\n"
+            "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0",
+            "trace line 4: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",
         ),
     ],
 )
@@ -446,12 +456,12 @@ def test_replay_of_a_trace_recorded_at_another_dt_exits_2(tmp_path):
     )
     trace = tmp_path / "trace.csv"
     with open(trace, "w") as f:
-        write_trace(snapshot_stream(recorded), f)
+        list(tee_trace(snapshot_stream(recorded), f, recorded.dt))
     out = tmp_path / "replay-out"
     proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
     assert proc.returncode == 2, proc.stderr
     assert (
-        f"{trace}: timestep 1 has sim_time 0.05, not timestep * dt = 0.1 (dt 0.1)"
+        f"{trace}: trace line 3: timestep 1 has sim_time 0.05, not timestep * dt = 0.1 (dt 0.1)"
         in proc.stderr
     )
     assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroute import engine
+from twinroute import engine, routing
 from twinroute.config import default_config
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.mobility import snapshot_stream
@@ -73,13 +73,13 @@ def test_predictive_result_carries_error_diagnostics():
 
 def straight_line_stream(n_steps=40, dt=0.25):
     """An empty seed step, then two vehicles driving +x at 1 m per step."""
-    snapshots = [make_snapshot([], timestep=0, sim_time=0.0)]
+    snapshots = [make_snapshot([], timestep=0)]
     for k in range(1, n_steps + 1):
         vehicles = [
             make_vehicle(0, -20.0 + k, 1.75, speed=1.0 / dt),
             make_vehicle(1, 10.0 + k, -1.75, speed=1.0 / dt, connected=False),
         ]
-        snapshots.append(make_snapshot(vehicles, timestep=k, sim_time=k * dt))
+        snapshots.append(make_snapshot(vehicles, timestep=k))
     return snapshots
 
 
@@ -106,16 +106,14 @@ def test_latency_uses_older_snapshot():
     assert results["lagged"].reliability <= results["now"].reliability
 
 
-def frozen_world(n_steps=40, dt=0.1):
+def frozen_world(n_steps=40):
     vehicles = [
         make_vehicle(0, 30.0, 1.75, speed=0.0),
         make_vehicle(1, -60.0, -1.75, speed=0.0),
         make_vehicle(2, 45.0, 1.75, speed=0.0, connected=False, body=TRUCK),
         make_vehicle(3, -20.0, -1.75, speed=0.0),
     ]
-    return [
-        make_snapshot(vehicles, timestep=k, sim_time=k * dt) for k in range(n_steps)
-    ]
+    return [make_snapshot(vehicles, timestep=k) for k in range(n_steps)]
 
 
 def test_frozen_world_all_strategies_agree():
@@ -227,6 +225,28 @@ def test_each_plan_reads_the_lagged_history_window(monkeypatch):
     ]
 
 
+def test_a_planning_epoch_builds_only_the_steps_it_applies(monkeypatch):
+    """With a 3 s horizon and a 1 s interval, each epoch forecasts and
+    builds the 10 steps applied before the next one, not the 30 of the
+    horizon."""
+    built = []
+    real = routing.build_topologies
+
+    def spy(vehicles, timesteps, *args):
+        built.append(list(timesteps))
+        return real(vehicles, timesteps, *args)
+
+    monkeypatch.setattr(routing, "build_topologies", spy)
+    cfg = dataclasses.replace(
+        SMALL,
+        duration=5.0,
+        strategy=Strategy.PREDICTIVE,
+        prediction=dataclasses.replace(SMALL.prediction, horizon=3.0, interval=1.0),
+    )
+    run_single(cfg)
+    assert built == [list(range(now + 1, now + 11)) for now in range(0, 50, 10)]
+
+
 def test_replay_scores_all_after_the_seed_snapshot():
     cfg = default_config(duration=4.0, vehicle_count=4, seed=1)
     result = run_single(cfg, frozen_world(25))
@@ -267,14 +287,13 @@ def test_conventional_at_dt_interval_equals_fresh_realtime():
 def test_conventional_stale_route_fails_after_relay_despawns():
     """A relay despawning mid-epoch strands the epoch table; the real-time
     controller swaps to the surviving relay immediately."""
-    dt = 0.1
 
     def world(k: int):
         vehicles = [make_vehicle(0, 120.0, 0.0, speed=0.0)]  # beyond direct range
         if k <= 10:
             vehicles.append(make_vehicle(1, 60.0, 0.0, speed=0.0))  # epoch relay
         vehicles.append(make_vehicle(2, 60.0, 8.0, speed=0.0))  # surviving relay
-        return make_snapshot(vehicles, timestep=k, sim_time=k * dt)
+        return make_snapshot(vehicles, timestep=k)
 
     snapshots = [world(k) for k in range(31)]
     base = default_config(duration=3.0, vehicle_count=3, seed=1)

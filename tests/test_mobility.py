@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -7,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twinroute.config import default_config
@@ -21,7 +22,7 @@ from twinroute.mobility import (
     init_traffic,
     read_trace,
     snapshot_stream,
-    write_trace,
+    tee_trace,
 )
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 
@@ -261,19 +262,18 @@ def test_golden_digest_600s():
 
 
 def test_trace_roundtrip():
-    snapshots = list(snapshot_stream(default_config(duration=5.0, vehicle_count=6, seed=3)))
+    cfg = default_config(duration=5.0, vehicle_count=6, seed=3)
+    snapshots = list(snapshot_stream(cfg))
     buf = io.StringIO()
-    write_trace(snapshots, buf)
+    list(tee_trace(snapshots, buf, cfg.dt))
     buf.seek(0)
-    cfg = default_config()
-    restored = read_trace(buf, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    restored = read_trace(buf, cfg)
     # vehicle-free steps come back from their marker rows
     assert not snapshots[0].vehicles
     assert len(restored) == len(snapshots)
     for orig, back in zip(snapshots, restored):
         assert len(back.vehicles) == len(orig.vehicles)
         assert back.timestep == orig.timestep
-        assert back.sim_time == orig.sim_time
         for vo, vb in zip(orig.vehicles, back.vehicles):
             assert vb.id == vo.id
             assert vb.position == vo.position
@@ -310,11 +310,13 @@ def trace_streams(draw):
                 antenna = draw(st.floats(0.0, body[2] + 1.0, exclude_min=True))
                 lifetimes[k] = (body, antenna, draw(st.booleans()))
             body, antenna, connected = lifetimes[k]
+            # a trace may not put an antenna at the RSU's point
+            assume((x, y, antenna) != (0.0, 0.0, 5.0))
             heading, speed = draw(FINITE), draw(st.sampled_from([0.0, -0.0]) | POSITIVE)
             vehicles.append(
                 VehicleState(NodeId.vehicle(k), (x, y, 0.0), heading, speed, body, antenna, connected)
             )
-        snapshots.append(WorldSnapshot(ts, draw(FINITE), tuple(vehicles), (0.0, 0.0, 5.0)))
+        snapshots.append(WorldSnapshot(ts, tuple(vehicles), (0.0, 0.0, 5.0)))
     return snapshots
 
 
@@ -322,9 +324,9 @@ def trace_streams(draw):
 @given(trace_streams())
 def test_trace_roundtrip_of_any_stream(snapshots):
     buf = io.StringIO()
-    write_trace(snapshots, buf)
+    list(tee_trace(snapshots, buf, 0.1))
     buf.seek(0)
-    back = read_trace(buf, 5.0, default_config().vehicle_mix[0])
+    back = read_trace(buf, default_config())
     assert back == snapshots
     ids: dict[int, NodeId] = {}
     for snap in back:
@@ -335,11 +337,13 @@ def test_trace_roundtrip_of_any_stream(snapshots):
 def test_trace_rejects_malformed_rows():
     with pytest.raises(ValueError):
         cfg = default_config()
-        read_trace(["1,2,3"], cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+        read_trace(["1,2,3"], cfg)
 
 
 TRACE_HEAD = "timestep,sim_time,id,connected,x,y,heading,speed\n"
 GOOD_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0\n"
+WIDE_HEAD = TRACE_HEAD.rstrip("\n") + ",length,width,height,antenna_height\n"
+WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
 
 
 @pytest.mark.parametrize(
@@ -370,25 +374,35 @@ GOOD_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0\n"
         ("1,nan\n", "trace line 3: sim_time must be finite, got nan"),
         ("2,0.2\n", "trace line 3: timestep 2 does not follow 0"),
         ("one,0.1\n", "trace line 3: invalid literal"),
+        # every row's clock is checked, not only its step's first row's
+        (
+            "1,0.1,5,1,1.0,2.0,0.0,5.0\n1,99.5,4,1,3.0,2.0,0.0,5.0\n",
+            "trace line 4: timestep 1 has sim_time 99.5, not timestep * dt = 0.1 (dt 0.1)",
+        ),
+        ("1,0.2\n", "trace line 3: timestep 1 has sim_time 0.2, not timestep * dt = 0.1"),
+        (
+            WIDE_HEAD + "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
+            "trace line 4: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",
+        ),
+        (
+            WIDE_HEAD + "1,0.1,5,0,-0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
+            "trace line 4: the antenna of vehicle 5 is at the RSU's point",
+        ),
     ],
 )
 def test_trace_rejects_bad_rows_naming_the_line(rows, message):
     cfg = default_config()
     lines = io.StringIO(TRACE_HEAD + GOOD_ROW + rows)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+        read_trace(lines, cfg)
     assert message in str(err.value)
 
 
 def test_trace_may_start_at_any_timestep():
     cfg = default_config()
     lines = io.StringIO(TRACE_HEAD + "7,0.7,4,1,0.0,2.0,0.0,5.0\n8,0.8,4,1,0.5,2.0,0.0,5.0\n")
-    snaps = read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+    snaps = read_trace(lines, cfg)
     assert [s.timestep for s in snaps] == [7, 8]
-
-
-WIDE_HEAD = TRACE_HEAD.rstrip("\n") + ",length,width,height,antenna_height\n"
-WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
 
 
 @pytest.mark.parametrize(
@@ -408,7 +422,7 @@ def test_trace_with_body_columns_rejects_bad_rows(rows, message):
     cfg = default_config()
     lines = io.StringIO(WIDE_HEAD + WIDE_ROW + rows)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+        read_trace(lines, cfg)
     assert message in str(err.value)
 
 
@@ -425,18 +439,19 @@ def test_trace_rejects_a_vehicle_whose_body_or_flag_changes(row):
     cfg = default_config()
     lines = io.StringIO(WIDE_HEAD + WIDE_ROW + row)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
+        read_trace(lines, cfg)
     assert "trace line 3: vehicle 4 has a body or connected flag other than on line 2" in str(err.value)
 
 
 def test_trace_without_body_columns_uses_the_default_body():
     cfg = default_config()
-    sedan, truck = cfg.vehicle_mix[0], cfg.vehicle_mix[2]
+    truck = cfg.vehicle_mix[2]
+    trucks_first = dataclasses.replace(cfg, vehicle_mix=(truck, *cfg.vehicle_mix[:2]))
     for head in (TRACE_HEAD, ""):
-        (snap,) = read_trace(io.StringIO(head + GOOD_ROW), cfg.intersection.rsu_height, truck)
+        (snap,) = read_trace(io.StringIO(head + GOOD_ROW), trucks_first)
         assert snap.vehicles[0].dimensions == (truck.length, truck.width, truck.height)
         assert snap.vehicles[0].antenna_height == truck.antenna_height
-    (snap,) = read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg.intersection.rsu_height, sedan)
+    (snap,) = read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg)
     assert snap.vehicles[0].dimensions == (8.0, 2.5, 3.2)
     assert snap.vehicles[0].antenna_height == 3.3
 
@@ -446,10 +461,9 @@ def test_trace_marker_rows_read_as_empty_steps(head, row):
     cfg = default_config()
     row = row.replace("0,0.0,", "2,0.2,", 1)
     lines = io.StringIO(head + "0,0.0\n1,0.1\n" + row + "3,0.30000000000000004\n")
-    snaps = read_trace(lines, cfg.intersection.rsu_height, cfg.vehicle_mix[0])
-    assert [(s.timestep, s.sim_time, len(s.vehicles)) for s in snaps] == [
-        (0, 0.0, 0), (1, 0.1, 0), (2, 0.2, 1), (3, 0.30000000000000004, 0),
-    ]
+    snaps = read_trace(lines, cfg)
+    assert [(s.timestep, len(s.vehicles)) for s in snaps] == [(0, 0), (1, 0), (2, 1), (3, 0)]
     buf = io.StringIO()
-    write_trace(snaps, buf)
+    list(tee_trace(snaps, buf, cfg.dt))
     assert buf.getvalue().splitlines()[1:3] == ["0,0.0", "1,0.1"]
+    assert buf.getvalue().splitlines()[-1] == "3,0.30000000000000004"

@@ -210,9 +210,9 @@ def test_learned_predictor_rejects_bad_rows(row, message):
 )
 def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
     vehicle = make_vehicle(0, 30.0, 0.0)
-    history = [make_snapshot([vehicle], timestep=k, sim_time=k * 0.1) for k in range(2)]
+    history = [make_snapshot([vehicle], timestep=k) for k in range(2)]
     plan = route_predictive(
-        history, 1, horizon=0.2, interval=0.2, predictor=echo_model(row),
+        history, 1, steps=2, predictor=echo_model(row),
         dt=0.1, params=default_channel_params(), budget_db=110.0,
     )
     assert plan.degraded_tracks == 1

@@ -361,10 +361,8 @@ def test_stale_snapshot_route_breaks_on_current_truth():
     assert not score_route(route, truth_now)
 
 
-def frozen_history(vehicles, n=3, dt=0.1):
-    return [
-        make_snapshot(vehicles, timestep=k, sim_time=k * dt) for k in range(n)
-    ]
+def frozen_history(vehicles, n=3):
+    return [make_snapshot(vehicles, timestep=k) for k in range(n)]
 
 
 def test_predictive_static_world_equals_realtime():
@@ -376,7 +374,7 @@ def test_predictive_static_world_equals_realtime():
     history = frozen_history(vehicles)
     now = history[-1].timestep
     plan = route_predictive(
-        history, now, horizon=1.0, interval=0.5, predictor=ConstantVelocityPredictor(),
+        history, now, steps=10, predictor=ConstantVelocityPredictor(),
         dt=0.1, params=PARAMS, budget_db=110.0,
     )
     assert list(plan.entries) == list(plan.forecast) == list(range(now + 1, now + 11))
@@ -412,13 +410,13 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
                 make_vehicle(1, -50.0 + 2 * k, 5.0, speed=20.0),
             ]
         )
-    snapshots = [make_snapshot(v, timestep=k, sim_time=k * dt) for k, v in enumerate(moving)]
+    snapshots = [make_snapshot(v, timestep=k) for k, v in enumerate(moving)]
     future = {
         NodeId.vehicle(0): [snapshots[k].vehicles[0] for k in range(1, 20)],
         NodeId.vehicle(1): [snapshots[k].vehicles[1] for k in range(1, 20)],
     }
     plan = route_predictive(
-        snapshots[:1], 0, horizon=1.0, interval=1.0,
+        snapshots[:1], 0, steps=10,
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
     for ts, table in plan.entries.items():
@@ -438,12 +436,21 @@ def test_predictive_fallback_on_failing_predictor():
 
     history = frozen_history([make_vehicle(0, 30.0, 0.0)])
     plan = route_predictive(
-        history, 2, horizon=0.5, interval=0.5, predictor=Exploding(),
+        history, 2, steps=5, predictor=Exploding(),
         dt=0.1, params=PARAMS, budget_db=110.0,
     )
     assert plan.degraded_tracks == 1
     # hold fallback keeps the vehicle where it was, so routing still works
     assert plan.entries[3][NodeId.vehicle(0)] is not None
+
+
+def test_predictive_plans_at_least_one_step():
+    history = frozen_history([make_vehicle(0, 30.0, 0.0)])
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        route_predictive(
+            history, 2, steps=0, predictor=ConstantVelocityPredictor(),
+            dt=0.1, params=PARAMS, budget_db=110.0,
+        )
 
 
 def plan_counting(monkeypatch, classes):
@@ -461,7 +468,7 @@ def plan_counting(monkeypatch, classes):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     plan = route_predictive(
-        history, history[-1].timestep + 2, horizon=2.0, interval=2.0,
+        history, history[-1].timestep + 2, steps=20,
         predictor=ConstantTurnRatePredictor(), dt=cfg.dt, params=cfg.channel,
         budget_db=cfg.link_budget_db,
     )

@@ -158,7 +158,6 @@ def snapshots_of(vehicles, timesteps, poses, rsu_position):
     return [
         WorldSnapshot(
             ts,
-            ts * 0.1,
             tuple(
                 dataclasses.replace(v, position=p, heading=h, speed=s)
                 for v, (p, h, s) in zip(vehicles, step)
