@@ -63,7 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run an experiment matrix from a sweep spec")
     sweep_p.add_argument("spec", help="sweep YAML file")
     sweep_p.add_argument("--out-dir", default="twinroute-sweep", help="output directory")
-    sweep_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel cells")
+    sweep_p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="parallel traffic worlds; each runs every strategy of one count, fraction and seed",
+    )
 
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("config", help="scenario YAML file")
@@ -169,9 +174,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             " after the first (which only seeds the history) has a connected vehicle"
         )
         return EXIT_CONFIG
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     result = run_single(cfg, snapshots)
-    _write_single(result, cfg, args.out_dir)
+    _write_single(result, cfg, args.out_dir)  # a failed run leaves no directory
     return EXIT_OK
 
 

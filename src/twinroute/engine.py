@@ -82,7 +82,11 @@ class _SharedWorld:
         snap = self.snapshot_at(timestep)
         g = self.graphs.get(snap.timestep)
         if g is None:
-            g = build_topology(snap, self.config.channel, self.config.link_budget_db)
+            try:
+                g = build_topology(snap, self.config.channel, self.config.link_budget_db)
+            except Exception as exc:
+                exc.variant = None  # the shared ground truth, whichever driver asked
+                raise
             self.graphs[snap.timestep] = g
         return g
 
@@ -220,6 +224,11 @@ def run_variants(
     snapshot only seeds the twin's history; every later one is scored.
     Each snapshot's timestep must be one more than the previous one's;
     otherwise ValueError names both.
+
+    An exception raised by one variant's driver propagates unchanged but
+    for a ``variant`` attribute naming that variant; one raised building
+    a ground-truth graph has ``variant`` None, and one from the snapshot
+    stream has none.
     """
     if not variants:
         raise ValueError("no variants to run")
@@ -262,7 +271,12 @@ def run_variants(
         if topology_dump is not None:
             dump_topology(truth, topology_dump)
         for name, driver in drivers.items():
-            table = driver.table_for(snap.timestep, world)
+            try:
+                table = driver.table_for(snap.timestep, world)
+            except Exception as exc:
+                if not hasattr(exc, "variant"):
+                    exc.variant = name
+                raise
             outcome = _score(table, truth, snap.timestep)
             accumulators[name].record(outcome)
             if route_dump is not None and table is not None:

@@ -1,6 +1,9 @@
 """Experiment sweeps: the Cartesian product of counts, fractions,
-strategies and seeds, one independent run per cell, CSV outputs and an
-emitted gnuplot script for reliability-vs-vehicle-count figures.
+strategies and seeds, CSV outputs and an emitted gnuplot script for
+reliability-vs-vehicle-count figures. The cells of one (count, fraction,
+seed) differ only in strategy, so they share one traffic world: one
+``run_variants`` call generates the traffic and ground truth once and
+scores every strategy on it.
 
 A cell is its config. ``write_cell`` and ``write_summary`` write the files
 of every run, a sweep's cells and a lone ``run`` or ``replay`` alike."""
@@ -18,7 +21,7 @@ from typing import Iterable, get_type_hints
 import yaml
 
 from .config import ScenarioConfig, _decode, load_config, validate_config
-from .engine import ConfigError, log, run_single
+from .engine import ConfigError, log, run_variants
 from .metrics import SUMMARY_HEADER, RunResult, summary_row, write_detail
 from .model import Strategy, ValidationReport
 
@@ -129,21 +132,26 @@ def write_summary(rows: Iterable[str], out: str | Path) -> None:
         f.writelines(rows)
 
 
-def _run_cell(args: tuple[SweepCell, str]) -> tuple[str, float]:
-    """Worker: run one cell, write its detail file, return (summary row, reliability)."""
-    cell, out_dir = args
-    result = run_single(cell.config)
-    return write_cell(result, cell, out_dir), result.reliability
+def _run_group(args: tuple[list[SweepCell], str]) -> list[tuple[str, float]]:
+    """Worker: run the cells of one traffic world, write their detail files,
+    return each cell's (summary row, reliability)."""
+    cells, out_dir = args
+    results = run_variants({cell.cell_id: cell.config for cell in cells}).values()
+    return [(write_cell(r, cell, out_dir), r.reliability) for cell, r in zip(cells, results)]
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     """Run every cell, write summary.csv, detail files and plots.gp.
 
-    Cells are independent; with ``jobs`` > 1 they run in parallel but the
-    summary keeps product order, so output bytes do not depend on jobs.
-    An invalid spec raises ConfigError before anything is written. A
-    failing cell aborts the sweep (completed detail files are kept) and
-    raises SweepCellError naming the cell.
+    The cells of one (count, fraction, seed) form a group that shares one
+    traffic world; groups are independent and run in the order of their
+    first cell, and with ``jobs`` > 1 in parallel, one group per pool
+    task. The summary keeps product order, so output bytes do not depend
+    on jobs. An invalid spec raises ConfigError before anything is
+    written. A failing group aborts the sweep and raises SweepCellError
+    naming the cell whose strategy failed, or the group's first cell when
+    its shared traffic or ground truth did; the detail files of every
+    group that completed are kept, the failing group's are not written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -153,23 +161,28 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
-    work = [(cell, str(out)) for cell in cells]
+    groups: dict[tuple, list[SweepCell]] = {}
+    for cell in cells:
+        cfg = cell.config
+        groups.setdefault((cfg.vehicle_count, cfg.connected_fraction, cfg.seed), []).append(cell)
+    work = [(group, str(out)) for group in groups.values()]
 
-    rows: list[str] = []
-    reliabilities: list[float] = []
+    done: dict[str, tuple[str, float]] = {}  # cell id -> (summary row, reliability)
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        results = map(_run_cell, work) if pool is None else pool.imap(_run_cell, work)
-        for cell in cells:  # results arrive in cell order
+        results = map(_run_group, work) if pool is None else pool.imap(_run_group, work)
+        for group, _ in work:  # results arrive in group order
             try:
-                row, reliability = next(results)
+                outputs = next(results)
             except Exception as exc:  # preserve completed outputs, name the cell
-                raise SweepCellError(cell.cell_id, exc) from exc
-            log(f"finished {cell.cell_id}")
-            rows.append(row)
-            reliabilities.append(reliability)
+                failed = getattr(exc, "variant", None) or group[0].cell_id
+                raise SweepCellError(failed, exc) from exc
+            for cell, output in zip(group, outputs):
+                log(f"finished {cell.cell_id}")
+                done[cell.cell_id] = output
 
+    rows = [done[cell.cell_id][0] for cell in cells]
     write_summary(rows, out)
-    _write_plot_assets(cells, reliabilities, out)
+    _write_plot_assets(cells, [done[cell.cell_id][1] for cell in cells], out)
     return rows
 
 

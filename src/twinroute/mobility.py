@@ -89,10 +89,17 @@ class RoutePlan:
     def pose_at(self, s: float) -> tuple[float, float, float]:
         """(x, y, heading) at arc-length progress ``s`` along the polyline."""
         cum = self.cum_lengths
-        i = 0 if s <= 0.0 else min(bisect_right(cum, s) - 1, len(cum) - 2)
+        i = 0 if s <= 0.0 else bisect_right(cum, s) - 1
+        if i > len(cum) - 2:  # at or past the end: the last segment
+            i = len(cum) - 2
         ax, ay = self.waypoints[i]
         bx, by = self.waypoints[i + 1]
-        frac = min(max((s - cum[i]) / (cum[i + 1] - cum[i]), 0.0), 1.0)
+        # clamped to [0, 1] by comparisons, which are cheaper than min/max calls
+        frac = (s - cum[i]) / (cum[i + 1] - cum[i])
+        if frac < 0.0:
+            frac = 0.0
+        elif frac > 1.0:
+            frac = 1.0
         return (ax + (bx - ax) * frac, ay + (by - ay) * frac, self.headings[i])
 
 
@@ -190,21 +197,26 @@ class ActiveVehicle:
     progress: float
     connected: bool
     effective_speed: float
-    id: NodeId = field(init=False)  # one id for the vehicle's lifetime
+    # one id and body for the vehicle's lifetime
+    id: NodeId = field(init=False)
+    dimensions: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         self.id = NodeId.vehicle(self.index)
+        self.dimensions = (self.vclass.length, self.vclass.width, self.vclass.height)
 
     def to_state(self) -> VehicleState:
         x, y, heading = self.plan.pose_at(self.progress)
+        # positional: VehicleState(id, position, heading, speed, dimensions,
+        # antenna_height, connected)
         return VehicleState(
-            id=self.id,
-            position=(x, y, 0.0),
-            heading=heading,
-            speed=self.effective_speed,
-            dimensions=(self.vclass.length, self.vclass.width, self.vclass.height),
-            antenna_height=self.vclass.antenna_height,
-            connected=self.connected,
+            self.id,
+            (x, y, 0.0),
+            heading,
+            self.effective_speed,
+            self.dimensions,
+            self.vclass.antenna_height,
+            self.connected,
         )
 
 
@@ -309,8 +321,9 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
     """Propose cruise moves, then clamp followers to leader - min_gap.
 
     Leaders and followers are ordered per lane corridor from pre-move
-    positions; a few fixed passes resolve the interaction between a
-    vehicle's entry corridor and the exit corridor it is merging onto.
+    positions; up to a fixed number of passes, ending early at one that
+    moves nobody, resolve the interaction between a vehicle's entry
+    corridor and the exit corridor it is merging onto.
     Progress never decreases.
     """
     active = state.active
@@ -331,6 +344,7 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
         lst.sort(key=lambda i: (-(s_old[i] - active[i].plan.exit_start_s), active[i].index))
 
     for _ in range(CLAMP_PASSES):
+        before = list(s_new)
         for lst in entry_lists.values():
             for leader, follower in zip(lst, lst[1:]):
                 cap = s_new[leader] - gap
@@ -342,6 +356,8 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
                 cap = lead_coord - gap + active[follower].plan.exit_start_s
                 if s_new[follower] > cap:
                     s_new[follower] = max(s_old[follower], cap)
+        if s_new == before:  # the next pass would read the same values and move nobody
+            break
     return s_new
 
 
@@ -470,9 +486,10 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapsh
     a step with no vehicles and must be its step's only row; traces
     without markers read as before, starting at their first vehicle row.
     No two vehicles of one step may stand at the same (x, y), no antenna
-    may stand at the RSU's point, and a vehicle keeps the body and
-    ``connected`` flag of its first row. Every error is a ValueError
-    naming the 1-based line it was found on.
+    may stand at the RSU's point (its squared distance to it, a sum of
+    squares as the graph builder computes it, must not be 0.0), and a
+    vehicle keeps the body and ``connected`` flag of its first row. Every
+    error is a ValueError naming the 1-based line it was found on.
     """
     dt = config.dt
     body = config.vehicle_mix[0]
@@ -533,7 +550,10 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapsh
                 raise ValueError(
                     f"vehicles {spots[spot]} and {index} share position {spot} in timestep {ts}"
                 )
-            if spot == rsu[:2] and vehicle.antenna_height == rsu[2]:
+            # the graph builder's sum of squares: it underflows to 0.0 for
+            # an antenna within about 1e-154 m of the RSU's point
+            dx, dy, dz = spot[0] - rsu[0], spot[1] - rsu[1], vehicle.antenna_height - rsu[2]
+            if dx * dx + dy * dy + dz * dz == 0.0:
                 raise ValueError(f"the antenna of vehicle {index} is at the RSU's point {rsu}")
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}: {line!r}") from None

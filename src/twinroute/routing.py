@@ -216,11 +216,17 @@ def score_route(route: Route | None, ground_truth: ConnectivityGraph) -> bool:
     if route is None:
         return False
     index = ground_truth.index
-    ks = [index.get(node) for node in route.hops]
-    if None in ks:
-        return False
     adjacency = ground_truth.adjacency
-    return all(b in adjacency[a] for a, b in zip(ks, ks[1:]))
+    hops = iter(route.hops)
+    a = index.get(next(hops))
+    if a is None:
+        return False
+    for node in hops:
+        b = index.get(node)
+        if b not in adjacency[a]:  # None, a node absent from the graph, is no key
+            return False
+        a = b
+    return True
 
 
 ROUTE_DUMP_HEADER = "timestep,vehicle,hops,valid\n"

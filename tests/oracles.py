@@ -9,7 +9,8 @@ that faster code replaced and must still match: the scalar slab test
 (``ObstacleBox``, ``box_from_vehicle``, ``segment_intersects_box`` and
 ``blockage_count``) and the dense blockage kernel for the two-phase one,
 the numpy pose lookup for the bisect one, the top-down BFS for the
-bottom-up hop layering, and ``node_key``, the (kind, index) order that
+bottom-up hop layering, the list-and-``all()`` route check for the
+one-pass hop walk, and ``node_key``, the (kind, index) order that
 int-coded node ids must sort in.
 """
 
@@ -406,6 +407,20 @@ def oracle_hop_layers(adjacency):
         for u, nbrs in enumerate(adjacency)
     ]
     return depth, down
+
+
+def oracle_score_route(route, ground_truth) -> bool:
+    """True iff the route exists and every hop holds in the ground truth:
+    every node is looked up first, then every link, the formulation the
+    one-pass hop walk of ``routing.score_route`` replaced."""
+    if route is None:
+        return False
+    index = ground_truth.index
+    ks = [index.get(node) for node in route.hops]
+    if None in ks:
+        return False
+    adjacency = ground_truth.adjacency
+    return all(b in adjacency[a] for a, b in zip(ks, ks[1:]))
 
 
 def oracle_dijkstra_route(graph, source, max_hops=None):

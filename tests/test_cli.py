@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import io
+import itertools
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from twinroute import cli, engine, experiment
+from twinroute import cli, engine, mobility
 from twinroute.cli import main
 from twinroute.config import default_config, load_config, save_config
 from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
 from twinroute.mobility import snapshot_stream, tee_trace
-from twinroute.model import Strategy
 
 from conftest import detail_counts
 from oracles import oracle_reliability
@@ -350,24 +351,70 @@ def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):
     assert not (out / "summary.csv").exists()  # sweep aborted before summary
 
 
+def fail_in_seed(monkeypatch, target: str, seed: int) -> None:
+    """Make ``engine.<target>`` raise "model crashed" in the traffic world
+    of ``seed``; pool workers fork with the patches in place."""
+    stream, real = engine.snapshot_stream, getattr(engine, target)
+    world = {}
+
+    def seeded_stream(config):
+        world["seed"] = config.seed
+        return stream(config)
+
+    def failing(*args, **kwargs):
+        if world["seed"] == seed:
+            raise RuntimeError("model crashed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "snapshot_stream", seeded_stream)
+    monkeypatch.setattr(engine, target, failing)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_cell_error_names_the_cell_and_keeps_earlier_cells(tmp_path, monkeypatch, jobs):
     spec = load_sweep_spec(sweep_spec(tmp_path, counts="[4]", strategies="[realtime, predictive]"))
-    run_single = experiment.run_single
-
-    def failing(config):  # pool workers fork with this patch in place
-        if config.strategy is Strategy.PREDICTIVE and config.seed == 2:
-            raise RuntimeError("model crashed")
-        return run_single(config)
-
-    monkeypatch.setattr(experiment, "run_single", failing)
+    fail_in_seed(monkeypatch, "route_predictive", 2)
     out = tmp_path / "out"
     with pytest.raises(SweepCellError, match="sweep cell predictive_n4_f1_s2 failed: model crashed") as err:
         run_sweep(spec, out, jobs=jobs)
     assert err.value.cell_id == "predictive_n4_f1_s2"
+    # realtime_n4_f1_s2 shares the failing cell's traffic world, so it is not kept
     kept = sorted(p.name for p in (out / "detail").glob("*.csv"))
-    assert kept == ["predictive_n4_f1_s1.csv", "realtime_n4_f1_s1.csv", "realtime_n4_f1_s2.csv"]
+    assert kept == ["predictive_n4_f1_s1.csv", "realtime_n4_f1_s1.csv"]
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_shared_world_error_names_the_group_first_cell(tmp_path, monkeypatch, jobs):
+    spec = load_sweep_spec(sweep_spec(tmp_path, counts="[4]", strategies="[conventional, predictive]"))
+    fail_in_seed(monkeypatch, "build_topology", 2)  # the ground truth of every strategy
+    out = tmp_path / "out"
+    with pytest.raises(SweepCellError, match="sweep cell conventional_n4_f1_s2 failed: model crashed") as err:
+        run_sweep(spec, out, jobs=jobs)
+    assert err.value.cell_id == "conventional_n4_f1_s2"
+    kept = sorted(p.name for p in (out / "detail").glob("*.csv"))
+    assert kept == ["conventional_n4_f1_s1.csv", "predictive_n4_f1_s1.csv"]
+    assert not (out / "summary.csv").exists()
+
+
+def test_sweep_generates_each_traffic_world_once(tmp_path, monkeypatch):
+    spec = load_sweep_spec(
+        sweep_spec(tmp_path, seeds="[1, 2, 3]", counts="[4, 6]", strategies="[realtime, predictive, conventional]")
+    )
+    spec = dataclasses.replace(
+        spec, base=dataclasses.replace(spec.base, duration=5.0), connected_fractions=(1.0, 0.5)
+    )
+    assert len(spec.cells()) == 36
+    worlds = []
+    init_traffic = mobility.init_traffic
+
+    def spy(config):
+        worlds.append((config.vehicle_count, config.connected_fraction, config.seed))
+        return init_traffic(config)
+
+    monkeypatch.setattr(mobility, "init_traffic", spy)
+    run_sweep(spec, tmp_path / "out", jobs=1)
+    assert sorted(worlds) == sorted(itertools.product((4, 6), (1.0, 0.5), (1, 2, 3)))
 
 
 def test_replay_roundtrip(tmp_path):
@@ -446,6 +493,45 @@ def test_replay_with_nothing_to_score_exits_2_naming_the_trace(tmp_path, rows, m
     assert proc.returncode == 2, proc.stderr
     assert f"{trace}: {message}" in proc.stderr
     assert "runtime error" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        # 1e-200 squared underflows, so the graph builder would see a
+        # zero-length link to the RSU: the reader rejects the line
+        (
+            ["0,0.0,4,1,0.0,2.0,0.0,5.0,4.5,1.8,4.2,5.0", "1,0.1,4,1,1e-200,0.0,0.0,5.0,4.5,1.8,4.2,5.0"],
+            2,
+            "trace line 3: the antenna of vehicle 4 is at the RSU's point (0.0, 0.0, 5.0)",
+        ),
+        # two antennas 1e-200 m apart pass the reader; the builder rejects them
+        (
+            [
+                "0,0.0,4,1,0.0,2.0,0.0,5.0,4.5,1.8,4.2,3.0",
+                "1,0.1,4,1,1e-200,0.0,0.0,5.0,4.5,1.8,4.2,3.0",
+                "1,0.1,5,1,2e-200,0.0,0.0,5.0,4.5,1.8,4.2,3.0",
+            ],
+            3,
+            "runtime error: timestep 1: antennas of v4 and v5 coincide",
+        ),
+    ],
+    ids=["antenna-at-rsu", "antennas-coincide"],
+)
+def test_replay_of_antennas_that_underflow_to_one_point_leaves_no_directory(tmp_path, rows, code, message):
+    cfg_path = write_small_config(tmp_path / "s.yaml")
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "timestep,sim_time,id,connected,x,y,heading,speed,length,width,height,antenna_height\n"
+        + "\n".join(rows)
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
     assert not out.exists()
 
 

@@ -62,6 +62,52 @@ def test_run_variants_rejects_mismatched_traffic():
         run_variants({"a": SMALL, "b": other_seed})
 
 
+def catch_up_stream(n_steps=16, dt=0.25):
+    """Two connected vehicles on one lane, the one behind twice as fast,
+    until both stop 4 m apart at step 8. Constant velocity from step 8
+    puts both antennas at x = 8 at step 12; the ground truth never does."""
+    snapshots = [make_snapshot([], timestep=0)]
+    for k in range(1, n_steps + 1):
+        moving = k <= 8
+        vehicles = [
+            make_vehicle(0, -16.0 + 2 * min(k, 8), 1.75, speed=2 / dt if moving else 0.0),
+            make_vehicle(1, -4.0 + min(k, 8), 1.75, speed=1 / dt if moving else 0.0),
+        ]
+        snapshots.append(make_snapshot(vehicles, timestep=k))
+    return snapshots
+
+
+def test_a_failing_driver_names_its_variant_and_keeps_its_exception():
+    base = default_config(dt=0.25, duration=4.0, vehicle_count=2)
+    variants = {"rt": base, "pred": dataclasses.replace(base, strategy=Strategy.PREDICTIVE)}
+    message = "timestep 12: antennas of v0 and v1 coincide"
+    with pytest.raises(ValueError, match=message) as err:
+        run_variants(variants, snapshots=catch_up_stream())
+    assert err.value.variant == "pred"
+    # a lone run sees the exception as it was, with its variant's name
+    with pytest.raises(ValueError, match=message) as err:
+        run_single(variants["pred"], catch_up_stream())
+    assert err.value.variant == "run"
+    assert run_single(base, catch_up_stream()).reliability == 1.0
+
+
+def test_a_failing_ground_truth_names_no_variant():
+    base = default_config(duration=4.0, vehicle_count=2)
+    variants = {"rt": base, "pred": dataclasses.replace(base, strategy=Strategy.PREDICTIVE)}
+    clash = [make_vehicle(0, 20.0, 1.75), make_vehicle(1, 20.0, 1.75)]
+    snapshots = [make_snapshot([], timestep=0), make_snapshot(clash, timestep=1)]
+    with pytest.raises(ValueError, match="timestep 1: antennas of v0 and v1 coincide") as err:
+        run_variants(variants, snapshots=snapshots)
+    assert err.value.variant is None
+    # the seed step's graph is first built for a lagged driver, but it is
+    # still the shared ground truth
+    lagged = {"rt": dataclasses.replace(base, latency_delta=0.1)}
+    snapshots = [make_snapshot(clash, timestep=0), make_snapshot([], timestep=1)]
+    with pytest.raises(ValueError, match="timestep 0: antennas of v0 and v1 coincide") as err:
+        run_variants(lagged, snapshots=snapshots)
+    assert err.value.variant is None
+
+
 def test_predictive_result_carries_error_diagnostics():
     cfg = dataclasses.replace(SMALL, strategy=Strategy.PREDICTIVE)
     result = run_single(cfg)

@@ -120,6 +120,32 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     )
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(150, 300))  # past the ramp-up
+def test_to_state_equals_the_keyword_built_state(seed, steps):
+    cfg = dataclasses.replace(CFG, seed=seed)
+    state = init_traffic(cfg)
+    for _ in range(steps):
+        advance_traffic(state, cfg.dt)
+    assert state.active
+    for v in state.active:
+        x, y, heading = v.plan.pose_at(v.progress)
+        body = v.vclass
+        assert v.to_state() == VehicleState(
+            id=NodeId.vehicle(v.index),
+            position=(x, y, 0.0),
+            heading=heading,
+            speed=v.effective_speed,
+            dimensions=(body.length, body.width, body.height),
+            antenna_height=body.antenna_height,
+            connected=v.connected,
+        )
+    # the state's own checks still run
+    v.effective_speed = -1.0
+    with pytest.raises(ValueError, match="speed must be >= 0"):
+        v.to_state()
+
+
 def test_free_vehicle_advances_speed_times_dt():
     state = make_two_vehicle_state(80.0, 10.0, 10.0, 10.0)
     advance_traffic(state, 0.1)

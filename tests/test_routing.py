@@ -25,7 +25,13 @@ from twinroute.routing import (
 from twinroute.topology import ConnectivityGraph, build_topology
 
 from conftest import TRUCK, graph_from_losses, make_snapshot, make_vehicle
-from oracles import node_key, oracle_dijkstra_route, oracle_hop_layers, oracle_shortest_path
+from oracles import (
+    node_key,
+    oracle_dijkstra_route,
+    oracle_hop_layers,
+    oracle_score_route,
+    oracle_shortest_path,
+)
 
 PARAMS = default_channel_params()
 RSU = NodeId.rsu()
@@ -327,6 +333,37 @@ def test_score_route_cases():
     # middle link newly blocked: edge 0-1 removed, nodes still present
     broken_mid = graph_from_losses({(0, "rsu"): 80.0, (1, "rsu"): 70.0})
     assert not score_route(relay, broken_mid)
+
+
+def route_via(*relays: int) -> Route:
+    hops = (*map(NodeId.vehicle, relays), RSU)
+    return Route(hops[0], hops)
+
+
+# vehicle 0 reaches the RSU directly and through vehicle 1; vehicle 2 has no links
+RELAYED = graph_from_losses({(0, "rsu"): 80.0, (0, 1): 70.0, (1, "rsu"): 70.0}, [2])
+
+
+@st.composite
+def routes(draw):
+    """None, or a route through up to five of vehicles 0-9; a graph of
+    ``small_graphs`` has vehicles 0-6 at most, so some hops are absent."""
+    if draw(st.integers(0, 9)) == 0:
+        return None
+    return route_via(*draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=small_graphs(), route=routes())
+@example(g=RELAYED, route=None)
+@example(g=RELAYED, route=route_via(0))  # direct to the RSU
+@example(g=RELAYED, route=route_via(0, 1))
+@example(g=RELAYED, route=route_via(0, 9))  # a hop absent from the graph
+@example(g=RELAYED, route=route_via(9, 0))  # an absent source
+@example(g=RELAYED, route=route_via(0, 2, 1))  # a broken middle hop
+@example(g=RELAYED, route=route_via(2))
+def test_score_route_matches_the_list_formulation(g, route):
+    assert score_route(route, g) == oracle_score_route(route, g)
 
 
 def test_route_invariants_enforced():
