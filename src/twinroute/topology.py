@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -100,19 +101,28 @@ def _graph_from_arrays(
 ) -> ConnectivityGraph:
     """Graph over sorted ``nodes`` from edge rows with ``i < j`` in ascending
     (i, j) order, so every node's neighbours arrive in index order."""
-    adjacency: list[dict[int, float]] = [{} for _ in nodes]
-    for a, b, ab_loss in zip(i.tolist(), j.tolist(), loss.tolist()):
+    adjacency = _adjacency(len(nodes), i.tolist(), j.tolist(), loss.tolist())
+    return ConnectivityGraph(timestep, nodes, index, i, j, distance, blockers, loss, adjacency)
+
+
+def _adjacency(
+    n_nodes: int, i: Iterable[int], j: Iterable[int], loss: Iterable[float]
+) -> list[dict[int, float]]:
+    """One ``{neighbour: loss}`` dict per node, filled in edge-row order."""
+    adjacency: list[dict[int, float]] = [{} for _ in range(n_nodes)]
+    for a, b, ab_loss in zip(i, j, loss):
         adjacency[a][b] = ab_loss
         adjacency[b][a] = ab_loss
-    return ConnectivityGraph(timestep, nodes, index, i, j, distance, blockers, loss, adjacency)
+    return adjacency
 
 
 @lru_cache(maxsize=64)
 def _node_pairs(n: int) -> np.ndarray:
-    """Every (i, j) with i < j < n, ascending; read-only, shared by all builds."""
-    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    pairs.setflags(write=False)
-    return pairs
+    """Every (i, j) with i < j < n, ascending, as a (2, pairs) array of the
+    i and the j; read-only, shared by all builds."""
+    ends = np.stack(np.triu_indices(n, k=1))
+    ends.setflags(write=False)
+    return ends
 
 
 def build_topology(
@@ -145,10 +155,16 @@ def build_topologies(
     ``poses[s][k]`` the (position, heading, speed) of ``vehicles[k]`` at
     ``timesteps[s]``; the vehicles' own poses are not read. Each graph
     equals the :func:`build_topology` graph of the snapshot of those
-    vehicles at those poses. The node list and bodies are read once, one
-    kernel call counts blockers for every pair in range at any step, and
-    the channel and feasibility arithmetic runs over all steps at once; a
-    pair out of range at a step is dropped there.
+    vehicles at those poses. The node list and bodies are read once, and
+    the poses become arrays from one flat run of floats. One kernel call
+    counts blockers for every pair in range at any step, with one owner
+    key per antenna (RSU -1, a vehicle its id), and the channel and
+    feasibility arithmetic runs over all steps at once; a pair out of
+    range at a step is dropped there. The graphs are assembled in one
+    pass: one ``flatnonzero`` of the (step, pair) feasibility mask and one
+    ``tolist`` per edge column serve every step, each graph's edge arrays
+    are slices of those, and its adjacency dicts are filled in (i, j) row
+    order.
 
     Raises ValueError, naming the timestep, for two antennas at one point
     (a zero-length link has no path loss).
@@ -164,41 +180,49 @@ def build_topologies(
     # owner keys are the ids' int codes, all >= 1 for vehicles
     owner_keys = np.array([-1] + [vehicles[k].id for k in connected], dtype=np.int64)
 
-    # per-step poses; bodies are shared
-    positions = np.array(
-        [[p for p, _, _ in step] for step in poses], dtype=np.float64
-    ).reshape(n_steps, n_vehicles, 3)
-    yaws = np.array(
-        [[h for _, h, _ in step] for step in poses], dtype=np.float64
-    ).reshape(n_steps, n_vehicles)
-    halves = np.array([v.dimensions for v in vehicles], dtype=np.float64).reshape(-1, 3) / 2.0
-    centers = positions.copy()
+    # per-step (x, y, yaw) of every vehicle, read from one flat run of
+    # floats (no count given, so a step of the wrong length fails the
+    # reshape); bodies are shared
+    flat = chain.from_iterable((x, y, yaw) for step in poses for (x, y, _), yaw, _ in step)
+    xy_yaw = np.fromiter(flat, np.float64).reshape(n_steps, n_vehicles, 3)
+    dims = chain.from_iterable(v.dimensions for v in vehicles)
+    halves = np.fromiter(dims, np.float64).reshape(n_vehicles, 3) / 2.0
+    centers = np.empty((n_steps, n_vehicles, 3))
+    centers[:, :, :2] = xy_yaw[:, :, :2]
     centers[:, :, 2] = halves[:, 2]
     antennas = np.empty((n_steps, len(nodes), 3))
     antennas[:, 0] = rsu_position
-    antennas[:, 1:, :2] = positions[:, connected, :2]
+    antennas[:, 1:, :2] = xy_yaw[:, connected, :2]
     antennas[:, 1:, 2] = [vehicles[k].antenna_height for k in connected]
 
     # the union over steps of the pairs within range in ground distance,
-    # still in ascending (i, j) order
-    pairs = _node_pairs(len(nodes))
-    sq = np.square(antennas[:, pairs[:, 0]] - antennas[:, pairs[:, 1]])  # (S, all node pairs, 3)
+    # still in ascending (i, j) order, from per-axis antenna arrays; antenna
+    # heights do not change from step to step
+    x = antennas[:, :, 0].copy()  # (S, N)
+    y = antennas[:, :, 1].copy()
+    z = antennas[0, :, 2]  # (N,)
+    ends = _node_pairs(len(nodes))
+    dx = x.take(ends[0], axis=1) - x.take(ends[1], axis=1)  # (S, all node pairs)
+    dy = y.take(ends[0], axis=1) - y.take(ends[1], axis=1)
+    ground_sq = dx * dx + dy * dy
+    del dx, dy
     max_range = params.max_range_m
-    near = sq[:, :, 0] + sq[:, :, 1] <= max_range * max_range
-    in_range = near.any(axis=0)
-    pairs, near = pairs[in_range], near[:, in_range]
-    distances = np.sqrt(sq[:, in_range].sum(axis=2))  # (S, P)
-    del sq
+    near = ground_sq <= max_range * max_range
+    in_range = np.flatnonzero(near.any(axis=0))
+    ends, near = ends.take(in_range, axis=1), near.take(in_range, axis=1)
+    dz = z.take(ends[0]) - z.take(ends[1])
+    distances = np.sqrt(ground_sq.take(in_range, axis=1) + dz * dz)  # (S, P)
+    del ground_sq
     if not distances.all():
         s, p = np.argwhere(distances == 0.0)[0]
-        a, b = pairs[p]
+        a, b = ends[:, p]
         raise ValueError(
             f"timestep {timesteps[s]}: antennas of {nodes[a]} and {nodes[b]} coincide"
         )
 
     box_owners = np.array([v.id for v in vehicles], dtype=np.int64)
     blockers = blockage_count_matrix(
-        antennas, pairs, owner_keys[pairs], centers, halves, yaws, box_owners
+        antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], box_owners
     )
 
     # vectorized twin of channel.path_loss: same class table, same
@@ -213,11 +237,30 @@ def build_topologies(
         + params.atmospheric_db_per_km * distances / 1000.0
     )
 
+    # every step's edge rows in one pass: the feasible (step, pair) entries
+    # in row-major order are each step's edges in ascending (i, j), one
+    # step after the other; each graph's arrays are slices of these
     feasible = near & (losses <= budget_db) & (distances <= max_range)
+    rows = np.flatnonzero(feasible)
+    n_pairs = ends.shape[1]
+    stops = np.searchsorted(rows, np.arange(1, n_steps + 1) * n_pairs).tolist()
+    i, j = ends.take(rows % n_pairs, axis=1)
+    distance = distances.ravel()[rows]
+    blocked = blockers.ravel()[rows]
+    loss = losses.ravel()[rows]
+    i_list, j_list, loss_list = i.tolist(), j.tolist(), loss.tolist()
     graphs = []
-    for ts, keep, d, k, loss in zip(timesteps, feasible, distances, blockers, losses):
-        i, j = pairs[keep].T
-        graphs.append(_graph_from_arrays(ts, nodes, index, i, j, d[keep], k[keep], loss[keep]))
+    start = 0
+    for ts, stop in zip(timesteps, stops):
+        edges = slice(start, stop)
+        adjacency = _adjacency(len(nodes), i_list[edges], j_list[edges], loss_list[edges])
+        graphs.append(
+            ConnectivityGraph(
+                ts, nodes, index, i[edges], j[edges], distance[edges], blocked[edges],
+                loss[edges], adjacency,
+            )
+        )
+        start = stop
     return graphs
 
 

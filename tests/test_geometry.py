@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinroute import topology
 from twinroute.config import default_config
@@ -143,13 +145,13 @@ def test_slab_agrees_with_sampling_oracle(fuzz_scale):
     assert checked > 0.99 * n
 
 
-def scalar_counts(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
+def scalar_counts(pts, pairs, point_owners, centers, halves, yaws, box_owners):
     """Per-pair blocker counts from :func:`segment_intersects_box`, one box at a time."""
     counts = []
-    for p, (i, j) in enumerate(pairs):
+    for i, j in pairs:
         want = 0
         for k in range(len(centers)):
-            if box_owners[k] in (pair_owners[p, 0], pair_owners[p, 1]):
+            if box_owners[k] in (point_owners[i], point_owners[j]):
                 continue
             box = ObstacleBox(
                 tuple(centers[k]), tuple(halves[k]), float(yaws[k]), NodeId.vehicle(int(box_owners[k]))
@@ -160,31 +162,36 @@ def scalar_counts(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
     return counts
 
 
-def oracle_per_step(points, pairs, pair_owners, centers, halves, yaws, box_owners):
+def oracle_per_step(points, pairs, point_owners, centers, halves, yaws, box_owners):
     """The dense oracle applied to each step of a batched kernel call, stacked."""
     return np.array(
         [
-            oracle_dense_blockage_counts(p, pairs, pair_owners, c, halves, y, box_owners)
+            oracle_dense_blockage_counts(p, pairs, point_owners[pairs], c, halves, y, box_owners)
             for p, c, y in zip(points, centers, yaws)
         ],
         dtype=np.int64,
     ).reshape(len(points), len(pairs))
 
 
-def assert_kernel_matches(pts, pairs, pair_owners, centers, halves, yaws, box_owners):
+def assert_kernel_matches(pts, pairs, point_owners, centers, halves, yaws, box_owners):
     """One scene as a one-step batch: kernel vs scalar test vs dense oracle."""
-    args = (np.asarray(pts, dtype=np.float64), np.asarray(pairs), np.asarray(pair_owners),
+    args = (np.asarray(pts, dtype=np.float64), np.asarray(pairs), np.asarray(point_owners),
             np.asarray(centers, dtype=np.float64), np.asarray(halves, dtype=np.float64),
             np.asarray(yaws, dtype=np.float64), np.asarray(box_owners))
-    points, pairs, pair_owners, centers, halves, yaws, box_owners = args
+    points, pairs, point_owners, centers, halves, yaws, box_owners = args
     batch = blockage_count_matrix(
-        points[None], pairs, pair_owners, centers[None], halves, yaws[None], box_owners
+        points[None], pairs, point_owners, centers[None], halves, yaws[None], box_owners
     )
     assert batch.dtype == np.int64
     assert batch.shape == (1, len(pairs))
     got = batch[0]
     assert got.tolist() == scalar_counts(*args)
-    assert np.array_equal(got, oracle_dense_blockage_counts(*args))
+    assert np.array_equal(
+        got,
+        oracle_dense_blockage_counts(
+            points, pairs, point_owners[pairs], centers, halves, yaws, box_owners
+        ),
+    )
     return got
 
 
@@ -203,10 +210,10 @@ def random_scene(rng, offset=0.0):
     box_owners = rng.integers(0, 10, size=n_boxes)
     ii, jj = np.triu_indices(n_pts, k=1)
     pairs = np.stack([ii, jj], axis=1)
-    pair_owners = rng.integers(-1, 10, size=(len(pairs), 2))
+    point_owners = rng.integers(-1, 10, size=n_pts)
     pts[:, :2] += offset
     centers[:, :2] += offset
-    return pts, pairs, pair_owners, centers, halves, yaws, box_owners
+    return pts, pairs, point_owners, centers, halves, yaws, box_owners
 
 
 def test_batch_kernel_matches_scalar(fuzz_scale):
@@ -227,7 +234,7 @@ def one_box_scene(segments, center=(0.0, 0.0), half=(2.25, 0.9, 0.75), yaw=0.0, 
     pts[:, :2] += shift
     pairs = np.arange(len(pts)).reshape(-1, 2)
     centers = [(center[0] + shift, center[1] + shift, half[2])]
-    return pts, pairs, np.full((len(pairs), 2), -1), centers, [half], [yaw], [7]
+    return pts, pairs, np.full(len(pts), -1), centers, [half], [yaw], [7]
 
 
 HX, HY, HZ = 2.25, 0.9, 0.75
@@ -312,7 +319,58 @@ def test_batch_kernel_matches_at_the_bounding_circle_extremes(shift, fuzz_scale)
         pts = np.array([p for seg in segments for p in seg])
         pairs = np.arange(len(pts)).reshape(-1, 2)
         assert_kernel_matches(
-            pts, pairs, np.full((len(pairs), 2), -1), [(cx, cy, half[2])], [half], [yaw], [7]
+            pts, pairs, np.full(len(pts), -1), [(cx, cy, half[2])], [half], [yaw], [7]
+        )
+
+
+def face_segments(half, yaw, cx, cy):
+    """Segments from well outside each face a sight line can cross (+-hx,
+    +-hy, the roof) to within 4 ulps of it, for a box at a multiple of
+    pi/2 in yaw: each far end steps through the floats around the face's
+    world coordinate, its other coordinates inside the box."""
+    c, s = round(np.cos(yaw)), round(np.sin(yaw))
+    # each local face as (world axis, world sign, half extent), the rest inside
+    faces = [(0, c, half[0]) if c else (1, s, half[0]), (1, c, half[1]) if c else (0, -s, half[1])]
+    segments = []
+    for axis, sign, h in faces:
+        for side in (1, -1):
+            face = (cx, cy)[axis] + side * sign * h
+            for reach, slant in ((3.0, 0.0), (40.0, 0.0), (40.0, 1.0)):
+                for value in ulp_steps(face, 4):
+                    far = [cx, cy, 1.0]
+                    far[axis] = value
+                    near = list(far)
+                    near[axis] = face + side * sign * reach
+                    near[1 - axis] += slant
+                    segments.append((tuple(near), tuple(far)))
+    roof = half[2] + half[2]
+    for reach, slant in ((3.0, 0.0), (40.0, 0.0), (40.0, 1.0)):
+        for z in ulp_steps(roof, 4):
+            segments.append(((cx + slant, cy - slant, roof + reach), (cx, cy, z)))
+    return segments
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e9], ids=["origin", "shifted", "far"])
+@pytest.mark.parametrize("yaw", [0.0, np.pi / 2, -np.pi / 2, np.pi], ids=["0", "pi/2", "-pi/2", "pi"])
+def test_batch_kernel_matches_with_an_end_a_few_ulps_from_a_face(yaw, shift, fuzz_scale):
+    """Sight lines that end within a few ulps of a box face, from far
+    outside it: rounding in the slab's own subtraction and division makes
+    the float slab test report some ends just beyond the face as touches,
+    so the outcode cull must keep them.
+
+    The kernel (like the dense reference) takes a segment's z step in the
+    world frame and the scalar test in the box frame; near the roof the
+    two differ by a rounding, so the roof height is a multiple of 1/32,
+    which makes both steps one float."""
+    rng = np.random.default_rng(29)
+    for _ in range(10 * fuzz_scale):
+        half = (rng.uniform(0.5, 4), rng.uniform(0.3, 2), round(rng.uniform(0.5, 2) * 64) / 64)
+        cx, cy = shift + rng.uniform(-1, 1, size=2)
+        segments = face_segments(half, yaw, cx, cy)
+        pts = np.array([p for seg in segments for p in seg])
+        pairs = np.arange(len(pts)).reshape(-1, 2)
+        assert_kernel_matches(
+            pts, pairs, np.full(len(pts), -1), [(cx, cy, half[2])], [half], [yaw], [7]
         )
 
 
@@ -341,12 +399,12 @@ def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
 def random_steps(rng, n_steps, offsets):
     """One set of antennas, pairs and bodies moved to ``n_steps`` poses; step
     s is shifted by ``offsets[s]`` in x and y."""
-    pts, pairs, pair_owners, centers, halves, yaws, box_owners = random_scene(rng)
+    pts, pairs, point_owners, centers, halves, yaws, box_owners = random_scene(rng)
     points = pts + rng.uniform(-5, 5, size=(n_steps, *pts.shape)) * [1, 1, 0]
     box_centers = centers + rng.uniform(-5, 5, size=(n_steps, *centers.shape)) * [1, 1, 0]
     box_yaws = yaws + rng.uniform(-1, 1, size=(n_steps, len(yaws)))
     shift = np.asarray(offsets, dtype=np.float64)[:, None, None] * [1, 1, 0]
-    return points + shift, pairs, pair_owners, box_centers + shift, halves, box_yaws, box_owners
+    return points + shift, pairs, point_owners, box_centers + shift, halves, box_yaws, box_owners
 
 
 @pytest.mark.parametrize(
@@ -359,31 +417,75 @@ def test_batch_kernel_steps_match_each_step_alone(offsets, fuzz_scale):
     rng = np.random.default_rng(23)
     for _ in range(60 * fuzz_scale):
         args = random_steps(rng, len(offsets), offsets)
-        points, pairs, pair_owners, centers, halves, yaws, box_owners = args
+        points, pairs, point_owners, centers, halves, yaws, box_owners = args
         got = blockage_count_matrix(*args)
         assert got.dtype == np.int64
         assert got.shape == (len(offsets), len(pairs))
         assert np.array_equal(got, oracle_per_step(*args))
         for s in range(len(offsets)):
-            step = (points[s], pairs, pair_owners, centers[s], halves, yaws[s], box_owners)
+            step = (points[s], pairs, point_owners, centers[s], halves, yaws[s], box_owners)
             assert got[s].tolist() == scalar_counts(*step)
             alone = blockage_count_matrix(
-                points[s:s + 1], pairs, pair_owners, centers[s:s + 1], halves, yaws[s:s + 1],
+                points[s:s + 1], pairs, point_owners, centers[s:s + 1], halves, yaws[s:s + 1],
                 box_owners,
             )
             assert np.array_equal(got[s:s + 1], alone)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 4), data=st.data())
+def test_batch_kernel_invariants(seed, n_steps, data):
+    """Permuting the bodies or the pairs permutes nothing but the counts; a
+    step counts as it does alone; a body counts for a pair exactly when
+    neither endpoint owns it and the scalar slab test says it is hit."""
+    args = random_steps(np.random.default_rng(seed), n_steps, (0.0,) * n_steps)
+    points, pairs, point_owners, centers, halves, yaws, box_owners = args
+    got = blockage_count_matrix(*args)
+
+    by_box = np.array(data.draw(st.permutations(range(len(halves)))), dtype=np.int64)
+    by_pair = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.int64)
+    permuted = blockage_count_matrix(
+        points, pairs[by_pair], point_owners, centers[:, by_box], halves[by_box],
+        yaws[:, by_box], box_owners[by_box],
+    )
+    assert np.array_equal(permuted, got[:, by_pair])
+
+    for s in range(n_steps):
+        alone = blockage_count_matrix(
+            points[s:s + 1], pairs, point_owners, centers[s:s + 1], halves, yaws[s:s + 1],
+            box_owners,
+        )
+        assert np.array_equal(alone, got[s:s + 1])
+
+    k = data.draw(st.integers(0, len(halves) - 1))
+    foreign = int(max(point_owners.max(), box_owners.max())) + 1
+    for key in {*point_owners.tolist(), foreign}:
+        one = blockage_count_matrix(
+            points, pairs, point_owners, centers[:, k:k + 1], halves[k:k + 1], yaws[:, k:k + 1],
+            np.array([key]),
+        )
+        for s in range(n_steps):
+            box = ObstacleBox(
+                tuple(centers[s, k]), tuple(halves[k]), float(yaws[s, k]), NodeId.vehicle(0)
+            )
+            want = [
+                key not in (point_owners[i], point_owners[j])
+                and segment_intersects_box(tuple(points[s, i]), tuple(points[s, j]), box)
+                for i, j in pairs
+            ]
+            assert one[s].tolist() == [int(w) for w in want]
+
+
 def test_batch_kernel_empty_shapes():
     scene = random_scene(np.random.default_rng(3))
-    pts, pairs, pair_owners, centers, halves, yaws, box_owners = scene
+    pts, pairs, point_owners, centers, halves, yaws, box_owners = scene
     no_boxes = blockage_count_matrix(
-        np.stack([pts] * 3), pairs, pair_owners, np.zeros((3, 0, 3)), np.zeros((0, 3)),
+        np.stack([pts] * 3), pairs, point_owners, np.zeros((3, 0, 3)), np.zeros((0, 3)),
         np.zeros((3, 0)), np.zeros(0, dtype=np.int64),
     )
     assert no_boxes.dtype == np.int64 and no_boxes.shape == (3, len(pairs)) and not no_boxes.any()
     no_pairs = blockage_count_matrix(
-        np.stack([pts] * 3), np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+        np.stack([pts] * 3), np.zeros((0, 2), dtype=np.int64), point_owners,
         np.stack([centers] * 3), halves, np.stack([yaws] * 3), box_owners,
     )
     assert no_pairs.dtype == np.int64 and no_pairs.shape == (3, 0)
@@ -413,9 +515,9 @@ def test_batch_kernel_matches_dense_reference_on_every_forecast_epoch(monkeypatc
     assert sum(blocked for _, blocked in epochs) > 0
 
 
-def assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, box_owners):
+def assert_batch_matches(points, pairs, point_owners, centers, halves, yaws, box_owners):
     """A batched kernel call vs the dense oracle per step: same counts, same dtype."""
-    args = (np.asarray(points, dtype=np.float64), np.asarray(pairs), np.asarray(pair_owners),
+    args = (np.asarray(points, dtype=np.float64), np.asarray(pairs), np.asarray(point_owners),
             np.asarray(centers, dtype=np.float64), np.asarray(halves, dtype=np.float64),
             np.asarray(yaws, dtype=np.float64), np.asarray(box_owners))
     got = blockage_count_matrix(*args)
@@ -435,7 +537,7 @@ def crossing_scene(n_steps, antenna_z, boxes):
     centers = np.array([(x, y, half[2]) for x, y, half, _ in boxes])
     return (
         np.stack([pts] * n_steps), np.arange(len(pts)).reshape(-1, 2),
-        np.full((len(segments), 2), -1), np.stack([centers] * n_steps),
+        np.full(len(pts), -1), np.stack([centers] * n_steps),
         [half for _, _, half, _ in boxes], np.array([[yaw for *_, yaw in boxes]] * n_steps),
         np.arange(10, 10 + len(boxes)),
     )
@@ -469,7 +571,7 @@ def test_batch_kernel_counts_a_roof_a_rounding_below_the_lowest_antenna():
     assert roof < a_z and a_z - -0.9 == 1.0
     points = [[(0.0, 0.0, a_z), (10.0, 0.0, 5.0)]]
     got = assert_batch_matches(
-        points, [[0, 1]], [[-1, -1]], [[(0.0, 0.0, -0.9)]], [(2.0, 1.0, 1.0)], [[0.0]], [7]
+        points, [[0, 1]], [-1, -1], [[(0.0, 0.0, -0.9)]], [(2.0, 1.0, 1.0)], [[0.0]], [7]
     )
     assert got.tolist() == [[1]]
 
@@ -481,16 +583,16 @@ def test_batch_kernel_culls_on_the_batch_extremes_not_per_step(tall_step):
     low = 1 - tall_step
     half = (2.25, 0.9, 0.75)
     scene = crossing_scene(2, 1.6, [(0.0, 0.0, half, 0.0)])
-    points, pairs, pair_owners, centers, halves, yaws, owners = scene
+    points, pairs, point_owners, centers, halves, yaws, owners = scene
     points[low, :, 2] = 1.6  # the batch's lowest antenna, over the low roof
     points[tall_step, :, 2] = 2.0
     centers[low, :, 2] = 0.75  # roof 1.5
     centers[tall_step, :, 2] = 1.5  # roof 2.25, over the antennas at 2.0
-    got = assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, owners)
+    got = assert_batch_matches(points, pairs, point_owners, centers, halves, yaws, owners)
     assert got[:, 0].tolist() == [int(s == tall_step) for s in (0, 1)]
     # antennas lowest where the box is tall, high above it at the other step
     points[tall_step, :, 2] = 1.0
     points[low, :, 2] = 3.0
     centers[:, :, 2] = 0.75
-    got = assert_batch_matches(points, pairs, pair_owners, centers, halves, yaws, owners)
+    got = assert_batch_matches(points, pairs, point_owners, centers, halves, yaws, owners)
     assert got[:, 0].tolist() == [int(s == tall_step) for s in (0, 1)]
