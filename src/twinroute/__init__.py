@@ -7,7 +7,7 @@ interval-based) -> score assignments against the ground-truth topology ->
 accumulate reliability.
 """
 
-from .channel import BlockageClass, ChannelParams, LinkAssessment, default_channel_params, path_loss
+from .channel import BlockageClass, ChannelParams, default_channel_params, path_loss
 from .config import (
     ScenarioConfig,
     config_from_dict,
@@ -52,7 +52,6 @@ __all__ = [
     "ConstantVelocityPredictor",
     "HoldPredictor",
     "LearnedPredictor",
-    "LinkAssessment",
     "NodeId",
     "NodeKind",
     "PredictedTrack",

@@ -8,7 +8,9 @@ bodies is::
 where (rho, gamma) come from the blockage class matching ``k`` and ``atm``
 is the atmospheric absorption in dB per kilometer (15 dB/km at 60 GHz).
 A link is feasible when its path loss fits the link budget and its 3D
-length does not exceed the configured maximum range.
+length does not exceed the configured maximum range. :func:`path_loss`
+is this formula, computed over arrays: the graph builder applies it to
+every (step, pair) at once, and it takes single floats as well.
 
 The default line-of-sight constant gamma = 68.0 dB is free-space loss at
 1 m for 60 GHz (20*log10(4*pi*f/c) = 68.01 dB); each additional blocker
@@ -17,8 +19,9 @@ adds 16 dB by default. Both are configuration knobs, not measurements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,32 +89,25 @@ class ChannelParams:
             bad.append(("max_range_m", "must be > 0"))
         return bad
 
-    def class_for(self, blockers: int) -> BlockageClass:
-        for cls in self.classes:
-            if cls.max_blockers is None or blockers <= cls.max_blockers:
-                return cls
-        raise AssertionError("class table has no unbounded tail")
 
+def path_loss(
+    d: float | np.ndarray, blockers: int | np.ndarray, params: ChannelParams
+) -> float | np.ndarray:
+    """Path loss in dB for links of length ``d`` meters with ``blockers``
+    occluders: a float for one link, an array for an array of them.
 
-@dataclass(frozen=True, slots=True)
-class LinkAssessment:
-    """Stats of one link, as ``ConnectivityGraph.edges`` reports them."""
-
-    distance_m: float
-    blockers: int
-    path_loss_db: float
-    feasible: bool
-
-
-def path_loss(d: float, blockers: int, params: ChannelParams) -> float:
-    """Path loss in dB for a link of length ``d`` meters with ``blockers`` occluders.
-
-    Raises ValueError for d <= 0 (the log term is singular at zero length;
-    callers must never evaluate a zero-length link).
+    Each blocker count selects the first class whose ``max_blockers``
+    bound it does not exceed. Raises ValueError for d <= 0 (the log term
+    is singular at zero length; callers must never evaluate a zero-length
+    link) and for a negative blocker count.
     """
-    if d <= 0:
-        raise ValueError(f"link length must be > 0, got {d}")
-    if blockers < 0:
-        raise ValueError(f"blocker count must be >= 0, got {blockers}")
-    cls = params.class_for(blockers)
-    return 10.0 * cls.rho * math.log10(d) + cls.gamma + params.atmospheric_db_per_km * d / 1000.0
+    d, blockers = np.asarray(d), np.asarray(blockers)
+    if (d <= 0).any():
+        raise ValueError(f"link length must be > 0, got {d.min()}")
+    if (blockers < 0).any():
+        raise ValueError(f"blocker count must be >= 0, got {blockers.min()}")
+    bounds = np.array([c.max_blockers for c in params.classes[:-1]], dtype=np.int64)
+    cls_idx = np.searchsorted(bounds, blockers, side="left")
+    rho = np.array([c.rho for c in params.classes])[cls_idx]
+    gamma = np.array([c.gamma for c in params.classes])[cls_idx]
+    return 10.0 * rho * np.log10(d) + gamma + params.atmospheric_db_per_km * d / 1000.0

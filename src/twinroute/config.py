@@ -183,9 +183,18 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     return _decode(ScenarioConfig, data, "", ScenarioConfig())
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def read_yaml(path: str | Path) -> Any:
+    """The document in the YAML file at ``path``; malformed YAML raises
+    ValueError naming the file, with the parser's line and column."""
     with open(path, "r", encoding="utf-8") as f:
-        data = yaml.safe_load(f)
+        try:
+            return yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: malformed YAML: {exc}") from None
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    data = read_yaml(path)
     # an empty document is a mistake, not a request for the default scenario
     return config_from_dict(data)
 

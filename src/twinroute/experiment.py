@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
-import yaml
-
-from .config import ScenarioConfig, _decode, load_config, validate_config
+from .config import ScenarioConfig, _decode, load_config, read_yaml, validate_config
 from .engine import ConfigError, log, run_variants
 from .metrics import SUMMARY_HEADER, RunResult, summary_row, write_detail
 from .model import Strategy, ValidationReport
@@ -100,8 +98,7 @@ class SweepCellError(RuntimeError):
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec; axes decode like config fields, errors name their path."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = yaml.safe_load(f) or {}
+    data = read_yaml(path) or {}
     if not isinstance(data, dict):
         raise ValueError("sweep spec: must be a mapping")
     axes = {axis for axis, _ in _AXES}

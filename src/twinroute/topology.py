@@ -8,61 +8,25 @@ occlude every link they are not an endpoint of. The RSU is a point
 antenna with no body.
 
 The graph is stored over int node indices (the position in the sorted
-``nodes`` tuple, RSU at 0): one array row per feasible edge with ``i < j``
-in ascending (i, j) order, plus one ``{neighbour: loss}`` dict per node
-whose keys ascend in index order, which is ``NodeId`` order.
-``NodeId`` and ``LinkAssessment`` objects appear only at the API and dump
-boundaries.
+``nodes`` tuple, RSU at 0): one ``(i, j)`` row of ``edges`` per feasible
+link with ``i < j`` in ascending (i, j) order, its distance, blocker
+count and path loss in the ``edge_*`` arrays at the same row, plus one
+``{neighbour: loss}`` dict per node whose keys ascend in index order,
+which is ``NodeId`` order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, LinkAssessment
+from .channel import ChannelParams, path_loss
 from .geometry import blockage_count_matrix
 from .model import NodeId, Point3, Pose, VehicleState, WorldSnapshot
-
-
-class EdgeView(Mapping):
-    """Read-only ``(a, b) -> LinkAssessment`` view of a graph's edge arrays.
-
-    Keys are sorted node pairs. The dict behind it is built on first
-    access; ``len`` reads the arrays alone.
-    """
-
-    def __init__(self, graph: "ConnectivityGraph"):
-        self._graph = graph
-
-    @cached_property
-    def _links(self) -> dict[tuple[NodeId, NodeId], LinkAssessment]:
-        g = self._graph
-        rows = zip(
-            g.edge_i.tolist(),
-            g.edge_j.tolist(),
-            g.edge_distance.tolist(),
-            g.edge_blockers.tolist(),
-            g.edge_loss.tolist(),
-        )
-        return {
-            (g.nodes[i], g.nodes[j]): LinkAssessment(d, b, loss, True)
-            for i, j, d, b, loss in rows
-        }
-
-    def __len__(self) -> int:
-        return len(self._graph.edge_i)
-
-    def __iter__(self) -> Iterator[tuple[NodeId, NodeId]]:
-        return iter(self._links)
-
-    def __getitem__(self, key: tuple[NodeId, NodeId]) -> LinkAssessment:
-        return self._links[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,39 +34,19 @@ class ConnectivityGraph:
     timestep: int
     nodes: tuple[NodeId, ...]  # sorted, RSU first
     index: dict[NodeId, int] = field(repr=False)
-    # feasible edges, i < j, ascending (i, j)
-    edge_i: np.ndarray = field(repr=False)
-    edge_j: np.ndarray = field(repr=False)
+    # (E, 2) int64 rows (i, j) of the feasible links, i < j, ascending;
+    # the edge_* arrays hold each link's stats at its row
+    edges: np.ndarray = field(repr=False)
     edge_distance: np.ndarray = field(repr=False)
     edge_blockers: np.ndarray = field(repr=False)
     edge_loss: np.ndarray = field(repr=False)
     # per node index, {neighbour index: path_loss_db} in ascending index order
     adjacency: list[dict[int, float]] = field(repr=False)
 
-    @cached_property
-    def edges(self) -> EdgeView:
-        return EdgeView(self)
-
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         i = self.index.get(a)
         j = self.index.get(b)
         return i is not None and j is not None and j in self.adjacency[i]
-
-
-def _graph_from_arrays(
-    timestep: int,
-    nodes: tuple[NodeId, ...],
-    index: dict[NodeId, int],
-    i: np.ndarray,
-    j: np.ndarray,
-    distance: np.ndarray,
-    blockers: np.ndarray,
-    loss: np.ndarray,
-) -> ConnectivityGraph:
-    """Graph over sorted ``nodes`` from edge rows with ``i < j`` in ascending
-    (i, j) order, so every node's neighbours arrive in index order."""
-    adjacency = _adjacency(len(nodes), i.tolist(), j.tolist(), loss.tolist())
-    return ConnectivityGraph(timestep, nodes, index, i, j, distance, blockers, loss, adjacency)
 
 
 def _adjacency(
@@ -158,9 +102,9 @@ def build_topologies(
     vehicles at those poses. The node list and bodies are read once, and
     the poses become arrays from one flat run of floats. One kernel call
     counts blockers for every pair in range at any step, with one owner
-    key per antenna (RSU -1, a vehicle its id), and the channel and
-    feasibility arithmetic runs over all steps at once; a pair out of
-    range at a step is dropped there. The graphs are assembled in one
+    key per antenna (RSU -1, a vehicle its id), and
+    :func:`~twinroute.channel.path_loss` and the feasibility test run over
+    all steps at once; a pair out of range at a step is dropped there. The graphs are assembled in one
     pass: one ``flatnonzero`` of the (step, pair) feasibility mask and one
     ``tolist`` per edge column serve every step, each graph's edge arrays
     are slices of those, and its adjacency dicts are filled in (i, j) row
@@ -225,17 +169,7 @@ def build_topologies(
         antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], box_owners
     )
 
-    # vectorized twin of channel.path_loss: same class table, same
-    # term order, so values match the scalar op bit for bit
-    bounds = np.array([c.max_blockers for c in params.classes[:-1]], dtype=np.int64)
-    cls_idx = np.searchsorted(bounds, blockers, side="left")
-    rho = np.array([c.rho for c in params.classes])[cls_idx]
-    gamma = np.array([c.gamma for c in params.classes])[cls_idx]
-    losses = (
-        10.0 * rho * np.log10(distances)
-        + gamma
-        + params.atmospheric_db_per_km * distances / 1000.0
-    )
+    losses = path_loss(distances, blockers, params)
 
     # every step's edge rows in one pass: the feasible (step, pair) entries
     # in row-major order are each step's edges in ascending (i, j), one
@@ -244,20 +178,21 @@ def build_topologies(
     rows = np.flatnonzero(feasible)
     n_pairs = ends.shape[1]
     stops = np.searchsorted(rows, np.arange(1, n_steps + 1) * n_pairs).tolist()
-    i, j = ends.take(rows % n_pairs, axis=1)
+    ij = ends.take(rows % n_pairs, axis=1)
+    edges = ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
     distance = distances.ravel()[rows]
     blocked = blockers.ravel()[rows]
     loss = losses.ravel()[rows]
-    i_list, j_list, loss_list = i.tolist(), j.tolist(), loss.tolist()
+    (i_list, j_list), loss_list = ij.tolist(), loss.tolist()
     graphs = []
     start = 0
     for ts, stop in zip(timesteps, stops):
-        edges = slice(start, stop)
-        adjacency = _adjacency(len(nodes), i_list[edges], j_list[edges], loss_list[edges])
+        step = slice(start, stop)
+        adjacency = _adjacency(len(nodes), i_list[step], j_list[step], loss_list[step])
         graphs.append(
             ConnectivityGraph(
-                ts, nodes, index, i[edges], j[edges], distance[edges], blocked[edges],
-                loss[edges], adjacency,
+                ts, nodes, index, edges[step], distance[step], blocked[step], loss[step],
+                adjacency,
             )
         )
         start = stop
@@ -268,13 +203,12 @@ def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:
     """Append one edge-list row per link: timestep, endpoints, link stats."""
     nodes = graph.nodes
     rows = zip(
-        graph.edge_i.tolist(),
-        graph.edge_j.tolist(),
+        graph.edges.tolist(),
         graph.edge_distance.tolist(),
         graph.edge_blockers.tolist(),
         graph.edge_loss.tolist(),
     )
-    for i, j, distance, blockers, loss in rows:
+    for (i, j), distance, blockers, loss in rows:
         out.write(f"{graph.timestep},{nodes[i]},{nodes[j]},{distance!r},{blockers},{loss!r}\n")
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
-from twinroute.topology import ConnectivityGraph, _graph_from_arrays
+from twinroute.topology import ConnectivityGraph, _adjacency
 
 SEDAN = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=1.6)
 TRUCK = dict(dimensions=(8.0, 2.5, 3.2), antenna_height=3.3)
@@ -83,14 +84,35 @@ def graph_from_losses(losses: dict, vehicles=()) -> ConnectivityGraph:
     def node(x):
         return x if type(x) is NodeId else NodeId.rsu() if x == "rsu" else NodeId.vehicle(x)
 
-    links = {tuple(sorted(map(node, pair))): loss for pair, loss in losses.items()}
-    nodes = tuple(sorted({NodeId.rsu(), *map(NodeId.vehicle, vehicles), *(n for p in links for n in p)}))
+    by_pair = {tuple(sorted(map(node, pair))): loss for pair, loss in losses.items()}
+    nodes = tuple(sorted({NodeId.rsu(), *map(NodeId.vehicle, vehicles), *(n for p in by_pair for n in p)}))
     index = {n: k for k, n in enumerate(nodes)}
-    rows = sorted((index[a], index[b], loss) for (a, b), loss in links.items())
-    i, j, loss = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    rows = sorted((index[a], index[b], loss) for (a, b), loss in by_pair.items())
+    edges = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    loss = np.array([row[2] for row in rows], dtype=np.float64)
     n = len(rows)
-    ends = i.astype(np.int64), j.astype(np.int64)
-    return _graph_from_arrays(0, nodes, index, *ends, np.full(n, 10.0), np.zeros(n, np.int64), loss)
+    adjacency = _adjacency(len(nodes), edges[:, 0].tolist(), edges[:, 1].tolist(), loss.tolist())
+    return ConnectivityGraph(
+        0, nodes, index, edges, np.full(n, 10.0), np.zeros(n, np.int64), loss, adjacency
+    )
+
+
+class Link(NamedTuple):
+    distance_m: float
+    blockers: int
+    path_loss_db: float
+
+
+def links(graph: ConnectivityGraph) -> dict[tuple[NodeId, NodeId], Link]:
+    """The graph's edge rows as ``{(a, b): Link}`` over node ids, ``a < b``."""
+    nodes = graph.nodes
+    rows = zip(
+        graph.edges.tolist(),
+        graph.edge_distance.tolist(),
+        graph.edge_blockers.tolist(),
+        graph.edge_loss.tolist(),
+    )
+    return {(nodes[i], nodes[j]): Link(d, b, loss) for (i, j), d, b, loss in rows}
 
 
 def circle_history(radius: float, speed: float, dt: float, n: int, z0_angle: float = 0.0):

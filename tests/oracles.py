@@ -102,7 +102,7 @@ def segment_intersects_box(
     for o, d, h in (
         (ax, bx - ax, box.half_extents[0]),
         (ay, by - ay, box.half_extents[1]),
-        (az, bz - az, box.half_extents[2]),
+        (az, b[2] - a[2], box.half_extents[2]),  # world z step, as the kernel takes it
     ):
         if d == 0.0:
             if abs(o) > h:

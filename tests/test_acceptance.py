@@ -22,7 +22,7 @@ from twinroute.channel import default_channel_params, path_loss
 from twinroute.metrics import ReliabilityAccumulator, TimestepOutcome
 
 import conftest
-from conftest import SEDAN, TRUCK, make_snapshot, make_vehicle
+from conftest import SEDAN, TRUCK, links, make_snapshot, make_vehicle
 from oracles import oracle_shortest_path, oracle_topology_edges
 from test_routing import random_graph
 
@@ -147,7 +147,7 @@ def test_criterion_4_topology_oracle():
             )
         snap = make_snapshot(vehicles)
         g = tr.build_topology(snap, params, budget)
-        got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in g.edges.items()}
+        got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in links(g).items()}
         want = oracle_topology_edges(
             snap, classes, params.atmospheric_db_per_km, params.max_range_m, budget
         )

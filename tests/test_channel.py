@@ -10,7 +10,7 @@ from twinroute.channel import BlockageClass, ChannelParams, default_channel_para
 from twinroute.model import NodeId
 from twinroute.topology import build_topology
 
-from conftest import TRUCK, make_snapshot, make_vehicle
+from conftest import TRUCK, links, make_snapshot, make_vehicle
 
 RSU, V0, V1 = NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(1)
 
@@ -23,7 +23,7 @@ def rsu_link(x, budget_db, blocker_x=None, rsu_height=1.6):
     if blocker_x is not None:
         vehicles.append(make_vehicle(1, blocker_x, 0.0, connected=False, body=TRUCK))
     snap = make_snapshot(vehicles, rsu_height=rsu_height)
-    return build_topology(snap, default_channel_params(), budget_db).edges.get((RSU, V0))
+    return links(build_topology(snap, default_channel_params(), budget_db)).get((RSU, V0))
 
 
 def test_loss_at_one_meter_is_gamma_plus_atmosphere():
@@ -54,12 +54,10 @@ def test_zero_or_negative_distance_rejected():
 
 
 def test_class_selection_first_match():
+    # at 1 m the log term vanishes: the class's gamma plus 15 dB/km * 1 m
     params = default_channel_params()
-    assert params.class_for(0).gamma == 68.0
-    assert params.class_for(1).gamma == 84.0
-    assert params.class_for(2).gamma == 100.0
-    assert params.class_for(3).gamma == 116.0
-    assert params.class_for(50).gamma == 116.0
+    for blockers, gamma in [(0, 68.0), (1, 84.0), (2, 100.0), (3, 116.0), (50, 116.0)]:
+        assert path_loss(1.0, blockers, params) == gamma + 0.015, blockers
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,16 +118,13 @@ def test_reciprocity():
     # is evaluated from the other end; a truck body cuts it midway
     a, b = (12.0, -7.0), (-3.0, 44.0)
     truck = make_vehicle(2, 4.5, 18.5, heading=1.0, connected=False, body=TRUCK)
-    links = [
-        build_topology(
-            make_snapshot([make_vehicle(i, *a), make_vehicle(j, *b, body=TRUCK), truck]),
-            default_channel_params(),
-            130.0,
-        ).edges[(V0, V1)]
+    snaps = [
+        make_snapshot([make_vehicle(i, *a), make_vehicle(j, *b, body=TRUCK), truck])
         for i, j in ((0, 1), (1, 0))
     ]
-    assert links[0] == links[1]
-    assert links[0].blockers == 1
+    both = [links(build_topology(s, default_channel_params(), 130.0))[(V0, V1)] for s in snaps]
+    assert both[0] == both[1]
+    assert both[0].blockers == 1
 
 
 def test_class_table_structural_checks():

@@ -142,6 +142,30 @@ def test_run_malformed_config_exits_2_with_field_path(tmp_path):
     assert "vehicle_cout" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "replay", "sweep-spec", "sweep-base"])
+def test_malformed_yaml_exits_2_naming_the_line(tmp_path, command):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [1\n", encoding="utf-8")
+    out = ["--out-dir", str(tmp_path / "x")]
+    spec = tmp_path / "sweep.yaml"
+    if command == "sweep-spec":
+        write_small_config(tmp_path / "base.yaml")
+        spec.write_text("base_config: base.yaml\nseeds: [1\n", encoding="utf-8")
+    else:
+        spec.write_text("base_config: bad.yaml\n", encoding="utf-8")
+    args = {
+        "validate": ["validate", str(bad)],
+        "run": ["run", str(bad), *out],
+        "replay": ["replay", str(tmp_path / "trace.csv"), str(bad), *out],
+        "sweep-spec": ["sweep", str(spec), *out],
+        "sweep-base": ["sweep", str(spec), *out],
+    }[command]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "malformed YAML" in proc.stderr and "line 2, column" in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_strategy_and_seed_overrides(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     out = tmp_path / "out"

@@ -24,7 +24,7 @@ from twinroute.routing import (
 )
 from twinroute.topology import ConnectivityGraph, build_topology
 
-from conftest import TRUCK, graph_from_losses, make_snapshot, make_vehicle
+from conftest import TRUCK, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
     node_key,
     oracle_dijkstra_route,
@@ -128,7 +128,7 @@ def test_neighbors_ascend_and_match_edges():
             assert keys == sorted(keys), trial
             want = {
                 g.index[b if a == node else a]: link.path_loss_db
-                for (a, b), link in g.edges.items()
+                for (a, b), link in links(g).items()
                 if node in (a, b)
             }
             assert got == want, trial
@@ -189,7 +189,7 @@ def small_graphs(draw):
 @example(g=graph_from_losses(SOURCE_FIRST_TIE), max_hops=3)
 @example(g=graph_from_losses(SOURCE_FIRST_TIE), max_hops=2)
 def test_route_realtime_matches_oracles(g, max_hops):
-    losses = {f"{a}-{b}": link.path_loss_db for (a, b), link in g.edges.items()}
+    losses = {f"{a}-{b}": link.path_loss_db for (a, b), link in links(g).items()}
     got = hops_table(g, max_hops)
     vehicles = g.nodes[1:]
     assert got == {s: oracle_shortest_path(g, s, max_hops) for s in vehicles}, losses

@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from twinroute import routing
+from twinroute import engine, routing
 from twinroute.channel import default_channel_params, path_loss
 from twinroute.config import default_config
 from twinroute.engine import run_single
 from twinroute.model import NodeId, Strategy, WorldSnapshot
 from twinroute.topology import build_topologies, build_topology, dump_topology_stream
 
-from conftest import SEDAN, TRUCK, make_snapshot, make_vehicle
+from conftest import SEDAN, TRUCK, links, make_snapshot, make_vehicle
 from oracles import oracle_topology_edges
 
 PARAMS = default_channel_params()
@@ -29,7 +29,7 @@ def test_no_connected_vehicles_graph_is_rsu_only():
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0, connected=False)])
     g = build_topology(snap, PARAMS, BUDGET)
     assert g.nodes == (NodeId.rsu(),)
-    assert g.edges == {}
+    assert links(g) == {}
 
 
 def test_two_nearby_vehicles_form_triangle():
@@ -40,7 +40,7 @@ def test_two_nearby_vehicles_form_triangle():
     assert len(g.edges) == 3
     v0, v1 = NodeId.vehicle(0), NodeId.vehicle(1)
     assert g.has_edge(v0, v1) and g.has_edge(NodeId.rsu(), v0) and g.has_edge(NodeId.rsu(), v1)
-    assert g.edges[(v0, v1)].distance_m == pytest.approx(5.0)
+    assert links(g)[(v0, v1)].distance_m == pytest.approx(5.0)
 
 
 def test_unconnected_truck_blocks_rsu_link():
@@ -58,7 +58,7 @@ def test_unconnected_truck_blocks_rsu_link():
     clear = build_topology(make_snapshot([sedan]), PARAMS, BUDGET)
     assert clear.has_edge(NodeId.rsu(), NodeId.vehicle(0))
     d = math.dist((50.0, 0.0, sedan.antenna_height), (0.0, 0.0, 5.0))
-    assert clear.edges[(NodeId.rsu(), NodeId.vehicle(0))].path_loss_db == pytest.approx(
+    assert links(clear)[(NodeId.rsu(), NodeId.vehicle(0))].path_loss_db == pytest.approx(
         path_loss(d, 0, PARAMS)
     )
 
@@ -78,10 +78,10 @@ def test_node_count_is_one_plus_connected():
         snap = make_snapshot(vehicles)
         g = build_topology(snap, PARAMS, BUDGET)
         assert len(g.nodes) == 1 + len(snap.connected_vehicles())
-        for a, b in g.edges:
+        for (a, b), link in links(g).items():
             assert a in g.nodes and b in g.nodes
             assert a != b
-            assert g.edges[(a, b)].feasible
+            assert link.path_loss_db <= BUDGET and link.distance_m <= PARAMS.max_range_m
 
 
 def test_extra_obstacle_never_adds_an_edge():
@@ -92,7 +92,7 @@ def test_extra_obstacle_never_adds_an_edge():
             for i in range(4)
         ]
         snap = make_snapshot(vehicles)
-        before = set(build_topology(snap, PARAMS, BUDGET).edges)
+        before = set(links(build_topology(snap, PARAMS, BUDGET)))
         blocker = make_vehicle(
             50,
             float(rng.uniform(-60, 60)),
@@ -101,7 +101,7 @@ def test_extra_obstacle_never_adds_an_edge():
             connected=False,
             body=TRUCK,
         )
-        after = set(build_topology(make_snapshot(vehicles + [blocker]), PARAMS, BUDGET).edges)
+        after = set(links(build_topology(make_snapshot(vehicles + [blocker]), PARAMS, BUDGET)))
         assert after <= before, trial
 
 
@@ -123,7 +123,7 @@ def test_matches_first_principles_oracle(fuzz_scale):
             )
         snap = make_snapshot(vehicles)
         g = build_topology(snap, PARAMS, BUDGET)
-        got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in g.edges.items()}
+        got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in links(g).items()}
         want = oracle_topology_edges(
             snap, classes_as_tuples(PARAMS), PARAMS.atmospheric_db_per_km, PARAMS.max_range_m, BUDGET
         )
@@ -145,7 +145,8 @@ def assert_same_graph(got, want):
     assert got.timestep == want.timestep
     assert got.nodes == want.nodes
     assert got.index == want.index
-    for name in ("edge_i", "edge_j", "edge_distance", "edge_blockers", "edge_loss"):
+    assert got.edges.dtype == np.int64 and got.edges.shape == (len(got.edge_loss), 2)
+    for name in ("edges", "edge_distance", "edge_blockers", "edge_loss"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape and np.array_equal(a, b), name
@@ -196,7 +197,43 @@ def test_batched_build_equals_one_build_per_snapshot():
         assert len(got) == len(snaps) == 20
         for graph, snap in zip(got, snaps):
             assert_same_graph(graph, build_topology(snap, cfg.channel, cfg.link_budget_db))
-    assert sum(len(g.edge_i) for g in got) > 0
+    assert sum(len(g.edges) for g in got) > 0
+
+
+def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
+    """Every truth build and every forecast epoch's graphs: ``edges`` rows
+    strictly ascend with i < j, and ``adjacency`` holds exactly those rows
+    with their losses, in both directions."""
+    cfg = default_config(
+        duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=1,
+        strategy=Strategy.PREDICTIVE,
+    )
+    truth, forecast = [], []
+
+    def keep(build, into):
+        def kept(*args):
+            got = build(*args)
+            into.extend(got if isinstance(got, list) else [got])
+            return got
+
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "build_topology", keep(build_topology, truth))
+        mp.setattr(routing, "build_topologies", keep(build_topologies, forecast))
+        run_single(cfg)
+    assert len(truth) == 200 and len(forecast) == 200
+    for graph in truth + forecast:
+        edges = graph.edges
+        assert edges.dtype == np.int64 and edges.shape == (len(graph.edge_loss), 2)
+        i, j = edges.T
+        assert (i < j).all()
+        assert (np.diff(i * len(graph.nodes) + j) > 0).all()
+        want = [{} for _ in graph.nodes]
+        for (a, b), loss in zip(edges.tolist(), graph.edge_loss.tolist()):
+            want[a][b] = want[b][a] = loss
+        assert graph.adjacency == want
+    assert sum(len(g.edges) for g in truth) > 0 and sum(len(g.edges) for g in forecast) > 0
 
 
 def moving_pair(steps, rsu_height=5.0):
@@ -247,7 +284,8 @@ def test_batched_build_of_vehicle_free_snapshots():
         assert graph.nodes == (NodeId.rsu(),)
         assert graph.adjacency == [{}]
         assert_same_graph(graph, build_topology(snap, PARAMS, BUDGET))
-        assert graph.edge_i.dtype == np.int64 and graph.edge_loss.dtype == np.float64
+        assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
+        assert graph.edge_loss.dtype == np.float64
     assert build_topologies([], [], [], rsu, PARAMS, BUDGET) == []
 
 
