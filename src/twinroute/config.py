@@ -185,12 +185,15 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
 def read_yaml(path: str | Path) -> Any:
     """The document in the YAML file at ``path``; malformed YAML raises
-    ValueError naming the file, with the parser's line and column."""
+    ValueError naming the file, with the parser's line and column, and a
+    file that is not UTF-8 one naming the file and the byte."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return yaml.safe_load(f)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: malformed YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

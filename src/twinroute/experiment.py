@@ -142,13 +142,14 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
 
     The cells of one (count, fraction, seed) form a group that shares one
     traffic world; groups are independent and run in the order of their
-    first cell, and with ``jobs`` > 1 in parallel, one group per pool
-    task. The summary keeps product order, so output bytes do not depend
-    on jobs. An invalid spec raises ConfigError before anything is
-    written. A failing group aborts the sweep and raises SweepCellError
-    naming the cell whose strategy failed, or the group's first cell when
-    its shared traffic or ground truth did; the detail files of every
-    group that completed are kept, the failing group's are not written.
+    first cell, in parallel on ``min(jobs, groups)`` pool workers when
+    that is more than one, one group per pool task. The summary keeps
+    product order, so output bytes do not depend on jobs. An invalid spec
+    raises ConfigError before anything is written. A failing group aborts
+    the sweep and raises SweepCellError naming the cell whose strategy
+    failed, or the group's first cell when its shared traffic or ground
+    truth did; the detail files of every group that completed are kept,
+    the failing group's are not written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -165,7 +166,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path, jobs: int = 1) -> list[str]:
     work = [(group, str(out)) for group in groups.values()]
 
     done: dict[str, tuple[str, float]] = {}  # cell id -> (summary row, reliability)
-    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    workers = min(jobs, len(work))
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = map(_run_group, work) if pool is None else pool.imap(_run_group, work)
         for group, _ in work:  # results arrive in group order
             try:

@@ -474,26 +474,33 @@ def _trace_row(
     return int(ts), values["sim_time"], vehicle
 
 
-def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapshot]:
-    """Rebuild snapshots from trace rows, for replay under ``config``.
+class TraceError(ValueError):
+    """A trace that cannot be replayed; a bad row's error names its line."""
 
-    Rows carry the body columns when the header names them; otherwise
-    (older traces, headerless input) every vehicle gets the body of
+
+def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSnapshot]:
+    """Yield each step's snapshot once its rows are read, so a replay
+    under ``config`` holds one step of the trace.
+
+    A header, if any, is the first non-blank line and names the
+    ``TRACE_COLUMNS``, or those and the ``BODY_COLUMNS``, whose values the
+    rows then carry; otherwise every vehicle gets the body of
     ``config.vehicle_mix[0]``. Every row's ``sim_time`` must be
     ``timestep * config.dt``, so a trace recorded at another step length
     is not scored on the wrong clock. Timesteps must be grouped and
-    consecutive. A two-column ``timestep,sim_time`` marker row stands for
-    a step with no vehicles and must be its step's only row; traces
-    without markers read as before, starting at their first vehicle row.
-    No two vehicles of one step may stand at the same (x, y), no antenna
-    may stand at the RSU's point (its squared distance to it, a sum of
-    squares as the graph builder computes it, must not be 0.0), and a
-    vehicle keeps the body and ``connected`` flag of its first row. Every
-    error is a ValueError naming the 1-based line it was found on.
+    consecutive. A ``timestep,sim_time`` marker row is a step with no
+    vehicles and must be its step's only row. No two vehicles of one step
+    may stand at the same (x, y), no antenna at the RSU's point (a squared
+    distance of 0.0, summed as the graph builder sums it), a vehicle keeps
+    the body and ``connected`` flag of its first row, and no line holds a
+    byte that is not UTF-8, which ``errors="surrogateescape"`` decodes to
+    a lone surrogate. Each error is a TraceError naming the 1-based line.
+    A trace with no connected vehicle after its first snapshot, which only
+    seeds the history, ends in a TraceError too: it has nothing to score.
     """
     dt = config.dt
     body = config.vehicle_mix[0]
-    snapshots: list[WorldSnapshot] = []
+    headers = {",".join(TRACE_COLUMNS): body, TRACE_HEADER.rstrip("\n"): None}
     current_ts: int | None = None
     bucket: list[VehicleState] = []
     seen: set[int] = set()
@@ -503,20 +510,24 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapsh
     rsu = (0.0, 0.0, config.intersection.rsu_height)
     row_body: VehicleClassSpec | None = body
     marked = False  # the current step is a marker row
-
-    def flush() -> None:
-        if current_ts is not None:
-            snapshots.append(WorldSnapshot(current_ts, tuple(bucket), rsu))
+    started = False  # a non-blank line was read
+    steps = 0
+    scored = False  # a step after the first has a connected vehicle
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("timestep"):
-            row_body = None if tuple(line.split(",")[8:]) == BODY_COLUMNS else body
-            continue
-        parts = line.split(",")
         try:
+            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+                raise ValueError("the line holds a byte that is not UTF-8")
+            if line.startswith("timestep"):
+                if started or line not in headers:
+                    raise ValueError("a header must be the first line and name the columns in order")
+                row_body, started = headers[line], True
+                continue
+            started = True
+            parts = line.split(",")
             if len(parts) == 2:  # marker row: a step with no vehicles
                 ts, sim_time, vehicle = int(parts[0]), _finite("sim_time", parts[1]), None
             else:
@@ -529,11 +540,13 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapsh
             if ts == current_ts and (marked or vehicle is None):
                 raise ValueError(f"timestep {ts} has a marker row and other rows")
             if ts != current_ts:
-                if current_ts is not None and ts != current_ts + 1:
-                    raise ValueError(f"timestep {ts} does not follow {current_ts}")
-                flush()
+                if current_ts is not None:
+                    if ts != current_ts + 1:
+                        raise ValueError(f"timestep {ts} does not follow {current_ts}")
+                    yield WorldSnapshot(current_ts, tuple(bucket), rsu)
                 bucket, seen, spots = [], set(), {}
                 current_ts, marked = ts, vehicle is None
+                steps += 1
             if vehicle is None:
                 continue
             index = vehicle.id.index
@@ -556,9 +569,15 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> list[WorldSnapsh
             if dx * dx + dy * dy + dz * dz == 0.0:
                 raise ValueError(f"the antenna of vehicle {index} is at the RSU's point {rsu}")
         except ValueError as exc:
-            raise ValueError(f"trace line {lineno}: {exc}: {line!r}") from None
+            raise TraceError(f"trace line {lineno}: {exc}: {line!r}") from None
         bucket.append(vehicle)
         seen.add(index)
         spots[spot] = index
-    flush()
-    return snapshots
+        scored = scored or (vehicle.connected and steps > 1)
+    if current_ts is not None:
+        yield WorldSnapshot(current_ts, tuple(bucket), rsu)
+    if not scored:
+        raise TraceError(
+            f"nothing to score: {steps} snapshot(s), and none after the first"
+            " (which only seeds the history) has a connected vehicle"
+        )

@@ -10,6 +10,8 @@ Conventions used throughout the package:
   only in traces, whose reader checks it on every row. Schedules
   expressed in seconds (update intervals, prediction intervals) convert
   to whole steps, rounding down, minimum one step.
+- A run reads its snapshots as a stream, from the traffic model or a
+  trace, and holds only the few steps of history it needs.
 - Every type in this module is an immutable value; instances can be shared
   freely across threads.
 """
@@ -137,9 +139,6 @@ class WorldSnapshot:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vehicle ids in snapshot")
 
-    def connected_vehicles(self) -> tuple[VehicleState, ...]:
-        return tuple(v for v in self.vehicles if v.connected)
-
 
 class Strategy(enum.Enum):
     REALTIME = "realtime"
@@ -160,9 +159,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def paths(self) -> tuple[str, ...]:
-        return tuple(path for path, _ in self.violations)
 
     def __str__(self) -> str:
         if self.ok:

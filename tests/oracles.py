@@ -330,8 +330,11 @@ def oracle_topology_edges(snapshot, classes, atmospheric_db_per_km, max_range, b
     Returns {frozenset({node_a, node_b}): blocker_count} for feasible links.
     """
     entities = [("rsu", None, snapshot.rsu_position)]
-    for v in snapshot.connected_vehicles():
-        entities.append((str(v.id), v.id, (v.position[0], v.position[1], v.antenna_height)))
+    entities += [
+        (str(v.id), v.id, (v.position[0], v.position[1], v.antenna_height))
+        for v in snapshot.vehicles
+        if v.connected
+    ]
 
     edges = {}
     for (name_a, id_a, pa), (name_b, id_b, pb) in combinations(entities, 2):

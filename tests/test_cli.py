@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twinroute import cli, engine, mobility
+from twinroute import cli, engine, experiment, mobility
 from twinroute.cli import main
 from twinroute.config import default_config, load_config, save_config
 from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
@@ -142,15 +142,26 @@ def test_run_malformed_config_exits_2_with_field_path(tmp_path):
     assert "vehicle_cout" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "replay", "sweep-spec", "sweep-base"])
-def test_malformed_yaml_exits_2_naming_the_line(tmp_path, command):
+YAML_COMMANDS = ["validate", "run", "replay", "sweep-spec", "sweep-base"]
+
+
+@pytest.mark.parametrize(
+    "command, content, messages",
+    [pytest.param(c, b"seed: [1\n", ("malformed YAML", "line 2, column"), id=c) for c in YAML_COMMANDS]
+    + [
+        pytest.param(c, b"\xff\xfe", ("not UTF-8", "byte 0xff in position"), id=f"{c}-not-utf8")
+        for c in YAML_COMMANDS
+    ],
+)
+def test_malformed_yaml_exits_2_naming_the_line(tmp_path, command, content, messages):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("seed: [1\n", encoding="utf-8")
+    bad.write_bytes(content)
     out = ["--out-dir", str(tmp_path / "x")]
     spec = tmp_path / "sweep.yaml"
     if command == "sweep-spec":
         write_small_config(tmp_path / "base.yaml")
-        spec.write_text("base_config: base.yaml\nseeds: [1\n", encoding="utf-8")
+        spec.write_bytes(b"base_config: base.yaml\n" + content)
+        bad = spec
     else:
         spec.write_text("base_config: bad.yaml\n", encoding="utf-8")
     args = {
@@ -162,7 +173,7 @@ def test_malformed_yaml_exits_2_naming_the_line(tmp_path, command):
     }[command]
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
-    assert "malformed YAML" in proc.stderr and "line 2, column" in proc.stderr
+    assert all(m in proc.stderr for m in (str(bad), *messages)), proc.stderr
     assert not (tmp_path / "x").exists()
 
 
@@ -441,6 +452,34 @@ def test_sweep_generates_each_traffic_world_once(tmp_path, monkeypatch):
     assert sorted(worlds) == sorted(itertools.product((4, 6), (1.0, 0.5), (1, 2, 3)))
 
 
+@pytest.mark.parametrize(
+    "jobs, counts, workers",
+    [(8, "[4]", None), (8, "[4, 6]", 2), (2, "[4, 6, 8]", 2), (1, "[4, 6]", None)],
+)
+def test_sweep_starts_no_more_workers_than_groups(tmp_path, monkeypatch, jobs, counts, workers):
+    sizes = []
+
+    class RecordingPool:  # records its size and runs the groups in-process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(experiment.multiprocessing, "Pool", RecordingPool)
+    spec = load_sweep_spec(sweep_spec(tmp_path, seeds="[1]", counts=counts, strategies="[realtime]"))
+    spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, duration=5.0))
+    rows = run_sweep(spec, tmp_path / "out", jobs=jobs)
+    assert len(rows) == counts.count(",") + 1
+    assert sizes == ([] if workers is None else [workers])
+
+
 def test_replay_roundtrip(tmp_path):
     cfg_path = write_small_config(tmp_path / "s.yaml")
     cfg = default_config(duration=10.0, vehicle_count=6, connected_fraction=0.5, seed=3)
@@ -453,6 +492,72 @@ def test_replay_roundtrip(tmp_path):
     assert (out / "summary.csv").exists()
     row = (out / "summary.csv").read_text().splitlines()[1]
     assert 0.0 <= float(row.split(",")[4]) <= 1.0
+
+
+def test_replay_streams_the_trace(tmp_path, monkeypatch):
+    # replay pulls the trace as run pulls its traffic: the truth graph of
+    # step k is built before any row of step k + 2 is read
+    cfg = write_small_config(tmp_path / "s.yaml")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--dump-trace"]) == 0
+    trace = (out / "trace.csv").read_text().splitlines(keepends=True)
+    first_line = {}  # timestep -> 0-based index of its first row
+    for n, row in enumerate(trace[1:], start=1):
+        first_line.setdefault(int(row.split(",")[0]), n)
+
+    read = []
+    builds = []  # (timestep, lines read so far) of each graph build
+    build_topology, read_trace = engine.build_topology, cli.read_trace
+
+    def counting_build(snapshot, *args, **kwargs):
+        builds.append((snapshot.timestep, len(read)))
+        return build_topology(snapshot, *args, **kwargs)
+
+    def counting_read(lines, config):
+        def counted():
+            for line in lines:
+                read.append(line)
+                yield line
+
+        return read_trace(counted(), config)
+
+    monkeypatch.setattr(engine, "build_topology", counting_build)
+    monkeypatch.setattr(cli, "read_trace", counting_read)
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(out / "trace.csv"), str(cfg), "--out-dir", str(replayed)]) == 0
+    assert len(read) == len(trace)
+    steps = sorted(first_line)
+    assert [ts for ts, _ in builds] == steps[1:]  # every scored step, once
+    for ts, lines_read in builds:
+        assert lines_read <= first_line.get(ts + 2, len(trace)), ts
+    assert (replayed / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [(b"nan", "x must be finite, got nan"), (b"1.0\xff", "the line holds a byte that is not UTF-8")],
+    ids=["nan", "not-utf8"],
+)
+def test_replay_error_found_mid_run_exits_2_naming_the_line(tmp_path, x, message):
+    cfg = default_config(duration=30.0, vehicle_count=30, connected_fraction=0.5, seed=1)
+    cfg_path = tmp_path / "s.yaml"
+    save_config(cfg, cfg_path)
+    buf = io.StringIO()
+    list(tee_trace(snapshot_stream(cfg), buf, cfg.dt))
+    rows = buf.getvalue().encode().splitlines(keepends=True)
+    # a vehicle row of the last step: it is read once every other step is scored
+    index = len(rows) - 5
+    assert rows[index].startswith(b"300,")
+    fields = rows[index].split(b",")
+    rows[index] = b",".join([*fields[:4], x, *fields[5:]])
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"".join(rows))
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{trace}: trace line {index + 1}: {message}" in proc.stderr
+    assert "runtime error" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -472,10 +577,11 @@ def test_replay_roundtrip(tmp_path):
             "1,0.1,4,1,1.0,2.0,0.0,5.0\n1,99.5,5,1,3.0,2.0,0.0,5.0",
             "trace line 4: timestep 1 has sim_time 99.5, not timestep * dt = 0.1 (dt 0.1)",
         ),
+        # a header only as the first line: this one would switch to body columns
         (
             "timestep,sim_time,id,connected,x,y,heading,speed,length,width,height,antenna_height\n"
             "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0",
-            "trace line 4: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",
+            "trace line 3: a header must be the first line and name the columns in order",
         ),
     ],
 )

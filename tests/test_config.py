@@ -30,6 +30,10 @@ def test_defaults_validate_clean():
     assert report.ok, str(report)
 
 
+def paths(report):
+    return [path for path, _ in report.violations]
+
+
 def test_trivial_valid_config():
     assert validate_config(default_config(dt=0.1, duration=60.0)).ok
 
@@ -37,12 +41,12 @@ def test_trivial_valid_config():
 def test_zero_dt_reported():
     report = validate_config(default_config(dt=0.0))
     assert not report.ok
-    assert "dt" in report.paths()
+    assert "dt" in paths(report)
 
 
 def test_out_of_range_fraction_reported():
     report = validate_config(default_config(connected_fraction=1.3))
-    assert "connected_fraction" in report.paths()
+    assert "connected_fraction" in paths(report)
 
 
 def test_validation_is_pure():
@@ -55,12 +59,12 @@ def test_horizon_below_interval_reported():
     cfg = dataclasses.replace(
         cfg, prediction=dataclasses.replace(cfg.prediction, horizon=0.5, interval=1.0)
     )
-    assert "prediction.horizon" in validate_config(cfg).paths()
+    assert "prediction.horizon" in paths(validate_config(cfg))
 
 
 def test_update_interval_below_dt_reported():
     report = validate_config(default_config(conventional_update_interval=0.01))
-    assert "conventional_update_interval" in report.paths()
+    assert "conventional_update_interval" in paths(report)
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -166,4 +170,4 @@ def test_bad_vehicle_mix_reported():
     cfg = default_config()
     mix = (dataclasses.replace(cfg.vehicle_mix[0], antenna_height=99.0),)
     report = validate_config(dataclasses.replace(cfg, vehicle_mix=mix))
-    assert any("antenna_height" in p for p in report.paths())
+    assert any("antenna_height" in p for p in paths(report))

@@ -16,6 +16,7 @@ from twinroute.mobility import (
     ActiveVehicle,
     Arm,
     Maneuver,
+    TraceError,
     TrafficState,
     advance_traffic,
     build_route_plan,
@@ -293,7 +294,7 @@ def test_trace_roundtrip():
     buf = io.StringIO()
     list(tee_trace(snapshots, buf, cfg.dt))
     buf.seek(0)
-    restored = read_trace(buf, cfg)
+    restored = list(read_trace(buf, cfg))
     # vehicle-free steps come back from their marker rows
     assert not snapshots[0].vehicles
     assert len(restored) == len(snapshots)
@@ -346,14 +347,31 @@ def trace_streams(draw):
     return snapshots
 
 
+def read_to_the_end(lines, config):
+    """The snapshots ``read_trace`` yields, and the TraceError it ends
+    with (None if it ends cleanly)."""
+    snapshots = []
+    try:
+        for snap in read_trace(lines, config):
+            snapshots.append(snap)
+    except TraceError as exc:
+        return snapshots, exc
+    return snapshots, None
+
+
 @settings(max_examples=300, deadline=None)
 @given(trace_streams())
 def test_trace_roundtrip_of_any_stream(snapshots):
     buf = io.StringIO()
     list(tee_trace(snapshots, buf, 0.1))
     buf.seek(0)
-    back = read_trace(buf, default_config())
+    back, end = read_to_the_end(buf, default_config())
     assert back == snapshots
+    # every snapshot is yielded before the end-of-input check
+    if any(v.connected for snap in snapshots[1:] for v in snap.vehicles):
+        assert end is None
+    else:
+        assert str(end).startswith(f"nothing to score: {len(snapshots)} snapshot(s),")
     ids: dict[int, NodeId] = {}
     for snap in back:
         for v in snap.vehicles:
@@ -363,7 +381,7 @@ def test_trace_roundtrip_of_any_stream(snapshots):
 def test_trace_rejects_malformed_rows():
     with pytest.raises(ValueError):
         cfg = default_config()
-        read_trace(["1,2,3"], cfg)
+        list(read_trace(["1,2,3"], cfg))
 
 
 TRACE_HEAD = "timestep,sim_time,id,connected,x,y,heading,speed\n"
@@ -406,29 +424,58 @@ WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
             "trace line 4: timestep 1 has sim_time 99.5, not timestep * dt = 0.1 (dt 0.1)",
         ),
         ("1,0.2\n", "trace line 3: timestep 1 has sim_time 0.2, not timestep * dt = 0.1"),
+        # a header is the first line and names the columns in their order;
+        # a case that starts with one is the whole trace
         (
-            WIDE_HEAD + "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
-            "trace line 4: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",
+            "timestep,sim_time,id,connected,y,x,heading,speed\n" + GOOD_ROW,
+            "trace line 1: a header must be the first line and name the columns in order",
         ),
         (
-            WIDE_HEAD + "1,0.1,5,0,-0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
-            "trace line 4: the antenna of vehicle 5 is at the RSU's point",
+            "timestep,sim_time,id,connected,x,y,heading,speed,length\n" + GOOD_ROW,
+            "trace line 1: a header must be the first line",
         ),
+        ("timestep-junk\n1,0.1,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: a header must be the first line"),
+        ("1,0.1,4,1,1.0,2.0,0.0,5.0\n" + TRACE_HEAD, "trace line 4: a header must be the first line"),
+        ("\n" + WIDE_HEAD, "trace line 4: a header must be the first line"),
+        ("1,0.1,4,1,1\udcff.0,2.0,0.0,5.0\n", "trace line 3: the line holds a byte that is not UTF-8"),
     ],
 )
 def test_trace_rejects_bad_rows_naming_the_line(rows, message):
     cfg = default_config()
-    lines = io.StringIO(TRACE_HEAD + GOOD_ROW + rows)
+    lines = io.StringIO(rows if rows.startswith("timestep,") else TRACE_HEAD + GOOD_ROW + rows)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg)
+        list(read_trace(lines, cfg))
     assert message in str(err.value)
 
 
 def test_trace_may_start_at_any_timestep():
     cfg = default_config()
     lines = io.StringIO(TRACE_HEAD + "7,0.7,4,1,0.0,2.0,0.0,5.0\n8,0.8,4,1,0.5,2.0,0.0,5.0\n")
-    snaps = read_trace(lines, cfg)
+    snaps = list(read_trace(lines, cfg))
     assert [s.timestep for s in snaps] == [7, 8]
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        ("", 0),
+        (TRACE_HEAD, 0),
+        (TRACE_HEAD + GOOD_ROW, 1),
+        (GOOD_ROW + "1,0.1,5,0,8.0,2.0,0.0,5.0\n2,0.2\n", 3),
+        # vehicle 4 is still connected after the first snapshot
+        (GOOD_ROW + "1,0.1,4,1,0.5,2.0,0.0,5.0\n", None),
+    ],
+)
+def test_trace_with_nothing_to_score_ends_with_an_error(text, steps):
+    snaps, end = read_to_the_end(io.StringIO(text), default_config())
+    if steps is None:
+        assert end is None
+    else:
+        assert len(snaps) == steps
+        assert str(end) == (
+            f"nothing to score: {steps} snapshot(s), and none after the first"
+            " (which only seeds the history) has a connected vehicle"
+        )
 
 
 @pytest.mark.parametrize(
@@ -442,13 +489,21 @@ def test_trace_may_start_at_any_timestep():
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,3.2,nan\n", "trace line 3: antenna_height must be finite"),
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,0.0,3.2,3.3\n", "trace line 3: dimensions must be positive"),
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,4.5,1.8,1.5,9.0\n", "trace line 3: antenna_height 9.0 outside"),
+        (
+            "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
+            "trace line 3: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",
+        ),
+        (
+            "1,0.1,5,0,-0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
+            "trace line 3: the antenna of vehicle 5 is at the RSU's point",
+        ),
     ],
 )
 def test_trace_with_body_columns_rejects_bad_rows(rows, message):
     cfg = default_config()
     lines = io.StringIO(WIDE_HEAD + WIDE_ROW + rows)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg)
+        list(read_trace(lines, cfg))
     assert message in str(err.value)
 
 
@@ -465,7 +520,7 @@ def test_trace_rejects_a_vehicle_whose_body_or_flag_changes(row):
     cfg = default_config()
     lines = io.StringIO(WIDE_HEAD + WIDE_ROW + row)
     with pytest.raises(ValueError) as err:
-        read_trace(lines, cfg)
+        list(read_trace(lines, cfg))
     assert "trace line 3: vehicle 4 has a body or connected flag other than on line 2" in str(err.value)
 
 
@@ -474,10 +529,10 @@ def test_trace_without_body_columns_uses_the_default_body():
     truck = cfg.vehicle_mix[2]
     trucks_first = dataclasses.replace(cfg, vehicle_mix=(truck, *cfg.vehicle_mix[:2]))
     for head in (TRACE_HEAD, ""):
-        (snap,) = read_trace(io.StringIO(head + GOOD_ROW), trucks_first)
+        snap = next(read_trace(io.StringIO(head + GOOD_ROW), trucks_first))
         assert snap.vehicles[0].dimensions == (truck.length, truck.width, truck.height)
         assert snap.vehicles[0].antenna_height == truck.antenna_height
-    (snap,) = read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg)
+    snap = next(read_trace(io.StringIO(WIDE_HEAD + WIDE_ROW), cfg))
     assert snap.vehicles[0].dimensions == (8.0, 2.5, 3.2)
     assert snap.vehicles[0].antenna_height == 3.3
 
@@ -487,7 +542,7 @@ def test_trace_marker_rows_read_as_empty_steps(head, row):
     cfg = default_config()
     row = row.replace("0,0.0,", "2,0.2,", 1)
     lines = io.StringIO(head + "0,0.0\n1,0.1\n" + row + "3,0.30000000000000004\n")
-    snaps = read_trace(lines, cfg)
+    snaps = list(read_trace(lines, cfg))
     assert [(s.timestep, len(s.vehicles)) for s in snaps] == [(0, 0), (1, 0), (2, 1), (3, 0)]
     buf = io.StringIO()
     list(tee_trace(snaps, buf, cfg.dt))

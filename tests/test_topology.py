@@ -77,7 +77,7 @@ def test_node_count_is_one_plus_connected():
         ]
         snap = make_snapshot(vehicles)
         g = build_topology(snap, PARAMS, BUDGET)
-        assert len(g.nodes) == 1 + len(snap.connected_vehicles())
+        assert len(g.nodes) == 1 + sum(v.connected for v in snap.vehicles)
         for (a, b), link in links(g).items():
             assert a in g.nodes and b in g.nodes
             assert a != b
