@@ -33,7 +33,6 @@ from .prediction import (
 )
 from .routing import (
     PredictivePlan,
-    Route,
     RouteTable,
     route_predictive,
     route_realtime,
@@ -57,7 +56,6 @@ __all__ = [
     "PredictedTrack",
     "PredictivePlan",
     "ReliabilityAccumulator",
-    "Route",
     "RouteTable",
     "RunResult",
     "ScenarioConfig",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import math
 import types
@@ -186,14 +187,20 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 def read_yaml(path: str | Path) -> Any:
     """The document in the YAML file at ``path``; malformed YAML raises
     ValueError naming the file, with the parser's line and column, and a
-    file that is not UTF-8 one naming the file and the byte."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return yaml.safe_load(f)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: malformed YAML: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    file that is not UTF-8 one naming the file, the byte, its offset in
+    the file and its 1-based line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: not UTF-8: line {line}: {exc}") from None
+    stream = io.StringIO(text)
+    stream.name = str(path)  # the parser's marks name the file
+    try:
+        return yaml.safe_load(stream)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: malformed YAML: {exc}") from None
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

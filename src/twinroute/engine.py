@@ -3,7 +3,9 @@
 Each scored timestep the engine builds the ground-truth topology from the
 actual snapshot, asks the strategy driver for the route table currently in
 force, and checks every connected vehicle's assignment against the ground
-truth. Drivers differ only in where their tables come from:
+truth. Every driver returns a table for every scored step; a table maps
+each routed vehicle to its hops, source first and RSU last. Drivers differ
+only in where their tables come from:
 
 - real-time: a fresh table every step, computed from the snapshot
   ``latency_delta`` seconds ago (zero latency means the current one);
@@ -31,6 +33,7 @@ optional route and topology dumps to streams its caller opened.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from collections import deque
 from itertools import islice
@@ -104,7 +107,7 @@ class _PeriodicDriver:
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
         if self._next_update is None or timestep >= self._next_update:
             graph = world.graph_at(timestep - self.lag)
-            self._table = route_realtime(graph, self.config.max_hops, self._table)
+            self._table = route_realtime(graph, self.config.max_hops)
             self._next_update = timestep + self.period
         return self._table
 
@@ -147,22 +150,21 @@ class _PredictiveDriver:
         )
         self._fallbacks += self._plan.degraded_tracks
 
-    def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable | None:
-        # plan one step ahead of application so the schedule covers this step
+    def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
+        # plan one step ahead of application: a plan made at t - 1 covers
+        # t ... t - 1 + interval, so it always holds this step
         if self._next_epoch is None or timestep > self._next_epoch:
             self._replan(timestep - 1, world)
             self._next_epoch = timestep - 1 + self.interval_steps
-        forecast = self._plan.forecast.get(timestep)
-        if forecast is not None:
-            truth = {v.id: v.position for v in world.history[-1].vehicles}
-            for vehicle, position in forecast:
-                actual = truth.get(vehicle)
-                if actual is not None:
-                    dx = position[0] - actual[0]
-                    dy = position[1] - actual[1]
-                    self._error_sum += (dx * dx + dy * dy) ** 0.5
-                    self._error_count += 1
-        return self._plan.entries.get(timestep)
+        truth = {v.id: v.position for v in world.history[-1].vehicles}
+        for vehicle, position in self._plan.forecast[timestep]:
+            actual = truth.get(vehicle)
+            if actual is not None:
+                dx = position[0] - actual[0]
+                dy = position[1] - actual[1]
+                self._error_sum += (dx * dx + dy * dy) ** 0.5
+                self._error_count += 1
+        return self._plan.entries[timestep]
 
     def prediction_stats(self) -> tuple[float | None, int]:
         mean = self._error_sum / self._error_count if self._error_count else None
@@ -178,34 +180,25 @@ def _make_driver(config: ScenarioConfig) -> _PeriodicDriver | _PredictiveDriver:
     return _PredictiveDriver(config)
 
 
-def _score(
-    table: RouteTable | None, truth: ConnectivityGraph, timestep: int
-) -> TimestepOutcome:
+def _score(table: RouteTable, truth: ConnectivityGraph, timestep: int) -> TimestepOutcome:
     """Check the route of every connected vehicle, the nodes after the RSU."""
     sources = truth.nodes[1:]
     satisfied = 0
     hop_total = 0
     for node in sources:
-        route = table.get(node) if table is not None else None
+        route = table.get(node)
         if score_route(route, truth):
             satisfied += 1
-            hop_total += route.hop_count
+            hop_total += len(route) - 1
     mean_hops = hop_total / satisfied if satisfied else 0.0
     return TimestepOutcome(timestep, len(sources), satisfied, mean_hops)
 
 
-_TRAFFIC_FIELDS = (
-    "seed",
-    "duration",
-    "dt",
-    "vehicle_count",
-    "connected_fraction",
-    "intersection",
-    "speed",
-    "mobility",
-    "vehicle_mix",
-    "channel",
-    "link_budget_db",
+# the fields a variant may set; every other field shapes the shared traffic
+# or ground-truth channel, so all variants must agree on it
+_VARIANT_FIELDS = {"strategy", "latency_delta", "prediction", "conventional_update_interval", "max_hops"}
+_SHARED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in _VARIANT_FIELDS
 )
 
 
@@ -217,13 +210,13 @@ def run_variants(
 ) -> dict[str, RunResult]:
     """Run several strategy variants over one shared world.
 
-    All variants must agree on every field that shapes the traffic or the
-    ground-truth channel; they may differ in strategy, latency, prediction
-    settings, the conventional update interval and the hop cap. When
-    ``snapshots`` is given it replaces generated traffic. The first
-    snapshot only seeds the twin's history; every later one is scored.
-    Each snapshot's timestep must be one more than the previous one's;
-    otherwise ValueError names both.
+    Variants may differ in strategy, latency, prediction settings, the
+    conventional update interval and the hop cap; every other field
+    shapes the traffic or the ground-truth channel, so all must agree on
+    it. When ``snapshots`` is given it replaces generated traffic. The
+    first snapshot only seeds the twin's history; every later one is
+    scored. Each snapshot's timestep must be one more than the previous
+    one's; otherwise ValueError names both.
 
     An exception raised by one variant's driver propagates unchanged but
     for a ``variant`` attribute naming that variant; one raised building
@@ -238,7 +231,7 @@ def run_variants(
         report = validate_config(cfg)
         if not report.ok:
             raise ConfigError(report)
-        for fld in _TRAFFIC_FIELDS:
+        for fld in _SHARED_FIELDS:
             if getattr(cfg, fld) != getattr(base, fld):
                 raise ValueError(f"variants disagree on shared field {fld!r}")
 
@@ -279,7 +272,7 @@ def run_variants(
                 raise
             outcome = _score(table, truth, snap.timestep)
             accumulators[name].record(outcome)
-            if route_dump is not None and table is not None:
+            if route_dump is not None:
                 dump_route_table(table, truth, snap.timestep, route_dump)
 
     for snap in stream:

@@ -490,8 +490,9 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     is not scored on the wrong clock. Timesteps must be grouped and
     consecutive. A ``timestep,sim_time`` marker row is a step with no
     vehicles and must be its step's only row. No two vehicles of one step
-    may stand at the same (x, y), no antenna at the RSU's point (a squared
-    distance of 0.0, summed as the graph builder sums it), a vehicle keeps
+    may stand at the same (x, y), no antenna at the RSU's point, and no
+    two connected vehicles' antennas of one step at one point (a squared
+    distance of 0.0, summed as the graph builder sums it); a vehicle keeps
     the body and ``connected`` flag of its first row, and no line holds a
     byte that is not UTF-8, which ``errors="surrogateescape"`` decodes to
     a lone surrogate. Each error is a TraceError naming the 1-based line.
@@ -507,6 +508,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     ids: dict[int, NodeId] = {}
     lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
     spots: dict[tuple[float, float], int] = {}
+    antennas: list[tuple[int, float, float, float]] = []  # the step's connected ones
     rsu = (0.0, 0.0, config.intersection.rsu_height)
     row_body: VehicleClassSpec | None = body
     marked = False  # the current step is a marker row
@@ -544,7 +546,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
                     if ts != current_ts + 1:
                         raise ValueError(f"timestep {ts} does not follow {current_ts}")
                     yield WorldSnapshot(current_ts, tuple(bucket), rsu)
-                bucket, seen, spots = [], set(), {}
+                bucket, seen, spots, antennas = [], set(), {}, []
                 current_ts, marked = ts, vehicle is None
                 steps += 1
             if vehicle is None:
@@ -568,6 +570,15 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
             dx, dy, dz = spot[0] - rsu[0], spot[1] - rsu[1], vehicle.antenna_height - rsu[2]
             if dx * dx + dy * dy + dz * dz == 0.0:
                 raise ValueError(f"the antenna of vehicle {index} is at the RSU's point {rsu}")
+            if vehicle.connected:
+                x, y, z = spot[0], spot[1], vehicle.antenna_height
+                for other, ox, oy, oz in antennas:
+                    dx, dy, dz = x - ox, y - oy, z - oz
+                    if dx * dx + dy * dy + dz * dz == 0.0:
+                        raise ValueError(
+                            f"the antennas of vehicles {other} and {index} coincide in timestep {ts}"
+                        )
+                antennas.append((index, x, y, z))
         except ValueError as exc:
             raise TraceError(f"trace line {lineno}: {exc}: {line!r}") from None
         bucket.append(vehicle)

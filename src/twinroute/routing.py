@@ -6,9 +6,7 @@ graph comes from and how often it is rebuilt (the engine owns the
 cadence). Route choice minimizes hop count first, total path loss second,
 and breaks remaining exact ties by the lexicographically smallest node
 sequence, so results are deterministic and order-independent. A route is
-immutable, and a table reuses the earlier table's route object for every
-source whose hops did not change, so route tables may share ``Route``
-objects.
+its tuple of hops, source first and RSU last.
 """
 
 from __future__ import annotations
@@ -22,30 +20,9 @@ from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
 
-@dataclass(frozen=True)
-class Route:
-    """Simple path from a connected vehicle to the RSU."""
-
-    source: NodeId
-    hops: tuple[NodeId, ...]
-
-    def __post_init__(self) -> None:
-        # identity first: routing builds routes from the graph's own ids
-        if not self.hops or (self.hops[0] is not self.source and self.hops[0] != self.source):
-            raise ValueError("route must start at its source")
-        if type(self.hops[-1]) is not NodeId or self.hops[-1] & 1:
-            raise ValueError("route must end at the RSU")
-        if len(set(self.hops)) != len(self.hops):
-            raise ValueError("route must be a simple path")
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.hops) - 1
-
-
-# One routing pass: every vehicle node of the graph, in node order; None
-# means no path to the RSU existed.
-RouteTable = dict[NodeId, Route | None]
+# One routing pass: every vehicle node of the graph, in node order, to its
+# hops, source first and RSU last; None means no path to the RSU existed.
+RouteTable = dict[NodeId, tuple[NodeId, ...] | None]
 
 
 def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[tuple[int, float]]]]:
@@ -109,9 +86,7 @@ def _route_from(
     return tuple(nodes[k] for k in labels[0][1])
 
 
-def route_realtime(
-    graph: ConnectivityGraph, max_hops: int | None = None, previous: RouteTable | None = None
-) -> RouteTable:
+def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
     """Route every vehicle node of ``graph`` to the RSU, in node order.
 
     The graph's nodes are the connected vehicles of the snapshot it was
@@ -119,16 +94,13 @@ def route_realtime(
     control-plane latency it lags the scoring time, so the table may
     already be stale when it is applied.
 
-    A node one hop from the RSU routes straight to it. Where ``previous``,
-    an earlier table, holds a route with the same hops for a source, the
-    new table holds that same ``Route`` object, so tables may share routes.
-    A direct link wins whatever ``max_hops`` is.
+    A node one hop from the RSU routes straight to it: a direct link wins
+    whatever ``max_hops`` is.
     """
     depth, down = _hop_layers(graph)
     nodes = graph.nodes
     rsu = nodes[0]
     cap = None if max_hops is None else max(max_hops, 1)
-    previous = previous or {}
     table: RouteTable = {}
     for k in range(1, len(nodes)):
         source = nodes[k]
@@ -136,9 +108,7 @@ def route_realtime(
         if layer is None or (cap is not None and layer > cap):
             table[source] = None
             continue
-        hops = (source, rsu) if layer == 1 else _route_from(nodes, k, layer, down)
-        old = previous.get(source)
-        table[source] = old if old is not None and old.hops == hops else Route(source, hops)
+        table[source] = (source, rsu) if layer == 1 else _route_from(nodes, k, layer, down)
     return table
 
 
@@ -199,11 +169,7 @@ def route_predictive(
     graphs = build_topologies(
         last.vehicles, timesteps, poses, last.rsu_position, params, budget_db
     )
-    # each step's table reuses the step before's routes wherever they hold
-    entries: dict[int, RouteTable] = {}
-    table = None
-    for g in graphs:
-        table = entries[g.timestep] = route_realtime(g, max_hops, table)
+    entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
     ids = [t.vehicle for t in tracks]
     forecast = {
         ts: tuple(zip(ids, [p for p, _, _ in step])) for ts, step in zip(timesteps, poses)
@@ -211,13 +177,13 @@ def route_predictive(
     return PredictivePlan(entries, forecast, sum(t.degraded for t in tracks))
 
 
-def score_route(route: Route | None, ground_truth: ConnectivityGraph) -> bool:
+def score_route(route: tuple[NodeId, ...] | None, ground_truth: ConnectivityGraph) -> bool:
     """True iff the route exists and every hop holds in the ground truth."""
     if route is None:
         return False
     index = ground_truth.index
     adjacency = ground_truth.adjacency
-    hops = iter(route.hops)
+    hops = iter(route)
     a = index.get(next(hops))
     if a is None:
         return False
@@ -236,6 +202,6 @@ def dump_route_table(
     table: RouteTable, ground_truth: ConnectivityGraph, timestep: int, out: IO[str]
 ) -> None:
     for vehicle, route in table.items():
-        hops = ">".join(str(h) for h in route.hops) if route else ""
+        hops = ">".join(str(h) for h in route) if route else ""
         valid = int(score_route(route, ground_truth))
         out.write(f"{timestep},{vehicle},{hops},{valid}\n")

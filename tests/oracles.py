@@ -419,7 +419,7 @@ def oracle_score_route(route, ground_truth) -> bool:
     if route is None:
         return False
     index = ground_truth.index
-    ks = [index.get(node) for node in route.hops]
+    ks = [index.get(node) for node in route]
     if None in ks:
         return False
     adjacency = ground_truth.adjacency

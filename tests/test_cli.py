@@ -151,6 +151,16 @@ YAML_COMMANDS = ["validate", "run", "replay", "sweep-spec", "sweep-base"]
     + [
         pytest.param(c, b"\xff\xfe", ("not UTF-8", "byte 0xff in position"), id=f"{c}-not-utf8")
         for c in YAML_COMMANDS
+    ]
+    # the bad byte lies past the first chunk a text-mode reader decodes:
+    # the message gives its offset in the file and its line
+    + [
+        pytest.param(
+            "validate",
+            b"#" + b"x" * 9998 + b"\nseed: 1\n\xff",
+            ("not UTF-8: line 3: ", "byte 0xff in position 10008: "),
+            id="validate-not-utf8-past-the-first-chunk",
+        )
     ],
 )
 def test_malformed_yaml_exits_2_naming_the_line(tmp_path, command, content, messages):
@@ -636,15 +646,16 @@ def test_replay_with_nothing_to_score_exits_2_naming_the_trace(tmp_path, rows, m
             2,
             "trace line 3: the antenna of vehicle 4 is at the RSU's point (0.0, 0.0, 5.0)",
         ),
-        # two antennas 1e-200 m apart pass the reader; the builder rejects them
+        # two connected antennas 1e-200 m apart: the reader rejects the
+        # second one's line, as the graph builder would reject the pair
         (
             [
                 "0,0.0,4,1,0.0,2.0,0.0,5.0,4.5,1.8,4.2,3.0",
                 "1,0.1,4,1,1e-200,0.0,0.0,5.0,4.5,1.8,4.2,3.0",
                 "1,0.1,5,1,2e-200,0.0,0.0,5.0,4.5,1.8,4.2,3.0",
             ],
-            3,
-            "runtime error: timestep 1: antennas of v4 and v5 coincide",
+            2,
+            "trace line 4: the antennas of vehicles 4 and 5 coincide in timestep 1",
         ),
     ],
     ids=["antenna-at-rsu", "antennas-coincide"],

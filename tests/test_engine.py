@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinroute import engine, routing
-from twinroute.config import default_config
+from twinroute.config import ScenarioConfig, default_config, validate_config
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.mobility import snapshot_stream
 from twinroute.model import Strategy
@@ -57,10 +57,49 @@ def test_run_variants_matches_run_single():
     assert combined["pred"].reliability == run_single(cfg_pred).reliability
 
 
+# the fields a variant may set; every other field of ScenarioConfig shapes
+# the shared world, so variants must agree on it
+VARIANT_FIELDS = {"strategy", "latency_delta", "prediction", "conventional_update_interval", "max_hops"}
+
+# a valid value other than SMALL's for every shared field; a field added to
+# ScenarioConfig fails the test below until it is listed here or above
+SHARED_CHANGES = {
+    "seed": 99,
+    "duration": 10.0,
+    "dt": 0.05,
+    "vehicle_count": 9,
+    "connected_fraction": 1.0,
+    "intersection": dataclasses.replace(SMALL.intersection, lane_count=2),
+    "speed": dataclasses.replace(SMALL.speed, max=15.0),
+    "channel": dataclasses.replace(SMALL.channel, max_range_m=140.0),
+    "link_budget_db": 100.0,
+    "mobility": dataclasses.replace(SMALL.mobility, min_gap=8.0),
+    "vehicle_mix": SMALL.vehicle_mix[:1],
+}
+
+
 def test_run_variants_rejects_mismatched_traffic():
-    other_seed = dataclasses.replace(SMALL, seed=99)
-    with pytest.raises(ValueError, match="seed"):
-        run_variants({"a": SMALL, "b": other_seed})
+    shared = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in VARIANT_FIELDS]
+    assert sorted(shared) == sorted(SHARED_CHANGES)
+    for name in shared:
+        other = dataclasses.replace(SMALL, **{name: SHARED_CHANGES[name]})
+        assert validate_config(other).ok, name
+        with pytest.raises(ValueError, match=f"^variants disagree on shared field '{name}'$"):
+            run_variants({"a": SMALL, "b": other})
+
+
+def test_run_variants_accepts_variants_that_differ_in_every_variant_field():
+    other = dataclasses.replace(
+        SMALL,
+        strategy=Strategy.PREDICTIVE,
+        latency_delta=0.2,
+        prediction=dataclasses.replace(SMALL.prediction, interval=1.0, predictor="hold"),
+        conventional_update_interval=2.0,
+        max_hops=2,
+    )
+    assert all(getattr(other, name) != getattr(SMALL, name) for name in VARIANT_FIELDS)
+    combined = run_variants({"a": SMALL, "b": other})
+    assert combined["b"].reliability == run_single(other).reliability
 
 
 def catch_up_stream(n_steps=16, dt=0.25):

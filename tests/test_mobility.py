@@ -26,6 +26,7 @@ from twinroute.mobility import (
     tee_trace,
 )
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
+from twinroute.topology import build_topology
 
 from oracles import oracle_pose_at
 
@@ -438,6 +439,15 @@ WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
         ("1,0.1,4,1,1.0,2.0,0.0,5.0\n" + TRACE_HEAD, "trace line 4: a header must be the first line"),
         ("\n" + WIDE_HEAD, "trace line 4: a header must be the first line"),
         ("1,0.1,4,1,1\udcff.0,2.0,0.0,5.0\n", "trace line 3: the line holds a byte that is not UTF-8"),
+        # connected antennas 1e-200 m apart: their squared distance underflows
+        (
+            "0,0.0,5,1,1e-200,2.0,0.0,5.0\n",
+            "trace line 3: the antennas of vehicles 4 and 5 coincide in timestep 0",
+        ),
+        (
+            "0,0.0,5,0,8.0,2.0,0.0,5.0\n0,0.0,6,1,-1e-200,2.0,0.0,5.0\n",
+            "trace line 4: the antennas of vehicles 4 and 6 coincide in timestep 0",
+        ),
     ],
 )
 def test_trace_rejects_bad_rows_naming_the_line(rows, message):
@@ -522,6 +532,23 @@ def test_trace_rejects_a_vehicle_whose_body_or_flag_changes(row):
     with pytest.raises(ValueError) as err:
         list(read_trace(lines, cfg))
     assert "trace line 3: vehicle 4 has a body or connected flag other than on line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,0.0,5,0,1e-200,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n",  # not connected: no graph node
+        "0,0.0,5,1,1e-200,2.0,0.0,5.0,8.0,2.5,3.2,3.4\n",  # antenna higher
+        "0,0.0,5,1,1e-150,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n",  # 1e-300 m² apart
+    ],
+    ids=["unconnected", "higher", "apart"],
+)
+def test_trace_keeps_antennas_the_graph_builder_keeps_apart(row):
+    cfg = default_config()
+    lines = io.StringIO(WIDE_HEAD + WIDE_ROW + row + "1,0.1,4,1,0.5,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n")
+    snap, _ = read_trace(lines, cfg)
+    assert len(snap.vehicles) == 2
+    build_topology(snap, cfg.channel, cfg.link_budget_db)
 
 
 def test_trace_without_body_columns_uses_the_default_body():

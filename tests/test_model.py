@@ -7,7 +7,6 @@ import random
 import pytest
 
 from twinroute.model import NodeId, NodeKind, VehicleState
-from twinroute.routing import Route
 
 from conftest import SEDAN
 from oracles import node_key
@@ -114,15 +113,3 @@ def test_vehicle_state_needs_a_vehicle_id():
     for bad in (NodeId.rsu(), 1):
         with pytest.raises(ValueError, match="vehicle node"):
             VehicleState(bad, (0.0, 0.0, 0.0), 0.0, 1.0, connected=True, **SEDAN)
-
-
-def test_route_must_end_at_the_rsu():
-    v1, v2 = NodeId.vehicle(1), NodeId.vehicle(2)
-    assert Route(v1, (NodeId.vehicle(1), v2, NodeId.rsu())).hop_count == 2
-    for hops in ((v1, v2), (v1, 0)):
-        with pytest.raises(ValueError, match="end at the RSU"):
-            Route(v1, hops)
-    with pytest.raises(ValueError, match="start at its source"):
-        Route(v1, (v2, NodeId.rsu()))
-    with pytest.raises(ValueError, match="simple path"):
-        Route(v1, (v1, v2, NodeId.vehicle(1), NodeId.rsu()))

@@ -15,7 +15,6 @@ from twinroute.mobility import snapshot_stream
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor
 from twinroute.routing import (
-    Route,
     _hop_layers,
     dump_route_table,
     route_predictive,
@@ -59,17 +58,16 @@ def route_of(g, source, max_hops=None):
 
 
 def hops_table(g, max_hops=None):
-    """Every vehicle node's route as a node tuple, None where unreachable."""
+    """Every vehicle node's route, None where unreachable, in node order."""
     table = route_realtime(g, max_hops)
     assert list(table) == list(g.nodes[1:])
-    return {source: route.hops if route else None for source, route in table.items()}
+    return table
 
 
 def test_direct_edge_is_the_route():
     g = graph_from_losses({(0, "rsu"): 100.0, (0, 1): 60.0, (1, "rsu"): 60.0})
     route = route_of(g, 0)
-    assert route.hops == (NodeId.vehicle(0), RSU)
-    assert route.hop_count == 1
+    assert route == (NodeId.vehicle(0), RSU)
 
 
 def test_unreachable_returns_none():
@@ -80,7 +78,7 @@ def test_unreachable_returns_none():
 def test_two_hop_beats_lossier_nothing():
     g = graph_from_losses({(0, 1): 80.0, (1, "rsu"): 80.0})
     route = route_of(g, 0)
-    assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
+    assert route == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
 
 
 def test_loss_breaks_hop_ties():
@@ -88,7 +86,7 @@ def test_loss_breaks_hop_ties():
         {(0, 1): 80.0, (1, "rsu"): 80.0, (0, 2): 70.0, (2, "rsu"): 80.0}
     )
     route = route_of(g, 0)
-    assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(2), RSU)
+    assert route == (NodeId.vehicle(0), NodeId.vehicle(2), RSU)
 
 
 def test_node_order_breaks_exact_ties():
@@ -96,7 +94,7 @@ def test_node_order_breaks_exact_ties():
         {(0, 1): 80.0, (1, "rsu"): 80.0, (0, 2): 80.0, (2, "rsu"): 80.0}
     )
     route = route_of(g, 0)
-    assert route.hops == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
+    assert route == (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
 
 
 def test_max_hops_cap():
@@ -145,8 +143,8 @@ def test_node_order_breaks_exact_ties_past_the_first_layer():
         }
     )
     route = route_of(g, 0)
-    assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 1, 4, 5)) + (RSU,)
-    assert oracle_dijkstra_route(g, NodeId.vehicle(0)) == route.hops
+    assert route == tuple(NodeId.vehicle(k) for k in (0, 1, 4, 5)) + (RSU,)
+    assert oracle_dijkstra_route(g, NodeId.vehicle(0)) == route
 
 
 # (0.1 + 0.2) + 0.3 > 0.6 == (0.3 + 0.2) + 0.1: summed source-first, the
@@ -162,8 +160,8 @@ def test_loss_is_summed_source_first():
     assert (0.1 + 0.2) + 0.3 > (0.3 + 0.2) + 0.1
     g = graph_from_losses(SOURCE_FIRST_TIE)
     route = route_of(g, 0)
-    assert route.hops == tuple(NodeId.vehicle(k) for k in (0, 3, 4)) + (RSU,)
-    assert oracle_shortest_path(g, NodeId.vehicle(0)) == route.hops
+    assert route == tuple(NodeId.vehicle(k) for k in (0, 3, 4)) + (RSU,)
+    assert oracle_shortest_path(g, NodeId.vehicle(0)) == route
 
 
 # losses that tie exactly, or tie up to the order they are summed in
@@ -219,21 +217,6 @@ def sparse_graphs(draw):
     return graph_from_losses(draw(sparse_links(n_vehicles)), range(n_vehicles))
 
 
-@st.composite
-def graph_pairs(draw):
-    """Two graphs over the same vehicles; the second keeps about three in
-    four of the first's links and adds a few, so many routes survive."""
-    n_vehicles = draw(st.integers(1, 10))
-    before = draw(sparse_links(n_vehicles))
-    after = {pair: loss for pair, loss in before.items() if draw(st.integers(0, 3))}
-    ends = st.sampled_from(["rsu", *range(n_vehicles)])
-    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=3)):
-        if a != b:
-            after[(a, b)] = draw(TIE_LOSSES)
-    vehicles = range(n_vehicles)
-    return graph_from_losses(before, vehicles), graph_from_losses(after, vehicles)
-
-
 # depth 5 down a chain whose last node has two ways one layer closer,
 # with a two-node island beside it
 DEEP_CHAIN = {("rsu", 0): 90.0, (0, 1): 80.0, (1, 2): 80.0, (2, 3): 80.0, (3, 4): 80.0,
@@ -259,36 +242,6 @@ def test_hop_layers_equal_a_plain_bfs(g):
     assert _hop_layers(g) == oracle_hop_layers(g.adjacency)
 
 
-@settings(max_examples=300, deadline=None)
-@given(graphs=graph_pairs(), max_hops=st.none() | st.integers(1, 4))
-def test_route_realtime_reuses_exactly_the_unchanged_routes(graphs, max_hops):
-    before, after = graphs
-    previous = route_realtime(before, max_hops)
-    fresh = route_realtime(after, max_hops)
-    table = route_realtime(after, max_hops, previous)
-    assert list(table) == list(fresh)
-    old_ids = {id(route) for route in previous.values()}
-    for source, route in table.items():
-        want, old = fresh[source], previous.get(source)
-        if want is None:
-            assert route is None
-            continue
-        assert route.hops == want.hops
-        if old is not None and old.hops == want.hops:
-            assert route is old
-        else:
-            assert id(route) not in old_ids
-
-
-def test_route_realtime_on_an_unchanged_graph_returns_the_same_routes():
-    g = graph_from_losses(DEEP_CHAIN)
-    previous = route_realtime(g)
-    table = route_realtime(g, None, previous)
-    assert table == previous
-    assert all(table[s] is previous[s] for s in table)
-    assert sum(route is not None for route in table.values()) == 6
-
-
 def test_route_all_matches_heap_dijkstra_on_dense_run():
     """Every step of a 60-vehicle, 2-lane run, cycling the hop cap per step."""
     cfg = default_config(duration=20.0, vehicle_count=60, connected_fraction=1.0, seed=2)
@@ -303,9 +256,8 @@ def test_route_all_matches_heap_dijkstra_on_dense_run():
         table = route_realtime(g, max_hops)
         assert list(table) == list(g.nodes[1:])
         for vehicle, route in table.items():
-            got = route.hops if route else None
-            assert got == oracle_dijkstra_route(g, vehicle, max_hops), snap.timestep
-            routed += route is not None and route.hop_count > 1
+            assert route == oracle_dijkstra_route(g, vehicle, max_hops), snap.timestep
+            routed += route is not None and len(route) > 2
     assert routed > 1000  # multi-hop routes were exercised
 
 
@@ -321,11 +273,11 @@ def test_dominance_self_consistency():
 
 def test_score_route_cases():
     g = graph_from_losses({(0, "rsu"): 80.0, (0, 1): 70.0, (1, "rsu"): 70.0})
-    direct = Route(NodeId.vehicle(0), (NodeId.vehicle(0), RSU))
+    direct = (NodeId.vehicle(0), RSU)
     assert score_route(direct, g)
     assert not score_route(None, g)
 
-    relay = Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1), RSU))
+    relay = (NodeId.vehicle(0), NodeId.vehicle(1), RSU)
     assert score_route(relay, g)
     # relay despawned: node 1 no longer in the graph
     without_relay = graph_from_losses({(0, "rsu"): 80.0})
@@ -335,9 +287,8 @@ def test_score_route_cases():
     assert not score_route(relay, broken_mid)
 
 
-def route_via(*relays: int) -> Route:
-    hops = (*map(NodeId.vehicle, relays), RSU)
-    return Route(hops[0], hops)
+def route_via(*relays: int) -> tuple[NodeId, ...]:
+    return (*map(NodeId.vehicle, relays), RSU)
 
 
 # vehicle 0 reaches the RSU directly and through vehicle 1; vehicle 2 has no links
@@ -366,22 +317,10 @@ def test_score_route_matches_the_list_formulation(g, route):
     assert score_route(route, g) == oracle_score_route(route, g)
 
 
-def test_route_invariants_enforced():
-    with pytest.raises(ValueError):
-        Route(NodeId.vehicle(0), (NodeId.vehicle(1), RSU))  # wrong start
-    with pytest.raises(ValueError):
-        Route(NodeId.vehicle(0), (NodeId.vehicle(0), NodeId.vehicle(1)))  # no RSU end
-    with pytest.raises(ValueError):
-        Route(
-            NodeId.vehicle(0),
-            (NodeId.vehicle(0), NodeId.vehicle(1), NodeId.vehicle(0), RSU),
-        )  # repeated node
-
-
 def test_route_realtime_single_vehicle_in_range():
     snap = make_snapshot([make_vehicle(0, 30.0, 0.0)])
     table = route_realtime(build_topology(snap, PARAMS, 110.0))
-    assert table[NodeId.vehicle(0)].hops == (NodeId.vehicle(0), RSU)
+    assert table[NodeId.vehicle(0)] == (NodeId.vehicle(0), RSU)
 
 
 def test_stale_snapshot_route_breaks_on_current_truth():
@@ -520,25 +459,6 @@ def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
     assert built == []
     make_vehicle(0, 30.0, 0.0)  # the patched checks still count
     assert [name for name, _ in built] == ["VehicleState"]
-
-
-def test_a_predictive_epoch_builds_a_route_only_where_one_changes(monkeypatch):
-    """Each step's table reuses the step before's routes wherever the hops
-    hold, so the epoch validates one Route per change of a source's hops;
-    here that is one per distinct hops tuple, where one per source and step
-    would be 160."""
-    plan, built = plan_counting(monkeypatch, (Route,))
-    changes = []
-    before = {}
-    for table in plan.entries.values():
-        for source, route in table.items():
-            if route is not None and (before.get(source) is None or before[source].hops != route.hops):
-                changes.append(route)
-        before = table
-    assert [route for _, route in built] == changes
-    routes = [route for table in plan.entries.values() for route in table.values() if route]
-    assert len(routes) == 160
-    assert len(built) <= len({route.hops for route in routes})
 
 
 def test_dump_route_table_format():
