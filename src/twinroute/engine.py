@@ -156,12 +156,15 @@ class _PredictiveDriver:
         if self._next_epoch is None or timestep > self._next_epoch:
             self._replan(timestep - 1, world)
             self._next_epoch = timestep - 1 + self.interval_steps
-        truth = {v.id: v.position for v in world.history[-1].vehicles}
-        for vehicle, position in self._plan.forecast[timestep]:
-            actual = truth.get(vehicle)
-            if actual is not None:
-                dx = position[0] - actual[0]
-                dy = position[1] - actual[1]
+        snap = world.history[-1]
+        row = dict(zip(snap.ids, range(len(snap.ids))))
+        xs, ys = snap.x.tolist(), snap.y.tolist()
+        # per vehicle, in forecast order, in Python floats
+        for vehicle, (x, y, _) in zip(self._plan.ids, self._plan.forecast[timestep].tolist()):
+            k = row.get(vehicle)
+            if k is not None:
+                dx = x - xs[k]
+                dy = y - ys[k]
                 self._error_sum += (dx * dx + dy * dy) ** 0.5
                 self._error_count += 1
         return self._plan.entries[timestep]

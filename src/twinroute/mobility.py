@@ -23,6 +23,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -205,20 +206,6 @@ class ActiveVehicle:
         self.id = NodeId.vehicle(self.index)
         self.dimensions = (self.vclass.length, self.vclass.width, self.vclass.height)
 
-    def to_state(self) -> VehicleState:
-        x, y, heading = self.plan.pose_at(self.progress)
-        # positional: VehicleState(id, position, heading, speed, dimensions,
-        # antenna_height, connected)
-        return VehicleState(
-            self.id,
-            (x, y, 0.0),
-            heading,
-            self.effective_speed,
-            self.dimensions,
-            self.vclass.antenna_height,
-            self.connected,
-        )
-
 
 @dataclass
 class TrafficState:
@@ -232,10 +219,25 @@ class TrafficState:
     next_vehicle_index: int
 
     def snapshot(self) -> WorldSnapshot:
-        return WorldSnapshot(
+        """The current step as columns, one row per active vehicle, with
+        its pose from :meth:`RoutePlan.pose_at` at its progress."""
+        active = self.active
+        n = len(active)
+        # (x, y, heading) and body triples read as flat runs of floats
+        poses = chain.from_iterable([v.plan.pose_at(v.progress) for v in active])
+        x, y, heading = np.fromiter(poses, np.float64, 3 * n).reshape(n, 3).T
+        bodies = chain.from_iterable([v.dimensions for v in active])
+        return WorldSnapshot.from_columns(
             timestep=self.step,
-            vehicles=tuple(v.to_state() for v in self.active),
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
+            ids=tuple([v.id for v in active]),
+            x=x,
+            y=y,
+            heading=heading,
+            speed=np.array([v.effective_speed for v in active], dtype=np.float64),
+            bodies=np.fromiter(bodies, np.float64, 3 * n).reshape(n, 3),
+            antenna_height=np.array([v.vclass.antenna_height for v in active], dtype=np.float64),
+            connected=np.array([v.connected for v in active], dtype=bool),
         )
 
 

@@ -19,7 +19,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 Point3 = tuple[float, float, float]
 # (position, heading, speed) of one vehicle at one step
@@ -126,18 +130,146 @@ class VehicleState:
             )
 
 
-@dataclass(frozen=True, slots=True)
 class WorldSnapshot:
-    """All vehicle states plus the RSU at one timestep: the twin's view."""
+    """All vehicle states plus the RSU at one timestep: the twin's view.
 
-    timestep: int
-    vehicles: tuple[VehicleState, ...]
-    rsu_position: Point3
+    The vehicles are stored as columns, one row per vehicle: ``ids``, the
+    ``x``, ``y``, ``heading`` and ``speed`` arrays, the ``(V, 3)``
+    ``bodies`` (length, width, height), ``antenna_height`` and the
+    ``connected`` mask, all read-only. Vehicles stand on the ground
+    (z = 0). ``vehicles`` builds one :class:`VehicleState` per row when
+    first read; the graph builder and the planner read the columns.
+    ``WorldSnapshot(timestep, vehicles, rsu_position)`` builds the columns
+    from states, and :meth:`from_columns` takes them as they are. Equality
+    is by value: timestep, vehicle states and RSU position.
+    """
+
+    __slots__ = (
+        "timestep", "rsu_position", "ids", "x", "y", "heading", "speed", "bodies",
+        "antenna_height", "connected", "_vehicles",
+    )
+
+    def __init__(
+        self, timestep: int, vehicles: Iterable[VehicleState], rsu_position: Point3
+    ) -> None:
+        vehicles = tuple(vehicles)
+        if any(v.position[2] != 0.0 for v in vehicles):
+            raise ValueError("vehicles must stand on the ground (position z = 0)")
+        flat = chain.from_iterable(
+            [(v.position[0], v.position[1], v.heading, v.speed, *v.dimensions, v.antenna_height)
+             for v in vehicles]
+        )
+        rows = np.fromiter(flat, np.float64, 8 * len(vehicles)).reshape(len(vehicles), 8)
+        self._fill(
+            timestep, rsu_position, tuple(v.id for v in vehicles), rows[:, 0], rows[:, 1],
+            rows[:, 2], rows[:, 3], rows[:, 4:7], rows[:, 7],
+            np.array([v.connected for v in vehicles], dtype=bool), vehicles,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        timestep: int,
+        rsu_position: Point3,
+        ids: tuple[NodeId, ...],
+        x: np.ndarray,
+        y: np.ndarray,
+        heading: np.ndarray,
+        speed: np.ndarray,
+        bodies: np.ndarray,
+        antenna_height: np.ndarray,
+        connected: np.ndarray,
+    ) -> "WorldSnapshot":
+        """A snapshot of these columns, which it makes read-only; each
+        row is checked as :class:`VehicleState` checks a state."""
+        snap = cls.__new__(cls)
+        snap._fill(
+            timestep, rsu_position, ids, x, y, heading, speed, bodies, antenna_height,
+            connected, None,
+        )
+        return snap
+
+    def _fill(self, timestep, rsu_position, ids, x, y, heading, speed, bodies, antenna_height,
+              connected, vehicles) -> None:
+        put = object.__setattr__
+        put(self, "timestep", timestep)
+        put(self, "rsu_position", rsu_position)
+        put(self, "ids", ids)
+        for name, column in (
+            ("x", x), ("y", y), ("heading", heading), ("speed", speed), ("bodies", bodies),
+            ("antenna_height", antenna_height), ("connected", connected),
+        ):
+            column.setflags(write=False)
+            put(self, name, column)
+        put(self, "_vehicles", vehicles)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        ids = [v.id for v in self.vehicles]
-        if len(set(ids)) != len(ids):
+        """Check the columns' shapes, that the ids are distinct, and every
+        row as :class:`VehicleState` checks a state."""
+        ids = self.ids
+        n = len(ids)
+        columns = (self.x, self.y, self.heading, self.speed, self.antenna_height, self.connected)
+        if any(c.shape != (n,) for c in columns) or self.bodies.shape != (n, 3):
+            raise ValueError(f"snapshot columns must hold one row per id ({n})")
+        if len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in snapshot")
+        antenna, bodies = self.antenna_height, self.bodies
+        rows_ok = (self.speed >= 0) & (antenna > 0) & (antenna <= bodies[:, 2] + 1.0)
+        valid = (
+            rows_ok.all()
+            and bodies.min(initial=1.0) > 0
+            and all(type(i) is NodeId and i & 1 for i in ids)
+        )
+        if not valid:  # a row's own check raises its error
+            for row in range(n):
+                self.vehicle(row)
+
+    def vehicle(self, row: int) -> VehicleState:
+        """The state of the vehicle in ``row``."""
+        if self._vehicles is not None:
+            return self._vehicles[row]
+        return VehicleState(
+            self.ids[row],
+            (self.x.item(row), self.y.item(row), 0.0),
+            self.heading.item(row),
+            self.speed.item(row),
+            tuple(self.bodies[row].tolist()),
+            self.antenna_height.item(row),
+            self.connected.item(row),
+        )
+
+    @property
+    def vehicles(self) -> tuple[VehicleState, ...]:
+        """One state per row, built on the first read."""
+        if self._vehicles is None:
+            object.__setattr__(self, "_vehicles", tuple(map(self.vehicle, range(len(self.ids)))))
+        return self._vehicles
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WorldSnapshot:
+            return NotImplemented
+        return (self.timestep, self.rsu_position, self.ids) == (
+            other.timestep, other.rsu_position, other.ids
+        ) and self.vehicles == other.vehicles
+
+    def __hash__(self) -> int:
+        return hash((self.timestep, self.rsu_position, self.ids))
+
+    def __reduce__(self):
+        return WorldSnapshot, (self.timestep, self.vehicles, self.rsu_position)
+
+    def __repr__(self) -> str:
+        return (
+            f"WorldSnapshot(timestep={self.timestep!r}, vehicles={self.vehicles!r},"
+            f" rsu_position={self.rsu_position!r})"
+        )
 
 
 class Strategy(enum.Enum):

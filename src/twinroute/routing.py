@@ -12,10 +12,13 @@ its tuple of hops, source first and RSU last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Sequence
 
+import numpy as np
+
 from .channel import ChannelParams
-from .model import NodeId, Point3, WorldSnapshot
+from .model import NodeId, VehicleState, WorldSnapshot
 from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
@@ -112,16 +115,42 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictivePlan:
     """Route schedule for one planning epoch: per future timestep, the
-    route table and the forecast positions it was computed from, as
-    ``(id, position)`` pairs in the order of the last observed snapshot's
-    vehicles."""
+    route table and the forecast it was computed from, a read-only
+    ``(V, 3)`` array of the (x, y, heading) of the last observed
+    snapshot's vehicles, in the order of its ``ids``."""
 
     entries: dict[int, RouteTable]
-    forecast: dict[int, tuple[tuple[NodeId, Point3], ...]]
+    ids: tuple[NodeId, ...]
+    forecast: dict[int, np.ndarray]
     degraded_tracks: int = 0
+
+
+class _ObservedTrack(Sequence[VehicleState]):
+    """One vehicle's observed states, oldest first, given as (snapshot,
+    row) pairs; an entry becomes a :class:`VehicleState` when first read,
+    so a predictor pays only for the depth of history it reads."""
+
+    __slots__ = ("_rows", "_states")
+
+    def __init__(self, rows: list[tuple[WorldSnapshot, int]]):
+        self._rows = rows
+        self._states: dict[int, VehicleState] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._rows)))]
+        k = range(len(self._rows))[i]  # a negative index counts from the end
+        state = self._states.get(k)
+        if state is None:
+            snap, row = self._rows[k]
+            state = self._states[k] = snap.vehicle(row)
+        return state
 
 
 def route_predictive(
@@ -142,8 +171,9 @@ def route_predictive(
     forecast, unconnected ones included since their bodies still occlude.
     A vehicle whose predictor lacks history or fails holds its last
     observed state and is counted in ``degraded_tracks``. Every forecast
-    step keeps the last observed vehicle tuple and moves only its poses,
-    so one :func:`build_topologies` call builds all the planned graphs.
+    step keeps the last observed snapshot's vehicles and moves only their
+    poses, so one :func:`build_topologies` call builds all the planned
+    graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -154,27 +184,25 @@ def route_predictive(
     if lag_steps < 0:
         raise ValueError("history extends past the planning time")
 
-    observed = [{v.id: v for v in snap.vehicles} for snap in history]
-    tracks = [
-        predict(
-            [seen[vehicle.id] for seen in observed if vehicle.id in seen],
-            (steps + lag_steps) * dt,
-            dt,
-            predictor,
-        )
-        for vehicle in last.vehicles
-    ]
+    # each forecast vehicle's (snapshot, row) pairs, oldest first
+    observed: dict[NodeId, list[tuple[WorldSnapshot, int]]] = {vid: [] for vid in last.ids}
+    for snap in history:
+        for row, vid in enumerate(snap.ids):
+            seen = observed.get(vid)
+            if seen is not None:
+                seen.append((snap, row))
+    horizon = (steps + lag_steps) * dt
+    tracks = [predict(_ObservedTrack(seen), horizon, dt, predictor) for seen in observed.values()]
     timesteps = range(now + 1, now + steps + 1)
-    poses = [[t.states[k] for t in tracks] for k in range(lag_steps, lag_steps + steps)]
-    graphs = build_topologies(
-        last.vehicles, timesteps, poses, last.rsu_position, params, budget_db
-    )
+    # (step, vehicle, x/y/heading), filled step by step from one flat run of floats
+    planned = zip(*(t.states[lag_steps:lag_steps + steps] for t in tracks))
+    flat = chain.from_iterable((x, y, yaw) for step in planned for (x, y, _), yaw, _ in step)
+    xy_yaw = np.fromiter(flat, np.float64).reshape(steps, len(tracks), 3)
+    xy_yaw.setflags(write=False)
+    graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)
     entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
-    ids = [t.vehicle for t in tracks]
-    forecast = {
-        ts: tuple(zip(ids, [p for p, _, _ in step])) for ts, step in zip(timesteps, poses)
-    }
-    return PredictivePlan(entries, forecast, sum(t.degraded for t in tracks))
+    forecast = dict(zip(timesteps, xy_yaw))
+    return PredictivePlan(entries, last.ids, forecast, sum(t.degraded for t in tracks))
 
 
 def score_route(route: tuple[NodeId, ...] | None, ground_truth: ConnectivityGraph) -> bool:

@@ -1,5 +1,5 @@
 """Connectivity graph extraction from a world snapshot, or from one
-vehicle tuple at every step of a forecast at once.
+snapshot's vehicles at every step of a forecast at once.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, path_loss
 from .geometry import blockage_count_matrix
-from .model import NodeId, Point3, Pose, VehicleState, WorldSnapshot
+from .model import NodeId, WorldSnapshot
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,66 +77,60 @@ def build_topology(
     depend on evaluation order. Pairs farther apart than the maximum range
     in ground distance are skipped before any occlusion work.
     """
-    vehicles = snapshot.vehicles
-    poses = [(v.position, v.heading, v.speed) for v in vehicles]
-    return build_topologies(
-        vehicles, [snapshot.timestep], [poses], snapshot.rsu_position, params, budget_db
-    )[0]
+    xy_yaw = np.empty((1, len(snapshot.ids), 3))
+    xy_yaw[0, :, 0], xy_yaw[0, :, 1], xy_yaw[0, :, 2] = snapshot.x, snapshot.y, snapshot.heading
+    return build_topologies(snapshot, [snapshot.timestep], xy_yaw, params, budget_db)[0]
 
 
 def build_topologies(
-    vehicles: Sequence[VehicleState],
+    snapshot: WorldSnapshot,
     timesteps: Sequence[int],
-    poses: Sequence[Sequence[Pose]],
-    rsu_position: Point3,
+    xy_yaw: np.ndarray,
     params: ChannelParams,
     budget_db: float,
 ) -> list[ConnectivityGraph]:
-    """One graph per forecast step: one vehicle tuple at per-step poses.
+    """One graph per forecast step: one snapshot's vehicles at per-step poses.
 
-    ``vehicles`` gives the ids, bodies and ``connected`` flags, and
-    ``poses[s][k]`` the (position, heading, speed) of ``vehicles[k]`` at
-    ``timesteps[s]``; the vehicles' own poses are not read. Each graph
-    equals the :func:`build_topology` graph of the snapshot of those
-    vehicles at those poses. The node list and bodies are read once, and
-    the poses become arrays from one flat run of floats. One kernel call
-    counts blockers for every pair in range at any step, with one owner
-    key per antenna (RSU -1, a vehicle its id), and
-    :func:`~twinroute.channel.path_loss` and the feasibility test run over
-    all steps at once; a pair out of range at a step is dropped there. The graphs are assembled in one
-    pass: one ``flatnonzero`` of the (step, pair) feasibility mask and one
-    ``tolist`` per edge column serve every step, each graph's edge arrays
-    are slices of those, and its adjacency dicts are filled in (i, j) row
-    order.
+    ``snapshot`` gives the ids, body columns, ``connected`` mask and RSU
+    position, and ``xy_yaw[s, k]`` the (x, y, heading) of its row ``k`` at
+    ``timesteps[s]``; the snapshot's own poses are not read. Each graph
+    equals the :func:`build_topology` graph of the snapshot with its
+    vehicles moved to those poses. One kernel call counts blockers for
+    every pair in range at any step, with one owner key per antenna (RSU
+    -1, a vehicle its id), and :func:`~twinroute.channel.path_loss` and
+    the feasibility test run over all steps at once; a pair out of range
+    at a step is dropped there. The graphs are assembled in one pass: one
+    ``flatnonzero`` of the (step, pair) feasibility mask and one ``tolist``
+    per edge column serve every step, each graph's edge arrays are slices
+    of those, and its adjacency dicts are filled in (i, j) row order.
 
     Raises ValueError, naming the timestep, for two antennas at one point
-    (a zero-length link has no path loss).
+    (a zero-length link has no path loss), and for an ``xy_yaw`` whose
+    shape is not (steps, vehicles, 3).
     """
     if not timesteps:
         return []
-    n_steps, n_vehicles = len(timesteps), len(vehicles)
-    connected = sorted(
-        (k for k, v in enumerate(vehicles) if v.connected), key=lambda k: vehicles[k].id
-    )
-    nodes = (NodeId.rsu(),) + tuple(vehicles[k].id for k in connected)
+    ids = snapshot.ids
+    n_steps, n_vehicles = len(timesteps), len(ids)
+    if xy_yaw.shape != (n_steps, n_vehicles, 3):
+        raise ValueError(
+            f"xy_yaw has shape {xy_yaw.shape}, not ({n_steps}, {n_vehicles}, 3)"
+        )
+    connected = sorted(np.flatnonzero(snapshot.connected).tolist(), key=ids.__getitem__)
+    nodes = (NodeId.rsu(),) + tuple(ids[k] for k in connected)
     index = {n: k for k, n in enumerate(nodes)}
     # owner keys are the ids' int codes, all >= 1 for vehicles
-    owner_keys = np.array([-1] + [vehicles[k].id for k in connected], dtype=np.int64)
+    owner_keys = np.fromiter(nodes, np.int64, len(nodes))
+    owner_keys[0] = -1
 
-    # per-step (x, y, yaw) of every vehicle, read from one flat run of
-    # floats (no count given, so a step of the wrong length fails the
-    # reshape); bodies are shared
-    flat = chain.from_iterable((x, y, yaw) for step in poses for (x, y, _), yaw, _ in step)
-    xy_yaw = np.fromiter(flat, np.float64).reshape(n_steps, n_vehicles, 3)
-    dims = chain.from_iterable(v.dimensions for v in vehicles)
-    halves = np.fromiter(dims, np.float64).reshape(n_vehicles, 3) / 2.0
+    halves = snapshot.bodies / 2.0
     centers = np.empty((n_steps, n_vehicles, 3))
     centers[:, :, :2] = xy_yaw[:, :, :2]
     centers[:, :, 2] = halves[:, 2]
     antennas = np.empty((n_steps, len(nodes), 3))
-    antennas[:, 0] = rsu_position
+    antennas[:, 0] = snapshot.rsu_position
     antennas[:, 1:, :2] = xy_yaw[:, connected, :2]
-    antennas[:, 1:, 2] = [vehicles[k].antenna_height for k in connected]
+    antennas[:, 1:, 2] = snapshot.antenna_height[connected]
 
     # the union over steps of the pairs within range in ground distance,
     # still in ascending (i, j) order, from per-axis antenna arrays; antenna
@@ -164,7 +157,7 @@ def build_topologies(
             f"timestep {timesteps[s]}: antennas of {nodes[a]} and {nodes[b]} coincide"
         )
 
-    box_owners = np.array([v.id for v in vehicles], dtype=np.int64)
+    box_owners = np.fromiter(ids, np.int64, n_vehicles)
     blockers = blockage_count_matrix(
         antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], box_owners
     )

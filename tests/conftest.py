@@ -5,9 +5,16 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.topology import ConnectivityGraph, _adjacency
+
+# Hypothesis loads its derandomized "ci" profile where a CI variable such as
+# GITHUB_ACTIONS is set, so CI draws the same examples on every run. The
+# weekly drift canary selects this profile to draw fresh ones, and logs the
+# seed and the @reproduce_failure blob of a failure.
+settings.register_profile("canary", parent=settings.get_profile("ci"), derandomize=False)
 
 SEDAN = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=1.6)
 TRUCK = dict(dimensions=(8.0, 2.5, 3.2), antenna_height=3.3)
@@ -68,6 +75,20 @@ def make_snapshot(
         vehicles=tuple(vehicles),
         rsu_position=(0.0, 0.0, rsu_height),
     )
+
+
+def count_validations(monkeypatch, classes) -> list:
+    """Patch each class's ``__post_init__`` check to also record every
+    object it validates, as (class name, object), in the returned list."""
+    built = []
+    for cls in classes:
+
+        def counted(self, check=cls.__post_init__):
+            built.append((type(self).__name__, self))
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
 
 
 def detail_counts(lines) -> list[tuple[int, int]]:

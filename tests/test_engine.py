@@ -13,9 +13,9 @@ from twinroute import engine, routing
 from twinroute.config import ScenarioConfig, default_config, validate_config
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.mobility import snapshot_stream
-from twinroute.model import Strategy
+from twinroute.model import Strategy, VehicleState, WorldSnapshot
 
-from conftest import TRUCK, make_snapshot, make_vehicle
+from conftest import TRUCK, count_validations, make_snapshot, make_vehicle
 
 SMALL = default_config(duration=20.0, vehicle_count=8, connected_fraction=0.5, seed=5)
 
@@ -55,6 +55,20 @@ def test_run_variants_matches_run_single():
     combined = run_variants({"rt": SMALL, "pred": cfg_pred})
     assert combined["rt"].reliability == run_single(SMALL).reliability
     assert combined["pred"].reliability == run_single(cfg_pred).reliability
+
+
+def test_realtime_and_conventional_runs_build_no_vehicle_state(monkeypatch):
+    """Traffic fills each snapshot's columns and the graph builder reads
+    them: a seeded run of the periodic strategies builds no VehicleState."""
+    base = default_config(duration=10.0, vehicle_count=30, connected_fraction=0.5, seed=1)
+    built = count_validations(monkeypatch, (VehicleState,))
+    results = run_variants(
+        {s.value: dataclasses.replace(base, strategy=s) for s in (Strategy.REALTIME, Strategy.CONVENTIONAL)}
+    )
+    assert [len(r.outcomes) for r in results.values()] == [100, 100]
+    assert built == []
+    make_vehicle(0, 30.0, 0.0)  # the patched check still counts
+    assert len(built) == 1
 
 
 # the fields a variant may set; every other field of ScenarioConfig shapes
@@ -250,7 +264,7 @@ SHIFT_STREAM = list(snapshot_stream(SHIFT_BASE))
 def run_shifted(shift: int):
     """Every variant over the shift stream with ``shift`` added to each
     timestep: (results, route dump rows split at the first comma)."""
-    stream = [dataclasses.replace(s, timestep=s.timestep + shift) for s in SHIFT_STREAM]
+    stream = [WorldSnapshot(s.timestep + shift, s.vehicles, s.rsu_position) for s in SHIFT_STREAM]
     dump = io.StringIO()
     results = run_variants(SHIFT_VARIANTS, snapshots=stream, route_dump=dump)
     rows = [line.split(",", 1) for line in dump.getvalue().splitlines()[1:]]
@@ -302,7 +316,7 @@ def test_each_plan_reads_the_lagged_history_window(monkeypatch):
     )
     # a longer lag in another variant keeps more history than this one reads
     longer = dataclasses.replace(cfg, strategy=Strategy.REALTIME, latency_delta=1.0)
-    stream = [dataclasses.replace(s, timestep=s.timestep + 1000) for s in SHIFT_STREAM]
+    stream = [WorldSnapshot(s.timestep + 1000, s.vehicles, s.rsu_position) for s in SHIFT_STREAM]
     run_variants({"pred": cfg, "rt": longer}, snapshots=stream)
     assert plans == [
         (1000, [1000]),

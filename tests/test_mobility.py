@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinroute.config import default_config
@@ -122,30 +122,68 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     )
 
 
+COLUMNS = ("x", "y", "heading", "speed", "bodies", "antenna_height", "connected")
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(150, 300))  # past the ramp-up
-def test_to_state_equals_the_keyword_built_state(seed, steps):
+def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
+    """A traffic snapshot's vehicles equal the states built by keyword
+    from each plan's pose, and the columns rebuilt from those states equal
+    the snapshot's own."""
     cfg = dataclasses.replace(CFG, seed=seed)
     state = init_traffic(cfg)
     for _ in range(steps):
         advance_traffic(state, cfg.dt)
     assert state.active
+    snap = state.snapshot()
+    want = []
     for v in state.active:
         x, y, heading = v.plan.pose_at(v.progress)
         body = v.vclass
-        assert v.to_state() == VehicleState(
-            id=NodeId.vehicle(v.index),
-            position=(x, y, 0.0),
-            heading=heading,
-            speed=v.effective_speed,
-            dimensions=(body.length, body.width, body.height),
-            antenna_height=body.antenna_height,
-            connected=v.connected,
+        want.append(
+            VehicleState(
+                id=NodeId.vehicle(v.index),
+                position=(x, y, 0.0),
+                heading=heading,
+                speed=v.effective_speed,
+                dimensions=(body.length, body.width, body.height),
+                antenna_height=body.antenna_height,
+                connected=v.connected,
+            )
         )
-    # the state's own checks still run
-    v.effective_speed = -1.0
-    with pytest.raises(ValueError, match="speed must be >= 0"):
-        v.to_state()
+    assert snap.vehicles == tuple(want)
+    assert all(type(f) is float for v in snap.vehicles for f in (*v.position, v.heading, v.speed))
+    rebuilt = WorldSnapshot(snap.timestep, want, snap.rsu_position)
+    assert rebuilt == snap and rebuilt.ids == snap.ids
+    for name in COLUMNS:
+        got, built = getattr(snap, name), getattr(rebuilt, name)
+        assert got.dtype == built.dtype and got.shape == built.shape, name
+        assert np.array_equal(got, built), name
+    # the row checks still run
+    state.active[-1].effective_speed = -1.0
+    with pytest.raises(ValueError, match="speed must be >= 0, got -1.0"):
+        state.snapshot()
+
+
+def test_snapshot_columns_and_fields_are_read_only():
+    state = init_traffic(CFG)
+    for _ in range(100):
+        _, snap = advance_traffic(state, CFG.dt)
+    built = WorldSnapshot(snap.timestep, snap.vehicles, snap.rsu_position)
+    for s in (snap, built):
+        for name in COLUMNS:
+            column = getattr(s, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.timestep = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.x = np.zeros(len(s.ids))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s.ids
+    assert built == snap
 
 
 def test_free_vehicle_advances_speed_times_dt():
@@ -192,9 +230,8 @@ def test_heading_matches_polyline_direction():
     state = init_traffic(CFG)
     for _ in range(300):
         _, snap = advance_traffic(state, CFG.dt)
-    for v in state.active:
+    for v, vstate in zip(state.active, snap.vehicles, strict=True):
         x, y, heading = v.plan.pose_at(v.progress)
-        vstate = v.to_state()
         assert vstate.heading == heading
         assert vstate.position[:2] == (x, y)
 
@@ -338,8 +375,6 @@ def trace_streams(draw):
                 antenna = draw(st.floats(0.0, body[2] + 1.0, exclude_min=True))
                 lifetimes[k] = (body, antenna, draw(st.booleans()))
             body, antenna, connected = lifetimes[k]
-            # a trace may not put an antenna at the RSU's point
-            assume((x, y, antenna) != (0.0, 0.0, 5.0))
             heading, speed = draw(FINITE), draw(st.sampled_from([0.0, -0.0]) | POSITIVE)
             vehicles.append(
                 VehicleState(NodeId.vehicle(k), (x, y, 0.0), heading, speed, body, antenna, connected)
@@ -360,13 +395,65 @@ def read_to_the_end(lines, config):
     return snapshots, None
 
 
+def first_coincident_antenna(snapshots, rsu=(0.0, 0.0, 5.0)):
+    """(trace line, index of its snapshot) of the first row whose antenna
+    meets the RSU's point or, for a connected vehicle, an earlier connected
+    antenna of its step, by the graph builder's sum of squares (which
+    underflows to 0.0 for points within about 1e-154 m); None if no row's
+    does. A stream of distinct positions can break no other reader rule."""
+    line = 1  # the header
+    for k, snap in enumerate(snapshots):
+        line += not snap.vehicles  # a marker row
+        antennas = []
+        for v in snap.vehicles:
+            line += 1
+            x, y, z = v.position[0], v.position[1], v.antenna_height
+            for ax, ay, az in [rsu] + (antennas if v.connected else []):
+                dx, dy, dz = x - ax, y - ay, z - az
+                if dx * dx + dy * dy + dz * dz == 0.0:
+                    return line, k
+            if v.connected:
+                antennas.append((x, y, z))
+    return None
+
+
+def trace_stream(*steps):
+    """Snapshots from timestep 0 of ``(id, x, y, antenna_height, connected)``
+    rows, each a 4.5 m body as tall as its antenna."""
+    return [
+        WorldSnapshot(
+            ts,
+            tuple(
+                VehicleState(NodeId.vehicle(k), (x, y, 0.0), 0.0, 0.0, (4.5, 1.8, z), z, c)
+                for k, x, y, z, c in rows
+            ),
+            (0.0, 0.0, 5.0),
+        )
+        for ts, rows in enumerate(steps)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(trace_streams())
+# two connected antennas whose 1e-323 m gap squares to 0.0
+@example(trace_stream([(1, 0.0, 5e-324, 1.0, True), (2, 0.0, -5e-324, 1.0, True)]))
+# an unconnected antenna 6.1e-195 m from the RSU's point
+@example(trace_stream([(1, 0.0, 6.1e-195, 5.0, False)], [(2, 9.0, 9.0, 1.0, True)]))
 def test_trace_roundtrip_of_any_stream(snapshots):
+    """A stream that breaks a reader rule ends in a TraceError naming the
+    offending line, after the snapshots before its step; any other stream
+    round-trips."""
     buf = io.StringIO()
     list(tee_trace(snapshots, buf, 0.1))
     buf.seek(0)
     back, end = read_to_the_end(buf, default_config())
+    broken = first_coincident_antenna(snapshots)
+    if broken is not None:
+        line, k = broken
+        assert back == snapshots[:k]
+        assert isinstance(end, TraceError) and str(end).startswith(f"trace line {line}: ")
+        assert "coincide" in str(end) or "at the RSU's point" in str(end)
+        return
     assert back == snapshots
     # every snapshot is yielded before the end-of-input check
     if any(v.connected for snap in snapshots[1:] for v in snap.vehicles):

@@ -4,9 +4,10 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from twinroute.model import NodeId, NodeKind, VehicleState
+from twinroute.model import NodeId, NodeKind, VehicleState, WorldSnapshot
 
 from conftest import SEDAN
 from oracles import node_key
@@ -113,3 +114,63 @@ def test_vehicle_state_needs_a_vehicle_id():
     for bad in (NodeId.rsu(), 1):
         with pytest.raises(ValueError, match="vehicle node"):
             VehicleState(bad, (0.0, 0.0, 0.0), 0.0, 1.0, connected=True, **SEDAN)
+
+
+# -- WorldSnapshot: read-only columns, states built on demand -------------------
+
+
+def two_rows(**changes):
+    """``from_columns`` arguments for two sedans, with ``changes`` applied."""
+    columns = dict(
+        timestep=3,
+        rsu_position=(0.0, 0.0, 5.0),
+        ids=(NodeId.vehicle(1), NodeId.vehicle(2)),
+        x=np.array([10.0, 20.0]),
+        y=np.array([1.0, -1.0]),
+        heading=np.array([0.0, 3.0]),
+        speed=np.array([5.0, 0.0]),
+        bodies=np.array([[4.5, 1.8, 1.5], [4.5, 1.8, 1.5]]),
+        antenna_height=np.array([1.6, 1.6]),
+        connected=np.array([True, False]),
+    )
+    columns.update(changes)
+    return columns
+
+
+def test_columns_read_back_as_the_states_they_hold():
+    snap = WorldSnapshot.from_columns(**two_rows())
+    assert snap.vehicles == (
+        VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.0), 0.0, 5.0, connected=True, **SEDAN),
+        VehicleState(NodeId.vehicle(2), (20.0, -1.0, 0.0), 3.0, 0.0, connected=False, **SEDAN),
+    )
+    assert snap.vehicles is snap.vehicles  # built once
+    assert snap == WorldSnapshot(3, snap.vehicles, (0.0, 0.0, 5.0))
+    assert snap != WorldSnapshot(4, snap.vehicles, (0.0, 0.0, 5.0))
+    assert hash(snap) == hash(WorldSnapshot(3, snap.vehicles, (0.0, 0.0, 5.0)))
+    for copied in (copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))):
+        assert copied == snap
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(x=np.array([10.0])), "snapshot columns must hold one row per id"),
+        (dict(bodies=np.ones((2, 2))), "snapshot columns must hold one row per id"),
+        (dict(ids=(NodeId.vehicle(1),) * 2), "duplicate vehicle ids"),
+        (dict(ids=(NodeId.vehicle(1), 5)), "vehicle node"),
+        (dict(ids=(NodeId.vehicle(1), NodeId.rsu())), "vehicle node"),
+        (dict(speed=np.array([5.0, -0.5])), r"speed must be >= 0, got -0.5"),
+        (dict(bodies=np.array([[4.5, 1.8, 1.5], [4.5, 0.0, 1.5]])), "dimensions must be positive"),
+        (dict(antenna_height=np.array([1.6, 2.6])), r"antenna_height 2.6 outside \(0, height \+ 1\]"),
+        (dict(antenna_height=np.array([0.0, 1.6])), r"antenna_height 0.0 outside"),
+    ],
+)
+def test_columns_are_checked_as_states_are(changes, message):
+    with pytest.raises(ValueError, match=message):
+        WorldSnapshot.from_columns(**two_rows(**changes))
+
+
+def test_a_snapshot_of_states_keeps_them_on_the_ground():
+    lifted = VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.5), 0.0, 5.0, connected=True, **SEDAN)
+    with pytest.raises(ValueError, match="position z = 0"):
+        WorldSnapshot(0, (lifted,), (0.0, 0.0, 5.0))

@@ -216,5 +216,7 @@ def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
         dt=0.1, params=default_channel_params(), budget_db=110.0,
     )
     assert plan.degraded_tracks == 1
-    assert list(plan.forecast.values()) == [((vehicle.id, vehicle.position),)] * 2
+    assert plan.ids == (vehicle.id,)
+    held = [[*vehicle.position[:2], vehicle.heading]]
+    assert [step.tolist() for step in plan.forecast.values()] == [held] * 2
     assert all(table[vehicle.id] is not None for table in plan.entries.values())

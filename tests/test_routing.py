@@ -13,7 +13,7 @@ from twinroute.channel import default_channel_params
 from twinroute.config import default_config
 from twinroute.mobility import snapshot_stream
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
-from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor
+from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor, HoldPredictor
 from twinroute.routing import (
     _hop_layers,
     dump_route_table,
@@ -23,7 +23,7 @@ from twinroute.routing import (
 )
 from twinroute.topology import ConnectivityGraph, build_topology
 
-from conftest import TRUCK, graph_from_losses, links, make_snapshot, make_vehicle
+from conftest import TRUCK, count_validations, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
     node_key,
     oracle_dijkstra_route,
@@ -396,7 +396,9 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
     for ts, table in plan.entries.items():
-        assert plan.forecast[ts] == tuple((v.id, v.position) for v in snapshots[ts].vehicles)
+        assert plan.ids == snapshots[ts].ids
+        want = [[*v.position[:2], v.heading] for v in snapshots[ts].vehicles]
+        assert plan.forecast[ts].tolist() == want
         truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
         assert list(truth) == [NodeId.vehicle(0), NodeId.vehicle(1)]
         assert table == truth, ts
@@ -429,36 +431,41 @@ def test_predictive_plans_at_least_one_step():
         )
 
 
-def plan_counting(monkeypatch, classes):
-    """One 20-step epoch of a 30-vehicle mixed run, and every object of
-    ``classes`` validated while planning it, as (class name, object)."""
+def plan_counting(monkeypatch, classes, predictor):
+    """One 20-step epoch of a 30-vehicle mixed run, its 11-snapshot
+    history, and every object of ``classes`` validated while planning it,
+    as (class name, object)."""
     cfg = default_config(duration=5.0, vehicle_count=30, connected_fraction=0.5, seed=1)
     history = list(snapshot_stream(cfg))[-11:]
-    assert len(history[-1].vehicles) > 10
-    built = []
-    for cls in classes:
-
-        def counted(self, check=cls.__post_init__):
-            built.append((type(self).__name__, self))
-            check(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert len(history[-1].ids) > 10
+    built = count_validations(monkeypatch, classes)
     plan = route_predictive(
         history, history[-1].timestep + 2, steps=20,
-        predictor=ConstantTurnRatePredictor(), dt=cfg.dt, params=cfg.channel,
+        predictor=predictor, dt=cfg.dt, params=cfg.channel,
         budget_db=cfg.link_budget_db,
     )
     assert len(plan.entries) == len(plan.forecast) == 20
-    return plan, built
+    return plan, history, built
 
 
-def test_a_predictive_epoch_builds_no_vehicle_state_or_snapshot(monkeypatch):
+@pytest.mark.parametrize(
+    "predictor, depth",
+    [(HoldPredictor(), 1), (ConstantVelocityPredictor(), 1), (ConstantTurnRatePredictor(), 2)],
+    ids=lambda p: getattr(p, "kind", p),
+)
+def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch, predictor, depth):
     """A forecast is per-step poses of the last observed vehicles: planning
-    an epoch validates no VehicleState and wraps no step in a WorldSnapshot."""
-    _, built = plan_counting(monkeypatch, (VehicleState, WorldSnapshot))
-    assert built == []
+    an epoch wraps no step in a WorldSnapshot, and builds a VehicleState
+    only for each of the newest ``depth`` states of a vehicle's history
+    that its predictor reads, not for the whole window."""
+    _, history, built = plan_counting(monkeypatch, (VehicleState, WorldSnapshot), predictor)
+    tracks = history[-1].ids
+    observed = [sum(vid in snap.ids for snap in history) for vid in tracks]
+    assert max(observed) == len(history)
+    assert [name for name, _ in built] == ["VehicleState"] * sum(min(n, depth) for n in observed)
+    assert len(built) <= len(tracks) * depth
     make_vehicle(0, 30.0, 0.0)  # the patched checks still count
-    assert [name for name, _ in built] == ["VehicleState"]
+    assert built[-1][0] == "VehicleState"
 
 
 def test_dump_route_table_format():

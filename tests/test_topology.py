@@ -154,24 +154,25 @@ def assert_same_graph(got, want):
     assert [list(n) for n in got.adjacency] == [list(n) for n in want.adjacency]
 
 
-def snapshots_of(vehicles, timesteps, poses, rsu_position):
-    """The snapshot of ``vehicles`` at each step's poses, one build at a time."""
+def snapshots_of(snapshot, timesteps, xy_yaw):
+    """The snapshot of ``snapshot``'s vehicles at each step's (x, y,
+    heading) rows, one build at a time."""
     return [
         WorldSnapshot(
             ts,
             tuple(
-                dataclasses.replace(v, position=p, heading=h, speed=s)
-                for v, (p, h, s) in zip(vehicles, step)
+                dataclasses.replace(v, position=(x, y, 0.0), heading=h)
+                for v, (x, y, h) in zip(snapshot.vehicles, step)
             ),
-            rsu_position,
+            snapshot.rsu_position,
         )
-        for ts, step in zip(timesteps, poses)
+        for ts, step in zip(timesteps, xy_yaw.tolist())
     ]
 
 
 def forecast_epochs(duration=20.0):
     """The ``build_topologies`` inputs of every planning epoch of a
-    30-vehicle mixed run: (vehicles, timesteps, poses, rsu_position)."""
+    30-vehicle mixed run: (snapshot, timesteps, xy_yaw)."""
     cfg = default_config(
         duration=duration, vehicle_count=30, connected_fraction=0.5, seed=1,
         strategy=Strategy.PREDICTIVE,
@@ -179,7 +180,7 @@ def forecast_epochs(duration=20.0):
     epochs = []
 
     def capture(*args):
-        epochs.append(args[:4])
+        epochs.append(args[:3])
         return build_topologies(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -238,22 +239,19 @@ def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
 
 def moving_pair(steps, rsu_height=5.0):
     """A connected sedan driving past an unconnected truck, and a second
-    sedan leaving the RSU's range partway: (vehicles, timesteps, poses,
-    rsu_position)."""
+    sedan leaving the RSU's range partway: (snapshot, timesteps, xy_yaw)."""
     vehicles = [
         make_vehicle(0, 50.0, 0.5, heading=math.pi),
         make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK),
         make_vehicle(2, 140.0, 10.0),
     ]
-    poses = [
+    xy_yaw = np.array(
         [
-            ((50.0 - 4.0 * k, 0.5, 0.0), math.pi, 10.0),
-            ((30.0, 0.0, 0.0), 0.0, 10.0),
-            ((140.0 + 3.0 * k, 10.0, 0.0), 0.0, 10.0),
+            [(50.0 - 4.0 * k, 0.5, math.pi), (30.0, 0.0, 0.0), (140.0 + 3.0 * k, 10.0, 0.0)]
+            for k in range(steps)
         ]
-        for k in range(steps)
-    ]
-    return vehicles, range(10, 10 + steps), poses, (0.0, 0.0, rsu_height)
+    )
+    return make_snapshot(vehicles, rsu_height=rsu_height), range(10, 10 + steps), xy_yaw
 
 
 def test_batched_build_handles_range_and_blockers_changing_per_step():
@@ -268,25 +266,27 @@ def test_batched_build_handles_range_and_blockers_changing_per_step():
 
 
 def test_batched_build_reads_poses_not_the_vehicles_own():
-    vehicles, timesteps, poses, rsu = moving_pair(3)
-    elsewhere = [dataclasses.replace(v, position=(-300.0, 0.0, 0.0)) for v in vehicles]
-    got = build_topologies(elsewhere, timesteps, poses, rsu, PARAMS, 130.0)
-    want = build_topologies(vehicles, timesteps, poses, rsu, PARAMS, 130.0)
+    snap, timesteps, xy_yaw = moving_pair(3)
+    elsewhere = make_snapshot(
+        [dataclasses.replace(v, position=(-300.0, 0.0, 0.0)) for v in snap.vehicles]
+    )
+    got = build_topologies(elsewhere, timesteps, xy_yaw, PARAMS, 130.0)
+    want = build_topologies(snap, timesteps, xy_yaw, PARAMS, 130.0)
     for a, b in zip(got, want, strict=True):
         assert_same_graph(a, b)
 
 
 def test_batched_build_of_vehicle_free_snapshots():
-    rsu = (0.0, 0.0, 5.0)
-    got = build_topologies([], [3, 4, 5], [[]] * 3, rsu, PARAMS, BUDGET)
+    empty, no_poses = make_snapshot([]), np.empty((3, 0, 3))
+    got = build_topologies(empty, [3, 4, 5], no_poses, PARAMS, BUDGET)
     assert [g.timestep for g in got] == [3, 4, 5]
-    for graph, snap in zip(got, snapshots_of([], [3, 4, 5], [[]] * 3, rsu)):
+    for graph, snap in zip(got, snapshots_of(empty, [3, 4, 5], no_poses)):
         assert graph.nodes == (NodeId.rsu(),)
         assert graph.adjacency == [{}]
         assert_same_graph(graph, build_topology(snap, PARAMS, BUDGET))
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
         assert graph.edge_loss.dtype == np.float64
-    assert build_topologies([], [], [], rsu, PARAMS, BUDGET) == []
+    assert build_topologies(empty, [], np.empty((0, 0, 3)), PARAMS, BUDGET) == []
 
 
 def test_coincident_vehicle_antennas_rejected():
@@ -303,7 +303,14 @@ def test_vehicle_antenna_at_the_rsu_rejected():
 
 
 def test_coincident_antennas_rejected_at_their_step_of_a_batch():
-    vehicles = [make_vehicle(1, 20.0, 0.0), make_vehicle(2, 21.0, 0.0)]
-    poses = [[((20.0 + k, 0.0, 0.0), 0.0, 10.0), ((21.0, 0.0, 0.0), 0.0, 10.0)] for k in range(3)]
+    snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 21.0, 0.0)])
+    xy_yaw = np.array([[(20.0 + k, 0.0, 0.0), (21.0, 0.0, 0.0)] for k in range(3)])
     with pytest.raises(ValueError, match="timestep 8: antennas of v1 and v2 coincide"):
-        build_topologies(vehicles, [7, 8, 9], poses, (0.0, 0.0, 5.0), PARAMS, BUDGET)
+        build_topologies(snap, [7, 8, 9], xy_yaw, PARAMS, BUDGET)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (3, 1, 3), (3, 2, 2)])
+def test_batched_build_rejects_poses_of_the_wrong_shape(shape):
+    snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 21.0, 0.0)])
+    with pytest.raises(ValueError, match=r"xy_yaw has shape .*, not \(3, 2, 3\)"):
+        build_topologies(snap, [7, 8, 9], np.zeros(shape), PARAMS, BUDGET)
