@@ -38,11 +38,13 @@ def show(title, snap):
 
 
 # scene 1: clear sight lines, everything one hop from the RSU
-clear = WorldSnapshot(0, (vehicle(0, 50.0, 0.0), vehicle(1, 60.0, 8.0)), (0, 0, 5.0))
+clear = WorldSnapshot.from_vehicles(
+    0, (vehicle(0, 50.0, 0.0), vehicle(1, 60.0, 8.0)), (0, 0, 5.0)
+)
 show("clear intersection", clear)
 
 # scene 2: an unconnected truck blocks v0's line to the RSU
-blocked = WorldSnapshot(
+blocked = WorldSnapshot.from_vehicles(
     0,
     (vehicle(0, 50.0, 0.0), vehicle(1, 60.0, 8.0), vehicle(2, 30.0, 0.0, False, TRUCK)),
     (0, 0, 5.0),

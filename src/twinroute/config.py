@@ -248,8 +248,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
             "must be >= dt",
         )
         check(cfg.prediction.interval >= cfg.dt, "prediction.interval", "must be >= dt")
-    check(cfg.vehicle_count >= 0, "vehicle_count", "must be >= 0")
-    check(0.0 <= cfg.connected_fraction <= 1.0, "connected_fraction", "must be within [0, 1]")
+    # a scenario with no connected vehicle has no route to score
+    check(cfg.vehicle_count >= 1, "vehicle_count", "must be >= 1")
+    check(0.0 < cfg.connected_fraction <= 1.0, "connected_fraction", "must be within (0, 1]")
     check(
         cfg.prediction.horizon >= cfg.prediction.interval,
         "prediction.horizon",

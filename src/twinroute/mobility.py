@@ -227,7 +227,7 @@ class TrafficState:
         poses = chain.from_iterable([v.plan.pose_at(v.progress) for v in active])
         x, y, heading = np.fromiter(poses, np.float64, 3 * n).reshape(n, 3).T
         bodies = chain.from_iterable([v.dimensions for v in active])
-        return WorldSnapshot.from_columns(
+        return WorldSnapshot(
             timestep=self.step,
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
             ids=tuple([v.id for v in active]),
@@ -420,14 +420,17 @@ def tee_trace(
     out.write(TRACE_HEADER)
     for snap in snapshots:
         clock = f"{snap.timestep},{snap.timestep * dt!r}"
-        if not snap.vehicles:
+        if not snap.ids:
             out.write(f"{clock}\n")
-        for v in snap.vehicles:
-            length, width, height = v.dimensions
+        rows = zip(
+            snap.ids, snap.connected.tolist(), snap.x.tolist(), snap.y.tolist(),
+            snap.heading.tolist(), snap.speed.tolist(), snap.bodies.tolist(),
+            snap.antenna_height.tolist(),
+        )
+        for vid, connected, x, y, heading, speed, (length, width, height), antenna in rows:
             out.write(
-                f"{clock},{v.id.index},{int(v.connected)},"
-                f"{v.position[0]!r},{v.position[1]!r},{v.heading!r},{v.speed!r},"
-                f"{length!r},{width!r},{height!r},{v.antenna_height!r}\n"
+                f"{clock},{vid.index},{int(connected)},{x!r},{y!r},{heading!r},{speed!r},"
+                f"{length!r},{width!r},{height!r},{antenna!r}\n"
             )
         yield snap
 
@@ -547,7 +550,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
                 if current_ts is not None:
                     if ts != current_ts + 1:
                         raise ValueError(f"timestep {ts} does not follow {current_ts}")
-                    yield WorldSnapshot(current_ts, tuple(bucket), rsu)
+                    yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
                 bucket, seen, spots, antennas = [], set(), {}, []
                 current_ts, marked = ts, vehicle is None
                 steps += 1
@@ -588,7 +591,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
         spots[spot] = index
         scored = scored or (vehicle.connected and steps > 1)
     if current_ts is not None:
-        yield WorldSnapshot(current_ts, tuple(bucket), rsu)
+        yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
     if not scored:
         raise TraceError(
             f"nothing to score: {steps} snapshot(s), and none after the first"

@@ -19,7 +19,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass, field
+import functools
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
@@ -61,6 +62,8 @@ class NodeId(int):
     def vehicle(index: int) -> "NodeId":
         if index < 0:
             raise ValueError(f"vehicle index must be non-negative, got {index}")
+        if index >= 2**62:  # the node code 2k + 1 must fit an int64
+            raise ValueError(f"vehicle index must be below 2**62, got {index}")
         return NodeId(NodeKind.VEHICLE, index)
 
     @property
@@ -130,28 +133,38 @@ class VehicleState:
             )
 
 
+@dataclass(frozen=True, eq=False)
 class WorldSnapshot:
-    """All vehicle states plus the RSU at one timestep: the twin's view.
+    """All vehicles plus the RSU at one timestep: the twin's view.
 
-    The vehicles are stored as columns, one row per vehicle: ``ids``, the
-    ``x``, ``y``, ``heading`` and ``speed`` arrays, the ``(V, 3)``
-    ``bodies`` (length, width, height), ``antenna_height`` and the
-    ``connected`` mask, all read-only. Vehicles stand on the ground
-    (z = 0). ``vehicles`` builds one :class:`VehicleState` per row when
-    first read; the graph builder and the planner read the columns.
-    ``WorldSnapshot(timestep, vehicles, rsu_position)`` builds the columns
-    from states, and :meth:`from_columns` takes them as they are. Equality
-    is by value: timestep, vehicle states and RSU position.
+    The vehicles are columns, one row per vehicle: ``ids``, the ``x``,
+    ``y``, ``heading`` and ``speed`` arrays, the ``(V, 3)`` ``bodies``
+    (length, width, height), ``antenna_height`` and the ``connected``
+    mask. The constructor makes the arrays read-only and checks every row
+    as :class:`VehicleState` checks a state. Vehicles stand on the ground
+    (z = 0). :meth:`vehicle` builds the state of one row, and
+    ``vehicles`` those of all rows on its first read; the graph builder
+    and the planner read the columns. :meth:`from_vehicles` packs states
+    into columns. Equality is by value: timestep, RSU position, ids and
+    every column.
     """
 
-    __slots__ = (
-        "timestep", "rsu_position", "ids", "x", "y", "heading", "speed", "bodies",
-        "antenna_height", "connected", "_vehicles",
-    )
+    timestep: int
+    rsu_position: Point3
+    ids: tuple[NodeId, ...]
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
+    bodies: np.ndarray
+    antenna_height: np.ndarray
+    connected: np.ndarray
 
-    def __init__(
-        self, timestep: int, vehicles: Iterable[VehicleState], rsu_position: Point3
-    ) -> None:
+    @classmethod
+    def from_vehicles(
+        cls, timestep: int, vehicles: Iterable[VehicleState], rsu_position: Point3
+    ) -> "WorldSnapshot":
+        """The snapshot whose rows are ``vehicles``, in order."""
         vehicles = tuple(vehicles)
         if any(v.position[2] != 0.0 for v in vehicles):
             raise ValueError("vehicles must stand on the ground (position z = 0)")
@@ -160,53 +173,17 @@ class WorldSnapshot:
              for v in vehicles]
         )
         rows = np.fromiter(flat, np.float64, 8 * len(vehicles)).reshape(len(vehicles), 8)
-        self._fill(
+        return cls(
             timestep, rsu_position, tuple(v.id for v in vehicles), rows[:, 0], rows[:, 1],
             rows[:, 2], rows[:, 3], rows[:, 4:7], rows[:, 7],
-            np.array([v.connected for v in vehicles], dtype=bool), vehicles,
+            np.array([v.connected for v in vehicles], dtype=bool),
         )
-
-    @classmethod
-    def from_columns(
-        cls,
-        timestep: int,
-        rsu_position: Point3,
-        ids: tuple[NodeId, ...],
-        x: np.ndarray,
-        y: np.ndarray,
-        heading: np.ndarray,
-        speed: np.ndarray,
-        bodies: np.ndarray,
-        antenna_height: np.ndarray,
-        connected: np.ndarray,
-    ) -> "WorldSnapshot":
-        """A snapshot of these columns, which it makes read-only; each
-        row is checked as :class:`VehicleState` checks a state."""
-        snap = cls.__new__(cls)
-        snap._fill(
-            timestep, rsu_position, ids, x, y, heading, speed, bodies, antenna_height,
-            connected, None,
-        )
-        return snap
-
-    def _fill(self, timestep, rsu_position, ids, x, y, heading, speed, bodies, antenna_height,
-              connected, vehicles) -> None:
-        put = object.__setattr__
-        put(self, "timestep", timestep)
-        put(self, "rsu_position", rsu_position)
-        put(self, "ids", ids)
-        for name, column in (
-            ("x", x), ("y", y), ("heading", heading), ("speed", speed), ("bodies", bodies),
-            ("antenna_height", antenna_height), ("connected", connected),
-        ):
-            column.setflags(write=False)
-            put(self, name, column)
-        put(self, "_vehicles", vehicles)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the columns' shapes, that the ids are distinct, and every
-        row as :class:`VehicleState` checks a state."""
+        """Make the columns read-only, check their shapes, that the ids
+        are distinct, and every row as :class:`VehicleState` checks a state."""
+        for column in self._columns():
+            column.setflags(write=False)
         ids = self.ids
         n = len(ids)
         columns = (self.x, self.y, self.heading, self.speed, self.antenna_height, self.connected)
@@ -225,10 +202,14 @@ class WorldSnapshot:
             for row in range(n):
                 self.vehicle(row)
 
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (
+            self.x, self.y, self.heading, self.speed, self.bodies, self.antenna_height,
+            self.connected,
+        )
+
     def vehicle(self, row: int) -> VehicleState:
         """The state of the vehicle in ``row``."""
-        if self._vehicles is not None:
-            return self._vehicles[row]
         return VehicleState(
             self.ids[row],
             (self.x.item(row), self.y.item(row), 0.0),
@@ -239,37 +220,24 @@ class WorldSnapshot:
             self.connected.item(row),
         )
 
-    @property
+    @functools.cached_property
     def vehicles(self) -> tuple[VehicleState, ...]:
         """One state per row, built on the first read."""
-        if self._vehicles is None:
-            object.__setattr__(self, "_vehicles", tuple(map(self.vehicle, range(len(self.ids)))))
-        return self._vehicles
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return tuple(map(self.vehicle, range(len(self.ids))))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not WorldSnapshot:
             return NotImplemented
         return (self.timestep, self.rsu_position, self.ids) == (
             other.timestep, other.rsu_position, other.ids
-        ) and self.vehicles == other.vehicles
+        ) and all(map(np.array_equal, self._columns(), other._columns()))
 
     def __hash__(self) -> int:
         return hash((self.timestep, self.rsu_position, self.ids))
 
     def __reduce__(self):
-        return WorldSnapshot, (self.timestep, self.vehicles, self.rsu_position)
-
-    def __repr__(self) -> str:
-        return (
-            f"WorldSnapshot(timestep={self.timestep!r}, vehicles={self.vehicles!r},"
-            f" rsu_position={self.rsu_position!r})"
-        )
+        # through the constructor, so a copy's columns are read-only too
+        return WorldSnapshot, (self.timestep, self.rsu_position, self.ids, *self._columns())
 
 
 class Strategy(enum.Enum):

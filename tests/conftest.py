@@ -70,11 +70,7 @@ def make_snapshot(
     timestep: int = 0,
     rsu_height: float = 5.0,
 ) -> WorldSnapshot:
-    return WorldSnapshot(
-        timestep=timestep,
-        vehicles=tuple(vehicles),
-        rsu_position=(0.0, 0.0, rsu_height),
-    )
+    return WorldSnapshot.from_vehicles(timestep, vehicles, (0.0, 0.0, rsu_height))
 
 
 def count_validations(monkeypatch, classes) -> list:

@@ -83,6 +83,13 @@ VEHICLE = "{length: 4.5, width: 1.8, height: 1.5, antenna_height: 1.6, weight: 1
         pytest.param("duration: .nan\n", "duration: must be finite", id="nan"),
         pytest.param("seed: 1.7\n", "seed: must be an integer", id="fractional-int"),
         pytest.param("vehicle_count: true\n", "vehicle_count: must be an integer", id="bool-int"),
+        # a scenario with no connected vehicle has nothing to score
+        pytest.param("vehicle_count: 0\n", "vehicle_count: must be >= 1", id="no-vehicles"),
+        pytest.param(
+            "connected_fraction: 0.0\n",
+            "connected_fraction: must be within (0, 1]",
+            id="none-connected",
+        ),
     ],
 )
 def test_validate_malformed_value_exits_2_with_field_path(tmp_path, text, message):
@@ -350,6 +357,8 @@ def test_sweep_unknown_key_rejected(tmp_path):
         ("seeds: [1.7]", "seeds[0]: must be an integer, got 1.7"),
         ("vehicle_counts: 5", "vehicle_counts: must be a list"),
         ("connected_fractions: [1.0, .nan]", "connected_fractions[1]: must be finite"),
+        ("connected_fractions: [1.0, 0.0]", "connected_fractions[1]: must be within (0, 1]"),
+        ("vehicle_counts: [0, 5]", "vehicle_counts[0]: must be >= 1"),
         ("seeds: [-1]", "seeds[0]: must fit an unsigned 64-bit integer"),
         ("strategies: [fastest]", "strategies[0]: must be one of"),
         # repeated cell ids would overwrite each other's detail file; both
@@ -374,15 +383,16 @@ def test_sweep_malformed_axis_exits_2_with_field_path(tmp_path, axes, message):
 
 
 def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):
-    # connected_fraction 0 validates but leaves reliability undefined, so
-    # its cells blow up at run time; fraction-1.0 cells come first in
-    # product order and their detail files must survive the abort
+    # at connected_fraction 1e-9 no vehicle of seed 1 is connected, which
+    # leaves reliability undefined, so its cell blows up at run time;
+    # fraction-1.0 cells come first in product order and their detail
+    # files must survive the abort
     write_small_config(tmp_path / "base.yaml")
     spec = tmp_path / "sweep.yaml"
     spec.write_text(
         "base_config: base.yaml\n"
         "vehicle_counts: [5]\n"
-        "connected_fractions: [1.0, 0.0]\n"
+        "connected_fractions: [1.0, 1.0e-9]\n"
         "strategies: [realtime]\n"
         "seeds: [1]\n",
         encoding="utf-8",
@@ -390,7 +400,7 @@ def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):
     out = tmp_path / "out"
     proc = run_cli("sweep", str(spec), "--out-dir", str(out))
     assert proc.returncode == 3
-    assert "realtime_n5_f0_s1" in proc.stderr  # failing cell named
+    assert "realtime_n5_f1e-09_s1" in proc.stderr  # failing cell named
     kept = [p.name for p in (out / "detail").glob("*.csv")]
     assert kept == ["realtime_n5_f1_s1.csv"]
     assert not (out / "summary.csv").exists()  # sweep aborted before summary

@@ -13,7 +13,7 @@ from twinroute import engine, routing
 from twinroute.config import ScenarioConfig, default_config, validate_config
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.mobility import snapshot_stream
-from twinroute.model import Strategy, VehicleState, WorldSnapshot
+from twinroute.model import Strategy, VehicleState
 
 from conftest import TRUCK, count_validations, make_snapshot, make_vehicle
 
@@ -264,7 +264,7 @@ SHIFT_STREAM = list(snapshot_stream(SHIFT_BASE))
 def run_shifted(shift: int):
     """Every variant over the shift stream with ``shift`` added to each
     timestep: (results, route dump rows split at the first comma)."""
-    stream = [WorldSnapshot(s.timestep + shift, s.vehicles, s.rsu_position) for s in SHIFT_STREAM]
+    stream = [dataclasses.replace(s, timestep=s.timestep + shift) for s in SHIFT_STREAM]
     dump = io.StringIO()
     results = run_variants(SHIFT_VARIANTS, snapshots=stream, route_dump=dump)
     rows = [line.split(",", 1) for line in dump.getvalue().splitlines()[1:]]
@@ -316,7 +316,7 @@ def test_each_plan_reads_the_lagged_history_window(monkeypatch):
     )
     # a longer lag in another variant keeps more history than this one reads
     longer = dataclasses.replace(cfg, strategy=Strategy.REALTIME, latency_delta=1.0)
-    stream = [WorldSnapshot(s.timestep + 1000, s.vehicles, s.rsu_position) for s in SHIFT_STREAM]
+    stream = [dataclasses.replace(s, timestep=s.timestep + 1000) for s in SHIFT_STREAM]
     run_variants({"pred": cfg, "rt": longer}, snapshots=stream)
     assert plans == [
         (1000, [1000]),

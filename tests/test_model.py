@@ -101,6 +101,13 @@ def test_negative_vehicle_index_rejected():
         NodeId.vehicle(-1)
 
 
+def test_vehicle_index_whose_code_overflows_int64_rejected():
+    top = NodeId.vehicle(2**62 - 1)
+    assert int(top) == np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match=r"below 2\*\*62, got 4611686018427387904"):
+        NodeId.vehicle(2**62)
+
+
 def test_ids_are_immutable():
     with pytest.raises(AttributeError):
         NodeId.vehicle(1).index = 2
@@ -120,7 +127,7 @@ def test_vehicle_state_needs_a_vehicle_id():
 
 
 def two_rows(**changes):
-    """``from_columns`` arguments for two sedans, with ``changes`` applied."""
+    """Constructor arguments for two sedans, with ``changes`` applied."""
     columns = dict(
         timestep=3,
         rsu_position=(0.0, 0.0, 5.0),
@@ -138,17 +145,43 @@ def two_rows(**changes):
 
 
 def test_columns_read_back_as_the_states_they_hold():
-    snap = WorldSnapshot.from_columns(**two_rows())
+    snap = WorldSnapshot(**two_rows())
     assert snap.vehicles == (
         VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.0), 0.0, 5.0, connected=True, **SEDAN),
         VehicleState(NodeId.vehicle(2), (20.0, -1.0, 0.0), 3.0, 0.0, connected=False, **SEDAN),
     )
     assert snap.vehicles is snap.vehicles  # built once
-    assert snap == WorldSnapshot(3, snap.vehicles, (0.0, 0.0, 5.0))
-    assert snap != WorldSnapshot(4, snap.vehicles, (0.0, 0.0, 5.0))
-    assert hash(snap) == hash(WorldSnapshot(3, snap.vehicles, (0.0, 0.0, 5.0)))
-    for copied in (copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))):
-        assert copied == snap
+    assert snap == WorldSnapshot.from_vehicles(3, snap.vehicles, (0.0, 0.0, 5.0))
+    assert snap != WorldSnapshot.from_vehicles(4, snap.vehicles, (0.0, 0.0, 5.0))
+    assert hash(snap) == hash(WorldSnapshot.from_vehicles(3, snap.vehicles, (0.0, 0.0, 5.0)))
+
+
+# a valid new value for the first entry of each column
+CHANGED = dict(
+    x=11.0, y=0.5, heading=0.25, speed=4.0, bodies=5.0, antenna_height=1.5, connected=False
+)
+COLUMNS = tuple(CHANGED)
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_one_changed_value_in_any_column_makes_a_different_snapshot(name):
+    snap = WorldSnapshot(**two_rows())
+    column = getattr(snap, name).copy()
+    column.flat[0] = CHANGED[name]
+    changed = WorldSnapshot(**two_rows(**{name: column}))
+    assert changed != snap and not changed == snap
+    assert changed == WorldSnapshot(**two_rows(**{name: column.copy()}))
+
+
+def test_copies_are_equal_and_their_columns_read_only():
+    snap = WorldSnapshot(**two_rows())
+    for copied in (copy.copy(snap), copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))):
+        assert copied == snap and hash(copied) == hash(snap)
+        for name in COLUMNS:
+            column = getattr(copied, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
 
 
 @pytest.mark.parametrize(
@@ -167,10 +200,10 @@ def test_columns_read_back_as_the_states_they_hold():
 )
 def test_columns_are_checked_as_states_are(changes, message):
     with pytest.raises(ValueError, match=message):
-        WorldSnapshot.from_columns(**two_rows(**changes))
+        WorldSnapshot(**two_rows(**changes))
 
 
 def test_a_snapshot_of_states_keeps_them_on_the_ground():
     lifted = VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.5), 0.0, 5.0, connected=True, **SEDAN)
     with pytest.raises(ValueError, match="position z = 0"):
-        WorldSnapshot(0, (lifted,), (0.0, 0.0, 5.0))
+        WorldSnapshot.from_vehicles(0, (lifted,), (0.0, 0.0, 5.0))

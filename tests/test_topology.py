@@ -158,7 +158,7 @@ def snapshots_of(snapshot, timesteps, xy_yaw):
     """The snapshot of ``snapshot``'s vehicles at each step's (x, y,
     heading) rows, one build at a time."""
     return [
-        WorldSnapshot(
+        WorldSnapshot.from_vehicles(
             ts,
             tuple(
                 dataclasses.replace(v, position=(x, y, 0.0), heading=h)
