@@ -23,8 +23,8 @@ for step in range(int(cfg.duration / cfg.dt)):
     state, snap = advance_traffic(state, cfg.dt)
     populations.append(len(snap.vehicles))
     for vehicle in state.active:
-        if vehicle.index not in seen:
-            seen.add(vehicle.index)
+        if vehicle.id not in seen:
+            seen.add(vehicle.id)
             connected[vehicle.connected] += 1
             maneuvers[vehicle.plan.maneuver.value] += 1
 

@@ -21,7 +21,7 @@ from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
 from .mobility import TrafficState, advance_traffic, init_traffic, read_trace, snapshot_stream, tee_trace
-from .model import NodeId, NodeKind, Strategy, ValidationReport, VehicleState, WorldSnapshot
+from .model import NodeId, Strategy, ValidationReport, VehicleState, WorldSnapshot
 from .prediction import (
     ConstantTurnRatePredictor,
     ConstantVelocityPredictor,
@@ -52,7 +52,6 @@ __all__ = [
     "HoldPredictor",
     "LearnedPredictor",
     "NodeId",
-    "NodeKind",
     "PredictedTrack",
     "PredictivePlan",
     "ReliabilityAccumulator",

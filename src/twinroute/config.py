@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,6 +185,20 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     return _decode(ScenarioConfig, data, "", ScenarioConfig())
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2's exponent floats, such as
+    ``1e-9`` or ``6.02E23``, which the YAML 1.1 resolver leaves strings.
+    It runs after the built-in resolvers, so whatever they resolve is
+    unchanged, and a quoted scalar stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def read_yaml(path: str | Path) -> Any:
     """The document in the YAML file at ``path``; malformed YAML raises
     ValueError naming the file, with the parser's line and column, and a
@@ -198,7 +213,7 @@ def read_yaml(path: str | Path) -> Any:
     stream = io.StringIO(text)
     stream.name = str(path)  # the parser's marks name the file
     try:
-        return yaml.safe_load(stream)
+        return yaml.load(stream, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: malformed YAML: {exc}") from None
 

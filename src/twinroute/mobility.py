@@ -5,7 +5,9 @@ outbound lanes (right-hand traffic). A vehicle spawns at the far end of an
 inbound lane, drives its polyline (straight through, or a single circular
 arc for turns, discretized at <= 1 m chords), and despawns at the far end
 of the exit arm, at which point a freshly drawn replacement keeps the
-population near ``vehicle_count``.
+population near ``vehicle_count``. Each vehicle is one :class:`Vehicle`
+record from its draw until it despawns; its ``NodeId.vehicle(k)`` is
+handed out on release, k counting releases from 0.
 
 Vehicles hold their drawn cruise speed except for a minimum-gap clamp
 against the vehicle ahead in the same lane corridor; merges onto an exit
@@ -22,7 +24,7 @@ import enum
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator
 
@@ -181,30 +183,19 @@ def build_route_plan(
 
 
 @dataclass
-class SpawnRequest:
+class Vehicle:
+    """One vehicle from its draw until it despawns: it waits in
+    ``pending`` until ``release_time``, then moves to ``active`` with its
+    one id for its lifetime, handed out in release order."""
+
     release_time: float
     plan: RoutePlan
     vclass: VehicleClassSpec
     cruise_speed: float
     connected: bool
-
-
-@dataclass
-class ActiveVehicle:
-    index: int
-    vclass: VehicleClassSpec
-    plan: RoutePlan
-    cruise_speed: float
-    progress: float
-    connected: bool
-    effective_speed: float
-    # one id and body for the vehicle's lifetime
-    id: NodeId = field(init=False)
-    dimensions: tuple[float, float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.id = NodeId.vehicle(self.index)
-        self.dimensions = (self.vclass.length, self.vclass.width, self.vclass.height)
+    id: NodeId | None = None
+    progress: float = 0.0
+    effective_speed: float = 0.0
 
 
 @dataclass
@@ -214,8 +205,8 @@ class TrafficState:
     config: ScenarioConfig
     rng: np.random.Generator
     step: int
-    active: list[ActiveVehicle]
-    pending: list[SpawnRequest]
+    active: list[Vehicle]
+    pending: list[Vehicle]
     next_vehicle_index: int
 
     def snapshot(self) -> WorldSnapshot:
@@ -226,7 +217,9 @@ class TrafficState:
         # (x, y, heading) and body triples read as flat runs of floats
         poses = chain.from_iterable([v.plan.pose_at(v.progress) for v in active])
         x, y, heading = np.fromiter(poses, np.float64, 3 * n).reshape(n, 3).T
-        bodies = chain.from_iterable([v.dimensions for v in active])
+        bodies = chain.from_iterable(
+            [(v.vclass.length, v.vclass.width, v.vclass.height) for v in active]
+        )
         return WorldSnapshot(
             timestep=self.step,
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
@@ -241,7 +234,7 @@ class TrafficState:
         )
 
 
-def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
+def _draw(state: TrafficState, release_time: float) -> Vehicle:
     cfg = state.config
     geometry = cfg.intersection
     rng = state.rng
@@ -254,7 +247,7 @@ def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
     vclass = cfg.vehicle_mix[int(rng.choice(len(cfg.vehicle_mix), p=weights / weights.sum()))]
     cruise = float(rng.uniform(cfg.speed.min, cfg.speed.max))
     connected = bool(rng.random() < cfg.connected_fraction)
-    return SpawnRequest(
+    return Vehicle(
         release_time=release_time,
         plan=build_route_plan(
             arm, lane, maneuver, geometry.arm_length, geometry.lane_count, geometry.lane_width
@@ -266,10 +259,11 @@ def _draw_request(state: TrafficState, release_time: float) -> SpawnRequest:
 
 
 def init_traffic(config: ScenarioConfig) -> TrafficState:
-    """Seeded initial state: spawn requests staggered over the spawn window.
+    """Seeded initial state: vehicles drawn with release times staggered
+    over the spawn window.
 
     Precondition: the configuration validates. Vehicles actually enter the
-    world as the first advance calls release their requests.
+    world as the first advance calls release them.
     """
     state = TrafficState(
         config=config,
@@ -281,41 +275,33 @@ def init_traffic(config: ScenarioConfig) -> TrafficState:
     )
     offsets = [float(state.rng.uniform(0.0, config.mobility.spawn_window)) for _ in range(config.vehicle_count)]
     for offset in offsets:
-        state.pending.append(_draw_request(state, offset))
-    state.pending.sort(key=lambda r: r.release_time)  # stable: draw order breaks ties
+        state.pending.append(_draw(state, offset))
+    state.pending.sort(key=lambda v: v.release_time)  # stable: draw order breaks ties
     _release_spawns(state, 0.0)
     return state
 
 
 def _release_spawns(state: TrafficState, now: float) -> None:
-    """Admit due requests, in order, while below the vehicle count and
-    while no vehicle is still within ``min_gap`` of the lane's start."""
+    """Admit due pending vehicles, in order, while below the vehicle count
+    and while no vehicle is still within ``min_gap`` of the lane's start."""
     gap = state.config.mobility.min_gap
-    remaining: list[SpawnRequest] = []
-    for req in state.pending:
-        arm, lane = req.plan.entry_arm, req.plan.lane
+    remaining: list[Vehicle] = []
+    for new in state.pending:
+        arm, lane = new.plan.entry_arm, new.plan.lane
         if (
-            req.release_time <= now + 1e-9
+            new.release_time <= now + 1e-9
             and len(state.active) < state.config.vehicle_count
             and not any(
                 v.progress < gap and v.plan.entry_arm is arm and v.plan.lane == lane
                 for v in state.active
             )
         ):
-            state.active.append(
-                ActiveVehicle(
-                    index=state.next_vehicle_index,
-                    vclass=req.vclass,
-                    plan=req.plan,
-                    cruise_speed=req.cruise_speed,
-                    progress=0.0,
-                    connected=req.connected,
-                    effective_speed=req.cruise_speed,
-                )
-            )
+            new.id = NodeId.vehicle(state.next_vehicle_index)
+            new.effective_speed = new.cruise_speed
+            state.active.append(new)
             state.next_vehicle_index += 1
         else:
-            remaining.append(req)
+            remaining.append(new)
     state.pending = remaining
 
 
@@ -341,9 +327,9 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
         if s_old[i] - v.plan.exit_start_s >= -MERGE_WINDOW:
             exit_lists.setdefault((v.plan.exit_arm, v.plan.lane), []).append(i)
     for lst in entry_lists.values():
-        lst.sort(key=lambda i: (-s_old[i], active[i].index))
+        lst.sort(key=lambda i: (-s_old[i], active[i].id))
     for lst in exit_lists.values():
-        lst.sort(key=lambda i: (-(s_old[i] - active[i].plan.exit_start_s), active[i].index))
+        lst.sort(key=lambda i: (-(s_old[i] - active[i].plan.exit_start_s), active[i].id))
 
     for _ in range(CLAMP_PASSES):
         before = list(s_new)
@@ -366,24 +352,27 @@ def _clamped_progress(state: TrafficState, dt: float) -> list[float]:
 def advance_traffic(state: TrafficState, dt: float) -> tuple[TrafficState, WorldSnapshot]:
     """Move every vehicle by one step and return the post-move snapshot.
 
-    ``dt`` must equal the configured step length. Vehicles reaching the end
-    of their polyline despawn and schedule a freshly drawn replacement.
+    ``dt`` must equal the configured step length, which releases run on;
+    another raises ValueError. Vehicles reaching the end of their polyline
+    despawn and schedule a freshly drawn replacement.
     """
+    if dt != state.config.dt:
+        raise ValueError(f"dt {dt!r} is not the configured step length {state.config.dt!r}")
     state.step += 1
     now = state.step * state.config.dt
 
     s_new = _clamped_progress(state, dt)
-    survivors: list[ActiveVehicle] = []
+    survivors: list[Vehicle] = []
     for v, s in zip(state.active, s_new):
         v.effective_speed = (s - v.progress) / dt
         v.progress = s
         if s >= v.plan.total_length - 1e-9:
-            state.pending.append(_draw_request(state, now))
+            state.pending.append(_draw(state, now))
         else:
             survivors.append(v)
     state.active = survivors
-    # stable: pending is in release order and new requests were appended
-    state.pending.sort(key=lambda r: r.release_time)
+    # stable: pending is in release order and new draws were appended
+    state.pending.sort(key=lambda v: v.release_time)
     _release_spawns(state, now)
 
     return state, state.snapshot()

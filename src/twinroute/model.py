@@ -31,28 +31,22 @@ Point3 = tuple[float, float, float]
 Pose = tuple[Point3, float, float]
 
 
-class NodeKind(enum.Enum):
-    RSU = "rsu"
-    VEHICLE = "vehicle"
-
-
 class NodeId(int):
     """Identity of a network node: the single RSU or one vehicle.
 
     Vehicle indices are unique within a run and never reused after the
     vehicle despawns. A node id is an int whose value codes its identity,
     ``(index << 1) | is_vehicle``: the RSU is 0 and vehicle k is 2k + 1.
-    Hashing and ordering are int's, so they run in C: the RSU sorts before
-    all vehicles, then vehicles by index; routing tie-breaks rely on this
-    order being total. Equality is strict: a node id never equals a plain
-    int. The traffic model creates one id per vehicle lifetime, so the
-    dicts keyed by node ids match by identity.
+    Make ids with :meth:`rsu` and :meth:`vehicle`. Hashing, ordering and
+    pickling are int's; the first two run in C. The RSU sorts before all
+    vehicles, then vehicles by index; routing tie-breaks rely on this order
+    being total. Equality is strict: a node id never equals a plain int.
+    The traffic model creates one id per vehicle lifetime, so the dicts
+    keyed by node ids match by identity. ``repr`` is the call that makes
+    the id, ``NodeId.vehicle(7)`` or ``NodeId.rsu()``.
     """
 
     __slots__ = ()
-
-    def __new__(cls, kind: NodeKind, index: int) -> "NodeId":
-        return super().__new__(cls, (index << 1) | (kind is NodeKind.VEHICLE))
 
     @staticmethod
     def rsu() -> "NodeId":
@@ -64,11 +58,7 @@ class NodeId(int):
             raise ValueError(f"vehicle index must be non-negative, got {index}")
         if index >= 2**62:  # the node code 2k + 1 must fit an int64
             raise ValueError(f"vehicle index must be below 2**62, got {index}")
-        return NodeId(NodeKind.VEHICLE, index)
-
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.VEHICLE if self & 1 else NodeKind.RSU
+        return NodeId((index << 1) | 1)
 
     @property
     def index(self) -> int:
@@ -85,11 +75,8 @@ class NodeId(int):
     def __bool__(self) -> bool:
         return True  # the RSU's code is 0, but every node id is a node
 
-    def __getnewargs__(self) -> tuple[NodeKind, int]:
-        return (self.kind, self.index)
-
     def __repr__(self) -> str:
-        return f"NodeId(kind={self.kind!r}, index={self.index!r})"
+        return f"NodeId.vehicle({self >> 1})" if self & 1 else "NodeId.rsu()"
 
     def __str__(self) -> str:
         return f"v{self >> 1}" if self & 1 else "rsu"
@@ -97,7 +84,7 @@ class NodeId(int):
     __format__ = object.__format__  # "{}" prints str(); int format specs do not apply
 
 
-_RSU = NodeId(NodeKind.RSU, 0)
+_RSU = NodeId(0)
 
 
 @dataclass(frozen=True, slots=True)

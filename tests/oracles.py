@@ -10,8 +10,8 @@ that faster code replaced and must still match: the scalar slab test
 ``blockage_count``) and the dense blockage kernel for the two-phase one,
 the numpy pose lookup for the bisect one, the top-down BFS for the
 bottom-up hop layering, the list-and-``all()`` route check for the
-one-pass hop walk, and ``node_key``, the (kind, index) order that
-int-coded node ids must sort in.
+one-pass hop walk, and ``node_key``, the order read from a node's text
+form that int-coded node ids must sort in.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from twinroute.model import NodeId, NodeKind, VehicleState
+from twinroute.model import NodeId, VehicleState
 
 SAMPLES = 10_000
 SURFACE_TOLERANCE = 1e-6  # disagreements allowed only this close to a face
@@ -46,8 +46,10 @@ class OracleCase:
 
 
 def node_key(node: NodeId) -> tuple[int, int]:
-    """Node order from identity alone: the RSU first, then vehicles by index."""
-    return (int(node.kind is NodeKind.VEHICLE), node.index)
+    """Node order from identity alone, read from ``str(node)`` and not
+    from the int code: the RSU first, then vehicles by index."""
+    text = str(node)
+    return (0, 0) if text == "rsu" else (1, int(text.removeprefix("v")))
 
 
 def _neighbors(graph, node):

@@ -76,6 +76,8 @@ VEHICLE = "{length: 4.5, width: 1.8, height: 1.5, antenna_height: 1.6, weight: 1
         ),
         pytest.param("intersection: 5\n", "intersection: must be a mapping", id="scalar-block"),
         pytest.param("duration: abc\n", "duration: must be a number", id="text-number"),
+        # a quoted exponent float stays a string
+        pytest.param("dt: '1e-2'\n", "dt: must be a number, got '1e-2'", id="quoted-exponent"),
         pytest.param(
             f"vehicle_mix:\n  - {VEHICLE}\n", "vehicle_mix[0].name: required", id="mix-without-name"
         ),
@@ -357,6 +359,7 @@ def test_sweep_unknown_key_rejected(tmp_path):
         ("seeds: [1.7]", "seeds[0]: must be an integer, got 1.7"),
         ("vehicle_counts: 5", "vehicle_counts: must be a list"),
         ("connected_fractions: [1.0, .nan]", "connected_fractions[1]: must be finite"),
+        ("connected_fractions: [1.0, '1e-9']", "connected_fractions[1]: must be a number, got '1e-9'"),
         ("connected_fractions: [1.0, 0.0]", "connected_fractions[1]: must be within (0, 1]"),
         ("vehicle_counts: [0, 5]", "vehicle_counts[0]: must be >= 1"),
         ("seeds: [-1]", "seeds[0]: must fit an unsigned 64-bit integer"),
@@ -380,6 +383,25 @@ def test_sweep_malformed_axis_exits_2_with_field_path(tmp_path, axes, message):
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert not out.exists()
+
+
+def test_sweep_axes_read_exponent_floats(tmp_path):
+    # YAML 1.1 reads 1e-9 as a string; the loader reads YAML 1.2's forms
+    write_small_config(tmp_path / "base.yaml")
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(
+        "base_config: base.yaml\n"
+        "vehicle_counts: [5]\n"
+        "connected_fractions: [1.0, 1e-9, 5E-1]\n"
+        "strategies: [realtime]\n"
+        "seeds: [1]\n",
+        encoding="utf-8",
+    )
+    loaded = load_sweep_spec(spec)
+    assert loaded.connected_fractions == (1.0, 1e-9, 0.5)
+    assert [c.cell_id for c in loaded.cells()] == [
+        "realtime_n5_f1_s1", "realtime_n5_f1e-09_s1", "realtime_n5_f0.5_s1"
+    ]
 
 
 def test_sweep_failing_cell_aborts_and_preserves_finished_cells(tmp_path):

@@ -17,6 +17,7 @@ from twinroute.config import (
     config_to_dict,
     default_config,
     load_config,
+    read_yaml,
     save_config,
     validate_config,
 )
@@ -120,6 +121,55 @@ def test_roundtrip_random_configs(
 def test_digests_pinned():
     assert default_config().digest() == "1738251e069e906d"
     assert load_config(REPO / "configs" / "intersection.yaml").digest() == "ca0f76a03c3b725d"
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("dt: 1e-1\n", "dt: 0.1\n"),
+        ("dt: .5e-1\n", "dt: 0.05\n"),
+        ("duration: 6E1\n", "duration: 60.0\n"),
+        ("channel:\n  max_range_m: +1.2e+2\n", "channel:\n  max_range_m: 120.0\n"),
+        ("link_budget_db: 1.3e2\n", "link_budget_db: 130.0\n"),
+    ],
+)
+def test_exponent_floats_load_as_their_plain_form(tmp_path, text, plain):
+    a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+    a.write_text(text, encoding="utf-8")
+    b.write_text(plain, encoding="utf-8")
+    assert load_config(a) == load_config(b)
+    assert load_config(a).digest() == load_config(b).digest()
+
+
+@pytest.mark.parametrize(
+    "scalar, value",
+    [
+        ("1e-9", 1e-9),
+        ("6.02E23", 6.02e23),
+        ("-1.5e3", -1500.0),
+        ("1.e5", 100000.0),
+        # a quoted scalar, and text that is not a number, stay strings
+        ("'1e-9'", "1e-9"),
+        ("1e", "1e"),
+        ("v1e3", "v1e3"),
+        ("1_0e3", "1_0e3"),
+        # forms the YAML 1.1 resolver reads are read as before
+        ("1.5", 1.5),
+        ("12", 12),
+        ("0x1A", 26),
+        ("0x1e3", 0x1E3),
+        ("1.0e-9", 1e-9),
+        (".inf", float("inf")),
+    ],
+)
+def test_read_yaml_reads_yaml_1_2_exponent_floats(tmp_path, scalar, value):
+    path = tmp_path / "v.yaml"
+    path.write_text(f"v: {scalar}\n", encoding="utf-8")
+    got = read_yaml(path)["v"]
+    assert type(got) is type(value) and got == value
+    plain = yaml.safe_load(f"v: {scalar}\n")["v"]
+    if not isinstance(plain, str):
+        assert type(plain) is type(got) and plain == got
 
 
 def test_missing_keys_fall_back_to_defaults():

@@ -422,13 +422,19 @@ def test_conventional_stale_route_fails_after_relay_despawns():
         ("twinroute.engine", "route_realtime"),
         ("twinroute.engine", "route_predictive"),
         ("twinroute.engine", "score_route"),
+        ("twinroute.mobility", "init_traffic"),
+        ("twinroute.mobility", "advance_traffic"),
+        ("twinroute.routing", "predict"),
+        ("twinroute.prediction", "LearnedPredictor.extrapolate"),
     ],
 )
 def test_the_names_the_benchmark_tracer_wraps_resolve(module, name):
     """``bench/tracing.py`` wraps these names where the engine and the
     builder look them up; a rename leaves its counters at 0 with only a
-    warning, so it must fail here."""
-    assert callable(getattr(importlib.import_module(module), name))
+    warning, so it must fail here. A dotted name resolves attribute by
+    attribute."""
+    target = functools.reduce(getattr, name.split("."), importlib.import_module(module))
+    assert callable(target)
 
 
 def test_a_graph_has_one_edges_row_per_link():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import io
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 from twinroute.config import default_config
 from twinroute.mobility import (
-    ActiveVehicle,
     Arm,
     Maneuver,
     TraceError,
     TrafficState,
+    Vehicle,
     advance_traffic,
     build_route_plan,
     init_traffic,
@@ -81,6 +82,46 @@ def test_vehicle_indices_never_reused():
     assert max(seen) > CFG.vehicle_count  # turnover happened
 
 
+def test_the_kth_released_vehicle_is_vehicle_k():
+    """Ids go out in release order, counting from 0; a vehicle still
+    pending has none."""
+    state = init_traffic(CFG)
+    released: list[NodeId] = []
+    for _ in range(600):
+        known = set(released)
+        released += [v.id for v in state.active if v.id not in known]
+        assert all(v.id is None for v in state.pending)
+        advance_traffic(state, CFG.dt)
+    assert len(released) > CFG.vehicle_count  # turnover happened
+    assert released == [NodeId.vehicle(k) for k in range(len(released))]
+    assert state.next_vehicle_index >= len(released)
+
+
+def test_advance_rejects_another_step_length():
+    cfg = default_config()
+    state = init_traffic(cfg)
+    with pytest.raises(ValueError, match=r"dt 0\.5 is not the configured step length 0\.1"):
+        advance_traffic(state, 0.5)
+    assert state.step == 0
+    advance_traffic(state, cfg.dt)
+    assert state.step == 1
+
+
+def test_a_deep_copy_steps_as_the_original():
+    """A state copied mid-run and the original, stepped in turn, yield
+    equal snapshots: they share nothing that stepping mutates."""
+    state = init_traffic(CFG)
+    for _ in range(150):
+        advance_traffic(state, CFG.dt)
+    twin = copy.deepcopy(state)
+    assert twin.snapshot() == state.snapshot()
+    for _ in range(50):
+        _, ours = advance_traffic(state, CFG.dt)
+        _, theirs = advance_traffic(twin, CFG.dt)
+        assert theirs == ours
+    assert twin.step == state.step == 200
+
+
 # -- kinematics -------------------------------------------------------------
 
 
@@ -94,22 +135,24 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
         lane_count=cfg.intersection.lane_count,
         lane_width=cfg.intersection.lane_width,
     )
-    leader = ActiveVehicle(
-        index=0,
-        vclass=cfg.vehicle_mix[0],
+    leader = Vehicle(
+        release_time=0.0,
         plan=build_route_plan(**plan_args),
+        vclass=cfg.vehicle_mix[0],
         cruise_speed=leader_speed,
-        progress=leader_s,
         connected=True,
+        id=NodeId.vehicle(0),
+        progress=leader_s,
         effective_speed=leader_speed,
     )
-    follower = ActiveVehicle(
-        index=1,
-        vclass=cfg.vehicle_mix[0],
+    follower = Vehicle(
+        release_time=0.0,
         plan=build_route_plan(**plan_args),
+        vclass=cfg.vehicle_mix[0],
         cruise_speed=follower_speed,
-        progress=follower_s,
         connected=True,
+        id=NodeId.vehicle(1),
+        progress=follower_s,
         effective_speed=follower_speed,
     )
     return TrafficState(
@@ -143,7 +186,7 @@ def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
         body = v.vclass
         want.append(
             VehicleState(
-                id=NodeId.vehicle(v.index),
+                id=v.id,
                 position=(x, y, 0.0),
                 heading=heading,
                 speed=v.effective_speed,
@@ -206,15 +249,15 @@ def test_follower_clamped_to_gap_boundary():
 
 def test_progress_monotone_and_gap_safe():
     state = init_traffic(CFG)
-    prev: dict[int, float] = {}
+    prev: dict[NodeId, float] = {}
     for _ in range(600):
         advance_traffic(state, CFG.dt)
         gap = CFG.mobility.min_gap
         by_entry: dict = {}
         by_exit: dict = {}
         for v in state.active:
-            assert v.progress >= prev.get(v.index, 0.0) - 1e-12
-            prev[v.index] = v.progress
+            assert v.progress >= prev.get(v.id, 0.0) - 1e-12
+            prev[v.id] = v.progress
             if v.progress < v.plan.entry_end_s:
                 by_entry.setdefault((v.plan.entry_arm, v.plan.lane), []).append(v.progress)
             coord = v.progress - v.plan.exit_start_s

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from twinroute.model import NodeId, NodeKind, VehicleState, WorldSnapshot
+from twinroute.model import NodeId, VehicleState, WorldSnapshot
 
 from conftest import SEDAN
 from oracles import node_key
@@ -43,7 +43,7 @@ def test_never_equals_a_plain_int():
     assert int(node) == 7
     assert node != 7 and 7 != node
     assert not (node == 7) and not (7 == node)
-    assert node != (NodeKind.VEHICLE, 3)
+    assert node != (1, 3)
     assert 7 not in {node: True} and node not in {7: True}
     assert {7: "int"}.get(node) is None and {node: "id"}.get(7) is None
     assert NodeId.rsu() != 0 and 0 != NodeId.rsu()
@@ -56,14 +56,12 @@ def test_equal_ids_from_separate_calls():
     assert not (NodeId.vehicle(5) == NodeId.vehicle(6))
     assert NodeId.rsu() != NodeId.vehicle(0) and not (NodeId.rsu() == NodeId.vehicle(0))
     assert {NodeId.vehicle(5): 1}[NodeId.vehicle(5)] == 1
-    assert NodeId(NodeKind.VEHICLE, 5) == NodeId.vehicle(5)
-    assert NodeId(NodeKind.RSU, 0) == NodeId.rsu()
 
 
-def test_kind_and_index():
-    assert NodeId.rsu().kind is NodeKind.RSU and NodeId.rsu().index == 0
+def test_index():
+    assert NodeId.rsu().index == 0
     node = NodeId.vehicle(12)
-    assert node.kind is NodeKind.VEHICLE and node.index == 12
+    assert node.index == 12
     assert type(node.index) is int
 
 
@@ -92,8 +90,11 @@ def test_text_forms():
     assert format(v7) == "v7" and format(rsu, "") == "rsu"
     with pytest.raises(TypeError):
         format(v7, "d")  # the int code never leaks into text
-    assert repr(v7) == "NodeId(kind=<NodeKind.VEHICLE: 'vehicle'>, index=7)"
-    assert repr(rsu) == "NodeId(kind=<NodeKind.RSU: 'rsu'>, index=0)"
+    assert repr(v7) == "NodeId.vehicle(7)"
+    assert repr(rsu) == "NodeId.rsu()"
+    for node in (rsu, v7, NodeId.vehicle(2**62 - 1)):
+        back = eval(repr(node))
+        assert type(back) is NodeId and back == node
 
 
 def test_negative_vehicle_index_rejected():
