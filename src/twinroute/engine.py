@@ -1,22 +1,24 @@
 """Run orchestration: traffic in, per-strategy route tables, scored outcomes out.
 
 Each scored timestep the engine builds the ground-truth topology from the
-actual snapshot, asks the strategy driver for the route table currently in
-force, and checks every connected vehicle's assignment against the ground
-truth. Every driver returns a table for every scored step; a table maps
-each routed vehicle to its hops, source first and RSU last. Drivers differ
-only in where their tables come from:
+actual snapshot, asks the strategy's driver for the route table currently
+in force, and checks every connected vehicle's assignment against the
+ground truth. A table maps each routed vehicle to its hops, source first
+and RSU last. One driver serves every strategy: it holds a window of
+tables, one per timestep, and plans the next window at the first scored
+step ``t`` the current one does not cover. Strategies differ only in
+their planner:
 
-- real-time: a fresh table every step, computed from the snapshot
-  ``latency_delta`` seconds ago (zero latency means the current one);
-- predictive: a route schedule planned every ``prediction.interval``
-  seconds from (possibly lagged) history, applied without further
-  contact until the next planning epoch;
-- conventional: the real-time computation on the epoch snapshot (no
-  latency), frozen for ``conventional_update_interval`` seconds.
+- real-time: a window of one step, routed on the snapshot
+  ``latency_delta`` seconds before ``t`` (zero latency means the
+  current one);
+- conventional: the current snapshot routed once and held
+  ``conventional_update_interval`` seconds; it has no latency;
+- predictive: planned at ``t - 1`` from the history that ends
+  ``latency_delta`` seconds earlier, one forecast table per step of
+  ``prediction.interval``.
 
-Real-time and conventional share one periodic driver: (period, lag) of
-(1 step, latency) and (update interval, 0).
+A step older than the oldest retained snapshot reads that snapshot.
 
 The engine reads one consecutive snapshot stream, as the mobility twin
 produces it: each timestep is one more than the last, so a past step is
@@ -37,7 +39,7 @@ import dataclasses
 import sys
 from collections import deque
 from itertools import islice
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .config import ScenarioConfig, validate_config
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
@@ -77,12 +79,14 @@ class _SharedWorld:
         self.history.append(snap)
         self.graphs.pop(snap.timestep - self.history.maxlen, None)
 
-    def snapshot_at(self, timestep: int) -> WorldSnapshot:
-        """Snapshot for ``timestep``, or the oldest retained one if older."""
-        return self.history[max(timestep - self.history[0].timestep, 0)]
+    def window(self, last: int, steps: int) -> list[WorldSnapshot]:
+        """The snapshots of the ``steps`` timesteps up to ``last``, oldest
+        first: a step older than the oldest retained snapshot reads that one."""
+        end = max(last - self.history[0].timestep, 0) + 1
+        return list(islice(self.history, max(end - steps, 0), end))
 
     def graph_at(self, timestep: int) -> ConnectivityGraph:
-        snap = self.snapshot_at(timestep)
+        (snap,) = self.window(timestep, 1)
         g = self.graphs.get(snap.timestep)
         if g is None:
             try:
@@ -94,93 +98,70 @@ class _SharedWorld:
         return g
 
 
-class _PeriodicDriver:
-    """Routes the snapshot ``lag`` steps old and holds the table ``period`` steps."""
+class _Driver:
+    """Applies the current window of tables and plans the next at the first
+    scored step it does not cover; measures how far each scored snapshot
+    lies from the window's forecast, where it has one."""
 
-    def __init__(self, config: ScenarioConfig, period: int, lag: int):
-        self.config = config
-        self.period = period
-        self.lag = lag
-        self._table: RouteTable | None = None
-        self._next_update: int | None = None
-
-    def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
-        if self._next_update is None or timestep >= self._next_update:
-            graph = world.graph_at(timestep - self.lag)
-            self._table = route_realtime(graph, self.config.max_hops)
-            self._next_update = timestep + self.period
-        return self._table
-
-    def prediction_stats(self) -> tuple[float | None, int]:
-        return None, 0
-
-
-class _PredictiveDriver:
-    """Applies the schedule planned each interval, and measures how far each
-    scored snapshot lies from its forecast."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.lag = delay_to_steps(config.latency_delta, config.dt)
-        self.interval_steps = seconds_to_steps(config.prediction.interval, config.dt)
-        self.predictor = make_predictor(
-            config.prediction.predictor, config.prediction.learned_command
-        )
-        self._plan: PredictivePlan | None = None
-        self._next_epoch: int | None = None
+    def __init__(self, plan: Callable[[int, _SharedWorld], PredictivePlan], history_steps: int):
+        self.plan = plan  # the window of tables that starts at a scored step
+        self.history_steps = history_steps  # the snapshots the planner reads
+        self._window = PredictivePlan({}, (), {})
         self._error_sum = 0.0
         self._error_count = 0
         self._fallbacks = 0
 
-    def _replan(self, now: int, world: _SharedWorld) -> None:
-        cfg = self.config
-        window_steps = seconds_to_steps(cfg.prediction.history_window, cfg.dt)
-        # the window ends at the lagged snapshot, or the oldest one retained
-        end = max(now - self.lag - world.history[0].timestep, 0) + 1
-        history = list(islice(world.history, max(end - window_steps - 1, 0), end))
-        self._plan = route_predictive(
-            history,
-            now,
-            self.interval_steps,
-            self.predictor,
-            cfg.dt,
-            cfg.channel,
-            cfg.link_budget_db,
-            cfg.max_hops,
-        )
-        self._fallbacks += self._plan.degraded_tracks
-
     def table_for(self, timestep: int, world: _SharedWorld) -> RouteTable:
-        # plan one step ahead of application: a plan made at t - 1 covers
-        # t ... t - 1 + interval, so it always holds this step
-        if self._next_epoch is None or timestep > self._next_epoch:
-            self._replan(timestep - 1, world)
-            self._next_epoch = timestep - 1 + self.interval_steps
-        snap = world.history[-1]
-        row = dict(zip(snap.ids, range(len(snap.ids))))
-        xs, ys = snap.x.tolist(), snap.y.tolist()
-        # per vehicle, in forecast order, in Python floats
-        for vehicle, (x, y, _) in zip(self._plan.ids, self._plan.forecast[timestep].tolist()):
-            k = row.get(vehicle)
-            if k is not None:
-                dx = x - xs[k]
-                dy = y - ys[k]
-                self._error_sum += (dx * dx + dy * dy) ** 0.5
-                self._error_count += 1
-        return self._plan.entries[timestep]
+        if timestep not in self._window.entries:
+            self._window = self.plan(timestep, world)
+            self._fallbacks += self._window.degraded_tracks
+        forecast = self._window.forecast.get(timestep)
+        if forecast is not None:
+            snap = world.history[-1]
+            row = dict(zip(snap.ids, range(len(snap.ids))))
+            xs, ys = snap.x.tolist(), snap.y.tolist()
+            # per vehicle, in forecast order, in Python floats
+            for vehicle, (x, y, _) in zip(self._window.ids, forecast.tolist()):
+                k = row.get(vehicle)
+                if k is not None:
+                    dx = x - xs[k]
+                    dy = y - ys[k]
+                    self._error_sum += (dx * dx + dy * dy) ** 0.5
+                    self._error_count += 1
+        return self._window.entries[timestep]
 
     def prediction_stats(self) -> tuple[float | None, int]:
         mean = self._error_sum / self._error_count if self._error_count else None
         return mean, self._fallbacks
 
 
-def _make_driver(config: ScenarioConfig) -> _PeriodicDriver | _PredictiveDriver:
-    if config.strategy is Strategy.REALTIME:
-        return _PeriodicDriver(config, 1, delay_to_steps(config.latency_delta, config.dt))
+def _make_driver(config: ScenarioConfig) -> _Driver:
+    lag = delay_to_steps(config.latency_delta, config.dt)
+    if config.strategy is Strategy.PREDICTIVE:
+        pred = config.prediction
+        window = seconds_to_steps(pred.history_window, config.dt)
+        steps = seconds_to_steps(pred.interval, config.dt)
+        predictor = make_predictor(pred.predictor, pred.learned_command)
+
+        def plan_forecast(timestep: int, world: _SharedWorld) -> PredictivePlan:
+            # planned at t - 1 from the history up to t - 1 - lag, for t ... t - 1 + interval
+            history = world.window(timestep - 1 - lag, window + 1)
+            return route_predictive(
+                history, timestep - 1, steps, predictor, config.dt, config.channel,
+                config.link_budget_db, config.max_hops,
+            )
+
+        return _Driver(plan_forecast, lag + window + 2)
+
+    steps = 1
     if config.strategy is Strategy.CONVENTIONAL:
-        period = seconds_to_steps(config.conventional_update_interval, config.dt)
-        return _PeriodicDriver(config, period, 0)
-    return _PredictiveDriver(config)
+        steps, lag = seconds_to_steps(config.conventional_update_interval, config.dt), 0
+
+    def plan_held(timestep: int, world: _SharedWorld) -> PredictivePlan:
+        table = route_realtime(world.graph_at(timestep - lag), config.max_hops)
+        return PredictivePlan(dict.fromkeys(range(timestep, timestep + steps), table), (), {})
+
+    return _Driver(plan_held, lag + 1)
 
 
 def _score(table: RouteTable, truth: ConnectivityGraph, timestep: int) -> TimestepOutcome:
@@ -243,13 +224,8 @@ def run_variants(
     else:
         stream = iter(snapshots)
 
-    max_lag = max(delay_to_steps(cfg.latency_delta, cfg.dt) for cfg in configs)
-    window = max(
-        seconds_to_steps(cfg.prediction.history_window, cfg.dt) for cfg in configs
-    )
-    world = _SharedWorld(base, history_steps=max_lag + window + 2)
-
     drivers = {name: _make_driver(cfg) for name, cfg in variants.items()}
+    world = _SharedWorld(base, max(d.history_steps for d in drivers.values()))
     accumulators = {name: ReliabilityAccumulator() for name in variants}
 
     if route_dump is not None:

@@ -37,8 +37,10 @@ class NodeId(int):
     Vehicle indices are unique within a run and never reused after the
     vehicle despawns. A node id is an int whose value codes its identity,
     ``(index << 1) | is_vehicle``: the RSU is 0 and vehicle k is 2k + 1.
-    Make ids with :meth:`rsu` and :meth:`vehicle`. Hashing, ordering and
-    pickling are int's; the first two run in C. The RSU sorts before all
+    Make ids with :meth:`rsu` and :meth:`vehicle`; a code that names no
+    node, even and not 0, negative, or not below 2**63, raises
+    ValueError. Hashing, ordering and pickling are int's; the first two
+    run in C. The RSU sorts before all
     vehicles, then vehicles by index; routing tie-breaks rely on this order
     being total. Equality is strict: a node id never equals a plain int.
     The traffic model creates one id per vehicle lifetime, so the dicts
@@ -47,6 +49,14 @@ class NodeId(int):
     """
 
     __slots__ = ()
+
+    def __new__(cls, code: int) -> "NodeId":
+        code = int(code)
+        if code and not (code & 1 and 0 < code < 2**63):
+            raise ValueError(
+                f"node code {code} names no node: it must be 0, or odd and below 2**63"
+            )
+        return super().__new__(cls, code)
 
     @staticmethod
     def rsu() -> "NodeId":

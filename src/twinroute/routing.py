@@ -120,7 +120,9 @@ class PredictivePlan:
     """Route schedule for one planning epoch: per future timestep, the
     route table and the forecast it was computed from, a read-only
     ``(V, 3)`` array of the (x, y, heading) of the last observed
-    snapshot's vehicles, in the order of its ``ids``."""
+    snapshot's vehicles, in the order of its ``ids``. The engine holds
+    every strategy's window of tables as one; a realtime or conventional
+    window has no ids and no forecasts."""
 
     entries: dict[int, RouteTable]
     ids: tuple[NodeId, ...]

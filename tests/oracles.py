@@ -11,11 +11,15 @@ that faster code replaced and must still match: the scalar slab test
 the numpy pose lookup for the bisect one, the top-down BFS for the
 bottom-up hop layering, the list-and-``all()`` route check for the
 one-pass hop walk, and ``node_key``, the order read from a node's text
-form that int-coded node ids must sort in.
+form that int-coded node ids must sort in. ``oracle_run`` restates the
+engine's schedule over a plain list of snapshots, on top of the product's
+``build_topology`` (criterion 4 pins it) and its predictors, which are
+pure functions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -24,7 +28,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from twinroute.model import NodeId, VehicleState
+from twinroute.model import (
+    NodeId,
+    Strategy,
+    VehicleState,
+    WorldSnapshot,
+    delay_to_steps,
+    seconds_to_steps,
+)
+from twinroute.prediction import make_predictor
+from twinroute.topology import build_topology
 
 SAMPLES = 10_000
 SURFACE_TOLERANCE = 1e-6  # disagreements allowed only this close to a face
@@ -472,3 +485,98 @@ def oracle_reliability(counts: list[tuple[int, int]]) -> float:
     sat = sum(s for s, _ in counts)
     tot = sum(t for _, t in counts)
     return sat / tot
+
+
+def oracle_run(config, snapshots):
+    """A whole run restated from the schedule's definitions.
+
+    The first snapshot seeds the history and every later one is scored.
+    A step ``t`` earlier than the first snapshot reads the first one.
+    Every table routes each vehicle with ``oracle_dijkstra_route``:
+
+    - realtime routes, at every scored step ``t``, the graph of step
+      ``t - lag``;
+    - conventional routes the graph of the first scored step and of every
+      ``conventional_update_interval`` steps after it, with no lag, and
+      holds that table until the next;
+    - predictive plans at ``e - 1`` for the first scored step ``e`` and
+      every ``prediction.interval`` steps after it. The plan reads the
+      snapshots ``e - 1 - lag - window`` to ``e - 1 - lag``, forecasts
+      every vehicle of the last of them from its observed states (a
+      vehicle with too little history holds its last pose), and routes
+      the forecast graph of each step ``e … e - 1 + interval``. At each
+      of those steps the forecast of every vehicle that is in the scored
+      snapshot adds its x/y distance to the error sum.
+
+    Returns one ``(timestep, total, satisfied, mean hops)`` per scored
+    step, and the mean forecast error (None without a forecast),
+    summed step by step in forecast order.
+    """
+    snaps = list(snapshots)
+    first = snaps[0].timestep
+    dt = config.dt
+    lag = delay_to_steps(config.latency_delta, dt)
+    window = seconds_to_steps(config.prediction.history_window, dt)
+    interval = seconds_to_steps(config.prediction.interval, dt)
+    period = seconds_to_steps(config.conventional_update_interval, dt)
+    predictor = make_predictor(config.prediction.predictor)
+
+    def graph(snap):
+        return build_topology(snap, config.channel, config.link_budget_db)
+
+    def routes(g):
+        return {v: oracle_dijkstra_route(g, v, config.max_hops) for v in g.nodes[1:]}
+
+    def plan(now):
+        """{step: (table, [(vehicle, x, y)] in forecast order)} of the epoch
+        planned at ``now``."""
+        end = max(now - lag - first, 0)
+        history = snaps[max(end - window, 0):end + 1]
+        last = history[-1]
+        steps = interval + now - last.timestep
+        tracks = []  # (last observed state, forecast poses) per vehicle
+        for vid in last.ids:
+            states = [s.vehicle(s.ids.index(vid)) for s in history if vid in s.ids]
+            held = states[-1]
+            if len(states) >= predictor.min_history:
+                tracks.append((held, predictor.extrapolate(states, steps, dt)))
+            else:
+                tracks.append((held, [(held.position, held.heading, held.speed)] * steps))
+        epoch = {}
+        for t in range(now + 1, now + interval + 1):
+            k = t - last.timestep - 1
+            moved = [
+                dataclasses.replace(held, position=poses[k][0], heading=poses[k][1])
+                for held, poses in tracks
+            ]
+            g = graph(WorldSnapshot.from_vehicles(t, moved, last.rsu_position))
+            epoch[t] = (routes(g), [(s.id, s.position[0], s.position[1]) for s in moved])
+        return epoch
+
+    rows = []
+    error_sum, error_count = 0.0, 0
+    start = first + 1
+    for snap in snaps[1:]:
+        t = snap.timestep
+        if config.strategy is Strategy.REALTIME:
+            table = routes(graph(snaps[max(t - lag - first, 0)]))
+        elif config.strategy is Strategy.CONVENTIONAL:
+            if (t - start) % period == 0:
+                table = routes(graph(snap))
+        else:
+            if (t - start) % interval == 0:
+                epoch = plan(t - 1)
+            table, forecast = epoch[t]
+            actual = dict(zip(snap.ids, zip(snap.x.tolist(), snap.y.tolist())))
+            for vid, x, y in forecast:
+                if vid in actual:
+                    dx = x - actual[vid][0]
+                    dy = y - actual[vid][1]
+                    error_sum += (dx * dx + dy * dy) ** 0.5
+                    error_count += 1
+        truth = graph(snap)
+        routes_held = map(table.get, truth.nodes[1:])
+        valid = [route for route in routes_held if oracle_score_route(route, truth)]
+        hops = sum(len(route) - 1 for route in valid)
+        rows.append((t, len(truth.nodes) - 1, len(valid), hops / len(valid) if valid else 0.0))
+    return rows, (error_sum / error_count if error_count else None)

@@ -10,12 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinroute import engine, routing
-from twinroute.config import ScenarioConfig, default_config, validate_config
+from twinroute.config import (
+    IntersectionGeometry,
+    MobilityConfig,
+    PredictionConfig,
+    ScenarioConfig,
+    default_config,
+    validate_config,
+)
 from twinroute.engine import ConfigError, run_single, run_variants
+from twinroute.metrics import DETAIL_HEADER, write_detail
 from twinroute.mobility import snapshot_stream
 from twinroute.model import Strategy, VehicleState
 
 from conftest import TRUCK, count_validations, make_snapshot, make_vehicle
+from oracles import oracle_run
 
 SMALL = default_config(duration=20.0, vehicle_count=8, connected_fraction=0.5, seed=5)
 
@@ -323,6 +332,60 @@ def test_each_plan_reads_the_lagged_history_window(monkeypatch):
         (1020, list(range(1012, 1018))),
         (1040, list(range(1032, 1038))),
     ]
+
+
+@st.composite
+def whole_runs(draw) -> ScenarioConfig:
+    """A scenario of up to 12 vehicles over up to 8 s, on short arms so
+    that vehicles also leave, with every schedule setting drawn."""
+    interval = draw(st.integers(1, 30)) / 10
+    return default_config(
+        seed=draw(st.integers(0, 999)),
+        duration=draw(st.integers(1, 80)) / 10,
+        vehicle_count=draw(st.integers(1, 12)),
+        connected_fraction=draw(st.integers(1, 10)) / 10,
+        latency_delta=draw(st.integers(0, 10)) / 10,
+        prediction=PredictionConfig(
+            horizon=interval,
+            interval=interval,
+            predictor=draw(st.sampled_from(["hold", "constant_velocity", "constant_turn_rate"])),
+            # analytic predictors read the last one or two states, so only a
+            # short window shows where it starts
+            history_window=draw(st.sampled_from([0.1, 0.2, 0.5, 2.0])),
+        ),
+        conventional_update_interval=draw(st.integers(1, 30)) / 10,
+        max_hops=draw(st.none() | st.integers(1, 3)),
+        intersection=IntersectionGeometry(arm_length=40.0),
+        mobility=MobilityConfig(spawn_window=2.0),
+    )
+
+
+def test_every_strategy_matches_the_whole_run_oracle(fuzz_scale):
+    """Differential testing of the engine's clock (McKeeman, 1998): the
+    three strategies of one drawn scenario, run as variants of one world,
+    write the detail bytes and the prediction error mean that
+    ``oracle_run`` derives from the schedule's definitions."""
+
+    @settings(max_examples=100 * fuzz_scale, deadline=None)
+    @given(whole_runs())
+    def check(cfg):
+        snapshots = list(snapshot_stream(cfg))
+        variants = {s.value: dataclasses.replace(cfg, strategy=s) for s in Strategy}
+        expected = {name: oracle_run(v, snapshots) for name, v in variants.items()}
+        if not any(total for _, total, _, _ in expected["realtime"][0]):
+            with pytest.raises(ValueError, match="reliability undefined"):
+                run_variants(variants, snapshots=snapshots)
+            return
+        results = run_variants(variants, snapshots=snapshots)
+        for name, (rows, error_mean) in expected.items():
+            detail = io.StringIO()
+            write_detail(results[name], detail)
+            assert detail.getvalue() == DETAIL_HEADER + "".join(
+                f"{t},{name},{total},{satisfied},{hops!r}\n" for t, total, satisfied, hops in rows
+            ), name
+            assert results[name].prediction_error_mean == error_mean, name
+
+    check()
 
 
 def test_a_planning_epoch_builds_only_the_steps_it_applies(monkeypatch):

@@ -72,13 +72,13 @@ def test_every_id_is_truthy():
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_keeps_type_and_value(protocol):
-    for node in (NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(41)):
+    for node in (NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(41), NodeId.vehicle(2**62 - 1)):
         back = pickle.loads(pickle.dumps(node, protocol))
         assert type(back) is NodeId and back == node and int(back) == int(node)
 
 
 def test_copies_keep_type_and_value():
-    for node in (NodeId.rsu(), NodeId.vehicle(9)):
+    for node in (NodeId.rsu(), NodeId.vehicle(9), NodeId.vehicle(2**62 - 1)):
         for dup in (copy.copy(node), copy.deepcopy(node)):
             assert type(dup) is NodeId and dup == node and int(dup) == int(node)
 
@@ -107,6 +107,20 @@ def test_vehicle_index_whose_code_overflows_int64_rejected():
     assert int(top) == np.iinfo(np.int64).max
     with pytest.raises(ValueError, match=r"below 2\*\*62, got 4611686018427387904"):
         NodeId.vehicle(2**62)
+
+
+@pytest.mark.parametrize("code", [2, 4, -1, -3, -4, 2**63, 2**63 + 1, 2**64])
+def test_a_code_that_names_no_node_is_rejected(code):
+    with pytest.raises(ValueError, match=f"node code {code} names no node"):
+        NodeId(code)
+
+
+def test_a_node_code_makes_its_node():
+    assert NodeId(0) == NodeId.rsu()
+    assert NodeId(7) == NodeId.vehicle(3)
+    assert NodeId(2**63 - 1) == NodeId.vehicle(2**62 - 1)
+    assert NodeId(NodeId.rsu()) == NodeId.rsu()
+    assert NodeId(NodeId.vehicle(5)) == NodeId.vehicle(5)
 
 
 def test_ids_are_immutable():
