@@ -16,7 +16,10 @@ coordinates, and one bit for a body the antenna does not own. A (step,
 body, pair) is culled when its two ends share a face bit or are not both
 foreign; the slab test runs on the rest, reading the ends' box-frame
 offsets by gather, so its counts equal those of the same test applied to
-one segment and one box at a time.
+one segment and one box at a time. The steps go through these stages in
+chunks whose (step, pair, body) outcode mask stays under a fixed byte
+bound, so a batch of many steps over a large scene costs no more per
+step than one step alone.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ import numpy as np
 # not owned by the antenna
 _FACE_BITS = 5
 _FOREIGN = 1 << _FACE_BITS
+
+# The most bytes the (S, P, B) outcode mask of one chunk of steps may
+# take. Past a few hundred kB the mask and the (S, N, B) frames leave the
+# cache, and a batch then costs more per step than one step alone: in 60 s
+# runs of 120 all-connected vehicles on 2 lanes, truth runs built unchunked
+# took 3.2-3.6 ms per step, one step at a time 3.0-3.6 ms, and chunked
+# under this bound 2.7-2.9 ms. A truth run of six steps of up to 40
+# vehicles (820 pairs, 40 bodies) never reaches it, and the 20-step
+# forecasts of 30 half-connected vehicles stay far under it; at 60
+# vehicles on 2 lanes a few truth runs are cut.
+_MASK_BYTES = 1 << 18
 
 
 def blockage_count_matrix(
@@ -52,7 +66,6 @@ def blockage_count_matrix(
     own.
     """
     n_steps, n_boxes = box_yaws.shape
-    n_points = points.shape[1]
     n_pairs = len(pairs)
     if n_steps == 0 or n_pairs == 0 or n_boxes == 0:
         return np.zeros((n_steps, n_pairs), dtype=np.int64)
@@ -76,6 +89,35 @@ def blockage_count_matrix(
         box_yaws = box_yaws.take(tall, axis=1)
         box_owner_keys = box_owner_keys.take(tall)
         n_boxes = len(tall)
+
+    # one chunk of steps at a time, each (S, P, B) mask under _MASK_BYTES;
+    # a single step is never cut
+    chunk = max(_MASK_BYTES // (n_pairs * n_boxes), 1)
+    counts = [
+        _chunk_counts(
+            points[s:s + chunk], pairs, point_owner_keys, box_centers[s:s + chunk],
+            box_half_extents, box_yaws[s:s + chunk], box_owner_keys, margin,
+        )
+        for s in range(0, n_steps, chunk)
+    ]
+    return counts[0] if len(counts) == 1 else np.concatenate(counts)
+
+
+def _chunk_counts(
+    points: np.ndarray,
+    pairs: np.ndarray,
+    point_owner_keys: np.ndarray,
+    box_centers: np.ndarray,
+    box_half_extents: np.ndarray,
+    box_yaws: np.ndarray,
+    box_owner_keys: np.ndarray,
+    margin: float,
+) -> np.ndarray:
+    """The (S, P) counts of one chunk of steps, every box of it within
+    reach of the antennas, culled with ``margin``."""
+    n_steps, n_boxes = box_yaws.shape
+    n_points = points.shape[1]
+    n_pairs = len(pairs)
 
     # Every antenna in every box's frame, once per (step, antenna, box):
     # local x is cos x + sin y, local y is cos y - sin x, and z is
@@ -111,8 +153,10 @@ def blockage_count_matrix(
     # slab reports no touch either. The face -h is the mirror image. The
     # margin, 1e-9 (1 + L), is some 10**5 times what this needs at any L;
     # a fixed absolute margin would fall below it far from the origin. L
-    # is taken over every step of the batch, so a batch only keeps more
-    # combinations for the exact slab test and never changes a count.
+    # is taken over every step of the whole batch, so the argument holds
+    # for each chunk, whose own L is no larger: a batch or a chunk only
+    # keeps more combinations for the exact slab test and never changes a
+    # count.
     hx, hy, hz = box_half_extents.T  # (B,) each
     code = np.empty(lx.shape, dtype=np.uint8)
     code[...] = (point_owner_keys[:, None] != box_owner_keys).view(np.uint8) << _FACE_BITS

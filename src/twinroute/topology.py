@@ -1,5 +1,6 @@
 """Connectivity graph extraction from a world snapshot, or from one
-snapshot's vehicles at every step of a forecast at once.
+snapshot's vehicles at every step of a forecast or of a run of snapshots
+with one vehicle set at once.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -89,16 +90,21 @@ def build_topologies(
     params: ChannelParams,
     budget_db: float,
 ) -> list[ConnectivityGraph]:
-    """One graph per forecast step: one snapshot's vehicles at per-step poses.
+    """One graph per step: one snapshot's vehicles at per-step poses.
 
-    ``snapshot`` gives the ids, body columns, ``connected`` mask and RSU
-    position, and ``xy_yaw[s, k]`` the (x, y, heading) of its row ``k`` at
-    ``timesteps[s]``; the snapshot's own poses are not read. Each graph
-    equals the :func:`build_topology` graph of the snapshot with its
-    vehicles moved to those poses. One kernel call counts blockers for
-    every pair in range at any step, with one owner key per antenna (RSU
-    -1, a vehicle its id), and :func:`~twinroute.channel.path_loss` and
-    the feasibility test run over all steps at once; a pair out of range
+    The planner builds a forecast window's graphs this way, and the engine
+    the truth graphs of a run of consecutive snapshots with one vehicle
+    set (a run of one included). ``snapshot`` gives the ids, body columns,
+    ``connected`` mask and RSU position, and ``xy_yaw[s, k]`` the (x, y,
+    heading) of its row ``k`` at ``timesteps[s]``; the snapshot's own
+    poses are not read. Each graph equals the :func:`build_topology` graph
+    of the snapshot with its vehicles moved to those poses. Most of a
+    build's cost is a fixed number of numpy calls, so one call over S
+    steps costs far less than S calls. One kernel call, which cuts the
+    steps into chunks of bounded memory, counts blockers for every pair in
+    range at any step, with one owner key per antenna (RSU -1, a vehicle
+    its id), and :func:`~twinroute.channel.path_loss` and the
+    feasibility test run over all steps at once; a pair out of range
     at a step is dropped there. The graphs are assembled in one pass: one
     ``flatnonzero`` of the (step, pair) feasibility mask and one ``tolist``
     per edge column serve every step, each graph's edge arrays are slices

@@ -255,11 +255,11 @@ def test_run_dump_trace_streams_the_snapshots(tmp_path, monkeypatch):
     # not grow with the duration: when snapshot k is handed out, the run has
     # already built the truth graphs of the scored steps before it
     builds = []
-    build_topology = engine.build_topology
+    build_topologies = engine.build_topologies
 
-    def counting_build(*args, **kwargs):
-        builds.append(None)
-        return build_topology(*args, **kwargs)
+    def counting_build(snapshot, timesteps, *args):
+        builds.extend(timesteps)
+        return build_topologies(snapshot, timesteps, *args)
 
     seen = []
 
@@ -268,7 +268,7 @@ def test_run_dump_trace_streams_the_snapshots(tmp_path, monkeypatch):
             seen.append(len(builds))
             yield snap
 
-    monkeypatch.setattr(engine, "build_topology", counting_build)
+    monkeypatch.setattr(engine, "build_topologies", counting_build)
     monkeypatch.setattr(cli, "snapshot_stream", spy_stream)
     cfg = write_small_config(tmp_path / "s.yaml")
     out = tmp_path / "out"
@@ -464,7 +464,7 @@ def test_sweep_cell_error_names_the_cell_and_keeps_earlier_cells(tmp_path, monke
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_shared_world_error_names_the_group_first_cell(tmp_path, monkeypatch, jobs):
     spec = load_sweep_spec(sweep_spec(tmp_path, counts="[4]", strategies="[conventional, predictive]"))
-    fail_in_seed(monkeypatch, "build_topology", 2)  # the ground truth of every strategy
+    fail_in_seed(monkeypatch, "build_topologies", 2)  # the ground truth of every strategy
     out = tmp_path / "out"
     with pytest.raises(SweepCellError, match="sweep cell conventional_n4_f1_s2 failed: model crashed") as err:
         run_sweep(spec, out, jobs=jobs)
@@ -549,11 +549,11 @@ def test_replay_streams_the_trace(tmp_path, monkeypatch):
 
     read = []
     builds = []  # (timestep, lines read so far) of each graph build
-    build_topology, read_trace = engine.build_topology, cli.read_trace
+    build_topologies, read_trace = engine.build_topologies, cli.read_trace
 
-    def counting_build(snapshot, *args, **kwargs):
-        builds.append((snapshot.timestep, len(read)))
-        return build_topology(snapshot, *args, **kwargs)
+    def counting_build(snapshot, timesteps, *args):
+        builds.extend((ts, len(read)) for ts in timesteps)
+        return build_topologies(snapshot, timesteps, *args)
 
     def counting_read(lines, config):
         def counted():
@@ -563,7 +563,7 @@ def test_replay_streams_the_trace(tmp_path, monkeypatch):
 
         return read_trace(counted(), config)
 
-    monkeypatch.setattr(engine, "build_topology", counting_build)
+    monkeypatch.setattr(engine, "build_topologies", counting_build)
     monkeypatch.setattr(cli, "read_trace", counting_read)
     replayed = tmp_path / "replayed"
     assert main(["replay", str(out / "trace.csv"), str(cfg), "--out-dir", str(replayed)]) == 0

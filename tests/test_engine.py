@@ -5,6 +5,7 @@ import functools
 import importlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from twinroute.config import (
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.metrics import DETAIL_HEADER, write_detail
 from twinroute.mobility import snapshot_stream
-from twinroute.model import Strategy, VehicleState
+from twinroute.model import NodeId, Strategy, VehicleState
 
 from conftest import TRUCK, count_validations, make_snapshot, make_vehicle
 from oracles import oracle_run
@@ -388,6 +389,144 @@ def test_every_strategy_matches_the_whole_run_oracle(fuzz_scale):
     check()
 
 
+@st.composite
+def generated_worlds(draw) -> dict[str, ScenarioConfig]:
+    """The three strategies of one drawn scenario: up to 40 vehicles on one
+    or two lanes over up to 10 s, with a drawn latency."""
+    cfg = default_config(
+        seed=draw(st.integers(0, 999)),
+        duration=draw(st.integers(1, 100)) / 10,
+        vehicle_count=draw(st.integers(1, 40)),
+        connected_fraction=draw(st.integers(1, 10)) / 10,
+        latency_delta=draw(st.integers(0, 10)) / 10,
+    )
+    lanes = draw(st.integers(1, 2))
+    cfg = dataclasses.replace(
+        cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=lanes)
+    )
+    return {s.value: dataclasses.replace(cfg, strategy=s) for s in Strategy}
+
+
+def run_dumped(variants, snapshots=None):
+    """(the results, or the ValueError raised, the route dump, the topology dump)."""
+    routes, topology = io.StringIO(), io.StringIO()
+    try:
+        results = run_variants(variants, snapshots, route_dump=routes, topology_dump=topology)
+    except ValueError as exc:
+        results = repr(exc)
+    return results, routes.getvalue(), topology.getvalue()
+
+
+def test_reading_generated_traffic_ahead_changes_no_output(fuzz_scale):
+    """A run that generates its traffic reads it ahead and builds truth
+    runs; handed the same stream, the engine reads one snapshot at a time
+    and builds one graph per step. Every result field and every dumped
+    byte agree."""
+
+    @settings(max_examples=25 * fuzz_scale, deadline=None)
+    @given(generated_worlds())
+    def check(variants):
+        base = next(iter(variants.values()))
+        assert run_dumped(variants) == run_dumped(variants, snapshot_stream(base))
+
+    check()
+
+
+def test_generated_traffic_is_read_ahead_and_built_in_runs(monkeypatch):
+    """The engine holds at most ``READ_AHEAD`` unscored snapshots of the
+    traffic it generates; each truth build covers consecutive snapshots
+    with one vehicle set, at their own poses; and each scored step's graph
+    is built exactly once."""
+    read = {}  # timestep -> snapshot
+    unscored = []  # per snapshot read, how many read ones are not yet scored
+    scored = set()
+    builds = []  # the timesteps of each truth build
+    real_stream, real_build, real_score = (
+        engine.snapshot_stream, engine.build_topologies, engine._score,
+    )
+
+    def spy_stream(config):
+        for snap in real_stream(config):
+            read[snap.timestep] = snap
+            unscored.append(len(read) - 1 - len(scored))  # the first is never scored
+            yield snap
+
+    def spy_build(snapshot, timesteps, xy_yaw, *args):
+        builds.append(list(timesteps))
+        assert timesteps == list(range(timesteps[0], timesteps[0] + len(timesteps)))
+        for ts, poses in zip(timesteps, xy_yaw):
+            snap = read[ts]
+            assert snap.ids == snapshot.ids and snap.rsu_position == snapshot.rsu_position
+            for column in ("bodies", "antenna_height", "connected"):
+                assert np.array_equal(getattr(snap, column), getattr(snapshot, column))
+            assert np.array_equal(poses, np.stack([snap.x, snap.y, snap.heading], axis=1))
+        return real_build(snapshot, timesteps, xy_yaw, *args)
+
+    def spy_score(table, truth, timestep):
+        scored.add(timestep)
+        return real_score(table, truth, timestep)
+
+    monkeypatch.setattr(engine, "snapshot_stream", spy_stream)
+    monkeypatch.setattr(engine, "build_topologies", spy_build)
+    monkeypatch.setattr(engine, "_score", spy_score)
+    cfg = default_config(
+        duration=20.0, vehicle_count=20, connected_fraction=0.5, seed=3, latency_delta=0.3
+    )
+    run_variants({s.value: dataclasses.replace(cfg, strategy=s) for s in Strategy})
+    assert max(unscored) == engine.READ_AHEAD
+    assert max(map(len, builds)) == engine.READ_AHEAD
+    built = [ts for run in builds for ts in run]
+    assert len(built) == len(set(built))  # no graph is built twice
+    assert set(built) - {0} == scored == set(range(1, 201))
+
+
+def test_a_truth_run_needs_the_next_step_and_the_same_vehicles():
+    """Only the next timestep with equal ids, bodies, antennas, connected
+    mask and RSU joins a truth run; poses may differ."""
+    vehicles = [make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 3.0, connected=False)]
+    first = make_snapshot(vehicles, timestep=4)
+
+    def step(timestep=5, rsu_height=5.0, **changes):
+        moved = [dataclasses.replace(v, position=(v.position[0] + 1.0, 0.0, 0.0)) for v in vehicles]
+        moved[1] = dataclasses.replace(moved[1], **changes)
+        return make_snapshot(moved, timestep=timestep, rsu_height=rsu_height)
+
+    assert engine._same_vehicles(first, step())
+    assert not engine._same_vehicles(first, step(timestep=6))
+    assert not engine._same_vehicles(first, step(rsu_height=6.0))
+    assert not engine._same_vehicles(first, step(id=NodeId.vehicle(2)))
+    assert not engine._same_vehicles(first, step(connected=True))
+    assert not engine._same_vehicles(first, step(antenna_height=1.7))
+    assert not engine._same_vehicles(first, step(dimensions=(4.6, 1.8, 1.5)))
+
+
+def test_a_failed_truth_build_surfaces_at_its_own_step(monkeypatch):
+    """A truth run read ahead that fails at a later step still scores and
+    dumps every step before it, as a stream read one snapshot at a time
+    does; the error names no variant."""
+    cfg = default_config(duration=3.0, vehicle_count=10, connected_fraction=1.0, seed=2)
+    attempts = []
+    real = engine.build_topologies
+
+    def failing(snapshot, timesteps, *args):
+        attempts.append(list(timesteps))
+        if 12 in timesteps:
+            raise RuntimeError("no graph at 12")
+        return real(snapshot, timesteps, *args)
+
+    monkeypatch.setattr(engine, "build_topologies", failing)
+    dumps = []
+    for snapshots in (None, snapshot_stream(cfg)):
+        routes = io.StringIO()
+        with pytest.raises(RuntimeError, match="no graph at 12") as err:
+            run_variants({"run": cfg}, snapshots, route_dump=routes)
+        assert err.value.variant is None
+        dumps.append(routes.getvalue())
+    assert any(run[0] < 12 in run for run in attempts)  # a run read ahead failed
+    assert dumps[0] == dumps[1]
+    assert int(dumps[0].splitlines()[-1].split(",")[0]) == 11
+
+
 def test_a_planning_epoch_builds_only_the_steps_it_applies(monkeypatch):
     """With a 3 s horizon and a 1 s interval, each epoch forecasts and
     builds the 10 steps applied before the next one, not the 30 of the
@@ -480,7 +619,7 @@ def test_conventional_stale_route_fails_after_relay_despawns():
 @pytest.mark.parametrize(
     "module, name",
     [
-        ("twinroute.engine", "build_topology"),
+        ("twinroute.engine", "build_topologies"),
         ("twinroute.topology", "blockage_count_matrix"),
         ("twinroute.engine", "route_realtime"),
         ("twinroute.engine", "route_predictive"),
@@ -501,7 +640,8 @@ def test_the_names_the_benchmark_tracer_wraps_resolve(module, name):
 
 
 def test_a_graph_has_one_edges_row_per_link():
-    # the tracer counts topology.edges as len(build_topology(...).edges)
+    # the tracer counts topology.edges as the len(graph.edges) of each graph built
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 0.0)])
-    g = engine.build_topology(snap, SMALL.channel, 130.0)
+    xy_yaw = np.stack([snap.x, snap.y, snap.heading], axis=1)[None]
+    (g,) = engine.build_topologies(snap, [snap.timestep], xy_yaw, SMALL.channel, 130.0)
     assert len(g.edges) == len(g.edge_loss) == sum(map(len, g.adjacency)) // 2 == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinroute import topology
+from twinroute import engine, geometry, topology
 from twinroute.config import default_config
 from twinroute.engine import run_single
 from twinroute.geometry import blockage_count_matrix
@@ -371,14 +371,14 @@ def test_batch_kernel_matches_with_an_end_a_few_ulps_from_a_face(yaw, shift, fuz
 
 def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
     """Every topology build of a 60-vehicle, 2-lane, all-connected run."""
-    builds = []
+    builds = []  # per step, its blocker count
 
     def checked(*args):
         got = blockage_count_matrix(*args)
         want = oracle_per_step(*args)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-        builds.append(int(want.sum()))
+        builds.extend(want.sum(axis=1).tolist())
         return got
 
     monkeypatch.setattr(topology, "blockage_count_matrix", checked)
@@ -387,7 +387,7 @@ def test_batch_kernel_matches_dense_reference_on_a_dense_run(monkeypatch):
         cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=2)
     )
     run_single(cfg)
-    assert len(builds) > 150  # one kernel call per build
+    assert len(builds) == 200  # every scored step's truth, each step once
     assert sum(builds) > 0
 
 
@@ -425,6 +425,42 @@ def test_batch_kernel_steps_match_each_step_alone(offsets, fuzz_scale):
                 box_owners,
             )
             assert np.array_equal(got[s:s + 1], alone)
+
+
+def test_batch_kernel_cut_into_chunks_counts_as_the_dense_reference(monkeypatch, fuzz_scale):
+    """A batch whose (S, P, B) mask exceeds the kernel's byte bound is
+    counted a chunk of steps at a time, the last chunk shorter; every step
+    counts as the dense reference does."""
+    chunks = []
+    real = geometry._chunk_counts
+
+    def spy(points, *args):
+        chunks.append(len(points))
+        return real(points, *args)
+
+    monkeypatch.setattr(geometry, "_chunk_counts", spy)
+    rng = np.random.default_rng(31)
+    n_points, n_boxes, n_steps = 40, 40, 19
+    pairs = np.stack(np.triu_indices(n_points, k=1), axis=1)
+    chunk = geometry._MASK_BYTES // (len(pairs) * n_boxes)
+    assert 1 < chunk < n_steps and n_steps % chunk  # 8, 8 and 3 steps
+    for _ in range(fuzz_scale):
+        chunks.clear()
+        points = rng.uniform(-30, 30, size=(n_steps, n_points, 3))
+        points[:, :, 2] = rng.uniform(1.0, 6.0, size=(n_steps, n_points))
+        halves = np.stack(
+            [rng.uniform(1, 4, n_boxes), rng.uniform(0.5, 2, n_boxes), rng.uniform(1, 2, n_boxes)],
+            axis=1,
+        )  # every roof, at 2 m or more, above the lowest antenna
+        centers = rng.uniform(-30, 30, size=(n_steps, n_boxes, 3))
+        centers[:, :, 2] = halves[:, 2]
+        yaws = rng.uniform(-np.pi, np.pi, size=(n_steps, n_boxes))
+        got = assert_batch_matches(
+            points, pairs, rng.integers(-1, 10, size=n_points), centers, halves, yaws,
+            rng.integers(0, 10, size=n_boxes),
+        )
+        assert chunks == [chunk] * (n_steps // chunk) + [n_steps % chunk]
+        assert got.any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,16 +525,26 @@ def test_batch_kernel_empty_shapes():
 def test_batch_kernel_matches_dense_reference_on_every_forecast_epoch(monkeypatch):
     """Every batched call of a 20 s, 30-vehicle mixed predictive run."""
     epochs = []
+    planning = []  # non-empty while the planner runs
+    plan = engine.route_predictive
+
+    def planner(*args):
+        planning.append(None)
+        try:
+            return plan(*args)
+        finally:
+            planning.pop()
 
     def checked(*args):
         got = blockage_count_matrix(*args)
         want = oracle_per_step(*args)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-        if len(args[0]) > 1:
+        if planning:
             epochs.append((len(args[0]), int(want.sum())))
         return got
 
+    monkeypatch.setattr(engine, "route_predictive", planner)
     monkeypatch.setattr(topology, "blockage_count_matrix", checked)
     cfg = default_config(
         duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=1,

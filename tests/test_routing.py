@@ -103,6 +103,14 @@ def test_max_hops_cap():
     assert route_of(g, 0, max_hops=2) is not None
 
 
+def test_a_direct_link_wins_even_with_a_zero_hop_cap():
+    # validation rejects max_hops 0 in a config; a direct call still routes
+    # a one-hop vehicle straight to the RSU, and caps every other at one hop
+    g = graph_from_losses({(0, "rsu"): 80.0, (0, 1): 80.0})
+    table = hops_table(g, max_hops=0)
+    assert table == {NodeId.vehicle(0): (NodeId.vehicle(0), RSU), NodeId.vehicle(1): None}
+
+
 def test_matches_enumeration_oracle(fuzz_scale):
     """Seeded random graphs <= 8 nodes against exhaustive enumeration.
 

@@ -25,6 +25,18 @@ def classes_as_tuples(params):
     return [(c.max_blockers, c.rho, c.gamma) for c in params.classes]
 
 
+def test_a_link_exactly_max_range_long_is_an_edge():
+    # 4 m apart on the ground under a 3 m height gap: 5.0 m exactly
+    params = dataclasses.replace(PARAMS, max_range_m=5.0)
+    body = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=2.0)
+    snap = make_snapshot([make_vehicle(0, 4.0, 0.0, body=body)], rsu_height=5.0)
+    g = build_topology(snap, params, BUDGET)
+    assert g.edge_distance.tolist() == [5.0]
+    assert g.has_edge(NodeId.rsu(), NodeId.vehicle(0))
+    beyond = make_snapshot([make_vehicle(0, np.nextafter(4.0, 5.0), 0.0, body=body)], rsu_height=5.0)
+    assert not build_topology(beyond, params, BUDGET).has_edge(NodeId.rsu(), NodeId.vehicle(0))
+
+
 def test_no_connected_vehicles_graph_is_rsu_only():
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0, connected=False)])
     g = build_topology(snap, PARAMS, BUDGET)
@@ -214,13 +226,13 @@ def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
     def keep(build, into):
         def kept(*args):
             got = build(*args)
-            into.extend(got if isinstance(got, list) else [got])
+            into.extend(got)
             return got
 
         return kept
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "build_topology", keep(build_topology, truth))
+        mp.setattr(engine, "build_topologies", keep(build_topologies, truth))
         mp.setattr(routing, "build_topologies", keep(build_topologies, forecast))
         run_single(cfg)
     assert len(truth) == 200 and len(forecast) == 200
