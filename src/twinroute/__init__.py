@@ -20,7 +20,7 @@ from .config import (
 from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
-from .mobility import TrafficState, advance_traffic, init_traffic, read_trace, snapshot_stream, tee_trace
+from .mobility import TrafficState, advance_traffic, init_traffic, snapshot_stream
 from .model import NodeId, Strategy, ValidationReport, VehicleState, WorldSnapshot
 from .prediction import (
     ConstantTurnRatePredictor,
@@ -39,6 +39,7 @@ from .routing import (
     score_route,
 )
 from .topology import ConnectivityGraph, build_topologies, build_topology
+from .trace import read_trace, tee_trace
 
 __version__ = "0.1.0"
 

@@ -18,8 +18,9 @@ from .config import load_config, validate_config
 from .engine import ConfigError, log, run_single
 from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep, write_cell, write_summary
 from .metrics import SUMMARY_HEADER
-from .mobility import TraceError, read_trace, snapshot_stream, tee_trace
+from .mobility import snapshot_stream
 from .model import Strategy
+from .trace import TraceError, read_trace, tee_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,11 +106,17 @@ def _load_checked(path: str, seed: int | None, strategy: str | None):
 
 
 def _write_single(result, cfg, out_dir: str) -> None:
-    """Write the run's detail file and one-row summary.csv; print that row."""
+    """Write the run's detail file and one-row summary.csv; print that row
+    and log the reliability, with the degraded forecast tracks of a
+    predictive run."""
     row = write_cell(result, SweepCell(cfg), out_dir)
     write_summary([row], out_dir)
     sys.stdout.write(SUMMARY_HEADER)
     sys.stdout.write(row)
+    line = f"reliability {result.reliability:.6f} over {len(result.outcomes)} timesteps"
+    if cfg.strategy is Strategy.PREDICTIVE:
+        line += f", {result.prediction_fallbacks} degraded forecast tracks"
+    log(line)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -134,7 +141,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if f:
                 f.close()
     _write_single(result, cfg, args.out_dir)
-    log(f"reliability {result.reliability:.6f} over {len(result.outcomes)} timesteps")
     return EXIT_OK
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
-from itertools import chain, islice
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -148,10 +148,12 @@ class _SharedWorld:
         (snap,) = self.window(timestep, 1)
         g = self.graphs.get(snap.timestep)
         if g is None:
-            newer = islice(self.history, snap.timestep - self.history[0].timestep + 1, None)
+            # an unbuilt snapshot is the newest pushed one, whose successors
+            # in ``ahead`` are all unbuilt, or the seed, whose successor was
+            # pushed and built first, so nothing in ``ahead`` follows it
             run = [snap]
-            for nxt in chain(newer, self.ahead):
-                if nxt.timestep in self.graphs or not _same_vehicles(run[-1], nxt):
+            for nxt in self.ahead:
+                if not _same_vehicles(run[-1], nxt):
                     break
                 run.append(nxt)
             try:

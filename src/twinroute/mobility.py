@@ -26,12 +26,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .config import ScenarioConfig, VehicleClassSpec
-from .model import NodeId, VehicleState, WorldSnapshot
+from .model import NodeId, WorldSnapshot
 
 RIGHT_TURN_RADIUS = 6.0
 LEFT_TURN_RADIUS = 8.0
@@ -387,202 +387,3 @@ def snapshot_stream(config: ScenarioConfig) -> Iterable[WorldSnapshot]:
         _, snap = advance_traffic(state, config.dt)
         yield snap
 
-
-# ---------------------------------------------------------------------------
-# snapshot trace export / import
-
-TRACE_COLUMNS = ("timestep", "sim_time", "id", "connected", "x", "y", "heading", "speed")
-BODY_COLUMNS = ("length", "width", "height", "antenna_height")
-TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
-
-
-def tee_trace(
-    snapshots: Iterable[WorldSnapshot], out: IO[str], dt: float
-) -> Iterator[WorldSnapshot]:
-    """Yield each snapshot after writing its trace rows to ``out``, so a run
-    can record the stream it consumes without holding it.
-
-    One row per (timestep, vehicle); a step with no vehicles is one
-    ``timestep,sim_time`` marker row, so a replay starts where the run did.
-    Every row's ``sim_time`` is ``timestep * dt``.
-    """
-    out.write(TRACE_HEADER)
-    for snap in snapshots:
-        clock = f"{snap.timestep},{snap.timestep * dt!r}"
-        if not snap.ids:
-            out.write(f"{clock}\n")
-        rows = zip(
-            snap.ids, snap.connected.tolist(), snap.x.tolist(), snap.y.tolist(),
-            snap.heading.tolist(), snap.speed.tolist(), snap.bodies.tolist(),
-            snap.antenna_height.tolist(),
-        )
-        for vid, connected, x, y, heading, speed, (length, width, height), antenna in rows:
-            out.write(
-                f"{clock},{vid.index},{int(connected)},{x!r},{y!r},{heading!r},{speed!r},"
-                f"{length!r},{width!r},{height!r},{antenna!r}\n"
-            )
-        yield snap
-
-
-def _finite(name: str, text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text}")
-    return value
-
-
-def _trace_row(
-    parts: list[str], body: VehicleClassSpec | None, ids: dict[int, NodeId]
-) -> tuple[int, float, VehicleState]:
-    """(timestep, sim_time, vehicle) of one split trace row.
-
-    With ``body`` None the row carries its own body columns. ``ids`` interns
-    one NodeId per vehicle index across the rows of a trace.
-    """
-    expected = len(TRACE_COLUMNS) + (len(BODY_COLUMNS) if body is None else 0)
-    if len(parts) != expected:
-        raise ValueError(f"expected {expected} columns, got {len(parts)}")
-    ts, sim_time, index, connected, x, y, heading, speed = parts[:8]
-    numbers = {"sim_time": sim_time, "x": x, "y": y, "heading": heading, "speed": speed}
-    numbers.update(zip(BODY_COLUMNS, parts[8:]))
-    values = {name: _finite(name, text) for name, text in numbers.items()}
-    if connected not in ("0", "1"):
-        raise ValueError(f"connected must be 0 or 1, got {connected!r}")
-    if body is None:
-        length, width, height, antenna = (values[name] for name in BODY_COLUMNS)
-    else:
-        length, width, height, antenna = body.length, body.width, body.height, body.antenna_height
-    vid = int(index)
-    node = ids.get(vid)
-    if node is None:
-        node = ids[vid] = NodeId.vehicle(vid)
-    vehicle = VehicleState(
-        id=node,
-        position=(values["x"], values["y"], 0.0),
-        heading=values["heading"],
-        speed=values["speed"],
-        dimensions=(length, width, height),
-        antenna_height=antenna,
-        connected=connected == "1",
-    )
-    return int(ts), values["sim_time"], vehicle
-
-
-class TraceError(ValueError):
-    """A trace that cannot be replayed; a bad row's error names its line."""
-
-
-def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSnapshot]:
-    """Yield each step's snapshot once its rows are read, so a replay
-    under ``config`` holds one step of the trace.
-
-    A header, if any, is the first non-blank line and names the
-    ``TRACE_COLUMNS``, or those and the ``BODY_COLUMNS``, whose values the
-    rows then carry; otherwise every vehicle gets the body of
-    ``config.vehicle_mix[0]``. Every row's ``sim_time`` must be
-    ``timestep * config.dt``, so a trace recorded at another step length
-    is not scored on the wrong clock. Timesteps must be grouped and
-    consecutive. A ``timestep,sim_time`` marker row is a step with no
-    vehicles and must be its step's only row. No two vehicles of one step
-    may stand at the same (x, y), no antenna at the RSU's point, and no
-    two connected vehicles' antennas of one step at one point (a squared
-    distance of 0.0, summed as the graph builder sums it); a vehicle keeps
-    the body and ``connected`` flag of its first row, and no line holds a
-    byte that is not UTF-8, which ``errors="surrogateescape"`` decodes to
-    a lone surrogate. Each error is a TraceError naming the 1-based line.
-    A trace with no connected vehicle after its first snapshot, which only
-    seeds the history, ends in a TraceError too: it has nothing to score.
-    """
-    dt = config.dt
-    body = config.vehicle_mix[0]
-    headers = {",".join(TRACE_COLUMNS): body, TRACE_HEADER.rstrip("\n"): None}
-    current_ts: int | None = None
-    bucket: list[VehicleState] = []
-    seen: set[int] = set()
-    ids: dict[int, NodeId] = {}
-    lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
-    spots: dict[tuple[float, float], int] = {}
-    antennas: list[tuple[int, float, float, float]] = []  # the step's connected ones
-    rsu = (0.0, 0.0, config.intersection.rsu_height)
-    row_body: VehicleClassSpec | None = body
-    marked = False  # the current step is a marker row
-    started = False  # a non-blank line was read
-    steps = 0
-    scored = False  # a step after the first has a connected vehicle
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
-                raise ValueError("the line holds a byte that is not UTF-8")
-            if line.startswith("timestep"):
-                if started or line not in headers:
-                    raise ValueError("a header must be the first line and name the columns in order")
-                row_body, started = headers[line], True
-                continue
-            started = True
-            parts = line.split(",")
-            if len(parts) == 2:  # marker row: a step with no vehicles
-                ts, sim_time, vehicle = int(parts[0]), _finite("sim_time", parts[1]), None
-            else:
-                ts, sim_time, vehicle = _trace_row(parts, row_body, ids)
-            if not math.isclose(sim_time, ts * dt):
-                raise ValueError(
-                    f"timestep {ts} has sim_time {sim_time!r},"
-                    f" not timestep * dt = {ts * dt!r} (dt {dt!r})"
-                )
-            if ts == current_ts and (marked or vehicle is None):
-                raise ValueError(f"timestep {ts} has a marker row and other rows")
-            if ts != current_ts:
-                if current_ts is not None:
-                    if ts != current_ts + 1:
-                        raise ValueError(f"timestep {ts} does not follow {current_ts}")
-                    yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
-                bucket, seen, spots, antennas = [], set(), {}, []
-                current_ts, marked = ts, vehicle is None
-                steps += 1
-            if vehicle is None:
-                continue
-            index = vehicle.id.index
-            if index in seen:
-                raise ValueError(f"vehicle {index} repeats in timestep {ts}")
-            traits = (vehicle.dimensions, vehicle.antenna_height, vehicle.connected)
-            first, known = lifetimes.setdefault(index, (lineno, traits))
-            if known != traits:
-                raise ValueError(
-                    f"vehicle {index} has a body or connected flag other than on line {first}"
-                )
-            spot = vehicle.position[:2]
-            if spot in spots:
-                raise ValueError(
-                    f"vehicles {spots[spot]} and {index} share position {spot} in timestep {ts}"
-                )
-            # the graph builder's sum of squares: it underflows to 0.0 for
-            # an antenna within about 1e-154 m of the RSU's point
-            dx, dy, dz = spot[0] - rsu[0], spot[1] - rsu[1], vehicle.antenna_height - rsu[2]
-            if dx * dx + dy * dy + dz * dz == 0.0:
-                raise ValueError(f"the antenna of vehicle {index} is at the RSU's point {rsu}")
-            if vehicle.connected:
-                x, y, z = spot[0], spot[1], vehicle.antenna_height
-                for other, ox, oy, oz in antennas:
-                    dx, dy, dz = x - ox, y - oy, z - oz
-                    if dx * dx + dy * dy + dz * dz == 0.0:
-                        raise ValueError(
-                            f"the antennas of vehicles {other} and {index} coincide in timestep {ts}"
-                        )
-                antennas.append((index, x, y, z))
-        except ValueError as exc:
-            raise TraceError(f"trace line {lineno}: {exc}: {line!r}") from None
-        bucket.append(vehicle)
-        seen.add(index)
-        spots[spot] = index
-        scored = scored or (vehicle.connected and steps > 1)
-    if current_ts is not None:
-        yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
-    if not scored:
-        raise TraceError(
-            f"nothing to score: {steps} snapshot(s), and none after the first"
-            " (which only seeds the history) has a connected vehicle"
-        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -106,6 +107,8 @@ class VehicleState:
     ``connected`` marks a CAV and is immutable over the vehicle's lifetime.
     ``speed`` is the effective speed over the last step (after any
     gap-keeping clamp), which is what a twin observing displacement sees.
+    Every number must be finite; a non-finite one raises ValueError naming
+    its field.
     """
 
     id: NodeId
@@ -119,6 +122,10 @@ class VehicleState:
     def __post_init__(self) -> None:
         if type(self.id) is not NodeId or not self.id & 1:
             raise ValueError("VehicleState id must be a vehicle node")
+        for name in ("position", "heading", "speed", "dimensions", "antenna_height"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.speed < 0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
         if min(self.dimensions) <= 0:
@@ -138,8 +145,8 @@ class WorldSnapshot:
     ``y``, ``heading`` and ``speed`` arrays, the ``(V, 3)`` ``bodies``
     (length, width, height), ``antenna_height`` and the ``connected``
     mask. The constructor makes the arrays read-only and checks every row
-    as :class:`VehicleState` checks a state. Vehicles stand on the ground
-    (z = 0). :meth:`vehicle` builds the state of one row, and
+    as :class:`VehicleState` checks a state, finiteness included. Vehicles
+    stand on the ground (z = 0). :meth:`vehicle` builds the state of one row, and
     ``vehicles`` those of all rows on its first read; the graph builder
     and the planner read the columns. :meth:`from_vehicles` packs states
     into columns. Equality is by value: timestep, RSU position, ids and
@@ -190,8 +197,10 @@ class WorldSnapshot:
             raise ValueError("duplicate vehicle ids in snapshot")
         antenna, bodies = self.antenna_height, self.bodies
         rows_ok = (self.speed >= 0) & (antenna > 0) & (antenna <= bodies[:, 2] + 1.0)
+        floats = (self.x, self.y, self.heading, self.speed, antenna, bodies.ravel())
         valid = (
             rows_ok.all()
+            and np.isfinite(np.concatenate(floats)).all()
             and bodies.min(initial=1.0) > 0
             and all(type(i) is NodeId and i & 1 for i in ids)
         )

@@ -6,17 +6,19 @@ across the requested horizon. A forecast is these poses alone: the
 vehicle's id, body and ``connected`` flag are those of its last observed
 state, so no forecast step is rebuilt as a ``VehicleState``. The
 analytic predictors are the reference implementations; a learned model
-plugs in through a subprocess text exchange using the mobility trace
-schema, keeping ML frameworks out of this package.
+plugs in through a subprocess text exchange in the trace format of
+:mod:`twinroute.trace`, keeping ML frameworks out of this package.
 
 Learned-model contract: the command receives history rows on stdin as
-``timestep,sim_time,id,connected,x,y,heading,speed`` lines (no header)
-followed by two extra argv values ``<horizon_steps> <dt>``, and must print
-exactly ``horizon_steps`` rows in the same schema, timesteps continuing
-from the last input row, each with the id that was sent, finite x, y,
-heading and speed, and a speed >= 0; any other output raises RuntimeError.
-A model still running after ``MODEL_TIMEOUT_S`` seconds is killed and
-raises ``subprocess.TimeoutExpired``.
+``timestep,sim_time,id,connected,x,y,heading,speed`` lines (no header),
+``id`` being the vehicle index k of ``NodeId.vehicle(k)`` and timesteps
+numbered from 0, followed by two extra argv values
+``<horizon_steps> <dt>``. It must print exactly ``horizon_steps`` rows in
+the same schema, each a valid trace row (finite numbers, a 0/1 flag, an
+int id and timestep), with the id that was sent, timesteps continuing
+from the last input row, and a speed >= 0; any other output raises
+RuntimeError. A model still running after ``MODEL_TIMEOUT_S`` seconds is
+killed and raises ``subprocess.TimeoutExpired``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .model import NodeId, Pose, VehicleState, seconds_to_steps
+from .trace import parse_row, trace_row
 
 MODEL_TIMEOUT_S = 30.0
 
@@ -123,16 +126,14 @@ class LearnedPredictor:
 
     def extrapolate(self, history, steps, dt):
         last = history[-1]
-        lines = []
-        for i, s in enumerate(history):
-            ts = i  # relative numbering; absolute timesteps are not known here
-            lines.append(
-                f"{ts},{ts * dt!r},{s.id},{int(s.connected)},"
-                f"{s.position[0]!r},{s.position[1]!r},{s.heading!r},{s.speed!r}"
-            )
+        # relative numbering; absolute timesteps are not known here
+        lines = [
+            trace_row(i, dt, s.id.index, s.connected, *s.position[:2], s.heading, s.speed)
+            for i, s in enumerate(history)
+        ]
         proc = subprocess.run(
             [*self.command, str(steps), repr(dt)],
-            input="\n".join(lines) + "\n",
+            input="".join(lines),
             capture_output=True,
             text=True,
             timeout=MODEL_TIMEOUT_S,
@@ -147,30 +148,21 @@ class LearnedPredictor:
             raise RuntimeError(
                 f"learned predictor returned {len(rows)} rows, expected {steps}"
             )
+        vehicle = last.id.index
         for j, ln in enumerate(rows, start=1):
+            timestep = len(history) - 1 + j
             try:
-                x, y, heading, speed = _forecast_row(ln, str(last.id), len(history) - 1 + j)
+                ts, index, _, (_, x, y, heading, speed) = parse_row(ln.split(","), wide=False)
+                if index != vehicle:
+                    raise ValueError(f"id {index}, expected {vehicle}")
+                if ts != timestep:
+                    raise ValueError(f"timestep {ts}, expected {timestep}")
+                if speed < 0:
+                    raise ValueError(f"speed must be >= 0, got {speed!r}")
             except ValueError as exc:
                 raise RuntimeError(f"learned predictor row {j}: {exc}: {ln!r}") from None
             out.append(((x, y, last.position[2]), heading, speed))
         return out
-
-
-def _forecast_row(line: str, vehicle: str, timestep: int) -> list[float]:
-    """x, y, heading, speed of one model output row, checked against what was sent."""
-    parts = line.split(",")
-    if len(parts) != 8:
-        raise ValueError(f"expected 8 columns, got {len(parts)}")
-    if parts[2] != vehicle:
-        raise ValueError(f"id {parts[2]!r}, expected {vehicle!r}")
-    if int(parts[0]) != timestep:
-        raise ValueError(f"timestep {parts[0]}, expected {timestep}")
-    values = [float(text) for text in parts[4:]]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("x, y, heading and speed must be finite")
-    if values[3] < 0:
-        raise ValueError(f"speed must be >= 0, got {parts[7]}")
-    return values
 
 
 PREDICTORS: dict[str, type] = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from twinroute import cli, engine, experiment, mobility
 from twinroute.cli import main
 from twinroute.config import default_config, load_config, save_config
 from twinroute.experiment import SweepCellError, load_sweep_spec, run_sweep
-from twinroute.mobility import snapshot_stream, tee_trace
+from twinroute.mobility import snapshot_stream
+from twinroute.model import Strategy
+from twinroute.trace import tee_trace
 
 from conftest import detail_counts
 from oracles import oracle_reliability
@@ -248,6 +251,34 @@ def test_run_dump_trace_feeds_replay(tmp_path, strategy):
     ran, replayed = (p.stdout.splitlines()[1] for p in (proc, replay))
     assert ran == replayed
     assert ran.split(",")[4] == RUN_RELIABILITY[strategy]
+
+
+@pytest.mark.parametrize(
+    "model, degraded",
+    [("print(1)", r"[1-9]\d*"), (None, "0")],
+    ids=["broken", "working"],
+)
+def test_run_and_replay_log_the_degraded_forecast_tracks(tmp_path, model, degraded):
+    # a model that fails holds its vehicles; the run still succeeds, so the
+    # count of held tracks on stderr is the only sign of it
+    command = ("-c", model) if model else (str(REPO / "bench" / "learned_model.py"),)
+    prediction = dataclasses.replace(
+        default_config().prediction, predictor="learned", learned_command=(sys.executable, *command)
+    )
+    cfg = write_small_config(tmp_path / "s.yaml", strategy=Strategy.PREDICTIVE, prediction=prediction)
+    out = tmp_path / "out"
+    proc = run_cli("run", str(cfg), "--out-dir", str(out), "--dump-trace")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert re.fullmatch(rf"reliability [0-9.]+ over 100 timesteps, {degraded} degraded forecast tracks", line)
+    replay = run_cli("replay", str(out / "trace.csv"), str(cfg), "--out-dir", str(tmp_path / "r"))
+    assert replay.returncode == 0, replay.stderr
+    assert replay.stderr.splitlines() == [line]
+    realtime = run_cli(
+        "replay", str(out / "trace.csv"), str(cfg), "--strategy", "realtime",
+        "--out-dir", str(tmp_path / "rt"),
+    )
+    assert re.fullmatch(r"reliability [0-9.]+ over 100 timesteps", realtime.stderr.strip())
 
 
 def test_run_dump_trace_streams_the_snapshots(tmp_path, monkeypatch):

@@ -16,18 +16,16 @@ from twinroute.config import default_config
 from twinroute.mobility import (
     Arm,
     Maneuver,
-    TraceError,
     TrafficState,
     Vehicle,
     advance_traffic,
     build_route_plan,
     init_traffic,
-    read_trace,
     snapshot_stream,
-    tee_trace,
 )
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.topology import build_topology
+from twinroute.trace import TraceError, read_trace, tee_trace
 
 from oracles import oracle_pose_at
 
@@ -233,6 +231,20 @@ def test_free_vehicle_advances_speed_times_dt():
     state = make_two_vehicle_state(80.0, 10.0, 10.0, 10.0)
     advance_traffic(state, 0.1)
     assert state.active[1].progress == pytest.approx(11.0, abs=1e-12)
+
+
+def test_a_vehicle_short_of_its_end_by_more_than_the_tolerance_stays():
+    """Despawn forgives 1e-9 m: a lone vehicle left 5e-7 m short of its
+    end after a step stays active for that step and despawns on the next."""
+    state = make_two_vehicle_state(0.0, 0.0, 10.0, 10.0)
+    lone = state.active[0]
+    lone.progress = lone.plan.total_length - 5e-7 - 1.0
+    state.active = [lone]
+    _, snap = advance_traffic(state, 0.1)
+    assert lone.plan.total_length - lone.progress == pytest.approx(5e-7, rel=1e-6)
+    assert snap.ids == (lone.id,)
+    _, snap = advance_traffic(state, 0.1)
+    assert lone.id not in snap.ids and lone not in state.active
 
 
 def test_follower_clamped_to_gap_boundary():

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import io
+import math
 import pickle
 import random
 
 import numpy as np
 import pytest
 
+from twinroute.config import default_config
+from twinroute.engine import run_variants
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 
 from conftest import SEDAN
@@ -222,3 +227,43 @@ def test_a_snapshot_of_states_keeps_them_on_the_ground():
     lifted = VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.5), 0.0, 5.0, connected=True, **SEDAN)
     with pytest.raises(ValueError, match="position z = 0"):
         WorldSnapshot.from_vehicles(0, (lifted,), (0.0, 0.0, 5.0))
+
+
+# a non-finite value for each column's second row (for bodies, its
+# height), and the VehicleState field that holds it
+NON_FINITE = [
+    ("x", math.nan, "position", (math.nan, -1.0, 0.0)),
+    ("y", -math.inf, "position", (20.0, -math.inf, 0.0)),
+    ("heading", math.inf, "heading", math.inf),
+    ("speed", math.inf, "speed", math.inf),
+    ("bodies", math.inf, "dimensions", (4.5, 1.8, math.inf)),
+    ("antenna_height", math.nan, "antenna_height", math.nan),
+]
+
+
+@pytest.mark.parametrize("column, value, name, field_value", NON_FINITE)
+def test_a_non_finite_value_is_rejected_naming_its_field(column, value, name, field_value):
+    snap = WorldSnapshot(**two_rows())
+    values = getattr(snap, column).copy()
+    values.flat[-1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        WorldSnapshot(**two_rows(**{column: values}))
+    # a state, which from_vehicles packs, is checked on its own
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(snap.vehicle(1), **{name: field_value})
+
+
+def test_a_run_stops_at_a_non_finite_snapshot_before_scoring_it():
+    cfg = default_config(duration=1.0, vehicle_count=2)
+    both = np.array([True, True])
+
+    def stream():
+        for ts in range(3):
+            yield WorldSnapshot(**two_rows(timestep=ts, connected=both))
+        yield WorldSnapshot(**two_rows(timestep=3, connected=both, x=np.array([10.0, math.nan])))
+
+    topology = io.StringIO()
+    with pytest.raises(ValueError, match=r"position must be finite, got \(nan, -1.0, 0.0\)"):
+        run_variants({"run": cfg}, stream(), topology_dump=topology)
+    scored = {row.split(",")[0] for row in topology.getvalue().splitlines()[1:]}
+    assert scored == {"1", "2"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import stat
+import subprocess
 
 import pytest
 
@@ -16,6 +17,7 @@ from twinroute.prediction import (
 )
 from twinroute.channel import default_channel_params
 from twinroute.routing import route_predictive
+from twinroute.trace import parse_row
 
 from conftest import TRUCK, circle_history, make_snapshot, make_vehicle
 
@@ -59,6 +61,21 @@ def test_constant_turn_rate_follows_the_arc():
         ang = start_angle + omega * dt * j
         expect = (radius * math.cos(ang), radius * math.sin(ang))
         assert math.dist(position[:2], expect) < 1e-6
+
+
+def test_constant_turn_rate_follows_a_slow_turn():
+    """A 1e-3 rad/s turn is an arc, not a straight line: on a 10 km circle
+    at 10 m/s the forecast follows the circle to 1e-6 m, and after 3 s it
+    stands more than 0.01 m off the constant-velocity line."""
+    radius, speed, dt = 10_000.0, 10.0, 0.1
+    history = circle_history(radius, speed, dt, n=3)
+    track = predict(history, 3.0, dt, ConstantTurnRatePredictor())
+    straight = predict(history, 3.0, dt, ConstantVelocityPredictor())
+    omega = speed / radius
+    for j, (position, _, _) in enumerate(track.states, start=1):
+        ang = omega * dt * (2 + j)
+        assert math.dist(position[:2], (radius * math.cos(ang), radius * math.sin(ang))) < 1e-6
+    assert math.dist(track.states[-1][0], straight.states[-1][0]) > 0.01
 
 
 def test_truncation_consistency():
@@ -188,11 +205,16 @@ def test_learned_predictor_accepts_well_formed_rows():
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("{ts + j},0.0,{vid},1,nan,2.0,0.0,5.0", "row 1: x, y, heading and speed must be finite"),
-        ("{ts + j},0.0,{vid},1,1.0,2.0,inf,5.0", "row 1: x, y, heading and speed must be finite"),
-        ("{ts + j},0.0,v9,1,1.0,2.0,0.0,5.0", "row 1: id 'v9', expected 'v3'"),
+        ("{ts + j},0.0,{vid},1,nan,2.0,0.0,5.0", "row 1: x must be finite, got nan"),
+        ("{ts + j},0.0,{vid},1,1.0,2.0,inf,5.0", "row 1: heading must be finite, got inf"),
+        # the id column is the vehicle index, an int
+        ("{ts + j},0.0,v9,1,1.0,2.0,0.0,5.0", "row 1: invalid literal for int() with base 10: 'v9'"),
+        ("{ts + j},0.0,9,1,1.0,2.0,0.0,5.0", "row 1: id 9, expected 3"),
         ("{ts + j + 1},0.0,{vid},1,1.0,2.0,0.0,5.0", "row 1: timestep 3, expected 2"),
         ("{ts + j},0.0,{vid},1,1.0,2.0,0.0,-5.0", "row 1: speed must be >= 0, got -5.0"),
+        ("{ts + j},0.0,{vid},1,1.0,2.0,0.0,-0.5", "row 1: speed must be >= 0, got -0.5"),
+        ("{ts + j},nan,{vid},1,1.0,2.0,0.0,5.0", "row 1: sim_time must be finite, got nan"),
+        ("{ts + j},0.0,{vid},2,1.0,2.0,0.0,5.0", "row 1: connected must be 0 or 1, got '2'"),
         ("{ts + j},0.0,{vid},1,1.0,2.0,0.0", "row 1: expected 8 columns, got 7"),
         ("{ts + j},0.0,{vid},1,1.0,east,0.0,5.0", "row 1: could not convert"),
     ],
@@ -202,6 +224,26 @@ def test_learned_predictor_rejects_bad_rows(row, message):
     with pytest.raises(RuntimeError) as err:
         echo_model(row).extrapolate(history, 2, 0.5)
     assert message in str(err.value)
+
+
+def test_every_row_sent_to_the_model_is_a_trace_row_with_the_vehicle_index(monkeypatch):
+    sent = []
+    run = subprocess.run
+
+    def recording_run(args, input, **kwargs):
+        sent.append(input)
+        return run(args, input=input, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    history = [make_vehicle(3, 0.5 * k, -1.0, heading=0.25, connected=False) for k in range(4)]
+    echo_model(GOOD_FORECAST).extrapolate(history, 2, 0.1)
+    (text,) = sent
+    rows = text.splitlines()
+    assert text.endswith("\n") and len(rows) == len(history)
+    for k, (row, state) in enumerate(zip(rows, history)):
+        assert parse_row(row.split(","), wide=False) == (
+            k, 3, False, [k * 0.1, *state.position[:2], state.heading, state.speed]
+        )
 
 
 @pytest.mark.parametrize(
