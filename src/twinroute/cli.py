@@ -3,8 +3,9 @@
 Subcommands: run (single scenario), sweep (experiment matrix), validate
 (configuration check), replay (external snapshot trace, streamed through
 the pipeline). Data goes to files and stdout; progress and diagnostics go
-to stderr. Exit codes: 0 success, 2 configuration/validation error or bad
-trace row (found mid-replay too), 3 runtime error.
+to stderr. Exit codes: 0 success, 2 configuration/validation error, or a
+trace that cannot be read or has a bad row (found mid-replay too), 3
+runtime error.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # the reader names the line of a byte that is not UTF-8
         with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as f:
             result = run_single(cfg, read_trace(f, cfg))
-    except TraceError as exc:
+    except (OSError, TraceError) as exc:  # this block reads no file but the trace
         log(f"{args.trace}: {exc}")
         return EXIT_CONFIG
     _write_single(result, cfg, args.out_dir)  # a failed replay leaves no directory
@@ -190,9 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for line in str(exc).splitlines():
             log(line)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        log(f"missing file: {exc}")
         return EXIT_CONFIG
     except SweepCellError as exc:
         log(str(exc))

@@ -169,7 +169,7 @@ class _SharedWorld:
         """The truth graphs of ``run``; when a later step's build fails, only
         the first is built, so an error surfaces at the step it belongs to."""
         config = self.config
-        xy_yaw = np.array([(s.x, s.y, s.heading) for s in run]).transpose(0, 2, 1)
+        xy_yaw = np.stack([s.xy_yaw for s in run])
         timesteps = [s.timestep for s in run]
         try:
             return build_topologies(run[0], timesteps, xy_yaw, config.channel, config.link_budget_db)
@@ -200,13 +200,13 @@ class _Driver:
         if forecast is not None:
             snap = world.history[-1]
             row = dict(zip(snap.ids, range(len(snap.ids))))
-            xs, ys = snap.x.tolist(), snap.y.tolist()
+            poses = snap.xy_yaw.tolist()
             # per vehicle, in forecast order, in Python floats
             for vehicle, (x, y, _) in zip(self._window.ids, forecast.tolist()):
                 k = row.get(vehicle)
                 if k is not None:
-                    dx = x - xs[k]
-                    dy = y - ys[k]
+                    dx = x - poses[k][0]
+                    dy = y - poses[k][1]
                     self._error_sum += (dx * dx + dy * dy) ** 0.5
                     self._error_count += 1
         return self._window.entries[timestep]

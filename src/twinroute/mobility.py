@@ -216,7 +216,6 @@ class TrafficState:
         n = len(active)
         # (x, y, heading) and body triples read as flat runs of floats
         poses = chain.from_iterable([v.plan.pose_at(v.progress) for v in active])
-        x, y, heading = np.fromiter(poses, np.float64, 3 * n).reshape(n, 3).T
         bodies = chain.from_iterable(
             [(v.vclass.length, v.vclass.width, v.vclass.height) for v in active]
         )
@@ -224,9 +223,7 @@ class TrafficState:
             timestep=self.step,
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
             ids=tuple([v.id for v in active]),
-            x=x,
-            y=y,
-            heading=heading,
+            xy_yaw=np.fromiter(poses, np.float64, 3 * n).reshape(n, 3),
             speed=np.array([v.effective_speed for v in active], dtype=np.float64),
             bodies=np.fromiter(bodies, np.float64, 3 * n).reshape(n, 3),
             antenna_height=np.array([v.vclass.antenna_height for v in active], dtype=np.float64),

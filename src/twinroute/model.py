@@ -141,11 +141,14 @@ class VehicleState:
 class WorldSnapshot:
     """All vehicles plus the RSU at one timestep: the twin's view.
 
-    The vehicles are columns, one row per vehicle: ``ids``, the ``x``,
-    ``y``, ``heading`` and ``speed`` arrays, the ``(V, 3)`` ``bodies``
-    (length, width, height), ``antenna_height`` and the ``connected``
-    mask. The constructor makes the arrays read-only and checks every row
-    as :class:`VehicleState` checks a state, finiteness included. Vehicles
+    The vehicles are columns, one row per vehicle: ``ids``, the ``(V, 3)``
+    ``xy_yaw`` poses (x, y, heading), the ``speed`` array, the ``(V, 3)``
+    ``bodies`` (length, width, height), ``antenna_height`` and the
+    ``connected`` mask. ``xy_yaw`` is the layout of one step of a
+    forecast, so a run of snapshots stacks into the ``(S, V, 3)`` poses
+    :func:`~twinroute.topology.build_topologies` reads. The constructor
+    makes the arrays read-only and checks every row as
+    :class:`VehicleState` checks a state, finiteness included. Vehicles
     stand on the ground (z = 0). :meth:`vehicle` builds the state of one row, and
     ``vehicles`` those of all rows on its first read; the graph builder
     and the planner read the columns. :meth:`from_vehicles` packs states
@@ -156,9 +159,7 @@ class WorldSnapshot:
     timestep: int
     rsu_position: Point3
     ids: tuple[NodeId, ...]
-    x: np.ndarray
-    y: np.ndarray
-    heading: np.ndarray
+    xy_yaw: np.ndarray
     speed: np.ndarray
     bodies: np.ndarray
     antenna_height: np.ndarray
@@ -178,9 +179,8 @@ class WorldSnapshot:
         )
         rows = np.fromiter(flat, np.float64, 8 * len(vehicles)).reshape(len(vehicles), 8)
         return cls(
-            timestep, rsu_position, tuple(v.id for v in vehicles), rows[:, 0], rows[:, 1],
-            rows[:, 2], rows[:, 3], rows[:, 4:7], rows[:, 7],
-            np.array([v.connected for v in vehicles], dtype=bool),
+            timestep, rsu_position, tuple(v.id for v in vehicles), rows[:, :3], rows[:, 3],
+            rows[:, 4:7], rows[:, 7], np.array([v.connected for v in vehicles], dtype=bool),
         )
 
     def __post_init__(self) -> None:
@@ -190,14 +190,13 @@ class WorldSnapshot:
             column.setflags(write=False)
         ids = self.ids
         n = len(ids)
-        columns = (self.x, self.y, self.heading, self.speed, self.antenna_height, self.connected)
-        if any(c.shape != (n,) for c in columns) or self.bodies.shape != (n, 3):
+        if [c.shape for c in self._columns()] != [(n, 3), (n,), (n, 3), (n,), (n,)]:
             raise ValueError(f"snapshot columns must hold one row per id ({n})")
         if len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in snapshot")
         antenna, bodies = self.antenna_height, self.bodies
         rows_ok = (self.speed >= 0) & (antenna > 0) & (antenna <= bodies[:, 2] + 1.0)
-        floats = (self.x, self.y, self.heading, self.speed, antenna, bodies.ravel())
+        floats = (self.xy_yaw.ravel(), self.speed, antenna, bodies.ravel())
         valid = (
             rows_ok.all()
             and np.isfinite(np.concatenate(floats)).all()
@@ -209,17 +208,15 @@ class WorldSnapshot:
                 self.vehicle(row)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.x, self.y, self.heading, self.speed, self.bodies, self.antenna_height,
-            self.connected,
-        )
+        return self.xy_yaw, self.speed, self.bodies, self.antenna_height, self.connected
 
     def vehicle(self, row: int) -> VehicleState:
         """The state of the vehicle in ``row``."""
+        x, y, heading = self.xy_yaw[row].tolist()
         return VehicleState(
             self.ids[row],
-            (self.x.item(row), self.y.item(row), 0.0),
-            self.heading.item(row),
+            (x, y, 0.0),
+            heading,
             self.speed.item(row),
             tuple(self.bodies[row].tolist()),
             self.antenna_height.item(row),

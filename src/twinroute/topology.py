@@ -76,11 +76,12 @@ def build_topology(
 
     Pure function of (snapshot, params, budget): the edge set does not
     depend on evaluation order. Pairs farther apart than the maximum range
-    in ground distance are skipped before any occlusion work.
+    in ground distance are skipped before any occlusion work. This is the
+    one-step :func:`build_topologies` call over a view of the snapshot's
+    own ``xy_yaw``.
     """
-    xy_yaw = np.empty((1, len(snapshot.ids), 3))
-    xy_yaw[0, :, 0], xy_yaw[0, :, 1], xy_yaw[0, :, 2] = snapshot.x, snapshot.y, snapshot.heading
-    return build_topologies(snapshot, [snapshot.timestep], xy_yaw, params, budget_db)[0]
+    poses = snapshot.xy_yaw[None]
+    return build_topologies(snapshot, [snapshot.timestep], poses, params, budget_db)[0]
 
 
 def build_topologies(
@@ -96,9 +97,10 @@ def build_topologies(
     the truth graphs of a run of consecutive snapshots with one vehicle
     set (a run of one included). ``snapshot`` gives the ids, body columns,
     ``connected`` mask and RSU position, and ``xy_yaw[s, k]`` the (x, y,
-    heading) of its row ``k`` at ``timesteps[s]``; the snapshot's own
-    poses are not read. Each graph equals the :func:`build_topology` graph
-    of the snapshot with its vehicles moved to those poses. Most of a
+    heading) of its row ``k`` at ``timesteps[s]``, laid out as the
+    snapshot's own ``xy_yaw`` row, which is not read. Each graph equals
+    the :func:`build_topology` graph of the snapshot with its vehicles
+    moved to those poses. Most of a
     build's cost is a fixed number of numpy calls, so one call over S
     steps costs far less than S calls. One kernel call, which cuts the
     steps into chunks of bounded memory, counts blockers for every pair in

@@ -81,12 +81,11 @@ def tee_trace(
         if not snap.ids:
             out.write(f"{ts},{ts * dt!r}\n")
         rows = zip(
-            snap.ids, snap.connected.tolist(), snap.x.tolist(), snap.y.tolist(),
-            snap.heading.tolist(), snap.speed.tolist(), snap.bodies.tolist(),
-            snap.antenna_height.tolist(),
+            snap.ids, snap.connected.tolist(), snap.xy_yaw.tolist(), snap.speed.tolist(),
+            snap.bodies.tolist(), snap.antenna_height.tolist(),
         )
-        for vid, connected, x, y, heading, speed, body, antenna in rows:
-            out.write(trace_row(ts, dt, vid.index, connected, x, y, heading, speed, *body, antenna))
+        for vid, connected, pose, speed, body, antenna in rows:
+            out.write(trace_row(ts, dt, vid.index, connected, *pose, speed, *body, antenna))
         yield snap
 
 

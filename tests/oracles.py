@@ -567,7 +567,7 @@ def oracle_run(config, snapshots):
             if (t - start) % interval == 0:
                 epoch = plan(t - 1)
             table, forecast = epoch[t]
-            actual = dict(zip(snap.ids, zip(snap.x.tolist(), snap.y.tolist())))
+            actual = dict(zip(snap.ids, snap.xy_yaw.tolist()))
             for vid, x, y in forecast:
                 if vid in actual:
                     dx = x - actual[vid][0]

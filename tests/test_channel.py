@@ -53,6 +53,11 @@ def test_zero_or_negative_distance_rejected():
         path_loss(-5.0, 0, default_channel_params())
 
 
+def test_negative_blocker_count_rejected():
+    with pytest.raises(ValueError, match="blocker count must be >= 0, got -1"):
+        path_loss(10.0, -1, default_channel_params())
+
+
 def test_class_selection_first_match():
     # at 1 m the log term vanishes: the class's gamma plus 15 dB/km * 1 m
     params = default_channel_params()

@@ -382,6 +382,18 @@ def test_sweep_unknown_key_rejected(tmp_path):
     spec.write_text("base_config: base.yaml\nseedz: [1]\n", encoding="utf-8")
     proc = run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "x"))
     assert proc.returncode == 2
+    assert "sweep spec error: unknown sweep key(s): seedz" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("- seeds\n", "sweep spec: must be a mapping"), ("seeds: [1]\n", "sweep spec needs base_config")],
+)
+def test_a_sweep_spec_is_a_mapping_naming_its_base_config(tmp_path, text, message):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_sweep_spec(spec)
 
 
 @pytest.mark.parametrize(
@@ -754,6 +766,19 @@ def test_replay_of_a_trace_recorded_at_another_dt_exits_2(tmp_path):
         f"{trace}: trace line 3: timestep 1 has sim_time 0.05, not timestep * dt = 0.1 (dt 0.1)"
         in proc.stderr
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_replay_of_an_unreadable_trace_exits_2_naming_it(tmp_path, capsys, kind):
+    cfg_path = write_small_config(tmp_path / "s.yaml")
+    trace = tmp_path / "trace.csv"
+    if kind == "directory":
+        trace.mkdir()
+    out = tmp_path / "replay-out"
+    assert main(["replay", str(trace), str(cfg_path), "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{trace}: [Errno ")
     assert not out.exists()
 
 

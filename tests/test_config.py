@@ -63,6 +63,25 @@ def test_horizon_below_interval_reported():
     assert "prediction.horizon" in paths(validate_config(cfg))
 
 
+@pytest.mark.parametrize(
+    "changes, path, message",
+    [
+        (
+            dict(classes=(BlockageClass(None, 2.0, 68.0), BlockageClass(None, 2.0, 84.0))),
+            "channel.classes[0].max_blockers",
+            "only the last class may be unbounded",
+        ),
+        (dict(atmospheric_db_per_km=-1.0), "channel.atmospheric_db_per_km", "must be >= 0"),
+        (dict(max_range_m=0.0), "channel.max_range_m", "must be > 0"),
+    ],
+    ids=["unbounded-before-last", "negative-atmospheric", "zero-range"],
+)
+def test_channel_problems_are_reported_under_channel(changes, path, message):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, **changes))
+    assert validate_config(cfg).violations == ((path, message),)
+
+
 def test_update_interval_below_dt_reported():
     report = validate_config(default_config(conventional_update_interval=0.01))
     assert "conventional_update_interval" in paths(report)

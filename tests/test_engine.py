@@ -141,6 +141,13 @@ def catch_up_stream(n_steps=16, dt=0.25):
     return snapshots
 
 
+def test_a_run_needs_a_variant_and_a_snapshot():
+    with pytest.raises(ValueError, match="no variants to run"):
+        run_variants({})
+    with pytest.raises(ValueError, match="empty snapshot stream"):
+        run_variants({"a": SMALL}, snapshots=[])
+
+
 def test_a_failing_driver_names_its_variant_and_keeps_its_exception():
     base = default_config(dt=0.25, duration=4.0, vehicle_count=2)
     variants = {"rt": base, "pred": dataclasses.replace(base, strategy=Strategy.PREDICTIVE)}
@@ -459,7 +466,7 @@ def test_generated_traffic_is_read_ahead_and_built_in_runs(monkeypatch):
             assert snap.ids == snapshot.ids and snap.rsu_position == snapshot.rsu_position
             for column in ("bodies", "antenna_height", "connected"):
                 assert np.array_equal(getattr(snap, column), getattr(snapshot, column))
-            assert np.array_equal(poses, np.stack([snap.x, snap.y, snap.heading], axis=1))
+            assert np.array_equal(poses, snap.xy_yaw)
         return real_build(snapshot, timesteps, xy_yaw, *args)
 
     def spy_score(table, truth, timestep):
@@ -642,6 +649,5 @@ def test_the_names_the_benchmark_tracer_wraps_resolve(module, name):
 def test_a_graph_has_one_edges_row_per_link():
     # the tracer counts topology.edges as the len(graph.edges) of each graph built
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 0.0)])
-    xy_yaw = np.stack([snap.x, snap.y, snap.heading], axis=1)[None]
-    (g,) = engine.build_topologies(snap, [snap.timestep], xy_yaw, SMALL.channel, 130.0)
+    (g,) = engine.build_topologies(snap, [snap.timestep], snap.xy_yaw[None], SMALL.channel, 130.0)
     assert len(g.edges) == len(g.edge_loss) == sum(map(len, g.adjacency)) // 2 == 3

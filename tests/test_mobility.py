@@ -163,7 +163,7 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     )
 
 
-COLUMNS = ("x", "y", "heading", "speed", "bodies", "antenna_height", "connected")
+COLUMNS = ("xy_yaw", "speed", "bodies", "antenna_height", "connected")
 
 
 @settings(max_examples=50, deadline=None)
@@ -221,7 +221,7 @@ def test_snapshot_columns_and_fields_are_read_only():
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.timestep = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.x = np.zeros(len(s.ids))
+            s.xy_yaw = np.zeros((len(s.ids), 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             del s.ids
     assert built == snap

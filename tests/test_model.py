@@ -152,9 +152,7 @@ def two_rows(**changes):
         timestep=3,
         rsu_position=(0.0, 0.0, 5.0),
         ids=(NodeId.vehicle(1), NodeId.vehicle(2)),
-        x=np.array([10.0, 20.0]),
-        y=np.array([1.0, -1.0]),
-        heading=np.array([0.0, 3.0]),
+        xy_yaw=np.array([[10.0, 1.0, 0.0], [20.0, -1.0, 3.0]]),
         speed=np.array([5.0, 0.0]),
         bodies=np.array([[4.5, 1.8, 1.5], [4.5, 1.8, 1.5]]),
         antenna_height=np.array([1.6, 1.6]),
@@ -176,21 +174,37 @@ def test_columns_read_back_as_the_states_they_hold():
     assert hash(snap) == hash(WorldSnapshot.from_vehicles(3, snap.vehicles, (0.0, 0.0, 5.0)))
 
 
-# a valid new value for the first entry of each column
+COLUMNS = ("xy_yaw", "speed", "bodies", "antenna_height", "connected")
+# the pose components, each a column of xy_yaw
+POSE = dict(x=0, y=1, heading=2)
+
+
+def with_entry(snap, name, row, value):
+    """The ``two_rows`` change that sets ``name`` of ``row`` to ``value``;
+    ``name`` is a pose component or a column (of bodies, the last entry)."""
+    column = "xy_yaw" if name in POSE else name
+    values = getattr(snap, column).copy()
+    if name in POSE:
+        values[row, POSE[name]] = value
+    else:
+        values.reshape(len(values), -1)[row, -1] = value
+    return {column: values}
+
+
+# a valid new value for the first row of each pose component and column
 CHANGED = dict(
     x=11.0, y=0.5, heading=0.25, speed=4.0, bodies=5.0, antenna_height=1.5, connected=False
 )
-COLUMNS = tuple(CHANGED)
 
 
-@pytest.mark.parametrize("name", COLUMNS)
+@pytest.mark.parametrize("name", CHANGED)
 def test_one_changed_value_in_any_column_makes_a_different_snapshot(name):
     snap = WorldSnapshot(**two_rows())
-    column = getattr(snap, name).copy()
-    column.flat[0] = CHANGED[name]
-    changed = WorldSnapshot(**two_rows(**{name: column}))
+    changes = with_entry(snap, name, 0, CHANGED[name])
+    changed = WorldSnapshot(**two_rows(**changes))
     assert changed != snap and not changed == snap
-    assert changed == WorldSnapshot(**two_rows(**{name: column.copy()}))
+    copied = {column: values.copy() for column, values in changes.items()}
+    assert changed == WorldSnapshot(**two_rows(**copied))
 
 
 def test_copies_are_equal_and_their_columns_read_only():
@@ -207,7 +221,7 @@ def test_copies_are_equal_and_their_columns_read_only():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        (dict(x=np.array([10.0])), "snapshot columns must hold one row per id"),
+        (dict(xy_yaw=np.array([[10.0, 1.0, 0.0]])), "snapshot columns must hold one row per id"),
         (dict(bodies=np.ones((2, 2))), "snapshot columns must hold one row per id"),
         (dict(ids=(NodeId.vehicle(1),) * 2), "duplicate vehicle ids"),
         (dict(ids=(NodeId.vehicle(1), 5)), "vehicle node"),
@@ -216,6 +230,7 @@ def test_copies_are_equal_and_their_columns_read_only():
         (dict(bodies=np.array([[4.5, 1.8, 1.5], [4.5, 0.0, 1.5]])), "dimensions must be positive"),
         (dict(antenna_height=np.array([1.6, 2.6])), r"antenna_height 2.6 outside \(0, height \+ 1\]"),
         (dict(antenna_height=np.array([0.0, 1.6])), r"antenna_height 0.0 outside"),
+        (dict(xy_yaw=np.ones((2, 2))), "snapshot columns must hold one row per id"),
     ],
 )
 def test_columns_are_checked_as_states_are(changes, message):
@@ -229,8 +244,8 @@ def test_a_snapshot_of_states_keeps_them_on_the_ground():
         WorldSnapshot.from_vehicles(0, (lifted,), (0.0, 0.0, 5.0))
 
 
-# a non-finite value for each column's second row (for bodies, its
-# height), and the VehicleState field that holds it
+# a non-finite value for each pose component's and column's second row
+# (for bodies, its height), and the VehicleState field that holds it
 NON_FINITE = [
     ("x", math.nan, "position", (math.nan, -1.0, 0.0)),
     ("y", -math.inf, "position", (20.0, -math.inf, 0.0)),
@@ -241,13 +256,11 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("column, value, name, field_value", NON_FINITE)
-def test_a_non_finite_value_is_rejected_naming_its_field(column, value, name, field_value):
+@pytest.mark.parametrize("entry, value, name, field_value", NON_FINITE)
+def test_a_non_finite_value_is_rejected_naming_its_field(entry, value, name, field_value):
     snap = WorldSnapshot(**two_rows())
-    values = getattr(snap, column).copy()
-    values.flat[-1] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        WorldSnapshot(**two_rows(**{column: values}))
+        WorldSnapshot(**two_rows(**with_entry(snap, entry, 1, value)))
     # a state, which from_vehicles packs, is checked on its own
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         dataclasses.replace(snap.vehicle(1), **{name: field_value})
@@ -260,7 +273,8 @@ def test_a_run_stops_at_a_non_finite_snapshot_before_scoring_it():
     def stream():
         for ts in range(3):
             yield WorldSnapshot(**two_rows(timestep=ts, connected=both))
-        yield WorldSnapshot(**two_rows(timestep=3, connected=both, x=np.array([10.0, math.nan])))
+        poses = np.array([[10.0, 1.0, 0.0], [math.nan, -1.0, 3.0]])
+        yield WorldSnapshot(**two_rows(timestep=3, connected=both, xy_yaw=poses))
 
     topology = io.StringIO()
     with pytest.raises(ValueError, match=r"position must be finite, got \(nan, -1.0, 0.0\)"):

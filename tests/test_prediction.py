@@ -112,7 +112,24 @@ def test_insufficient_history_falls_back_to_hold():
     assert track.states == (((3.0, 1.0, 0.0), 0.0, 8.0),) * 10
 
 
-@pytest.mark.parametrize("result", [RuntimeError("no model"), [((1.0, 2.0, 0.0), 0.0, 5.0)]])
+GOOD_POSE = ((1.0, 2.0, 0.0), 0.0, 5.0)
+# poses a VehicleState or a model row would reject
+UNSOUND_POSES = {
+    "nan-x": ((math.nan, 2.0, 0.0), 0.0, 5.0),
+    "inf-heading": ((1.0, 2.0, 0.0), math.inf, 5.0),
+    "negative-speed": ((1.0, 2.0, 0.0), 0.0, -0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        RuntimeError("no model"),
+        [GOOD_POSE],
+        # one unsound pose, the last, degrades the whole track
+        *(pytest.param([GOOD_POSE] * 4 + [pose], id=name) for name, pose in UNSOUND_POSES.items()),
+    ],
+)
 def test_failing_or_short_predictor_falls_back_to_hold(result):
     class Broken:
         kind = "broken"
@@ -142,6 +159,8 @@ def test_make_predictor_kinds():
     assert make_predictor("learned", ("python3", "model.py")).command == ("python3", "model.py")
     with pytest.raises(ValueError):
         make_predictor("lstm")
+    with pytest.raises(ValueError, match="learned predictor needs a command"):
+        make_predictor("learned")
 
 
 CV_STUB = """#!/usr/bin/env python3
@@ -217,6 +236,9 @@ def test_learned_predictor_accepts_well_formed_rows():
         ("{ts + j},0.0,{vid},2,1.0,2.0,0.0,5.0", "row 1: connected must be 0 or 1, got '2'"),
         ("{ts + j},0.0,{vid},1,1.0,2.0,0.0", "row 1: expected 8 columns, got 7"),
         ("{ts + j},0.0,{vid},1,1.0,east,0.0,5.0", "row 1: could not convert"),
+        # two rows per step
+        ("{ts + j},0.0,{vid},1,1.0,2.0,0.0,5.0\\n{ts + j},0.0,{vid},1,1.0,2.0,0.0,5.0",
+         "learned predictor returned 4 rows, expected 2"),
     ],
 )
 def test_learned_predictor_rejects_bad_rows(row, message):
@@ -262,3 +284,31 @@ def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
     held = [[*vehicle.position[:2], vehicle.heading]]
     assert [step.tolist() for step in plan.forecast.values()] == [held] * 2
     assert all(table[vehicle.id] is not None for table in plan.entries.values())
+
+
+def test_unsound_forecast_poses_hold_their_vehicles_and_count_as_degraded():
+    """A user predictor's unsound track is held and counted like a failing
+    one, so its vehicle is still routed."""
+    sound, *unsound = [make_vehicle(k, x, y) for k, (x, y) in enumerate(
+        [(30.0, 0.0), (-30.0, 0.0), (0.0, 30.0), (0.0, -30.0)]
+    )]
+    poses = dict(zip([v.id for v in unsound], UNSOUND_POSES.values()))
+
+    class Unsound:
+        kind = "unsound"
+        min_history = 1
+
+        def extrapolate(self, history, steps, dt):
+            last = history[-1]
+            pose = poses.get(last.id, (last.position, last.heading, 0.0))
+            return [pose] * steps
+
+    history = [make_snapshot([sound, *unsound], timestep=k) for k in range(2)]
+    plan = route_predictive(
+        history, 1, steps=2, predictor=Unsound(),
+        dt=0.1, params=default_channel_params(), budget_db=110.0,
+    )
+    assert plan.degraded_tracks == 3
+    held = [[*v.position[:2], v.heading] for v in (sound, *unsound)]
+    assert [step.tolist() for step in plan.forecast.values()] == [held] * 2
+    assert all(route is not None for table in plan.entries.values() for route in table.values())

@@ -439,6 +439,19 @@ def test_predictive_plans_at_least_one_step():
         )
 
 
+@pytest.mark.parametrize(
+    "depth, now, message",
+    [(0, 2, "history must contain at least one snapshot"), (3, 1, "history extends past the planning time")],
+)
+def test_predictive_needs_a_history_that_ends_by_now(depth, now, message):
+    history = frozen_history([make_vehicle(0, 30.0, 0.0)], n=depth)
+    with pytest.raises(ValueError, match=message):
+        route_predictive(
+            history, now, steps=1, predictor=ConstantVelocityPredictor(),
+            dt=0.1, params=PARAMS, budget_db=110.0,
+        )
+
+
 def plan_counting(monkeypatch, classes, predictor):
     """One 20-step epoch of a 30-vehicle mixed run, its 11-snapshot
     history, and every object of ``classes`` validated while planning it,
