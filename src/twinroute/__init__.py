@@ -21,7 +21,7 @@ from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
 from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
 from .mobility import TrafficState, advance_traffic, init_traffic, snapshot_stream
-from .model import NodeId, Strategy, ValidationReport, VehicleState, WorldSnapshot
+from .model import Fleet, NodeId, Strategy, ValidationReport, VehicleState, WorldSnapshot
 from .prediction import (
     ConstantTurnRatePredictor,
     ConstantVelocityPredictor,
@@ -50,6 +50,7 @@ __all__ = [
     "ConnectivityGraph",
     "ConstantTurnRatePredictor",
     "ConstantVelocityPredictor",
+    "Fleet",
     "HoldPredictor",
     "LearnedPredictor",
     "NodeId",

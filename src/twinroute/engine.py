@@ -28,7 +28,9 @@ counts per step, not per vehicle.
 A truth build costs mostly a fixed number of numpy calls, so when the
 engine generates the traffic itself it reads the stream ``READ_AHEAD``
 snapshots ahead and builds the graphs of each run of consecutive
-snapshots with one vehicle set in one ``build_topologies`` call. A stream
+snapshots with equal fleets and one RSU in one ``build_topologies``
+call. Traffic hands one fleet object to all snapshots of a vehicle set,
+so comparing fleets is mostly an identity check. A stream
 handed in (a replayed trace, a run that writes its trace) is read one
 snapshot at a time, as the twin receives a live feed: no snapshot is read
 before every step ahead of it is scored. Each graph equals the one its
@@ -89,15 +91,12 @@ READ_AHEAD = 6
 
 
 def _same_vehicles(a: WorldSnapshot, b: WorldSnapshot) -> bool:
-    """Whether ``b`` is the step after ``a`` with the same vehicles, bodies,
-    antennas, connected mask and RSU: one truth build serves both."""
+    """Whether ``b`` is the step after ``a`` with the same fleet and RSU:
+    one truth build serves both."""
     return (
         b.timestep == a.timestep + 1
-        and a.ids == b.ids
         and a.rsu_position == b.rsu_position
-        and a.bodies.tobytes() == b.bodies.tobytes()
-        and a.antenna_height.tobytes() == b.antenna_height.tobytes()
-        and a.connected.tobytes() == b.connected.tobytes()
+        and a.fleet == b.fleet
     )
 
 
@@ -199,7 +198,7 @@ class _Driver:
         forecast = self._window.forecast.get(timestep)
         if forecast is not None:
             snap = world.history[-1]
-            row = dict(zip(snap.ids, range(len(snap.ids))))
+            row = snap.fleet.row
             poses = snap.xy_yaw.tolist()
             # per vehicle, in forecast order, in Python floats
             for vehicle, (x, y, _) in zip(self._window.ids, forecast.tolist()):

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ScenarioConfig, VehicleClassSpec
-from .model import NodeId, WorldSnapshot
+from .model import Fleet, NodeId, WorldSnapshot
 
 RIGHT_TURN_RADIUS = 6.0
 LEFT_TURN_RADIUS = 8.0
@@ -200,7 +200,11 @@ class Vehicle:
 
 @dataclass
 class TrafficState:
-    """Mutable stepping state; one owner per run, never shared."""
+    """Mutable stepping state; one owner per run, never shared.
+
+    ``fleet`` is the :class:`Fleet` of the last snapshot, which the next
+    one shares while ``active`` holds the same vehicles: a vehicle's id,
+    class and flag are fixed from its draw."""
 
     config: ScenarioConfig
     rng: np.random.Generator
@@ -208,26 +212,34 @@ class TrafficState:
     active: list[Vehicle]
     pending: list[Vehicle]
     next_vehicle_index: int
+    fleet: Fleet | None = None
 
     def snapshot(self) -> WorldSnapshot:
         """The current step as columns, one row per active vehicle, with
-        its pose from :meth:`RoutePlan.pose_at` at its progress."""
+        its pose from :meth:`RoutePlan.pose_at` at its progress; a new
+        fleet only when a vehicle entered or left since the last one."""
         active = self.active
         n = len(active)
-        # (x, y, heading) and body triples read as flat runs of floats
+        ids = tuple([v.id for v in active])
+        fleet = self.fleet
+        if fleet is None or fleet.ids != ids:
+            bodies = chain.from_iterable(
+                [(v.vclass.length, v.vclass.width, v.vclass.height) for v in active]
+            )
+            fleet = self.fleet = Fleet(
+                ids,
+                np.fromiter(bodies, np.float64, 3 * n).reshape(n, 3),
+                np.array([v.vclass.antenna_height for v in active], dtype=np.float64),
+                np.array([v.connected for v in active], dtype=bool),
+            )
+        # (x, y, heading) triples read as one flat run of floats
         poses = chain.from_iterable([v.plan.pose_at(v.progress) for v in active])
-        bodies = chain.from_iterable(
-            [(v.vclass.length, v.vclass.width, v.vclass.height) for v in active]
-        )
         return WorldSnapshot(
             timestep=self.step,
             rsu_position=(0.0, 0.0, self.config.intersection.rsu_height),
-            ids=tuple([v.id for v in active]),
+            fleet=fleet,
             xy_yaw=np.fromiter(poses, np.float64, 3 * n).reshape(n, 3),
             speed=np.array([v.effective_speed for v in active], dtype=np.float64),
-            bodies=np.fromiter(bodies, np.float64, 3 * n).reshape(n, 3),
-            antenna_height=np.array([v.vclass.antenna_height for v in active], dtype=np.float64),
-            connected=np.array([v.connected for v in active], dtype=bool),
         )
 
 

@@ -12,6 +12,11 @@ Conventions used throughout the package:
   to whole steps, rounding down, minimum one step.
 - A run reads its snapshots as a stream, from the traffic model or a
   trace, and holds only the few steps of history it needs.
+- A vehicle's id, body and ``connected`` flag are fixed from the step it
+  enters until the step it leaves, so a snapshot holds only poses and
+  speeds, and its :class:`Fleet` holds the rest. The traffic model and
+  the trace reader hand one fleet object to every snapshot of one vehicle
+  set.
 - Every type in this module is an immutable value; instances can be shared
   freely across threads.
 """
@@ -23,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,109 +143,189 @@ class VehicleState:
 
 
 @dataclass(frozen=True, eq=False)
-class WorldSnapshot:
-    """All vehicles plus the RSU at one timestep: the twin's view.
+class Fleet:
+    """The vehicle set of a run of snapshots: what stays fixed from the
+    step a vehicle enters until the step one leaves (the shared state of
+    a Flyweight: Gamma, Helm, Johnson & Vlissides, *Design Patterns*,
+    1994).
 
-    The vehicles are columns, one row per vehicle: ``ids``, the ``(V, 3)``
-    ``xy_yaw`` poses (x, y, heading), the ``speed`` array, the ``(V, 3)``
-    ``bodies`` (length, width, height), ``antenna_height`` and the
-    ``connected`` mask. ``xy_yaw`` is the layout of one step of a
-    forecast, so a run of snapshots stacks into the ``(S, V, 3)`` poses
-    :func:`~twinroute.topology.build_topologies` reads. The constructor
-    makes the arrays read-only and checks every row as
-    :class:`VehicleState` checks a state, finiteness included. Vehicles
-    stand on the ground (z = 0). :meth:`vehicle` builds the state of one row, and
-    ``vehicles`` those of all rows on its first read; the graph builder
-    and the planner read the columns. :meth:`from_vehicles` packs states
-    into columns. Equality is by value: timestep, RSU position, ids and
-    every column.
+    Columns, one row per vehicle: ``ids``, the ``(V, 3)`` ``bodies``
+    (length, width, height), ``antenna_height`` and the ``connected``
+    mask. The constructor makes the arrays read-only, checks their shapes,
+    that the ids are distinct, and every row's id, body and antenna as
+    :class:`VehicleState` checks them, once per set. Every snapshot of one
+    vehicle set shares one fleet; values derived from it are computed on
+    first read and held here. Equality is by value, an identical fleet
+    first.
     """
 
-    timestep: int
-    rsu_position: Point3
     ids: tuple[NodeId, ...]
-    xy_yaw: np.ndarray
-    speed: np.ndarray
     bodies: np.ndarray
     antenna_height: np.ndarray
     connected: np.ndarray
 
     @classmethod
-    def from_vehicles(
-        cls, timestep: int, vehicles: Iterable[VehicleState], rsu_position: Point3
-    ) -> "WorldSnapshot":
-        """The snapshot whose rows are ``vehicles``, in order."""
-        vehicles = tuple(vehicles)
-        if any(v.position[2] != 0.0 for v in vehicles):
-            raise ValueError("vehicles must stand on the ground (position z = 0)")
-        flat = chain.from_iterable(
-            [(v.position[0], v.position[1], v.heading, v.speed, *v.dimensions, v.antenna_height)
-             for v in vehicles]
-        )
-        rows = np.fromiter(flat, np.float64, 8 * len(vehicles)).reshape(len(vehicles), 8)
+    def from_vehicles(cls, vehicles: Sequence[VehicleState]) -> "Fleet":
+        """The fleet whose rows are the ids, bodies, antennas and flags of
+        ``vehicles``, in order."""
+        flat = chain.from_iterable([(*v.dimensions, v.antenna_height) for v in vehicles])
+        rows = np.fromiter(flat, np.float64, 4 * len(vehicles)).reshape(len(vehicles), 4)
         return cls(
-            timestep, rsu_position, tuple(v.id for v in vehicles), rows[:, :3], rows[:, 3],
-            rows[:, 4:7], rows[:, 7], np.array([v.connected for v in vehicles], dtype=bool),
+            tuple(v.id for v in vehicles), rows[:, :3], rows[:, 3],
+            np.array([v.connected for v in vehicles], dtype=bool),
         )
 
     def __post_init__(self) -> None:
-        """Make the columns read-only, check their shapes, that the ids
-        are distinct, and every row as :class:`VehicleState` checks a state."""
         for column in self._columns():
             column.setflags(write=False)
         ids = self.ids
         n = len(ids)
-        if [c.shape for c in self._columns()] != [(n, 3), (n,), (n, 3), (n,), (n,)]:
+        if [c.shape for c in self._columns()] != [(n, 3), (n,), (n,)]:
             raise ValueError(f"snapshot columns must hold one row per id ({n})")
         if len(set(ids)) != n:
             raise ValueError("duplicate vehicle ids in snapshot")
         antenna, bodies = self.antenna_height, self.bodies
-        rows_ok = (self.speed >= 0) & (antenna > 0) & (antenna <= bodies[:, 2] + 1.0)
-        floats = (self.xy_yaw.ravel(), self.speed, antenna, bodies.ravel())
         valid = (
-            rows_ok.all()
-            and np.isfinite(np.concatenate(floats)).all()
+            ((antenna > 0) & (antenna <= bodies[:, 2] + 1.0)).all()
+            and np.isfinite(bodies).all()
             and bodies.min(initial=1.0) > 0
             and all(type(i) is NodeId and i & 1 for i in ids)
         )
-        if not valid:  # a row's own check raises its error
+        if not valid:  # a row's own check raises its error, at a pose that passes
             for row in range(n):
-                self.vehicle(row)
+                VehicleState(
+                    ids[row], (0.0, 0.0, 0.0), 0.0, 0.0, tuple(bodies[row].tolist()),
+                    antenna.item(row), self.connected.item(row),
+                )
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.xy_yaw, self.speed, self.bodies, self.antenna_height, self.connected
+        return self.bodies, self.antenna_height, self.connected
+
+    @functools.cached_property
+    def row(self) -> dict[NodeId, int]:
+        """Each vehicle's row; shared by every reader, so read-only by contract."""
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @functools.cached_property
+    def node_rows(self) -> np.ndarray:
+        """The rows of the connected vehicles in id order: the vehicle
+        nodes of a graph, which follow the RSU."""
+        ids = self.ids
+        rows = np.array(sorted(np.flatnonzero(self.connected).tolist(), key=ids.__getitem__), np.intp)
+        rows.setflags(write=False)
+        return rows
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """The ids' int codes, one int64 per row."""
+        codes = np.fromiter(self.ids, np.int64, len(self.ids))
+        codes.setflags(write=False)
+        return codes
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Fleet:
+            return NotImplemented
+        return self.ids == other.ids and all(map(np.array_equal, self._columns(), other._columns()))
+
+    def __hash__(self) -> int:
+        return hash(self.ids)
+
+    def __reduce__(self):
+        # through the constructor, so a copy's columns are read-only too
+        return Fleet, (self.ids, *self._columns())
+
+
+@dataclass(frozen=True, eq=False)
+class WorldSnapshot:
+    """All vehicles plus the RSU at one timestep: the twin's view.
+
+    The vehicles are rows: the :class:`Fleet` ``fleet`` holds their ids,
+    bodies, antennas and connected mask, and the snapshot the per-step
+    columns, the ``(V, 3)`` ``xy_yaw`` poses (x, y, heading) and the
+    ``speed`` array. Snapshots of one vehicle set share one fleet object,
+    so a step checks and moves only poses and speeds. ``xy_yaw`` is the
+    layout of one step of a forecast, so a run of snapshots stacks into
+    the ``(S, V, 3)`` poses :func:`~twinroute.topology.build_topologies`
+    reads. The constructor makes the arrays read-only, checks their shapes
+    against the fleet, that both are finite and every speed ``>= 0``; a
+    failing row raises the error :class:`VehicleState` gives. Vehicles
+    stand on the ground (z = 0). :meth:`vehicle` builds the state of one
+    row, and ``vehicles`` those of all rows on its first read; the graph
+    builder and the planner read the columns. :meth:`from_vehicles` packs
+    states into columns and a new fleet. Equality is by value: timestep,
+    RSU position, fleet and both columns.
+    """
+
+    timestep: int
+    rsu_position: Point3
+    fleet: Fleet
+    xy_yaw: np.ndarray
+    speed: np.ndarray
+
+    @classmethod
+    def from_vehicles(
+        cls, timestep: int, vehicles: Iterable[VehicleState], rsu_position: Point3
+    ) -> "WorldSnapshot":
+        """The snapshot whose rows are ``vehicles``, in order, on a new fleet."""
+        vehicles = tuple(vehicles)
+        if any(v.position[2] != 0.0 for v in vehicles):
+            raise ValueError("vehicles must stand on the ground (position z = 0)")
+        flat = chain.from_iterable(
+            [(v.position[0], v.position[1], v.heading, v.speed) for v in vehicles]
+        )
+        rows = np.fromiter(flat, np.float64, 4 * len(vehicles)).reshape(len(vehicles), 4)
+        return cls(timestep, rsu_position, Fleet.from_vehicles(vehicles), rows[:, :3], rows[:, 3])
+
+    def __post_init__(self) -> None:
+        """Make the columns read-only, check their shapes against the
+        fleet, and their rows as :class:`VehicleState` checks a state."""
+        xy_yaw, speed = self.xy_yaw, self.speed
+        xy_yaw.setflags(write=False)
+        speed.setflags(write=False)
+        n = len(self.fleet.ids)
+        if xy_yaw.shape != (n, 3) or speed.shape != (n,):
+            raise ValueError(f"snapshot columns must hold one row per id ({n})")
+        if not (np.isfinite(xy_yaw).all() and np.isfinite(speed).all() and (speed >= 0).all()):
+            for row in range(n):  # a row's own check raises its error
+                self.vehicle(row)
 
     def vehicle(self, row: int) -> VehicleState:
         """The state of the vehicle in ``row``."""
+        fleet = self.fleet
         x, y, heading = self.xy_yaw[row].tolist()
         return VehicleState(
-            self.ids[row],
+            fleet.ids[row],
             (x, y, 0.0),
             heading,
             self.speed.item(row),
-            tuple(self.bodies[row].tolist()),
-            self.antenna_height.item(row),
-            self.connected.item(row),
+            tuple(fleet.bodies[row].tolist()),
+            fleet.antenna_height.item(row),
+            fleet.connected.item(row),
         )
 
     @functools.cached_property
     def vehicles(self) -> tuple[VehicleState, ...]:
         """One state per row, built on the first read."""
-        return tuple(map(self.vehicle, range(len(self.ids))))
+        return tuple(map(self.vehicle, range(len(self.fleet.ids))))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not WorldSnapshot:
             return NotImplemented
-        return (self.timestep, self.rsu_position, self.ids) == (
-            other.timestep, other.rsu_position, other.ids
-        ) and all(map(np.array_equal, self._columns(), other._columns()))
+        return (
+            (self.timestep, self.rsu_position) == (other.timestep, other.rsu_position)
+            and self.fleet == other.fleet
+            and np.array_equal(self.xy_yaw, other.xy_yaw)
+            and np.array_equal(self.speed, other.speed)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.timestep, self.rsu_position, self.ids))
+        return hash((self.timestep, self.rsu_position, self.fleet))
 
     def __reduce__(self):
         # through the constructor, so a copy's columns are read-only too
-        return WorldSnapshot, (self.timestep, self.rsu_position, self.ids, *self._columns())
+        return WorldSnapshot, (self.timestep, self.rsu_position, self.fleet, self.xy_yaw, self.speed)
 
 
 class Strategy(enum.Enum):

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .channel import ChannelParams
-from .model import NodeId, VehicleState, WorldSnapshot
+from .model import Fleet, NodeId, VehicleState, WorldSnapshot
 from .prediction import TrajectoryPredictor, predict
 from .topology import ConnectivityGraph, build_topologies
 
@@ -186,15 +186,22 @@ def route_predictive(
     if lag_steps < 0:
         raise ValueError("history extends past the planning time")
 
-    # each forecast vehicle's (snapshot, row) pairs, oldest first
-    observed: dict[NodeId, list[tuple[WorldSnapshot, int]]] = {vid: [] for vid in last.ids}
+    # each forecast vehicle's (snapshot, row) pairs, oldest first; which
+    # of them a snapshot holds, and at which rows, depends on its fleet only
+    ids = last.fleet.ids
+    observed: list[list[tuple[WorldSnapshot, int]]] = [[] for _ in ids]
+    rows_by_fleet: dict[Fleet, list[tuple[int, int]]] = {}
     for snap in history:
-        for row, vid in enumerate(snap.ids):
-            seen = observed.get(vid)
-            if seen is not None:
-                seen.append((snap, row))
+        rows = rows_by_fleet.get(snap.fleet)
+        if rows is None:
+            row = snap.fleet.row
+            rows = rows_by_fleet[snap.fleet] = [
+                (k, row[vid]) for k, vid in enumerate(ids) if vid in row
+            ]
+        for k, r in rows:
+            observed[k].append((snap, r))
     horizon = (steps + lag_steps) * dt
-    tracks = [predict(_ObservedTrack(seen), horizon, dt, predictor) for seen in observed.values()]
+    tracks = [predict(_ObservedTrack(seen), horizon, dt, predictor) for seen in observed]
     timesteps = range(now + 1, now + steps + 1)
     # (step, vehicle, x/y/heading), filled step by step from one flat run of floats
     planned = zip(*(t.states[lag_steps:lag_steps + steps] for t in tracks))
@@ -204,7 +211,7 @@ def route_predictive(
     graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)
     entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
     forecast = dict(zip(timesteps, xy_yaw))
-    return PredictivePlan(entries, last.ids, forecast, sum(t.degraded for t in tracks))
+    return PredictivePlan(entries, ids, forecast, sum(t.degraded for t in tracks))
 
 
 def score_route(route: tuple[NodeId, ...] | None, ground_truth: ConnectivityGraph) -> bool:

@@ -1,6 +1,6 @@
 """Connectivity graph extraction from a world snapshot, or from one
-snapshot's vehicles at every step of a forecast or of a run of snapshots
-with one vehicle set at once.
+snapshot's fleet at every step of a forecast or of a run of snapshots
+with equal fleets at once.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -95,10 +95,12 @@ def build_topologies(
 
     The planner builds a forecast window's graphs this way, and the engine
     the truth graphs of a run of consecutive snapshots with one vehicle
-    set (a run of one included). ``snapshot`` gives the ids, body columns,
-    ``connected`` mask and RSU position, and ``xy_yaw[s, k]`` the (x, y,
-    heading) of its row ``k`` at ``timesteps[s]``, laid out as the
-    snapshot's own ``xy_yaw`` row, which is not read. Each graph equals
+    set (a run of one included). ``snapshot`` gives the RSU position and
+    its :class:`~twinroute.model.Fleet`: the ids, bodies, antennas, and
+    the node rows and id codes the fleet derives once for all its
+    builds. ``xy_yaw[s, k]`` is the (x, y, heading) of its row ``k`` at
+    ``timesteps[s]``, laid out as the snapshot's own ``xy_yaw`` row,
+    which is not read. Each graph equals
     the :func:`build_topology` graph of the snapshot with its vehicles
     moved to those poses. Most of a
     build's cost is a fixed number of numpy calls, so one call over S
@@ -118,27 +120,28 @@ def build_topologies(
     """
     if not timesteps:
         return []
-    ids = snapshot.ids
+    fleet = snapshot.fleet
+    ids, connected, codes = fleet.ids, fleet.node_rows, fleet.codes
     n_steps, n_vehicles = len(timesteps), len(ids)
     if xy_yaw.shape != (n_steps, n_vehicles, 3):
         raise ValueError(
             f"xy_yaw has shape {xy_yaw.shape}, not ({n_steps}, {n_vehicles}, 3)"
         )
-    connected = sorted(np.flatnonzero(snapshot.connected).tolist(), key=ids.__getitem__)
-    nodes = (NodeId.rsu(),) + tuple(ids[k] for k in connected)
+    nodes = (NodeId.rsu(),) + tuple(map(ids.__getitem__, connected.tolist()))
     index = {n: k for k, n in enumerate(nodes)}
     # owner keys are the ids' int codes, all >= 1 for vehicles
-    owner_keys = np.fromiter(nodes, np.int64, len(nodes))
+    owner_keys = np.empty(len(nodes), np.int64)
     owner_keys[0] = -1
+    owner_keys[1:] = codes[connected]
 
-    halves = snapshot.bodies / 2.0
+    halves = fleet.bodies / 2.0
     centers = np.empty((n_steps, n_vehicles, 3))
     centers[:, :, :2] = xy_yaw[:, :, :2]
     centers[:, :, 2] = halves[:, 2]
     antennas = np.empty((n_steps, len(nodes), 3))
     antennas[:, 0] = snapshot.rsu_position
     antennas[:, 1:, :2] = xy_yaw[:, connected, :2]
-    antennas[:, 1:, 2] = snapshot.antenna_height[connected]
+    antennas[:, 1:, 2] = fleet.antenna_height[connected]
 
     # the union over steps of the pairs within range in ground distance,
     # still in ascending (i, j) order, from per-axis antenna arrays; antenna
@@ -165,9 +168,8 @@ def build_topologies(
             f"timestep {timesteps[s]}: antennas of {nodes[a]} and {nodes[b]} coincide"
         )
 
-    box_owners = np.fromiter(ids, np.int64, n_vehicles)
     blockers = blockage_count_matrix(
-        antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], box_owners
+        antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], codes
     )
 
     losses = path_loss(distances, blockers, params)

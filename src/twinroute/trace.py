@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
-from .model import NodeId, VehicleState, WorldSnapshot
+import numpy as np
+
+from .model import Fleet, NodeId, Point3, VehicleState, WorldSnapshot
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -77,12 +79,12 @@ def tee_trace(
     """
     out.write(TRACE_HEADER)
     for snap in snapshots:
-        ts = snap.timestep
-        if not snap.ids:
+        ts, fleet = snap.timestep, snap.fleet
+        if not fleet.ids:
             out.write(f"{ts},{ts * dt!r}\n")
         rows = zip(
-            snap.ids, snap.connected.tolist(), snap.xy_yaw.tolist(), snap.speed.tolist(),
-            snap.bodies.tolist(), snap.antenna_height.tolist(),
+            fleet.ids, fleet.connected.tolist(), snap.xy_yaw.tolist(), snap.speed.tolist(),
+            fleet.bodies.tolist(), fleet.antenna_height.tolist(),
         )
         for vid, connected, pose, speed, body, antenna in rows:
             out.write(trace_row(ts, dt, vid.index, connected, *pose, speed, *body, antenna))
@@ -91,6 +93,19 @@ def tee_trace(
 
 class TraceError(ValueError):
     """A trace that cannot be replayed; a bad row's error names its line."""
+
+
+def _step_snapshot(
+    timestep: int, rsu: Point3, fleet: Fleet | None, vehicles: list[VehicleState]
+) -> WorldSnapshot:
+    """The snapshot of one step's checked rows. It shares ``fleet``, the
+    last step's, when that holds the same ids: a vehicle keeps the body
+    and flag of its first row, so equal ids make an equal fleet."""
+    if fleet is None or fleet.ids != tuple(v.id for v in vehicles):
+        fleet = Fleet.from_vehicles(vehicles)
+    rows = np.array([(v.position[0], v.position[1], v.heading, v.speed) for v in vehicles])
+    rows = rows.reshape(len(vehicles), 4)
+    return WorldSnapshot(timestep, rsu, fleet, rows[:, :3], rows[:, 3])
 
 
 def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSnapshot]:
@@ -113,6 +128,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     a lone surrogate. Each error is a TraceError naming the 1-based line.
     A trace with no connected vehicle after its first snapshot, which only
     seeds the history, ends in a TraceError too: it has nothing to score.
+    Consecutive steps with the same ids share one fleet object.
     """
     dt = config.dt
     body = config.vehicle_mix[0]
@@ -120,6 +136,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     headers = {",".join(TRACE_COLUMNS): False, TRACE_HEADER.rstrip("\n"): True}
     current_ts: int | None = None
     bucket: list[VehicleState] = []
+    fleet: Fleet | None = None  # the last yielded step's
     seen: set[int] = set()
     ids: dict[int, NodeId] = {}
     lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
@@ -165,7 +182,9 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
                 if current_ts is not None:
                     if ts != current_ts + 1:
                         raise ValueError(f"timestep {ts} does not follow {current_ts}")
-                    yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
+                    snap = _step_snapshot(current_ts, rsu, fleet, bucket)
+                    fleet = snap.fleet
+                    yield snap
                 bucket, seen, spots, antennas = [], set(), {}, []
                 current_ts, marked = ts, vehicle is None
                 steps += 1
@@ -204,7 +223,7 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
         spots[spot] = index
         scored = scored or (connected and steps > 1)
     if current_ts is not None:
-        yield WorldSnapshot.from_vehicles(current_ts, bucket, rsu)
+        yield _step_snapshot(current_ts, rsu, fleet, bucket)
     if not scored:
         raise TraceError(
             f"nothing to score: {steps} snapshot(s), and none after the first"

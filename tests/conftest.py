@@ -73,6 +73,16 @@ def make_snapshot(
     return WorldSnapshot.from_vehicles(timestep, vehicles, (0.0, 0.0, rsu_height))
 
 
+def snapshot_columns(snap: WorldSnapshot) -> dict[str, np.ndarray]:
+    """Every column of ``snap`` by name: its poses and speeds, then its
+    fleet's bodies, antenna heights and connected mask."""
+    fleet = snap.fleet
+    return dict(
+        xy_yaw=snap.xy_yaw, speed=snap.speed, bodies=fleet.bodies,
+        antenna_height=fleet.antenna_height, connected=fleet.connected,
+    )
+
+
 def count_validations(monkeypatch, classes) -> list:
     """Patch each class's ``__post_init__`` check to also record every
     object it validates, as (class name, object), in the returned list."""

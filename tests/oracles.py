@@ -535,8 +535,8 @@ def oracle_run(config, snapshots):
         last = history[-1]
         steps = interval + now - last.timestep
         tracks = []  # (last observed state, forecast poses) per vehicle
-        for vid in last.ids:
-            states = [s.vehicle(s.ids.index(vid)) for s in history if vid in s.ids]
+        for vid in last.fleet.ids:
+            states = [s.vehicle(s.fleet.ids.index(vid)) for s in history if vid in s.fleet.ids]
             held = states[-1]
             if len(states) >= predictor.min_history:
                 tracks.append((held, predictor.extrapolate(states, steps, dt)))
@@ -567,7 +567,7 @@ def oracle_run(config, snapshots):
             if (t - start) % interval == 0:
                 epoch = plan(t - 1)
             table, forecast = epoch[t]
-            actual = dict(zip(snap.ids, snap.xy_yaw.tolist()))
+            actual = dict(zip(snap.fleet.ids, snap.xy_yaw.tolist()))
             for vid, x, y in forecast:
                 if vid in actual:
                     dx = x - actual[vid][0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import importlib
@@ -442,7 +443,7 @@ def test_reading_generated_traffic_ahead_changes_no_output(fuzz_scale):
 def test_generated_traffic_is_read_ahead_and_built_in_runs(monkeypatch):
     """The engine holds at most ``READ_AHEAD`` unscored snapshots of the
     traffic it generates; each truth build covers consecutive snapshots
-    with one vehicle set, at their own poses; and each scored step's graph
+    that share one fleet, at their own poses; and each scored step's graph
     is built exactly once."""
     read = {}  # timestep -> snapshot
     unscored = []  # per snapshot read, how many read ones are not yet scored
@@ -463,9 +464,8 @@ def test_generated_traffic_is_read_ahead_and_built_in_runs(monkeypatch):
         assert timesteps == list(range(timesteps[0], timesteps[0] + len(timesteps)))
         for ts, poses in zip(timesteps, xy_yaw):
             snap = read[ts]
-            assert snap.ids == snapshot.ids and snap.rsu_position == snapshot.rsu_position
-            for column in ("bodies", "antenna_height", "connected"):
-                assert np.array_equal(getattr(snap, column), getattr(snapshot, column))
+            # generated traffic hands one fleet object to a vehicle set's snapshots
+            assert snap.fleet is snapshot.fleet and snap.rsu_position == snapshot.rsu_position
             assert np.array_equal(poses, snap.xy_yaw)
         return real_build(snapshot, timesteps, xy_yaw, *args)
 
@@ -498,6 +498,7 @@ def test_a_truth_run_needs_the_next_step_and_the_same_vehicles():
         moved[1] = dataclasses.replace(moved[1], **changes)
         return make_snapshot(moved, timestep=timestep, rsu_height=rsu_height)
 
+    assert step().fleet is not first.fleet  # equal, not shared
     assert engine._same_vehicles(first, step())
     assert not engine._same_vehicles(first, step(timestep=6))
     assert not engine._same_vehicles(first, step(rsu_height=6.0))
@@ -505,6 +506,29 @@ def test_a_truth_run_needs_the_next_step_and_the_same_vehicles():
     assert not engine._same_vehicles(first, step(connected=True))
     assert not engine._same_vehicles(first, step(antenna_height=1.7))
     assert not engine._same_vehicles(first, step(dimensions=(4.6, 1.8, 1.5)))
+
+
+def test_equal_fleets_that_are_not_shared_still_join_one_truth_run(monkeypatch):
+    """A truth run needs equal fleets, not one fleet object: a generated
+    stream whose every snapshot is a copy, with a fleet of its own, is
+    built in the same runs and gives the same output bytes."""
+    cfg = default_config(duration=10.0, vehicle_count=20, connected_fraction=0.5, seed=4)
+    variants = {s.value: dataclasses.replace(cfg, strategy=s) for s in Strategy}
+    real_stream, real_build = engine.snapshot_stream, engine.build_topologies
+    runs = []
+
+    def spy_build(snapshot, timesteps, *args):
+        runs.append(list(timesteps))
+        return real_build(snapshot, timesteps, *args)
+
+    monkeypatch.setattr(engine, "build_topologies", spy_build)
+    shared = run_dumped(variants)
+    shared_runs, runs[:] = list(runs), []
+    monkeypatch.setattr(
+        engine, "snapshot_stream", lambda config: map(copy.deepcopy, real_stream(config))
+    )
+    assert run_dumped(variants) == shared
+    assert runs == shared_runs and max(map(len, runs)) == engine.READ_AHEAD
 
 
 def test_a_failed_truth_build_surfaces_at_its_own_step(monkeypatch):

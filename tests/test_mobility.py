@@ -27,6 +27,7 @@ from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.topology import build_topology
 from twinroute.trace import TraceError, read_trace, tee_trace
 
+from conftest import snapshot_columns
 from oracles import oracle_pose_at
 
 CFG = default_config(duration=60.0, vehicle_count=12, connected_fraction=0.5, seed=7)
@@ -163,9 +164,6 @@ def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
     )
 
 
-COLUMNS = ("xy_yaw", "speed", "bodies", "antenna_height", "connected")
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(150, 300))  # past the ramp-up
 def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
@@ -196,9 +194,9 @@ def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
     assert snap.vehicles == tuple(want)
     assert all(type(f) is float for v in snap.vehicles for f in (*v.position, v.heading, v.speed))
     rebuilt = WorldSnapshot.from_vehicles(snap.timestep, want, snap.rsu_position)
-    assert rebuilt == snap and rebuilt.ids == snap.ids
-    for name in COLUMNS:
-        got, built = getattr(snap, name), getattr(rebuilt, name)
+    assert rebuilt == snap and rebuilt.fleet.ids == snap.fleet.ids
+    for name, got in snapshot_columns(snap).items():
+        built = snapshot_columns(rebuilt)[name]
         assert got.dtype == built.dtype and got.shape == built.shape, name
         assert np.array_equal(got, built), name
     # the row checks still run
@@ -213,18 +211,70 @@ def test_snapshot_columns_and_fields_are_read_only():
         _, snap = advance_traffic(state, CFG.dt)
     built = WorldSnapshot.from_vehicles(snap.timestep, snap.vehicles, snap.rsu_position)
     for s in (snap, built):
-        for name in COLUMNS:
-            column = getattr(s, name)
+        for name, column in snapshot_columns(s).items():
             assert not column.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[-1]
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.timestep = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.xy_yaw = np.zeros((len(s.ids), 3))
+            s.xy_yaw = np.zeros((len(s.fleet.ids), 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            del s.ids
+            del s.fleet
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.fleet.ids = ()
     assert built == snap
+
+
+def test_a_vehicle_set_shares_one_fleet_until_a_vehicle_enters_or_leaves():
+    """Traffic hands the last snapshot's fleet object to the next while the
+    active vehicles stay the same, and a new fleet, holding the vehicles
+    then active, after a release or a despawn."""
+    state = init_traffic(CFG)
+    last = state.snapshot()
+    shared = released = despawned = 0
+    for _ in range(600):
+        before = {v.id for v in state.active}
+        _, snap = advance_traffic(state, CFG.dt)
+        active = state.active
+        after = {v.id for v in active}
+        fleet = snap.fleet
+        assert fleet.ids == tuple(v.id for v in active)
+        assert fleet.bodies.tolist() == [
+            [v.vclass.length, v.vclass.width, v.vclass.height] for v in active
+        ]
+        assert fleet.antenna_height.tolist() == [v.vclass.antenna_height for v in active]
+        assert fleet.connected.tolist() == [v.connected for v in active]
+        if after == before:
+            assert fleet is last.fleet
+            shared += 1
+        else:
+            assert fleet is not last.fleet
+            released += bool(after - before)
+            despawned += bool(before - after)
+        last = snap
+    assert shared > 500 and released > 10 and despawned > 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 999),
+    count=st.integers(1, 30),
+    fraction=st.integers(1, 10),
+    lanes=st.integers(1, 2),
+)
+def test_every_generated_snapshot_equals_the_one_packed_from_its_states(seed, count, fraction, lanes):
+    """A generated snapshot, its fleet shared with the steps before it,
+    equals the snapshot that packs its states into a new fleet."""
+    cfg = default_config(
+        seed=seed, duration=20.0, vehicle_count=count, connected_fraction=fraction / 10
+    )
+    cfg = dataclasses.replace(
+        cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=lanes)
+    )
+    for snap in snapshot_stream(cfg):
+        packed = WorldSnapshot.from_vehicles(snap.timestep, snap.vehicles, snap.rsu_position)
+        assert packed == snap and hash(packed) == hash(snap)
 
 
 def test_free_vehicle_advances_speed_times_dt():
@@ -242,9 +292,9 @@ def test_a_vehicle_short_of_its_end_by_more_than_the_tolerance_stays():
     state.active = [lone]
     _, snap = advance_traffic(state, 0.1)
     assert lone.plan.total_length - lone.progress == pytest.approx(5e-7, rel=1e-6)
-    assert snap.ids == (lone.id,)
+    assert snap.fleet.ids == (lone.id,)
     _, snap = advance_traffic(state, 0.1)
-    assert lone.id not in snap.ids and lone not in state.active
+    assert lone.id not in snap.fleet.ids and lone not in state.active
 
 
 def test_follower_clamped_to_gap_boundary():
@@ -404,6 +454,27 @@ def test_trace_roundtrip():
             assert vb.antenna_height == vo.antenna_height
     # a van is in the stream, so the default sedan body would not do
     assert any(v.dimensions != (4.5, 1.8, 1.5) for s in restored for v in s.vehicles)
+
+
+def test_a_trace_shares_one_fleet_across_steps_with_equal_ids():
+    """``read_trace`` hands a step the last step's fleet when its ids are
+    the same, and a new one when they differ; each snapshot equals the
+    one the trace was written from."""
+    cfg = default_config(duration=60.0, vehicle_count=12, connected_fraction=0.5, seed=7)
+    snapshots = list(snapshot_stream(cfg))
+    buf = io.StringIO()
+    list(tee_trace(snapshots, buf, cfg.dt))
+    buf.seek(0)
+    restored = list(read_trace(buf, cfg))
+    assert restored == snapshots
+    shared = 0
+    for a, b in zip(restored, restored[1:]):
+        if a.fleet.ids == b.fleet.ids:
+            assert b.fleet is a.fleet
+            shared += 1
+        else:
+            assert b.fleet is not a.fleet
+    assert 500 < shared < len(restored) - 10
 
 
 FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(

@@ -12,9 +12,9 @@ import pytest
 
 from twinroute.config import default_config
 from twinroute.engine import run_variants
-from twinroute.model import NodeId, VehicleState, WorldSnapshot
+from twinroute.model import Fleet, NodeId, VehicleState, WorldSnapshot
 
-from conftest import SEDAN
+from conftest import SEDAN, snapshot_columns
 from oracles import node_key
 
 
@@ -146,8 +146,12 @@ def test_vehicle_state_needs_a_vehicle_id():
 # -- WorldSnapshot: read-only columns, states built on demand -------------------
 
 
+FLEET_COLUMNS = ("ids", "bodies", "antenna_height", "connected")
+
+
 def two_rows(**changes):
-    """Constructor arguments for two sedans, with ``changes`` applied."""
+    """The columns of two sedans, with ``changes`` applied: a snapshot's
+    constructor arguments, with its fleet's in place of ``fleet``."""
     columns = dict(
         timestep=3,
         rsu_position=(0.0, 0.0, 5.0),
@@ -162,8 +166,15 @@ def two_rows(**changes):
     return columns
 
 
+def two_sedans(**changes) -> WorldSnapshot:
+    """The snapshot of ``two_rows(**changes)``, on a new fleet."""
+    columns = two_rows(**changes)
+    fleet = Fleet(*(columns.pop(name) for name in FLEET_COLUMNS))
+    return WorldSnapshot(fleet=fleet, **columns)
+
+
 def test_columns_read_back_as_the_states_they_hold():
-    snap = WorldSnapshot(**two_rows())
+    snap = two_sedans()
     assert snap.vehicles == (
         VehicleState(NodeId.vehicle(1), (10.0, 1.0, 0.0), 0.0, 5.0, connected=True, **SEDAN),
         VehicleState(NodeId.vehicle(2), (20.0, -1.0, 0.0), 3.0, 0.0, connected=False, **SEDAN),
@@ -174,7 +185,6 @@ def test_columns_read_back_as_the_states_they_hold():
     assert hash(snap) == hash(WorldSnapshot.from_vehicles(3, snap.vehicles, (0.0, 0.0, 5.0)))
 
 
-COLUMNS = ("xy_yaw", "speed", "bodies", "antenna_height", "connected")
 # the pose components, each a column of xy_yaw
 POSE = dict(x=0, y=1, heading=2)
 
@@ -183,7 +193,7 @@ def with_entry(snap, name, row, value):
     """The ``two_rows`` change that sets ``name`` of ``row`` to ``value``;
     ``name`` is a pose component or a column (of bodies, the last entry)."""
     column = "xy_yaw" if name in POSE else name
-    values = getattr(snap, column).copy()
+    values = snapshot_columns(snap)[column].copy()
     if name in POSE:
         values[row, POSE[name]] = value
     else:
@@ -199,20 +209,19 @@ CHANGED = dict(
 
 @pytest.mark.parametrize("name", CHANGED)
 def test_one_changed_value_in_any_column_makes_a_different_snapshot(name):
-    snap = WorldSnapshot(**two_rows())
+    snap = two_sedans()
     changes = with_entry(snap, name, 0, CHANGED[name])
-    changed = WorldSnapshot(**two_rows(**changes))
+    changed = two_sedans(**changes)
     assert changed != snap and not changed == snap
     copied = {column: values.copy() for column, values in changes.items()}
-    assert changed == WorldSnapshot(**two_rows(**copied))
+    assert changed == two_sedans(**copied)
 
 
 def test_copies_are_equal_and_their_columns_read_only():
-    snap = WorldSnapshot(**two_rows())
+    snap = two_sedans()
     for copied in (copy.copy(snap), copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))):
         assert copied == snap and hash(copied) == hash(snap)
-        for name in COLUMNS:
-            column = getattr(copied, name)
+        for name, column in snapshot_columns(copied).items():
             assert not column.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[-1]
@@ -235,7 +244,7 @@ def test_copies_are_equal_and_their_columns_read_only():
 )
 def test_columns_are_checked_as_states_are(changes, message):
     with pytest.raises(ValueError, match=message):
-        WorldSnapshot(**two_rows(**changes))
+        two_sedans(**changes)
 
 
 def test_a_snapshot_of_states_keeps_them_on_the_ground():
@@ -258,9 +267,9 @@ NON_FINITE = [
 
 @pytest.mark.parametrize("entry, value, name, field_value", NON_FINITE)
 def test_a_non_finite_value_is_rejected_naming_its_field(entry, value, name, field_value):
-    snap = WorldSnapshot(**two_rows())
+    snap = two_sedans()
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        WorldSnapshot(**two_rows(**with_entry(snap, entry, 1, value)))
+        two_sedans(**with_entry(snap, entry, 1, value))
     # a state, which from_vehicles packs, is checked on its own
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         dataclasses.replace(snap.vehicle(1), **{name: field_value})
@@ -272,12 +281,68 @@ def test_a_run_stops_at_a_non_finite_snapshot_before_scoring_it():
 
     def stream():
         for ts in range(3):
-            yield WorldSnapshot(**two_rows(timestep=ts, connected=both))
+            yield two_sedans(timestep=ts, connected=both)
         poses = np.array([[10.0, 1.0, 0.0], [math.nan, -1.0, 3.0]])
-        yield WorldSnapshot(**two_rows(timestep=3, connected=both, xy_yaw=poses))
+        yield two_sedans(timestep=3, connected=both, xy_yaw=poses)
 
     topology = io.StringIO()
     with pytest.raises(ValueError, match=r"position must be finite, got \(nan, -1.0, 0.0\)"):
         run_variants({"run": cfg}, stream(), topology_dump=topology)
     scored = {row.split(",")[0] for row in topology.getvalue().splitlines()[1:]}
     assert scored == {"1", "2"}
+
+
+# -- Fleet: a vehicle set's ids, bodies, antennas and mask, checked once --------
+
+
+def test_a_fleet_derives_its_rows_once_and_is_equal_by_value():
+    ids = (NodeId.vehicle(5), NodeId.vehicle(2), NodeId.vehicle(3))
+    columns = dict(
+        bodies=np.array([[4.5, 1.8, 1.5]] * 3),
+        antenna_height=np.array([1.6, 1.6, 1.6]),
+        connected=np.array([True, True, False]),
+    )
+    fleet = Fleet(ids, **columns)
+    assert fleet.row == {ids[0]: 0, ids[1]: 1, ids[2]: 2}
+    assert fleet.node_rows.tolist() == [1, 0]  # the connected rows, in id order
+    assert fleet.codes.tolist() == [11, 5, 7]
+    for name in ("row", "node_rows", "codes"):
+        assert getattr(fleet, name) is getattr(fleet, name), name  # computed once
+    for derived in (fleet.node_rows, fleet.codes):
+        assert not derived.flags.writeable
+    twin = Fleet(ids, **{name: column.copy() for name, column in columns.items()})
+    assert twin is not fleet and twin == fleet and hash(twin) == hash(fleet)
+    assert fleet != Fleet(ids, **dict(columns, connected=np.array([True, True, True])))
+    assert fleet != Fleet(ids[::-1], **columns)
+    for copied in (copy.deepcopy(fleet), pickle.loads(pickle.dumps(fleet))):
+        assert copied == fleet
+        columns = (copied.bodies, copied.antenna_height, copied.connected)
+        assert not any(column.flags.writeable for column in columns)
+
+
+def test_a_step_on_a_shared_fleet_checks_its_poses_and_speeds():
+    """A snapshot on another snapshot's fleet shares it, and its own rows
+    are checked with the messages a fleet of its own gives."""
+    snap = two_sedans()
+    bad = [
+        ("x", math.nan, r"position must be finite, got \(nan, -1.0, 0.0\)"),
+        ("speed", -0.5, r"speed must be >= 0, got -0.5"),
+    ]
+    for entry, value, message in bad:
+        columns = dict(xy_yaw=snap.xy_yaw, speed=snap.speed)
+        columns.update(with_entry(snap, entry, 1, value))
+        with pytest.raises(ValueError, match=message):
+            WorldSnapshot(4, snap.rsu_position, snap.fleet, **columns)
+    with pytest.raises(ValueError, match="snapshot columns must hold one row per id"):
+        WorldSnapshot(4, snap.rsu_position, snap.fleet, snap.xy_yaw[:1], snap.speed[:1])
+    moved = WorldSnapshot(4, snap.rsu_position, snap.fleet, snap.xy_yaw + 1.0, snap.speed)
+    assert moved.fleet is snap.fleet and moved.vehicle(1).position == (21.0, 0.0, 0.0)
+
+
+def test_a_row_with_a_bad_body_and_a_bad_pose_names_the_body():
+    """The fleet is checked before the step, so its error comes first."""
+    with pytest.raises(ValueError, match=r"antenna_height 2.6 outside"):
+        two_sedans(
+            xy_yaw=np.array([[10.0, 1.0, 0.0], [math.nan, -1.0, 3.0]]),
+            antenna_height=np.array([1.6, 2.6]),
+        )

@@ -404,7 +404,7 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         predictor=GroundTruthPredictor(future), dt=dt, params=PARAMS, budget_db=110.0,
     )
     for ts, table in plan.entries.items():
-        assert plan.ids == snapshots[ts].ids
+        assert plan.ids == snapshots[ts].fleet.ids
         want = [[*v.position[:2], v.heading] for v in snapshots[ts].vehicles]
         assert plan.forecast[ts].tolist() == want
         truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
@@ -458,7 +458,7 @@ def plan_counting(monkeypatch, classes, predictor):
     as (class name, object)."""
     cfg = default_config(duration=5.0, vehicle_count=30, connected_fraction=0.5, seed=1)
     history = list(snapshot_stream(cfg))[-11:]
-    assert len(history[-1].ids) > 10
+    assert len(history[-1].fleet.ids) > 10
     built = count_validations(monkeypatch, classes)
     plan = route_predictive(
         history, history[-1].timestep + 2, steps=20,
@@ -480,8 +480,8 @@ def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch,
     only for each of the newest ``depth`` states of a vehicle's history
     that its predictor reads, not for the whole window."""
     _, history, built = plan_counting(monkeypatch, (VehicleState, WorldSnapshot), predictor)
-    tracks = history[-1].ids
-    observed = [sum(vid in snap.ids for snap in history) for vid in tracks]
+    tracks = history[-1].fleet.ids
+    observed = [sum(vid in snap.fleet.ids for snap in history) for vid in tracks]
     assert max(observed) == len(history)
     assert [name for name, _ in built] == ["VehicleState"] * sum(min(n, depth) for n in observed)
     assert len(built) <= len(tracks) * depth
