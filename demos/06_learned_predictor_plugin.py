@@ -44,10 +44,10 @@ external = predict(history, horizon=2.0, dt=dt,
 builtin = predict(history, horizon=2.0, dt=dt, predictor=ConstantVelocityPredictor())
 
 print("external model vs built-in constant velocity:")
-# a forecast is one (position, heading, speed) triple per future step
+# a forecast is one (x, y, heading) row per future step
 for k, (a, b) in enumerate(zip(external.states, builtin.states), start=1):
     match = "ok" if a == b else "DIFFERS"
-    print(f"  +{k * dt:.1f} s: {a[0][0]:6.2f} m vs {b[0][0]:6.2f} m  {match}")
+    print(f"  +{k * dt:.1f} s: {a[0]:6.2f} m vs {b[0]:6.2f} m  {match}")
 if external.states != builtin.states:
     sys.exit("the external model's forecast differs from the built-in predictor's")
 

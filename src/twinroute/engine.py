@@ -49,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
+from collections.abc import Mapping
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator
 
@@ -117,7 +118,10 @@ class _SharedWorld:
         read_ahead: int,
     ):
         self.config = config
-        self.history: deque[WorldSnapshot] = deque(maxlen=history_steps)
+        # trimmed by hand: a deque's maxlen must fit a C ssize_t, and a
+        # finite latency or history window may not
+        self.history: deque[WorldSnapshot] = deque()
+        self.history_steps = history_steps
         self.graphs: dict[int, ConnectivityGraph] = {}
         self.stream = stream
         self.read_ahead = read_ahead
@@ -135,7 +139,9 @@ class _SharedWorld:
 
     def push(self, snap: WorldSnapshot) -> None:
         self.history.append(snap)
-        self.graphs.pop(snap.timestep - self.history.maxlen, None)
+        if len(self.history) > self.history_steps:
+            self.history.popleft()
+        self.graphs.pop(snap.timestep - self.history_steps, None)
 
     def window(self, last: int, steps: int) -> list[WorldSnapshot]:
         """The snapshots of the ``steps`` timesteps up to ``last``, oldest
@@ -176,6 +182,34 @@ class _SharedWorld:
             if len(run) == 1:
                 raise
             return self._build(run[:1])
+
+
+class _HeldTable(Mapping):
+    """One route table in force at every step of ``steps``, a range: a
+    read-only mapping whose cost does not depend on the range's length.
+    A step outside it is a KeyError, as in a dict. Membership compares
+    with the range's ends, which takes constant time for any integer
+    type; ``in`` on a range does so only for a Python int."""
+
+    __slots__ = ("steps", "table")
+
+    def __init__(self, steps: range, table: RouteTable):
+        self.steps = steps
+        self.table = table
+
+    def __getitem__(self, timestep: int) -> RouteTable:
+        if self.steps.start <= timestep < self.steps.stop:
+            return self.table
+        raise KeyError(timestep)
+
+    def __contains__(self, timestep: int) -> bool:
+        return self.steps.start <= timestep < self.steps.stop
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.steps)
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
 class _Driver:
@@ -239,7 +273,7 @@ def _make_driver(config: ScenarioConfig) -> _Driver:
 
     def plan_held(timestep: int, world: _SharedWorld) -> PredictivePlan:
         table = route_realtime(world.graph_at(timestep - lag), config.max_hops)
-        return PredictivePlan(dict.fromkeys(range(timestep, timestep + steps), table), (), {})
+        return PredictivePlan(_HeldTable(range(timestep, timestep + steps), table), (), {})
 
     return _Driver(plan_held, lag + 1)
 

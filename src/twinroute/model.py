@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 Point3 = tuple[float, float, float]
-# (position, heading, speed) of one vehicle at one step
-Pose = tuple[Point3, float, float]
+# (x, y, heading) of one vehicle at one step: one row of a snapshot's xy_yaw
+Pose = tuple[float, float, float]
 
 
 class NodeId(int):

@@ -1,8 +1,9 @@
 """Pluggable trajectory prediction.
 
 Every predictor consumes a vehicle's recent state history (oldest first)
-and emits one pose, a ``(position, heading, speed)`` triple, per timestep
-across the requested horizon. A forecast is these poses alone: the
+and emits one row ``(x, y, heading)`` per timestep across the requested
+horizon: the row a snapshot's ``xy_yaw`` holds for the vehicle, and all
+the forecast graph reads of it. A forecast is these rows alone: the
 vehicle's id, body and ``connected`` flag are those of its last observed
 state, so no forecast step is rebuilt as a ``VehicleState``. The
 analytic predictors are the reference implementations; a learned model
@@ -17,8 +18,9 @@ numbered from 0, followed by two extra argv values
 the same schema, each a valid trace row (finite numbers, a 0/1 flag, an
 int id and timestep), with the id that was sent, timesteps continuing
 from the last input row, and a speed >= 0; any other output raises
-RuntimeError. A model still running after ``MODEL_TIMEOUT_S`` seconds is
-killed and raises ``subprocess.TimeoutExpired``.
+RuntimeError. The predictor returns each row's x, y and heading. A model
+still running after ``MODEL_TIMEOUT_S`` seconds is killed and raises
+``subprocess.TimeoutExpired``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .model import NodeId, Pose, VehicleState, seconds_to_steps
+from .model import Pose, VehicleState, seconds_to_steps
 from .trace import parse_row, trace_row
 
 MODEL_TIMEOUT_S = 30.0
@@ -36,14 +38,14 @@ MODEL_TIMEOUT_S = 30.0
 
 @dataclass(frozen=True)
 class PredictedTrack:
-    """Forecast poses of one vehicle.
+    """Forecast rows of one vehicle.
 
-    ``states[k]`` is the vehicle's pose ``k + 1`` steps after its last
-    observed state. ``degraded`` marks tracks produced by the hold
-    fallback because the requested predictor lacked history or failed.
+    ``states[k]`` is the vehicle's ``(x, y, heading)`` ``k + 1`` steps
+    after its last observed state. ``degraded`` marks tracks produced by
+    the hold fallback because the requested predictor lacked history or
+    failed.
     """
 
-    vehicle: NodeId
     states: tuple[Pose, ...]
     degraded: bool = False
 
@@ -55,7 +57,7 @@ class TrajectoryPredictor(Protocol):
     min_history: int
 
     def extrapolate(self, history: Sequence[VehicleState], steps: int, dt: float) -> list[Pose]:
-        """Return ``steps`` (position, heading, speed) triples."""
+        """Return ``steps`` rows ``(x, y, heading)``."""
         ...
 
 
@@ -65,7 +67,8 @@ class HoldPredictor:
 
     def extrapolate(self, history, steps, dt):
         last = history[-1]
-        return [(last.position, last.heading, last.speed)] * steps
+        x, y, _ = last.position
+        return [(x, y, last.heading)] * steps
 
 
 class ConstantVelocityPredictor:
@@ -76,11 +79,8 @@ class ConstantVelocityPredictor:
         last = history[-1]
         vx = last.speed * math.cos(last.heading)
         vy = last.speed * math.sin(last.heading)
-        x, y, z = last.position
-        out = []
-        for j in range(1, steps + 1):
-            out.append(((x + vx * j * dt, y + vy * j * dt, z), last.heading, last.speed))
-        return out
+        x, y, _ = last.position
+        return [(x + vx * j * dt, y + vy * j * dt, last.heading) for j in range(1, steps + 1)]
 
 
 def _wrap_angle(a: float) -> float:
@@ -100,7 +100,7 @@ class ConstantTurnRatePredictor:
         omega = _wrap_angle(last.heading - prev.heading) / dt
         if abs(omega) < self.straight_rate_eps or last.speed == 0.0:
             return ConstantVelocityPredictor().extrapolate(history, steps, dt)
-        x, y, z = last.position
+        x, y, _ = last.position
         v = last.speed
         h = last.heading
         radius = v / omega
@@ -109,7 +109,7 @@ class ConstantTurnRatePredictor:
             tau = j * dt
             px = x + radius * (math.sin(h + omega * tau) - math.sin(h))
             py = y - radius * (math.cos(h + omega * tau) - math.cos(h))
-            out.append(((px, py, z), _wrap_angle(h + omega * tau), v))
+            out.append((px, py, _wrap_angle(h + omega * tau)))
         return out
 
 
@@ -125,7 +125,6 @@ class LearnedPredictor:
         self.command = tuple(command)
 
     def extrapolate(self, history, steps, dt):
-        last = history[-1]
         # relative numbering; absolute timesteps are not known here
         lines = [
             trace_row(i, dt, s.id.index, s.connected, *s.position[:2], s.heading, s.speed)
@@ -148,7 +147,7 @@ class LearnedPredictor:
             raise RuntimeError(
                 f"learned predictor returned {len(rows)} rows, expected {steps}"
             )
-        vehicle = last.id.index
+        vehicle = history[-1].id.index
         for j, ln in enumerate(rows, start=1):
             timestep = len(history) - 1 + j
             try:
@@ -161,7 +160,7 @@ class LearnedPredictor:
                     raise ValueError(f"speed must be >= 0, got {speed!r}")
             except ValueError as exc:
                 raise RuntimeError(f"learned predictor row {j}: {exc}: {ln!r}") from None
-            out.append(((x, y, last.position[2]), heading, speed))
+            out.append((x, y, heading))
         return out
 
 
@@ -177,16 +176,12 @@ def make_predictor(kind: str, learned_command: Sequence[str] | None = None) -> T
     return LearnedPredictor(learned_command or ()) if kind == "learned" else PREDICTORS[kind]()
 
 
-def _sound(poses: Sequence[Pose]) -> bool:
-    """Every number finite and every speed >= 0, as in a VehicleState."""
+def _sound(rows: Sequence[Pose]) -> bool:
+    """Every row three finite numbers; a row of another length fails to unpack."""
     isfinite = math.isfinite
-    # a plain loop: 2.4 us per 21-pose track on a shared 2-core Xeon, a
-    # quarter of the time of all() over map(math.isfinite, ...)
-    for (x, y, z), heading, speed in poses:
-        if not (
-            speed >= 0 and isfinite(x) and isfinite(y) and isfinite(z)
-            and isfinite(heading) and isfinite(speed)
-        ):
+    # a plain loop: a quarter of the time of all() over map(math.isfinite, ...)
+    for x, y, heading in rows:
+        if not (isfinite(x) and isfinite(y) and isfinite(heading)):
             return False
     return True
 
@@ -197,19 +192,18 @@ def predict(
     dt: float,
     predictor: TrajectoryPredictor,
 ) -> PredictedTrack:
-    """Forecast one vehicle across the horizon; one pose per dt.
+    """Forecast one vehicle across the horizon; one ``(x, y, heading)``
+    row per dt.
 
     This is the one fallback of the predictive path: when the predictor
-    lacks history, raises, returns the wrong number of poses, or returns
-    a pose with a non-finite number or a negative speed (the checks a
-    :class:`VehicleState` and a learned model's row get), the vehicle
-    holds its last observed pose and the track is marked degraded. The
-    history must be non-empty and time-ordered.
+    lacks history, raises, returns the wrong number of rows, or returns a
+    row that is not three finite numbers, the vehicle holds its last
+    observed row and the track is marked degraded. The history must be
+    non-empty and time-ordered.
     """
     if not history:
         raise ValueError("history must contain at least one state")
     steps = seconds_to_steps(horizon, dt)
-    last = history[-1]
     if len(history) >= predictor.min_history:
         try:
             states = tuple(predictor.extrapolate(history, steps, dt))
@@ -217,6 +211,5 @@ def predict(
         except Exception:  # a failing model is held like a vehicle without history
             sound = False
         if sound:
-            return PredictedTrack(last.id, states)
-    held = (last.position, last.heading, last.speed)
-    return PredictedTrack(last.id, (held,) * steps, degraded=True)
+            return PredictedTrack(states)
+    return PredictedTrack(tuple(HoldPredictor().extrapolate(history, steps, dt)), degraded=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -119,12 +119,14 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
 class PredictivePlan:
     """Route schedule for one planning epoch: per future timestep, the
     route table and the forecast it was computed from, a read-only
-    ``(V, 3)`` array of the (x, y, heading) of the last observed
-    snapshot's vehicles, in the order of its ``ids``. The engine holds
-    every strategy's window of tables as one; a realtime or conventional
-    window has no ids and no forecasts."""
+    ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
+    the last observed snapshot's vehicles, in the order of its ``ids``.
+    The engine holds every strategy's window of tables as one; a realtime
+    or conventional window holds one table for every step of a range,
+    and has no ids and no forecasts. A step the window misses is a
+    KeyError."""
 
-    entries: dict[int, RouteTable]
+    entries: Mapping[int, RouteTable]
     ids: tuple[NodeId, ...]
     forecast: dict[int, np.ndarray]
     degraded_tracks: int = 0
@@ -172,10 +174,11 @@ def route_predictive(
     planned steps. Every vehicle in the last observed snapshot is
     forecast, unconnected ones included since their bodies still occlude.
     A vehicle whose predictor lacks history or fails holds its last
-    observed state and is counted in ``degraded_tracks``. Every forecast
+    observed row and is counted in ``degraded_tracks``. Every forecast
     step keeps the last observed snapshot's vehicles and moves only their
-    poses, so one :func:`build_topologies` call builds all the planned
-    graphs.
+    ``(x, y, heading)`` rows: the predicted rows, stacked step by step,
+    are the ``(steps, V, 3)`` pose array from which one
+    :func:`build_topologies` call builds all the planned graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -205,7 +208,7 @@ def route_predictive(
     timesteps = range(now + 1, now + steps + 1)
     # (step, vehicle, x/y/heading), filled step by step from one flat run of floats
     planned = zip(*(t.states[lag_steps:lag_steps + steps] for t in tracks))
-    flat = chain.from_iterable((x, y, yaw) for step in planned for (x, y, _), yaw, _ in step)
+    flat = chain.from_iterable(chain.from_iterable(planned))
     xy_yaw = np.fromiter(flat, np.float64).reshape(steps, len(tracks), 3)
     xy_yaw.setflags(write=False)
     graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)

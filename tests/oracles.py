@@ -502,11 +502,12 @@ def oracle_run(config, snapshots):
     - predictive plans at ``e - 1`` for the first scored step ``e`` and
       every ``prediction.interval`` steps after it. The plan reads the
       snapshots ``e - 1 - lag - window`` to ``e - 1 - lag``, forecasts
-      every vehicle of the last of them from its observed states (a
-      vehicle with too little history holds its last pose), and routes
-      the forecast graph of each step ``e … e - 1 + interval``. At each
-      of those steps the forecast of every vehicle that is in the scored
-      snapshot adds its x/y distance to the error sum.
+      the ``(x, y, heading)`` of every vehicle of the last of them from
+      its observed states (a vehicle with too little history holds its
+      last row), and routes the forecast graph of each step
+      ``e … e - 1 + interval``. At each of those steps the forecast of
+      every vehicle that is in the scored snapshot adds its x/y distance
+      to the error sum.
 
     Returns one ``(timestep, total, satisfied, mean hops)`` per scored
     step, and the mean forecast error (None without a forecast),
@@ -534,20 +535,20 @@ def oracle_run(config, snapshots):
         history = snaps[max(end - window, 0):end + 1]
         last = history[-1]
         steps = interval + now - last.timestep
-        tracks = []  # (last observed state, forecast poses) per vehicle
+        tracks = []  # (last observed state, forecast (x, y, heading) rows) per vehicle
         for vid in last.fleet.ids:
             states = [s.vehicle(s.fleet.ids.index(vid)) for s in history if vid in s.fleet.ids]
             held = states[-1]
             if len(states) >= predictor.min_history:
                 tracks.append((held, predictor.extrapolate(states, steps, dt)))
             else:
-                tracks.append((held, [(held.position, held.heading, held.speed)] * steps))
+                tracks.append((held, [(*held.position[:2], held.heading)] * steps))
         epoch = {}
         for t in range(now + 1, now + interval + 1):
             k = t - last.timestep - 1
             moved = [
-                dataclasses.replace(held, position=poses[k][0], heading=poses[k][1])
-                for held, poses in tracks
+                dataclasses.replace(held, position=(*rows[k][:2], 0.0), heading=rows[k][2])
+                for held, rows in tracks
             ]
             g = graph(WorldSnapshot.from_vehicles(t, moved, last.rsu_position))
             epoch[t] = (routes(g), [(s.id, s.position[0], s.position[1]) for s in moved])

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import importlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,73 @@ def test_latency_uses_older_snapshot():
     lagged = dataclasses.replace(SMALL, latency_delta=1.0)
     results = run_variants({"now": SMALL, "lagged": lagged})
     assert results["lagged"].reliability <= results["now"].reliability
+
+
+SHORT = default_config(duration=2.0, vehicle_count=8, connected_fraction=0.5, seed=5)
+
+
+def detail_and_peak(cfg: ScenarioConfig) -> tuple[str, int]:
+    """The run's detail bytes and the peak bytes that Python allocated
+    while it ran."""
+    tracemalloc.start()
+    try:
+        result = run_single(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    detail = io.StringIO()
+    write_detail(result, detail)
+    return detail.getvalue(), peak
+
+
+def test_a_held_table_costs_the_same_whatever_its_interval():
+    """A conventional window holds one table for every step of its range
+    without an entry per step: an interval of 1e9 s, 1e10 steps, writes
+    the same detail bytes as one that spans the run, in the same memory."""
+    spans_run = dataclasses.replace(
+        SHORT, strategy=Strategy.CONVENTIONAL, conventional_update_interval=SHORT.duration
+    )
+    want, peak = detail_and_peak(spans_run)
+    got, long_peak = detail_and_peak(dataclasses.replace(spans_run, conventional_update_interval=1e9))
+    assert got == want and want.count("\n") == 21
+    assert long_peak < 2 * peak
+
+
+def test_a_step_a_window_misses_is_a_key_error():
+    table = {NodeId.vehicle(0): None}
+    held = engine._HeldTable(range(3, 5), table)
+    assert list(held) == [3, 4] and len(held) == 2 and dict(held) == {3: table, 4: table}
+    assert 2 not in held and 5 not in held and held[4] is table and held[np.int64(3)] is table
+    with pytest.raises(KeyError):
+        held[5]
+
+    def misses_its_step(timestep, world):
+        return routing.PredictivePlan(engine._HeldTable(range(timestep + 1, timestep + 2), table), (), {})
+
+    with pytest.raises(KeyError):
+        engine._Driver(misses_its_step, 1).table_for(7, None)
+
+
+@pytest.mark.parametrize(
+    "strategy, field, value",
+    [
+        (Strategy.REALTIME, "latency_delta", 1e18),
+        (Strategy.PREDICTIVE, "latency_delta", 1e18),
+        (Strategy.PREDICTIVE, "history_window", 1e300),
+    ],
+)
+def test_any_finite_latency_or_history_window_runs(strategy, field, value):
+    """A latency or history window of any finite length runs, though its
+    count of steps may not fit a C size: one longer than the run writes
+    the bytes of one as long as the run."""
+
+    def config(seconds):
+        cfg = dataclasses.replace(SHORT, strategy=strategy)
+        if field == "history_window":
+            return dataclasses.replace(cfg, prediction=dataclasses.replace(cfg.prediction, history_window=seconds))
+        return dataclasses.replace(cfg, latency_delta=seconds)
+
+    assert detail_and_peak(config(value))[0] == detail_and_peak(config(SHORT.duration))[0]
 
 
 def frozen_world(n_steps=40):

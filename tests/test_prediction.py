@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import stat
 import subprocess
@@ -27,26 +28,27 @@ def test_stationary_vehicle_any_predictor_holds():
     for predictor in (HoldPredictor(), ConstantVelocityPredictor(), ConstantTurnRatePredictor()):
         track = predict(history, horizon=1.0, dt=0.1, predictor=predictor)
         assert len(track.states) == 10
-        for position, _, _ in track.states:
-            assert position == (5.0, 7.0, 0.0)
+        for x, y, _ in track.states:
+            assert (x, y) == (5.0, 7.0)
 
 
 def test_constant_velocity_linear_kinematics():
     history = [make_vehicle(0, -1.0, 0.0, speed=10.0), make_vehicle(0, 0.0, 0.0, speed=10.0)]
     track = predict(history, horizon=1.0, dt=0.5, predictor=ConstantVelocityPredictor())
-    positions = [position for position, _, _ in track.states]
-    assert positions == [(5.0, 0.0, 0.0), (10.0, 0.0, 0.0)]
+    positions = [(x, y) for x, y, _ in track.states]
+    assert positions == [(5.0, 0.0), (10.0, 0.0)]
 
 
 def test_track_shape_contract():
-    """states[k] is the (position, heading, speed) k + 1 steps past the last observation."""
+    """states[k] is the (x, y, heading) k + 1 steps past the last
+    observation, a row of a snapshot's xy_yaw; a track holds nothing else."""
     history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 1.0, 0.0, connected=False, body=TRUCK)]
     track = predict(history, horizon=3.0, dt=0.1, predictor=ConstantVelocityPredictor())
-    last = history[-1]
-    assert track.vehicle == last.id and not track.degraded
+    assert [f.name for f in dataclasses.fields(track)] == ["states", "degraded"]
+    assert not track.degraded
     assert len(track.states) == 30
     for k, state in enumerate(track.states):
-        assert state == ((1.0 + 10.0 * (k + 1) * 0.1, 0.0, 0.0), last.heading, last.speed)
+        assert state == (1.0 + 10.0 * (k + 1) * 0.1, 0.0, history[-1].heading)
 
 
 def test_constant_turn_rate_follows_the_arc():
@@ -57,10 +59,10 @@ def test_constant_turn_rate_follows_the_arc():
     track = predict(history, horizon, dt, ConstantTurnRatePredictor())
     omega = speed / radius
     start_angle = omega * dt * 4  # history has 5 samples starting at angle 0
-    for j, (position, _, _) in enumerate(track.states, start=1):
+    for j, (x, y, _) in enumerate(track.states, start=1):
         ang = start_angle + omega * dt * j
         expect = (radius * math.cos(ang), radius * math.sin(ang))
-        assert math.dist(position[:2], expect) < 1e-6
+        assert math.dist((x, y), expect) < 1e-6
 
 
 def test_constant_turn_rate_follows_a_slow_turn():
@@ -72,10 +74,10 @@ def test_constant_turn_rate_follows_a_slow_turn():
     track = predict(history, 3.0, dt, ConstantTurnRatePredictor())
     straight = predict(history, 3.0, dt, ConstantVelocityPredictor())
     omega = speed / radius
-    for j, (position, _, _) in enumerate(track.states, start=1):
+    for j, (x, y, _) in enumerate(track.states, start=1):
         ang = omega * dt * (2 + j)
-        assert math.dist(position[:2], (radius * math.cos(ang), radius * math.sin(ang))) < 1e-6
-    assert math.dist(track.states[-1][0], straight.states[-1][0]) > 0.01
+        assert math.dist((x, y), (radius * math.cos(ang), radius * math.sin(ang))) < 1e-6
+    assert math.dist(track.states[-1][:2], straight.states[-1][:2]) > 0.01
 
 
 def test_truncation_consistency():
@@ -94,10 +96,10 @@ def test_cv_error_grows_with_horizon_on_curves():
     start_angle = omega * dt * 3
     last = history[-1]
     errors = []
-    for j, (position, _, _) in enumerate(track.states, start=1):
+    for j, (x, y, _) in enumerate(track.states, start=1):
         ang = start_angle + omega * dt * j
         truth = (radius * math.cos(ang), radius * math.sin(ang))
-        errors.append(math.dist(position[:2], truth))
+        errors.append(math.dist((x, y), truth))
     assert all(b >= a for a, b in zip(errors, errors[1:]))
     # chord-vs-arc closed form at the last step
     phi = omega * dt * len(track.states)
@@ -106,18 +108,37 @@ def test_cv_error_grows_with_horizon_on_curves():
 
 
 def test_insufficient_history_falls_back_to_hold():
-    history = [make_vehicle(0, 3.0, 1.0, speed=8.0)]
+    history = [make_vehicle(0, 3.0, 1.0, heading=0.3, speed=8.0)]
     track = predict(history, horizon=1.0, dt=0.1, predictor=ConstantVelocityPredictor())
     assert track.degraded
-    assert track.states == (((3.0, 1.0, 0.0), 0.0, 8.0),) * 10
+    assert track.states == ((3.0, 1.0, 0.3),) * 10
 
 
-GOOD_POSE = ((1.0, 2.0, 0.0), 0.0, 5.0)
-# poses a VehicleState or a model row would reject
-UNSOUND_POSES = {
-    "nan-x": ((math.nan, 2.0, 0.0), 0.0, 5.0),
-    "inf-heading": ((1.0, 2.0, 0.0), math.inf, 5.0),
-    "negative-speed": ((1.0, 2.0, 0.0), 0.0, -0.5),
+def test_hold_returns_the_last_xy_yaw_row():
+    """Hold, and the fallback that holds, repeat the last observation's
+    row of its snapshot's xy_yaw, heading included."""
+    snaps = [
+        make_snapshot([make_vehicle(0, -40.0, 3.0), make_vehicle(1, 7.5, -2.25, heading=-2.5)], timestep=k)
+        for k in range(2)
+    ]
+    history = [snap.vehicle(1) for snap in snaps]
+    row = tuple(snaps[-1].xy_yaw[1].tolist())
+    assert row == (7.5, -2.25, -2.5)
+    assert HoldPredictor().extrapolate(history, 4, 0.1) == [row] * 4
+    held = predict(history[-1:], horizon=0.4, dt=0.1, predictor=ConstantTurnRatePredictor())
+    assert held.degraded and held.states == (row,) * 4
+
+
+GOOD_ROW = (1.0, 2.0, 0.0)
+# rows that are not three finite numbers, as a snapshot's xy_yaw row is
+UNSOUND_ROWS = {
+    "nan-x": (math.nan, 2.0, 0.0),
+    "inf-heading": (1.0, 2.0, math.inf),
+    "nan-heading": (1.0, 2.0, math.nan),
+    "two-numbers": (1.0, 2.0),
+    "four-numbers": (1.0, 2.0, 0.0, 5.0),
+    # the ((x, y, z), heading, speed) triple predictors returned before
+    "pose-triple": ((1.0, 2.0, 0.0), 0.0, 5.0),
 }
 
 
@@ -125,9 +146,9 @@ UNSOUND_POSES = {
     "result",
     [
         RuntimeError("no model"),
-        [GOOD_POSE],
-        # one unsound pose, the last, degrades the whole track
-        *(pytest.param([GOOD_POSE] * 4 + [pose], id=name) for name, pose in UNSOUND_POSES.items()),
+        [GOOD_ROW],
+        # one unsound row, the last, degrades the whole track
+        *(pytest.param([GOOD_ROW] * 4 + [row], id=name) for name, row in UNSOUND_ROWS.items()),
     ],
 )
 def test_failing_or_short_predictor_falls_back_to_hold(result):
@@ -140,11 +161,10 @@ def test_failing_or_short_predictor_falls_back_to_hold(result):
                 raise result
             return result
 
-    history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 3.0, 1.0)]
+    history = [make_vehicle(0, 0.0, 0.0), make_vehicle(0, 3.0, 1.0, heading=1.25)]
     track = predict(history, horizon=0.5, dt=0.1, predictor=Broken())
     assert track.degraded
-    last = history[-1]
-    assert track.states == ((last.position, last.heading, last.speed),) * 5
+    assert track.states == ((3.0, 1.0, 1.25),) * 5
 
 
 def test_empty_history_rejected():
@@ -218,7 +238,7 @@ def echo_model(row: str) -> LearnedPredictor:
 def test_learned_predictor_accepts_well_formed_rows():
     history = [make_vehicle(3, 0.0, 0.0)] * 2
     out = echo_model(GOOD_FORECAST).extrapolate(history, 2, 0.5)
-    assert out == [((1.0, 2.0, 0.0), 0.0, 5.0)] * 2
+    assert out == [(1.0, 2.0, 0.0)] * 2
 
 
 @pytest.mark.parametrize(
@@ -288,11 +308,13 @@ def test_bad_model_output_holds_the_vehicle_and_counts_a_degraded_track(row):
 
 def test_unsound_forecast_poses_hold_their_vehicles_and_count_as_degraded():
     """A user predictor's unsound track is held and counted like a failing
-    one, so its vehicle is still routed."""
-    sound, *unsound = [make_vehicle(k, x, y) for k, (x, y) in enumerate(
-        [(30.0, 0.0), (-30.0, 0.0), (0.0, 30.0), (0.0, -30.0)]
-    )]
-    poses = dict(zip([v.id for v in unsound], UNSOUND_POSES.values()))
+    one, so its vehicle is still routed; every other vehicle keeps its
+    forecast."""
+    sound, *unsound = [
+        make_vehicle(k, 30.0 * math.cos(k), 30.0 * math.sin(k), heading=0.5 * k)
+        for k in range(1 + len(UNSOUND_ROWS))
+    ]
+    rows = dict(zip([v.id for v in unsound], UNSOUND_ROWS.values()))
 
     class Unsound:
         kind = "unsound"
@@ -300,15 +322,16 @@ def test_unsound_forecast_poses_hold_their_vehicles_and_count_as_degraded():
 
         def extrapolate(self, history, steps, dt):
             last = history[-1]
-            pose = poses.get(last.id, (last.position, last.heading, 0.0))
-            return [pose] * steps
+            x, y, _ = last.position
+            return [rows.get(last.id, (x + 1.0, y, last.heading))] * steps
 
     history = [make_snapshot([sound, *unsound], timestep=k) for k in range(2)]
     plan = route_predictive(
         history, 1, steps=2, predictor=Unsound(),
         dt=0.1, params=default_channel_params(), budget_db=110.0,
     )
-    assert plan.degraded_tracks == 3
-    held = [[*v.position[:2], v.heading] for v in (sound, *unsound)]
-    assert [step.tolist() for step in plan.forecast.values()] == [held] * 2
+    assert plan.degraded_tracks == len(UNSOUND_ROWS)
+    moved = [sound.position[0] + 1.0, sound.position[1], sound.heading]
+    held = [[*v.position[:2], v.heading] for v in unsound]
+    assert [step.tolist() for step in plan.forecast.values()] == [[moved, *held]] * 2
     assert all(route is not None for table in plan.entries.values() for route in table.values())

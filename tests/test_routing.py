@@ -379,9 +379,7 @@ class GroundTruthPredictor:
 
     def extrapolate(self, history, steps, dt):
         vid = history[-1].id
-        return [
-            (s.position, s.heading, s.speed) for s in self.future[vid][:steps]
-        ]
+        return [(*s.position[:2], s.heading) for s in self.future[vid][:steps]]
 
 
 def test_predictive_with_perfect_oracle_matches_future_realtime():
