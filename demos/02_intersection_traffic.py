@@ -36,9 +36,9 @@ print("maneuvers:", dict(maneuvers))
 
 # same-lane spacing stays above the configured minimum gap
 corridors = {}
-for v in state.active:
-    if v.progress < v.plan.entry_end_s:
-        corridors.setdefault((v.plan.entry_arm, v.plan.lane), []).append(v.progress)
+for v, progress in zip(state.active, state.progress):
+    if progress < v.plan.entry_end_s:
+        corridors.setdefault((v.plan.entry_arm, v.plan.lane), []).append(progress)
 spacings = []
 for positions in corridors.values():
     positions.sort()

@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 TRACE_COLUMNS = ("timestep", "sim_time", "id", "connected", "x", "y", "heading", "speed")
 BODY_COLUMNS = ("length", "width", "height", "antenna_height")
 TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
+# the largest |x| or |y| a trace may hold: for two such points the graph
+# builder's squared ground distance dx*dx + dy*dy stays at most 2**1023,
+# while coordinates of about 1.3e154 m could overflow it to inf
+COORDINATE_BOUND = 2.0**510
 
 # the columns parse_row reads as floats, in the order it checks them
 _NUMBERS = (TRACE_COLUMNS[1],) + TRACE_COLUMNS[4:]
@@ -119,7 +123,9 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     ``timestep * config.dt``, so a trace recorded at another step length
     is not scored on the wrong clock. Timesteps must be grouped and
     consecutive. A ``timestep,sim_time`` marker row is a step with no
-    vehicles and must be its step's only row. No two vehicles of one step
+    vehicles and must be its step's only row. No |x| or |y| may exceed
+    ``COORDINATE_BOUND`` (2**510 m), so no squared ground distance
+    overflows. No two vehicles of one step
     may stand at the same (x, y), no antenna at the RSU's point, and no
     two connected vehicles' antennas of one step at one point (a squared
     distance of 0.0, summed as the graph builder sums it); a vehicle keeps
@@ -198,6 +204,9 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
                 raise ValueError(
                     f"vehicle {index} has a body or connected flag other than on line {first}"
                 )
+            if abs(x) > COORDINATE_BOUND or abs(y) > COORDINATE_BOUND:
+                name, value = ("x", x) if abs(x) > COORDINATE_BOUND else ("y", y)
+                raise ValueError(f"|{name}| must be at most 2**510 m, got {value!r}")
             spot = (x, y)
             if spot in spots:
                 raise ValueError(

@@ -8,7 +8,8 @@ slow and only run at small scale. The exceptions are the exact references
 that faster code replaced and must still match: the scalar slab test
 (``ObstacleBox``, ``box_from_vehicle``, ``segment_intersects_box`` and
 ``blockage_count``) and the dense blockage kernel for the two-phase one,
-the numpy pose lookup for the bisect one, the top-down BFS for the
+the numpy pose lookup for the bisect one, the per-vehicle traffic
+stepper (``oracle_advance``) for the one over columns, the top-down BFS for the
 bottom-up hop layering, the list-and-``all()`` route check for the
 one-pass hop walk, and ``node_key``, the order read from a node's text
 form that int-coded node ids must sort in. ``oracle_run`` restates the
@@ -28,6 +29,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from twinroute.mobility import (
+    CLAMP_PASSES,
+    MANEUVER_WEIGHTS,
+    MERGE_WINDOW,
+    Arm,
+    Maneuver,
+    RoutePlan,
+    build_route_plan,
+)
 from twinroute.model import (
     NodeId,
     Strategy,
@@ -326,6 +336,161 @@ def oracle_pose_at(plan, s: float) -> tuple[float, float, float]:
     frac = min(max((s - float(cum[i])) / seg, 0.0), 1.0)
     heading = math.atan2(by - ay, bx - ax)
     return (ax + (bx - ax) * frac, ay + (by - ay) * frac, heading)
+
+
+@dataclass
+class OracleVehicle:
+    """One vehicle of the oracle stepper, with its own progress and speed."""
+
+    release_time: float
+    plan: RoutePlan
+    vclass: object
+    cruise_speed: float
+    connected: bool
+    id: NodeId | None = None
+    progress: float = 0.0
+    effective_speed: float = 0.0
+
+
+@dataclass
+class OracleTraffic:
+    config: object
+    rng: np.random.Generator
+    step: int = 0
+    active: list[OracleVehicle] = dataclasses.field(default_factory=list)
+    pending: list[OracleVehicle] = dataclasses.field(default_factory=list)
+    next_vehicle_index: int = 0
+
+
+def _oracle_draw(traffic: OracleTraffic, release_time: float) -> OracleVehicle:
+    cfg, rng = traffic.config, traffic.rng
+    geometry = cfg.intersection
+    arm = list(Arm)[int(rng.integers(0, 4))]
+    lane = int(rng.integers(0, geometry.lane_count))
+    maneuver = list(Maneuver)[
+        int(rng.choice(3, p=np.asarray(MANEUVER_WEIGHTS) / sum(MANEUVER_WEIGHTS)))
+    ]
+    weights = np.asarray([v.weight for v in cfg.vehicle_mix], dtype=float)
+    vclass = cfg.vehicle_mix[int(rng.choice(len(cfg.vehicle_mix), p=weights / weights.sum()))]
+    cruise = float(rng.uniform(cfg.speed.min, cfg.speed.max))
+    connected = bool(rng.random() < cfg.connected_fraction)
+    plan = build_route_plan(
+        arm, lane, maneuver, geometry.arm_length, geometry.lane_count, geometry.lane_width
+    )
+    return OracleVehicle(release_time, plan, vclass, cruise, connected)
+
+
+def _oracle_release(traffic: OracleTraffic, now: float) -> None:
+    gap = traffic.config.mobility.min_gap
+    remaining = []
+    for new in traffic.pending:
+        arm, lane = new.plan.entry_arm, new.plan.lane
+        if (
+            new.release_time <= now + 1e-9
+            and len(traffic.active) < traffic.config.vehicle_count
+            and not any(
+                v.progress < gap and v.plan.entry_arm is arm and v.plan.lane == lane
+                for v in traffic.active
+            )
+        ):
+            new.id = NodeId.vehicle(traffic.next_vehicle_index)
+            new.effective_speed = new.cruise_speed
+            traffic.active.append(new)
+            traffic.next_vehicle_index += 1
+        else:
+            remaining.append(new)
+    traffic.pending = remaining
+
+
+def _oracle_clamped_progress(traffic: OracleTraffic, dt: float) -> list[float]:
+    active = traffic.active
+    gap = traffic.config.mobility.min_gap
+    s_old = [v.progress for v in active]
+    s_new = [v.progress + v.cruise_speed * dt for v in active]
+    entry_lists: dict[tuple, list[int]] = {}
+    exit_lists: dict[tuple, list[int]] = {}
+    for i, v in enumerate(active):
+        if s_old[i] < v.plan.entry_end_s:
+            entry_lists.setdefault((v.plan.entry_arm, v.plan.lane), []).append(i)
+        if s_old[i] - v.plan.exit_start_s >= -MERGE_WINDOW:
+            exit_lists.setdefault((v.plan.exit_arm, v.plan.lane), []).append(i)
+    for lst in entry_lists.values():
+        lst.sort(key=lambda i: (-s_old[i], active[i].id))
+    for lst in exit_lists.values():
+        lst.sort(key=lambda i: (-(s_old[i] - active[i].plan.exit_start_s), active[i].id))
+    for _ in range(CLAMP_PASSES):
+        before = list(s_new)
+        for lst in entry_lists.values():
+            for leader, follower in zip(lst, lst[1:]):
+                cap = s_new[leader] - gap
+                if s_new[follower] > cap:
+                    s_new[follower] = max(s_old[follower], cap)
+        for lst in exit_lists.values():
+            for leader, follower in zip(lst, lst[1:]):
+                lead_coord = s_new[leader] - active[leader].plan.exit_start_s
+                cap = lead_coord - gap + active[follower].plan.exit_start_s
+                if s_new[follower] > cap:
+                    s_new[follower] = max(s_old[follower], cap)
+        if s_new == before:
+            break
+    return s_new
+
+
+def oracle_snapshot(traffic: OracleTraffic) -> WorldSnapshot:
+    """The snapshot packed from each active vehicle's state, its pose from
+    ``oracle_pose_at``."""
+    states = []
+    for v in traffic.active:
+        x, y, heading = oracle_pose_at(v.plan, v.progress)
+        body = v.vclass
+        states.append(
+            VehicleState(
+                v.id, (x, y, 0.0), heading, v.effective_speed,
+                (body.length, body.width, body.height), body.antenna_height, v.connected,
+            )
+        )
+    rsu = (0.0, 0.0, traffic.config.intersection.rsu_height)
+    return WorldSnapshot.from_vehicles(traffic.step, states, rsu)
+
+
+def oracle_init_traffic(config) -> OracleTraffic:
+    traffic = OracleTraffic(config, np.random.default_rng(config.seed))
+    window = config.mobility.spawn_window
+    offsets = [float(traffic.rng.uniform(0.0, window)) for _ in range(config.vehicle_count)]
+    traffic.pending = [_oracle_draw(traffic, offset) for offset in offsets]
+    traffic.pending.sort(key=lambda v: v.release_time)
+    _oracle_release(traffic, 0.0)
+    return traffic
+
+
+def oracle_advance(traffic: OracleTraffic, dt: float) -> WorldSnapshot:
+    """One step of the per-vehicle stepper the traffic columns replaced:
+    each vehicle a record of its own progress and speed, corridors keyed
+    by ``(Arm, lane)``, a scan of every active vehicle per pending draw,
+    ``rng.choice`` draws, and poses from ``oracle_pose_at``."""
+    traffic.step += 1
+    now = traffic.step * traffic.config.dt
+    s_new = _oracle_clamped_progress(traffic, dt)
+    survivors = []
+    for v, s in zip(traffic.active, s_new):
+        v.effective_speed = (s - v.progress) / dt
+        v.progress = s
+        if s >= v.plan.total_length - 1e-9:
+            traffic.pending.append(_oracle_draw(traffic, now))
+        else:
+            survivors.append(v)
+    traffic.active = survivors
+    traffic.pending.sort(key=lambda v: v.release_time)
+    _oracle_release(traffic, now)
+    return oracle_snapshot(traffic)
+
+
+def oracle_stream(config) -> Iterable[WorldSnapshot]:
+    """The oracle stepper's counterpart of ``snapshot_stream``."""
+    traffic = oracle_init_traffic(config)
+    yield oracle_snapshot(traffic)
+    for _ in range(int(round(config.duration / config.dt))):
+        yield oracle_advance(traffic, config.dt)
 
 
 def oracle_path_loss(d: float, blockers: int, classes, atmospheric_db_per_km: float) -> float:

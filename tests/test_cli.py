@@ -685,6 +685,29 @@ def test_replay_bad_trace_exits_2_naming_the_line(tmp_path, row, message):
     assert not out.exists()
 
 
+def test_replay_of_a_coordinate_whose_square_overflows_exits_2(tmp_path):
+    """One connected vehicle of a 3 s dumped trace moved to x = 1e200 for
+    one step: its squared ground distance to every node overflows to inf,
+    so it would be scored with no links. The replay exits 2 naming the
+    line instead."""
+    cfg = default_config(duration=3.0, vehicle_count=30, connected_fraction=0.5, seed=1)
+    cfg_path = tmp_path / "s.yaml"
+    save_config(cfg, cfg_path)
+    buf = io.StringIO()
+    list(tee_trace(snapshot_stream(cfg), buf, cfg.dt))
+    rows = buf.getvalue().splitlines(keepends=True)
+    index = next(i for i, row in enumerate(rows) if row.startswith("25,") and row.split(",")[3] == "1")
+    fields = rows[index].split(",")
+    rows[index] = ",".join([*fields[:4], "1e200", *fields[5:]])
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(rows), encoding="utf-8")
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{trace}: trace line {index + 1}: |x| must be at most 2**510 m, got 1e+200" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 
 from twinroute.config import default_config
 from twinroute.mobility import (
+    MANEUVER_WEIGHTS,
     Arm,
     Maneuver,
     TrafficState,
     Vehicle,
+    _cdf,
+    _poses,
     advance_traffic,
     build_route_plan,
     init_traffic,
@@ -28,7 +32,7 @@ from twinroute.topology import build_topology
 from twinroute.trace import TraceError, read_trace, tee_trace
 
 from conftest import snapshot_columns
-from oracles import oracle_pose_at
+from oracles import oracle_pose_at, oracle_stream
 
 CFG = default_config(duration=60.0, vehicle_count=12, connected_fraction=0.5, seed=7)
 
@@ -124,44 +128,21 @@ def test_a_deep_copy_steps_as_the_original():
 # -- kinematics -------------------------------------------------------------
 
 
-def make_two_vehicle_state(leader_s, follower_s, leader_speed, follower_speed):
-    cfg = default_config(vehicle_count=2)
-    plan_args = dict(
-        entry_arm=Arm.N,
-        lane=0,
-        maneuver=Maneuver.STRAIGHT,
-        arm_length=cfg.intersection.arm_length,
-        lane_count=cfg.intersection.lane_count,
-        lane_width=cfg.intersection.lane_width,
-    )
-    leader = Vehicle(
-        release_time=0.0,
-        plan=build_route_plan(**plan_args),
-        vclass=cfg.vehicle_mix[0],
-        cruise_speed=leader_speed,
-        connected=True,
-        id=NodeId.vehicle(0),
-        progress=leader_s,
-        effective_speed=leader_speed,
-    )
-    follower = Vehicle(
-        release_time=0.0,
-        plan=build_route_plan(**plan_args),
-        vclass=cfg.vehicle_mix[0],
-        cruise_speed=follower_speed,
-        connected=True,
-        id=NodeId.vehicle(1),
-        progress=follower_s,
-        effective_speed=follower_speed,
-    )
-    return TrafficState(
-        config=cfg,
-        rng=np.random.default_rng(0),
-        step=0,
-        active=[leader, follower],
-        pending=[],
-        next_vehicle_index=2,
-    )
+def make_state(*rows, min_gap=7.0):
+    """A state whose rows are the ``(entry arm, maneuver, progress, cruise
+    speed)`` vehicles, on lane 0 of the default geometry, admitted in turn
+    and so vehicles 0, 1, ..."""
+    cfg = default_config(vehicle_count=len(rows))
+    cfg = dataclasses.replace(cfg, mobility=dataclasses.replace(cfg.mobility, min_gap=min_gap))
+    geometry = cfg.intersection
+    state = TrafficState(cfg, np.random.default_rng(0))
+    for arm, maneuver, progress, speed in rows:
+        plan = build_route_plan(
+            arm, 0, maneuver, geometry.arm_length, geometry.lane_count, geometry.lane_width
+        )
+        state.admit(Vehicle(0.0, plan, cfg.vehicle_mix[0], speed, True))
+        state.progress[-1] = progress
+    return state
 
 
 @settings(max_examples=50, deadline=None)
@@ -177,15 +158,15 @@ def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
     assert state.active
     snap = state.snapshot()
     want = []
-    for v in state.active:
-        x, y, heading = v.plan.pose_at(v.progress)
+    for v, progress, speed in zip(state.active, state.progress, state.speed, strict=True):
+        x, y, heading = oracle_pose_at(v.plan, progress)
         body = v.vclass
         want.append(
             VehicleState(
                 id=v.id,
                 position=(x, y, 0.0),
                 heading=heading,
-                speed=v.effective_speed,
+                speed=speed,
                 dimensions=(body.length, body.width, body.height),
                 antenna_height=body.antenna_height,
                 connected=v.connected,
@@ -200,7 +181,7 @@ def test_snapshot_columns_hold_the_keyword_built_states(seed, steps):
         assert got.dtype == built.dtype and got.shape == built.shape, name
         assert np.array_equal(got, built), name
     # the row checks still run
-    state.active[-1].effective_speed = -1.0
+    state.speed[-1] = -1.0
     with pytest.raises(ValueError, match="speed must be >= 0, got -1.0"):
         state.snapshot()
 
@@ -278,35 +259,112 @@ def test_every_generated_snapshot_equals_the_one_packed_from_its_states(seed, co
 
 
 def test_free_vehicle_advances_speed_times_dt():
-    state = make_two_vehicle_state(80.0, 10.0, 10.0, 10.0)
+    state = make_state((Arm.N, Maneuver.STRAIGHT, 80.0, 10.0), (Arm.N, Maneuver.STRAIGHT, 10.0, 10.0))
     advance_traffic(state, 0.1)
-    assert state.active[1].progress == pytest.approx(11.0, abs=1e-12)
+    assert state.progress[1] == pytest.approx(11.0, abs=1e-12)
 
 
 def test_a_vehicle_short_of_its_end_by_more_than_the_tolerance_stays():
     """Despawn forgives 1e-9 m: a lone vehicle left 5e-7 m short of its
     end after a step stays active for that step and despawns on the next."""
-    state = make_two_vehicle_state(0.0, 0.0, 10.0, 10.0)
+    state = make_state((Arm.N, Maneuver.STRAIGHT, 0.0, 10.0))
     lone = state.active[0]
-    lone.progress = lone.plan.total_length - 5e-7 - 1.0
-    state.active = [lone]
+    state.progress[0] = lone.plan.total_length - 5e-7 - 1.0
     _, snap = advance_traffic(state, 0.1)
-    assert lone.plan.total_length - lone.progress == pytest.approx(5e-7, rel=1e-6)
+    assert lone.plan.total_length - state.progress[0] == pytest.approx(5e-7, rel=1e-6)
     assert snap.fleet.ids == (lone.id,)
     _, snap = advance_traffic(state, 0.1)
     assert lone.id not in snap.fleet.ids and lone not in state.active
 
 
+def test_a_vehicle_within_the_tolerance_of_its_end_despawns():
+    state = make_state((Arm.N, Maneuver.STRAIGHT, 0.0, 10.0))
+    total = state.plans[0].total_length
+    state.progress[0] = total - 1.0 - 5e-10
+    _, snap = advance_traffic(state, 0.1)
+    assert 0.0 < total - (total - 1.0 - 5e-10 + 1.0) <= 1e-9
+    assert snap.fleet.ids == (NodeId.vehicle(1),)  # its replacement, drawn due at once
+
+
+def test_a_draw_due_within_the_tolerance_is_released():
+    """A pending vehicle is due from ``release_time - 1e-9`` on: one due
+    1e-9 s after a step's time enters at that step, one a float later
+    waits for the next."""
+    cfg = default_config(vehicle_count=2)
+    due = 1 * cfg.dt + 1e-9
+    later = math.nextafter(due, math.inf)
+    plans = [build_route_plan(arm, 0, Maneuver.STRAIGHT, 100.0, 1, 3.5) for arm in (Arm.N, Arm.S)]
+    pending = [Vehicle(t, plan, cfg.vehicle_mix[0], 10.0, True) for t, plan in zip((due, later), plans)]
+    state = TrafficState(cfg, np.random.default_rng(0), pending=pending)
+    advance_traffic(state, cfg.dt)
+    assert [v.release_time for v in state.active] == [due]
+    assert [v.release_time for v in state.pending] == [later]
+    advance_traffic(state, cfg.dt)
+    assert [v.release_time for v in state.active] == [due, later]
+
+
 def test_follower_clamped_to_gap_boundary():
     # follower proposes past (leader - min_gap); it stops exactly there
     gap = CFG.mobility.min_gap
-    state = make_two_vehicle_state(50.0, 50.0 - gap - 0.5, 1.0, 14.0)
+    state = make_state(
+        (Arm.N, Maneuver.STRAIGHT, 50.0, 1.0), (Arm.N, Maneuver.STRAIGHT, 50.0 - gap - 0.5, 14.0)
+    )
     advance_traffic(state, 0.1)
-    leader_s = state.active[0].progress
+    leader_s = state.progress[0]
     assert leader_s == pytest.approx(50.1)
-    assert state.active[1].progress == pytest.approx(leader_s - gap)
+    assert state.progress[1] == pytest.approx(leader_s - gap)
     # effective speed reflects the clamp
-    assert state.active[1].effective_speed < 14.0
+    assert state.speed[1] < 14.0
+
+
+@pytest.mark.parametrize("first", [Maneuver.STRAIGHT, Maneuver.RIGHT])
+def test_a_tie_in_an_exit_corridor_goes_to_the_lower_id(first):
+    """Two vehicles at the very start of the north exit lane, one from the
+    south straight on, one from the east turning right: whichever is
+    vehicle 0 leads, and vehicle 1 holds its place."""
+    arm = {Maneuver.STRAIGHT: Arm.S, Maneuver.RIGHT: Arm.E}
+    second = Maneuver.RIGHT if first is Maneuver.STRAIGHT else Maneuver.STRAIGHT
+    state = make_state((arm[first], first, 0.0, 10.0), (arm[second], second, 0.0, 10.0))
+    starts = [plan.exit_start_s for plan in state.plans]
+    assert state.plans[0].exit_key == state.plans[1].exit_key
+    state.progress[:] = starts
+    advance_traffic(state, 0.1)
+    assert state.progress == [starts[0] + 1.0, starts[1]]
+    assert state.speed == [pytest.approx(10.0), 0.0]
+
+
+def test_a_tie_in_an_entry_lane_goes_to_the_lower_id():
+    state = make_state((Arm.N, Maneuver.LEFT, 20.0, 10.0), (Arm.N, Maneuver.STRAIGHT, 20.0, 14.0))
+    advance_traffic(state, 0.1)
+    assert state.progress == [21.0, 20.0]
+    assert state.speed == [pytest.approx(10.0), 0.0]
+
+
+def test_a_merge_chain_takes_the_third_clamp_pass():
+    """A clamp that crosses from an exit corridor to an entry lane and
+    back needs three passes. Vehicle 0 (east, turning left) holds back
+    vehicle 1 (north, straight) where both merge onto the south exit;
+    that holds back vehicle 2 (north, turning left) behind it in the north
+    lane, which holds back vehicle 3 (west, straight) where both merge onto
+    the east exit; and that, in the last pass, vehicle 4 behind it in the
+    west lane. Every gap is at least 2 m before the step, and two passes
+    would leave vehicle 4 1.34 m behind vehicle 3."""
+    state = make_state(
+        (Arm.E, Maneuver.LEFT, 99.0, 12.0),
+        (Arm.N, Maneuver.STRAIGHT, 95.25, 8.0),
+        (Arm.N, Maneuver.LEFT, 93.0, 12.0),
+        (Arm.W, Maneuver.STRAIGHT, 88.5, 12.0),
+        (Arm.W, Maneuver.STRAIGHT, 86.0, 14.0),
+        min_gap=2.0,
+    )
+    advance_traffic(state, 0.1)
+    s = state.progress
+    exit_s = [p - plan.exit_start_s for p, plan in zip(s, state.plans)]
+    assert s[0] == 100.2  # free
+    assert exit_s[1] == pytest.approx(exit_s[0] - 2.0)
+    assert s[2] == pytest.approx(s[1] - 2.0)
+    assert exit_s[3] == pytest.approx(exit_s[2] - 2.0)
+    assert s[4] == pytest.approx(s[3] - 2.0)
 
 
 def test_progress_monotone_and_gap_safe():
@@ -317,12 +375,12 @@ def test_progress_monotone_and_gap_safe():
         gap = CFG.mobility.min_gap
         by_entry: dict = {}
         by_exit: dict = {}
-        for v in state.active:
-            assert v.progress >= prev.get(v.id, 0.0) - 1e-12
-            prev[v.id] = v.progress
-            if v.progress < v.plan.entry_end_s:
-                by_entry.setdefault((v.plan.entry_arm, v.plan.lane), []).append(v.progress)
-            coord = v.progress - v.plan.exit_start_s
+        for v, progress in zip(state.active, state.progress, strict=True):
+            assert progress >= prev.get(v.id, 0.0) - 1e-12
+            prev[v.id] = progress
+            if progress < v.plan.entry_end_s:
+                by_entry.setdefault((v.plan.entry_arm, v.plan.lane), []).append(progress)
+            coord = progress - v.plan.exit_start_s
             if coord >= 0.0:
                 by_exit.setdefault((v.plan.exit_arm, v.plan.lane), []).append(coord)
         for coords in list(by_entry.values()) + list(by_exit.values()):
@@ -335,8 +393,8 @@ def test_heading_matches_polyline_direction():
     state = init_traffic(CFG)
     for _ in range(300):
         _, snap = advance_traffic(state, CFG.dt)
-    for v, vstate in zip(state.active, snap.vehicles, strict=True):
-        x, y, heading = v.plan.pose_at(v.progress)
+    for v, progress, vstate in zip(state.active, state.progress, snap.vehicles, strict=True):
+        x, y, heading = oracle_pose_at(v.plan, progress)
         assert vstate.heading == heading
         assert vstate.position[:2] == (x, y)
 
@@ -390,7 +448,7 @@ def test_pose_at_matches_numpy_oracle(arm, maneuver, lane_count):
             probes += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
         probes += [rng.uniform(0.0, total) for _ in range(200)]
         for s in probes:
-            assert plan.pose_at(s) == oracle_pose_at(plan, s), s
+            assert _poses([plan], [s]) == list(oracle_pose_at(plan, s)), s
 
 
 def test_turn_arc_chords_are_short():
@@ -401,6 +459,76 @@ def test_turn_arc_chords_are_short():
 
 
 # -- determinism ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        MANEUVER_WEIGHTS,
+        tuple(v.weight for v in default_config().vehicle_mix),
+        (0.6, 0.3, 0.1),
+        (0.0, 3.0, 0.0, 1.0),
+    ],
+)
+def test_a_draw_bisects_the_cdf_rng_choice_searches(weights):
+    """``bisect_right(_cdf(weights), rng.random())`` draws the index that
+    ``rng.choice`` draws with probabilities ``weights / sum``, from one
+    double of the stream: generators of one seed agree on every draw and
+    on the double after the last."""
+    ours, numpys = np.random.default_rng(5), np.random.default_rng(5)
+    p = np.asarray(weights, dtype=float)
+    p = p / p.sum()
+    cdf = _cdf(weights)
+    draws = 20_000
+    assert [bisect_right(cdf, ours.random()) for _ in range(draws)] == [
+        int(numpys.choice(len(weights), p=p)) for _ in range(draws)
+    ]
+    assert ours.random() == numpys.random()
+
+
+def test_a_cdf_ends_at_one_as_numpys_does():
+    """The probabilities of weights (1, 4, 1) sum to 0.9999999999999999;
+    ``choice`` divides the CDF by its last entry, so a draw above that
+    still lands on the last index."""
+    p = np.asarray((1.0, 4.0, 1.0))
+    assert (p / p.sum()).cumsum()[-1] < 1.0
+    assert _cdf((1.0, 4.0, 1.0))[-1] == 1.0
+
+
+def test_the_column_stepper_matches_the_per_vehicle_oracle(fuzz_scale):
+    """Differential testing against the per-vehicle stepper the columns
+    replaced: every snapshot, ids, bodies, flags, pose and speed bytes,
+    equal over drawn seeds, counts, lanes, fractions, gaps and mixes."""
+
+    @settings(max_examples=20 * fuzz_scale, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 60),
+        lanes=st.integers(1, 3),
+        fraction=st.integers(0, 10),
+        gap=st.floats(0.5, 20.0),
+        weights=st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any),
+        seconds=st.integers(1, 60),
+    )
+    def check(seed, count, lanes, fraction, gap, weights, seconds):
+        cfg = default_config(
+            seed=seed, duration=float(seconds), vehicle_count=count, connected_fraction=fraction / 10
+        )
+        cfg = dataclasses.replace(
+            cfg,
+            intersection=dataclasses.replace(cfg.intersection, lane_count=lanes),
+            mobility=dataclasses.replace(cfg.mobility, min_gap=gap),
+            vehicle_mix=tuple(
+                dataclasses.replace(v, weight=float(w)) for v, w in zip(cfg.vehicle_mix, weights)
+            ),
+        )
+        for ours, theirs in zip(snapshot_stream(cfg), oracle_stream(cfg), strict=True):
+            assert ours.timestep == theirs.timestep and ours.fleet.ids == theirs.fleet.ids
+            for name, column in snapshot_columns(ours).items():
+                want = snapshot_columns(theirs)[name]
+                assert column.dtype == want.dtype and column.tobytes() == want.tobytes(), name
+
+    check()
 
 
 def test_same_seed_same_stream():
@@ -521,12 +649,13 @@ def read_to_the_end(lines, config):
     return snapshots, None
 
 
-def first_coincident_antenna(snapshots, rsu=(0.0, 0.0, 5.0)):
-    """(trace line, index of its snapshot) of the first row whose antenna
-    meets the RSU's point or, for a connected vehicle, an earlier connected
-    antenna of its step, by the graph builder's sum of squares (which
-    underflows to 0.0 for points within about 1e-154 m); None if no row's
-    does. A stream of distinct positions can break no other reader rule."""
+def first_broken_row(snapshots, rsu=(0.0, 0.0, 5.0)):
+    """(trace line, index of its snapshot, what its error says) of the
+    first row with |x| or |y| beyond 2**510 m, or whose antenna meets the
+    RSU's point or, for a connected vehicle, an earlier connected antenna
+    of its step, by the graph builder's sum of squares (which underflows
+    to 0.0 for points within about 1e-154 m); None if no row does. A
+    stream of distinct positions can break no other reader rule."""
     line = 1  # the header
     for k, snap in enumerate(snapshots):
         line += not snap.vehicles  # a marker row
@@ -534,12 +663,14 @@ def first_coincident_antenna(snapshots, rsu=(0.0, 0.0, 5.0)):
         for v in snap.vehicles:
             line += 1
             x, y, z = v.position[0], v.position[1], v.antenna_height
-            for ax, ay, az in [rsu] + (antennas if v.connected else []):
+            if abs(x) > 2.0**510 or abs(y) > 2.0**510:
+                return line, k, "must be at most 2**510 m"
+            for ax, ay, az, says in [(*rsu, "at the RSU's point")] + (antennas if v.connected else []):
                 dx, dy, dz = x - ax, y - ay, z - az
                 if dx * dx + dy * dy + dz * dz == 0.0:
-                    return line, k
+                    return line, k, says
             if v.connected:
-                antennas.append((x, y, z))
+                antennas.append((x, y, z, "coincide"))
     return None
 
 
@@ -565,6 +696,8 @@ def trace_stream(*steps):
 @example(trace_stream([(1, 0.0, 5e-324, 1.0, True), (2, 0.0, -5e-324, 1.0, True)]))
 # an unconnected antenna 6.1e-195 m from the RSU's point
 @example(trace_stream([(1, 0.0, 6.1e-195, 5.0, False)], [(2, 9.0, 9.0, 1.0, True)]))
+# a coordinate whose square overflows
+@example(trace_stream([(1, 9.0, 9.0, 1.0, True)], [(1, 1e300, 9.0, 1.0, True)]))
 def test_trace_roundtrip_of_any_stream(snapshots):
     """A stream that breaks a reader rule ends in a TraceError naming the
     offending line, after the snapshots before its step; any other stream
@@ -573,12 +706,12 @@ def test_trace_roundtrip_of_any_stream(snapshots):
     list(tee_trace(snapshots, buf, 0.1))
     buf.seek(0)
     back, end = read_to_the_end(buf, default_config())
-    broken = first_coincident_antenna(snapshots)
+    broken = first_broken_row(snapshots)
     if broken is not None:
-        line, k = broken
+        line, k, says = broken
         assert back == snapshots[:k]
         assert isinstance(end, TraceError) and str(end).startswith(f"trace line {line}: ")
-        assert "coincide" in str(end) or "at the RSU's point" in str(end)
+        assert says in str(end)
         return
     assert back == snapshots
     # every snapshot is yielded before the end-of-input check
@@ -611,6 +744,9 @@ WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
         ("1,0.1,4,1,1.0,-inf,0.0,5.0\n", "trace line 3: y must be finite"),
         ("1,0.1,4,1,1.0,2.0,nan,5.0\n", "trace line 3: heading must be finite"),
         ("1,0.1,4,1,1.0,2.0,0.0,inf\n", "trace line 3: speed must be finite"),
+        # beyond 2**510 m a squared ground distance could overflow to inf
+        ("1,0.1,4,1,1e200,2.0,0.0,5.0\n", "trace line 3: |x| must be at most 2**510 m, got 1e+200"),
+        ("1,0.1,4,1,1.0,-1.4e154,0.0,5.0\n", "trace line 3: |y| must be at most 2**510 m, got -1.4e+154"),
         ("1,nan,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: sim_time must be finite"),
         ("5,0.5,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: timestep 5 does not follow 0"),
         ("0,0.0,5,1,1.0,2.0,0.0,5.0\n2,0.2,4,1,1.0,2.0,0.0,5.0\n", "trace line 4: timestep 2"),
@@ -674,6 +810,18 @@ def test_trace_rejects_bad_rows_naming_the_line(rows, message):
     with pytest.raises(ValueError) as err:
         list(read_trace(lines, cfg))
     assert message in str(err.value)
+
+
+def test_trace_keeps_coordinates_up_to_the_bound():
+    """A coordinate of 2**510 m reads; the next float up does not."""
+    bound = 2.0**510
+    cfg = default_config()
+    rows = f"0,0.0,4,1,{bound!r},{-bound!r},0.0,5.0\n0,0.0,5,1,{-bound!r},{bound!r},0.0,5.0\n"
+    snap = next(read_trace(io.StringIO(TRACE_HEAD + rows), cfg))
+    assert snap.xy_yaw[:, :2].tolist() == [[bound, -bound], [-bound, bound]]
+    beyond = math.nextafter(bound, math.inf)
+    with pytest.raises(TraceError, match=r"trace line 2: \|x\| must be at most 2\*\*510 m"):
+        next(read_trace(io.StringIO(TRACE_HEAD + f"0,0.0,4,1,{beyond!r},0.0,0.0,5.0\n"), cfg))
 
 
 def test_trace_may_start_at_any_timestep():
