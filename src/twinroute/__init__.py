@@ -28,6 +28,7 @@ from .prediction import (
     HoldPredictor,
     LearnedPredictor,
     PredictedTrack,
+    Tracks,
     make_predictor,
     predict,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "TimestepOutcome",
+    "Tracks",
     "TrafficState",
     "ValidationReport",
     "VehicleState",

@@ -154,8 +154,10 @@ class Fleet:
     mask. The constructor makes the arrays read-only, checks their shapes,
     that the ids are distinct, and every row's id, body and antenna as
     :class:`VehicleState` checks them, once per set. Every snapshot of one
-    vehicle set shares one fleet; values derived from it are computed on
-    first read and held here. Equality is by value, an identical fleet
+    vehicle set shares one fleet; values derived from it, such as a
+    graph's ``nodes`` and ``index`` and the blockage kernel's keys and
+    half bodies, are computed on first read and held here, so every build
+    over the fleet reads them. Equality is by value, an identical fleet
     first.
     """
 
@@ -221,6 +223,35 @@ class Fleet:
         codes = np.fromiter(self.ids, np.int64, len(self.ids))
         codes.setflags(write=False)
         return codes
+
+    @functools.cached_property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """The nodes of a graph: the RSU, then the connected vehicles in id order."""
+        return (NodeId.rsu(),) + tuple(map(self.ids.__getitem__, self.node_rows.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[NodeId, int]:
+        """Each node's position in ``nodes``; shared by every graph, so
+        read-only by contract."""
+        return {n: k for k, n in enumerate(self.nodes)}
+
+    @functools.cached_property
+    def owner_keys(self) -> np.ndarray:
+        """One int64 key per node, which the blockage kernel matches
+        against ``codes`` to skip a link's own endpoints: -1 for the RSU,
+        a vehicle's id code for the rest."""
+        keys = np.empty(len(self.nodes), np.int64)
+        keys[0] = -1
+        keys[1:] = self.codes[self.node_rows]
+        keys.setflags(write=False)
+        return keys
+
+    @functools.cached_property
+    def halves(self) -> np.ndarray:
+        """Half the ``bodies``: each box's half extents."""
+        halves = self.bodies / 2.0
+        halves.setflags(write=False)
+        return halves
 
     def __eq__(self, other: object) -> bool:
         if self is other:

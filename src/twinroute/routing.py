@@ -12,14 +12,13 @@ its tuple of hops, source first and RSU last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams
-from .model import Fleet, NodeId, VehicleState, WorldSnapshot
-from .prediction import TrajectoryPredictor, predict
+from .model import NodeId, WorldSnapshot
+from .prediction import TrajectoryPredictor, Tracks, predict
 from .topology import ConnectivityGraph, build_topologies
 
 
@@ -132,31 +131,6 @@ class PredictivePlan:
     degraded_tracks: int = 0
 
 
-class _ObservedTrack(Sequence[VehicleState]):
-    """One vehicle's observed states, oldest first, given as (snapshot,
-    row) pairs; an entry becomes a :class:`VehicleState` when first read,
-    so a predictor pays only for the depth of history it reads."""
-
-    __slots__ = ("_rows", "_states")
-
-    def __init__(self, rows: list[tuple[WorldSnapshot, int]]):
-        self._rows = rows
-        self._states: dict[int, VehicleState] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._rows)))]
-        k = range(len(self._rows))[i]  # a negative index counts from the end
-        state = self._states.get(k)
-        if state is None:
-            snap, row = self._rows[k]
-            state = self._states[k] = snap.vehicle(row)
-        return state
-
-
 def route_predictive(
     history: Sequence[WorldSnapshot],
     now: int,
@@ -173,12 +147,17 @@ def route_predictive(
     planning input); prediction bridges the lag and extends through the
     planned steps. Every vehicle in the last observed snapshot is
     forecast, unconnected ones included since their bodies still occlude.
-    A vehicle whose predictor lacks history or fails holds its last
-    observed row and is counted in ``degraded_tracks``. Every forecast
-    step keeps the last observed snapshot's vehicles and moves only their
-    ``(x, y, heading)`` rows: the predicted rows, stacked step by step,
-    are the ``(steps, V, 3)`` pose array from which one
-    :func:`build_topologies` call builds all the planned graphs.
+    The history is a run of consecutive snapshots of one stream, in which
+    a vehicle's observed rows are those of the newest snapshots that hold
+    it. One :func:`~twinroute.prediction.predict` call forecasts every
+    track from the rows its predictor reads, gathered by
+    :meth:`~twinroute.prediction.Tracks.observed`. A vehicle whose
+    predictor lacks history or fails holds its last observed row and is
+    counted in ``degraded_tracks``. Every forecast step keeps the last
+    observed snapshot's vehicles and moves only their ``(x, y, heading)``
+    rows: the forecast's ``(steps, V, 3)`` pose array, past the lag, is
+    the one from which one :func:`build_topologies` call builds all the
+    planned graphs.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -189,32 +168,14 @@ def route_predictive(
     if lag_steps < 0:
         raise ValueError("history extends past the planning time")
 
-    # each forecast vehicle's (snapshot, row) pairs, oldest first; which
-    # of them a snapshot holds, and at which rows, depends on its fleet only
-    ids = last.fleet.ids
-    observed: list[list[tuple[WorldSnapshot, int]]] = [[] for _ in ids]
-    rows_by_fleet: dict[Fleet, list[tuple[int, int]]] = {}
-    for snap in history:
-        rows = rows_by_fleet.get(snap.fleet)
-        if rows is None:
-            row = snap.fleet.row
-            rows = rows_by_fleet[snap.fleet] = [
-                (k, row[vid]) for k, vid in enumerate(ids) if vid in row
-            ]
-        for k, r in rows:
-            observed[k].append((snap, r))
-    horizon = (steps + lag_steps) * dt
-    tracks = [predict(_ObservedTrack(seen), horizon, dt, predictor) for seen in observed]
-    timesteps = range(now + 1, now + steps + 1)
-    # (step, vehicle, x/y/heading), filled step by step from one flat run of floats
-    planned = zip(*(t.states[lag_steps:lag_steps + steps] for t in tracks))
-    flat = chain.from_iterable(chain.from_iterable(planned))
-    xy_yaw = np.fromiter(flat, np.float64).reshape(steps, len(tracks), 3)
+    tracks = Tracks.observed(history, predictor.depth)
+    rows, degraded = predict(tracks, (steps + lag_steps) * dt, dt, predictor)
+    xy_yaw = rows[lag_steps:]
     xy_yaw.setflags(write=False)
+    timesteps = range(now + 1, now + steps + 1)
     graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)
     entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
-    forecast = dict(zip(timesteps, xy_yaw))
-    return PredictivePlan(entries, ids, forecast, sum(t.degraded for t in tracks))
+    return PredictivePlan(entries, tracks.ids, dict(zip(timesteps, xy_yaw)), int(degraded.sum()))
 
 
 def score_route(route: tuple[NodeId, ...] | None, ground_truth: ConnectivityGraph) -> bool:

@@ -97,10 +97,11 @@ def build_topologies(
     the truth graphs of a run of consecutive snapshots with one vehicle
     set (a run of one included). ``snapshot`` gives the RSU position and
     its :class:`~twinroute.model.Fleet`: the ids, bodies, antennas, and
-    the node rows and id codes the fleet derives once for all its
-    builds. ``xy_yaw[s, k]`` is the (x, y, heading) of its row ``k`` at
-    ``timesteps[s]``, laid out as the snapshot's own ``xy_yaw`` row,
-    which is not read. Each graph equals
+    the nodes, their index, the owner keys, id codes and half bodies the
+    fleet derives once for all its builds; every graph of the fleet
+    shares its ``nodes`` and ``index``. ``xy_yaw[s, k]`` is the (x, y,
+    heading) of its row ``k`` at ``timesteps[s]``, laid out as the
+    snapshot's own ``xy_yaw`` row, which is not read. Each graph equals
     the :func:`build_topology` graph of the snapshot with its vehicles
     moved to those poses. Most of a
     build's cost is a fixed number of numpy calls, so one call over S
@@ -121,20 +122,13 @@ def build_topologies(
     if not timesteps:
         return []
     fleet = snapshot.fleet
-    ids, connected, codes = fleet.ids, fleet.node_rows, fleet.codes
-    n_steps, n_vehicles = len(timesteps), len(ids)
+    connected, nodes, halves = fleet.node_rows, fleet.nodes, fleet.halves
+    n_steps, n_vehicles = len(timesteps), len(fleet.ids)
     if xy_yaw.shape != (n_steps, n_vehicles, 3):
         raise ValueError(
             f"xy_yaw has shape {xy_yaw.shape}, not ({n_steps}, {n_vehicles}, 3)"
         )
-    nodes = (NodeId.rsu(),) + tuple(map(ids.__getitem__, connected.tolist()))
-    index = {n: k for k, n in enumerate(nodes)}
-    # owner keys are the ids' int codes, all >= 1 for vehicles
-    owner_keys = np.empty(len(nodes), np.int64)
-    owner_keys[0] = -1
-    owner_keys[1:] = codes[connected]
 
-    halves = fleet.bodies / 2.0
     centers = np.empty((n_steps, n_vehicles, 3))
     centers[:, :, :2] = xy_yaw[:, :, :2]
     centers[:, :, 2] = halves[:, 2]
@@ -169,7 +163,7 @@ def build_topologies(
         )
 
     blockers = blockage_count_matrix(
-        antennas, ends.T, owner_keys, centers, halves, xy_yaw[:, :, 2], codes
+        antennas, ends.T, fleet.owner_keys, centers, halves, xy_yaw[:, :, 2], fleet.codes
     )
 
     losses = path_loss(distances, blockers, params)
@@ -194,7 +188,7 @@ def build_topologies(
         adjacency = _adjacency(len(nodes), i_list[step], j_list[step], loss_list[step])
         graphs.append(
             ConnectivityGraph(
-                ts, nodes, index, edges[step], distance[step], blocked[step], loss[step],
+                ts, nodes, fleet.index, edges[step], distance[step], blocked[step], loss[step],
                 adjacency,
             )
         )

@@ -27,7 +27,9 @@ BODY_COLUMNS = ("length", "width", "height", "antenna_height")
 TRACE_HEADER = ",".join(TRACE_COLUMNS + BODY_COLUMNS) + "\n"
 # the largest |x| or |y| a trace may hold: for two such points the graph
 # builder's squared ground distance dx*dx + dy*dy stays at most 2**1023,
-# while coordinates of about 1.3e154 m could overflow it to inf
+# while coordinates of about 1.3e154 m could overflow it to inf. No body
+# column may exceed it either, so an antenna's dz*dz adds at most about
+# 2**1020 to that sum, which stays finite
 COORDINATE_BOUND = 2.0**510
 
 # the columns parse_row reads as floats, in the order it checks them
@@ -124,8 +126,10 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     is not scored on the wrong clock. Timesteps must be grouped and
     consecutive. A ``timestep,sim_time`` marker row is a step with no
     vehicles and must be its step's only row. No |x| or |y| may exceed
-    ``COORDINATE_BOUND`` (2**510 m), so no squared ground distance
-    overflows. No two vehicles of one step
+    ``COORDINATE_BOUND`` (2**510 m), and no body column above it, so no
+    squared distance overflows. A vehicle is in every step from its first
+    row to its last: one that leaves may not return. No two vehicles of
+    one step
     may stand at the same (x, y), no antenna at the RSU's point, and no
     two connected vehicles' antennas of one step at one point (a squared
     distance of 0.0, summed as the graph builder sums it); a vehicle keeps
@@ -143,7 +147,8 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
     current_ts: int | None = None
     bucket: list[VehicleState] = []
     fleet: Fleet | None = None  # the last yielded step's
-    seen: set[int] = set()
+    seen: set[int] = set()  # the current step's vehicles
+    previous: set[int] = set()  # the last step's
     ids: dict[int, NodeId] = {}
     lifetimes: dict[int, tuple[int, tuple]] = {}  # index -> first line, body and flag
     spots: dict[tuple[float, float], int] = {}
@@ -191,13 +196,15 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
                     snap = _step_snapshot(current_ts, rsu, fleet, bucket)
                     fleet = snap.fleet
                     yield snap
-                bucket, seen, spots, antennas = [], set(), {}, []
+                bucket, previous, seen, spots, antennas = [], seen, set(), {}, []
                 current_ts, marked = ts, vehicle is None
                 steps += 1
             if vehicle is None:
                 continue
             if index in seen:
                 raise ValueError(f"vehicle {index} repeats in timestep {ts}")
+            if index in lifetimes and index not in previous:
+                raise ValueError(f"vehicle {index} left before timestep {ts} and returns")
             traits = (vehicle.dimensions, vehicle.antenna_height, vehicle.connected)
             first, known = lifetimes.setdefault(index, (lineno, traits))
             if known != traits:
@@ -207,6 +214,10 @@ def read_trace(lines: Iterable[str], config: ScenarioConfig) -> Iterator[WorldSn
             if abs(x) > COORDINATE_BOUND or abs(y) > COORDINATE_BOUND:
                 name, value = ("x", x) if abs(x) > COORDINATE_BOUND else ("y", y)
                 raise ValueError(f"|{name}| must be at most 2**510 m, got {value!r}")
+            if wide and max(rest) > COORDINATE_BOUND:
+                value = max(rest)
+                name = BODY_COLUMNS[rest.index(value)]
+                raise ValueError(f"{name} must be at most 2**510 m, got {value!r}")
             spot = (x, y)
             if spot in spots:
                 raise ValueError(

@@ -9,13 +9,13 @@ that faster code replaced and must still match: the scalar slab test
 (``ObstacleBox``, ``box_from_vehicle``, ``segment_intersects_box`` and
 ``blockage_count``) and the dense blockage kernel for the two-phase one,
 the numpy pose lookup for the bisect one, the per-vehicle traffic
-stepper (``oracle_advance``) for the one over columns, the top-down BFS for the
-bottom-up hop layering, the list-and-``all()`` route check for the
+stepper (``oracle_advance``) for the one over columns, the per-vehicle
+predictors (``oracle_predict``) for the batch forecast, the top-down BFS
+for the bottom-up hop layering, the list-and-``all()`` route check for the
 one-pass hop walk, and ``node_key``, the order read from a node's text
 form that int-coded node ids must sort in. ``oracle_run`` restates the
 engine's schedule over a plain list of snapshots, on top of the product's
-``build_topology`` (criterion 4 pins it) and its predictors, which are
-pure functions.
+``build_topology`` (criterion 4 pins it) and the per-vehicle predictors.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from twinroute.model import (
     delay_to_steps,
     seconds_to_steps,
 )
-from twinroute.prediction import make_predictor
 from twinroute.topology import build_topology
 
 SAMPLES = 10_000
@@ -493,6 +492,64 @@ def oracle_stream(config) -> Iterable[WorldSnapshot]:
         yield oracle_advance(traffic, config.dt)
 
 
+def _wrap_angle(a: float) -> float:
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _hold(history, steps, dt):
+    last = history[-1]
+    return [(*last.position[:2], last.heading)] * steps
+
+
+def _constant_velocity(history, steps, dt):
+    last = history[-1]
+    vx = last.speed * math.cos(last.heading)
+    vy = last.speed * math.sin(last.heading)
+    x, y, _ = last.position
+    return [(x + vx * j * dt, y + vy * j * dt, last.heading) for j in range(1, steps + 1)]
+
+
+def _constant_turn_rate(history, steps, dt):
+    last, prev = history[-1], history[-2]
+    omega = _wrap_angle(last.heading - prev.heading) / dt
+    if abs(omega) < 1e-9 or last.speed == 0.0:
+        return _constant_velocity(history, steps, dt)
+    x, y, _ = last.position
+    v, h = last.speed, last.heading
+    radius = v / omega
+    out = []
+    for j in range(1, steps + 1):
+        tau = j * dt
+        px = x + radius * (math.sin(h + omega * tau) - math.sin(h))
+        py = y - radius * (math.cos(h + omega * tau) - math.cos(h))
+        out.append((px, py, _wrap_angle(h + omega * tau)))
+    return out
+
+
+# each built-in predictor's (min_history, per-vehicle extrapolation of a
+# state history, oldest first, into ``steps`` (x, y, heading) rows)
+ORACLE_PREDICTORS = {
+    "hold": (1, _hold),
+    "constant_velocity": (2, _constant_velocity),
+    "constant_turn_rate": (2, _constant_turn_rate),
+}
+
+
+def oracle_predict(kind: str, history: Sequence[VehicleState], steps: int, dt: float):
+    """(rows, degraded) of one vehicle as the per-vehicle path forecast it:
+    a history shorter than the predictor's minimum, a raise, or a row that
+    is not three finite numbers holds the last state's row."""
+    min_history, extrapolate = ORACLE_PREDICTORS[kind]
+    if len(history) >= min_history:
+        try:
+            rows = extrapolate(history, steps, dt)
+            if all(math.isfinite(v) for row in rows for v in row):
+                return rows, False
+        except Exception:
+            pass
+    return _hold(history, steps, dt), True
+
+
 def oracle_path_loss(d: float, blockers: int, classes, atmospheric_db_per_km: float) -> float:
     """Inline restatement of the attenuation formula for cross-checks.
 
@@ -668,8 +725,8 @@ def oracle_run(config, snapshots):
       every ``prediction.interval`` steps after it. The plan reads the
       snapshots ``e - 1 - lag - window`` to ``e - 1 - lag``, forecasts
       the ``(x, y, heading)`` of every vehicle of the last of them from
-      its observed states (a vehicle with too little history holds its
-      last row), and routes the forecast graph of each step
+      its observed states with ``oracle_predict`` (a vehicle with too
+      little history holds its last row), and routes the forecast graph of each step
       ``e … e - 1 + interval``. At each of those steps the forecast of
       every vehicle that is in the scored snapshot adds its x/y distance
       to the error sum.
@@ -685,7 +742,7 @@ def oracle_run(config, snapshots):
     window = seconds_to_steps(config.prediction.history_window, dt)
     interval = seconds_to_steps(config.prediction.interval, dt)
     period = seconds_to_steps(config.conventional_update_interval, dt)
-    predictor = make_predictor(config.prediction.predictor)
+    kind = config.prediction.predictor
 
     def graph(snap):
         return build_topology(snap, config.channel, config.link_budget_db)
@@ -703,11 +760,7 @@ def oracle_run(config, snapshots):
         tracks = []  # (last observed state, forecast (x, y, heading) rows) per vehicle
         for vid in last.fleet.ids:
             states = [s.vehicle(s.fleet.ids.index(vid)) for s in history if vid in s.fleet.ids]
-            held = states[-1]
-            if len(states) >= predictor.min_history:
-                tracks.append((held, predictor.extrapolate(states, steps, dt)))
-            else:
-                tracks.append((held, [(*held.position[:2], held.heading)] * steps))
+            tracks.append((states[-1], oracle_predict(kind, states, steps, dt)[0]))
         epoch = {}
         for t in range(now + 1, now + interval + 1):
             k = t - last.timestep - 1

@@ -708,6 +708,28 @@ def test_replay_of_a_coordinate_whose_square_overflows_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_replay_of_a_body_whose_height_squared_overflows_exits_2(tmp_path):
+    """A 2-step wide trace of two connected vehicles near the RSU, one of
+    them 1e200 m tall: its antenna's squared height difference overflows
+    to inf, so it would be scored with no links. The replay exits 2 naming
+    the line and the column instead."""
+    cfg_path = write_small_config(tmp_path / "s.yaml")
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "timestep,sim_time,id,connected,x,y,heading,speed,length,width,height,antenna_height\n"
+        "0,0.0,4,1,10.0,2.0,0.0,5.0,4.5,1.8,1.5,1.6\n"
+        "0,0.0,5,1,20.0,2.0,0.0,5.0,4.5,1.8,1e200,1e200\n"
+        "1,0.1,4,1,10.5,2.0,0.0,5.0,4.5,1.8,1.5,1.6\n"
+        "1,0.1,5,1,20.5,2.0,0.0,5.0,4.5,1.8,1e200,1e200\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "replay-out"
+    proc = run_cli("replay", str(trace), str(cfg_path), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{trace}: trace line 3: height must be at most 2**510 m, got 1e+200" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

@@ -615,12 +615,18 @@ POSITIVE = st.sampled_from([5e-324, 1e300]) | st.floats(0.0, 1e300, exclude_min=
 def trace_streams(draw):
     """Consecutive snapshots from any timestep, 0-4 vehicles each, with
     distinct ids and distinct (x, y) per step, and one body and
-    ``connected`` flag per id."""
+    ``connected`` flag per id. In about half the streams a vehicle that
+    leaves may return, which the reader rejects."""
     start = draw(st.integers(0, 10**9))
     snapshots = []
     lifetimes = {}  # id -> (body, antenna, connected)
+    returns = draw(st.booleans())
+    previous: list[int] = []
     for ts in range(start, start + draw(st.integers(1, 5))):
         ids = draw(st.lists(st.integers(0, 20), max_size=4, unique=True))
+        if not returns:
+            ids = [k for k in ids if k in previous or k not in lifetimes]
+        previous = ids
         spots = draw(st.lists(st.tuples(FINITE, FINITE), min_size=len(ids), max_size=len(ids), unique=True))
         vehicles = []
         for k, (x, y) in zip(ids, spots):
@@ -651,19 +657,24 @@ def read_to_the_end(lines, config):
 
 def first_broken_row(snapshots, rsu=(0.0, 0.0, 5.0)):
     """(trace line, index of its snapshot, what its error says) of the
-    first row with |x| or |y| beyond 2**510 m, or whose antenna meets the
+    first row of a vehicle that returns after a step without it, with |x|
+    or |y| or a body column beyond 2**510 m, or whose antenna meets the
     RSU's point or, for a connected vehicle, an earlier connected antenna
     of its step, by the graph builder's sum of squares (which underflows
     to 0.0 for points within about 1e-154 m); None if no row does. A
     stream of distinct positions can break no other reader rule."""
     line = 1  # the header
+    seen: set[NodeId] = set()
+    previous: set[NodeId] = set()
     for k, snap in enumerate(snapshots):
         line += not snap.vehicles  # a marker row
         antennas = []
         for v in snap.vehicles:
             line += 1
             x, y, z = v.position[0], v.position[1], v.antenna_height
-            if abs(x) > 2.0**510 or abs(y) > 2.0**510:
+            if v.id in seen and v.id not in previous:
+                return line, k, "and returns"
+            if abs(x) > 2.0**510 or abs(y) > 2.0**510 or max(*v.dimensions, z) > 2.0**510:
                 return line, k, "must be at most 2**510 m"
             for ax, ay, az, says in [(*rsu, "at the RSU's point")] + (antennas if v.connected else []):
                 dx, dy, dz = x - ax, y - ay, z - az
@@ -671,6 +682,8 @@ def first_broken_row(snapshots, rsu=(0.0, 0.0, 5.0)):
                     return line, k, says
             if v.connected:
                 antennas.append((x, y, z, "coincide"))
+        previous = {v.id for v in snap.vehicles}
+        seen |= previous
     return None
 
 
@@ -747,6 +760,11 @@ WIDE_ROW = "0,0.0,4,1,0.0,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n"
         # beyond 2**510 m a squared ground distance could overflow to inf
         ("1,0.1,4,1,1e200,2.0,0.0,5.0\n", "trace line 3: |x| must be at most 2**510 m, got 1e+200"),
         ("1,0.1,4,1,1.0,-1.4e154,0.0,5.0\n", "trace line 3: |y| must be at most 2**510 m, got -1.4e+154"),
+        # ids are never reused: vehicle 4 is gone in timestep 1
+        (
+            "1,0.1,5,1,1.0,2.0,0.0,5.0\n2,0.2,4,1,1.0,2.0,0.0,5.0\n",
+            "trace line 4: vehicle 4 left before timestep 2 and returns",
+        ),
         ("1,nan,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: sim_time must be finite"),
         ("5,0.5,4,1,1.0,2.0,0.0,5.0\n", "trace line 3: timestep 5 does not follow 0"),
         ("0,0.0,5,1,1.0,2.0,0.0,5.0\n2,0.2,4,1,1.0,2.0,0.0,5.0\n", "trace line 4: timestep 2"),
@@ -865,6 +883,19 @@ def test_trace_with_nothing_to_score_ends_with_an_error(text, steps):
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,2.5,3.2,nan\n", "trace line 3: antenna_height must be finite"),
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,8.0,0.0,3.2,3.3\n", "trace line 3: dimensions must be positive"),
         ("1,0.1,4,1,1.0,2.0,0.0,5.0,4.5,1.8,1.5,9.0\n", "trace line 3: antenna_height 9.0 outside"),
+        # beyond 2**510 m an antenna's squared height difference could overflow
+        (
+            "1,0.1,5,1,9.0,2.0,0.0,5.0,1e300,1.8,1.5,1.6\n",
+            "trace line 3: length must be at most 2**510 m, got 1e+300",
+        ),
+        (
+            "1,0.1,5,1,9.0,2.0,0.0,5.0,4.5,1.8,1e200,1e200\n",
+            "trace line 3: height must be at most 2**510 m, got 1e+200",
+        ),
+        (
+            "1,0.1,5,1,9.0,2.0,0.0,5.0,4.5,1e300,1.5,1.6\n",
+            "trace line 3: width must be at most 2**510 m, got 1e+300",
+        ),
         (
             "1,0.1,5,1,0.0,0.0,0.0,5.0,4.5,1.8,4.2,5.0\n",
             "trace line 3: the antenna of vehicle 5 is at the RSU's point (0.0, 0.0, 5.0)",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinroute import routing
 from twinroute.channel import default_channel_params
 from twinroute.config import default_config
 from twinroute.mobility import snapshot_stream
@@ -373,13 +374,14 @@ class GroundTruthPredictor:
 
     kind = "oracle"
     min_history = 1
+    depth = 1
 
     def __init__(self, future_by_vehicle):
         self.future = future_by_vehicle
 
-    def extrapolate(self, history, steps, dt):
-        vid = history[-1].id
-        return [(*s.position[:2], s.heading) for s in self.future[vid][:steps]]
+    def extrapolate(self, tracks, steps, dt):
+        rows = [[(*s.position[:2], s.heading) for s in self.future[vid][:steps]] for vid in tracks.ids]
+        return np.array(rows).transpose(1, 0, 2)
 
 
 def test_predictive_with_perfect_oracle_matches_future_realtime():
@@ -414,8 +416,9 @@ def test_predictive_fallback_on_failing_predictor():
     class Exploding:
         kind = "broken"
         min_history = 1
+        depth = 1
 
-        def extrapolate(self, history, steps, dt):
+        def extrapolate(self, tracks, steps, dt):
             raise RuntimeError("no model")
 
     history = frozen_history([make_vehicle(0, 30.0, 0.0)])
@@ -473,16 +476,21 @@ def plan_counting(monkeypatch, classes, predictor):
     ids=lambda p: getattr(p, "kind", p),
 )
 def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch, predictor, depth):
-    """A forecast is per-step poses of the last observed vehicles: planning
-    an epoch wraps no step in a WorldSnapshot, and builds a VehicleState
-    only for each of the newest ``depth`` states of a vehicle's history
-    that its predictor reads, not for the whole window."""
+    """A forecast is per-step poses of the last observed vehicles, and a
+    predictor reads columns: planning an epoch wraps no step in a
+    WorldSnapshot, builds no VehicleState, and makes one forecast call
+    over only the newest ``depth`` rows of each track that its predictor
+    reads, not the whole window, with every track's observed-row count."""
+    calls = []
+    real = routing.predict
+    monkeypatch.setattr(routing, "predict", lambda tracks, *rest: calls.append(tracks) or real(tracks, *rest))
     _, history, built = plan_counting(monkeypatch, (VehicleState, WorldSnapshot), predictor)
-    tracks = history[-1].fleet.ids
-    observed = [sum(vid in snap.fleet.ids for snap in history) for vid in tracks]
-    assert max(observed) == len(history)
-    assert [name for name, _ in built] == ["VehicleState"] * sum(min(n, depth) for n in observed)
-    assert len(built) <= len(tracks) * depth
+    observed = [sum(vid in snap.fleet.ids for snap in history) for vid in history[-1].fleet.ids]
+    assert max(observed) == len(history) > min(observed)  # one entered mid-window
+    assert built == []
+    (tracks,) = calls
+    assert predictor.depth == depth and tracks.xy_yaw.shape == (depth, len(observed), 3)
+    assert tracks.count.tolist() == observed
     make_vehicle(0, 30.0, 0.0)  # the patched checks still count
     assert built[-1][0] == "VehicleState"
 

@@ -326,3 +326,22 @@ def test_batched_build_rejects_poses_of_the_wrong_shape(shape):
     snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 21.0, 0.0)])
     with pytest.raises(ValueError, match=r"xy_yaw has shape .*, not \(3, 2, 3\)"):
         build_topologies(snap, [7, 8, 9], np.zeros(shape), PARAMS, BUDGET)
+
+
+def test_every_build_over_one_fleet_shares_its_derived_values():
+    """The graph's nodes, index, owner keys and half bodies are derived
+    once per fleet: every graph of every build over it shares its nodes
+    tuple and index dict, and the arrays are read-only."""
+    snap = make_snapshot([
+        make_vehicle(2, 30.0, 5.0), make_vehicle(0, 25.0, 0.0, connected=False, body=TRUCK),
+        make_vehicle(1, 20.0, 0.0),
+    ])
+    fleet = snap.fleet
+    one = build_topology(snap, PARAMS, BUDGET)
+    two = build_topologies(snap, [1, 2], np.stack([snap.xy_yaw] * 2), PARAMS, BUDGET)
+    assert fleet.nodes == (NodeId.rsu(), NodeId.vehicle(1), NodeId.vehicle(2))
+    assert all(g.nodes is fleet.nodes and g.index is fleet.index for g in (one, *two))
+    assert fleet.index == {n: k for k, n in enumerate(fleet.nodes)}
+    assert fleet.owner_keys.tolist() == [-1, 3, 5]  # the RSU, then the id codes 2k + 1
+    assert fleet.halves.tolist() == (fleet.bodies / 2.0).tolist()
+    assert not (fleet.owner_keys.flags.writeable or fleet.halves.flags.writeable)
