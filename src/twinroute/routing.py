@@ -7,19 +7,26 @@ cadence). Route choice minimizes hop count first, total path loss second,
 and breaks remaining exact ties by the lexicographically smallest node
 sequence, so results are deterministic and order-independent. A route is
 its tuple of hops, source first and RSU last.
+
+One routing pass serves truth graphs and forecast steps. It reads the
+RSU's ``{neighbour: loss}`` row and the rows of the nodes that row
+misses: a truth graph gives ``adjacency[0]`` and ``adjacency``, and a
+planning epoch gathers both for all its forecast steps from their
+:class:`~twinroute.topology.LinkRows` in one numpy pass, so it builds no
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Collection, Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams
 from .model import NodeId, WorldSnapshot
 from .prediction import TrajectoryPredictor, Tracks, predict
-from .topology import ConnectivityGraph, build_topologies
+from .topology import ConnectivityGraph, LinkRows, feasible_links
 
 
 # One routing pass: every vehicle node of the graph, in node order, to its
@@ -27,29 +34,36 @@ from .topology import ConnectivityGraph, build_topologies
 RouteTable = dict[NodeId, tuple[NodeId, ...] | None]
 
 
-def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[tuple[int, float]]]]:
+# Per node the RSU's row misses, its (neighbour, loss) pairs in ascending
+# neighbour order; a node with no links may be left out. Each layer sweep
+# reads a row again, so a row is a collection, not a one-shot iterator.
+Rows = Mapping[int, Collection[tuple[int, float]]]
+
+
+def _layers(
+    n_nodes: int, rsu_row: Mapping[int, float], rows: Rows
+) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
     """BFS hop depth of every node from the RSU (None if unreachable), and
-    per node its (neighbour, loss) pairs one layer closer to the RSU, in
-    index order.
+    per node at depth 2 or more its (neighbour, loss) pairs one layer
+    closer to the RSU, in index order.
 
     Layer 1 is the RSU's own row. Each deeper layer is found bottom-up
     (Beamer, Asanovic & Patterson, 2012): every still-unreached node scans
     its own row for neighbours in the layer just found, which yields its
-    down list in the same sweep. Depths and down lists equal a plain BFS.
+    down list in the same sweep, so only the rows the RSU's row misses are
+    read. Depths and down lists equal a plain BFS.
     """
-    adjacency = graph.adjacency
-    depth: list[int | None] = [None] * len(adjacency)
-    down: list[list[tuple[int, float]]] = [[] for _ in adjacency]
+    depth: list[int | None] = [None] * n_nodes
     depth[0] = 0
-    for v, loss in adjacency[0].items():
+    for v in rsu_row:
         depth[v] = 1
-        down[v] = [(0, loss)]
-    unreached = [v for v in range(1, len(adjacency)) if depth[v] is None]
+    down: dict[int, list[tuple[int, float]]] = {}
+    unreached = list(rows)
     layer = 1
     while unreached:
         rest = []
         for v in unreached:
-            closer = [(u, loss) for u, loss in adjacency[v].items() if depth[u] == layer]
+            closer = [(u, loss) for u, loss in rows[v] if depth[u] == layer]
             if closer:
                 depth[v] = layer + 1
                 down[v] = closer
@@ -63,20 +77,25 @@ def _hop_layers(graph: ConnectivityGraph) -> tuple[list[int | None], list[list[t
 
 
 def _route_from(
-    nodes: tuple[NodeId, ...], source: int, hops: int, down: list[list[tuple[int, float]]]
+    nodes: tuple[NodeId, ...],
+    source: int,
+    hops: int,
+    down: dict[int, list[tuple[int, float]]],
+    rsu_row: Mapping[int, float],
 ) -> tuple[NodeId, ...]:
-    """Hops of the best route from node index ``source``, ``hops`` layers
-    from the RSU, over the hop-layer DAG.
+    """Hops of the best route from node index ``source``, ``hops`` >= 2
+    layers from the RSU, over the hop-layer DAG.
 
     Every min-hop path steps one layer closer to the RSU per hop. A
     Dijkstra search on (hops, loss, path) labels from the source settles
     each such layer before the next, so a node's label there is the
     minimum over its neighbours one layer back, which is what each sweep
-    below takes. Labels are (loss summed source-first, index path), and
+    below takes; the last hop, from layer 1, reads its loss from the
+    RSU's row. Labels are (loss summed source-first, index path), and
     index order is NodeId order, so the route equals that search's.
     """
-    labels = {source: (0.0, (source,))}
-    for _ in range(hops):
+    labels = {v: (loss, (source, v)) for v, loss in down[source]}
+    for _ in range(hops - 2):
         nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
         for u, (loss, path) in labels.items():
             for v, edge_loss in down[u]:
@@ -85,7 +104,35 @@ def _route_from(
                 if best is None or label < best:
                     nxt[v] = label
         labels = nxt
-    return tuple(nodes[k] for k in labels[0][1])
+    # every path has ``hops`` nodes, so the RSU appended to each would
+    # order them as the paths alone do
+    _, path = min((loss + rsu_row[u], path) for u, (loss, path) in labels.items())
+    return (*map(nodes.__getitem__, path), nodes[0])
+
+
+def _route_table(
+    nodes: tuple[NodeId, ...], rsu_row: Mapping[int, float], rows: Rows, max_hops: int | None
+) -> RouteTable:
+    """The routing pass: every vehicle node to its route, in node order,
+    from the RSU's ``{neighbour: loss}`` row and the rows it misses.
+
+    A node one hop from the RSU routes straight to it: a direct link wins
+    whatever ``max_hops`` is.
+    """
+    depth, down = _layers(len(nodes), rsu_row, rows)
+    rsu = nodes[0]
+    cap = None if max_hops is None else max(max_hops, 1)
+    table: RouteTable = {}
+    for k in range(1, len(nodes)):
+        source = nodes[k]
+        layer = depth[k]
+        if layer == 1:
+            table[source] = (source, rsu)
+        elif layer is None or (cap is not None and layer > cap):
+            table[source] = None
+        else:
+            table[source] = _route_from(nodes, k, layer, down, rsu_row)
+    return table
 
 
 def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
@@ -96,22 +143,60 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
     control-plane latency it lags the scoring time, so the table may
     already be stale when it is applied.
 
-    A node one hop from the RSU routes straight to it: a direct link wins
-    whatever ``max_hops`` is.
+    The routing pass reads the RSU's adjacency row and the rows of the
+    nodes that row misses; a direct link wins whatever ``max_hops`` is.
     """
-    depth, down = _hop_layers(graph)
-    nodes = graph.nodes
-    rsu = nodes[0]
-    cap = None if max_hops is None else max(max_hops, 1)
-    table: RouteTable = {}
-    for k in range(1, len(nodes)):
-        source = nodes[k]
-        layer = depth[k]
-        if layer is None or (cap is not None and layer > cap):
-            table[source] = None
-            continue
-        table[source] = (source, rsu) if layer == 1 else _route_from(nodes, k, layer, down)
-    return table
+    adjacency = graph.adjacency
+    rsu_row = adjacency[0]
+    rows = {v: adjacency[v].items() for v in range(1, len(adjacency)) if v not in rsu_row}
+    return _route_table(graph.nodes, rsu_row, rows, max_hops)
+
+
+def _window_rows(
+    n_nodes: int, n_steps: int, links: LinkRows
+) -> list[tuple[dict[int, float], dict[int, list[tuple[int, float]]]]]:
+    """Per step of ``links``, the RSU's ``{neighbour: loss}`` row and the
+    rows that row misses: what the routing pass reads of that step's graph,
+    with no graph built.
+
+    One numpy pass gathers them for every step. The RSU's links lead each
+    step's rows. Every link is keyed once by each end, ``step * n_nodes +
+    end``, the (i, j) rows keyed by j first: a stable sort of the keys the
+    RSU's row misses then lists each such end's row in ascending neighbour
+    order, the neighbours below it before those above.
+    """
+    step, ij, loss = links.step, links.ij, links.loss
+    at_rsu = np.flatnonzero(ij[0] == 0)
+    rsu_j = ij[1, at_rsu]
+    rsu_key = step[at_rsu] * n_nodes + rsu_j
+    reached = np.zeros(n_steps * n_nodes, dtype=bool)
+    reached[::n_nodes] = True
+    reached[rsu_key] = True
+    # every link keyed by its j end, then by its i end, so the other end
+    # of each key is the same entry of ``ij.ravel()``
+    key = (step * n_nodes + ij[::-1]).ravel()
+    out = np.flatnonzero(~reached[key])
+    out = out[np.argsort(key[out], kind="stable")]
+    out_key = key[out]
+    starts = np.flatnonzero(np.diff(out_key, prepend=-1))
+    row_key = out_key[starts]
+    bounds = np.arange(n_nodes, (n_steps + 1) * n_nodes, n_nodes)
+    rsu_stops = np.searchsorted(rsu_key, bounds).tolist()
+    row_stops = np.searchsorted(row_key, bounds).tolist()
+    rsu_j, rsu_loss = rsu_j.tolist(), loss[at_rsu].tolist()
+    row_end = (row_key % n_nodes).tolist()
+    others = ij.ravel()[out].tolist()
+    losses = loss[out % len(loss)].tolist()
+    cuts = [*starts.tolist(), len(out)]
+    row_of = [list(zip(others[a:b], losses[a:b])) for a, b in zip(cuts, cuts[1:])]
+
+    window = []
+    a = b = 0
+    for a_stop, b_stop in zip(rsu_stops, row_stops):
+        rsu_row = dict(zip(rsu_j[a:a_stop], rsu_loss[a:a_stop]))
+        window.append((rsu_row, dict(zip(row_end[b:b_stop], row_of[b:b_stop]))))
+        a, b = a_stop, b_stop
+    return window
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +205,8 @@ class PredictivePlan:
     route table and the forecast it was computed from, a read-only
     ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
     the last observed snapshot's vehicles, in the order of its ``ids``.
+    Each table was routed from that forecast's link rows, and equals the
+    :func:`route_realtime` table of the graph those poses build.
     The engine holds every strategy's window of tables as one; a realtime
     or conventional window holds one table for every step of a range,
     and has no ids and no forecasts. A step the window misses is a
@@ -156,8 +243,11 @@ def route_predictive(
     counted in ``degraded_tracks``. Every forecast step keeps the last
     observed snapshot's vehicles and moves only their ``(x, y, heading)``
     rows: the forecast's ``(steps, V, 3)`` pose array, past the lag, is
-    the one from which one :func:`build_topologies` call builds all the
-    planned graphs.
+    the one from which one :func:`~twinroute.topology.feasible_links`
+    call finds the links of all the planned steps. The routing pass then
+    turns each step's rows into its table, which equals the
+    :func:`route_realtime` table of the step's
+    :func:`~twinroute.topology.build_topologies` graph; no graph is built.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -173,8 +263,12 @@ def route_predictive(
     xy_yaw = rows[lag_steps:]
     xy_yaw.setflags(write=False)
     timesteps = range(now + 1, now + steps + 1)
-    graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)
-    entries = {g.timestep: route_realtime(g, max_hops) for g in graphs}
+    links = feasible_links(last, timesteps, xy_yaw, params, budget_db)
+    nodes = last.fleet.nodes
+    entries = {
+        ts: _route_table(nodes, rsu_row, missed, max_hops)
+        for ts, (rsu_row, missed) in zip(timesteps, _window_rows(len(nodes), steps, links))
+    }
     return PredictivePlan(entries, tracks.ids, dict(zip(timesteps, xy_yaw)), int(degraded.sum()))
 
 

@@ -2,6 +2,12 @@
 snapshot's fleet at every step of a forecast or of a run of snapshots
 with equal fleets at once.
 
+A build has two stages. The link stage, :func:`feasible_links`, takes
+per-step poses and returns every step's feasible links as
+:class:`LinkRows`; the predictive planner routes its forecast steps
+straight from these. The graph assembly, :func:`build_topologies`,
+slices them into one :class:`ConnectivityGraph` per step for the truth.
+
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
 become nodes but their bodies still occlude, and connected vehicles
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,43 +90,51 @@ def build_topology(
     return build_topologies(snapshot, [snapshot.timestep], poses, params, budget_db)[0]
 
 
-def build_topologies(
+class LinkRows(NamedTuple):
+    """The feasible links of one fleet at every step of a run of poses,
+    one row each: the step's position in the timesteps, the ends ``(i, j)``
+    with ``i < j`` as the two rows of ``ij``, and the link's distance,
+    blocker count and path loss. Rows run step after step, each step's in
+    ascending (i, j), so the RSU's links (``i == 0``) lead each step's."""
+
+    step: np.ndarray  # (E,) int64
+    ij: np.ndarray  # (2, E) int64
+    distance: np.ndarray  # (E,) float64
+    blockers: np.ndarray  # (E,) int64
+    loss: np.ndarray  # (E,) float64
+
+
+def feasible_links(
     snapshot: WorldSnapshot,
     timesteps: Sequence[int],
     xy_yaw: np.ndarray,
     params: ChannelParams,
     budget_db: float,
-) -> list[ConnectivityGraph]:
-    """One graph per step: one snapshot's vehicles at per-step poses.
+) -> LinkRows:
+    """The link stage of every build: one snapshot's vehicles at per-step
+    poses in, every step's feasible links out.
 
-    The planner builds a forecast window's graphs this way, and the engine
-    the truth graphs of a run of consecutive snapshots with one vehicle
-    set (a run of one included). ``snapshot`` gives the RSU position and
-    its :class:`~twinroute.model.Fleet`: the ids, bodies, antennas, and
-    the nodes, their index, the owner keys, id codes and half bodies the
-    fleet derives once for all its builds; every graph of the fleet
-    shares its ``nodes`` and ``index``. ``xy_yaw[s, k]`` is the (x, y,
-    heading) of its row ``k`` at ``timesteps[s]``, laid out as the
-    snapshot's own ``xy_yaw`` row, which is not read. Each graph equals
-    the :func:`build_topology` graph of the snapshot with its vehicles
-    moved to those poses. Most of a
-    build's cost is a fixed number of numpy calls, so one call over S
-    steps costs far less than S calls. One kernel call, which cuts the
-    steps into chunks of bounded memory, counts blockers for every pair in
-    range at any step, with one owner key per antenna (RSU -1, a vehicle
-    its id), and :func:`~twinroute.channel.path_loss` and the
-    feasibility test run over all steps at once; a pair out of range
-    at a step is dropped there. The graphs are assembled in one pass: one
-    ``flatnonzero`` of the (step, pair) feasibility mask and one ``tolist``
-    per edge column serve every step, each graph's edge arrays are slices
-    of those, and its adjacency dicts are filled in (i, j) row order.
+    ``snapshot`` gives the RSU position and its
+    :class:`~twinroute.model.Fleet`: the ids, bodies, antennas, and the
+    nodes, owner keys, id codes and half bodies the fleet derives once for
+    all its builds. ``xy_yaw[s, k]`` is the (x, y, heading) of its row
+    ``k`` at ``timesteps[s]``, laid out as the snapshot's own ``xy_yaw``
+    row, which is not read. Most of the cost is a fixed number of numpy
+    calls, so one call over S steps costs far less than S calls. One
+    kernel call, which cuts the steps into chunks of bounded memory,
+    counts blockers for every pair in range at any step, with one owner
+    key per antenna (RSU -1, a vehicle its id), and
+    :func:`~twinroute.channel.path_loss` and the feasibility test run over
+    all steps at once; a pair out of range at a step is dropped there.
+    One ``flatnonzero`` of the (step, pair) feasibility mask gives every
+    step's rows.
+
+    ``timesteps`` must not be empty.
 
     Raises ValueError, naming the timestep, for two antennas at one point
     (a zero-length link has no path loss), and for an ``xy_yaw`` whose
     shape is not (steps, vehicles, 3).
     """
-    if not timesteps:
-        return []
     fleet = snapshot.fleet
     connected, nodes, halves = fleet.node_rows, fleet.nodes, fleet.halves
     n_steps, n_vehicles = len(timesteps), len(fleet.ids)
@@ -168,19 +182,44 @@ def build_topologies(
 
     losses = path_loss(distances, blockers, params)
 
-    # every step's edge rows in one pass: the feasible (step, pair) entries
-    # in row-major order are each step's edges in ascending (i, j), one
-    # step after the other; each graph's arrays are slices of these
+    # the feasible (step, pair) entries in row-major order are each step's
+    # links in ascending (i, j), one step after the other
     feasible = near & (losses <= budget_db) & (distances <= max_range)
     rows = np.flatnonzero(feasible)
-    n_pairs = ends.shape[1]
-    stops = np.searchsorted(rows, np.arange(1, n_steps + 1) * n_pairs).tolist()
-    ij = ends.take(rows % n_pairs, axis=1)
-    edges = ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
-    distance = distances.ravel()[rows]
-    blocked = blockers.ravel()[rows]
-    loss = losses.ravel()[rows]
-    (i_list, j_list), loss_list = ij.tolist(), loss.tolist()
+    step, pair = np.divmod(rows, ends.shape[1])
+    return LinkRows(
+        step, ends.take(pair, axis=1), distances.ravel()[rows], blockers.ravel()[rows],
+        losses.ravel()[rows],
+    )
+
+
+def build_topologies(
+    snapshot: WorldSnapshot,
+    timesteps: Sequence[int],
+    xy_yaw: np.ndarray,
+    params: ChannelParams,
+    budget_db: float,
+) -> list[ConnectivityGraph]:
+    """One graph per step: one snapshot's vehicles at per-step poses.
+
+    The engine builds the truth graphs of a run of consecutive snapshots
+    with one vehicle set (a run of one included) this way. The links are
+    :func:`feasible_links` of the same arguments, which says what they
+    are and what it checks; every graph of the fleet shares its ``nodes``
+    and ``index``. Each graph equals the :func:`build_topology` graph of
+    the snapshot with its vehicles moved to those poses. The graphs are
+    assembled in one pass: one ``tolist`` per edge column serves every
+    step, each graph's edge arrays are slices of the link rows, and its
+    adjacency dicts are filled in (i, j) row order.
+    """
+    if not timesteps:
+        return []
+    links = feasible_links(snapshot, timesteps, xy_yaw, params, budget_db)
+    fleet = snapshot.fleet
+    nodes = fleet.nodes
+    stops = np.searchsorted(links.step, np.arange(1, len(timesteps) + 1)).tolist()
+    edges = links.ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
+    (i_list, j_list), loss_list = links.ij.tolist(), links.loss.tolist()
     graphs = []
     start = 0
     for ts, stop in zip(timesteps, stops):
@@ -188,8 +227,8 @@ def build_topologies(
         adjacency = _adjacency(len(nodes), i_list[step], j_list[step], loss_list[step])
         graphs.append(
             ConnectivityGraph(
-                ts, nodes, fleet.index, edges[step], distance[step], blocked[step], loss[step],
-                adjacency,
+                ts, nodes, fleet.index, edges[step], links.distance[step],
+                links.blockers[step], links.loss[step], adjacency,
             )
         )
         start = stop

@@ -9,20 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinroute import routing
+from twinroute import engine, routing, topology
 from twinroute.channel import default_channel_params
 from twinroute.config import default_config
+from twinroute.engine import run_single
 from twinroute.mobility import snapshot_stream
-from twinroute.model import NodeId, VehicleState, WorldSnapshot
+from twinroute.model import NodeId, Strategy, VehicleState, WorldSnapshot
 from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor, HoldPredictor
 from twinroute.routing import (
-    _hop_layers,
+    _layers,
+    _route_table,
+    _window_rows,
     dump_route_table,
     route_predictive,
     route_realtime,
     score_route,
 )
-from twinroute.topology import ConnectivityGraph, build_topology
+from twinroute.topology import ConnectivityGraph, LinkRows, build_topologies, build_topology
 
 from conftest import TRUCK, count_validations, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
@@ -178,16 +181,23 @@ TIE_LOSSES = st.sampled_from([0.1, 0.2, 0.3, 0.7, 80.0, 95.0])
 
 
 @st.composite
-def small_graphs(draw):
-    """The RSU plus 1-7 vehicles, each pair linked or not."""
-    nodes = [RSU] + [NodeId.vehicle(k) for k in range(draw(st.integers(1, 7)))]
+def small_links(draw, n_vehicles):
+    """Links among the RSU and ``n_vehicles`` vehicles, each pair linked or not."""
+    nodes = ["rsu", *range(n_vehicles)]
     losses = TIE_LOSSES | st.floats(60.0, 160.0)
     links = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if draw(st.booleans()):
                 links[(a, b)] = draw(losses)
-    return graph_from_losses(links, range(len(nodes) - 1))
+    return links
+
+
+@st.composite
+def small_graphs(draw):
+    """The RSU plus 1-7 vehicles, each pair linked or not."""
+    n_vehicles = draw(st.integers(1, 7))
+    return graph_from_losses(draw(small_links(n_vehicles)), range(n_vehicles))
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,13 +252,73 @@ def test_hop_layer_examples_cover_deep_and_unreachable_nodes():
     assert depth == [0, None, None, None]
 
 
+def link_rows(graphs) -> LinkRows:
+    """The graphs' edge rows as the link rows of one window, a step each."""
+    return LinkRows(
+        np.concatenate([np.full(len(g.edges), s, np.int64) for s, g in enumerate(graphs)]),
+        np.concatenate([g.edges for g in graphs]).T,
+        np.concatenate([g.edge_distance for g in graphs]),
+        np.concatenate([g.edge_blockers for g in graphs]),
+        np.concatenate([g.edge_loss for g in graphs]),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=sparse_graphs())
 @example(g=graph_from_losses(DEEP_CHAIN))
 @example(g=graph_from_losses(LONE_RSU))
 @example(g=graph_from_losses(SOURCE_FIRST_TIE))
 def test_hop_layers_equal_a_plain_bfs(g):
-    assert _hop_layers(g) == oracle_hop_layers(g.adjacency)
+    """The routing pass's layering, from the rows ``route_realtime`` reads
+    and from those a window's link rows give, is a plain BFS's: layer 1 is
+    the RSU's row, which holds each depth-1 node's one down link."""
+    adjacency = g.adjacency
+    want_depth, want_down = oracle_hop_layers(adjacency)
+    rows = {v: adjacency[v].items() for v in range(1, len(adjacency)) if v not in adjacency[0]}
+    ((rsu_row, window_rows),) = _window_rows(len(g.nodes), 1, link_rows([g]))
+    assert rsu_row == adjacency[0] and list(rsu_row) == list(adjacency[0])
+    for row_source in (rows, window_rows):
+        depth, down = _layers(len(g.nodes), adjacency[0], row_source)
+        assert depth == want_depth
+        assert down == {v: want_down[v] for v, d in enumerate(depth) if d is not None and d > 1}
+    assert all(want_down[v] == [(0, loss)] for v, loss in adjacency[0].items())
+
+
+@st.composite
+def link_batches(draw):
+    """One window's links over the RSU and 1-12 vehicles: 1-6 steps, each
+    step's links drawn as ``small_graphs`` or ``sparse_graphs`` draw
+    theirs, as (per-step links, vehicle count)."""
+    n_vehicles = draw(st.integers(1, 12))
+    steps = draw(st.lists(small_links(n_vehicles) | sparse_links(n_vehicles), min_size=1, max_size=6))
+    return steps, n_vehicles
+
+
+# a deep chain, a step where the RSU has no link, a step with no edges,
+# and a loss tie that only summing source-first breaks, over one node set
+MIXED_WINDOW = ([DEEP_CHAIN, LONE_RSU, {}, SOURCE_FIRST_TIE], 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=link_batches(), max_hops=st.none() | st.integers(1, 4))
+@example(batch=MIXED_WINDOW, max_hops=None)
+@example(batch=MIXED_WINDOW, max_hops=1)
+@example(batch=MIXED_WINDOW, max_hops=2)
+@example(batch=MIXED_WINDOW, max_hops=4)
+def test_a_window_of_link_rows_routes_as_its_graphs(batch, max_hops):
+    """The tables a planning epoch routes from its link rows: each step's
+    equals ``route_realtime`` of that step's graph, key order included,
+    and the heap Dijkstra route for route."""
+    steps, n_vehicles = batch
+    graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
+    nodes = graphs[0].nodes
+    assert all(g.nodes == nodes for g in graphs)
+    window = _window_rows(len(nodes), len(graphs), link_rows(graphs))
+    assert len(window) == len(graphs)
+    for g, (rsu_row, rows) in zip(graphs, window):
+        table = _route_table(nodes, rsu_row, rows, max_hops)
+        assert list(table.items()) == list(route_realtime(g, max_hops).items())
+        assert table == {s: oracle_dijkstra_route(g, s, max_hops) for s in nodes[1:]}
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
@@ -493,6 +563,69 @@ def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch,
     assert tracks.count.tolist() == observed
     make_vehicle(0, 30.0, 0.0)  # the patched checks still count
     assert built[-1][0] == "VehicleState"
+
+
+def test_a_predictive_epoch_builds_no_graph(monkeypatch):
+    """A planning epoch routes its forecast from link rows: it constructs
+    no ConnectivityGraph and fills no adjacency dicts."""
+    built = []
+    real_init, real_adjacency = ConnectivityGraph.__init__, topology._adjacency
+
+    def counted_init(self, *args, **kwargs):
+        built.append("ConnectivityGraph")
+        real_init(self, *args, **kwargs)
+
+    def counted_adjacency(*args):
+        built.append("adjacency")
+        return real_adjacency(*args)
+
+    monkeypatch.setattr(ConnectivityGraph, "__init__", counted_init)
+    monkeypatch.setattr(topology, "_adjacency", counted_adjacency)
+    plan, history, _ = plan_counting(monkeypatch, (), ConstantVelocityPredictor())
+    assert any(route is not None for table in plan.entries.values() for route in table.values())
+    assert built == []
+    cfg = default_config()
+    build_topology(history[-1], cfg.channel, cfg.link_budget_db)  # the patched ones still count
+    assert built == ["adjacency", "ConnectivityGraph"]
+
+
+@pytest.mark.parametrize("predictor", ["constant_velocity", "constant_turn_rate"])
+def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_scale, predictor):
+    """Every planning epoch of a 20 s, 30-vehicle mixed run with a 0.3 s
+    latency and a two-hop cap (seed 1; seeds 1-4 under ``--extended``):
+    each forecast step's table equals ``route_realtime`` of the
+    ``build_topologies`` graph of that step's forecast poses, key order
+    included."""
+    epochs = []
+    real = engine.route_predictive
+
+    def kept(history, *args):
+        plan = real(history, *args)
+        epochs.append((history[-1], plan))
+        return plan
+
+    monkeypatch.setattr(engine, "route_predictive", kept)
+    for seed in range(1, fuzz_scale + 1):
+        cfg = default_config(
+            duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=seed,
+            strategy=Strategy.PREDICTIVE, latency_delta=0.3, max_hops=2,
+        )
+        run_single(dataclasses.replace(
+            cfg, prediction=dataclasses.replace(cfg.prediction, predictor=predictor)
+        ))
+    assert len(epochs) == 10 * fuzz_scale
+    depths = set()
+    for last, plan in epochs:
+        timesteps = list(plan.entries)
+        assert timesteps == list(plan.forecast)
+        xy_yaw = np.stack([plan.forecast[ts] for ts in timesteps])
+        graphs = build_topologies(last, timesteps, xy_yaw, cfg.channel, cfg.link_budget_db)
+        for g in graphs:
+            want = route_realtime(g, 2)
+            assert list(plan.entries[g.timestep].items()) == list(want.items()), g.timestep
+            uncapped = route_realtime(g)
+            depths.update(len(r) - 1 if r else 0 for r in uncapped.values())
+    assert {0, 1, 2, 3} <= depths  # direct, relayed, capped away and unreachable
 
 
 def test_dump_route_table_format():

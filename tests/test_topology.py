@@ -12,7 +12,7 @@ from twinroute.channel import default_channel_params, path_loss
 from twinroute.config import default_config
 from twinroute.engine import run_single
 from twinroute.model import NodeId, Strategy, WorldSnapshot
-from twinroute.topology import build_topologies, build_topology, dump_topology_stream
+from twinroute.topology import build_topologies, build_topology, dump_topology_stream, feasible_links
 
 from conftest import SEDAN, TRUCK, links, make_snapshot, make_vehicle
 from oracles import oracle_topology_edges
@@ -183,8 +183,9 @@ def snapshots_of(snapshot, timesteps, xy_yaw):
 
 
 def forecast_epochs(duration=20.0):
-    """The ``build_topologies`` inputs of every planning epoch of a
-    30-vehicle mixed run: (snapshot, timesteps, xy_yaw)."""
+    """The link-stage inputs of every planning epoch of a 30-vehicle mixed
+    run, which are the ``build_topologies`` inputs of its forecast graphs:
+    (snapshot, timesteps, xy_yaw)."""
     cfg = default_config(
         duration=duration, vehicle_count=30, connected_fraction=0.5, seed=1,
         strategy=Strategy.PREDICTIVE,
@@ -193,10 +194,10 @@ def forecast_epochs(duration=20.0):
 
     def capture(*args):
         epochs.append(args[:3])
-        return build_topologies(*args)
+        return feasible_links(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "build_topologies", capture)
+        mp.setattr(routing, "feasible_links", capture)
         run_single(cfg)
     return cfg, epochs
 
@@ -214,27 +215,20 @@ def test_batched_build_equals_one_build_per_snapshot():
 
 
 def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
-    """Every truth build and every forecast epoch's graphs: ``edges`` rows
-    strictly ascend with i < j, and ``adjacency`` holds exactly those rows
-    with their losses, in both directions."""
-    cfg = default_config(
-        duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=1,
-        strategy=Strategy.PREDICTIVE,
-    )
-    truth, forecast = [], []
+    """Every truth build and the graphs of every forecast epoch's poses:
+    ``edges`` rows strictly ascend with i < j, and ``adjacency`` holds
+    exactly those rows with their losses, in both directions."""
+    truth = []
 
-    def keep(build, into):
-        def kept(*args):
-            got = build(*args)
-            into.extend(got)
-            return got
-
-        return kept
+    def kept(*args):
+        got = build_topologies(*args)
+        truth.extend(got)
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "build_topologies", keep(build_topologies, truth))
-        mp.setattr(routing, "build_topologies", keep(build_topologies, forecast))
-        run_single(cfg)
+        mp.setattr(engine, "build_topologies", kept)
+        cfg, epochs = forecast_epochs()
+    forecast = [g for epoch in epochs for g in build_topologies(*epoch, cfg.channel, cfg.link_budget_db)]
     assert len(truth) == 200 and len(forecast) == 200
     for graph in truth + forecast:
         edges = graph.edges
@@ -247,6 +241,23 @@ def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
             want[a][b] = want[b][a] = loss
         assert graph.adjacency == want
     assert sum(len(g.edges) for g in truth) > 0 and sum(len(g.edges) for g in forecast) > 0
+
+
+def test_the_link_rows_are_every_step_s_edge_rows():
+    """``feasible_links`` of a forecast epoch: each step's rows, in step
+    order, are that step's graph's edge rows and link stats."""
+    cfg, epochs = forecast_epochs(duration=5.0)
+    assert epochs
+    for epoch in epochs:
+        links = feasible_links(*epoch, cfg.channel, cfg.link_budget_db)
+        graphs = build_topologies(*epoch, cfg.channel, cfg.link_budget_db)
+        assert links.ij.shape == (2, len(links.step))
+        want_step = np.concatenate([np.full(len(g.edges), s) for s, g in enumerate(graphs)])
+        assert links.step.tolist() == want_step.tolist()
+        assert np.array_equal(links.ij.T, np.concatenate([g.edges for g in graphs]))
+        for name, column in (("distance", "edge_distance"), ("blockers", "edge_blockers"), ("loss", "edge_loss")):
+            want = np.concatenate([getattr(g, column) for g in graphs])
+            assert getattr(links, name).tobytes() == want.tobytes(), name
 
 
 def moving_pair(steps, rsu_height=5.0):
