@@ -24,6 +24,7 @@ import yaml
 from .channel import BlockageClass, ChannelParams, default_channel_params
 from .model import Strategy, ValidationReport
 from .prediction import PREDICTORS
+from .trace import COORDINATE_BOUND
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,16 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
     check(cfg.speed.max >= cfg.speed.min, "speed.max", "must be >= speed.min")
     check(cfg.link_budget_db > 0, "link_budget_db", "must be > 0")
     check(cfg.mobility.min_gap > 0, "mobility.min_gap", "must be > 0")
+    geo = cfg.intersection
+    if geo.arm_length > 0 and geo.lane_width > 0:
+        # the extent arm_length + lane_count * lane_width bounds every generated
+        # coordinate, give or take a turn radius; the quotient cannot overflow
+        fits = geo.lane_count <= (COORDINATE_BOUND - geo.arm_length) / geo.lane_width
+        check(fits, "intersection.arm_length", "plus lane_count * lane_width must be <= 2**510")
+        if fits:  # coordinates round in steps of about 2**-52 of the extent
+            extent = geo.arm_length + geo.lane_count * geo.lane_width
+            msg = "must be >= 1e-9 * (arm_length + lane_count * lane_width)"
+            check(cfg.mobility.min_gap >= 1e-9 * extent, "mobility.min_gap", msg)
     check(cfg.mobility.spawn_window >= 0, "mobility.spawn_window", "must be >= 0")
     check(cfg.max_hops is None or cfg.max_hops >= 1, "max_hops", "must be >= 1 or null")
 

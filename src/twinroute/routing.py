@@ -8,25 +8,26 @@ and breaks remaining exact ties by the lexicographically smallest node
 sequence, so results are deterministic and order-independent. A route is
 its tuple of hops, source first and RSU last.
 
-One routing pass serves truth graphs and forecast steps. It reads the
-RSU's ``{neighbour: loss}`` row and the rows of the nodes that row
-misses: a truth graph gives ``adjacency[0]`` and ``adjacency``, and a
-planning epoch gathers both for all its forecast steps from their
-:class:`~twinroute.topology.LinkRows` in one numpy pass, so it builds no
-graph.
+One routing pass serves truth graphs and forecast steps, and reads one
+input: a step's adjacency list, of which it reads only the RSU's
+``{neighbour: loss}`` row and the rows of the nodes that row misses. A
+truth graph gives its ``adjacency``. A planning epoch keeps only the
+links of those rows from each forecast step and routes the adjacency
+:func:`~twinroute.topology.step_adjacency` fills from them, so it builds
+no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Collection, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams
 from .model import NodeId, WorldSnapshot
 from .prediction import TrajectoryPredictor, Tracks, predict
-from .topology import ConnectivityGraph, LinkRows, feasible_links
+from .topology import ConnectivityGraph, LinkRows, feasible_links, step_adjacency
 
 
 # One routing pass: every vehicle node of the graph, in node order, to its
@@ -34,15 +35,12 @@ from .topology import ConnectivityGraph, LinkRows, feasible_links
 RouteTable = dict[NodeId, tuple[NodeId, ...] | None]
 
 
-# Per node the RSU's row misses, its (neighbour, loss) pairs in ascending
-# neighbour order; a node with no links may be left out. Each layer sweep
-# reads a row again, so a row is a collection, not a one-shot iterator.
-Rows = Mapping[int, Collection[tuple[int, float]]]
+# Per node index, {neighbour index: loss} in ascending neighbour order, RSU
+# at 0. The routing pass reads only the RSU's row and the rows it misses.
+Adjacency = Sequence[Mapping[int, float]]
 
 
-def _layers(
-    n_nodes: int, rsu_row: Mapping[int, float], rows: Rows
-) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
+def _layers(adjacency: Adjacency) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
     """BFS hop depth of every node from the RSU (None if unreachable), and
     per node at depth 2 or more its (neighbour, loss) pairs one layer
     closer to the RSU, in index order.
@@ -53,17 +51,17 @@ def _layers(
     down list in the same sweep, so only the rows the RSU's row misses are
     read. Depths and down lists equal a plain BFS.
     """
-    depth: list[int | None] = [None] * n_nodes
+    depth: list[int | None] = [None] * len(adjacency)
     depth[0] = 0
-    for v in rsu_row:
+    for v in adjacency[0]:
         depth[v] = 1
     down: dict[int, list[tuple[int, float]]] = {}
-    unreached = list(rows)
+    unreached = [v for v in range(1, len(adjacency)) if depth[v] is None]
     layer = 1
     while unreached:
         rest = []
         for v in unreached:
-            closer = [(u, loss) for u, loss in rows[v] if depth[u] == layer]
+            closer = [(u, loss) for u, loss in adjacency[v].items() if depth[u] == layer]
             if closer:
                 depth[v] = layer + 1
                 down[v] = closer
@@ -111,15 +109,15 @@ def _route_from(
 
 
 def _route_table(
-    nodes: tuple[NodeId, ...], rsu_row: Mapping[int, float], rows: Rows, max_hops: int | None
+    nodes: tuple[NodeId, ...], adjacency: Adjacency, max_hops: int | None
 ) -> RouteTable:
     """The routing pass: every vehicle node to its route, in node order,
-    from the RSU's ``{neighbour: loss}`` row and the rows it misses.
+    from the RSU's row of ``adjacency`` and the rows it misses.
 
     A node one hop from the RSU routes straight to it: a direct link wins
     whatever ``max_hops`` is.
     """
-    depth, down = _layers(len(nodes), rsu_row, rows)
+    depth, down = _layers(adjacency)
     rsu = nodes[0]
     cap = None if max_hops is None else max(max_hops, 1)
     table: RouteTable = {}
@@ -131,7 +129,7 @@ def _route_table(
         elif layer is None or (cap is not None and layer > cap):
             table[source] = None
         else:
-            table[source] = _route_from(nodes, k, layer, down, rsu_row)
+            table[source] = _route_from(nodes, k, layer, down, adjacency[0])
     return table
 
 
@@ -143,60 +141,27 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
     control-plane latency it lags the scoring time, so the table may
     already be stale when it is applied.
 
-    The routing pass reads the RSU's adjacency row and the rows of the
-    nodes that row misses; a direct link wins whatever ``max_hops`` is.
+    A direct link wins whatever ``max_hops`` is.
     """
-    adjacency = graph.adjacency
-    rsu_row = adjacency[0]
-    rows = {v: adjacency[v].items() for v in range(1, len(adjacency)) if v not in rsu_row}
-    return _route_table(graph.nodes, rsu_row, rows, max_hops)
+    return _route_table(graph.nodes, graph.adjacency, max_hops)
 
 
-def _window_rows(
+def _routed_links(
     n_nodes: int, n_steps: int, links: LinkRows
-) -> list[tuple[dict[int, float], dict[int, list[tuple[int, float]]]]]:
-    """Per step of ``links``, the RSU's ``{neighbour: loss}`` row and the
-    rows that row misses: what the routing pass reads of that step's graph,
-    with no graph built.
-
-    One numpy pass gathers them for every step. The RSU's links lead each
-    step's rows. Every link is keyed once by each end, ``step * n_nodes +
-    end``, the (i, j) rows keyed by j first: a stable sort of the keys the
-    RSU's row misses then lists each such end's row in ascending neighbour
-    order, the neighbours below it before those above.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step, ends and loss of the rows of ``links`` the routing pass
+    reads: per step, the RSU's links and every link with an end that the
+    RSU's row misses. The row of the RSU and of every node it misses keeps
+    all its links; only links between two nodes one hop from the RSU, whose
+    rows are never read, go.
     """
-    step, ij, loss = links.step, links.ij, links.loss
-    at_rsu = np.flatnonzero(ij[0] == 0)
-    rsu_j = ij[1, at_rsu]
-    rsu_key = step[at_rsu] * n_nodes + rsu_j
+    step, ij = links.step, links.ij
+    key = step * n_nodes + ij  # each end's (step, node) as one flat index
+    # the nodes one hop from the RSU; the RSU is not one, so its links stay
     reached = np.zeros(n_steps * n_nodes, dtype=bool)
-    reached[::n_nodes] = True
-    reached[rsu_key] = True
-    # every link keyed by its j end, then by its i end, so the other end
-    # of each key is the same entry of ``ij.ravel()``
-    key = (step * n_nodes + ij[::-1]).ravel()
-    out = np.flatnonzero(~reached[key])
-    out = out[np.argsort(key[out], kind="stable")]
-    out_key = key[out]
-    starts = np.flatnonzero(np.diff(out_key, prepend=-1))
-    row_key = out_key[starts]
-    bounds = np.arange(n_nodes, (n_steps + 1) * n_nodes, n_nodes)
-    rsu_stops = np.searchsorted(rsu_key, bounds).tolist()
-    row_stops = np.searchsorted(row_key, bounds).tolist()
-    rsu_j, rsu_loss = rsu_j.tolist(), loss[at_rsu].tolist()
-    row_end = (row_key % n_nodes).tolist()
-    others = ij.ravel()[out].tolist()
-    losses = loss[out % len(loss)].tolist()
-    cuts = [*starts.tolist(), len(out)]
-    row_of = [list(zip(others[a:b], losses[a:b])) for a, b in zip(cuts, cuts[1:])]
-
-    window = []
-    a = b = 0
-    for a_stop, b_stop in zip(rsu_stops, row_stops):
-        rsu_row = dict(zip(rsu_j[a:a_stop], rsu_loss[a:a_stop]))
-        window.append((rsu_row, dict(zip(row_end[b:b_stop], row_of[b:b_stop]))))
-        a, b = a_stop, b_stop
-    return window
+    reached[key[1, ij[0] == 0]] = True
+    keep = np.flatnonzero(~reached[key[0]] | ~reached[key[1]])
+    return step.take(keep), ij.take(keep, axis=1), links.loss.take(keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +170,9 @@ class PredictivePlan:
     route table and the forecast it was computed from, a read-only
     ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
     the last observed snapshot's vehicles, in the order of its ``ids``.
-    Each table was routed from that forecast's link rows, and equals the
-    :func:`route_realtime` table of the graph those poses build.
+    Each table was routed from the adjacency of the links its routing
+    pass reads, and equals the :func:`route_realtime` table of the graph
+    those poses build.
     The engine holds every strategy's window of tables as one; a realtime
     or conventional window holds one table for every step of a range,
     and has no ids and no forecasts. A step the window misses is a
@@ -244,10 +210,14 @@ def route_predictive(
     observed snapshot's vehicles and moves only their ``(x, y, heading)``
     rows: the forecast's ``(steps, V, 3)`` pose array, past the lag, is
     the one from which one :func:`~twinroute.topology.feasible_links`
-    call finds the links of all the planned steps. The routing pass then
-    turns each step's rows into its table, which equals the
-    :func:`route_realtime` table of the step's
-    :func:`~twinroute.topology.build_topologies` graph; no graph is built.
+    call finds the links of all the planned steps. Of those, each step
+    keeps the links its routing pass reads: the RSU's, and every link
+    with an end that the RSU's row misses.
+    :func:`~twinroute.topology.step_adjacency` fills each step's adjacency
+    from them, as it does for a truth graph, and the routing pass turns it
+    into the step's table, which equals the :func:`route_realtime` table
+    of the step's :func:`~twinroute.topology.build_topologies` graph; no
+    graph is built.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -265,9 +235,9 @@ def route_predictive(
     timesteps = range(now + 1, now + steps + 1)
     links = feasible_links(last, timesteps, xy_yaw, params, budget_db)
     nodes = last.fleet.nodes
+    routed = step_adjacency(len(nodes), steps, *_routed_links(len(nodes), steps, links))
     entries = {
-        ts: _route_table(nodes, rsu_row, missed, max_hops)
-        for ts, (rsu_row, missed) in zip(timesteps, _window_rows(len(nodes), steps, links))
+        ts: _route_table(nodes, adjacency, max_hops) for ts, (_, adjacency) in zip(timesteps, routed)
     }
     return PredictivePlan(entries, tracks.ids, dict(zip(timesteps, xy_yaw)), int(degraded.sum()))
 

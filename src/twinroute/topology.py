@@ -4,9 +4,11 @@ with equal fleets at once.
 
 A build has two stages. The link stage, :func:`feasible_links`, takes
 per-step poses and returns every step's feasible links as
-:class:`LinkRows`; the predictive planner routes its forecast steps
-straight from these. The graph assembly, :func:`build_topologies`,
-slices them into one :class:`ConnectivityGraph` per step for the truth.
+:class:`LinkRows`. The per-step assembly, :func:`step_adjacency`,
+slices them into each step's adjacency dicts. :func:`build_topologies`
+wraps each step's in one :class:`ConnectivityGraph` for the truth; the
+predictive planner routes a forecast step from the adjacency of the
+links its routing pass reads, and builds no graph.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -207,32 +209,39 @@ def build_topologies(
     :func:`feasible_links` of the same arguments, which says what they
     are and what it checks; every graph of the fleet shares its ``nodes``
     and ``index``. Each graph equals the :func:`build_topology` graph of
-    the snapshot with its vehicles moved to those poses. The graphs are
-    assembled in one pass: one ``tolist`` per edge column serves every
-    step, each graph's edge arrays are slices of the link rows, and its
-    adjacency dicts are filled in (i, j) row order.
+    the snapshot with its vehicles moved to those poses: its edge arrays
+    are its step's slice of the link rows, and its adjacency dicts are
+    those :func:`step_adjacency` fills.
     """
     if not timesteps:
         return []
     links = feasible_links(snapshot, timesteps, xy_yaw, params, budget_db)
     fleet = snapshot.fleet
-    nodes = fleet.nodes
-    stops = np.searchsorted(links.step, np.arange(1, len(timesteps) + 1)).tolist()
     edges = links.ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
-    (i_list, j_list), loss_list = links.ij.tolist(), links.loss.tolist()
-    graphs = []
-    start = 0
-    for ts, stop in zip(timesteps, stops):
-        step = slice(start, stop)
-        adjacency = _adjacency(len(nodes), i_list[step], j_list[step], loss_list[step])
-        graphs.append(
-            ConnectivityGraph(
-                ts, nodes, fleet.index, edges[step], links.distance[step],
-                links.blockers[step], links.loss[step], adjacency,
-            )
+    steps = step_adjacency(len(fleet.nodes), len(timesteps), links.step, links.ij, links.loss)
+    return [
+        ConnectivityGraph(
+            ts, fleet.nodes, fleet.index, edges[rows], links.distance[rows],
+            links.blockers[rows], links.loss[rows], adjacency,
         )
+        for ts, (rows, adjacency) in zip(timesteps, steps)
+    ]
+
+
+def step_adjacency(
+    n_nodes: int, n_steps: int, step: np.ndarray, ij: np.ndarray, loss: np.ndarray
+) -> Iterator[tuple[slice, list[dict[int, float]]]]:
+    """Per step of link rows laid out as :class:`LinkRows` lays them out,
+    given by their ``step``, ``ij`` and ``loss`` columns: the step's slice
+    of the rows and its adjacency dicts, filled in (i, j) row order, so
+    each row's keys ascend. One ``tolist`` per column serves every step."""
+    stops = np.searchsorted(step, np.arange(1, n_steps + 1)).tolist()
+    (i_list, j_list), loss_list = ij.tolist(), loss.tolist()
+    start = 0
+    for stop in stops:
+        rows = slice(start, stop)
+        yield rows, _adjacency(n_nodes, i_list[rows], j_list[rows], loss_list[rows])
         start = stop
-    return graphs
 
 
 def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:

@@ -105,6 +105,33 @@ def test_validate_malformed_value_exits_2_with_field_path(tmp_path, text, messag
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "mobility:\n  min_gap: 1.0e-300\n  spawn_window: 1\n",
+            "mobility.min_gap: must be >= 1e-9 * (arm_length + lane_count * lane_width)",
+            id="gap-below-rounding",
+        ),
+        pytest.param(
+            "intersection:\n  arm_length: 1.0e200\nmobility:\n  spawn_window: 1\n",
+            "intersection.arm_length: plus lane_count * lane_width must be <= 2**510",
+            id="arm-past-coordinate-bound",
+        ),
+    ],
+)
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_traffic_whose_antennas_would_coincide_exits_2(tmp_path, capsys, text, message, strategy):
+    """Scenarios whose generated vehicles once rounded to one point, which
+    the graph builder rejected mid-run with exit 3."""
+    path = tmp_path / "coincide.yaml"
+    path.write_text(f"duration: 5\n{text}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--strategy", strategy, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_summary_and_detail(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     out = tmp_path / "out"

@@ -55,6 +55,28 @@ def test_validation_is_pure():
     assert validate_config(cfg) == validate_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "intersection, gap, path",
+    [
+        (dict(arm_length=2.0**510), 7.0, "intersection.arm_length"),
+        (dict(lane_width=2.0**509, lane_count=3), 7.0, "intersection.arm_length"),
+        # the quotient form compares a lane count past any float exactly
+        (dict(lane_count=10**400), 7.0, "intersection.arm_length"),
+        (dict(arm_length=100.0, lane_count=1, lane_width=3.5), 1.035e-7, "mobility.min_gap"),
+        (dict(arm_length=1.0e140), 2.0e131, None),
+        (dict(arm_length=100.0, lane_count=1, lane_width=3.5), 1.036e-7, None),
+    ],
+)
+def test_generated_coordinates_stay_bounded_and_a_gap_apart(intersection, gap, path):
+    cfg = default_config()
+    cfg = dataclasses.replace(
+        cfg,
+        intersection=dataclasses.replace(cfg.intersection, **intersection),
+        mobility=dataclasses.replace(cfg.mobility, min_gap=gap),
+    )
+    assert paths(validate_config(cfg)) == ([] if path is None else [path])
+
+
 def test_horizon_below_interval_reported():
     cfg = default_config()
     cfg = dataclasses.replace(

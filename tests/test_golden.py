@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import io
 
+import pytest
+
 import twinroute as tr
 from twinroute.cli import main
 from twinroute.metrics import summary_row, write_detail
@@ -102,3 +104,25 @@ def test_lagged_overlapping_turn_rate_predictive_pinned():
     assert result.prediction_error_mean == 0.32985195745226914
     assert result.prediction_fallbacks == 4
     assert sha256(routes.getvalue()) == "c0131cde6457321104b754ba7900e84643074ad72cf59cbf80c7163dba5daf15"
+
+
+@pytest.mark.parametrize("max_hops", [None, 2])
+def test_dense_connected_predictive_pinned(max_hops):
+    """60 connected vehicles on 2 lanes, routed from forecasts: about a
+    quarter of the routed nodes lie beyond the RSU's row. No route is
+    deeper than two hops, so the cap changes no byte. The topology dump
+    is left out, so the digests do not depend on numpy's SIMD kernels."""
+    base = tr.default_config(
+        duration=10.0, vehicle_count=60, connected_fraction=1.0,
+        strategy=tr.Strategy.PREDICTIVE, max_hops=max_hops,
+    )
+    cfg = dataclasses.replace(
+        base, intersection=dataclasses.replace(base.intersection, lane_count=2)
+    )
+    routes = io.StringIO()
+    result = tr.run_variants({"predictive": cfg}, route_dump=routes)["predictive"]
+    detail = io.StringIO()
+    write_detail(result, detail)
+    assert sha256(detail.getvalue()) == "90d6ca27ee68794a754f6ab7ace3ac99d704dda6710855b163b1c31cfaab5d7d"
+    assert result.reliability == 0.7728355837966641
+    assert sha256(routes.getvalue()) == "0a34c88d8585df212fde91d70d2d9b1d46d68be25ee5b551802fcbe361cfe582"

@@ -19,13 +19,19 @@ from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPred
 from twinroute.routing import (
     _layers,
     _route_table,
-    _window_rows,
+    _routed_links,
     dump_route_table,
     route_predictive,
     route_realtime,
     score_route,
 )
-from twinroute.topology import ConnectivityGraph, LinkRows, build_topologies, build_topology
+from twinroute.topology import (
+    ConnectivityGraph,
+    LinkRows,
+    build_topologies,
+    build_topology,
+    step_adjacency,
+)
 
 from conftest import TRUCK, count_validations, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
@@ -263,22 +269,28 @@ def link_rows(graphs) -> LinkRows:
     )
 
 
+def routed_adjacency(graphs) -> list[list[dict[int, float]]]:
+    """Per graph of one window, the adjacency a planning epoch routes: that
+    of the links its routing pass reads."""
+    n_nodes, n_steps = len(graphs[0].nodes), len(graphs)
+    routed = _routed_links(n_nodes, n_steps, link_rows(graphs))
+    return [adjacency for _, adjacency in step_adjacency(n_nodes, n_steps, *routed)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=sparse_graphs())
 @example(g=graph_from_losses(DEEP_CHAIN))
 @example(g=graph_from_losses(LONE_RSU))
 @example(g=graph_from_losses(SOURCE_FIRST_TIE))
 def test_hop_layers_equal_a_plain_bfs(g):
-    """The routing pass's layering, from the rows ``route_realtime`` reads
-    and from those a window's link rows give, is a plain BFS's: layer 1 is
-    the RSU's row, which holds each depth-1 node's one down link."""
+    """The routing pass's layering, from a graph's adjacency and from that
+    of the links a planning epoch keeps of it, is a plain BFS's: layer 1
+    is the RSU's row, which holds each depth-1 node's one down link."""
     adjacency = g.adjacency
     want_depth, want_down = oracle_hop_layers(adjacency)
-    rows = {v: adjacency[v].items() for v in range(1, len(adjacency)) if v not in adjacency[0]}
-    ((rsu_row, window_rows),) = _window_rows(len(g.nodes), 1, link_rows([g]))
-    assert rsu_row == adjacency[0] and list(rsu_row) == list(adjacency[0])
-    for row_source in (rows, window_rows):
-        depth, down = _layers(len(g.nodes), adjacency[0], row_source)
+    (routed,) = routed_adjacency([g])
+    for source in (adjacency, routed):
+        depth, down = _layers(source)
         assert depth == want_depth
         assert down == {v: want_down[v] for v, d in enumerate(depth) if d is not None and d > 1}
     assert all(want_down[v] == [(0, loss)] for v, loss in adjacency[0].items())
@@ -306,19 +318,38 @@ MIXED_WINDOW = ([DEEP_CHAIN, LONE_RSU, {}, SOURCE_FIRST_TIE], 8)
 @example(batch=MIXED_WINDOW, max_hops=2)
 @example(batch=MIXED_WINDOW, max_hops=4)
 def test_a_window_of_link_rows_routes_as_its_graphs(batch, max_hops):
-    """The tables a planning epoch routes from its link rows: each step's
-    equals ``route_realtime`` of that step's graph, key order included,
-    and the heap Dijkstra route for route."""
+    """The tables a planning epoch routes from its routed links: each
+    step's equals ``route_realtime`` of that step's graph, key order
+    included, and the heap Dijkstra route for route."""
     steps, n_vehicles = batch
     graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
     nodes = graphs[0].nodes
     assert all(g.nodes == nodes for g in graphs)
-    window = _window_rows(len(nodes), len(graphs), link_rows(graphs))
+    window = routed_adjacency(graphs)
     assert len(window) == len(graphs)
-    for g, (rsu_row, rows) in zip(graphs, window):
-        table = _route_table(nodes, rsu_row, rows, max_hops)
+    for g, adjacency in zip(graphs, window):
+        table = _route_table(nodes, adjacency, max_hops)
         assert list(table.items()) == list(route_realtime(g, max_hops).items())
         assert table == {s: oracle_dijkstra_route(g, s, max_hops) for s in nodes[1:]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=link_batches())
+@example(batch=MIXED_WINDOW)
+def test_routed_links_keep_every_row_the_routing_pass_reads(batch):
+    """Per step, the routed adjacency's RSU row and the row of every node
+    the RSU's row misses equal the full graph's, key order included, and
+    no kept link joins two vehicles one hop from the RSU."""
+    steps, n_vehicles = batch
+    graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
+    for g, routed in zip(graphs, routed_adjacency(graphs)):
+        full = g.adjacency
+        assert list(routed[0].items()) == list(full[0].items())
+        for v in range(1, len(full)):
+            if v not in full[0]:
+                assert list(routed[v].items()) == list(full[v].items())
+            else:
+                assert all(u == 0 or u not in full[0] for u in routed[v])
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
@@ -566,36 +597,59 @@ def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch,
 
 
 def test_a_predictive_epoch_builds_no_graph(monkeypatch):
-    """A planning epoch routes its forecast from link rows: it constructs
-    no ConnectivityGraph and fills no adjacency dicts."""
-    built = []
+    """A planning epoch routes its forecast from adjacency dicts: it
+    constructs no ConnectivityGraph, and fills one adjacency per forecast
+    step over exactly the links its routing pass reads, which on this
+    scene are fewer than the feasible links."""
+    built, found = [], []
     real_init, real_adjacency = ConnectivityGraph.__init__, topology._adjacency
+    real_links = routing.feasible_links
 
     def counted_init(self, *args, **kwargs):
         built.append("ConnectivityGraph")
         real_init(self, *args, **kwargs)
 
-    def counted_adjacency(*args):
-        built.append("adjacency")
-        return real_adjacency(*args)
+    def counted_adjacency(n_nodes, i, j, loss):
+        built.append(("adjacency", list(zip(i, j, loss))))
+        return real_adjacency(n_nodes, i, j, loss)
 
     monkeypatch.setattr(ConnectivityGraph, "__init__", counted_init)
     monkeypatch.setattr(topology, "_adjacency", counted_adjacency)
+    monkeypatch.setattr(routing, "feasible_links", lambda *args: found.append(real_links(*args)) or found[-1])
     plan, history, _ = plan_counting(monkeypatch, (), ConstantVelocityPredictor())
     assert any(route is not None for table in plan.entries.values() for route in table.values())
-    assert built == []
+    (links,) = found
+    n_nodes = len(history[-1].fleet.nodes)
+    step, ij, loss = _routed_links(n_nodes, 20, links)
+    routed = list(zip(step.tolist(), *ij.tolist(), loss.tolist()))
+    assert built == [("adjacency", [r[1:] for r in routed if r[0] == k]) for k in range(20)]
+    assert 0 < len(step) < len(links.step)
+    built.clear()
     cfg = default_config()
     build_topology(history[-1], cfg.channel, cfg.link_budget_db)  # the patched ones still count
-    assert built == ["adjacency", "ConnectivityGraph"]
+    assert [b if isinstance(b, str) else b[0] for b in built] == ["adjacency", "ConnectivityGraph"]
 
 
-@pytest.mark.parametrize("predictor", ["constant_velocity", "constant_turn_rate"])
-def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_scale, predictor):
-    """Every planning epoch of a 20 s, 30-vehicle mixed run with a 0.3 s
-    latency and a two-hop cap (seed 1; seeds 1-4 under ``--extended``):
-    each forecast step's table equals ``route_realtime`` of the
-    ``build_topologies`` graph of that step's forecast poses, key order
-    included."""
+# (vehicles, connected fraction, lanes, route depths its tables must hold):
+# the paper's mixed scene, with direct, relayed, capped-away and unreachable
+# routes, and a dense one, with many more nodes beyond the RSU's row
+FORECAST_SCENES = {"mixed30": (30, 0.5, 1, {0, 1, 2, 3}), "dense60": (60, 1.0, 2, {1, 2})}
+
+
+@pytest.mark.parametrize(
+    "predictor, scene",
+    [
+        pytest.param(predictor, scene, id=predictor if scene == "mixed30" else f"{predictor}-{scene}")
+        for scene in FORECAST_SCENES
+        for predictor in ("constant_velocity", "constant_turn_rate")
+    ],
+)
+def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_scale, predictor, scene):
+    """Every planning epoch of a 20 s run with a 0.3 s latency and a
+    two-hop cap (seed 1; seeds 1-4 under ``--extended``), in a 30-vehicle
+    mixed scene and a 60-vehicle connected one on 2 lanes: each forecast
+    step's table equals ``route_realtime`` of the ``build_topologies``
+    graph of that step's forecast poses, key order included."""
     epochs = []
     real = engine.route_predictive
 
@@ -605,16 +659,20 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
         return plan
 
     monkeypatch.setattr(engine, "route_predictive", kept)
+    vehicles, fraction, lanes, want_depths = FORECAST_SCENES[scene]
     for seed in range(1, fuzz_scale + 1):
         cfg = default_config(
-            duration=20.0, vehicle_count=30, connected_fraction=0.5, seed=seed,
+            duration=20.0, vehicle_count=vehicles, connected_fraction=fraction, seed=seed,
             strategy=Strategy.PREDICTIVE, latency_delta=0.3, max_hops=2,
         )
         run_single(dataclasses.replace(
-            cfg, prediction=dataclasses.replace(cfg.prediction, predictor=predictor)
+            cfg,
+            prediction=dataclasses.replace(cfg.prediction, predictor=predictor),
+            intersection=dataclasses.replace(cfg.intersection, lane_count=lanes),
         ))
     assert len(epochs) == 10 * fuzz_scale
     depths = set()
+    beyond = nodes = 0
     for last, plan in epochs:
         timesteps = list(plan.entries)
         assert timesteps == list(plan.forecast)
@@ -625,7 +683,10 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
             assert list(plan.entries[g.timestep].items()) == list(want.items()), g.timestep
             uncapped = route_realtime(g)
             depths.update(len(r) - 1 if r else 0 for r in uncapped.values())
-    assert {0, 1, 2, 3} <= depths  # direct, relayed, capped away and unreachable
+            beyond += len(g.nodes) - 1 - len(g.adjacency[0])
+            nodes += len(g.nodes) - 1
+    assert want_depths <= depths
+    assert beyond > nodes // 10  # the RSU's row misses many nodes
 
 
 def test_dump_route_table_format():
