@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, path_loss
+from .channel import ChannelParams, link_radius, path_loss
 from .geometry import blockage_count_matrix
 from .model import NodeId, WorldSnapshot
 
@@ -83,7 +83,7 @@ def build_topology(
     """Evaluate every node pair and keep the feasible links.
 
     Pure function of (snapshot, params, budget): the edge set does not
-    depend on evaluation order. Pairs farther apart than the maximum range
+    depend on evaluation order. Pairs farther apart than the link radius
     in ground distance are skipped before any occlusion work. This is the
     one-step :func:`build_topologies` call over a view of the snapshot's
     own ``xy_yaw``.
@@ -124,10 +124,14 @@ def feasible_links(
     row, which is not read. Most of the cost is a fixed number of numpy
     calls, so one call over S steps costs far less than S calls. One
     kernel call, which cuts the steps into chunks of bounded memory,
-    counts blockers for every pair in range at any step, with one owner
-    key per antenna (RSU -1, a vehicle its id), and
+    counts blockers for every pair within the link radius at any step,
+    with one owner key per antenna (RSU -1, a vehicle its id), and
     :func:`~twinroute.channel.path_loss` and the feasibility test run over
-    all steps at once; a pair out of range at a step is dropped there.
+    all steps at once; a pair beyond the radius at a step is dropped
+    there. The radius, :func:`~twinroute.channel.link_radius` of the
+    channel and budget, is the ground distance beyond which no blockage
+    class's loss fits the budget, capped at the maximum range; the
+    feasibility test still applies the maximum range to the 3-D distance.
     One ``flatnonzero`` of the (step, pair) feasibility mask gives every
     step's rows.
 
@@ -153,9 +157,11 @@ def feasible_links(
     antennas[:, 1:, :2] = xy_yaw[:, connected, :2]
     antennas[:, 1:, 2] = fleet.antenna_height[connected]
 
-    # the union over steps of the pairs within range in ground distance,
-    # still in ascending (i, j) order, from per-axis antenna arrays; antenna
-    # heights do not change from step to step
+    # the union over steps of the pairs within the link radius in ground
+    # distance, still in ascending (i, j) order, from per-axis antenna
+    # arrays; antenna heights do not change from step to step. The radius
+    # is at most the maximum range, and no class's loss fits the budget
+    # beyond it (channel.link_radius argues why the cut is exact)
     x = antennas[:, :, 0].copy()  # (S, N)
     y = antennas[:, :, 1].copy()
     z = antennas[0, :, 2]  # (N,)
@@ -164,8 +170,8 @@ def feasible_links(
     dy = y.take(ends[0], axis=1) - y.take(ends[1], axis=1)
     ground_sq = dx * dx + dy * dy
     del dx, dy
-    max_range = params.max_range_m
-    near = ground_sq <= max_range * max_range
+    max_range, radius = params.max_range_m, link_radius(params, budget_db)
+    near = ground_sq <= radius * radius
     in_range = np.flatnonzero(near.any(axis=0))
     ends, near = ends.take(in_range, axis=1), near.take(in_range, axis=1)
     dz = z.take(ends[0]) - z.take(ends[1])

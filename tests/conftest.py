@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from twinroute.channel import BlockageClass, ChannelParams
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
 from twinroute.topology import ConnectivityGraph, _adjacency
 
@@ -18,6 +19,13 @@ settings.register_profile("canary", parent=settings.get_profile("ci"), derandomi
 
 SEDAN = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=1.6)
 TRUCK = dict(dimensions=(8.0, 2.5, 3.2), antenna_height=3.3)
+
+# Below 1 m the blocked class of this table attenuates less than the clear
+# one: under a 40 dB budget a clear link closes only to 0.040 m, a blocked
+# one to 0.178 m.
+SHORT_LINK_CHANNEL = ChannelParams(
+    classes=(BlockageClass(0, 2.0, 68.0), BlockageClass(None, 4.0, 70.0))
+)
 
 
 def pytest_addoption(parser):

@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from twinroute import engine, routing
-from twinroute.channel import default_channel_params, path_loss
-from twinroute.config import default_config
+from twinroute import engine, routing, topology
+from twinroute.channel import default_channel_params, link_radius, path_loss
+from twinroute.config import IntersectionGeometry, default_config
 from twinroute.engine import run_single
 from twinroute.model import NodeId, Strategy, WorldSnapshot
 from twinroute.topology import build_topologies, build_topology, dump_topology_stream, feasible_links
 
-from conftest import SEDAN, TRUCK, links, make_snapshot, make_vehicle
+from conftest import SEDAN, SHORT_LINK_CHANNEL, TRUCK, links, make_snapshot, make_vehicle
 from oracles import oracle_topology_edges
 
 PARAMS = default_channel_params()
@@ -356,3 +356,97 @@ def test_every_build_over_one_fleet_shares_its_derived_values():
     assert fleet.owner_keys.tolist() == [-1, 3, 5]  # the RSU, then the id codes 2k + 1
     assert fleet.halves.tolist() == (fleet.bodies / 2.0).tolist()
     assert not (fleet.owner_keys.flags.writeable or fleet.halves.flags.writeable)
+
+
+def random_scene(rng, radius):
+    """A few steps of up to a dozen vehicles scattered over 240 m, with
+    random bodies and headings: (snapshot, timesteps, xy_yaw). About a
+    quarter of them start within a meter of another, and a fifth with
+    their antenna within 1e-6 of ``radius`` from the RSU's, if that is
+    over 1 m."""
+    n_vehicles, n_steps = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+    vehicles = []
+    for i in range(n_vehicles):
+        body = [SEDAN, TRUCK][int(rng.integers(0, 2))]
+        x, y = rng.uniform(-120, 120, size=2)
+        draw = rng.random()
+        if draw < 0.2 and radius > 1.0:
+            # a sedan's antenna is level with the RSU's, so its ground and
+            # 3-D distances from it are equal
+            body, angle = SEDAN, rng.uniform(-np.pi, np.pi)
+            d = radius * (1.0 + rng.uniform(-1e-6, 1e-6))
+            x, y = d * math.cos(angle), d * math.sin(angle)
+        elif vehicles and draw < 0.45:
+            near = vehicles[int(rng.integers(0, len(vehicles)))].position
+            x, y = near[0] + rng.uniform(-1, 1), near[1] + rng.uniform(-1, 1)
+        vehicles.append(make_vehicle(
+            i, float(x), float(y), heading=float(rng.uniform(-np.pi, np.pi)),
+            connected=bool(rng.random() < 0.7), body=body,
+        ))
+    snap = make_snapshot(vehicles, rsu_height=SEDAN["antenna_height"])
+    moves = rng.normal(scale=3.0, size=(n_steps, n_vehicles, 3)).cumsum(axis=0)
+    moves[0] = 0.0
+    return snap, range(n_steps), snap.xy_yaw + moves
+
+
+def test_the_link_radius_changes_no_link_row(fuzz_scale, monkeypatch):
+    """On random scenes, channels and budgets, ``feasible_links`` gives the
+    same five columns, dtypes included, as the same call whose ground
+    test uses the maximum range in place of the link radius."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for trial in range(150 * fuzz_scale):
+        params = [PARAMS, SHORT_LINK_CHANNEL][int(rng.integers(0, 2))]
+        budget = float(rng.uniform(30.0, 150.0))
+        scene = random_scene(rng, link_radius(params, budget))
+        cases.append((trial, scene, params, budget, feasible_links(*scene, params, budget)))
+    monkeypatch.setattr(topology, "link_radius", lambda params, budget_db: params.max_range_m)
+    cut = 0
+    for trial, scene, params, budget, got in cases:
+        want = feasible_links(*scene, params, budget)
+        for name, a, b in zip(want._fields, got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (trial, name)
+            assert a.tobytes() == b.tobytes(), (trial, name)
+        cut += link_radius(params, budget) < params.max_range_m
+    assert cut > 100 * fuzz_scale
+
+
+def test_the_kernel_sees_only_pairs_within_the_link_radius(monkeypatch):
+    """In a dense run (60 connected vehicles on 2 lanes), every pair each
+    truth build hands the blockage kernel lies within the link radius in
+    ground distance at some step, and every such pair is handed over;
+    some pairs within the maximum range lie beyond it."""
+    cfg = default_config(
+        duration=15.0, vehicle_count=60, connected_fraction=1.0,
+        intersection=IntersectionGeometry(lane_count=2),
+    )
+    radius = link_radius(cfg.channel, cfg.link_budget_db)
+    max_range = cfg.channel.max_range_m
+    assert radius < 0.75 * max_range
+    calls = []
+
+    def spy(points, pairs, *args):
+        calls.append((points, pairs))
+        return blockage_count_matrix(points, pairs, *args)
+
+    blockage_count_matrix = topology.blockage_count_matrix
+    monkeypatch.setattr(topology, "blockage_count_matrix", spy)
+    run_single(cfg)
+    assert len(calls) > 10
+    beyond = 0
+    for points, pairs in calls:
+        i, j = np.triu_indices(points.shape[1], k=1)
+        dx, dy = points[:, i, 0] - points[:, j, 0], points[:, i, 1] - points[:, j, 1]
+        ground_sq = dx * dx + dy * dy
+        within = (ground_sq <= radius * radius).any(axis=0)
+        assert pairs.tolist() == np.stack([i, j], axis=1)[within].tolist()
+        beyond += int(((ground_sq <= max_range * max_range).any(axis=0) & ~within).sum())
+    assert beyond > 0
+
+
+def test_coincident_antennas_rejected_under_a_short_link_radius():
+    # under a 40 dB budget no class closes a link longer than 4 cm
+    assert link_radius(PARAMS, 40.0) < 0.05
+    snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 20.0, 0.0)])
+    with pytest.raises(ValueError, match="timestep 0: antennas of v1 and v2 coincide"):
+        build_topology(snap, PARAMS, 40.0)
