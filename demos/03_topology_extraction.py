@@ -13,10 +13,10 @@ from twinroute import (
     NodeId,
     VehicleState,
     WorldSnapshot,
-    build_topology,
+    build_topologies,
     default_channel_params,
 )
-from twinroute.topology import dump_topology_stream
+from twinroute.topology import TOPOLOGY_DUMP_HEADER, dump_topology
 
 SEDAN = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=1.6)
 TRUCK = dict(dimensions=(8.0, 2.5, 3.2), antenna_height=3.3)
@@ -30,10 +30,14 @@ def vehicle(i, x, y, connected=True, body=SEDAN):
 
 
 def show(title, snap):
-    graph = build_topology(snap, default_channel_params(), budget_db=110.0)
+    # one step over the snapshot's own poses
+    (graph,) = build_topologies(
+        snap, [snap.timestep], snap.xy_yaw[None], default_channel_params(), budget_db=110.0
+    )
     print(f"\n{title}")
     print(f"  nodes: {', '.join(str(n) for n in graph.nodes)}")
-    dump_topology_stream([graph], sys.stdout)
+    sys.stdout.write(TOPOLOGY_DUMP_HEADER)
+    dump_topology(graph, sys.stdout)
     return graph
 
 
@@ -51,7 +55,9 @@ blocked = WorldSnapshot.from_vehicles(
 )
 graph = show("truck parked on the v0-RSU sight line", blocked)
 
-direct = graph.has_edge(NodeId.vehicle(0), NodeId.rsu())
-relay = graph.has_edge(NodeId.vehicle(0), NodeId.vehicle(1))
+# an edge test reads the adjacency of node indices
+v0_links = graph.adjacency[graph.index[NodeId.vehicle(0)]]
+direct = graph.index[NodeId.rsu()] in v0_links
+relay = graph.index[NodeId.vehicle(1)] in v0_links
 print(f"\n  v0 direct RSU link feasible: {direct}")
 print(f"  v0 can still relay via v1:   {relay}")

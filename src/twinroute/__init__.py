@@ -19,7 +19,7 @@ from .config import (
 )
 from .engine import ConfigError, run_single, run_variants
 from .experiment import SweepCell, SweepSpec, load_sweep_spec, run_sweep
-from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
+from .metrics import RunResult, TimestepOutcome
 from .mobility import TrafficState, advance_traffic, init_traffic, snapshot_stream
 from .model import Fleet, NodeId, Strategy, ValidationReport, VehicleState, WorldSnapshot
 from .prediction import (
@@ -39,7 +39,7 @@ from .routing import (
     route_realtime,
     score_route,
 )
-from .topology import ConnectivityGraph, build_topologies, build_topology
+from .topology import ConnectivityGraph, build_topologies
 from .trace import read_trace, tee_trace
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "NodeId",
     "PredictedTrack",
     "PredictivePlan",
-    "ReliabilityAccumulator",
     "RouteTable",
     "RunResult",
     "ScenarioConfig",
@@ -72,7 +71,6 @@ __all__ = [
     "WorldSnapshot",
     "advance_traffic",
     "build_topologies",
-    "build_topology",
     "config_from_dict",
     "config_to_dict",
     "default_channel_params",

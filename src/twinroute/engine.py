@@ -57,7 +57,7 @@ from typing import IO, Callable, Iterable, Iterator
 import numpy as np
 
 from .config import ScenarioConfig, validate_config
-from .metrics import ReliabilityAccumulator, RunResult, TimestepOutcome
+from .metrics import RunResult, TimestepOutcome, reliability
 from .mobility import snapshot_stream
 from .model import Strategy, WorldSnapshot, delay_to_steps, seconds_to_steps
 from .prediction import make_predictor
@@ -346,7 +346,7 @@ def run_variants(
     drivers = {name: _make_driver(cfg) for name, cfg in variants.items()}
     history_steps = max(d.history_steps for d in drivers.values())
     world = _SharedWorld(base, history_steps, stream, read_ahead)
-    accumulators = {name: ReliabilityAccumulator() for name in variants}
+    outcomes: dict[str, list[TimestepOutcome]] = {name: [] for name in variants}
 
     if route_dump is not None:
         route_dump.write(ROUTE_DUMP_HEADER)
@@ -369,8 +369,7 @@ def run_variants(
                 if not hasattr(exc, "variant"):
                     exc.variant = name
                 raise
-            outcome = _score(table, truth, snap.timestep)
-            accumulators[name].record(outcome)
+            outcomes[name].append(_score(table, truth, snap.timestep))
             if route_dump is not None:
                 dump_route_table(table, truth, snap.timestep, route_dump)
 
@@ -383,13 +382,12 @@ def run_variants(
 
     results: dict[str, RunResult] = {}
     for name, cfg in variants.items():
-        acc = accumulators[name]
         err_mean, fallbacks = drivers[name].prediction_stats()
         results[name] = RunResult(
             config_digest=cfg.digest(),
             strategy=cfg.strategy.value,
-            reliability=acc.reliability(),
-            outcomes=acc.outcomes,
+            reliability=reliability(outcomes[name]),
+            outcomes=outcomes[name],
             prediction_error_mean=err_mean,
             prediction_fallbacks=fallbacks,
         )

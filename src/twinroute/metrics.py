@@ -13,7 +13,7 @@ contributes nothing to either sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 
 @dataclass
@@ -35,32 +35,12 @@ class TimestepOutcome:
             )
 
 
-class ReliabilityAccumulator:
-    """Running sums over in-order, duplicate-free timestep outcomes."""
-
-    def __init__(self) -> None:
-        self.outcomes: list[TimestepOutcome] = []
-        self.satisfied_sum = 0
-        self.total_sum = 0
-        self._last_timestep: int | None = None
-
-    def record(self, outcome: TimestepOutcome) -> "ReliabilityAccumulator":
-        if self._last_timestep is not None and outcome.timestep <= self._last_timestep:
-            raise ValueError(
-                f"timestep {outcome.timestep} not after {self._last_timestep}"
-            )
-        self._last_timestep = outcome.timestep
-        self.outcomes.append(outcome)
-        self.satisfied_sum += outcome.connected_satisfied
-        self.total_sum += outcome.connected_total
-        return self
-
-    def reliability(self) -> float:
-        if self.total_sum == 0:
-            raise ValueError(
-                "reliability undefined: no connected vehicles over the whole run"
-            )
-        return self.satisfied_sum / self.total_sum
+def reliability(outcomes: Sequence[TimestepOutcome]) -> float:
+    """The ratio of sums over a run's timestep outcomes."""
+    total = sum(o.connected_total for o in outcomes)
+    if total == 0:
+        raise ValueError("reliability undefined: no connected vehicles over the whole run")
+    return sum(o.connected_satisfied for o in outcomes) / total
 
 
 @dataclass

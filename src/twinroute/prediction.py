@@ -7,9 +7,10 @@ its observed-row count, id and ``connected`` flag. Only the ``depth``
 newest rows a predictor reads are gathered: one for hold and constant
 velocity, two for turn rate, all of them for the learned model. Its
 ``extrapolate(tracks, steps, dt)`` returns the ``(steps, V, 3)`` array of
-``(x, y, heading)`` rows, a snapshot's ``xy_yaw`` per step: the pose
-array the forecast graphs are built from. A forecast is these rows alone:
-a vehicle's id, body and flag are those of its last observed state.
+``(x, y, heading)`` rows, a snapshot's ``xy_yaw`` per step: the poses
+whose links the predictive planner finds and routes, building no graph.
+A forecast is these rows alone: a vehicle's id, body and flag are those
+of its last observed state.
 :func:`predict` is the one forecasting path and holds the one fallback.
 
 The analytic predictors are the reference implementations; they keep
@@ -43,7 +44,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .model import NodeId, Pose, VehicleState, WorldSnapshot, seconds_to_steps
+from .model import Fleet, NodeId, Pose, WorldSnapshot, seconds_to_steps
 from .trace import parse_row, trace_row
 
 MODEL_TIMEOUT_S = 30.0
@@ -121,21 +122,6 @@ class Tracks:
             xy_yaw[d] = np.where(seen[:, None], xy, np.nan)
             speed[d] = np.where(seen, v, np.nan)
         return cls(xy_yaw, speed, count, ids, fleet.connected)
-
-    @classmethod
-    def of_states(cls, history: Sequence[VehicleState], depth: int | None = None) -> "Tracks":
-        """The one track of a vehicle's states, oldest first, with its
-        newest ``depth`` rows (all rows for None); its id and flag are its
-        last state's."""
-        shown = history[-depth:] if depth else history
-        rows = np.array(
-            [(s.position[0], s.position[1], s.heading, s.speed) for s in shown], np.float64
-        ).reshape(len(shown), 1, 4)
-        last = history[-1]
-        return cls(
-            rows[:, :, :3], rows[:, :, 3], np.array([len(history)], np.intp),
-            (last.id,), np.array([last.connected]),
-        )
 
 
 class TrajectoryPredictor(Protocol):
@@ -308,7 +294,8 @@ def make_predictor(kind: str, learned_command: Sequence[str] | None = None) -> T
 
 @dataclass(frozen=True)
 class PredictedTrack:
-    """Forecast rows of one vehicle.
+    """Forecast rows of one vehicle, as :func:`predict`'s one-track mode
+    returns them; only ``bench/test_bench.py`` and the tests use that mode.
 
     ``states[k]`` is the vehicle's ``(x, y, heading)`` ``k + 1`` steps
     after its last observed state. ``degraded`` marks tracks produced by
@@ -327,7 +314,11 @@ def predict(history, horizon: float, dt: float, predictor: TrajectoryPredictor):
     ``(steps, V, 3)`` rows, row ``s`` being ``s + 1`` steps past the last
     observation, with the ``(V,)`` degraded mask. Or it is one vehicle's
     states, non-empty and time-ordered, oldest first, and the result is
-    the :class:`PredictedTrack` of that one track.
+    the :class:`PredictedTrack` of that one track: each state becomes one
+    snapshot over the last state's fleet, and :meth:`Tracks.observed`
+    gathers them as a batch of one. No run takes the one-track mode; it
+    stays for ``bench/test_bench.py``, which compares one track of the
+    learned model with the built-in constant velocity.
 
     This is the one path every forecast takes, and its one fallback. A
     vehicle whose track has fewer than ``min_history`` rows, or whose
@@ -341,7 +332,13 @@ def predict(history, horizon: float, dt: float, predictor: TrajectoryPredictor):
         return _forecast(history, steps, dt, predictor)
     if not history:
         raise ValueError("history must contain at least one state")
-    rows, degraded = _forecast(Tracks.of_states(history, predictor.depth), steps, dt, predictor)
+    # one snapshot per state, all over the last state's fleet: one track
+    fleet = Fleet.from_vehicles(history[-1:])
+    states = np.array([(*s.position[:2], s.heading, s.speed) for s in history]).reshape(-1, 1, 4)
+    snapshots = [
+        WorldSnapshot(t, (0.0, 0.0, 0.0), fleet, row[:, :3], row[:, 3]) for t, row in enumerate(states)
+    ]
+    rows, degraded = _forecast(Tracks.observed(snapshots, predictor.depth), steps, dt, predictor)
     return PredictedTrack(tuple(map(tuple, rows[:, 0].tolist())), bool(degraded[0]))
 
 

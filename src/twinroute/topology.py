@@ -6,8 +6,10 @@ A build has two stages. The link stage, :func:`feasible_links`, takes
 per-step poses and returns every step's feasible links as
 :class:`LinkRows`. The per-step assembly, :func:`step_adjacency`,
 slices them into each step's adjacency dicts. :func:`build_topologies`
-wraps each step's in one :class:`ConnectivityGraph` for the truth; the
-predictive planner routes a forecast step from the adjacency of the
+wraps each step's in one :class:`ConnectivityGraph` for the truth; one
+snapshot's graph is the one-step call
+``build_topologies(snap, [snap.timestep], snap.xy_yaw[None], ...)[0]``.
+The predictive planner routes a forecast step from the adjacency of the
 links its routing pass reads, and builds no graph.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
@@ -21,7 +23,9 @@ The graph is stored over int node indices (the position in the sorted
 link with ``i < j`` in ascending (i, j) order, its distance, blocker
 count and path loss in the ``edge_*`` arrays at the same row, plus one
 ``{neighbour: loss}`` dict per node whose keys ascend in index order,
-which is ``NodeId`` order.
+which is ``NodeId`` order; ``j in adjacency[i]`` is the edge test.
+A topology dump is :data:`TOPOLOGY_DUMP_HEADER`, then :func:`dump_topology`
+of each graph.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ class ConnectivityGraph:
     # per node index, {neighbour index: path_loss_db} in ascending index order
     adjacency: list[dict[int, float]] = field(repr=False)
 
-    def has_edge(self, a: NodeId, b: NodeId) -> bool:
-        i = self.index.get(a)
-        j = self.index.get(b)
-        return i is not None and j is not None and j in self.adjacency[i]
-
 
 def _adjacency(
     n_nodes: int, i: Iterable[int], j: Iterable[int], loss: Iterable[float]
@@ -75,21 +74,6 @@ def _node_pairs(n: int) -> np.ndarray:
     ends = np.stack(np.triu_indices(n, k=1))
     ends.setflags(write=False)
     return ends
-
-
-def build_topology(
-    snapshot: WorldSnapshot, params: ChannelParams, budget_db: float
-) -> ConnectivityGraph:
-    """Evaluate every node pair and keep the feasible links.
-
-    Pure function of (snapshot, params, budget): the edge set does not
-    depend on evaluation order. Pairs farther apart than the link radius
-    in ground distance are skipped before any occlusion work. This is the
-    one-step :func:`build_topologies` call over a view of the snapshot's
-    own ``xy_yaw``.
-    """
-    poses = snapshot.xy_yaw[None]
-    return build_topologies(snapshot, [snapshot.timestep], poses, params, budget_db)[0]
 
 
 class LinkRows(NamedTuple):
@@ -214,10 +198,9 @@ def build_topologies(
     with one vehicle set (a run of one included) this way. The links are
     :func:`feasible_links` of the same arguments, which says what they
     are and what it checks; every graph of the fleet shares its ``nodes``
-    and ``index``. Each graph equals the :func:`build_topology` graph of
-    the snapshot with its vehicles moved to those poses: its edge arrays
-    are its step's slice of the link rows, and its adjacency dicts are
-    those :func:`step_adjacency` fills.
+    and ``index``. Each graph's edge arrays are its step's slice of the
+    link rows, and its adjacency dicts are those :func:`step_adjacency`
+    fills.
     """
     if not timesteps:
         return []
@@ -264,9 +247,3 @@ def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:
 
 
 TOPOLOGY_DUMP_HEADER = "timestep,node_a,node_b,distance_m,blockers,path_loss_db\n"
-
-
-def dump_topology_stream(graphs: Iterable[ConnectivityGraph], out: IO[str]) -> None:
-    out.write(TOPOLOGY_DUMP_HEADER)
-    for g in graphs:
-        dump_topology(g, out)

@@ -15,7 +15,9 @@ for the bottom-up hop layering, the list-and-``all()`` route check for the
 one-pass hop walk, and ``node_key``, the order read from a node's text
 form that int-coded node ids must sort in. ``oracle_run`` restates the
 engine's schedule over a plain list of snapshots, on top of the product's
-``build_topology`` (criterion 4 pins it) and the per-vehicle predictors.
+graph builder (criterion 4 pins it) and the per-vehicle predictors.
+``snapshot_graph`` is not an oracle: it is the product's one-step build
+of one snapshot's graph, which many tests read.
 """
 
 from __future__ import annotations
@@ -46,10 +48,17 @@ from twinroute.model import (
     delay_to_steps,
     seconds_to_steps,
 )
-from twinroute.topology import build_topology
+from twinroute.topology import build_topologies
 
 SAMPLES = 10_000
 SURFACE_TOLERANCE = 1e-6  # disagreements allowed only this close to a face
+
+
+def snapshot_graph(snap: WorldSnapshot, params, budget_db: float):
+    """The graph of one snapshot: the one-step ``build_topologies`` call
+    over a view of the snapshot's own poses, as the engine builds a
+    truth graph."""
+    return build_topologies(snap, [snap.timestep], snap.xy_yaw[None], params, budget_db)[0]
 
 
 @dataclass(frozen=True)
@@ -672,7 +681,7 @@ def oracle_dijkstra_route(graph, source, max_hops=None):
     None; a direct link to the RSU wins regardless of ``max_hops``.
     """
     rsu = graph.nodes[0]
-    if graph.has_edge(source, rsu):
+    if 0 in graph.adjacency[graph.index[source]]:
         return (source, rsu)
     if max_hops is not None and max_hops <= 1:
         return None
@@ -745,7 +754,7 @@ def oracle_run(config, snapshots):
     kind = config.prediction.predictor
 
     def graph(snap):
-        return build_topology(snap, config.channel, config.link_budget_db)
+        return snapshot_graph(snap, config.channel, config.link_budget_db)
 
     def routes(g):
         return {v: oracle_dijkstra_route(g, v, config.max_hops) for v in g.nodes[1:]}

@@ -19,11 +19,11 @@ import pytest
 
 import twinroute as tr
 from twinroute.channel import default_channel_params, path_loss
-from twinroute.metrics import ReliabilityAccumulator, TimestepOutcome
+from twinroute.metrics import TimestepOutcome, reliability
 
 import conftest
 from conftest import SEDAN, TRUCK, links, make_snapshot, make_vehicle
-from oracles import oracle_shortest_path, oracle_topology_edges
+from oracles import oracle_shortest_path, oracle_topology_edges, snapshot_graph
 from test_routing import random_graph
 
 SEEDS = tuple(range(1, 11))
@@ -96,17 +96,12 @@ def test_criterion_1_equation_fidelity():
 
 
 def test_criterion_2_metric_fidelity():
-    acc = ReliabilityAccumulator()
-    for t, (sat, tot) in enumerate([(3, 5), (4, 5), (5, 5)], start=1):
-        acc.record(TimestepOutcome(t, tot, sat))
-    pooled = ReliabilityAccumulator()
-    pooled.record(TimestepOutcome(1, 1, 1)).record(TimestepOutcome(2, 10, 0))
-    ok = acc.reliability() == 0.8 and pooled.reliability() == 1 / 11
-    report(
-        2,
-        ok,
-        f"ratio of sums: (3/5,4/5,5/5) -> {acc.reliability()}, (1/1,0/10) -> {pooled.reliability()}",
+    hand = reliability(
+        [TimestepOutcome(t, tot, sat) for t, (sat, tot) in enumerate([(3, 5), (4, 5), (5, 5)], start=1)]
     )
+    pooled = reliability([TimestepOutcome(1, 1, 1), TimestepOutcome(2, 10, 0)])
+    ok = hand == 0.8 and pooled == 1 / 11
+    report(2, ok, f"ratio of sums: (3/5,4/5,5/5) -> {hand}, (1/1,0/10) -> {pooled}")
 
 
 def test_criterion_3_routing_oracle():
@@ -146,7 +141,7 @@ def test_criterion_4_topology_oracle():
                 )
             )
         snap = make_snapshot(vehicles)
-        g = tr.build_topology(snap, params, budget)
+        g = snapshot_graph(snap, params, budget)
         got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in links(g).items()}
         want = oracle_topology_edges(
             snap, classes, params.atmospheric_db_per_km, params.max_range_m, budget

@@ -11,10 +11,9 @@ from twinroute.channel import (
     BlockageClass, ChannelParams, _class_table, default_channel_params, link_radius, path_loss,
 )
 from twinroute.model import NodeId
-from twinroute.topology import build_topology
 
 from conftest import SHORT_LINK_CHANNEL, TRUCK, links, make_snapshot, make_vehicle
-from oracles import oracle_topology_edges
+from oracles import oracle_topology_edges, snapshot_graph
 
 RSU, V0, V1 = NodeId.rsu(), NodeId.vehicle(0), NodeId.vehicle(1)
 
@@ -27,7 +26,7 @@ def rsu_link(x, budget_db, blocker_x=None, rsu_height=1.6):
     if blocker_x is not None:
         vehicles.append(make_vehicle(1, blocker_x, 0.0, connected=False, body=TRUCK))
     snap = make_snapshot(vehicles, rsu_height=rsu_height)
-    return links(build_topology(snap, default_channel_params(), budget_db)).get((RSU, V0))
+    return links(snapshot_graph(snap, default_channel_params(), budget_db)).get((RSU, V0))
 
 
 def test_loss_at_one_meter_is_gamma_plus_atmosphere():
@@ -131,7 +130,7 @@ def test_reciprocity():
         make_snapshot([make_vehicle(i, *a), make_vehicle(j, *b, body=TRUCK), truck])
         for i, j in ((0, 1), (1, 0))
     ]
-    both = [links(build_topology(s, default_channel_params(), 130.0))[(V0, V1)] for s in snaps]
+    both = [links(snapshot_graph(s, default_channel_params(), 130.0))[(V0, V1)] for s in snaps]
     assert both[0] == both[1]
     assert both[0].blockers == 1
 
@@ -196,7 +195,7 @@ def test_a_link_only_a_blocker_makes_feasible_survives_the_cut():
         make_vehicle(2, 50.05, 0.0, connected=False, body=TRUCK),
     ]
     snap = make_snapshot(vehicles)
-    got = links(build_topology(snap, params, 40.0))
+    got = links(snapshot_graph(snap, params, 40.0))
     assert list(got) == [(NodeId.vehicle(0), NodeId.vehicle(1))]
     link = got[(NodeId.vehicle(0), NodeId.vehicle(1))]
     assert link.blockers == 1 and link.distance_m == pytest.approx(0.1)

@@ -28,11 +28,10 @@ from twinroute.mobility import (
     snapshot_stream,
 )
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
-from twinroute.topology import build_topology
 from twinroute.trace import TraceError, read_trace, tee_trace
 
 from conftest import snapshot_columns
-from oracles import oracle_pose_at, oracle_stream
+from oracles import oracle_pose_at, oracle_stream, snapshot_graph
 
 CFG = default_config(duration=60.0, vehicle_count=12, connected_fraction=0.5, seed=7)
 
@@ -945,7 +944,7 @@ def test_trace_keeps_antennas_the_graph_builder_keeps_apart(row):
     lines = io.StringIO(WIDE_HEAD + WIDE_ROW + row + "1,0.1,4,1,0.5,2.0,0.0,5.0,8.0,2.5,3.2,3.3\n")
     snap, _ = read_trace(lines, cfg)
     assert len(snap.vehicles) == 2
-    build_topology(snap, cfg.channel, cfg.link_budget_db)
+    snapshot_graph(snap, cfg.channel, cfg.link_budget_db)
 
 
 def test_trace_without_body_columns_uses_the_default_body():

@@ -227,11 +227,16 @@ def test_learned_predictor_subprocess_exchange(cv_stub):
     assert track.states == internal.states
 
 
+def one_track(states):
+    """The track of one vehicle's states, oldest first, every row of it."""
+    return Tracks.observed([make_snapshot([s], timestep=t) for t, s in enumerate(states)], None)
+
+
 def test_learned_predictor_bad_command_raises():
     history = [make_vehicle(0, 0.0, 0.0)] * 2
     learned = LearnedPredictor(("python3", "-c", "import sys; sys.exit(3)"))
     with pytest.raises(RuntimeError):
-        learned.extrapolate(Tracks.of_states(history), 5, 0.1)
+        learned.extrapolate(one_track(history), 5, 0.1)
 
 
 # prints one ROW per step; ts and vid are the last history row's
@@ -251,7 +256,7 @@ def echo_model(row: str) -> LearnedPredictor:
 
 def test_learned_predictor_accepts_well_formed_rows():
     history = [make_vehicle(3, 0.0, 0.0)] * 2
-    out = echo_model(GOOD_FORECAST).extrapolate(Tracks.of_states(history), 2, 0.5)
+    out = echo_model(GOOD_FORECAST).extrapolate(one_track(history), 2, 0.5)
     assert out.tolist() == [[[1.0, 2.0, 0.0]]] * 2
 
 
@@ -280,7 +285,7 @@ def test_learned_predictor_rejects_bad_rows(row, message):
     vehicle's rows are NaN, which holds it; the wrong number of rows in all
     fails the whole exchange."""
     vehicle = make_vehicle(3, 0.0, 0.0)
-    tracks = Tracks.of_states([vehicle] * 2)
+    tracks = one_track([vehicle] * 2)
     try:
         out, rejected = echo_model(row).exchange(tracks, 2, 0.5)
     except RuntimeError as err:
@@ -438,7 +443,9 @@ def test_the_batch_forecast_matches_the_per_vehicle_oracle(fuzz_scale):
     row's bytes and every vehicle's degraded flag equal the oracle's over
     drawn histories, with tracks that enter mid-history, tracks shorter
     than ``min_history``, and speeds whose forecast overflows to inf,
-    which hold only their own vehicle."""
+    which hold only their own vehicle. Each vehicle's one-track
+    ``predict`` of its states gives its column of the batch, flag
+    included."""
 
     @settings(max_examples=60 * fuzz_scale, deadline=None)
     @given(
@@ -465,11 +472,14 @@ def test_the_batch_forecast_matches_the_per_vehicle_oracle(fuzz_scale):
         rows, degraded = predict(Tracks.observed(history, predictor.depth), horizon, dt, predictor)
         last = history[-1]
         expected, held = [], []
-        for vid in last.fleet.ids:
+        for k, vid in enumerate(last.fleet.ids):
             states = [s.vehicle(s.fleet.row[vid]) for s in history if vid in s.fleet.row]
             track, flag = oracle_predict(kind, states, steps, dt)
             expected.append(track)
             held.append(flag)
+            one = predict(states, horizon, dt, predictor)
+            assert np.array(one.states, np.float64).reshape(steps, 3).tobytes() == rows[:, k].tobytes()
+            assert one.degraded == degraded[k]
         want = np.array(expected, np.float64).reshape(len(expected), steps, 3).transpose(1, 0, 2)
         assert rows.shape == want.shape
         assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -29,7 +29,6 @@ from twinroute.topology import (
     ConnectivityGraph,
     LinkRows,
     build_topologies,
-    build_topology,
     step_adjacency,
 )
 
@@ -40,6 +39,7 @@ from oracles import (
     oracle_hop_layers,
     oracle_score_route,
     oracle_shortest_path,
+    snapshot_graph,
 )
 
 PARAMS = default_channel_params()
@@ -361,7 +361,7 @@ def test_route_all_matches_heap_dijkstra_on_dense_run():
     caps = (None, 2, 3)
     routed = 0
     for snap in snapshot_stream(cfg):
-        g = build_topology(snap, cfg.channel, cfg.link_budget_db)
+        g = snapshot_graph(snap, cfg.channel, cfg.link_budget_db)
         max_hops = caps[snap.timestep % len(caps)]
         table = route_realtime(g, max_hops)
         assert list(table) == list(g.nodes[1:])
@@ -429,7 +429,7 @@ def test_score_route_matches_the_list_formulation(g, route):
 
 def test_route_realtime_single_vehicle_in_range():
     snap = make_snapshot([make_vehicle(0, 30.0, 0.0)])
-    table = route_realtime(build_topology(snap, PARAMS, 110.0))
+    table = route_realtime(snapshot_graph(snap, PARAMS, 110.0))
     assert table[NodeId.vehicle(0)] == (NodeId.vehicle(0), RSU)
 
 
@@ -439,11 +439,11 @@ def test_stale_snapshot_route_breaks_on_current_truth():
     before = make_snapshot([sedan, make_vehicle(1, 30.0, 40.0, connected=False, body=TRUCK)], timestep=0)
     after = make_snapshot([sedan, make_vehicle(1, 30.0, 0.0, connected=False, body=TRUCK)], timestep=10)
 
-    table = route_realtime(build_topology(before, PARAMS, 110.0))
+    table = route_realtime(snapshot_graph(before, PARAMS, 110.0))
     route = table[NodeId.vehicle(0)]
     assert route is not None  # clear sight line a second ago
 
-    truth_now = build_topology(after, PARAMS, 110.0)
+    truth_now = snapshot_graph(after, PARAMS, 110.0)
     assert not score_route(route, truth_now)
 
 
@@ -464,7 +464,7 @@ def test_predictive_static_world_equals_realtime():
         dt=0.1, params=PARAMS, budget_db=110.0,
     )
     assert list(plan.entries) == list(plan.forecast) == list(range(now + 1, now + 11))
-    current = route_realtime(build_topology(history[-1], PARAMS, 110.0))
+    current = route_realtime(snapshot_graph(history[-1], PARAMS, 110.0))
     assert list(current) == [NodeId.vehicle(0), NodeId.vehicle(1)]
     for ts, table in plan.entries.items():
         assert table == current, ts
@@ -508,7 +508,7 @@ def test_predictive_with_perfect_oracle_matches_future_realtime():
         assert plan.ids == snapshots[ts].fleet.ids
         want = [[*v.position[:2], v.heading] for v in snapshots[ts].vehicles]
         assert plan.forecast[ts].tolist() == want
-        truth = route_realtime(build_topology(snapshots[ts], PARAMS, 110.0))
+        truth = route_realtime(snapshot_graph(snapshots[ts], PARAMS, 110.0))
         assert list(truth) == [NodeId.vehicle(0), NodeId.vehicle(1)]
         assert table == truth, ts
 
@@ -626,7 +626,7 @@ def test_a_predictive_epoch_builds_no_graph(monkeypatch):
     assert 0 < len(step) < len(links.step)
     built.clear()
     cfg = default_config()
-    build_topology(history[-1], cfg.channel, cfg.link_budget_db)  # the patched ones still count
+    snapshot_graph(history[-1], cfg.channel, cfg.link_budget_db)  # the patched ones still count
     assert [b if isinstance(b, str) else b[0] for b in built] == ["adjacency", "ConnectivityGraph"]
 
 
@@ -691,7 +691,7 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
 
 def test_dump_route_table_format():
     snap = make_snapshot([make_vehicle(0, 30.0, 0.0)], timestep=4)
-    g = build_topology(snap, PARAMS, 110.0)
+    g = snapshot_graph(snap, PARAMS, 110.0)
     table = route_realtime(g)
     buf = io.StringIO()
     dump_route_table(table, g, 4, buf)

@@ -12,10 +12,10 @@ from twinroute.channel import default_channel_params, link_radius, path_loss
 from twinroute.config import IntersectionGeometry, default_config
 from twinroute.engine import run_single
 from twinroute.model import NodeId, Strategy, WorldSnapshot
-from twinroute.topology import build_topologies, build_topology, dump_topology_stream, feasible_links
+from twinroute.topology import TOPOLOGY_DUMP_HEADER, build_topologies, dump_topology, feasible_links
 
 from conftest import SEDAN, SHORT_LINK_CHANNEL, TRUCK, links, make_snapshot, make_vehicle
-from oracles import oracle_topology_edges
+from oracles import oracle_topology_edges, snapshot_graph
 
 PARAMS = default_channel_params()
 BUDGET = 110.0
@@ -30,16 +30,16 @@ def test_a_link_exactly_max_range_long_is_an_edge():
     params = dataclasses.replace(PARAMS, max_range_m=5.0)
     body = dict(dimensions=(4.5, 1.8, 1.5), antenna_height=2.0)
     snap = make_snapshot([make_vehicle(0, 4.0, 0.0, body=body)], rsu_height=5.0)
-    g = build_topology(snap, params, BUDGET)
+    g = snapshot_graph(snap, params, BUDGET)
     assert g.edge_distance.tolist() == [5.0]
-    assert g.has_edge(NodeId.rsu(), NodeId.vehicle(0))
+    assert (NodeId.rsu(), NodeId.vehicle(0)) in links(g)
     beyond = make_snapshot([make_vehicle(0, np.nextafter(4.0, 5.0), 0.0, body=body)], rsu_height=5.0)
-    assert not build_topology(beyond, params, BUDGET).has_edge(NodeId.rsu(), NodeId.vehicle(0))
+    assert links(snapshot_graph(beyond, params, BUDGET)) == {}
 
 
 def test_no_connected_vehicles_graph_is_rsu_only():
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0, connected=False)])
-    g = build_topology(snap, PARAMS, BUDGET)
+    g = snapshot_graph(snap, PARAMS, BUDGET)
     assert g.nodes == (NodeId.rsu(),)
     assert links(g) == {}
 
@@ -47,11 +47,11 @@ def test_no_connected_vehicles_graph_is_rsu_only():
 def test_two_nearby_vehicles_form_triangle():
     # both within RSU range, 5 m apart, nothing in between, generous budget
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 0.0)])
-    g = build_topology(snap, PARAMS, budget_db=130.0)
+    g = snapshot_graph(snap, PARAMS, budget_db=130.0)
     assert len(g.nodes) == 3
     assert len(g.edges) == 3
     v0, v1 = NodeId.vehicle(0), NodeId.vehicle(1)
-    assert g.has_edge(v0, v1) and g.has_edge(NodeId.rsu(), v0) and g.has_edge(NodeId.rsu(), v1)
+    assert set(links(g)) == {(v0, v1), (NodeId.rsu(), v0), (NodeId.rsu(), v1)}
     assert links(g)[(v0, v1)].distance_m == pytest.approx(5.0)
 
 
@@ -62,13 +62,13 @@ def test_unconnected_truck_blocks_rsu_link():
     snap = make_snapshot([sedan, truck])
 
     # sight line height at the truck: 1.6 + (5 - 1.6) * (20/50) = 2.96 < 3.2
-    g = build_topology(snap, PARAMS, BUDGET)
+    g = snapshot_graph(snap, PARAMS, BUDGET)
     assert g.nodes == (NodeId.rsu(), NodeId.vehicle(0))
-    assert not g.has_edge(NodeId.rsu(), NodeId.vehicle(0))
+    assert links(g) == {}
 
     # same geometry without the truck is well under budget
-    clear = build_topology(make_snapshot([sedan]), PARAMS, BUDGET)
-    assert clear.has_edge(NodeId.rsu(), NodeId.vehicle(0))
+    clear = snapshot_graph(make_snapshot([sedan]), PARAMS, BUDGET)
+    assert (NodeId.rsu(), NodeId.vehicle(0)) in links(clear)
     d = math.dist((50.0, 0.0, sedan.antenna_height), (0.0, 0.0, 5.0))
     assert links(clear)[(NodeId.rsu(), NodeId.vehicle(0))].path_loss_db == pytest.approx(
         path_loss(d, 0, PARAMS)
@@ -88,7 +88,7 @@ def test_node_count_is_one_plus_connected():
             for i in range(int(rng.integers(0, 10)))
         ]
         snap = make_snapshot(vehicles)
-        g = build_topology(snap, PARAMS, BUDGET)
+        g = snapshot_graph(snap, PARAMS, BUDGET)
         assert len(g.nodes) == 1 + sum(v.connected for v in snap.vehicles)
         for (a, b), link in links(g).items():
             assert a in g.nodes and b in g.nodes
@@ -104,7 +104,7 @@ def test_extra_obstacle_never_adds_an_edge():
             for i in range(4)
         ]
         snap = make_snapshot(vehicles)
-        before = set(links(build_topology(snap, PARAMS, BUDGET)))
+        before = set(links(snapshot_graph(snap, PARAMS, BUDGET)))
         blocker = make_vehicle(
             50,
             float(rng.uniform(-60, 60)),
@@ -113,7 +113,7 @@ def test_extra_obstacle_never_adds_an_edge():
             connected=False,
             body=TRUCK,
         )
-        after = set(links(build_topology(make_snapshot(vehicles + [blocker]), PARAMS, BUDGET)))
+        after = set(links(snapshot_graph(make_snapshot(vehicles + [blocker]), PARAMS, BUDGET)))
         assert after <= before, trial
 
 
@@ -134,7 +134,7 @@ def test_matches_first_principles_oracle(fuzz_scale):
                 )
             )
         snap = make_snapshot(vehicles)
-        g = build_topology(snap, PARAMS, BUDGET)
+        g = snapshot_graph(snap, PARAMS, BUDGET)
         got = {frozenset({str(a), str(b)}): link.blockers for (a, b), link in links(g).items()}
         want = oracle_topology_edges(
             snap, classes_as_tuples(PARAMS), PARAMS.atmospheric_db_per_km, PARAMS.max_range_m, BUDGET
@@ -144,9 +144,10 @@ def test_matches_first_principles_oracle(fuzz_scale):
 
 def test_dump_format():
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 0.0)], timestep=7)
-    g = build_topology(snap, PARAMS, budget_db=130.0)
+    g = snapshot_graph(snap, PARAMS, budget_db=130.0)
     buf = io.StringIO()
-    dump_topology_stream([g], buf)
+    buf.write(TOPOLOGY_DUMP_HEADER)
+    dump_topology(g, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "timestep,node_a,node_b,distance_m,blockers,path_loss_db"
     assert len(lines) == 1 + 3
@@ -210,7 +211,7 @@ def test_batched_build_equals_one_build_per_snapshot():
         snaps = snapshots_of(*epoch)
         assert len(got) == len(snaps) == 20
         for graph, snap in zip(got, snaps):
-            assert_same_graph(graph, build_topology(snap, cfg.channel, cfg.link_budget_db))
+            assert_same_graph(graph, snapshot_graph(snap, cfg.channel, cfg.link_budget_db))
     assert sum(len(g.edges) for g in got) > 0
 
 
@@ -281,11 +282,11 @@ def test_batched_build_handles_range_and_blockers_changing_per_step():
     batch = moving_pair(8)
     got = build_topologies(*batch, PARAMS, budget_db=130.0)
     for graph, snap in zip(got, snapshots_of(*batch), strict=True):
-        assert_same_graph(graph, build_topology(snap, PARAMS, budget_db=130.0))
+        assert_same_graph(graph, snapshot_graph(snap, PARAMS, budget_db=130.0))
     assert {int(b) for g in got for b in g.edge_blockers} == {0, 1}
     v2 = NodeId.vehicle(2)
-    assert [g.has_edge(NodeId.rsu(), v2) for g in got[:2]] == [True, True]
-    assert not got[-1].has_edge(NodeId.rsu(), v2)
+    assert [(NodeId.rsu(), v2) in links(g) for g in got[:2]] == [True, True]
+    assert (NodeId.rsu(), v2) not in links(got[-1])
 
 
 def test_batched_build_reads_poses_not_the_vehicles_own():
@@ -306,7 +307,7 @@ def test_batched_build_of_vehicle_free_snapshots():
     for graph, snap in zip(got, snapshots_of(empty, [3, 4, 5], no_poses)):
         assert graph.nodes == (NodeId.rsu(),)
         assert graph.adjacency == [{}]
-        assert_same_graph(graph, build_topology(snap, PARAMS, BUDGET))
+        assert_same_graph(graph, snapshot_graph(snap, PARAMS, BUDGET))
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
         assert graph.edge_loss.dtype == np.float64
     assert build_topologies(empty, [], np.empty((0, 0, 3)), PARAMS, BUDGET) == []
@@ -315,14 +316,14 @@ def test_batched_build_of_vehicle_free_snapshots():
 def test_coincident_vehicle_antennas_rejected():
     snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 20.0, 0.0)])
     with pytest.raises(ValueError, match="timestep 0: antennas of v1 and v2 coincide"):
-        build_topology(snap, PARAMS, BUDGET)
+        snapshot_graph(snap, PARAMS, BUDGET)
 
 
 def test_vehicle_antenna_at_the_rsu_rejected():
     # a sedan antenna sits 1.6 m up; so does this RSU
     snap = make_snapshot([make_vehicle(1, 0.0, 0.0)], timestep=4, rsu_height=1.6)
     with pytest.raises(ValueError, match="timestep 4: antennas of rsu and v1 coincide"):
-        build_topology(snap, PARAMS, BUDGET)
+        snapshot_graph(snap, PARAMS, BUDGET)
 
 
 def test_coincident_antennas_rejected_at_their_step_of_a_batch():
@@ -348,7 +349,7 @@ def test_every_build_over_one_fleet_shares_its_derived_values():
         make_vehicle(1, 20.0, 0.0),
     ])
     fleet = snap.fleet
-    one = build_topology(snap, PARAMS, BUDGET)
+    one = snapshot_graph(snap, PARAMS, BUDGET)
     two = build_topologies(snap, [1, 2], np.stack([snap.xy_yaw] * 2), PARAMS, BUDGET)
     assert fleet.nodes == (NodeId.rsu(), NodeId.vehicle(1), NodeId.vehicle(2))
     assert all(g.nodes is fleet.nodes and g.index is fleet.index for g in (one, *two))
@@ -449,4 +450,4 @@ def test_coincident_antennas_rejected_under_a_short_link_radius():
     assert link_radius(PARAMS, 40.0) < 0.05
     snap = make_snapshot([make_vehicle(1, 20.0, 0.0), make_vehicle(2, 20.0, 0.0)])
     with pytest.raises(ValueError, match="timestep 0: antennas of v1 and v2 coincide"):
-        build_topology(snap, PARAMS, 40.0)
+        snapshot_graph(snap, PARAMS, 40.0)
