@@ -55,9 +55,9 @@ blocked = WorldSnapshot.from_vehicles(
 )
 graph = show("truck parked on the v0-RSU sight line", blocked)
 
-# an edge test reads the adjacency of node indices
-v0_links = graph.adjacency[graph.index[NodeId.vehicle(0)]]
-direct = graph.index[NodeId.rsu()] in v0_links
-relay = graph.index[NodeId.vehicle(1)] in v0_links
+# the edge test takes node indices
+v0 = graph.index[NodeId.vehicle(0)]
+direct = graph.linked(v0, graph.index[NodeId.rsu()])
+relay = graph.linked(v0, graph.index[NodeId.vehicle(1)])
 print(f"\n  v0 direct RSU link feasible: {direct}")
 print(f"  v0 can still relay via v1:   {relay}")

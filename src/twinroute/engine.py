@@ -16,10 +16,15 @@ their planner:
   ``conventional_update_interval`` seconds; it has no latency;
 - predictive: planned at ``t - 1`` from the history that ends
   ``latency_delta`` seconds earlier, one forecast table per step of
-  ``prediction.interval``, routed from the forecast's link rows with no
+  ``prediction.interval``, routed from the forecast's step rows with no
   graph built.
 
 A step older than the oldest retained snapshot reads that snapshot.
+
+A held window (real-time, conventional) keeps the graph it routed. A
+table scored against that same graph object, as real-time at zero
+latency is at every step and conventional at its replan step, is valid
+by construction: its routes are counted, not walked hop by hop.
 
 The engine reads one consecutive snapshot stream, as the mobility twin
 produces it: each timestep is one more than the last, so a past step is
@@ -273,22 +278,37 @@ def _make_driver(config: ScenarioConfig) -> _Driver:
         steps, lag = seconds_to_steps(config.conventional_update_interval, config.dt), 0
 
     def plan_held(timestep: int, world: _SharedWorld) -> PredictivePlan:
-        table = route_realtime(world.graph_at(timestep - lag), config.max_hops)
-        return PredictivePlan(_HeldTable(range(timestep, timestep + steps), table), (), {})
+        graph = world.graph_at(timestep - lag)
+        table = route_realtime(graph, config.max_hops)
+        return PredictivePlan(_HeldTable(range(timestep, timestep + steps), table), (), {}, graph=graph)
 
     return _Driver(plan_held, lag + 1)
 
 
-def _score(table: RouteTable, truth: ConnectivityGraph, timestep: int) -> TimestepOutcome:
-    """Check the route of every connected vehicle, the nodes after the RSU."""
+def _score(
+    table: RouteTable,
+    truth: ConnectivityGraph,
+    timestep: int,
+    routed_on: ConnectivityGraph | None,
+) -> TimestepOutcome:
+    """Check the route of every connected vehicle, the nodes after the RSU.
+
+    ``routed_on`` is the graph the table was routed on, where the window
+    keeps it. A table routed on ``truth`` itself holds exactly ``truth``'s
+    vehicle nodes, and every hop of its routes is one of ``truth``'s links
+    by construction, so its routes are counted, not walked."""
     sources = truth.nodes[1:]
-    satisfied = 0
-    hop_total = 0
-    for node in sources:
-        route = table.get(node)
-        if score_route(route, truth):
-            satisfied += 1
-            hop_total += len(route) - 1
+    if routed_on is truth:
+        routes = [route for route in table.values() if route is not None]
+        satisfied = len(routes)
+        hop_total = sum(map(len, routes)) - satisfied
+    else:
+        satisfied = hop_total = 0
+        for node in sources:
+            route = table.get(node)
+            if score_route(route, truth):
+                satisfied += 1
+                hop_total += len(route) - 1
     mean_hops = hop_total / satisfied if satisfied else 0.0
     return TimestepOutcome(timestep, len(sources), satisfied, mean_hops)
 
@@ -369,7 +389,7 @@ def run_variants(
                 if not hasattr(exc, "variant"):
                     exc.variant = name
                 raise
-            outcomes[name].append(_score(table, truth, snap.timestep))
+            outcomes[name].append(_score(table, truth, snap.timestep, driver._window.graph))
             if route_dump is not None:
                 dump_route_table(table, truth, snap.timestep, route_dump)
 

@@ -9,12 +9,13 @@ sequence, so results are deterministic and order-independent. A route is
 its tuple of hops, source first and RSU last.
 
 One routing pass serves truth graphs and forecast steps, and reads one
-input: a step's adjacency list, of which it reads only the RSU's
-``{neighbour: loss}`` row and the rows of the nodes that row misses. A
-truth graph gives its ``adjacency``. A planning epoch keeps only the
-links of those rows from each forecast step and routes the adjacency
-:func:`~twinroute.topology.step_adjacency` fills from them, so it builds
-no graph.
+input: a step's :class:`~twinroute.topology.StepRows`, of which it reads
+the RSU's ``{neighbour: loss}`` row and the full row of every node that
+row misses. A truth graph keeps its step's as ``rows``; a planning epoch
+cuts each forecast step's from the forecast's link rows with
+:func:`~twinroute.topology.step_rows`, so it builds no graph. A route is
+checked hop by hop with the ground truth's edge test,
+:meth:`~twinroute.topology.ConnectivityGraph.linked`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .channel import ChannelParams
 from .model import NodeId, WorldSnapshot
 from .prediction import TrajectoryPredictor, Tracks, predict
-from .topology import ConnectivityGraph, LinkRows, feasible_links, step_adjacency
+from .topology import ConnectivityGraph, StepRows, feasible_links, step_rows
 
 
 # One routing pass: every vehicle node of the graph, in node order, to its
@@ -35,12 +36,9 @@ from .topology import ConnectivityGraph, LinkRows, feasible_links, step_adjacenc
 RouteTable = dict[NodeId, tuple[NodeId, ...] | None]
 
 
-# Per node index, {neighbour index: loss} in ascending neighbour order, RSU
-# at 0. The routing pass reads only the RSU's row and the rows it misses.
-Adjacency = Sequence[Mapping[int, float]]
-
-
-def _layers(adjacency: Adjacency) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
+def _layers(
+    n_nodes: int, rows: StepRows
+) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
     """BFS hop depth of every node from the RSU (None if unreachable), and
     per node at depth 2 or more its (neighbour, loss) pairs one layer
     closer to the RSU, in index order.
@@ -51,17 +49,18 @@ def _layers(adjacency: Adjacency) -> tuple[list[int | None], dict[int, list[tupl
     down list in the same sweep, so only the rows the RSU's row misses are
     read. Depths and down lists equal a plain BFS.
     """
-    depth: list[int | None] = [None] * len(adjacency)
+    depth: list[int | None] = [None] * n_nodes
     depth[0] = 0
-    for v in adjacency[0]:
+    for v in rows.rsu_row:
         depth[v] = 1
+    missed = rows.missed
     down: dict[int, list[tuple[int, float]]] = {}
-    unreached = [v for v in range(1, len(adjacency)) if depth[v] is None]
+    unreached = list(missed)
     layer = 1
     while unreached:
         rest = []
         for v in unreached:
-            closer = [(u, loss) for u, loss in adjacency[v].items() if depth[u] == layer]
+            closer = [(u, loss) for u, loss in missed[v].items() if depth[u] == layer]
             if closer:
                 depth[v] = layer + 1
                 down[v] = closer
@@ -89,35 +88,46 @@ def _route_from(
     each such layer before the next, so a node's label there is the
     minimum over its neighbours one layer back, which is what each sweep
     below takes; the last hop, from layer 1, reads its loss from the
-    RSU's row. Labels are (loss summed source-first, index path), and
-    index order is NodeId order, so the route equals that search's.
+    RSU's row. A layer is held as (node, loss summed source-first) pairs
+    and, once a sweep has crossed it, each node's index path; paths are
+    compared only on exact loss ties. Index order is NodeId order, so the
+    route equals that search's. The source's own down list ascends, so
+    there the first of tied pairs has the smaller path.
     """
-    labels = {v: (loss, (source, v)) for v, loss in down[source]}
+    front = down[source]
+    paths: dict[int, tuple[int, ...]] | None = None  # None: (source, node)
     for _ in range(hops - 2):
-        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
-        for u, (loss, path) in labels.items():
+        losses: dict[int, float] = {}
+        through: dict[int, tuple[int, ...]] = {}
+        for u, loss in front:
+            path = (source, u) if paths is None else paths[u]
             for v, edge_loss in down[u]:
-                label = (loss + edge_loss, path + (v,))
-                best = nxt.get(v)
-                if best is None or label < best:
-                    nxt[v] = label
-        labels = nxt
-    # every path has ``hops`` nodes, so the RSU appended to each would
-    # order them as the paths alone do
-    _, path = min((loss + rsu_row[u], path) for u, (loss, path) in labels.items())
+                total = loss + edge_loss
+                best = losses.get(v)
+                if best is None or total < best or (total == best and path < through[v]):
+                    losses[v] = total
+                    through[v] = path
+        front = list(losses.items())
+        paths = {v: path + (v,) for v, path in through.items()}
+    last = None
+    for u, loss in front:
+        total = loss + rsu_row[u]
+        if last is None or total < least or (
+            total == least and paths is not None and paths[u] < paths[last]
+        ):
+            last, least = u, total
+    path = (source, last) if paths is None else paths[last]
     return (*map(nodes.__getitem__, path), nodes[0])
 
 
-def _route_table(
-    nodes: tuple[NodeId, ...], adjacency: Adjacency, max_hops: int | None
-) -> RouteTable:
+def _route_table(nodes: tuple[NodeId, ...], rows: StepRows, max_hops: int | None) -> RouteTable:
     """The routing pass: every vehicle node to its route, in node order,
-    from the RSU's row of ``adjacency`` and the rows it misses.
+    from a step's RSU row and the rows it misses.
 
     A node one hop from the RSU routes straight to it: a direct link wins
     whatever ``max_hops`` is.
     """
-    depth, down = _layers(adjacency)
+    depth, down = _layers(len(nodes), rows)
     rsu = nodes[0]
     cap = None if max_hops is None else max(max_hops, 1)
     table: RouteTable = {}
@@ -129,7 +139,7 @@ def _route_table(
         elif layer is None or (cap is not None and layer > cap):
             table[source] = None
         else:
-            table[source] = _route_from(nodes, k, layer, down, adjacency[0])
+            table[source] = _route_from(nodes, k, layer, down, rows.rsu_row)
     return table
 
 
@@ -143,25 +153,7 @@ def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> Rou
 
     A direct link wins whatever ``max_hops`` is.
     """
-    return _route_table(graph.nodes, graph.adjacency, max_hops)
-
-
-def _routed_links(
-    n_nodes: int, n_steps: int, links: LinkRows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step, ends and loss of the rows of ``links`` the routing pass
-    reads: per step, the RSU's links and every link with an end that the
-    RSU's row misses. The row of the RSU and of every node it misses keeps
-    all its links; only links between two nodes one hop from the RSU, whose
-    rows are never read, go.
-    """
-    step, ij = links.step, links.ij
-    key = step * n_nodes + ij  # each end's (step, node) as one flat index
-    # the nodes one hop from the RSU; the RSU is not one, so its links stay
-    reached = np.zeros(n_steps * n_nodes, dtype=bool)
-    reached[key[1, ij[0] == 0]] = True
-    keep = np.flatnonzero(~reached[key[0]] | ~reached[key[1]])
-    return step.take(keep), ij.take(keep, axis=1), links.loss.take(keep)
+    return _route_table(graph.nodes, graph.rows, max_hops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,18 +162,19 @@ class PredictivePlan:
     route table and the forecast it was computed from, a read-only
     ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
     the last observed snapshot's vehicles, in the order of its ``ids``.
-    Each table was routed from the adjacency of the links its routing
-    pass reads, and equals the :func:`route_realtime` table of the graph
-    those poses build.
+    Each table was routed from the step's rows of the forecast's links,
+    and equals the :func:`route_realtime` table of the graph those poses
+    build.
     The engine holds every strategy's window of tables as one; a realtime
     or conventional window holds one table for every step of a range,
-    and has no ids and no forecasts. A step the window misses is a
-    KeyError."""
+    has no ids and no forecasts, and keeps in ``graph`` the graph it was
+    routed on. A step the window misses is a KeyError."""
 
     entries: Mapping[int, RouteTable]
     ids: tuple[NodeId, ...]
     forecast: dict[int, np.ndarray]
     degraded_tracks: int = 0
+    graph: ConnectivityGraph | None = None
 
 
 def route_predictive(
@@ -210,14 +203,12 @@ def route_predictive(
     observed snapshot's vehicles and moves only their ``(x, y, heading)``
     rows: the forecast's ``(steps, V, 3)`` pose array, past the lag, is
     the one from which one :func:`~twinroute.topology.feasible_links`
-    call finds the links of all the planned steps. Of those, each step
-    keeps the links its routing pass reads: the RSU's, and every link
-    with an end that the RSU's row misses.
-    :func:`~twinroute.topology.step_adjacency` fills each step's adjacency
-    from them, as it does for a truth graph, and the routing pass turns it
-    into the step's table, which equals the :func:`route_realtime` table
-    of the step's :func:`~twinroute.topology.build_topologies` graph; no
-    graph is built.
+    call finds the links of all the planned steps.
+    :func:`~twinroute.topology.step_rows` cuts from them each step's rows,
+    as it does for a truth graph, and the routing pass turns them into the
+    step's table, which equals the :func:`route_realtime` table of the
+    step's :func:`~twinroute.topology.build_topologies` graph; no graph is
+    built.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -235,10 +226,8 @@ def route_predictive(
     timesteps = range(now + 1, now + steps + 1)
     links = feasible_links(last, timesteps, xy_yaw, params, budget_db)
     nodes = last.fleet.nodes
-    routed = step_adjacency(len(nodes), steps, *_routed_links(len(nodes), steps, links))
-    entries = {
-        ts: _route_table(nodes, adjacency, max_hops) for ts, (_, adjacency) in zip(timesteps, routed)
-    }
+    routed = step_rows(len(nodes), steps, links)
+    entries = {ts: _route_table(nodes, step, max_hops) for ts, step in zip(timesteps, routed)}
     return PredictivePlan(entries, tracks.ids, dict(zip(timesteps, xy_yaw)), int(degraded.sum()))
 
 
@@ -247,14 +236,14 @@ def score_route(route: tuple[NodeId, ...] | None, ground_truth: ConnectivityGrap
     if route is None:
         return False
     index = ground_truth.index
-    adjacency = ground_truth.adjacency
+    linked = ground_truth.linked
     hops = iter(route)
     a = index.get(next(hops))
     if a is None:
         return False
     for node in hops:
         b = index.get(node)
-        if b not in adjacency[a]:  # None, a node absent from the graph, is no key
+        if b is None or not linked(a, b):
             return False
         a = b
     return True

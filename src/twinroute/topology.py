@@ -4,13 +4,15 @@ with equal fleets at once.
 
 A build has two stages. The link stage, :func:`feasible_links`, takes
 per-step poses and returns every step's feasible links as
-:class:`LinkRows`. The per-step assembly, :func:`step_adjacency`,
-slices them into each step's adjacency dicts. :func:`build_topologies`
-wraps each step's in one :class:`ConnectivityGraph` for the truth; one
-snapshot's graph is the one-step call
+:class:`LinkRows`. The per-step builder, :func:`step_rows`, cuts from
+them, per step, what the routing pass reads: the RSU's row and the row
+of every node that row misses. :func:`link_graphs` wraps each step's in
+one :class:`ConnectivityGraph`, and :func:`build_topologies` is the two
+stages together, as the engine builds the truth; one snapshot's graph is
+the one-step call
 ``build_topologies(snap, [snap.timestep], snap.xy_yaw[None], ...)[0]``.
-The predictive planner routes a forecast step from the adjacency of the
-links its routing pass reads, and builds no graph.
+The predictive planner routes a forecast step from its step's rows, and
+builds no graph.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -21,18 +23,21 @@ antenna with no body.
 The graph is stored over int node indices (the position in the sorted
 ``nodes`` tuple, RSU at 0): one ``(i, j)`` row of ``edges`` per feasible
 link with ``i < j`` in ascending (i, j) order, its distance, blocker
-count and path loss in the ``edge_*`` arrays at the same row, plus one
-``{neighbour: loss}`` dict per node whose keys ascend in index order,
-which is ``NodeId`` order; ``j in adjacency[i]`` is the edge test.
+count and path loss in the ``edge_*`` arrays at the same row. Node
+``i``'s block is its rows with ``i`` as the lower end. The routing input
+is the RSU's ``{neighbour: loss}`` row and, per node that row misses,
+that node's full row; each row's keys ascend in index order, which is
+``NodeId`` order. :meth:`ConnectivityGraph.linked` is the edge test.
 A topology dump is :data:`TOPOLOGY_DUMP_HEADER`, then :func:`dump_topology`
 of each graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,19 +57,24 @@ class ConnectivityGraph:
     edge_distance: np.ndarray = field(repr=False)
     edge_blockers: np.ndarray = field(repr=False)
     edge_loss: np.ndarray = field(repr=False)
-    # per node index, {neighbour index: path_loss_db} in ascending index order
-    adjacency: list[dict[int, float]] = field(repr=False)
+    # the step's routing input and the edge test's block index
+    rows: StepRows = field(repr=False)
 
-
-def _adjacency(
-    n_nodes: int, i: Iterable[int], j: Iterable[int], loss: Iterable[float]
-) -> list[dict[int, float]]:
-    """One ``{neighbour: loss}`` dict per node, filled in edge-row order."""
-    adjacency: list[dict[int, float]] = [{} for _ in range(n_nodes)]
-    for a, b, ab_loss in zip(i, j, loss):
-        adjacency[a][b] = ab_loss
-        adjacency[b][a] = ab_loss
-    return adjacency
+    def linked(self, a: int, b: int) -> bool:
+        """Whether the nodes of index ``a`` and ``b`` share a link: read
+        from the RSU's row or a row it misses, else by bisection in the
+        lower end's block."""
+        rows = self.rows
+        if a > b:
+            a, b = b, a
+        if a == 0:
+            return b in rows.rsu_row
+        row = rows.missed.get(a)
+        if row is not None:
+            return b in row
+        upper, lo, hi = rows.upper, rows.starts[a], rows.starts[a + 1]
+        k = bisect_left(upper, b, lo, hi)
+        return k < hi and upper[k] == b
 
 
 @lru_cache(maxsize=64)
@@ -88,6 +98,19 @@ class LinkRows(NamedTuple):
     distance: np.ndarray  # (E,) float64
     blockers: np.ndarray  # (E,) int64
     loss: np.ndarray  # (E,) float64
+
+
+class StepRows(NamedTuple):
+    """One step of link rows laid out as :class:`LinkRows` lays them out:
+    the step's slice of the rows, the routing input cut from them, and
+    where each node's block of rows starts, for the edge test."""
+
+    span: slice
+    rsu_row: dict[int, float]  # {neighbour: loss}, ascending
+    # per node the RSU's row misses, ascending, its full {neighbour: loss} row
+    missed: dict[int, dict[int, float]]
+    upper: list[int]  # the j of every row of the links, shared by their steps
+    starts: list[int]  # per node index and one past the last, where its block starts
 
 
 def feasible_links(
@@ -197,40 +220,68 @@ def build_topologies(
     The engine builds the truth graphs of a run of consecutive snapshots
     with one vehicle set (a run of one included) this way. The links are
     :func:`feasible_links` of the same arguments, which says what they
-    are and what it checks; every graph of the fleet shares its ``nodes``
-    and ``index``. Each graph's edge arrays are its step's slice of the
-    link rows, and its adjacency dicts are those :func:`step_adjacency`
-    fills.
+    are and what it checks; :func:`link_graphs` makes the graphs.
     """
     if not timesteps:
         return []
     links = feasible_links(snapshot, timesteps, xy_yaw, params, budget_db)
     fleet = snapshot.fleet
+    return link_graphs(timesteps, fleet.nodes, fleet.index, links)
+
+
+def link_graphs(
+    timesteps: Sequence[int], nodes: tuple[NodeId, ...], index: dict[NodeId, int], links: LinkRows
+) -> list[ConnectivityGraph]:
+    """One graph per step of ``links`` over ``nodes``: its edge arrays are
+    the step's slice of the link rows, and its routing input and edge
+    test read the step's :func:`step_rows`. Every graph shares ``nodes``
+    and ``index``."""
     edges = links.ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
-    steps = step_adjacency(len(fleet.nodes), len(timesteps), links.step, links.ij, links.loss)
     return [
         ConnectivityGraph(
-            ts, fleet.nodes, fleet.index, edges[rows], links.distance[rows],
-            links.blockers[rows], links.loss[rows], adjacency,
+            ts, nodes, index, edges[step.span], links.distance[step.span],
+            links.blockers[step.span], links.loss[step.span], step,
         )
-        for ts, (rows, adjacency) in zip(timesteps, steps)
+        for ts, step in zip(timesteps, step_rows(len(nodes), len(timesteps), links))
     ]
 
 
-def step_adjacency(
-    n_nodes: int, n_steps: int, step: np.ndarray, ij: np.ndarray, loss: np.ndarray
-) -> Iterator[tuple[slice, list[dict[int, float]]]]:
-    """Per step of link rows laid out as :class:`LinkRows` lays them out,
-    given by their ``step``, ``ij`` and ``loss`` columns: the step's slice
-    of the rows and its adjacency dicts, filled in (i, j) row order, so
-    each row's keys ascend. One ``tolist`` per column serves every step."""
-    stops = np.searchsorted(step, np.arange(1, n_steps + 1)).tolist()
-    (i_list, j_list), loss_list = ij.tolist(), loss.tolist()
-    start = 0
-    for stop in stops:
-        rows = slice(start, stop)
-        yield rows, _adjacency(n_nodes, i_list[rows], j_list[rows], loss_list[rows])
-        start = stop
+def step_rows(n_nodes: int, n_steps: int, links: LinkRows) -> Iterator[StepRows]:
+    """Per step of ``links`` over ``n_nodes`` nodes: what the routing pass
+    reads of it, the RSU's row and the full row of every node that row
+    misses, with the step's slice of the rows and each node's block start.
+
+    One ``searchsorted`` finds every (step, node) block of rows, and one
+    ``tolist`` per column serves every step. A missed node's upper
+    neighbours are its own block. Each lower one is read from that
+    neighbour's row where the RSU's row misses it too, else found by
+    bisection in its block. So every row ascends, and no dict holds a link
+    between two nodes one hop from the RSU, which the pass never reads.
+    """
+    i, j = links.ij
+    starts = np.searchsorted(links.step * n_nodes + i, np.arange(n_steps * n_nodes + 1)).tolist()
+    upper, loss = j.tolist(), links.loss.tolist()
+    for base in range(0, n_steps * n_nodes, n_nodes):
+        block = starts[base:base + n_nodes + 1]
+        rsu_row = dict(zip(upper[block[0]:block[1]], loss[block[0]:block[1]]))
+        missed: dict[int, dict[int, float]] = {}
+        for v in range(1, n_nodes):
+            if v in rsu_row:
+                continue
+            row = {}
+            for u in range(1, v):
+                lower = missed.get(u)
+                if lower is None:
+                    lo, hi = block[u], block[u + 1]
+                    k = bisect_left(upper, v, lo, hi)
+                    if k < hi and upper[k] == v:
+                        row[u] = loss[k]
+                elif v in lower:
+                    row[u] = lower[v]
+            lo, hi = block[v], block[v + 1]
+            row.update(zip(upper[lo:hi], loss[lo:hi]))
+            missed[v] = row
+        yield StepRows(slice(block[0], block[-1]), rsu_row, missed, upper, block)
 
 
 def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from twinroute.channel import BlockageClass, ChannelParams
 from twinroute.model import NodeId, VehicleState, WorldSnapshot
-from twinroute.topology import ConnectivityGraph, _adjacency
+from twinroute.topology import ConnectivityGraph, LinkRows, link_graphs
 
 # Hypothesis loads its derandomized "ci" profile where a CI variable such as
 # GITHUB_ACTIONS is set, so CI draws the same examples on every run. The
@@ -114,7 +114,9 @@ def detail_counts(lines) -> list[tuple[int, int]]:
 def graph_from_losses(losses: dict, vehicles=()) -> ConnectivityGraph:
     """Hand-built graph: ``losses`` maps node pairs, each end a NodeId,
     "rsu" or a vehicle index, to path losses; ``vehicles`` adds the
-    vehicles of these indices as nodes, linked or not."""
+    vehicles of these indices as nodes, linked or not. It is made by the
+    product's graph builder from one step of link rows, each 10 m long
+    and unblocked."""
 
     def node(x):
         return x if type(x) is NodeId else NodeId.rsu() if x == "rsu" else NodeId.vehicle(x)
@@ -123,13 +125,12 @@ def graph_from_losses(losses: dict, vehicles=()) -> ConnectivityGraph:
     nodes = tuple(sorted({NodeId.rsu(), *map(NodeId.vehicle, vehicles), *(n for p in by_pair for n in p)}))
     index = {n: k for k, n in enumerate(nodes)}
     rows = sorted((index[a], index[b], loss) for (a, b), loss in by_pair.items())
-    edges = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    ij = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2).T
     loss = np.array([row[2] for row in rows], dtype=np.float64)
     n = len(rows)
-    adjacency = _adjacency(len(nodes), edges[:, 0].tolist(), edges[:, 1].tolist(), loss.tolist())
-    return ConnectivityGraph(
-        0, nodes, index, edges, np.full(n, 10.0), np.zeros(n, np.int64), loss, adjacency
-    )
+    links = LinkRows(np.zeros(n, np.int64), ij, np.full(n, 10.0), np.zeros(n, np.int64), loss)
+    (graph,) = link_graphs([0], nodes, index, links)
+    return graph
 
 
 class Link(NamedTuple):

@@ -12,17 +12,21 @@ the numpy pose lookup for the bisect one, the per-vehicle traffic
 stepper (``oracle_advance``) for the one over columns, the per-vehicle
 predictors (``oracle_predict``) for the batch forecast, the top-down BFS
 for the bottom-up hop layering, the list-and-``all()`` route check for the
-one-pass hop walk, and ``node_key``, the order read from a node's text
+one-pass hop walk and for the count of a table routed on its own
+truth (``oracle_score``), and ``node_key``, the order read from a node's text
 form that int-coded node ids must sort in. ``oracle_run`` restates the
 engine's schedule over a plain list of snapshots, on top of the product's
 graph builder (criterion 4 pins it) and the per-vehicle predictors.
 ``snapshot_graph`` is not an oracle: it is the product's one-step build
-of one snapshot's graph, which many tests read.
+of one snapshot's graph, which many tests read. Every oracle that reads a
+graph's links reads ``adjacency``, the full adjacency filled from its
+``edges``, and none of the rows the routing pass reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -83,9 +87,21 @@ def node_key(node: NodeId) -> tuple[int, int]:
     return (0, 0) if text == "rsu" else (1, int(text.removeprefix("v")))
 
 
+@functools.lru_cache(maxsize=64)
+def adjacency(graph):
+    """One ``{neighbour index: loss}`` dict per node index of ``graph``,
+    filled from its ``edges`` rows and ``edge_loss`` in row order, so
+    every dict's keys ascend: the full adjacency, of which the routing
+    pass reads only some rows. Cached per graph object; do not mutate."""
+    full = [{} for _ in graph.nodes]
+    for (a, b), loss in zip(graph.edges.tolist(), graph.edge_loss.tolist()):
+        full[a][b] = full[b][a] = loss
+    return full
+
+
 def _neighbors(graph, node):
-    """(neighbour, path loss) pairs of ``node``, read from the adjacency dicts."""
-    return [(graph.nodes[k], loss) for k, loss in graph.adjacency[graph.index[node]].items()]
+    """(neighbour, path loss) pairs of ``node``, read from its ``edges``."""
+    return [(graph.nodes[k], loss) for k, loss in adjacency(graph)[graph.index[node]].items()]
 
 
 @dataclass(frozen=True)
@@ -634,26 +650,27 @@ def oracle_shortest_path(graph, source, max_hops=None):
     return None if best is None else best[1]
 
 
-def oracle_hop_layers(adjacency):
-    """Plain top-down BFS from node 0 over one ``{neighbour: loss}`` dict
-    per node: the hop depth of every node (None if unreachable), and per
-    node its (neighbour, loss) pairs one layer closer to node 0, in the
-    dict's order. The layering the router used before it read layer 1
-    from the RSU's row and found deeper layers bottom-up."""
-    depth = [None] * len(adjacency)
+def oracle_hop_layers(graph):
+    """Plain top-down BFS from node 0 over the full adjacency of
+    ``graph``: the hop depth of every node (None if unreachable), and per
+    node its (neighbour, loss) pairs one layer closer to node 0, in index
+    order. The layering the router used before it read layer 1 from the
+    RSU's row and found deeper layers bottom-up."""
+    full = adjacency(graph)
+    depth = [None] * len(full)
     depth[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in adjacency[u]:
+            for v in full[u]:
                 if depth[v] is None:
                     depth[v] = depth[u] + 1
                     nxt.append(v)
         frontier = nxt
     down = [
         [(v, loss) for v, loss in nbrs.items() if depth[v] == depth[u] - 1] if depth[u] else []
-        for u, nbrs in enumerate(adjacency)
+        for u, nbrs in enumerate(full)
     ]
     return depth, down
 
@@ -668,8 +685,20 @@ def oracle_score_route(route, ground_truth) -> bool:
     ks = [index.get(node) for node in route]
     if None in ks:
         return False
-    adjacency = ground_truth.adjacency
-    return all(b in adjacency[a] for a, b in zip(ks, ks[1:]))
+    full = adjacency(ground_truth)
+    return all(b in full[a] for a, b in zip(ks, ks[1:]))
+
+
+def oracle_score(table, truth, timestep):
+    """One scored step by the hop walk: the route of every vehicle node of
+    ``truth``, looked up in ``table`` and checked link by link with
+    ``oracle_score_route``, as ``(timestep, total, satisfied, mean hops)``.
+    The reference for the engine's count of a table routed on ``truth``
+    itself."""
+    routes = [table.get(node) for node in truth.nodes[1:]]
+    valid = [route for route in routes if oracle_score_route(route, truth)]
+    hops = sum(len(route) - 1 for route in valid)
+    return timestep, len(routes), len(valid), hops / len(valid) if valid else 0.0
 
 
 def oracle_dijkstra_route(graph, source, max_hops=None):
@@ -681,7 +710,7 @@ def oracle_dijkstra_route(graph, source, max_hops=None):
     None; a direct link to the RSU wins regardless of ``max_hops``.
     """
     rsu = graph.nodes[0]
-    if 0 in graph.adjacency[graph.index[source]]:
+    if 0 in adjacency(graph)[graph.index[source]]:
         return (source, rsu)
     if max_hops is not None and max_hops <= 1:
         return None
@@ -802,9 +831,5 @@ def oracle_run(config, snapshots):
                     dy = y - actual[vid][1]
                     error_sum += (dx * dx + dy * dy) ** 0.5
                     error_count += 1
-        truth = graph(snap)
-        routes_held = map(table.get, truth.nodes[1:])
-        valid = [route for route in routes_held if oracle_score_route(route, truth)]
-        hops = sum(len(route) - 1 for route in valid)
-        rows.append((t, len(truth.nodes) - 1, len(valid), hops / len(valid) if valid else 0.0))
+        rows.append(oracle_score(table, graph(snap), t))
     return rows, (error_sum / error_count if error_count else None)

@@ -24,10 +24,10 @@ from twinroute.config import (
 from twinroute.engine import ConfigError, run_single, run_variants
 from twinroute.metrics import DETAIL_HEADER, write_detail
 from twinroute.mobility import snapshot_stream
-from twinroute.model import NodeId, Strategy, VehicleState
+from twinroute.model import NodeId, Strategy, VehicleState, seconds_to_steps
 
 from conftest import TRUCK, count_validations, make_snapshot, make_vehicle
-from oracles import oracle_run
+from oracles import oracle_run, oracle_score, oracle_score_route
 
 SMALL = default_config(duration=20.0, vehicle_count=8, connected_fraction=0.5, seed=5)
 
@@ -437,6 +437,71 @@ def whole_runs(draw) -> ScenarioConfig:
     )
 
 
+@st.composite
+def held_windows(draw) -> dict[str, ScenarioConfig]:
+    """Realtime at zero latency, realtime with a drawn latency and
+    conventional, as variants of one drawn scene: up to 30 vehicles on one
+    or two lanes over up to 20 s, all released in the first half second;
+    runs that long hold steps whose walked routes break."""
+    cfg = default_config(
+        seed=draw(st.integers(0, 999)),
+        duration=draw(st.integers(1, 200)) / 10,
+        vehicle_count=draw(st.integers(1, 30)),
+        connected_fraction=draw(st.integers(1, 10)) / 10,
+        conventional_update_interval=draw(st.integers(1, 30)) / 10,
+        max_hops=draw(st.none() | st.integers(1, 3)),
+    )
+    cfg = dataclasses.replace(
+        cfg,
+        intersection=IntersectionGeometry(lane_count=draw(st.integers(1, 2))),
+        mobility=MobilityConfig(spawn_window=0.5),
+    )
+    return {
+        "realtime": dataclasses.replace(cfg, strategy=Strategy.REALTIME),
+        "realtime_lag": dataclasses.replace(
+            cfg, strategy=Strategy.REALTIME, latency_delta=draw(st.integers(1, 10)) / 10
+        ),
+        "conventional": dataclasses.replace(cfg, strategy=Strategy.CONVENTIONAL),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(variants=held_windows())
+def test_a_table_scored_on_its_own_graph_is_counted_as_the_walk_scores_it(variants):
+    """Every outcome, and every ``valid`` cell of the route dump, equals the
+    hop walk's, whether the engine counts the table's routes (routed on the
+    truth graph itself: realtime at zero latency, conventional at its
+    replan steps) or walks them (every other step)."""
+    scored = []
+    real = engine._score
+
+    def spy(table, truth, timestep, routed_on):
+        got = real(table, truth, timestep, routed_on)
+        scored.append((table, truth, routed_on is truth, got))
+        return got
+
+    dump = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_score", spy)
+        try:
+            run_variants(variants, route_dump=dump)
+        except ValueError as exc:  # no connected vehicle was scored; the steps were
+            assert "reliability undefined" in str(exc)
+    want = [routing.ROUTE_DUMP_HEADER]
+    for table, truth, _, got in scored:
+        assert dataclasses.astuple(got) == oracle_score(table, truth, got.timestep)
+        for vehicle, route in table.items():
+            hops = ">".join(map(str, route)) if route else ""
+            want.append(f"{got.timestep},{vehicle},{hops},{int(oracle_score_route(route, truth))}\n")
+    assert dump.getvalue() == "".join(want)
+    cfg = variants["conventional"]
+    period = seconds_to_steps(cfg.conventional_update_interval, cfg.dt)
+    steps = range(1, len(scored) // 3 + 1)
+    assert [counted for _, _, counted, _ in scored[0::3]] == [True for _ in steps]
+    assert [counted for _, _, counted, _ in scored[1::3]] == [False for _ in steps]
+    assert [counted for _, _, counted, _ in scored[2::3]] == [(t - 1) % period == 0 for t in steps]
+
+
 def test_every_strategy_matches_the_whole_run_oracle(fuzz_scale):
     """Differential testing of the engine's clock (McKeeman, 1998): the
     three strategies of one drawn scenario, run as variants of one world,
@@ -537,9 +602,9 @@ def test_generated_traffic_is_read_ahead_and_built_in_runs(monkeypatch):
             assert np.array_equal(poses, snap.xy_yaw)
         return real_build(snapshot, timesteps, xy_yaw, *args)
 
-    def spy_score(table, truth, timestep):
+    def spy_score(table, truth, timestep, routed_on):
         scored.add(timestep)
-        return real_score(table, truth, timestep)
+        return real_score(table, truth, timestep, routed_on)
 
     monkeypatch.setattr(engine, "snapshot_stream", spy_stream)
     monkeypatch.setattr(engine, "build_topologies", spy_build)
@@ -742,4 +807,5 @@ def test_a_graph_has_one_edges_row_per_link():
     # the tracer counts topology.edges as the len(graph.edges) of each graph built
     snap = make_snapshot([make_vehicle(0, 20.0, 0.0), make_vehicle(1, 25.0, 0.0)])
     (g,) = engine.build_topologies(snap, [snap.timestep], snap.xy_yaw[None], SMALL.channel, 130.0)
-    assert len(g.edges) == len(g.edge_loss) == sum(map(len, g.adjacency)) // 2 == 3
+    assert len(g.edges) == len(g.edge_loss) == 3
+    assert [g.linked(a, b) for a, b in ((0, 1), (0, 2), (1, 2), (1, 1))] == [True, True, True, False]

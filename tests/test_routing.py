@@ -19,21 +19,16 @@ from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPred
 from twinroute.routing import (
     _layers,
     _route_table,
-    _routed_links,
     dump_route_table,
     route_predictive,
     route_realtime,
     score_route,
 )
-from twinroute.topology import (
-    ConnectivityGraph,
-    LinkRows,
-    build_topologies,
-    step_adjacency,
-)
+from twinroute.topology import ConnectivityGraph, LinkRows, build_topologies, link_graphs, step_rows
 
 from conftest import TRUCK, count_validations, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
+    adjacency,
     node_key,
     oracle_dijkstra_route,
     oracle_hop_layers,
@@ -136,10 +131,13 @@ def test_matches_enumeration_oracle(fuzz_scale):
 
 
 def test_neighbors_ascend_and_match_edges():
+    """The rows the routing pass reads, the RSU's and those it misses,
+    ascend in node order and hold exactly each node's links."""
     rng = np.random.default_rng(77)
     for trial in range(100):
         g = random_graph(rng, quantized=trial % 2 == 0)
-        for node, got in zip(g.nodes, g.adjacency):
+        for n, got in [(0, g.rows.rsu_row), *g.rows.missed.items()]:
+            node = g.nodes[n]
             keys = [node_key(g.nodes[k]) for k in got]
             assert keys == sorted(keys), trial
             want = {
@@ -180,6 +178,27 @@ def test_loss_is_summed_source_first():
     route = route_of(g, 0)
     assert route == tuple(NodeId.vehicle(k) for k in (0, 3, 4)) + (RSU,)
     assert oracle_shortest_path(g, NodeId.vehicle(0)) == route
+
+
+# routes whose loss sums tie exactly: v0 has two at depth 2; v5 has two
+# at depth 3 through different depth-1 nodes, met in the order v9, v7, so
+# the last hop must compare their paths; v10 has two at depth 3 that meet
+# at v13 in the sweep
+EXACT_TIES = {
+    (0, 1): 1.0, (1, "rsu"): 2.0, (0, 2): 2.0, (2, "rsu"): 1.0,
+    (5, 6): 1.0, (6, 9): 2.0, (9, "rsu"): 4.0, (5, 8): 2.0, (8, 7): 1.0, (7, "rsu"): 4.0,
+    (10, 11): 1.0, (11, 13): 2.0, (10, 12): 2.0, (12, 13): 1.0, (13, "rsu"): 4.0,
+}
+
+
+def test_exact_loss_ties_fall_to_the_smaller_node_sequence():
+    assert 1.0 + 2.0 == 2.0 + 1.0 and (1.0 + 2.0) + 4.0 == (2.0 + 1.0) + 4.0
+    g = graph_from_losses(EXACT_TIES)
+    table = hops_table(g)
+    assert table[NodeId.vehicle(0)] == route_via(0, 1)
+    assert table[NodeId.vehicle(5)] == route_via(5, 6, 9)
+    assert table[NodeId.vehicle(10)] == route_via(10, 11, 13)
+    assert table == {s: oracle_dijkstra_route(g, s) for s in g.nodes[1:]}
 
 
 # losses that tie exactly, or tie up to the order they are summed in
@@ -251,10 +270,10 @@ LONE_RSU = {(0, 1): 80.0, (1, 2): 95.0}
 
 
 def test_hop_layer_examples_cover_deep_and_unreachable_nodes():
-    depth, down = oracle_hop_layers(graph_from_losses(DEEP_CHAIN).adjacency)
+    depth, down = oracle_hop_layers(graph_from_losses(DEEP_CHAIN))
     assert depth == [0, 1, 2, 3, 4, 4, 5, None, None]
     assert down[6] == [(4, 70.0), (5, 80.0)]
-    depth, _ = oracle_hop_layers(graph_from_losses(LONE_RSU).adjacency)
+    depth, _ = oracle_hop_layers(graph_from_losses(LONE_RSU))
     assert depth == [0, None, None, None]
 
 
@@ -269,31 +288,20 @@ def link_rows(graphs) -> LinkRows:
     )
 
 
-def routed_adjacency(graphs) -> list[list[dict[int, float]]]:
-    """Per graph of one window, the adjacency a planning epoch routes: that
-    of the links its routing pass reads."""
-    n_nodes, n_steps = len(graphs[0].nodes), len(graphs)
-    routed = _routed_links(n_nodes, n_steps, link_rows(graphs))
-    return [adjacency for _, adjacency in step_adjacency(n_nodes, n_steps, *routed)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(g=sparse_graphs())
 @example(g=graph_from_losses(DEEP_CHAIN))
 @example(g=graph_from_losses(LONE_RSU))
 @example(g=graph_from_losses(SOURCE_FIRST_TIE))
 def test_hop_layers_equal_a_plain_bfs(g):
-    """The routing pass's layering, from a graph's adjacency and from that
-    of the links a planning epoch keeps of it, is a plain BFS's: layer 1
-    is the RSU's row, which holds each depth-1 node's one down link."""
-    adjacency = g.adjacency
-    want_depth, want_down = oracle_hop_layers(adjacency)
-    (routed,) = routed_adjacency([g])
-    for source in (adjacency, routed):
-        depth, down = _layers(source)
-        assert depth == want_depth
-        assert down == {v: want_down[v] for v, d in enumerate(depth) if d is not None and d > 1}
-    assert all(want_down[v] == [(0, loss)] for v, loss in adjacency[0].items())
+    """The routing pass's layering, from a graph's rows, is a plain BFS's
+    over the full adjacency: layer 1 is the RSU's row, which holds each
+    depth-1 node's one down link."""
+    want_depth, want_down = oracle_hop_layers(g)
+    depth, down = _layers(len(g.nodes), g.rows)
+    assert depth == want_depth
+    assert down == {v: want_down[v] for v, d in enumerate(depth) if d is not None and d > 1}
+    assert all(want_down[v] == [(0, loss)] for v, loss in g.rows.rsu_row.items())
 
 
 @st.composite
@@ -318,38 +326,63 @@ MIXED_WINDOW = ([DEEP_CHAIN, LONE_RSU, {}, SOURCE_FIRST_TIE], 8)
 @example(batch=MIXED_WINDOW, max_hops=2)
 @example(batch=MIXED_WINDOW, max_hops=4)
 def test_a_window_of_link_rows_routes_as_its_graphs(batch, max_hops):
-    """The tables a planning epoch routes from its routed links: each
-    step's equals ``route_realtime`` of that step's graph, key order
-    included, and the heap Dijkstra route for route."""
+    """The tables a planning epoch routes from one window's link rows:
+    each step's equals ``route_realtime`` of that step's graph, built
+    alone, key order included, and the heap Dijkstra route for route."""
     steps, n_vehicles = batch
     graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
     nodes = graphs[0].nodes
     assert all(g.nodes == nodes for g in graphs)
-    window = routed_adjacency(graphs)
+    window = list(step_rows(len(nodes), len(graphs), link_rows(graphs)))
     assert len(window) == len(graphs)
-    for g, adjacency in zip(graphs, window):
-        table = _route_table(nodes, adjacency, max_hops)
+    for g, rows in zip(graphs, window):
+        table = _route_table(nodes, rows, max_hops)
         assert list(table.items()) == list(route_realtime(g, max_hops).items())
         assert table == {s: oracle_dijkstra_route(g, s, max_hops) for s in nodes[1:]}
 
 
-@settings(max_examples=200, deadline=None)
-@given(batch=link_batches())
+@st.composite
+def reach_batches(draw):
+    """One window's links as ``link_batches`` draws them, each step's RSU
+    row then cut to reach no vehicle, one vehicle or every vehicle, or
+    left as drawn."""
+    steps, n_vehicles = draw(link_batches())
+    cut = []
+    for links in steps:
+        reach = draw(st.sampled_from(["none", "one", "every", "drawn"]))
+        if reach != "drawn":
+            links = {pair: loss for pair, loss in links.items() if "rsu" not in pair}
+            reached = {"none": [], "one": [draw(st.integers(0, n_vehicles - 1))], "every": range(n_vehicles)}
+            links.update({("rsu", v): draw(TIE_LOSSES) for v in reached[reach]})
+        cut.append(links)
+    return cut, n_vehicles
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=reach_batches())
 @example(batch=MIXED_WINDOW)
-def test_routed_links_keep_every_row_the_routing_pass_reads(batch):
-    """Per step, the routed adjacency's RSU row and the row of every node
-    the RSU's row misses equal the full graph's, key order included, and
-    no kept link joins two vehicles one hop from the RSU."""
+def test_step_rows_cut_every_row_the_routing_pass_reads(batch):
+    """Per step of one window's link rows: the RSU's row and the row of
+    every node it misses equal those cut from the full adjacency built
+    from the step's ``edges``, key order included, and the window's graphs
+    answer the edge test as membership in ``edges`` does, for every pair
+    of node indices."""
     steps, n_vehicles = batch
     graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
-    for g, routed in zip(graphs, routed_adjacency(graphs)):
-        full = g.adjacency
-        assert list(routed[0].items()) == list(full[0].items())
-        for v in range(1, len(full)):
-            if v not in full[0]:
-                assert list(routed[v].items()) == list(full[v].items())
-            else:
-                assert all(u == 0 or u not in full[0] for u in routed[v])
+    nodes = graphs[0].nodes
+    window = link_graphs(range(len(graphs)), nodes, graphs[0].index, link_rows(graphs))
+    for g, got in zip(graphs, window, strict=True):
+        full = adjacency(g)
+        rows = got.rows
+        assert list(rows.rsu_row.items()) == list(full[0].items())
+        assert list(rows.missed) == [v for v in range(1, len(nodes)) if v not in full[0]]
+        for v, row in rows.missed.items():
+            assert list(row.items()) == list(full[v].items())
+        assert np.array_equal(got.edges, g.edges)
+        edges = set(map(tuple, g.edges.tolist()))
+        for a in range(len(nodes)):
+            for b in range(len(nodes)):
+                assert got.linked(a, b) == ((min(a, b), max(a, b)) in edges), (a, b)
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
@@ -597,37 +630,39 @@ def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch,
 
 
 def test_a_predictive_epoch_builds_no_graph(monkeypatch):
-    """A planning epoch routes its forecast from adjacency dicts: it
-    constructs no ConnectivityGraph, and fills one adjacency per forecast
-    step over exactly the links its routing pass reads, which on this
-    scene are fewer than the feasible links."""
-    built, found = [], []
-    real_init, real_adjacency = ConnectivityGraph.__init__, topology._adjacency
-    real_links = routing.feasible_links
+    """A planning epoch routes its forecast from step rows: it constructs
+    no ConnectivityGraph, and cuts every forecast step's rows from the one
+    call's link rows; on this scene those rows hold fewer links than the
+    feasible ones."""
+    built, found, cut = [], [], []
+    real_init, real_links, real_rows = ConnectivityGraph.__init__, routing.feasible_links, routing.step_rows
 
     def counted_init(self, *args, **kwargs):
         built.append("ConnectivityGraph")
         real_init(self, *args, **kwargs)
 
-    def counted_adjacency(n_nodes, i, j, loss):
-        built.append(("adjacency", list(zip(i, j, loss))))
-        return real_adjacency(n_nodes, i, j, loss)
+    def counted_rows(n_nodes, n_steps, links):
+        cut.append((n_nodes, n_steps, links))
+        return real_rows(n_nodes, n_steps, links)
 
     monkeypatch.setattr(ConnectivityGraph, "__init__", counted_init)
-    monkeypatch.setattr(topology, "_adjacency", counted_adjacency)
     monkeypatch.setattr(routing, "feasible_links", lambda *args: found.append(real_links(*args)) or found[-1])
+    monkeypatch.setattr(routing, "step_rows", counted_rows)
     plan, history, _ = plan_counting(monkeypatch, (), ConstantVelocityPredictor())
     assert any(route is not None for table in plan.entries.values() for route in table.values())
+    assert built == []
     (links,) = found
-    n_nodes = len(history[-1].fleet.nodes)
-    step, ij, loss = _routed_links(n_nodes, 20, links)
-    routed = list(zip(step.tolist(), *ij.tolist(), loss.tolist()))
-    assert built == [("adjacency", [r[1:] for r in routed if r[0] == k]) for k in range(20)]
-    assert 0 < len(step) < len(links.step)
-    built.clear()
+    ((n_nodes, n_steps, read),) = cut
+    assert (n_nodes, n_steps) == (len(history[-1].fleet.nodes), 20) and read is links
+    held = 0
+    for rows in real_rows(n_nodes, n_steps, links):
+        pairs = {(0, v) for v in rows.rsu_row}
+        pairs.update((min(u, v), max(u, v)) for v, row in rows.missed.items() for u in row)
+        held += len(pairs)
+    assert 0 < held < len(links.step)
     cfg = default_config()
-    snapshot_graph(history[-1], cfg.channel, cfg.link_budget_db)  # the patched ones still count
-    assert [b if isinstance(b, str) else b[0] for b in built] == ["adjacency", "ConnectivityGraph"]
+    snapshot_graph(history[-1], cfg.channel, cfg.link_budget_db)  # the patched init still counts
+    assert built == ["ConnectivityGraph"]
 
 
 # (vehicles, connected fraction, lanes, route depths its tables must hold):
@@ -683,7 +718,7 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
             assert list(plan.entries[g.timestep].items()) == list(want.items()), g.timestep
             uncapped = route_realtime(g)
             depths.update(len(r) - 1 if r else 0 for r in uncapped.values())
-            beyond += len(g.nodes) - 1 - len(g.adjacency[0])
+            beyond += len(g.rows.missed)
             nodes += len(g.nodes) - 1
     assert want_depths <= depths
     assert beyond > nodes // 10  # the RSU's row misses many nodes

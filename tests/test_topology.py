@@ -15,7 +15,7 @@ from twinroute.model import NodeId, Strategy, WorldSnapshot
 from twinroute.topology import TOPOLOGY_DUMP_HEADER, build_topologies, dump_topology, feasible_links
 
 from conftest import SEDAN, SHORT_LINK_CHANNEL, TRUCK, links, make_snapshot, make_vehicle
-from oracles import oracle_topology_edges, snapshot_graph
+from oracles import adjacency, oracle_topology_edges, snapshot_graph
 
 PARAMS = default_channel_params()
 BUDGET = 110.0
@@ -163,8 +163,10 @@ def assert_same_graph(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape and np.array_equal(a, b), name
-    assert got.adjacency == want.adjacency
-    assert [list(n) for n in got.adjacency] == [list(n) for n in want.adjacency]
+    assert list(got.rows.rsu_row.items()) == list(want.rows.rsu_row.items())
+    assert [(v, list(row.items())) for v, row in got.rows.missed.items()] == [
+        (v, list(row.items())) for v, row in want.rows.missed.items()
+    ]
 
 
 def snapshots_of(snapshot, timesteps, xy_yaw):
@@ -217,8 +219,9 @@ def test_batched_build_equals_one_build_per_snapshot():
 
 def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
     """Every truth build and the graphs of every forecast epoch's poses:
-    ``edges`` rows strictly ascend with i < j, and ``adjacency`` holds
-    exactly those rows with their losses, in both directions."""
+    ``edges`` rows strictly ascend with i < j, and the RSU's row and the
+    rows it misses are those of the full adjacency of those rows with
+    their losses, key order included."""
     truth = []
 
     def kept(*args):
@@ -237,10 +240,12 @@ def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
         i, j = edges.T
         assert (i < j).all()
         assert (np.diff(i * len(graph.nodes) + j) > 0).all()
-        want = [{} for _ in graph.nodes]
-        for (a, b), loss in zip(edges.tolist(), graph.edge_loss.tolist()):
-            want[a][b] = want[b][a] = loss
-        assert graph.adjacency == want
+        want = adjacency(graph)
+        rows = graph.rows
+        assert list(rows.rsu_row.items()) == list(want[0].items())
+        assert [(v, list(row.items())) for v, row in rows.missed.items()] == [
+            (v, list(want[v].items())) for v in range(1, len(want)) if v not in want[0]
+        ]
     assert sum(len(g.edges) for g in truth) > 0 and sum(len(g.edges) for g in forecast) > 0
 
 
@@ -306,7 +311,7 @@ def test_batched_build_of_vehicle_free_snapshots():
     assert [g.timestep for g in got] == [3, 4, 5]
     for graph, snap in zip(got, snapshots_of(empty, [3, 4, 5], no_poses)):
         assert graph.nodes == (NodeId.rsu(),)
-        assert graph.adjacency == [{}]
+        assert graph.rows.rsu_row == {} and graph.rows.missed == {}
         assert_same_graph(graph, snapshot_graph(snap, PARAMS, BUDGET))
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
         assert graph.edge_loss.dtype == np.float64
