@@ -16,8 +16,8 @@ their planner:
   ``conventional_update_interval`` seconds; it has no latency;
 - predictive: planned at ``t - 1`` from the history that ends
   ``latency_delta`` seconds earlier, one forecast table per step of
-  ``prediction.interval``, routed from the forecast's step rows with no
-  graph built.
+  ``prediction.interval``, each routed on the graph of that step's
+  forecast poses.
 
 A step older than the oldest retained snapshot reads that snapshot.
 

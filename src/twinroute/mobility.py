@@ -33,7 +33,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -70,6 +70,7 @@ _ARM_AXIS = {
 }
 _AXIS_ARM = {axis: arm for arm, axis in _ARM_AXIS.items()}
 _ARMS = tuple(Arm)  # in draw order
+_MANEUVERS = tuple(Maneuver)  # in draw order
 
 
 def _rot_right(v: tuple[float, float]) -> tuple[float, float]:
@@ -191,14 +192,6 @@ def build_route_plan(
 
 
 @functools.cache
-def _plans(arm_length: float, lane_count: int, lane_width: float) -> tuple[RoutePlan, ...]:
-    """Every plan of one geometry, that of (arm, lane, maneuver) at
-    ``(arm * lane_count + lane) * 3 + maneuver``."""
-    keys = product(_ARMS, range(lane_count), Maneuver)
-    return tuple(build_route_plan(*key, arm_length, lane_count, lane_width) for key in keys)
-
-
-@functools.cache
 def _cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
     """The CDF ``Generator.choice`` bisects for probabilities ``weights / sum``:
     ``p.cumsum()`` over its last entry, read with one ``rng.random()``."""
@@ -310,8 +303,10 @@ def _draw(state: TrafficState, release_time: float) -> Vehicle:
     vclass = cfg.vehicle_mix[bisect_right(_cdf(weights), rng.random())]
     cruise = float(rng.uniform(cfg.speed.min, cfg.speed.max))
     connected = bool(rng.random() < cfg.connected_fraction)
-    plans = _plans(geometry.arm_length, geometry.lane_count, geometry.lane_width)
-    plan = plans[(arm * geometry.lane_count + lane) * 3 + maneuver]
+    plan = build_route_plan(
+        _ARMS[arm], lane, _MANEUVERS[maneuver],
+        geometry.arm_length, geometry.lane_count, geometry.lane_width,
+    )
     return Vehicle(release_time, plan, vclass, cruise, connected)
 
 

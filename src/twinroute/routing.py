@@ -8,14 +8,13 @@ and breaks remaining exact ties by the lexicographically smallest node
 sequence, so results are deterministic and order-independent. A route is
 its tuple of hops, source first and RSU last.
 
-One routing pass serves truth graphs and forecast steps, and reads one
-input: a step's :class:`~twinroute.topology.StepRows`, of which it reads
-the RSU's ``{neighbour: loss}`` row and the full row of every node that
-row misses. A truth graph keeps its step's as ``rows``; a planning epoch
-cuts each forecast step's from the forecast's link rows with
-:func:`~twinroute.topology.step_rows`, so it builds no graph. A route is
-checked hop by hop with the ground truth's edge test,
-:meth:`~twinroute.topology.ConnectivityGraph.linked`.
+One routing pass, :func:`route_realtime`, serves truth graphs and
+forecast graphs alike: of a :class:`~twinroute.topology.ConnectivityGraph`
+it reads the RSU's ``{neighbour: loss}`` row and the full row of every
+node that row misses. A planning epoch builds each forecast step's graph
+with :func:`~twinroute.topology.build_topologies`, as the engine builds
+the truth. A route is checked hop by hop with the ground truth's edge
+test, :meth:`~twinroute.topology.ConnectivityGraph.linked`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .channel import ChannelParams
 from .model import NodeId, WorldSnapshot
 from .prediction import TrajectoryPredictor, Tracks, predict
-from .topology import ConnectivityGraph, StepRows, feasible_links, step_rows
+from .topology import ConnectivityGraph, build_topologies
 
 
 # One routing pass: every vehicle node of the graph, in node order, to its
@@ -36,9 +35,7 @@ from .topology import ConnectivityGraph, StepRows, feasible_links, step_rows
 RouteTable = dict[NodeId, tuple[NodeId, ...] | None]
 
 
-def _layers(
-    n_nodes: int, rows: StepRows
-) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
+def _layers(graph: ConnectivityGraph) -> tuple[list[int | None], dict[int, list[tuple[int, float]]]]:
     """BFS hop depth of every node from the RSU (None if unreachable), and
     per node at depth 2 or more its (neighbour, loss) pairs one layer
     closer to the RSU, in index order.
@@ -49,11 +46,11 @@ def _layers(
     down list in the same sweep, so only the rows the RSU's row misses are
     read. Depths and down lists equal a plain BFS.
     """
-    depth: list[int | None] = [None] * n_nodes
+    depth: list[int | None] = [None] * len(graph.nodes)
     depth[0] = 0
-    for v in rows.rsu_row:
+    for v in graph.rsu_row:
         depth[v] = 1
-    missed = rows.missed
+    missed = graph.missed
     down: dict[int, list[tuple[int, float]]] = {}
     unreached = list(missed)
     layer = 1
@@ -120,14 +117,21 @@ def _route_from(
     return (*map(nodes.__getitem__, path), nodes[0])
 
 
-def _route_table(nodes: tuple[NodeId, ...], rows: StepRows, max_hops: int | None) -> RouteTable:
-    """The routing pass: every vehicle node to its route, in node order,
-    from a step's RSU row and the rows it misses.
+def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
+    """The routing pass: every vehicle node of ``graph`` to its route to
+    the RSU, in node order.
+
+    The graph's nodes are the connected vehicles of the snapshot it was
+    built from; a forecast graph keeps those of the last observed
+    snapshot. The engine decides
+    which snapshot that is: with a control-plane latency it lags the
+    scoring time, so the table may already be stale when it is applied.
 
     A node one hop from the RSU routes straight to it: a direct link wins
     whatever ``max_hops`` is.
     """
-    depth, down = _layers(len(nodes), rows)
+    nodes = graph.nodes
+    depth, down = _layers(graph)
     rsu = nodes[0]
     cap = None if max_hops is None else max(max_hops, 1)
     table: RouteTable = {}
@@ -139,21 +143,8 @@ def _route_table(nodes: tuple[NodeId, ...], rows: StepRows, max_hops: int | None
         elif layer is None or (cap is not None and layer > cap):
             table[source] = None
         else:
-            table[source] = _route_from(nodes, k, layer, down, rows.rsu_row)
+            table[source] = _route_from(nodes, k, layer, down, graph.rsu_row)
     return table
-
-
-def route_realtime(graph: ConnectivityGraph, max_hops: int | None = None) -> RouteTable:
-    """Route every vehicle node of ``graph`` to the RSU, in node order.
-
-    The graph's nodes are the connected vehicles of the snapshot it was
-    built from. The engine decides which snapshot that is: with a
-    control-plane latency it lags the scoring time, so the table may
-    already be stale when it is applied.
-
-    A direct link wins whatever ``max_hops`` is.
-    """
-    return _route_table(graph.nodes, graph.rows, max_hops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +153,8 @@ class PredictivePlan:
     route table and the forecast it was computed from, a read-only
     ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
     the last observed snapshot's vehicles, in the order of its ``ids``.
-    Each table was routed from the step's rows of the forecast's links,
-    and equals the :func:`route_realtime` table of the graph those poses
-    build.
+    Each table is the :func:`route_realtime` table of the step's
+    forecast graph, the graph those poses build.
     The engine holds every strategy's window of tables as one; a realtime
     or conventional window holds one table for every step of a range,
     has no ids and no forecasts, and keeps in ``graph`` the graph it was
@@ -202,13 +192,10 @@ def route_predictive(
     counted in ``degraded_tracks``. Every forecast step keeps the last
     observed snapshot's vehicles and moves only their ``(x, y, heading)``
     rows: the forecast's ``(steps, V, 3)`` pose array, past the lag, is
-    the one from which one :func:`~twinroute.topology.feasible_links`
-    call finds the links of all the planned steps.
-    :func:`~twinroute.topology.step_rows` cuts from them each step's rows,
-    as it does for a truth graph, and the routing pass turns them into the
-    step's table, which equals the :func:`route_realtime` table of the
-    step's :func:`~twinroute.topology.build_topologies` graph; no graph is
-    built.
+    the one from which one :func:`~twinroute.topology.build_topologies`
+    call builds the graphs of all the planned steps, as the engine builds
+    a run of truth graphs, and each step's table is the
+    :func:`route_realtime` table of its graph.
     """
     if not history:
         raise ValueError("history must contain at least one snapshot")
@@ -224,10 +211,8 @@ def route_predictive(
     xy_yaw = rows[lag_steps:]
     xy_yaw.setflags(write=False)
     timesteps = range(now + 1, now + steps + 1)
-    links = feasible_links(last, timesteps, xy_yaw, params, budget_db)
-    nodes = last.fleet.nodes
-    routed = step_rows(len(nodes), steps, links)
-    entries = {ts: _route_table(nodes, step, max_hops) for ts, step in zip(timesteps, routed)}
+    graphs = build_topologies(last, timesteps, xy_yaw, params, budget_db)
+    entries = {graph.timestep: route_realtime(graph, max_hops) for graph in graphs}
     return PredictivePlan(entries, tracks.ids, dict(zip(timesteps, xy_yaw)), int(degraded.sum()))
 
 

@@ -4,15 +4,12 @@ with equal fleets at once.
 
 A build has two stages. The link stage, :func:`feasible_links`, takes
 per-step poses and returns every step's feasible links as
-:class:`LinkRows`. The per-step builder, :func:`step_rows`, cuts from
-them, per step, what the routing pass reads: the RSU's row and the row
-of every node that row misses. :func:`link_graphs` wraps each step's in
-one :class:`ConnectivityGraph`, and :func:`build_topologies` is the two
-stages together, as the engine builds the truth; one snapshot's graph is
-the one-step call
+:class:`LinkRows`. The per-step builder, :func:`link_graphs`, makes one
+:class:`ConnectivityGraph` per step from them, and
+:func:`build_topologies` is the two stages together. The engine builds
+the truth this way, and the predictive planner a forecast's graphs; one
+snapshot's graph is the one-step call
 ``build_topologies(snap, [snap.timestep], snap.xy_yaw[None], ...)[0]``.
-The predictive planner routes a forecast step from its step's rows, and
-builds no graph.
 
 Nodes are the RSU plus every connected vehicle; an undirected edge exists
 for every feasible antenna-to-antenna link. Unconnected vehicles never
@@ -23,13 +20,13 @@ antenna with no body.
 The graph is stored over int node indices (the position in the sorted
 ``nodes`` tuple, RSU at 0): one ``(i, j)`` row of ``edges`` per feasible
 link with ``i < j`` in ascending (i, j) order, its distance, blocker
-count and path loss in the ``edge_*`` arrays at the same row. Node
-``i``'s block is its rows with ``i`` as the lower end. The routing input
-is the RSU's ``{neighbour: loss}`` row and, per node that row misses,
-that node's full row; each row's keys ascend in index order, which is
-``NodeId`` order. :meth:`ConnectivityGraph.linked` is the edge test.
-A topology dump is :data:`TOPOLOGY_DUMP_HEADER`, then :func:`dump_topology`
-of each graph.
+count and path loss in the ``edge_*`` arrays at the same row, all views
+of the step's slice of the link rows. Node ``i``'s block is its rows
+with ``i`` as the lower end. The routing input is the RSU's
+``{neighbour: loss}`` row and, per node that row misses, that node's full
+row; each row's keys ascend in index order, which is ``NodeId`` order.
+:meth:`ConnectivityGraph.linked` is the edge test. A topology dump is
+:data:`TOPOLOGY_DUMP_HEADER`, then :func:`dump_topology` of each graph.
 """
 
 from __future__ import annotations
@@ -37,7 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterator, NamedTuple, Sequence
+from itertools import compress
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,28 +49,48 @@ class ConnectivityGraph:
     timestep: int
     nodes: tuple[NodeId, ...]  # sorted, RSU first
     index: dict[NodeId, int] = field(repr=False)
-    # (E, 2) int64 rows (i, j) of the feasible links, i < j, ascending;
-    # the edge_* arrays hold each link's stats at its row
-    edges: np.ndarray = field(repr=False)
-    edge_distance: np.ndarray = field(repr=False)
-    edge_blockers: np.ndarray = field(repr=False)
-    edge_loss: np.ndarray = field(repr=False)
-    # the step's routing input and the edge test's block index
-    rows: StepRows = field(repr=False)
+    # the link rows of the run of steps this graph is one of, and its slice
+    links: LinkRows = field(repr=False)
+    span: slice = field(repr=False)
+    # the routing input: the RSU's {neighbour: loss} row, ascending, and
+    # per node that row misses, ascending, its full {neighbour: loss} row
+    rsu_row: dict[int, float] = field(repr=False)
+    missed: dict[int, dict[int, float]] = field(repr=False)
+    # the edge test's blocks: the j of every link row, shared by the run's
+    # graphs, and per node index and one past the last, where its block starts
+    upper: list[int] = field(repr=False)
+    starts: list[int] = field(repr=False)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) int64 rows (i, j) of the feasible links, i < j, ascending;
+        the ``edge_*`` arrays hold each link's stats at its row."""
+        return self.links.ij.T[self.span]
+
+    @property
+    def edge_distance(self) -> np.ndarray:
+        return self.links.distance[self.span]
+
+    @property
+    def edge_blockers(self) -> np.ndarray:
+        return self.links.blockers[self.span]
+
+    @property
+    def edge_loss(self) -> np.ndarray:
+        return self.links.loss[self.span]
 
     def linked(self, a: int, b: int) -> bool:
         """Whether the nodes of index ``a`` and ``b`` share a link: read
         from the RSU's row or a row it misses, else by bisection in the
         lower end's block."""
-        rows = self.rows
         if a > b:
             a, b = b, a
         if a == 0:
-            return b in rows.rsu_row
-        row = rows.missed.get(a)
+            return b in self.rsu_row
+        row = self.missed.get(a)
         if row is not None:
             return b in row
-        upper, lo, hi = rows.upper, rows.starts[a], rows.starts[a + 1]
+        upper, lo, hi = self.upper, self.starts[a], self.starts[a + 1]
         k = bisect_left(upper, b, lo, hi)
         return k < hi and upper[k] == b
 
@@ -98,19 +116,6 @@ class LinkRows(NamedTuple):
     distance: np.ndarray  # (E,) float64
     blockers: np.ndarray  # (E,) int64
     loss: np.ndarray  # (E,) float64
-
-
-class StepRows(NamedTuple):
-    """One step of link rows laid out as :class:`LinkRows` lays them out:
-    the step's slice of the rows, the routing input cut from them, and
-    where each node's block of rows starts, for the edge test."""
-
-    span: slice
-    rsu_row: dict[int, float]  # {neighbour: loss}, ascending
-    # per node the RSU's row misses, ascending, its full {neighbour: loss} row
-    missed: dict[int, dict[int, float]]
-    upper: list[int]  # the j of every row of the links, shared by their steps
-    starts: list[int]  # per node index and one past the last, where its block starts
 
 
 def feasible_links(
@@ -218,7 +223,8 @@ def build_topologies(
     """One graph per step: one snapshot's vehicles at per-step poses.
 
     The engine builds the truth graphs of a run of consecutive snapshots
-    with one vehicle set (a run of one included) this way. The links are
+    with one vehicle set (a run of one included) this way, and the
+    predictive planner the graphs of a forecast's steps. The links are
     :func:`feasible_links` of the same arguments, which says what they
     are and what it checks; :func:`link_graphs` makes the graphs.
     """
@@ -232,56 +238,41 @@ def build_topologies(
 def link_graphs(
     timesteps: Sequence[int], nodes: tuple[NodeId, ...], index: dict[NodeId, int], links: LinkRows
 ) -> list[ConnectivityGraph]:
-    """One graph per step of ``links`` over ``nodes``: its edge arrays are
-    the step's slice of the link rows, and its routing input and edge
-    test read the step's :func:`step_rows`. Every graph shares ``nodes``
-    and ``index``."""
-    edges = links.ij.T  # (E, 2) view: taking along the pair axis is the cheaper gather
-    return [
-        ConnectivityGraph(
-            ts, nodes, index, edges[step.span], links.distance[step.span],
-            links.blockers[step.span], links.loss[step.span], step,
-        )
-        for ts, step in zip(timesteps, step_rows(len(nodes), len(timesteps), links))
-    ]
-
-
-def step_rows(n_nodes: int, n_steps: int, links: LinkRows) -> Iterator[StepRows]:
-    """Per step of ``links`` over ``n_nodes`` nodes: what the routing pass
-    reads of it, the RSU's row and the full row of every node that row
-    misses, with the step's slice of the rows and each node's block start.
+    """One graph per step of ``links`` over ``nodes``, all sharing
+    ``nodes``, ``index`` and ``links``: what the routing pass reads of the
+    step, the RSU's row and the full row of every node that row misses,
+    with the step's slice of the rows and each node's block start.
 
     One ``searchsorted`` finds every (step, node) block of rows, and one
-    ``tolist`` per column serves every step. A missed node's upper
-    neighbours are its own block. Each lower one is read from that
-    neighbour's row where the RSU's row misses it too, else found by
-    bisection in its block. So every row ascends, and no dict holds a link
-    between two nodes one hop from the RSU, which the pass never reads.
+    ``tolist`` per column serves every step. The RSU's row is its block.
+    One pass over the step's vehicle-to-vehicle rows, in ascending (i, j),
+    keeps those whose upper end the RSU's row misses and pushes each into
+    that end's row, which so gets its lower neighbours in ascending order;
+    its own block, appended after them, gives the upper ones. So every row
+    ascends at O(links) per step, and no dict holds a link between two
+    nodes one hop from the RSU, which routing never reads.
     """
+    n_nodes = len(nodes)
     i, j = links.ij
-    starts = np.searchsorted(links.step * n_nodes + i, np.arange(n_steps * n_nodes + 1)).tolist()
-    upper, loss = j.tolist(), links.loss.tolist()
-    for base in range(0, n_steps * n_nodes, n_nodes):
-        block = starts[base:base + n_nodes + 1]
-        rsu_row = dict(zip(upper[block[0]:block[1]], loss[block[0]:block[1]]))
-        missed: dict[int, dict[int, float]] = {}
-        for v in range(1, n_nodes):
-            if v in rsu_row:
-                continue
-            row = {}
-            for u in range(1, v):
-                lower = missed.get(u)
-                if lower is None:
-                    lo, hi = block[u], block[u + 1]
-                    k = bisect_left(upper, v, lo, hi)
-                    if k < hi and upper[k] == v:
-                        row[u] = loss[k]
-                elif v in lower:
-                    row[u] = lower[v]
-            lo, hi = block[v], block[v + 1]
-            row.update(zip(upper[lo:hi], loss[lo:hi]))
-            missed[v] = row
-        yield StepRows(slice(block[0], block[-1]), rsu_row, missed, upper, block)
+    starts = np.searchsorted(links.step * n_nodes + i, np.arange(len(timesteps) * n_nodes + 1)).tolist()
+    lower, upper, loss = i.tolist(), j.tolist(), links.loss.tolist()
+    graphs = []
+    for s, ts in enumerate(timesteps):
+        block = starts[s * n_nodes:(s + 1) * n_nodes + 1]
+        first, vehicles, end = block[0], block[1], block[-1]
+        rsu_row = dict(zip(upper[first:vehicles], loss[first:vehicles]))
+        missed: dict[int, dict[int, float]] = {v: {} for v in range(1, n_nodes) if v not in rsu_row}
+        if missed:
+            into = upper[vehicles:end]
+            rows = zip(lower[vehicles:end], into, loss[vehicles:end])
+            for u, v, uv_loss in compress(rows, map(missed.__contains__, into)):
+                missed[v][u] = uv_loss
+            for v, row in missed.items():
+                row.update(zip(upper[block[v]:block[v + 1]], loss[block[v]:block[v + 1]]))
+        graphs.append(
+            ConnectivityGraph(ts, nodes, index, links, slice(first, end), rsu_row, missed, upper, block)
+        )
+    return graphs
 
 
 def dump_topology(graph: ConnectivityGraph, out: IO[str]) -> None:

@@ -693,16 +693,16 @@ def test_a_failed_truth_build_surfaces_at_its_own_step(monkeypatch):
 
 def test_a_planning_epoch_builds_only_the_steps_it_applies(monkeypatch):
     """With a 3 s horizon and a 1 s interval, each epoch forecasts and
-    finds the links of the 10 steps applied before the next one, not the
-    30 of the horizon."""
+    builds the graphs of the 10 steps applied before the next one, not
+    the 30 of the horizon."""
     built = []
-    real = routing.feasible_links
+    real = routing.build_topologies
 
     def spy(vehicles, timesteps, *args):
         built.append(list(timesteps))
         return real(vehicles, timesteps, *args)
 
-    monkeypatch.setattr(routing, "feasible_links", spy)
+    monkeypatch.setattr(routing, "build_topologies", spy)
     cfg = dataclasses.replace(
         SMALL,
         duration=5.0,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinroute import mobility
 from twinroute.config import default_config
 from twinroute.mobility import (
     MANEUVER_WEIGHTS,
@@ -107,6 +108,22 @@ def test_advance_rejects_another_step_length():
     assert state.step == 0
     advance_traffic(state, cfg.dt)
     assert state.step == 1
+
+
+def test_a_draw_builds_only_the_plan_it_drew(monkeypatch):
+    """With 10 000 lanes, a run builds at most one route plan per drawn
+    vehicle, not every plan of the geometry (12 per lane)."""
+    draws = []
+    real = mobility._draw
+    monkeypatch.setattr(mobility, "_draw", lambda *args: draws.append(1) or real(*args))
+    cfg = default_config(duration=20.0, vehicle_count=5, seed=3)
+    cfg = dataclasses.replace(cfg, intersection=dataclasses.replace(cfg.intersection, lane_count=10_000))
+    before = build_route_plan.cache_info().currsize
+    state = init_traffic(cfg)
+    for _ in range(20):
+        advance_traffic(state, cfg.dt)
+    assert len(draws) >= 5
+    assert build_route_plan.cache_info().currsize - before <= len(draws)
 
 
 def test_a_deep_copy_steps_as_the_original():

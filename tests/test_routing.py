@@ -18,13 +18,12 @@ from twinroute.model import NodeId, Strategy, VehicleState, WorldSnapshot
 from twinroute.prediction import ConstantTurnRatePredictor, ConstantVelocityPredictor, HoldPredictor
 from twinroute.routing import (
     _layers,
-    _route_table,
     dump_route_table,
     route_predictive,
     route_realtime,
     score_route,
 )
-from twinroute.topology import ConnectivityGraph, LinkRows, build_topologies, link_graphs, step_rows
+from twinroute.topology import ConnectivityGraph, LinkRows, build_topologies, link_graphs
 
 from conftest import TRUCK, count_validations, graph_from_losses, links, make_snapshot, make_vehicle
 from oracles import (
@@ -136,7 +135,7 @@ def test_neighbors_ascend_and_match_edges():
     rng = np.random.default_rng(77)
     for trial in range(100):
         g = random_graph(rng, quantized=trial % 2 == 0)
-        for n, got in [(0, g.rows.rsu_row), *g.rows.missed.items()]:
+        for n, got in [(0, g.rsu_row), *g.missed.items()]:
             node = g.nodes[n]
             keys = [node_key(g.nodes[k]) for k in got]
             assert keys == sorted(keys), trial
@@ -298,10 +297,10 @@ def test_hop_layers_equal_a_plain_bfs(g):
     over the full adjacency: layer 1 is the RSU's row, which holds each
     depth-1 node's one down link."""
     want_depth, want_down = oracle_hop_layers(g)
-    depth, down = _layers(len(g.nodes), g.rows)
+    depth, down = _layers(g)
     assert depth == want_depth
     assert down == {v: want_down[v] for v, d in enumerate(depth) if d is not None and d > 1}
-    assert all(want_down[v] == [(0, loss)] for v, loss in g.rows.rsu_row.items())
+    assert all(want_down[v] == [(0, loss)] for v, loss in g.rsu_row.items())
 
 
 @st.composite
@@ -326,17 +325,17 @@ MIXED_WINDOW = ([DEEP_CHAIN, LONE_RSU, {}, SOURCE_FIRST_TIE], 8)
 @example(batch=MIXED_WINDOW, max_hops=2)
 @example(batch=MIXED_WINDOW, max_hops=4)
 def test_a_window_of_link_rows_routes_as_its_graphs(batch, max_hops):
-    """The tables a planning epoch routes from one window's link rows:
-    each step's equals ``route_realtime`` of that step's graph, built
-    alone, key order included, and the heap Dijkstra route for route."""
+    """Each step's graph of one window's link rows routes as that step's
+    graph built alone does, key order included, and as the heap Dijkstra
+    route for route."""
     steps, n_vehicles = batch
     graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
     nodes = graphs[0].nodes
     assert all(g.nodes == nodes for g in graphs)
-    window = list(step_rows(len(nodes), len(graphs), link_rows(graphs)))
+    window = link_graphs(range(len(graphs)), nodes, graphs[0].index, link_rows(graphs))
     assert len(window) == len(graphs)
-    for g, rows in zip(graphs, window):
-        table = _route_table(nodes, rows, max_hops)
+    for g, got in zip(graphs, window):
+        table = route_realtime(got, max_hops)
         assert list(table.items()) == list(route_realtime(g, max_hops).items())
         assert table == {s: oracle_dijkstra_route(g, s, max_hops) for s in nodes[1:]}
 
@@ -358,10 +357,18 @@ def reach_batches(draw):
     return cut, n_vehicles
 
 
+# 60 nodes, each vehicle linked to the next four, whose RSU row reaches no
+# vehicle or one: the builder fills a row for almost every node
+BAND_60 = {(v, w): 80.0 + (v + w) % 7 for v in range(59) for w in range(v + 1, min(v + 5, 59))}
+BAND_WINDOWS = ([BAND_60], 59), ([{**BAND_60, ("rsu", 29): 90.0}], 59)
+
+
 @settings(max_examples=300, deadline=None)
 @given(batch=reach_batches())
 @example(batch=MIXED_WINDOW)
-def test_step_rows_cut_every_row_the_routing_pass_reads(batch):
+@example(batch=BAND_WINDOWS[0])
+@example(batch=BAND_WINDOWS[1])
+def test_link_graphs_cut_every_row_the_routing_pass_reads(batch):
     """Per step of one window's link rows: the RSU's row and the row of
     every node it misses equal those cut from the full adjacency built
     from the step's ``edges``, key order included, and the window's graphs
@@ -373,10 +380,9 @@ def test_step_rows_cut_every_row_the_routing_pass_reads(batch):
     window = link_graphs(range(len(graphs)), nodes, graphs[0].index, link_rows(graphs))
     for g, got in zip(graphs, window, strict=True):
         full = adjacency(g)
-        rows = got.rows
-        assert list(rows.rsu_row.items()) == list(full[0].items())
-        assert list(rows.missed) == [v for v in range(1, len(nodes)) if v not in full[0]]
-        for v, row in rows.missed.items():
+        assert list(got.rsu_row.items()) == list(full[0].items())
+        assert list(got.missed) == [v for v in range(1, len(nodes)) if v not in full[0]]
+        for v, row in got.missed.items():
             assert list(row.items()) == list(full[v].items())
         assert np.array_equal(got.edges, g.edges)
         edges = set(map(tuple, g.edges.tolist()))
@@ -629,40 +635,33 @@ def test_a_predictive_epoch_builds_only_the_vehicle_states_it_reads(monkeypatch,
     assert built[-1][0] == "VehicleState"
 
 
-def test_a_predictive_epoch_builds_no_graph(monkeypatch):
-    """A planning epoch routes its forecast from step rows: it constructs
-    no ConnectivityGraph, and cuts every forecast step's rows from the one
-    call's link rows; on this scene those rows hold fewer links than the
-    feasible ones."""
-    built, found, cut = [], [], []
-    real_init, real_links, real_rows = ConnectivityGraph.__init__, routing.feasible_links, routing.step_rows
+def test_a_predictive_epoch_routes_one_build_of_its_applied_steps(monkeypatch):
+    """A planning epoch makes one ``build_topologies`` call over the steps
+    it applies, and each step's table is ``route_realtime`` of that step's
+    graph; on this scene the graphs' routing rows hold fewer links than
+    the feasible ones."""
+    found = []
+    real = routing.build_topologies
 
-    def counted_init(self, *args, **kwargs):
-        built.append("ConnectivityGraph")
-        real_init(self, *args, **kwargs)
+    def spy(last, timesteps, *args):
+        found.append((list(timesteps), real(last, timesteps, *args)))
+        return found[-1][1]
 
-    def counted_rows(n_nodes, n_steps, links):
-        cut.append((n_nodes, n_steps, links))
-        return real_rows(n_nodes, n_steps, links)
-
-    monkeypatch.setattr(ConnectivityGraph, "__init__", counted_init)
-    monkeypatch.setattr(routing, "feasible_links", lambda *args: found.append(real_links(*args)) or found[-1])
-    monkeypatch.setattr(routing, "step_rows", counted_rows)
+    monkeypatch.setattr(routing, "build_topologies", spy)
     plan, history, _ = plan_counting(monkeypatch, (), ConstantVelocityPredictor())
     assert any(route is not None for table in plan.entries.values() for route in table.values())
-    assert built == []
-    (links,) = found
-    ((n_nodes, n_steps, read),) = cut
-    assert (n_nodes, n_steps) == (len(history[-1].fleet.nodes), 20) and read is links
-    held = 0
-    for rows in real_rows(n_nodes, n_steps, links):
-        pairs = {(0, v) for v in rows.rsu_row}
-        pairs.update((min(u, v), max(u, v)) for v, row in rows.missed.items() for u in row)
+    ((timesteps, graphs),) = found
+    assert timesteps == list(plan.entries) == [g.timestep for g in graphs]
+    assert len(graphs) == 20
+    held = feasible = 0
+    for g in graphs:
+        assert g.nodes == history[-1].fleet.nodes
+        assert list(plan.entries[g.timestep].items()) == list(route_realtime(g).items())
+        pairs = {(0, v) for v in g.rsu_row}
+        pairs.update((min(u, v), max(u, v)) for v, row in g.missed.items() for u in row)
         held += len(pairs)
-    assert 0 < held < len(links.step)
-    cfg = default_config()
-    snapshot_graph(history[-1], cfg.channel, cfg.link_budget_db)  # the patched init still counts
-    assert built == ["ConnectivityGraph"]
+        feasible += len(g.edges)
+    assert 0 < held < feasible
 
 
 # (vehicles, connected fraction, lanes, route depths its tables must hold):
@@ -683,8 +682,9 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
     """Every planning epoch of a 20 s run with a 0.3 s latency and a
     two-hop cap (seed 1; seeds 1-4 under ``--extended``), in a 30-vehicle
     mixed scene and a 60-vehicle connected one on 2 lanes: each forecast
-    step's table equals ``route_realtime`` of the ``build_topologies``
-    graph of that step's forecast poses, key order included."""
+    step's table equals ``route_realtime`` of the graph that a one-step
+    ``build_topologies`` call builds from that step's forecast poses, key
+    order included."""
     epochs = []
     real = engine.route_predictive
 
@@ -711,14 +711,13 @@ def test_every_forecast_table_equals_routing_its_built_graph(monkeypatch, fuzz_s
     for last, plan in epochs:
         timesteps = list(plan.entries)
         assert timesteps == list(plan.forecast)
-        xy_yaw = np.stack([plan.forecast[ts] for ts in timesteps])
-        graphs = build_topologies(last, timesteps, xy_yaw, cfg.channel, cfg.link_budget_db)
-        for g in graphs:
+        for ts in timesteps:
+            (g,) = build_topologies(last, [ts], plan.forecast[ts][None], cfg.channel, cfg.link_budget_db)
             want = route_realtime(g, 2)
             assert list(plan.entries[g.timestep].items()) == list(want.items()), g.timestep
             uncapped = route_realtime(g)
             depths.update(len(r) - 1 if r else 0 for r in uncapped.values())
-            beyond += len(g.rows.missed)
+            beyond += len(g.missed)
             nodes += len(g.nodes) - 1
     assert want_depths <= depths
     assert beyond > nodes // 10  # the RSU's row misses many nodes

@@ -163,9 +163,9 @@ def assert_same_graph(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape and np.array_equal(a, b), name
-    assert list(got.rows.rsu_row.items()) == list(want.rows.rsu_row.items())
-    assert [(v, list(row.items())) for v, row in got.rows.missed.items()] == [
-        (v, list(row.items())) for v, row in want.rows.missed.items()
+    assert list(got.rsu_row.items()) == list(want.rsu_row.items())
+    assert [(v, list(row.items())) for v, row in got.missed.items()] == [
+        (v, list(row.items())) for v, row in want.missed.items()
     ]
 
 
@@ -186,8 +186,8 @@ def snapshots_of(snapshot, timesteps, xy_yaw):
 
 
 def forecast_epochs(duration=20.0):
-    """The link-stage inputs of every planning epoch of a 30-vehicle mixed
-    run, which are the ``build_topologies`` inputs of its forecast graphs:
+    """The ``build_topologies`` inputs of every planning epoch of a
+    30-vehicle mixed run, which builds its forecast graphs from them:
     (snapshot, timesteps, xy_yaw)."""
     cfg = default_config(
         duration=duration, vehicle_count=30, connected_fraction=0.5, seed=1,
@@ -197,10 +197,10 @@ def forecast_epochs(duration=20.0):
 
     def capture(*args):
         epochs.append(args[:3])
-        return feasible_links(*args)
+        return build_topologies(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "feasible_links", capture)
+        mp.setattr(routing, "build_topologies", capture)
         run_single(cfg)
     return cfg, epochs
 
@@ -241,9 +241,8 @@ def test_every_graph_of_a_predictive_run_keeps_the_edge_layout():
         assert (i < j).all()
         assert (np.diff(i * len(graph.nodes) + j) > 0).all()
         want = adjacency(graph)
-        rows = graph.rows
-        assert list(rows.rsu_row.items()) == list(want[0].items())
-        assert [(v, list(row.items())) for v, row in rows.missed.items()] == [
+        assert list(graph.rsu_row.items()) == list(want[0].items())
+        assert [(v, list(row.items())) for v, row in graph.missed.items()] == [
             (v, list(want[v].items())) for v in range(1, len(want)) if v not in want[0]
         ]
     assert sum(len(g.edges) for g in truth) > 0 and sum(len(g.edges) for g in forecast) > 0
@@ -311,7 +310,7 @@ def test_batched_build_of_vehicle_free_snapshots():
     assert [g.timestep for g in got] == [3, 4, 5]
     for graph, snap in zip(got, snapshots_of(empty, [3, 4, 5], no_poses)):
         assert graph.nodes == (NodeId.rsu(),)
-        assert graph.rows.rsu_row == {} and graph.rows.missed == {}
+        assert graph.rsu_row == {} and graph.missed == {}
         assert_same_graph(graph, snapshot_graph(snap, PARAMS, BUDGET))
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
         assert graph.edge_loss.dtype == np.float64
