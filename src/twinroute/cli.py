@@ -3,9 +3,9 @@
 Subcommands: run (single scenario), sweep (experiment matrix), validate
 (configuration check), replay (external snapshot trace, streamed through
 the pipeline). Data goes to files and stdout; progress and diagnostics go
-to stderr. Exit codes: 0 success, 2 configuration/validation error, or a
-trace that cannot be read or has a bad row (found mid-replay too), 3
-runtime error.
+to stderr. Exit codes: 0 success, 2 configuration/validation error, a
+trace that cannot be read or has a bad row (found mid-replay too), or a
+run with no connected vehicle to score, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import load_config, validate_config
 from .engine import ConfigError, log, run_single
 from .experiment import SweepCell, SweepCellError, load_sweep_spec, run_sweep, write_cell, write_summary
-from .metrics import SUMMARY_HEADER
+from .metrics import SUMMARY_HEADER, NothingToScore
 from .mobility import snapshot_stream
 from .model import Strategy
 from .trace import TraceError, read_trace, tee_trace
@@ -195,6 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     except SweepCellError as exc:
         log(str(exc))
         return EXIT_RUNTIME
+    except NothingToScore as exc:
+        log(
+            f"configuration error: {exc}; no connected vehicle entered before the run ended "
+            "(see connected_fraction, vehicle_count, mobility.spawn_window and duration)"
+        )
+        return EXIT_CONFIG
     except Exception as exc:  # runtime failures map to exit code 3
         log(f"runtime error: {exc}")
         return EXIT_RUNTIME

@@ -266,6 +266,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidationReport:
         check(cfg.prediction.interval >= cfg.dt, "prediction.interval", "must be >= dt")
     # a scenario with no connected vehicle has no route to score
     check(cfg.vehicle_count >= 1, "vehicle_count", "must be >= 1")
+    # traffic draws every vehicle before the first step and scans each one
+    # not yet released at every step, so a huge count stalls the run
+    check(cfg.vehicle_count <= 10_000, "vehicle_count", "must be <= 10000")
     check(0.0 < cfg.connected_fraction <= 1.0, "connected_fraction", "must be within (0, 1]")
     check(
         cfg.prediction.horizon >= cfg.prediction.interval,

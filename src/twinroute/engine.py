@@ -5,14 +5,13 @@ actual snapshot, asks the strategy's driver for the route table currently
 in force, and checks every connected vehicle's assignment against the
 ground truth. A table maps each routed vehicle to its hops, source first
 and RSU last. One driver serves every strategy: it holds a window of
-tables, one per timestep, and plans the next window at the first scored
-step ``t`` the current one does not cover. Strategies differ only in
-their planner:
+tables, a dict from timestep to table, and asks its planner for the
+next window at the first scored step ``t`` the current one does not
+cover. Strategies differ only in their planner:
 
-- real-time: a window of one step, routed on the snapshot
-  ``latency_delta`` seconds before ``t`` (zero latency means the
-  current one);
-- conventional: the current snapshot routed once and held
+- real-time: routes, at every step, the snapshot ``latency_delta``
+  seconds before ``t`` (zero latency means the current one);
+- conventional: routes the current snapshot and holds that table
   ``conventional_update_interval`` seconds; it has no latency;
 - predictive: planned at ``t - 1`` from the history that ends
   ``latency_delta`` seconds earlier, one forecast table per step of
@@ -21,7 +20,9 @@ their planner:
 
 A step older than the oldest retained snapshot reads that snapshot.
 
-A held window (real-time, conventional) keeps the graph it routed. A
+The real-time and conventional planners keep the table in force, the
+graph it was routed on, and the first step past its interval; each
+call returns a one-step window of that table, which keeps the graph. A
 table scored against that same graph object, as real-time at zero
 latency is at every step and conventional at its replan step, is valid
 by construction: its routes are counted, not walked hop by hop.
@@ -55,7 +56,6 @@ from __future__ import annotations
 import dataclasses
 import sys
 from collections import deque
-from collections.abc import Mapping
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator
 
@@ -190,34 +190,6 @@ class _SharedWorld:
             return self._build(run[:1])
 
 
-class _HeldTable(Mapping):
-    """One route table in force at every step of ``steps``, a range: a
-    read-only mapping whose cost does not depend on the range's length.
-    A step outside it is a KeyError, as in a dict. Membership compares
-    with the range's ends, which takes constant time for any integer
-    type; ``in`` on a range does so only for a Python int."""
-
-    __slots__ = ("steps", "table")
-
-    def __init__(self, steps: range, table: RouteTable):
-        self.steps = steps
-        self.table = table
-
-    def __getitem__(self, timestep: int) -> RouteTable:
-        if self.steps.start <= timestep < self.steps.stop:
-            return self.table
-        raise KeyError(timestep)
-
-    def __contains__(self, timestep: int) -> bool:
-        return self.steps.start <= timestep < self.steps.stop
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 class _Driver:
     """Applies the current window of tables and plans the next at the first
     scored step it does not cover; measures how far each scored snapshot
@@ -277,10 +249,15 @@ def _make_driver(config: ScenarioConfig) -> _Driver:
     if config.strategy is Strategy.CONVENTIONAL:
         steps, lag = seconds_to_steps(config.conventional_update_interval, config.dt), 0
 
+    table = graph = stop = None  # the table in force, its graph, the first step past its interval
+
     def plan_held(timestep: int, world: _SharedWorld) -> PredictivePlan:
-        graph = world.graph_at(timestep - lag)
-        table = route_realtime(graph, config.max_hops)
-        return PredictivePlan(_HeldTable(range(timestep, timestep + steps), table), (), {}, graph=graph)
+        nonlocal table, graph, stop
+        if stop is None or timestep >= stop:
+            graph = world.graph_at(timestep - lag)
+            table = route_realtime(graph, config.max_hops)
+            stop = timestep + steps
+        return PredictivePlan({timestep: table}, (), {}, graph=graph)
 
     return _Driver(plan_held, lag + 1)
 

@@ -35,11 +35,15 @@ class TimestepOutcome:
             )
 
 
+class NothingToScore(ValueError):
+    """Raised for the reliability of a run that scored no connected vehicle."""
+
+
 def reliability(outcomes: Sequence[TimestepOutcome]) -> float:
     """The ratio of sums over a run's timestep outcomes."""
     total = sum(o.connected_total for o in outcomes)
     if total == 0:
-        raise ValueError("reliability undefined: no connected vehicles over the whole run")
+        raise NothingToScore("reliability undefined: no connected vehicles over the whole run")
     return sum(o.connected_satisfied for o in outcomes) / total
 
 

@@ -8,7 +8,7 @@ newest rows a predictor reads are gathered: one for hold and constant
 velocity, two for turn rate, all of them for the learned model. Its
 ``extrapolate(tracks, steps, dt)`` returns the ``(steps, V, 3)`` array of
 ``(x, y, heading)`` rows, a snapshot's ``xy_yaw`` per step: the poses
-whose links the predictive planner finds and routes, building no graph.
+from which the predictive planner builds each step's graph and routes it.
 A forecast is these rows alone: a vehicle's id, body and flag are those
 of its last observed state.
 :func:`predict` is the one forecasting path and holds the one fallback.

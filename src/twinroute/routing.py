@@ -154,13 +154,10 @@ class PredictivePlan:
     ``(V, 3)`` array whose rows are the predicted ``(x, y, heading)`` of
     the last observed snapshot's vehicles, in the order of its ``ids``.
     Each table is the :func:`route_realtime` table of the step's
-    forecast graph, the graph those poses build.
-    The engine holds every strategy's window of tables as one; a realtime
-    or conventional window holds one table for every step of a range,
-    has no ids and no forecasts, and keeps in ``graph`` the graph it was
-    routed on. A step the window misses is a KeyError."""
+    forecast graph, the graph those poses build. ``graph``, where set,
+    is the graph every table was routed on."""
 
-    entries: Mapping[int, RouteTable]
+    entries: dict[int, RouteTable]
     ids: tuple[NodeId, ...]
     forecast: dict[int, np.ndarray]
     degraded_tracks: int = 0

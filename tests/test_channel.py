@@ -68,37 +68,43 @@ def test_class_selection_first_match():
         assert path_loss(1.0, blockers, params) == gamma + 0.015, blockers
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    d1=st.floats(min_value=1.0, max_value=149.0),
-    d2=st.floats(min_value=1.0, max_value=149.0),
-    blockers=st.integers(min_value=0, max_value=5),
-)
-# neighbouring floats can round to one loss: never decreasing, and strictly
-# increasing once the distances differ by more than the loss's rounding
-@example(d1=1.0, d2=1.0000000000000002, blockers=0)
-@example(d1=149.0, d2=148.99999999999997, blockers=0)
-def test_loss_strictly_monotone_in_distance(d1, d2, blockers):
-    if d1 == d2:
-        return
-    lo, hi = sorted((d1, d2))
-    params = default_channel_params()
-    loss_lo, loss_hi = path_loss(lo, blockers, params), path_loss(hi, blockers, params)
-    assert loss_lo <= loss_hi
-    if hi > lo * (1 + 1e-12):
-        assert loss_lo < loss_hi
+def test_loss_strictly_monotone_in_distance(fuzz_scale):
+    @settings(max_examples=200 * fuzz_scale, deadline=None)
+    @given(
+        d1=st.floats(min_value=1.0, max_value=149.0),
+        d2=st.floats(min_value=1.0, max_value=149.0),
+        blockers=st.integers(min_value=0, max_value=5),
+    )
+    # neighbouring floats can round to one loss: never decreasing, and strictly
+    # increasing once the distances differ by more than the loss's rounding
+    @example(d1=1.0, d2=1.0000000000000002, blockers=0)
+    @example(d1=149.0, d2=148.99999999999997, blockers=0)
+    def check(d1, d2, blockers):
+        if d1 == d2:
+            return
+        lo, hi = sorted((d1, d2))
+        params = default_channel_params()
+        loss_lo, loss_hi = path_loss(lo, blockers, params), path_loss(hi, blockers, params)
+        assert loss_lo <= loss_hi
+        if hi > lo * (1 + 1e-12):
+            assert loss_lo < loss_hi
+
+    check()
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    d=st.floats(min_value=1.0, max_value=150.0),
-    k1=st.integers(min_value=0, max_value=6),
-    k2=st.integers(min_value=0, max_value=6),
-)
-def test_more_blockers_never_cheaper(d, k1, k2):
-    params = default_channel_params()
-    lo, hi = sorted((k1, k2))
-    assert path_loss(d, lo, params) <= path_loss(d, hi, params)
+def test_more_blockers_never_cheaper(fuzz_scale):
+    @settings(max_examples=200 * fuzz_scale, deadline=None)
+    @given(
+        d=st.floats(min_value=1.0, max_value=150.0),
+        k1=st.integers(min_value=0, max_value=6),
+        k2=st.integers(min_value=0, max_value=6),
+    )
+    def check(d, k1, k2):
+        params = default_channel_params()
+        lo, hi = sorted((k1, k2))
+        assert path_loss(d, lo, params) <= path_loss(d, hi, params)
+
+    check()
 
 
 def test_zero_budget_never_feasible():

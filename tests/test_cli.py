@@ -132,6 +132,44 @@ def test_traffic_whose_antennas_would_coincide_exits_2(tmp_path, capsys, text, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_vehicle_count_past_ten_thousand_exits_2(tmp_path, capsys, command):
+    """Traffic draws every vehicle before the first step, so a huge count
+    once validated and then stalled the run."""
+    path = tmp_path / "huge.yaml"
+    path.write_text("vehicle_count: 10001\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path)] + (["--out-dir", str(out)] if command == "run" else [])) == 2
+    assert "vehicle_count: must be <= 10000" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text("vehicle_count: 10000\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            "duration: 5\nconnected_fraction: 1.0e-300\nmobility:\n  spawn_window: 1\n",
+            id="no-vehicle-connected",
+        ),
+        pytest.param("dt: 0.001\nduration: 0.01\n", id="run-ends-before-a-release"),
+    ],
+)
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_a_run_with_nothing_to_score_exits_2_naming_the_fields(tmp_path, capsys, text, strategy):
+    """A config that validates but puts no connected vehicle on the road
+    before the run ends once exited 3 as a runtime error."""
+    path = tmp_path / "empty.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--strategy", strategy, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "reliability undefined: no connected vehicles over the whole run" in err
+    for field in ("connected_fraction", "vehicle_count", "mobility.spawn_window", "duration"):
+        assert field in err
+
+
 def test_run_writes_summary_and_detail(tmp_path):
     cfg = write_small_config(tmp_path / "s.yaml")
     out = tmp_path / "out"

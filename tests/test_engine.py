@@ -256,18 +256,33 @@ def test_a_held_table_costs_the_same_whatever_its_interval():
 
 
 def test_a_step_a_window_misses_is_a_key_error():
-    table = {NodeId.vehicle(0): None}
-    held = engine._HeldTable(range(3, 5), table)
-    assert list(held) == [3, 4] and len(held) == 2 and dict(held) == {3: table, 4: table}
-    assert 2 not in held and 5 not in held and held[4] is table and held[np.int64(3)] is table
-    with pytest.raises(KeyError):
-        held[5]
-
     def misses_its_step(timestep, world):
-        return routing.PredictivePlan(engine._HeldTable(range(timestep + 1, timestep + 2), table), (), {})
+        return routing.PredictivePlan({timestep + 1: {NodeId.vehicle(0): None}}, (), {})
 
     with pytest.raises(KeyError):
         engine._Driver(misses_its_step, 1).table_for(7, None)
+
+
+@pytest.mark.parametrize(
+    "strategy, interval",
+    [(Strategy.CONVENTIONAL, 0.7), (Strategy.CONVENTIONAL, 1e9), (Strategy.REALTIME, 0.7)],
+)
+def test_a_held_table_is_routed_once_per_interval(monkeypatch, strategy, interval):
+    """Over n scored steps, conventional with an interval of k steps routes
+    the snapshots of steps 1, 1 + k, ..., ceil(n / k) of them, so at 1e9 s
+    only the first; realtime routes every step."""
+    routed = []
+    real = engine.route_realtime
+
+    def spy(graph, max_hops):
+        routed.append(graph.timestep)
+        return real(graph, max_hops)
+
+    monkeypatch.setattr(engine, "route_realtime", spy)
+    cfg = dataclasses.replace(SMALL, strategy=strategy, conventional_update_interval=interval)
+    n = len(run_single(cfg).outcomes)
+    k = 1 if strategy is Strategy.REALTIME else seconds_to_steps(interval, cfg.dt)
+    assert n == 200 and routed == list(range(1, n + 1, k)) and len(routed) == -(-n // k)
 
 
 @pytest.mark.parametrize(

@@ -463,48 +463,52 @@ def test_batch_kernel_cut_into_chunks_counts_as_the_dense_reference(monkeypatch,
         assert got.any()
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 4), data=st.data())
-def test_batch_kernel_invariants(seed, n_steps, data):
+def test_batch_kernel_invariants(fuzz_scale):
     """Permuting the bodies or the pairs permutes nothing but the counts; a
     step counts as it does alone; a body counts for a pair exactly when
     neither endpoint owns it and the scalar slab test says it is hit."""
-    args = random_steps(np.random.default_rng(seed), n_steps, (0.0,) * n_steps)
-    points, pairs, point_owners, centers, halves, yaws, box_owners = args
-    got = blockage_count_matrix(*args)
 
-    by_box = np.array(data.draw(st.permutations(range(len(halves)))), dtype=np.int64)
-    by_pair = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.int64)
-    permuted = blockage_count_matrix(
-        points, pairs[by_pair], point_owners, centers[:, by_box], halves[by_box],
-        yaws[:, by_box], box_owners[by_box],
-    )
-    assert np.array_equal(permuted, got[:, by_pair])
+    @settings(max_examples=60 * fuzz_scale, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 4), data=st.data())
+    def check(seed, n_steps, data):
+        args = random_steps(np.random.default_rng(seed), n_steps, (0.0,) * n_steps)
+        points, pairs, point_owners, centers, halves, yaws, box_owners = args
+        got = blockage_count_matrix(*args)
 
-    for s in range(n_steps):
-        alone = blockage_count_matrix(
-            points[s:s + 1], pairs, point_owners, centers[s:s + 1], halves, yaws[s:s + 1],
-            box_owners,
+        by_box = np.array(data.draw(st.permutations(range(len(halves)))), dtype=np.int64)
+        by_pair = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.int64)
+        permuted = blockage_count_matrix(
+            points, pairs[by_pair], point_owners, centers[:, by_box], halves[by_box],
+            yaws[:, by_box], box_owners[by_box],
         )
-        assert np.array_equal(alone, got[s:s + 1])
+        assert np.array_equal(permuted, got[:, by_pair])
 
-    k = data.draw(st.integers(0, len(halves) - 1))
-    foreign = int(max(point_owners.max(), box_owners.max())) + 1
-    for key in {*point_owners.tolist(), foreign}:
-        one = blockage_count_matrix(
-            points, pairs, point_owners, centers[:, k:k + 1], halves[k:k + 1], yaws[:, k:k + 1],
-            np.array([key]),
-        )
         for s in range(n_steps):
-            box = ObstacleBox(
-                tuple(centers[s, k]), tuple(halves[k]), float(yaws[s, k]), NodeId.vehicle(0)
+            alone = blockage_count_matrix(
+                points[s:s + 1], pairs, point_owners, centers[s:s + 1], halves, yaws[s:s + 1],
+                box_owners,
             )
-            want = [
-                key not in (point_owners[i], point_owners[j])
-                and segment_intersects_box(tuple(points[s, i]), tuple(points[s, j]), box)
-                for i, j in pairs
-            ]
-            assert one[s].tolist() == [int(w) for w in want]
+            assert np.array_equal(alone, got[s:s + 1])
+
+        k = data.draw(st.integers(0, len(halves) - 1))
+        foreign = int(max(point_owners.max(), box_owners.max())) + 1
+        for key in {*point_owners.tolist(), foreign}:
+            one = blockage_count_matrix(
+                points, pairs, point_owners, centers[:, k:k + 1], halves[k:k + 1], yaws[:, k:k + 1],
+                np.array([key]),
+            )
+            for s in range(n_steps):
+                box = ObstacleBox(
+                    tuple(centers[s, k]), tuple(halves[k]), float(yaws[s, k]), NodeId.vehicle(0)
+                )
+                want = [
+                    key not in (point_owners[i], point_owners[j])
+                    and segment_intersects_box(tuple(points[s, i]), tuple(points[s, j]), box)
+                    for i, j in pairs
+                ]
+                assert one[s].tolist() == [int(w) for w in want]
+
+    check()
 
 
 def test_batch_kernel_empty_shapes():

@@ -363,32 +363,36 @@ BAND_60 = {(v, w): 80.0 + (v + w) % 7 for v in range(59) for w in range(v + 1, m
 BAND_WINDOWS = ([BAND_60], 59), ([{**BAND_60, ("rsu", 29): 90.0}], 59)
 
 
-@settings(max_examples=300, deadline=None)
-@given(batch=reach_batches())
-@example(batch=MIXED_WINDOW)
-@example(batch=BAND_WINDOWS[0])
-@example(batch=BAND_WINDOWS[1])
-def test_link_graphs_cut_every_row_the_routing_pass_reads(batch):
+def test_link_graphs_cut_every_row_the_routing_pass_reads(fuzz_scale):
     """Per step of one window's link rows: the RSU's row and the row of
     every node it misses equal those cut from the full adjacency built
     from the step's ``edges``, key order included, and the window's graphs
     answer the edge test as membership in ``edges`` does, for every pair
     of node indices."""
-    steps, n_vehicles = batch
-    graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
-    nodes = graphs[0].nodes
-    window = link_graphs(range(len(graphs)), nodes, graphs[0].index, link_rows(graphs))
-    for g, got in zip(graphs, window, strict=True):
-        full = adjacency(g)
-        assert list(got.rsu_row.items()) == list(full[0].items())
-        assert list(got.missed) == [v for v in range(1, len(nodes)) if v not in full[0]]
-        for v, row in got.missed.items():
-            assert list(row.items()) == list(full[v].items())
-        assert np.array_equal(got.edges, g.edges)
-        edges = set(map(tuple, g.edges.tolist()))
-        for a in range(len(nodes)):
-            for b in range(len(nodes)):
-                assert got.linked(a, b) == ((min(a, b), max(a, b)) in edges), (a, b)
+
+    @settings(max_examples=300 * fuzz_scale, deadline=None)
+    @given(batch=reach_batches())
+    @example(batch=MIXED_WINDOW)
+    @example(batch=BAND_WINDOWS[0])
+    @example(batch=BAND_WINDOWS[1])
+    def check(batch):
+        steps, n_vehicles = batch
+        graphs = [graph_from_losses(links, range(n_vehicles)) for links in steps]
+        nodes = graphs[0].nodes
+        window = link_graphs(range(len(graphs)), nodes, graphs[0].index, link_rows(graphs))
+        for g, got in zip(graphs, window, strict=True):
+            full = adjacency(g)
+            assert list(got.rsu_row.items()) == list(full[0].items())
+            assert list(got.missed) == [v for v in range(1, len(nodes)) if v not in full[0]]
+            for v, row in got.missed.items():
+                assert list(row.items()) == list(full[v].items())
+            assert np.array_equal(got.edges, g.edges)
+            edges = set(map(tuple, g.edges.tolist()))
+            for a in range(len(nodes)):
+                for b in range(len(nodes)):
+                    assert got.linked(a, b) == ((min(a, b), max(a, b)) in edges), (a, b)
+
+    check()
 
 
 def test_route_all_matches_heap_dijkstra_on_dense_run():
